@@ -6,17 +6,16 @@ cached engine), this script times raw :class:`Simulator` runs — the object
 of study is the simulator itself, so every run is built fresh and nothing
 touches the result cache.  For each preset it measures retired-KIPS
 (thousands of simulated instructions per wall-clock second) in three
-configurations: **compiled** — the runtime-built C kernels over the SoA
-buffers plus idle-cycle fast-forward — **fast** — the interpreted
-array-oriented SoA kernels plus fast-forward (``REPRO_NO_COMPILED``
-semantics) — and the **naive** oracle configuration — object-based
-structures and the one-cycle-at-a-time stepper (``REPRO_NO_VECTOR`` +
-``REPRO_NO_FASTFORWARD`` semantics).  The median over ``--reps``
-interleaved repetitions is reported (container wall-clock is noisy), and
-all modes are cross-checked for byte-identical ``measured_counters()``.
-On a compiler-less host the compiled mode silently falls back to the
-interpreted fast path; the row records ``compiled_enabled`` so a ~1.0x
-compiled speedup is attributable.
+configurations: **compiled** — the runtime-built C kernels plus idle-cycle
+fast-forward — **fast** — the object structures plus fast-forward
+(``REPRO_NO_COMPILED`` semantics) — and the **naive** oracle configuration
+— object structures and the one-cycle-at-a-time stepper
+(``REPRO_NO_COMPILED`` + ``REPRO_NO_FASTFORWARD`` semantics).  The median
+over ``--reps`` interleaved repetitions is reported (container wall-clock
+is noisy), and all modes are cross-checked for byte-identical
+``measured_counters()``.  On a compiler-less host the compiled mode
+silently falls back to the object structures; the row records
+``compiled_enabled`` so a ~1.0x compiled speedup is attributable.
 
 The committed reference results live in ``BENCH_throughput.json`` at the
 repo root; regenerate with::
@@ -58,16 +57,13 @@ def _run_once(
 ):
     """One fresh simulation; returns (simulator, wall seconds).
 
-    ``fast=True`` is the interpreted fast configuration (SoA vector kernels
-    + idle-cycle fast-forward); adding ``compiled=True`` swaps the hot
-    leaves for the runtime-built C kernels; ``fast=False`` is the pure
-    object oracle with the naive stepper, regardless of the ambient
-    ``REPRO_NO_*`` env.
+    ``fast=True`` turns on idle-cycle fast-forward; ``compiled=True`` swaps
+    the object structures for the runtime-built C kernels.  ``fast=False,
+    compiled=False`` is the pure object oracle with the naive stepper,
+    regardless of the ambient ``REPRO_NO_*`` env.
     """
     config = PRESET_BUILDERS[preset](n, seed)
-    simulator = build_simulator(
-        workload, config, seed, vector=fast, compiled=compiled
-    )
+    simulator = build_simulator(workload, config, seed, compiled=compiled)
     simulator.fast_forward_enabled = fast
     started = time.perf_counter()
     simulator.run()

@@ -15,9 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.common.cc import resolve_compiled
 from repro.common.config import BranchConfig
-from repro.common.vector import resolve_vector
 from repro.workloads.program import BranchKind
+
+
+def _check_geometry(sets_state: list, num_sets: int, assoc: int, name: str) -> None:
+    """Reject checkpointed sets that do not fit this buffer's geometry."""
+    if len(sets_state) != num_sets:
+        raise ValueError(f"{name} geometry mismatch")
+    if any(len(entries) > assoc for entries in sets_state):
+        raise ValueError(f"{name} set holds more entries than ways")
 
 
 @dataclass
@@ -102,8 +110,7 @@ class BranchTargetBuffer:
 
     def load_state(self, state: dict) -> None:
         sets_state = state["sets"]
-        if len(sets_state) != self.num_sets:
-            raise ValueError("BTB geometry mismatch")
+        _check_geometry(sets_state, self.num_sets, self.assoc, "BTB")
         for way_set, entries in zip(self._sets, sets_state):
             way_set.clear()
             for pc, kind, target in entries:
@@ -113,122 +120,15 @@ class BranchTargetBuffer:
         self.misses = state["misses"]
 
 
-class BranchTargetBufferVec(BranchTargetBuffer):
-    """Set-associative BTB with structure-of-arrays way storage.
-
-    Way payloads (kind, target, tag pc) live in preallocated
-    ``(num_sets, assoc)`` int64 ndarrays; a per-set dict maps pc → way index
-    and, through dict insertion order, doubles as the LRU chain (a touch
-    re-inserts at the MRU end, the victim is the first key — equivalent to
-    the oracle's monotonic-stamp min, since every stamp update is a
-    move-to-end).  Scalar probes stay O(1) hash lookups — a calibrated
-    single-element ndarray probe is ~50x a dict probe — while the arrays
-    make bulk operations (checkpoint export/import) single numpy/buffer
-    conversions and pin the payload memory layout.
-    """
-
-    def __init__(self, entries: int, assoc: int) -> None:
-        import numpy as np
-
-        self.entries = entries
-        self.assoc = assoc
-        self.num_sets = entries // assoc
-        # pc -> way index, insertion-ordered LRU -> MRU.
-        self._maps: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._kinds = np.zeros((self.num_sets, assoc), dtype=np.int64)
-        self._targets = np.zeros((self.num_sets, assoc), dtype=np.int64)
-        self._pcs = np.full((self.num_sets, assoc), -1, dtype=np.int64)
-        self._free: list[list[int]] = [
-            list(range(assoc - 1, -1, -1)) for _ in range(self.num_sets)
-        ]
-        self.hits = 0
-        self.misses = 0
-
-    def probe(self, pc: int) -> BTBEntry | None:
-        """Look up the branch at ``pc``; update recency on hit."""
-        way_map = self._maps[(pc >> 2) % self.num_sets]
-        way = way_map.get(pc)
-        if way is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        del way_map[pc]
-        way_map[pc] = way  # move to MRU
-        set_index = (pc >> 2) % self.num_sets
-        return BTBEntry(
-            pc,
-            BranchKind(int(self._kinds[set_index, way])),
-            int(self._targets[set_index, way]),
-        )
-
-    def contains(self, pc: int) -> bool:
-        """Tag check without touching recency or statistics."""
-        return pc in self._maps[(pc >> 2) % self.num_sets]
-
-    def fill(self, pc: int, kind: BranchKind, target: int) -> None:
-        """Insert or refresh the entry for the branch at ``pc``."""
-        set_index = (pc >> 2) % self.num_sets
-        way_map = self._maps[set_index]
-        way = way_map.get(pc)
-        if way is None:
-            free = self._free[set_index]
-            if free:
-                way = free.pop()
-            else:
-                victim_pc, way = next(iter(way_map.items()))  # LRU = first key
-                del way_map[victim_pc]
-        else:
-            del way_map[pc]
-        self._kinds[set_index, way] = int(kind)
-        self._targets[set_index, way] = target
-        self._pcs[set_index, way] = pc
-        way_map[pc] = way
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(m) for m in self._maps)
-
-    def state_dict(self) -> dict:
-        """Same layout-neutral format as :meth:`BranchTargetBuffer.state_dict`."""
-        return {
-            "sets": [
-                [
-                    (pc, int(self._kinds[s, w]), int(self._targets[s, w]))
-                    for pc, w in way_map.items()
-                ]
-                for s, way_map in enumerate(self._maps)
-            ],
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def load_state(self, state: dict) -> None:
-        sets_state = state["sets"]
-        if len(sets_state) != self.num_sets:
-            raise ValueError("BTB geometry mismatch")
-        self._pcs[:] = -1
-        for s, entries in enumerate(sets_state):
-            way_map = self._maps[s]
-            way_map.clear()
-            self._free[s] = list(range(self.assoc - 1, -1, -1))
-            for pc, kind, target in entries:
-                way = self._free[s].pop()
-                self._kinds[s, way] = kind
-                self._targets[s, way] = target
-                self._pcs[s, way] = pc
-                way_map[pc] = way
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-
-
-class BranchTargetBufferC(BranchTargetBufferVec):
+class BranchTargetBufferC(BranchTargetBuffer):
     """Compiled-kernel BTB: probe/fill run as single C calls over the SoA ways.
 
-    Replacement state moves from insertion-ordered dicts to a monotonic
-    stamp array (victim = minimum stamp) — equivalent because every dict
-    touch is a move-to-end, i.e. a new maximum stamp.  The layout-neutral
-    ``state_dict`` format (LRU→MRU per set) round-trips with the other two
-    implementations.
+    Way payloads (kind, target, tag pc) live in preallocated
+    ``(num_sets, assoc)`` int64 ndarrays the kernels address through raw
+    pointers.  Replacement state is a monotonic stamp array (victim =
+    minimum stamp), which picks the same victim as the object BTB's
+    minimum ``lru``.  The layout-neutral ``state_dict`` format (LRU→MRU
+    per set) round-trips with :class:`BranchTargetBuffer`.
     """
 
     def __init__(self, entries: int, assoc: int) -> None:
@@ -246,8 +146,7 @@ class BranchTargetBufferC(BranchTargetBufferVec):
         self._targets = np.zeros((self.num_sets, assoc), dtype=np.int64)
         self._pcs = np.full((self.num_sets, assoc), -1, dtype=np.int64)
         self._stamps = np.zeros(self.num_sets * assoc, dtype=np.int64)
-        self._maps = None  # recency lives in the stamp array; fail loudly
-        self._free = None
+        self._sets = None  # entries live in the arrays; fail loudly
         self._pcs_f = memoryview(self._pcs.reshape(-1))
         self._kinds_f = memoryview(self._kinds.reshape(-1))
         self._targets_f = memoryview(self._targets.reshape(-1))
@@ -332,8 +231,7 @@ class BranchTargetBufferC(BranchTargetBufferVec):
 
     def load_state(self, state: dict) -> None:
         sets_state = state["sets"]
-        if len(sets_state) != self.num_sets:
-            raise ValueError("BTB geometry mismatch")
+        _check_geometry(sets_state, self.num_sets, self.assoc, "BTB")
         self._pcs[:] = -1
         self._stamps[:] = 0
         stamp = int(self._di[6])
@@ -414,8 +312,7 @@ class IndirectTargetBuffer:
 
     def load_state(self, state: dict) -> None:
         sets_state = state["sets"]
-        if len(sets_state) != self.num_sets:
-            raise ValueError("iBTB geometry mismatch")
+        _check_geometry(sets_state, self.num_sets, self.assoc, "iBTB")
         for way_set, entries in zip(self._sets, sets_state):
             way_set.clear()
             for tag, target in entries:
@@ -425,87 +322,7 @@ class IndirectTargetBuffer:
         self.misses = state["misses"]
 
 
-class IndirectTargetBufferVec(IndirectTargetBuffer):
-    """Indirect target buffer with SoA way storage (see BranchTargetBufferVec).
-
-    Identical replacement semantics to :class:`IndirectTargetBuffer`: every
-    stamp update there is a move-to-end here, so dict insertion order *is*
-    the LRU chain and the min-stamp victim is the first key.
-    """
-
-    def __init__(self, entries: int, assoc: int, history_bits: int = 12) -> None:
-        import numpy as np
-
-        self.entries = entries
-        self.assoc = assoc
-        self.num_sets = entries // assoc
-        self.history_bits = history_bits
-        # tag -> way index, insertion-ordered LRU -> MRU.
-        self._maps: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._targets = np.zeros((self.num_sets, assoc), dtype=np.int64)
-        self._free: list[list[int]] = [
-            list(range(assoc - 1, -1, -1)) for _ in range(self.num_sets)
-        ]
-        self.hits = 0
-        self.misses = 0
-
-    def predict(self, pc: int, history: int) -> int | None:
-        """Predicted target for the indirect branch at ``pc``, or None."""
-        set_index, tag = self._key(pc, history)
-        way_map = self._maps[set_index]
-        way = way_map.get(tag)
-        if way is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        del way_map[tag]
-        way_map[tag] = way  # move to MRU (the oracle re-stamps on hit)
-        return int(self._targets[set_index, way])
-
-    def train(self, pc: int, history: int, target: int) -> None:
-        """Record the resolved target under the current path history."""
-        set_index, tag = self._key(pc, history)
-        way_map = self._maps[set_index]
-        way = way_map.get(tag)
-        if way is None:
-            free = self._free[set_index]
-            if free:
-                way = free.pop()
-            else:
-                victim_tag, way = next(iter(way_map.items()))
-                del way_map[victim_tag]
-        else:
-            del way_map[tag]
-        self._targets[set_index, way] = target
-        way_map[tag] = way
-
-    def state_dict(self) -> dict:
-        return {
-            "sets": [
-                [(tag, int(self._targets[s, w])) for tag, w in way_map.items()]
-                for s, way_map in enumerate(self._maps)
-            ],
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def load_state(self, state: dict) -> None:
-        sets_state = state["sets"]
-        if len(sets_state) != self.num_sets:
-            raise ValueError("iBTB geometry mismatch")
-        for s, entries in enumerate(sets_state):
-            way_map = self._maps[s]
-            way_map.clear()
-            self._free[s] = list(range(self.assoc - 1, -1, -1))
-            for tag, target in entries:
-                way = self._free[s].pop()
-                self._targets[s, way] = target
-                way_map[tag] = way
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-
-
-class IndirectTargetBufferC(IndirectTargetBufferVec):
+class IndirectTargetBufferC(IndirectTargetBuffer):
     """Compiled-kernel iBTB: predict/train as single C calls per branch.
 
     The set/tag hash stays in Python (a handful of integer ops on values the
@@ -528,8 +345,7 @@ class IndirectTargetBufferC(IndirectTargetBufferVec):
         self._tags = np.full((self.num_sets, assoc), -1, dtype=np.int64)
         self._targets = np.zeros((self.num_sets, assoc), dtype=np.int64)
         self._stamps = np.zeros(self.num_sets * assoc, dtype=np.int64)
-        self._maps = None  # recency lives in the stamp array; fail loudly
-        self._free = None
+        self._sets = None  # entries live in the arrays; fail loudly
         self._tags_f = memoryview(self._tags.reshape(-1))
         self._targets_f = memoryview(self._targets.reshape(-1))
         self._stamps_f = memoryview(self._stamps)
@@ -591,8 +407,7 @@ class IndirectTargetBufferC(IndirectTargetBufferVec):
 
     def load_state(self, state: dict) -> None:
         sets_state = state["sets"]
-        if len(sets_state) != self.num_sets:
-            raise ValueError("iBTB geometry mismatch")
+        _check_geometry(sets_state, self.num_sets, self.assoc, "iBTB")
         self._tags[:] = -1
         self._stamps[:] = 0
         stamp = int(self._di[6])
@@ -612,16 +427,13 @@ class IndirectTargetBufferC(IndirectTargetBufferVec):
         self.misses = state["misses"]
 
 
-def btb_from_config(
-    config: BranchConfig,
-    vector: bool | None = None,
-    compiled: bool | None = None,
-):
+def btb_from_config(config: BranchConfig, compiled: bool | None = None):
     """Construct the branch-discovery BTB.
 
     ``btb_levels == 1`` gives Table II's monolithic BTB; ``2`` gives the
     related-work hierarchical organization (see
-    :mod:`repro.branch.two_level_btb`).
+    :mod:`repro.branch.two_level_btb`).  ``compiled`` selects the C-kernel
+    classes (see :func:`repro.common.cc.resolve_compiled`).
     """
     if config.btb_levels == 2:
         from repro.branch.two_level_btb import TwoLevelBTB
@@ -631,27 +443,14 @@ def btb_from_config(
             l1_assoc=config.l1_btb_assoc,
             l2_entries=config.btb_entries,
             l2_assoc=config.btb_assoc,
-            vector=vector,
+            compiled=compiled,
         )
-    if resolve_vector(vector):
-        from repro.common.cc import resolve_compiled
-
-        if resolve_compiled(compiled):
-            return BranchTargetBufferC(config.btb_entries, config.btb_assoc)
-        return BranchTargetBufferVec(config.btb_entries, config.btb_assoc)
-    return BranchTargetBuffer(config.btb_entries, config.btb_assoc)
+    cls = BranchTargetBufferC if resolve_compiled(compiled) else BranchTargetBuffer
+    return cls(config.btb_entries, config.btb_assoc)
 
 
-def ibtb_from_config(
-    config: BranchConfig,
-    vector: bool | None = None,
-    compiled: bool | None = None,
-):
+def ibtb_from_config(config: BranchConfig, compiled: bool | None = None):
     """Construct the indirect target buffer per Table II."""
-    if resolve_vector(vector):
-        from repro.common.cc import resolve_compiled
-
-        if resolve_compiled(compiled):
-            return IndirectTargetBufferC(config.ibtb_entries, config.ibtb_assoc)
-        return IndirectTargetBufferVec(config.ibtb_entries, config.ibtb_assoc)
+    if resolve_compiled(compiled):
+        return IndirectTargetBufferC(config.ibtb_entries, config.ibtb_assoc)
     return IndirectTargetBuffer(config.ibtb_entries, config.ibtb_assoc)

@@ -117,8 +117,8 @@ class GlobalHistoryC(GlobalHistory):
     register and shifting the word array; the folded values live in an int64
     array the TAGE descriptor points into, so the compiled predictor reads
     them without any Python round-trip.  ``checkpoint``/``restore`` keep the
-    exact interpreted format ``(bits_int, tuple(folded))`` — warmup
-    checkpoints round-trip across all three modes.
+    object format ``(bits_int, tuple(folded))``, so warmup checkpoints
+    round-trip between both implementations.
     """
 
     def __init__(self, max_length: int, foldings: list[tuple[int, int]]) -> None:

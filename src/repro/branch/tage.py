@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.branch.bimodal import BimodalPredictor
-from repro.branch.history import GlobalHistory
+from repro.branch.history import GlobalHistory, GlobalHistoryC
+from repro.common.cc import resolve_compiled
 from repro.common.config import BranchConfig
-from repro.common.vector import resolve_vector
 
 CONF_LOW = 0
 CONF_MEDIUM = 1
@@ -300,9 +300,9 @@ class TagePredictor:
         """Serializable predictor state, independent of the table layout.
 
         The same format is produced and consumed by :class:`TagePredictor`
-        and :class:`TagePredictorVec`, so a warmup checkpoint captured under
-        either mode restores under the other (``REPRO_NO_VECTOR``
-        cross-mode round-trips in ``tests/sim/test_vector.py``).
+        and :class:`TagePredictorC`, so a warmup checkpoint captured by
+        either restores into the other (cross-mode round-trips in
+        ``tests/sim/test_modes.py``).
         """
         return {
             "base": self.base,  # BimodalPredictor: identical class either mode
@@ -319,7 +319,7 @@ class TagePredictor:
         if len(tables_state) != len(self.tables):
             raise ValueError("TAGE table count mismatch")
         for table, (tags, ctrs, useful) in zip(self.tables, tables_state):
-            if len(tags) != table.size:
+            if any(len(part) != table.size for part in (tags, ctrs, useful)):
                 raise ValueError("TAGE table geometry mismatch")
             table.tags[:] = tags
             table.ctrs[:] = ctrs
@@ -329,132 +329,43 @@ class TagePredictor:
         self._tick = state["tick"]
 
 
-class _TaggedTableView:
-    """Row views into the SoA arrays, attribute-compatible with _TaggedTable.
-
-    The prediction and training paths (:meth:`TagePredictor.predict`,
-    :meth:`TagePredictor.update` and friends) are shared between the oracle
-    and vector predictors through this adapter: ``tags`` / ``ctrs`` /
-    ``useful`` are zero-copy memoryviews of the predictor-wide int64 arrays,
-    so scalar probes stay near list speed (a memoryview index returns a
-    Python int in ~55ns vs ~175ns for ``int(ndarray[i])``) while every
-    element written lands directly in the SoA storage the bulk kernels
-    (aging, checkpoint export) operate on.
-    """
-
-    __slots__ = ("size", "tag_mask", "tags", "ctrs", "useful")
-
-    def __init__(self, size, tag_mask, tags, ctrs, useful) -> None:
-        self.size = size
-        self.tag_mask = tag_mask
-        self.tags = tags
-        self.ctrs = ctrs
-        self.useful = useful
-
-
-class TagePredictorVec(TagePredictor):
-    """TAGE with structure-of-arrays tables and bulk-vectorized maintenance.
+class TagePredictorC(TagePredictor):
+    """TAGE with compiled predict/update kernels over structure-of-arrays tables.
 
     Storage is three preallocated ``(tables, size)`` int64 ndarrays (tags,
-    signed counters, usefulness).  The per-branch probe remains the scalar
-    base-class loop, reading the arrays through zero-copy memoryview rows: a
-    fully vectorized index/tag/hit kernel was implemented and measured at
-    ~3.5x *slower* than the scalar loop (≈14µs vs ≈4µs per predict — eight
-    ~10-element numpy expressions cannot amortize per-call dispatch
-    overhead; see docs/performance.md), so numpy is reserved for the
-    genuinely bulk kernels: ``_age_useful`` decays the whole predictor in
-    one masked subtract instead of a 49k-iteration Python loop, and
-    checkpoint export/import moves whole tables per call.
-
-    Byte-identical to :class:`TagePredictor` in predictions, allocations,
-    and counters (``tests/sim/test_vector.py``).
-    """
-
-    def __init__(self, config: BranchConfig, history: GlobalHistory) -> None:
-        import numpy as np
-
-        super().__init__(config, history)
-        self._np = np
-        size = 1 << config.tage_table_bits
-        num_tables = len(self.hist_lengths)
-        self._tags_arr = np.zeros((num_tables, size), dtype=np.int64)
-        self._ctrs_arr = np.zeros((num_tables, size), dtype=np.int64)
-        self._useful_arr = np.zeros((num_tables, size), dtype=np.int64)
-        self._tag_mask = (1 << config.tage_tag_bits) - 1
-        self.tables = [
-            _TaggedTableView(
-                size,
-                self._tag_mask,
-                memoryview(self._tags_arr[t]),
-                memoryview(self._ctrs_arr[t]),
-                memoryview(self._useful_arr[t]),
-            )
-            for t in range(num_tables)
-        ]
-
-    def _age_useful(self) -> None:
-        """Whole-predictor usefulness decay as one masked array subtract."""
-        np = self._np
-        u = self._useful_arr
-        np.subtract(u, 1, out=u, where=u > 0)
-
-    def state_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "tables": [
-                (
-                    self._tags_arr[t].tolist(),
-                    self._ctrs_arr[t].tolist(),
-                    self._useful_arr[t].astype("uint8").tobytes(),
-                )
-                for t in range(len(self.tables))
-            ],
-            "use_alt_counter": self.use_alt_counter,
-            "tick": self._tick,
-        }
-
-    def load_state(self, state: dict) -> None:
-        np = self._np
-        tables_state = state["tables"]
-        if len(tables_state) != len(self.tables):
-            raise ValueError("TAGE table count mismatch")
-        for t, (tags, ctrs, useful) in enumerate(tables_state):
-            if len(tags) != self.tables[t].size:
-                raise ValueError("TAGE table geometry mismatch")
-            self._tags_arr[t, :] = tags
-            self._ctrs_arr[t, :] = ctrs
-            self._useful_arr[t, :] = np.frombuffer(useful, dtype=np.uint8)
-        self.base = state["base"]
-        self.use_alt_counter = state["use_alt_counter"]
-        self._tick = state["tick"]
-
-
-class TagePredictorC(TagePredictorVec):
-    """TAGE with compiled predict/update kernels over the SoA tables.
-
+    signed counters, usefulness) the kernels address through raw pointers.
     One C call per prediction (all index/tag folds, the provider scan, and
     the confidence classification) and one per training event (including
     allocation and the periodic usefulness aging).  Requires the shared
     history to be a :class:`~repro.branch.history.GlobalHistoryC`, whose
     folded-fold array the descriptor points into.  ``use_alt_counter`` and
     ``_tick`` live in the descriptor so C-side updates are visible to
-    ``state_dict`` — they are exposed as properties (with a pre-descriptor
-    stash, since the base ``__init__`` assigns them before the descriptor
-    exists).
+    ``state_dict``.  Byte-identical to :class:`TagePredictor` in
+    predictions, allocations, and counters (``tests/sim/test_modes.py``).
     """
 
-    def __init__(self, config: BranchConfig, history) -> None:
+    def __init__(self, config: BranchConfig, history: GlobalHistoryC) -> None:
         import numpy as np
 
         from repro.common import cc
-        from repro.branch.history import GlobalHistoryC
 
         kernels = cc.kernels()
         if kernels is None or not isinstance(history, GlobalHistoryC):
             raise RuntimeError("compiled kernels unavailable")
-        super().__init__(config, history)
+        self.config = config
+        self.history = history
+        self.base = BimodalPredictor(table_bits=13)
+        self.hist_lengths = _geometric_lengths(
+            config.tage_tables, config.tage_min_hist, config.tage_max_hist
+        )
+        self._index_mask = (1 << config.tage_table_bits) - 1
+        self._np = np
         size = 1 << config.tage_table_bits
         num_tables = len(self.hist_lengths)
+        self._tags_arr = np.zeros((num_tables, size), dtype=np.int64)
+        self._ctrs_arr = np.zeros((num_tables, size), dtype=np.int64)
+        self._useful_arr = np.zeros((num_tables, size), dtype=np.int64)
+        self.tables = None  # table state lives in the arrays; fail loudly
         self._idx_scratch = np.zeros(max(num_tables, 1), dtype=np.int64)
         self._tag_scratch = np.zeros(max(num_tables, 1), dtype=np.int64)
         self._idx_mv = memoryview(self._idx_scratch)[:num_tables]
@@ -466,14 +377,13 @@ class TagePredictorC(TagePredictorVec):
         di[3] = num_tables
         di[4] = size
         di[5] = self._index_mask
-        di[6] = self._tag_mask
+        di[6] = (1 << config.tage_tag_bits) - 1
         di[7] = config.tage_table_bits
         di[8] = history._folded_arr.ctypes.data
         # di[9]/di[10]: bimodal base pointer+mask, bound by _bind_base below.
-        di[11] = self.__dict__.pop("use_alt_counter")
+        di[11] = config.tage_use_alt_threshold  # use_alt_counter
         di[12] = config.tage_use_alt_threshold
-        di[13] = self.__dict__.pop("_tick")
-        # di[14..21]: prediction outputs
+        # di[13]: tick; di[14..21]: prediction outputs
         di[22] = self._idx_scratch.ctypes.data
         di[23] = self._tag_scratch.ctypes.data
         self._di = di
@@ -496,33 +406,19 @@ class TagePredictorC(TagePredictorVec):
 
     @property
     def use_alt_counter(self) -> int:
-        di = self.__dict__.get("_di")
-        if di is None:  # base __init__ runs before the descriptor exists
-            return self.__dict__["use_alt_counter"]
-        return int(di[11])
+        return int(self._dmv[11])
 
     @use_alt_counter.setter
     def use_alt_counter(self, value: int) -> None:
-        di = self.__dict__.get("_di")
-        if di is None:
-            self.__dict__["use_alt_counter"] = value
-        else:
-            di[11] = value
+        self._di[11] = value
 
     @property
     def _tick(self) -> int:
-        di = self.__dict__.get("_di")
-        if di is None:
-            return self.__dict__["_tick"]
-        return int(di[13])
+        return int(self._dmv[13])
 
     @_tick.setter
     def _tick(self, value: int) -> None:
-        di = self.__dict__.get("_di")
-        if di is None:
-            self.__dict__["_tick"] = value
-        else:
-            di[13] = value
+        self._di[13] = value
 
     def predict(self, pc: int) -> TagePrediction:
         """Predict the direction of the conditional branch at ``pc``."""
@@ -559,23 +455,48 @@ class TagePredictorC(TagePredictorVec):
             prediction.tags,
         )
 
+    def state_dict(self) -> dict:
+        """Same layout-neutral format as :meth:`TagePredictor.state_dict`."""
+        return {
+            "base": self.base,
+            "tables": [
+                (
+                    self._tags_arr[t].tolist(),
+                    self._ctrs_arr[t].tolist(),
+                    self._useful_arr[t].astype("uint8").tobytes(),
+                )
+                for t in range(len(self._tags_arr))
+            ],
+            "use_alt_counter": self.use_alt_counter,
+            "tick": self._tick,
+        }
+
     def load_state(self, state: dict) -> None:
-        super().load_state(state)
+        """Restore :meth:`state_dict` output in place (geometry must match)."""
+        np = self._np
+        tables_state = state["tables"]
+        num_tables, size = self._tags_arr.shape
+        if len(tables_state) != num_tables:
+            raise ValueError("TAGE table count mismatch")
+        for t, (tags, ctrs, useful) in enumerate(tables_state):
+            if any(len(part) != size for part in (tags, ctrs, useful)):
+                raise ValueError("TAGE table geometry mismatch")
+            self._tags_arr[t, :] = tags
+            self._ctrs_arr[t, :] = ctrs
+            self._useful_arr[t, :] = np.frombuffer(useful, dtype=np.uint8)
+        self.base = state["base"]
+        self.use_alt_counter = state["use_alt_counter"]
+        self._tick = state["tick"]
         self._bind_base()
 
 
 def tage_from_config(
     config: BranchConfig,
     history: GlobalHistory,
-    vector: bool | None = None,
     compiled: bool | None = None,
 ) -> TagePredictor:
-    """Construct the TAGE predictor (SoA kernels unless ``REPRO_NO_VECTOR``)."""
-    if resolve_vector(vector):
-        from repro.branch.history import GlobalHistoryC
-        from repro.common.cc import resolve_compiled
-
-        if resolve_compiled(compiled) and isinstance(history, GlobalHistoryC):
-            return TagePredictorC(config, history)
-        return TagePredictorVec(config, history)
+    """Construct the TAGE predictor (C kernels when ``compiled`` resolves on
+    and the shared history is the compiled one)."""
+    if resolve_compiled(compiled) and isinstance(history, GlobalHistoryC):
+        return TagePredictorC(config, history)
     return TagePredictor(config, history)

@@ -20,10 +20,11 @@ hardware never commits its training either).
 from __future__ import annotations
 
 from repro.branch.btb import BTBEntry, btb_from_config, ibtb_from_config
-from repro.branch.history import GlobalHistory
+from repro.branch.history import GlobalHistory, GlobalHistoryC
 from repro.branch.loop_predictor import LoopPredictor
 from repro.branch.ras import ReturnAddressStack
 from repro.branch.tage import TagePrediction, TagePredictor, tage_from_config
+from repro.common.cc import resolve_compiled
 from repro.common.config import BranchConfig
 from repro.common.counters import Counters
 from repro.workloads.program import BranchKind
@@ -38,27 +39,20 @@ class BranchPredictionUnit:
         self,
         config: BranchConfig,
         counters: Counters | None = None,
-        vector: bool | None = None,
         compiled: bool | None = None,
     ) -> None:
-        from repro.common.cc import resolve_compiled
-        from repro.common.vector import resolve_vector
-
         self.config = config
         self.counters = counters if counters is not None else Counters()
+        # Compiled C-kernel structures unless REPRO_NO_COMPILED or no
+        # compiler, else the object oracle; both are byte-identical in
+        # behaviour (tests/sim/test_modes.py).
+        compiled = resolve_compiled(compiled)
         foldings = TagePredictor.expected_foldings(config)
-        if resolve_vector(vector) and resolve_compiled(compiled):
-            from repro.branch.history import GlobalHistoryC
-
-            self.history = GlobalHistoryC(config.tage_max_hist, foldings)
-        else:
-            self.history = GlobalHistory(config.tage_max_hist, foldings)
-        # SoA (vector-mode) predictor structures unless REPRO_NO_VECTOR, with
-        # compiled C kernels on top unless REPRO_NO_COMPILED; all variants are
-        # byte-identical in behaviour (tests/sim/test_vector.py).
-        self.tage = tage_from_config(config, self.history, vector, compiled)
-        self.btb = btb_from_config(config, vector, compiled)
-        self.ibtb = ibtb_from_config(config, vector, compiled)
+        history_cls = GlobalHistoryC if compiled else GlobalHistory
+        self.history = history_cls(config.tage_max_hist, foldings)
+        self.tage = tage_from_config(config, self.history, compiled)
+        self.btb = btb_from_config(config, compiled)
+        self.ibtb = ibtb_from_config(config, compiled)
         self.ras = ReturnAddressStack(config.ras_entries)
         self.loop = (
             LoopPredictor(config.loop_predictor_entries)

@@ -14,7 +14,6 @@ from repro.common.config import (
     CoreConfig,
     FrontendConfig,
     MemoryConfig,
-    PrefetcherConfig,
     SimConfig,
     TechniqueConfig,
     UDPConfig,
@@ -36,7 +35,6 @@ __all__ = [
     "CoreConfig",
     "FrontendConfig",
     "MemoryConfig",
-    "PrefetcherConfig",
     "SimConfig",
     "TechniqueConfig",
     "UDPConfig",

@@ -1,13 +1,13 @@
 """Runtime builder for the compiled hot-loop kernels.
 
-The SoA/vector pass (PR 7) proved that interpreted Python is the remaining
-hot-path ceiling: per-probe numpy is a pessimization at simulator table
-sizes, so the scalar leaves stayed memoryview/dict Python.  This module
-compiles the hand-written C kernels under ``repro/common/kernels/`` into a
-CPython extension module *on first use* with the system compiler, caches the
-built ``.so`` content-addressed under the shared artifact root (digest of
-every source file plus the build flags and interpreter ABI; atomic rename,
-exactly like the program/checkpoint stores), and loads it via importlib.
+Interpreted Python is the hot-path ceiling of the simulator's scalar
+leaves, and per-probe numpy is a pessimization at simulator table sizes
+(see docs/performance.md).  This module compiles the hand-written C
+kernels under ``repro/common/kernels/`` into a CPython extension module
+*on first use* with the system compiler, caches the built ``.so``
+content-addressed under the shared artifact root (digest of every source
+file plus the build flags and interpreter ABI; atomic rename, exactly like
+the program/checkpoint stores), and loads it via importlib.
 
 A measured design note: the kernels are a real CPython extension
 (``METH_FASTCALL``) rather than a ``ctypes``-loaded plain ``.so`` because a
@@ -17,10 +17,9 @@ enough for per-probe kernels on top of the fat batch kernels.
 
 Fallback contract: when no compiler is present, compilation fails, or
 ``REPRO_NO_COMPILED=1`` is set, :func:`kernels` returns ``None`` and every
-call site silently stays on the interpreted SoA path (which, with the
-pure-object ``REPRO_NO_VECTOR`` path, remains the byte-identity oracle —
-``tests/sim/test_vector.py`` enforces identical counters across all three).
-No new Python dependencies are involved.
+call site silently stays on the object implementations, which remain the
+byte-identity oracle (``tests/sim/test_modes.py`` enforces identical
+counters between the two).  No new Python dependencies are involved.
 """
 
 from __future__ import annotations
@@ -134,8 +133,8 @@ def kernels():
     global _MODULE, _BUILD_ERROR
     if compiled_disabled():
         # Checked before the memo so the gate stays live for the whole
-        # process (mirrors REPRO_NO_VECTOR); an already-built module is
-        # simply not handed out while the env opts out.
+        # process; an already-built module is simply not handed out while
+        # the env opts out.
         return None
     if _MODULE is not False:
         return _MODULE

@@ -1,6 +1,6 @@
 /* BTB / iBTB probe+insert kernels and the folded global-history push.
  *
- * Ports of branch/btb.py (BranchTargetBufferVec, IndirectTargetBufferVec)
+ * Ports of branch/btb.py (BranchTargetBuffer, IndirectTargetBuffer)
  * and branch/history.py (GlobalHistory.push).  The iBTB set/tag hash stays
  * in the Python wrapper (it is a handful of integer ops on values Python
  * already holds); both structures share BtbDesc with tags in `pcs`.

@@ -1,10 +1,10 @@
 /* Set-associative cache kernels plus the fused data/instruction miss path.
  *
- * Ports of memory/cache.py (SetAssocCacheVec), memory/stream.py and
+ * Ports of memory/cache.py (SetAssocCache), memory/stream.py and
  * memory/hierarchy.py, operating on the descriptor layouts in kernels.h.
  * Replacement is stamp-LRU (see the header note on dict-order equivalence);
- * free-way choice is lowest index, which only renames ways relative to the
- * interpreted free-list and is invisible to behaviour and serialization.
+ * free-way choice is lowest index, which is invisible to behaviour and
+ * serialization.
  */
 #include "kernels.h"
 

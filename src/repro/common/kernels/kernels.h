@@ -5,14 +5,15 @@
  * ndarray owned by the Python wrapper (doubles are stored via a float64
  * view of the same buffer; every field is 8 bytes, so the layouts match
  * by construction).  Payload fields are raw pointers into the wrapper's
- * C-contiguous int64 SoA ndarrays from the vector pass -- the kernels
- * mutate the exact arrays the interpreted path reads, which is what makes
- * per-structure fallback (and the byte-identity oracle) possible.
+ * C-contiguous int64 SoA ndarrays -- the kernels mutate the exact arrays
+ * the wrapper reads for checkpoints and line views, so nothing is copied
+ * between C and Python.
  *
- * LRU everywhere is monotonic-stamp based: the interpreted path's
+ * LRU everywhere is monotonic-stamp based: the object caches'
  * insertion-ordered dicts perform a move-to-end on every touch, so
  * "victim = minimum stamp" selects the same victim the dict's first key
- * would -- replacement decisions are byte-identical by construction.
+ * would (the object BTBs already evict the minimum stamp) -- replacement
+ * decisions are byte-identical to the object oracle by construction.
  */
 #ifndef REPRO_KERNELS_H
 #define REPRO_KERNELS_H
@@ -30,7 +31,7 @@ static inline uint64_t mix64(uint64_t x) {
     return x ^ (x >> 31);
 }
 
-/* ---- set-associative cache (memory/cache.py SetAssocCacheVec) ---- */
+/* ---- set-associative cache (memory/cache.py SetAssocCacheC) ---- */
 typedef struct {
     int64_t *addrs;   /* [num_sets*assoc], -1 = free way */
     int64_t *flags;   /* packed PREFETCH|OFF_PATH|UDP|DIRTY bits */
@@ -82,7 +83,7 @@ typedef struct {
     int64_t n_stream_pf;
 } HierDesc;
 
-/* ---- BTB / iBTB (branch/btb.py *Vec) ---- */
+/* ---- BTB / iBTB (branch/btb.py *C) ---- */
 typedef struct {
     int64_t *pcs;     /* tag array, -1 = free (iBTB stores tags here) */
     int64_t *kinds;   /* unused by the iBTB */
@@ -109,7 +110,7 @@ typedef struct {
     uint64_t top_mask;    /* mask applied to the highest word */
 } HistDesc;
 
-/* ---- TAGE (branch/tage.py TagePredictorVec arrays) ---- */
+/* ---- TAGE (branch/tage.py TagePredictorC arrays) ---- */
 typedef struct {
     int64_t *tags;       /* [num_tables*size] */
     int64_t *ctrs;

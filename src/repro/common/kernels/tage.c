@@ -1,7 +1,7 @@
 /* TAGE kernels: the per-branch probe and the training/allocation path.
  *
  * Port of branch/tage.py (TagePredictor.predict/update over the
- * TagePredictorVec SoA arrays) plus the bimodal base (branch/bimodal.py,
+ * TagePredictorC SoA arrays) plus the bimodal base (branch/bimodal.py,
  * a raw uint8 table).  predict() leaves its outputs in the descriptor's
  * out_* fields and the per-table indices/tags in the scratch arrays; the
  * wrapper materializes the TagePrediction dataclass from those.  update()

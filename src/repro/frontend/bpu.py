@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
+from repro.branch.btb import BranchTargetBufferC
 from repro.common.addr import FETCH_BLOCK_BYTES, INSTR_BYTES, block_of
 from repro.common.config import FrontendConfig
 from repro.common.counters import Counters
@@ -110,7 +111,7 @@ class DecoupledFrontend:
         config: FrontendConfig,
         counters: Counters,
         path_estimator: PathEstimator | None = None,
-        vector: bool = False,
+        compiled: bool = False,
     ) -> None:
         self.program = program
         self.bpu = bpu
@@ -132,31 +133,23 @@ class DecoupledFrontend:
         # Set while a divergence is in flight; cleared by recover()/the
         # decode-stage resteer.  Used for asserting single-divergence.
         self.pending_resteer: PendingResteer | None = None
-        if vector:
-            # Vector mode: memoized fetch-window walk plans (the static part
-            # of _walk_block precomputed once per distinct start PC).
+        if compiled:
+            # Memoized fetch-window walk plans (the static part of
+            # _walk_block precomputed once per distinct start PC).
             self._plans: dict[int, _WindowPlan] = {}
             self._walk_block = self._walk_block_planned  # type: ignore[method-assign]
-            self._np = None
             self._k_first_hit = None
             self._btb_c = None
-            # Compiled off-path fast path: a diverged walker with no UDP path
+            # Off-path fast path: a diverged walker with no UDP path
             # estimator only consults the BTB, so a window whose branches all
-            # miss is fully static.  Requires the compiled BTB (its raw
+            # miss is fully static.  Requires the monolithic C BTB (its raw
             # descriptor feeds btb_first_hit); disabled per-call while a
             # counter hook is attached (bulk bumps change the event stream).
-            if path_estimator is None:
-                from repro.branch.btb import BranchTargetBufferC
+            if path_estimator is None and isinstance(bpu.btb, BranchTargetBufferC):
                 from repro.common import cc
 
-                if isinstance(bpu.btb, BranchTargetBufferC):
-                    kernels = cc.kernels()
-                    if kernels is not None:
-                        import numpy as np
-
-                        self._np = np
-                        self._k_first_hit = kernels.btb_first_hit
-                        self._btb_c = bpu.btb
+                self._k_first_hit = cc.kernels().btb_first_hit
+                self._btb_c = bpu.btb
 
     # -- per-cycle generation ----------------------------------------------
 
@@ -251,7 +244,7 @@ class DecoupledFrontend:
         self._finalize_path(entry, started_on_path, diverged_at)
         return entry
 
-    # -- the planned block walk (vector mode) ---------------------------------
+    # -- the planned block walk (compiled mode) -------------------------------
 
     def _build_plan(self, start: int) -> _WindowPlan:
         """Replicate the static walk from ``start`` once; cache the result."""
@@ -283,10 +276,12 @@ class DecoupledFrontend:
             steps.append((0, branch, len(ops)))
             cur = branch.fallthrough
         pcs = None
-        if self._np is not None:
+        if self._btb_c is not None:
             branch_pcs = [s[1].pc for s in steps if s[0] == 0]
             if branch_pcs:
-                pcs = self._np.array(branch_pcs, dtype=self._np.int64)
+                import numpy as np
+
+                pcs = np.array(branch_pcs, dtype=np.int64)
         return _WindowPlan(bytes(ops), region_end, tuple(steps), pcs)
 
     def _walk_block_planned(self) -> FTQEntry:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro.common.addr import line_of
 from repro.common.config import MemoryConfig
 from repro.common.counters import Counters
-from repro.common.vector import resolve_vector
 from repro.memory.cache import make_cache
 from repro.memory.stream import StreamPrefetcher
 
@@ -30,14 +29,13 @@ class MemoryHierarchy:
         self,
         config: MemoryConfig,
         counters: Counters | None = None,
-        vector: bool | None = None,
         compiled: bool | None = None,
     ) -> None:
         self.config = config
         self.counters = counters if counters is not None else Counters()
-        self.l1d = make_cache(config.l1d, vector, compiled)
-        self.l2 = make_cache(config.l2, vector, compiled)
-        self.llc = make_cache(config.llc, vector, compiled)
+        self.l1d = make_cache(config.l1d, compiled)
+        self.l2 = make_cache(config.l2, compiled)
+        self.llc = make_cache(config.llc, compiled)
         self.stream = StreamPrefetcher() if config.stream_prefetcher else None
         # Interned fast-path counter slots (see Counters.incrementer).
         counters = self.counters
@@ -136,19 +134,14 @@ class MemoryHierarchyC(MemoryHierarchy):
     caches, so the two paths interleave safely.
     """
 
-    def __init__(
-        self,
-        config: MemoryConfig,
-        counters: Counters | None = None,
-        vector: bool | None = None,
-    ) -> None:
+    def __init__(self, config: MemoryConfig, counters: Counters | None = None) -> None:
         import numpy as np
 
         from repro.common import cc
         from repro.memory.cache import SetAssocCacheC
         from repro.memory.stream import StreamPrefetcherC
 
-        super().__init__(config, counters, vector=vector, compiled=True)
+        super().__init__(config, counters, compiled=True)
         kernels = cc.kernels()
         if kernels is None or not isinstance(self.l1d, SetAssocCacheC):
             raise RuntimeError("compiled kernels unavailable")
@@ -225,12 +218,11 @@ class MemoryHierarchyC(MemoryHierarchy):
 def make_hierarchy(
     config: MemoryConfig,
     counters: Counters | None = None,
-    vector: bool | None = None,
     compiled: bool | None = None,
 ) -> MemoryHierarchy:
     """Build the hierarchy, selecting the compiled fused path when available."""
     from repro.common.cc import resolve_compiled
 
-    if resolve_vector(vector) and resolve_compiled(compiled):
-        return MemoryHierarchyC(config, counters, vector=vector)
-    return MemoryHierarchy(config, counters, vector=vector, compiled=compiled)
+    if resolve_compiled(compiled):
+        return MemoryHierarchyC(config, counters)
+    return MemoryHierarchy(config, counters, compiled=False)

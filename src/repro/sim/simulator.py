@@ -34,7 +34,6 @@ from repro.frontend.bpu import DecoupledFrontend
 from repro.frontend.fdip import FDIPEngine
 from repro.frontend.fetch_block import RESTEER_AT_EXECUTE, FTQEntry, PendingResteer
 from repro.frontend.ftq import FetchTargetQueue
-from repro.common.vector import resolve_vector
 from repro.common.cc import resolve_compiled
 from repro.memory.cache import CacheLine, make_cache
 from repro.memory.hierarchy import make_hierarchy
@@ -58,20 +57,15 @@ class Simulator:
         config: SimConfig,
         data_profile: DataProfile | None = None,
         rng_seed: int | None = None,
-        vector: bool | None = None,
         compiled: bool | None = None,
     ) -> None:
         config.validate()
         self.program = program
         self.config = config
-        # Array-oriented (SoA) kernels vs. the object oracle; byte-identical
-        # counters either way (tests/sim/test_vector.py, REPRO_NO_VECTOR).
-        self.vector_enabled = resolve_vector(vector)
-        vec = self.vector_enabled
-        # Compiled C kernels over the SoA buffers; requires vector mode and a
-        # working compiler, degrades to the interpreted SoA path otherwise
-        # (tests/sim/test_vector.py, REPRO_NO_COMPILED).
-        self.compiled_enabled = vec and resolve_compiled(compiled)
+        # Compiled C kernels when a working compiler is available, else the
+        # object oracle; byte-identical counters either way
+        # (tests/sim/test_modes.py, REPRO_NO_COMPILED).
+        self.compiled_enabled = resolve_compiled(compiled)
         comp = self.compiled_enabled
         # Stochastic measured-region components (data addresses, backend
         # latency draws) may use a seed decoupled from the synthesis seed —
@@ -86,9 +80,7 @@ class Simulator:
         self.cycle = 0
 
         self.oracle = OracleCursor(program)
-        self.bpu = BranchPredictionUnit(
-            config.branch, self.counters, vector=vec, compiled=comp
-        )
+        self.bpu = BranchPredictionUnit(config.branch, self.counters, compiled=comp)
         self.ftq = FetchTargetQueue(
             config.frontend.ftq_depth, config.frontend.ftq_max_physical
         )
@@ -101,12 +93,10 @@ class Simulator:
             config.frontend,
             self.counters,
             path_estimator=self.udp.path_estimator if self.udp is not None else None,
-            vector=vec,
+            compiled=comp,
         )
-        self.hierarchy = make_hierarchy(
-            config.memory, self.counters, vector=vec, compiled=comp
-        )
-        self.l1i = make_cache(config.memory.l1i, vec, comp)
+        self.hierarchy = make_hierarchy(config.memory, self.counters, compiled=comp)
+        self.l1i = make_cache(config.memory.l1i, comp)
         self.l1i.eviction_hook = self._on_l1i_eviction
         self.mshr = MSHRFile(config.memory.l1i.mshr_entries)
         # Technique construction is fully registry-driven: the capability
@@ -155,6 +145,7 @@ class Simulator:
                 self.counters,
                 seed=self.rng_seed,
             )
+            self.backend.install_dep_table(program.code_end)
         else:
             self.data_gen = DataAddressGenerator(profile, self.rng_seed)
             self.backend = BackendCore(
@@ -163,10 +154,7 @@ class Simulator:
                 self.data_gen,
                 self.counters,
                 seed=self.rng_seed,
-                vector=vec,
             )
-        if vec:
-            self.backend.install_dep_table(program.code_end)
         if self.udp is not None:
             self.backend.retire_hook = self.udp.on_retire
 

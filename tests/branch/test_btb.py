@@ -1,6 +1,14 @@
 """BTB and indirect target buffer."""
 
-from repro.branch.btb import BranchTargetBuffer, IndirectTargetBuffer
+import pytest
+
+from repro.branch.btb import (
+    BranchTargetBuffer,
+    BranchTargetBufferC,
+    IndirectTargetBuffer,
+    IndirectTargetBufferC,
+)
+from repro.common import cc
 from repro.workloads.program import BranchKind
 
 
@@ -87,3 +95,25 @@ def test_ibtb_capacity_bounded():
         ibtb.train(0x1000 + 4 * i, history=i, target=0x7000)
     total = sum(len(s) for s in ibtb._sets)
     assert total <= 8
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [BranchTargetBuffer, BranchTargetBufferC, IndirectTargetBuffer, IndirectTargetBufferC],
+    ids=lambda cls: cls.__name__,
+)
+def test_load_state_rejects_overfull_set(cls):
+    # A checkpoint set with more entries than ways must not be restored:
+    # the C layout would spill into the next set, the dict layout would
+    # silently exceed its associativity.
+    if cls in (BranchTargetBufferC, IndirectTargetBufferC) and cc.kernels() is None:
+        pytest.skip("no C compiler on this host")
+    buf = cls(entries=16, assoc=4)
+    state = buf.state_dict()
+    if issubclass(cls, BranchTargetBuffer):
+        entries = [(0x1000 + 16 * i, int(BranchKind.JUMP), 0x2000) for i in range(5)]
+    else:
+        entries = [(0x1000 + 16 * i, 0x2000) for i in range(5)]
+    state["sets"][0] = entries
+    with pytest.raises(ValueError):
+        buf.load_state(state)

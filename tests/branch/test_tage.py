@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.branch.history import GlobalHistory
+from repro.branch.history import GlobalHistory, GlobalHistoryC
 from repro.branch.tage import (
     CONF_HIGH,
     CONF_LOW,
     TagePredictor,
+    TagePredictorC,
     _geometric_lengths,
 )
+from repro.common import cc
 from repro.common.config import BranchConfig
 
 
@@ -122,3 +124,25 @@ def test_expected_foldings_two_per_table():
     config = BranchConfig()
     foldings = TagePredictor.expected_foldings(config)
     assert len(foldings) == 2 * config.tage_tables
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
+def test_load_state_rejects_table_length_mismatch(compiled):
+    # A short tags/ctrs/useful list must raise rather than shrink the table.
+    if compiled and cc.kernels() is None:
+        pytest.skip("no C compiler on this host")
+    config = BranchConfig()
+    foldings = TagePredictor.expected_foldings(config)
+    if compiled:
+        tage = TagePredictorC(config, GlobalHistoryC(config.tage_max_hist, foldings))
+    else:
+        tage = TagePredictor(config, GlobalHistory(config.tage_max_hist, foldings))
+    good = tage.state_dict()
+    for part in range(3):
+        state = dict(good, tables=list(good["tables"]))
+        table = list(state["tables"][0])
+        table[part] = table[part][:-1]
+        state["tables"][0] = tuple(table)
+        with pytest.raises(ValueError):
+            tage.load_state(state)
+    assert tage.state_dict()["tables"] == good["tables"]

@@ -10,7 +10,6 @@ from repro.common.config import (
     CoreConfig,
     FrontendConfig,
     MemoryConfig,
-    PrefetcherConfig,
     SimConfig,
     TechniqueConfig,
     UDPConfig,
@@ -130,13 +129,6 @@ def test_udp_rejects_bad_flush_ratio():
 def test_prefetcher_rejects_unknown_kind():
     with pytest.raises(ConfigError, match="registered kinds"):
         TechniqueConfig(kind="magic").validate()
-
-
-def test_legacy_prefetcher_config_still_importable():
-    with pytest.deprecated_call():
-        legacy = PrefetcherConfig(kind="next-line")
-    assert isinstance(legacy, TechniqueConfig)
-    SimConfig(prefetcher=legacy).validate()
 
 
 def test_technique_config_rejects_bad_params():

@@ -154,6 +154,22 @@ def test_restore_rejects_wrong_geometry():
         ckpt.restore_warmup(target, blob)
 
 
+def test_restore_rejects_overfull_btb_set():
+    prof = get_profile("gcc")
+    program = program_store.program_for("gcc", SEED)
+    config = baseline_config(INSTRUCTIONS, SEED)
+    donor = Simulator(program, config, data_profile=prof.data)
+    donor.functional_warmup(config.functional_warmup_blocks)
+    state = pickle.loads(ckpt.capture_warmup(donor))
+    state["btb"]["sets"][0] = [
+        (0x1000 + 4 * i, 0, 0x2000) for i in range(config.branch.btb_assoc + 1)
+    ]
+
+    target = Simulator(program, config, data_profile=prof.data)
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.restore_warmup(target, pickle.dumps(state))
+
+
 def test_capture_requires_warmed_restore_requires_pristine():
     config = baseline_config(INSTRUCTIONS, SEED)
     prof = get_profile("gcc")
