@@ -7,7 +7,8 @@ of study is the simulator itself, so every run is built fresh and nothing
 touches the result cache.  For each preset it measures retired-KIPS
 (thousands of simulated instructions per wall-clock second) in three
 configurations: **compiled** — the runtime-built C kernels plus idle-cycle
-fast-forward — **fast** — the object structures plus fast-forward
+fast-forward, with the whole cycle loop in C on the presets the compiled
+cycle driver covers — **fast** — the object structures plus fast-forward
 (``REPRO_NO_COMPILED`` semantics) — and the **naive** oracle configuration
 — object structures and the one-cycle-at-a-time stepper
 (``REPRO_NO_COMPILED`` + ``REPRO_NO_FASTFORWARD`` semantics).  The median

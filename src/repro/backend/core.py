@@ -24,7 +24,8 @@ from repro.frontend.fetch_block import PendingResteer
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads.behavior import mix64
 from repro.workloads.data import DataAddressGenerator
-from repro.workloads.program import OP_LOAD, OP_STORE
+from repro.workloads.program import OP_LOAD, OP_STORE, Program
+from repro.workloads.tables import program_cache
 
 OP_BRANCH = 3
 
@@ -307,6 +308,34 @@ class BackendCore:
         return len(self.rob)
 
 
+def dep_flags(program: Program, seed: int, threshold: int):
+    """The per-PC load-dependence flags of ``program``, built once per process.
+
+    One vectorized splitmix64 sweep over every instruction address, stored
+    as a uint8 table indexed by ``pc >> 2`` -- bit-identical to
+    :meth:`BackendCore._depends_on_load` (uint64 wrap-around equals the
+    ``& mask``).  Cached per (program, seed, threshold) in the program's
+    per-process memo (:func:`repro.workloads.tables.program_cache`).
+    """
+    import numpy as np
+
+    cache = program_cache(program)
+    key = ("dep_flags", seed & 0xFFFF_FFFF_FFFF_FFFF, threshold)
+    flags = cache.get(key)
+    if flags is None:
+        u64 = np.uint64
+        with np.errstate(over="ignore"):
+            x = np.arange(0, program.code_end, 4, dtype=np.uint64)
+            x = (x ^ u64(key[1])) + u64(0x9E3779B97F4A7C15)
+            x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+            x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
+            x ^= x >> u64(31)
+        flags = ((x & u64(0xFFFF_FFFF)) < u64(threshold)).astype(np.uint8)
+        flags.flags.writeable = False
+        cache[key] = flags
+    return flags
+
+
 class BackendCoreC(BackendCore):
     """Backend with compiled dispatch/issue/retire kernels over ring arrays.
 
@@ -489,27 +518,16 @@ class BackendCoreC(BackendCore):
             self._bdesc, ops, start_pc, begin_off, count, cycle, on_path_limit
         )
 
-    def install_dep_table(self, code_end: int) -> None:
-        """Precompute the per-PC load-dependence flag for the whole program.
+    def install_dep_table(self, flags) -> None:
+        """Bind a per-PC load-dependence flag table (see :func:`dep_flags`).
 
-        One vectorized splitmix64 sweep over every instruction address,
-        stored as a uint8 table the dispatch kernels index by ``pc >> 2`` —
-        bit-identical to :meth:`_depends_on_load` (uint64 wrap-around equals
-        the ``& mask``).
+        The dispatch kernels index it by ``pc >> 2`` instead of hashing
+        every dispatched PC; the table is only read, so one table is
+        shared by every simulator of the same program, seed and threshold.
         """
-        import numpy as np
-
-        u64 = np.uint64
-        with np.errstate(over="ignore"):
-            x = np.arange(0, code_end, 4, dtype=np.uint64)
-            x = (x ^ u64(self.seed)) + u64(0x9E3779B97F4A7C15)
-            x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
-            x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
-            x ^= x >> u64(31)
-        flags = (x & u64(0xFFFF_FFFF)) < u64(self._dep_threshold)
-        self._dep_view = flags.astype(np.uint8)
-        self._bi[26] = self._dep_view.ctypes.data
-        self._bi[27] = len(self._dep_view)
+        self._dep_view = flags
+        self._bi[26] = flags.ctypes.data
+        self._bi[27] = len(flags)
 
     # -- per-cycle step ------------------------------------------------------
 

@@ -40,9 +40,11 @@ NO_COMPILED_ENV = "REPRO_NO_COMPILED"
 
 MODULE_NAME = "_repro_kernels"
 
-# Every translation unit, in link order; the header is part of the digest.
+# Every kernel file, in the order the unity translation unit includes them
+# (a file may call the static helpers of the files before it); the header
+# is part of the digest.
 KERNEL_DIR = Path(__file__).resolve().parent / "kernels"
-KERNEL_SOURCES = ("cache.c", "btb.c", "tage.c", "backend.c", "module.c")
+KERNEL_SOURCES = ("cache.c", "btb.c", "tage.c", "backend.c", "driver.c", "module.c")
 KERNEL_HEADER = "kernels.h"
 
 CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-strict-aliasing")
@@ -69,9 +71,20 @@ def _compiler() -> str | None:
     return None
 
 
+def unity_source() -> str:
+    """The single translation unit the extension is compiled from.
+
+    One compiler invocation over one TU instead of one per file: the
+    per-file front-end and Python.h parsing dominated the build, and the
+    cycle driver calls the other files' static helpers directly.
+    """
+    return "".join(f'#include "{name}"\n' for name in KERNEL_SOURCES)
+
+
 def _build_digest(compiler: str) -> str:
     """Content digest of everything that shapes the built artifact."""
     digest = hashlib.sha256()
+    digest.update(unity_source().encode())
     for name in (KERNEL_HEADER, *KERNEL_SOURCES):
         digest.update(name.encode())
         digest.update((KERNEL_DIR / name).read_bytes())
@@ -88,16 +101,23 @@ def _artifact_path(digest: str) -> Path:
 
 
 def _compile(compiler: str, out_path: Path) -> bool:
-    """Compile the kernel sources to ``out_path`` (atomic rename)."""
+    """Compile the unity translation unit to ``out_path`` (atomic rename)."""
     global _BUILD_ERROR
-    sources = [str(KERNEL_DIR / name) for name in KERNEL_SOURCES]
     include = sysconfig.get_paths()["include"]
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=out_path.parent, prefix=out_path.stem, suffix=".tmp.so"
     )
     os.close(fd)
-    cmd = [compiler, *CFLAGS, f"-I{include}", "-o", tmp_name, *sources]
+    fd, unity_name = tempfile.mkstemp(
+        dir=out_path.parent, prefix=out_path.stem, suffix=".unity.c"
+    )
+    with os.fdopen(fd, "w", encoding="ascii") as fh:
+        fh.write(unity_source())
+    cmd = [
+        compiler, *CFLAGS, f"-I{include}", f"-I{KERNEL_DIR}",
+        "-o", tmp_name, unity_name,
+    ]
     try:
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=120, check=False
@@ -106,6 +126,8 @@ def _compile(compiler: str, out_path: Path) -> bool:
         _BUILD_ERROR = f"{compiler}: {exc}"
         os.unlink(tmp_name)
         return False
+    finally:
+        os.unlink(unity_name)
     if proc.returncode != 0:
         output = (proc.stderr or proc.stdout or "").strip()[:2000]
         _BUILD_ERROR = output or f"{compiler} exited with {proc.returncode}"

@@ -138,12 +138,7 @@ static PyObject *k_be_can_dispatch(PyObject *self, PyObject *const *args, Py_ssi
 }
 
 /* Returns (wrong_path_retired << 32) | n_hook_pcs (pcs in out_retired). */
-static PyObject *k_be_retire(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BE_RETIRE]++;
-    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    int64_t cycle = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
+static int64_t be_retire_impl(BackendDesc *b, int64_t cycle) {
     int64_t retired = 0, wrong = 0, hook_n = 0;
     while (b->rob_head < b->next_seq && retired < b->retire_width) {
         int64_t slot = b->rob_head & b->cap_mask;
@@ -162,29 +157,33 @@ static PyObject *k_be_retire(PyObject *self, PyObject *const *args, Py_ssize_t n
             wrong++;
         }
     }
-    return PyLong_FromLongLong((wrong << 32) | hook_n);
+    return (wrong << 32) | hook_n;
+}
+
+static PyObject *k_be_retire(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_BE_RETIRE]++;
+    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
+    int64_t cycle = arg_i64(args, 1);
+    if (PyErr_Occurred()) return NULL;
+    return PyLong_FromLongLong(be_retire_impl(b, cycle));
 }
 
 /* Issue scan; memory ops land in out_mem as (seq, is_store) pairs for the
  * wrapper to replay against the hierarchy.  Returns the pair count. */
-static PyObject *k_be_issue(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BE_ISSUE]++;
-    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    int64_t cycle = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
+static int64_t be_issue_impl(BackendDesc *b, int64_t cycle) {
     if (cycle < b->issue_wake) {
-        return PyLong_FromLong(0);
+        return 0;
     }
     if (b->rs_len == 0) {
         b->issue_wake = WAKE_IDLE;
-        return PyLong_FromLong(0);
+        return 0;
     }
     int64_t cap = b->cap_mask;
     int64_t first = b->rs[0] & cap;
     if (cycle < b->dispatch_cycle[first] + b->d2e && !(b->flags[first] & UOP_ISSUED)) {
         b->issue_wake = b->dispatch_cycle[first] + b->d2e;
-        return PyLong_FromLong(0);
+        return 0;
     }
     int64_t alu_slots = b->num_alu;
     int64_t load_slots = b->num_load;
@@ -264,7 +263,25 @@ static PyObject *k_be_issue(PyObject *self, PyObject *const *args, Py_ssize_t n)
     } else {
         b->issue_wake = wake;
     }
-    return PyLong_FromLongLong(n_mem);
+    return n_mem;
+}
+
+static PyObject *k_be_issue(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_BE_ISSUE]++;
+    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
+    int64_t cycle = arg_i64(args, 1);
+    if (PyErr_Occurred()) return NULL;
+    return PyLong_FromLongLong(be_issue_impl(b, cycle));
+}
+
+/* The seq of the branch whose resteer fires this cycle, or -1. */
+static int64_t be_poll_impl(BackendDesc *b, int64_t cycle) {
+    if (b->pending_resteer_cycle < 0 || b->pending_resteer_cycle > cycle) {
+        return -1;
+    }
+    b->pending_resteer_cycle = -1;
+    return b->pending_resteer_seq;
 }
 
 static PyObject *k_be_poll(PyObject *self, PyObject *const *args, Py_ssize_t n) {
@@ -273,19 +290,11 @@ static PyObject *k_be_poll(PyObject *self, PyObject *const *args, Py_ssize_t n) 
     BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
     int64_t cycle = arg_i64(args, 1);
     if (PyErr_Occurred()) return NULL;
-    if (b->pending_resteer_cycle < 0 || b->pending_resteer_cycle > cycle) {
-        return PyLong_FromLong(-1);
-    }
-    b->pending_resteer_cycle = -1;
-    return PyLong_FromLongLong(b->pending_resteer_seq);
+    return PyLong_FromLongLong(be_poll_impl(b, cycle));
 }
 
-static PyObject *k_be_next_event(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BE_NEXT_EVENT]++;
-    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    int64_t cycle = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
+/* Earliest future cycle with backend work, or NO_EVENT when drained. */
+static int64_t be_next_event_impl(BackendDesc *b, int64_t cycle) {
     int64_t cap = b->cap_mask;
     int64_t event = NO_EVENT;
     if (b->pending_resteer_cycle >= 0) {
@@ -318,15 +327,20 @@ static PyObject *k_be_next_event(PyObject *self, PyObject *const *args, Py_ssize
         if (event == NO_EVENT || t < event) event = t;
         if (t == cycle + 1) break;
     }
-    return PyLong_FromLongLong(event);
+    return event;
 }
 
-static PyObject *k_be_squash(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+static PyObject *k_be_next_event(PyObject *self, PyObject *const *args, Py_ssize_t n) {
     (void)self; (void)n;
-    repro_kernel_calls[KC_BE_SQUASH]++;
+    repro_kernel_calls[KC_BE_NEXT_EVENT]++;
     BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    int64_t branch_seq = arg_i64(args, 1);
+    int64_t cycle = arg_i64(args, 1);
     if (PyErr_Occurred()) return NULL;
+    return PyLong_FromLongLong(be_next_event_impl(b, cycle));
+}
+
+/* Drop every uop younger than `branch_seq`; returns how many. */
+static int64_t be_squash_impl(BackendDesc *b, int64_t branch_seq) {
     int64_t cap = b->cap_mask;
     int64_t new_next = branch_seq + 1;
     if (new_next < b->rob_head) new_next = b->rob_head;
@@ -349,7 +363,16 @@ static PyObject *k_be_squash(PyObject *self, PyObject *const *args, Py_ssize_t n
     if (b->pending_resteer_cycle >= 0 && b->pending_resteer_seq > branch_seq) {
         b->pending_resteer_cycle = -1;
     }
-    return PyLong_FromLongLong(squashed);
+    return squashed;
+}
+
+static PyObject *k_be_squash(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_BE_SQUASH]++;
+    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
+    int64_t branch_seq = arg_i64(args, 1);
+    if (PyErr_Occurred()) return NULL;
+    return PyLong_FromLongLong(be_squash_impl(b, branch_seq));
 }
 
 static PyObject *k_data_next(PyObject *self, PyObject *const *args, Py_ssize_t n) {

@@ -38,21 +38,26 @@ static inline int64_t btb_victim(BtbDesc *b, int64_t set_index) {
     return g;
 }
 
+/* Probe with recency/statistics side effects: the way index, or -1. */
+static int64_t btb_probe_impl(BtbDesc *b, int64_t pc) {
+    int64_t set_index = (pc >> 2) % b->num_sets;
+    int64_t g = btb_find(b, set_index, pc);
+    if (g < 0) {
+        b->misses++;
+        return -1;
+    }
+    b->hits++;
+    b->stamps[g] = ++b->stamp;
+    return g;
+}
+
 static PyObject *k_btb_probe(PyObject *self, PyObject *const *args, Py_ssize_t n) {
     (void)self; (void)n;
     repro_kernel_calls[KC_BTB_PROBE]++;
     BtbDesc *b = (BtbDesc *)arg_ptr(args, 0);
     int64_t pc = arg_i64(args, 1);
     if (PyErr_Occurred()) return NULL;
-    int64_t set_index = (pc >> 2) % b->num_sets;
-    int64_t g = btb_find(b, set_index, pc);
-    if (g < 0) {
-        b->misses++;
-        return PyLong_FromLong(-1);
-    }
-    b->hits++;
-    b->stamps[g] = ++b->stamp;
-    return PyLong_FromLongLong(g);
+    return PyLong_FromLongLong(btb_probe_impl(b, pc));
 }
 
 static PyObject *k_btb_contains(PyObject *self, PyObject *const *args, Py_ssize_t n) {
@@ -86,14 +91,7 @@ static PyObject *k_btb_first_hit(PyObject *self, PyObject *const *args, Py_ssize
     return PyLong_FromLong(-1);
 }
 
-static PyObject *k_btb_fill(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BTB_FILL]++;
-    BtbDesc *b = (BtbDesc *)arg_ptr(args, 0);
-    int64_t pc = arg_i64(args, 1);
-    int64_t kind = arg_i64(args, 2);
-    int64_t target = arg_i64(args, 3);
-    if (PyErr_Occurred()) return NULL;
+static void btb_fill_impl(BtbDesc *b, int64_t pc, int64_t kind, int64_t target) {
     int64_t set_index = (pc >> 2) % b->num_sets;
     int64_t g = btb_find(b, set_index, pc);
     if (g < 0) {
@@ -103,7 +101,40 @@ static PyObject *k_btb_fill(PyObject *self, PyObject *const *args, Py_ssize_t n)
     b->kinds[g] = kind;
     b->targets[g] = target;
     b->stamps[g] = ++b->stamp;
+}
+
+static PyObject *k_btb_fill(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_BTB_FILL]++;
+    BtbDesc *b = (BtbDesc *)arg_ptr(args, 0);
+    int64_t pc = arg_i64(args, 1);
+    int64_t kind = arg_i64(args, 2);
+    int64_t target = arg_i64(args, 3);
+    if (PyErr_Occurred()) return NULL;
+    btb_fill_impl(b, pc, kind, target);
     Py_RETURN_NONE;
+}
+
+/* The stored target, or -1 on a miss (targets are code addresses). */
+static int64_t ibtb_predict_impl(BtbDesc *b, int64_t set_index, int64_t tag) {
+    int64_t g = btb_find(b, set_index, tag);
+    if (g < 0) {
+        b->misses++;
+        return -1;
+    }
+    b->hits++;
+    b->stamps[g] = ++b->stamp;
+    return b->targets[g];
+}
+
+static void ibtb_train_impl(BtbDesc *b, int64_t set_index, int64_t tag, int64_t target) {
+    int64_t g = btb_find(b, set_index, tag);
+    if (g < 0) {
+        g = btb_victim(b, set_index);
+        b->pcs[g] = tag;
+    }
+    b->targets[g] = target;
+    b->stamps[g] = ++b->stamp;
 }
 
 static PyObject *k_ibtb_predict(PyObject *self, PyObject *const *args, Py_ssize_t n) {
@@ -113,14 +144,7 @@ static PyObject *k_ibtb_predict(PyObject *self, PyObject *const *args, Py_ssize_
     int64_t set_index = arg_i64(args, 1);
     int64_t tag = arg_i64(args, 2);
     if (PyErr_Occurred()) return NULL;
-    int64_t g = btb_find(b, set_index, tag);
-    if (g < 0) {
-        b->misses++;
-        return PyLong_FromLong(-1);
-    }
-    b->hits++;
-    b->stamps[g] = ++b->stamp;
-    return PyLong_FromLongLong(b->targets[g]);
+    return PyLong_FromLongLong(ibtb_predict_impl(b, set_index, tag));
 }
 
 static PyObject *k_ibtb_train(PyObject *self, PyObject *const *args, Py_ssize_t n) {
@@ -131,30 +155,22 @@ static PyObject *k_ibtb_train(PyObject *self, PyObject *const *args, Py_ssize_t 
     int64_t tag = arg_i64(args, 2);
     int64_t target = arg_i64(args, 3);
     if (PyErr_Occurred()) return NULL;
-    int64_t g = btb_find(b, set_index, tag);
-    if (g < 0) {
-        g = btb_victim(b, set_index);
-        b->pcs[g] = tag;
-    }
-    b->targets[g] = target;
-    b->stamps[g] = ++b->stamp;
+    ibtb_train_impl(b, set_index, tag, target);
     Py_RETURN_NONE;
 }
 
-static PyObject *k_hist_push(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_HIST_PUSH]++;
-    HistDesc *h = (HistDesc *)arg_ptr(args, 0);
-    int64_t new_bit = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    uint64_t *words = h->words;
+/* Shift one outcome into a history image: `words`/`folded` are either the
+ * live arrays the descriptor points at or a checkpoint copy of them (the
+ * driver builds corrected-history checkpoints this way). */
+static void hist_push_into(const HistDesc *h, uint64_t *words, int64_t *folded,
+                           int64_t new_bit) {
     for (int64_t i = 0; i < h->n; i++) {
         int64_t out_pos = h->lengths[i] - 1;
         int64_t out_bit = (int64_t)((words[out_pos >> 6] >> (out_pos & 63)) & 1);
-        int64_t folded = (h->folded[i] << 1) | new_bit;
-        folded ^= out_bit << h->out_shifts[i];
-        folded ^= folded >> h->widths[i];
-        h->folded[i] = folded & h->masks[i];
+        int64_t f = (folded[i] << 1) | new_bit;
+        f ^= out_bit << h->out_shifts[i];
+        f ^= f >> h->widths[i];
+        folded[i] = f & h->masks[i];
     }
     uint64_t carry = (uint64_t)new_bit;
     for (int64_t j = 0; j < h->n_words; j++) {
@@ -163,6 +179,15 @@ static PyObject *k_hist_push(PyObject *self, PyObject *const *args, Py_ssize_t n
         carry = next_carry;
     }
     words[h->n_words - 1] &= h->top_mask;
+}
+
+static PyObject *k_hist_push(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_HIST_PUSH]++;
+    HistDesc *h = (HistDesc *)arg_ptr(args, 0);
+    int64_t new_bit = arg_i64(args, 1);
+    if (PyErr_Occurred()) return NULL;
+    hist_push_into(h, h->words, h->folded, new_bit);
     Py_RETURN_NONE;
 }
 

@@ -208,17 +208,14 @@ static int64_t fill_data_line(HierDesc *h, int64_t line_addr) {
     return latency;
 }
 
-static PyObject *k_hier_load(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_HIER_LOAD]++;
-    HierDesc *h = (HierDesc *)arg_ptr(args, 0);
-    int64_t addr = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
+/* Port of MemoryHierarchy.load_latency; the per-level event counts are
+ * left in the descriptor for the caller to replay into counters. */
+static int64_t hier_load_impl(HierDesc *h, int64_t addr) {
     int64_t line_addr = addr & ~63LL;
     h->n_l2_data = h->n_llc_data = h->n_dram_data = h->n_stream_pf = 0;
     if (cache_lookup_impl(h->l1d, line_addr, 1) >= 0) {
         h->n_l1d_hit = 1;
-        return PyLong_FromLongLong(h->l1d_hit_latency);
+        return h->l1d_hit_latency;
     }
     h->n_l1d_hit = 0;
     int64_t latency = fill_data_line(h, line_addr);
@@ -232,22 +229,18 @@ static PyObject *k_hier_load(PyObject *self, PyObject *const *args, Py_ssize_t n
             }
         }
     }
-    return PyLong_FromLongLong(h->l1d_hit_latency + latency);
+    return h->l1d_hit_latency + latency;
 }
 
-static PyObject *k_hier_store(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_HIER_STORE]++;
-    HierDesc *h = (HierDesc *)arg_ptr(args, 0);
-    int64_t addr = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
+/* Port of MemoryHierarchy.store_access (write-allocate, mark dirty). */
+static void hier_store_impl(HierDesc *h, int64_t addr) {
     int64_t line_addr = addr & ~63LL;
     h->n_l2_data = h->n_llc_data = h->n_dram_data = h->n_stream_pf = 0;
     int64_t g = cache_lookup_impl(h->l1d, line_addr, 1);
     if (g >= 0) {
         h->n_l1d_hit = 1;
         h->l1d->flags[g] |= FLAG_DIRTY;
-        Py_RETURN_NONE;
+        return;
     }
     h->n_l1d_hit = 0;
     fill_data_line(h, line_addr);
@@ -255,15 +248,11 @@ static PyObject *k_hier_store(PyObject *self, PyObject *const *args, Py_ssize_t 
     if (g >= 0) {
         h->l1d->flags[g] |= FLAG_DIRTY;
     }
-    Py_RETURN_NONE;
 }
 
-static PyObject *k_hier_imiss(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_HIER_IMISS]++;
-    HierDesc *h = (HierDesc *)arg_ptr(args, 0);
-    int64_t line_addr = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
+/* Port of MemoryHierarchy.instruction_miss_latency: (latency << 2) | level
+ * with level 0 = L2, 1 = LLC, 2 = DRAM. */
+static int64_t hier_imiss_impl(HierDesc *h, int64_t line_addr) {
     int64_t latency, level;
     if (cache_lookup_impl(h->l2, line_addr, 1) >= 0) {
         latency = h->l2_hit_latency;
@@ -278,7 +267,35 @@ static PyObject *k_hier_imiss(PyObject *self, PyObject *const *args, Py_ssize_t 
         latency = h->dram_latency;
         level = 2;
     }
-    return PyLong_FromLongLong((latency << 2) | level);
+    return (latency << 2) | level;
+}
+
+static PyObject *k_hier_load(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_HIER_LOAD]++;
+    HierDesc *h = (HierDesc *)arg_ptr(args, 0);
+    int64_t addr = arg_i64(args, 1);
+    if (PyErr_Occurred()) return NULL;
+    return PyLong_FromLongLong(hier_load_impl(h, addr));
+}
+
+static PyObject *k_hier_store(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_HIER_STORE]++;
+    HierDesc *h = (HierDesc *)arg_ptr(args, 0);
+    int64_t addr = arg_i64(args, 1);
+    if (PyErr_Occurred()) return NULL;
+    hier_store_impl(h, addr);
+    Py_RETURN_NONE;
+}
+
+static PyObject *k_hier_imiss(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_HIER_IMISS]++;
+    HierDesc *h = (HierDesc *)arg_ptr(args, 0);
+    int64_t line_addr = arg_i64(args, 1);
+    if (PyErr_Occurred()) return NULL;
+    return PyLong_FromLongLong(hier_imiss_impl(h, line_addr));
 }
 
 PyMethodDef repro_cache_methods[] = {

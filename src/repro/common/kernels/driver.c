@@ -1,0 +1,1204 @@
+/* The compiled cycle driver: Simulator.step()'s whole loop in C.
+ *
+ * Port of sim/simulator.py (step, the idle-cycle fast-forward and refill
+ * rules, fills, fetch/decode/dispatch, resteer/squash/recovery),
+ * frontend/bpu.py (the FTQ walker shadowing the oracle), frontend/fdip.py
+ * (the FTQ scan), memory/mshr.py and workloads/trace.py (the true-path
+ * cursor), for configurations that build no Python-side participant: no
+ * technique object, UDP and UFTQ off, the monolithic BTB, no loop
+ * predictor (sim/driver.py decides eligibility).  The kernels this file
+ * calls -- cache, BTB/iBTB, history, TAGE, backend, hierarchy -- are the
+ * same static helpers the per-call wrappers use: every kernel file is
+ * #included into one translation unit (common/cc.py).
+ *
+ * State split: the structures above keep living in their descriptors, so
+ * Python reads them as before.  The pipeline state Python never needs to
+ * see -- the FTQ ring (plain entries with separate head/length, after the
+ * ember FTQ), the MSHR file and the in-flight resteers -- lives in arrays
+ * only this file touches.  The observable scalars (cycle, counters, FTQ
+ * occupancy, the oracle position, ...) sit at the front of the Driver
+ * descriptor and are synced back by the Python wrapper at every exit.
+ *
+ * Ground truth comes from per-program tables (workloads/tables.py): block
+ * addresses/sizes/op bytes, branch kinds and static targets, and the
+ * branch behaviours compiled to a small node array evaluated here with
+ * the same 64-bit hash and IEEE arithmetic as workloads/behavior.py.
+ */
+#include "kernels.h"
+
+#include <math.h>
+#include <stddef.h>
+#include <string.h>
+
+/* The loop below runs a few microseconds per simulated step, a small
+ * share of any run; -O1 halves what this file adds to the one-time
+ * kernel build. */
+#pragma GCC optimize("O1")
+
+#define FB_INSTRS 8 /* FETCH_BLOCK_BYTES / INSTR_BYTES */
+#define FB_MASK (~31LL)
+#define LINE_MASK (~63LL)
+#define OP_BRANCH 3
+#define RESTEER_POOL 8
+
+/* run_cycles status codes (sim/driver.py mirrors them) */
+#define RUN_DONE 0   /* retire target reached */
+#define RUN_STOP 1   /* retired count crossed the warmup boundary */
+#define RUN_LIMIT 2  /* cycle limit: Python raises SimulationError */
+#define ERR_ORACLE_SYNC (-1)
+#define ERR_RESTEER_POOL (-2)
+#define ERR_RESTEER_LOST (-3)
+
+/* workloads/program.py BranchKind */
+enum { K_COND, K_JUMP, K_CALL, K_RET, K_INDIRECT, K_INDIRECT_CALL };
+#define IS_CALL(k) ((k) == K_CALL || (k) == K_INDIRECT_CALL)
+#define IS_INDIRECT(k) ((k) == K_INDIRECT || (k) == K_INDIRECT_CALL)
+
+/* behaviour node kinds (workloads/tables.py) */
+enum { B_ALWAYS, B_BIASED, B_LOOP, B_PATTERN, B_PHASED,
+       B_FIXED, B_WEIGHTED, B_ZIPF, B_ROTATING };
+
+enum { STAGE_DECODE, STAGE_EXECUTE };
+enum { CAUSE_BTB_MISS, CAUSE_COND, CAUSE_RAS, CAUSE_INDIRECT };
+enum { RS_FREE, RS_FTQ, RS_BACKEND };
+
+/* Counter slots, in the order their names are exported to Python. */
+#define DRIVER_COUNTERS(X) \
+    X(fetch_slots_lost_empty_ftq) X(fetch_slots_lost_icache) \
+    X(fetch_stall_icache_cycles) X(fetch_slots_lost_mshr_full) \
+    X(icache_demand_accesses) X(icache_demand_hits) \
+    X(dispatch_stall_backend_full) X(dispatched_instructions) X(l1i_fills) \
+    X(ftq_full_cycles_blocks) X(icache_demand_mshr_merges) \
+    X(icache_demand_misses) X(icache_demand_misses_on_path) \
+    X(icache_demand_misses_off_path) X(icache_mshr_full_stalls) \
+    X(demand_fill_l2) X(demand_fill_llc) X(demand_fill_dram) \
+    X(prefetch_useful) X(prefetch_useful_off_path) X(prefetch_useful_on_path) \
+    X(atr_icache_hits) X(atr_mshr_hits) \
+    X(prefetch_useless) X(prefetch_useless_off_path) X(prefetch_useless_on_path) \
+    X(pfc_resteers) X(btb_decode_fills) X(wrong_path_pfc_redirects) \
+    X(ftq_blocks_on_path) X(ftq_blocks_off_path) X(btb_gen_hits) X(btb_gen_misses) \
+    X(divergence_btb_miss) X(divergence_cond_mispredict) \
+    X(divergence_ras_mispredict) X(divergence_indirect_mispredict) \
+    X(resteers) X(resteer_btb_miss) X(resteer_cond_mispredict) \
+    X(resteer_ras_mispredict) X(resteer_indirect_mispredict) \
+    X(resteer_at_decode) X(resteer_at_execute) \
+    X(bpu_cond_predictions) X(bpu_indirect_predictions) \
+    X(bpu_return_predictions) X(bpu_recoveries) X(bpu_cond_mispredicts) \
+    X(fdip_probe_resident) X(fdip_probe_inflight) X(fdip_candidates) \
+    X(fdip_candidates_on_path) X(fdip_candidates_off_path) \
+    X(prefetches_emitted) X(prefetches_emitted_on_path) \
+    X(prefetches_emitted_off_path) X(fdip_drop_mshr_full) \
+    X(prefetch_fill_l2) X(prefetch_fill_llc) X(prefetch_fill_dram) \
+    X(l2_ifetch_hits) X(llc_ifetch_hits) X(dram_ifetch_fills) \
+    X(l1d_accesses) X(l1d_hits) X(l1d_misses) X(l1d_stores) \
+    X(l2_data_hits) X(llc_data_hits) X(dram_data_fills) X(stream_prefetches) \
+    X(wrong_path_retired) X(backend_squashed_uops)
+
+#define DC_ENUM(name) DC_##name,
+enum { DRIVER_COUNTERS(DC_ENUM) DC_COUNT };
+#define DC_NAME(name) #name,
+static const char *const DC_NAMES[DC_COUNT] = { DRIVER_COUNTERS(DC_NAME) };
+
+/* Per-program ground truth (workloads/tables.py ProgramTables). */
+typedef struct {
+    int64_t n_blocks;
+    int64_t code_start;
+    int64_t code_end;
+    int64_t entry;
+    const int64_t *addr;        /* [n_blocks] block start */
+    const int64_t *ninstr;
+    const int64_t *ops;         /* raw pointer to the block's op bytes, 0 = all ALU */
+    const int64_t *kind;        /* branch kind, -1 = no branch */
+    const int64_t *target;      /* direct target */
+    const int64_t *behavior;    /* COND: direction node; indirect: selector node */
+    const int64_t *targets_off; /* indirect: first index into targets */
+    const int64_t *targets_n;
+    const int64_t *targets;
+    const int64_t *node_kind;
+    const int64_t *node_seed;   /* uint64 bits */
+    const double *node_f;       /* p_taken / noise / hot_fraction / alpha */
+    const int64_t *node_a;      /* trip_count / pattern / phase_length / index */
+    const int64_t *node_b;      /* pattern length / first phase */
+    const int64_t *node_c;      /* second phase */
+} ProgTables;
+
+/* One FTQ entry: a fetch block of at most FB_INSTRS instructions. */
+typedef struct {
+    int64_t seq;
+    int64_t start;
+    int64_t end;
+    int64_t line_addr;
+    int64_t on_path;
+    int64_t on_path_instrs;
+    int64_t ready_cycle;    /* -1 = not yet accessed */
+    int64_t decode_offset;
+    int64_t resteer;        /* pool slot of the divergence inside, -1 = none */
+    int32_t br_block[FB_INSTRS];  /* per offset: the branch's block, -1 = none */
+    uint8_t br_detected[FB_INSTRS];
+    uint8_t ops[FB_INSTRS];
+} FtqEntry;
+
+typedef struct {
+    int64_t line_addr;      /* -1 = free */
+    int64_t ready_cycle;
+    int64_t is_prefetch;
+    int64_t off_path;
+    int64_t demand_on_path;
+} MshrEntry;
+
+/* A detected divergence waiting for its resolution point. */
+typedef struct {
+    int64_t state;          /* RS_FREE / RS_FTQ / RS_BACKEND */
+    int64_t seq;            /* backend seq of the branch once dispatched */
+    int64_t branch_pc;
+    int64_t stage;
+    int64_t resume_pc;
+    int64_t cause;
+    int64_t *hist;          /* corrected history: hist_words words, then folds */
+} Resteer;
+
+typedef struct {
+    /* observable state, synced with Python at every exit */
+    int64_t cycle;
+    int64_t steps;
+    int64_t ff_jumps;
+    int64_t ff_skipped;
+    int64_t occ_sum;
+    int64_t occ_samples;
+    int64_t ftq_depth;
+    int64_t oracle_pc;
+    int64_t blocks_walked;
+    int64_t instrs_walked;
+    int64_t cs_len;
+    int64_t spec_pc;
+    int64_t next_seq;
+    int64_t diverged;
+    int64_t next_scan_seq;
+    int64_t ras_len;
+    int64_t ras_overflows;
+    int64_t ras_underflows;
+    int64_t n_touched;
+    int64_t error_pc;
+    /* configuration */
+    int64_t width;
+    int64_t blocks_per_cycle;
+    int64_t fdip_lookups;
+    int64_t fdip_enabled;
+    int64_t perfect_icache;
+    int64_t pfc;
+    int64_t max_cycles;
+    int64_t mshr_cap;
+    int64_t ftq_cap;
+    int64_t ras_cap;
+    int64_t max_stack;
+    int64_t ibtb_hist_bits;
+    int64_t hist_words;     /* allocated history words (>= the shifted ones) */
+    /* structures (descriptors owned by their Python wrappers) */
+    BtbDesc *btb;
+    BtbDesc *ibtb;
+    TageDesc *tage;
+    HistDesc *hist;
+    CacheDesc *l1i;
+    HierDesc *hier;
+    BackendDesc *be;
+    ProgTables *prog;
+    /* arrays owned by the Python wrapper */
+    int64_t *counters;      /* [DC_COUNT] deltas since the last sync */
+    int64_t *occ;           /* [n_blocks] oracle occurrence counts */
+    int64_t *touched;       /* blocks whose count changed since the last sync */
+    int64_t *touched_flag;
+    int64_t *call_stack;    /* [max_stack] */
+    int64_t *ras;           /* [ras_cap] */
+    FtqEntry *ftq;          /* [ftq_cap] ring */
+    MshrEntry *mshr;        /* [mshr_cap] */
+    Resteer *resteers;      /* [RESTEER_POOL] */
+    int64_t *resteer_hist;  /* [RESTEER_POOL * (hist_words + hist->n)] */
+    /* internal */
+    int64_t ready;
+    int64_t ftq_head;
+    int64_t ftq_len;
+    int64_t mshr_count;
+    int64_t pending;        /* the frontend's divergence in flight, -1 = none */
+    int64_t error;
+} Driver;
+
+/* ---- ground truth: behaviours and the oracle cursor ---- */
+
+static inline double unit_hash(uint64_t seed, int64_t index) {
+    return (double)mix64(seed ^ ((uint64_t)index * 0x9E3779B97F4A7C15ULL))
+           / 18446744073709551616.0;
+}
+
+/* DirectionBehavior.taken for behaviour node `node`. */
+static int64_t dir_taken(const ProgTables *P, int64_t node, int64_t occ) {
+    for (;;) {
+        uint64_t seed = (uint64_t)P->node_seed[node];
+        double f = P->node_f[node];
+        int64_t a = P->node_a[node];
+        switch (P->node_kind[node]) {
+        case B_BIASED:
+            return unit_hash(seed, occ) < f;
+        case B_LOOP:
+            if (a <= 1) return 0;
+            return (occ % a) != a - 1;
+        case B_PATTERN: {
+            int64_t shift = occ % P->node_b[node];
+            int64_t bit = shift < 64 ? (int64_t)(((uint64_t)a >> shift) & 1) : 0;
+            if (f > 0.0 && unit_hash(seed ^ 0xA5A5ULL, occ) < f) return !bit;
+            return bit;
+        }
+        case B_PHASED:
+            node = ((occ / a) % 2 == 0) ? P->node_b[node] : P->node_c[node];
+            continue;
+        default: /* B_ALWAYS */
+            return 1;
+        }
+    }
+}
+
+/* TargetBehavior.select for selector node `node` over `n` targets. */
+static int64_t target_index(const ProgTables *P, int64_t node, int64_t occ, int64_t n) {
+    uint64_t seed = (uint64_t)P->node_seed[node];
+    double f = P->node_f[node];
+    switch (P->node_kind[node]) {
+    case B_FIXED: {
+        int64_t index = P->node_a[node];
+        return index < 0 ? index + n : index;
+    }
+    case B_WEIGHTED: {
+        if (n == 1) return 0;
+        double u = unit_hash(seed, occ);
+        if (u < f) return 0;
+        int64_t rest = n - 1;
+        int64_t idx = (int64_t)((u - f) / (1.0 - f) * (double)rest);
+        return 1 + (idx < rest - 1 ? idx : rest - 1);
+    }
+    case B_ZIPF: {
+        if (n == 1) return 0;
+        double u = unit_hash(seed, occ);
+        if (f <= 0.0) return (int64_t)(u * (double)n);
+        int64_t idx;
+        if (f >= 0.999) {
+            idx = (int64_t)pow((double)n, u) - 1;
+        } else {
+            idx = (int64_t)((double)n * pow(u, 1.0 / (1.0 - f)));
+        }
+        if (idx < 0) idx = 0;
+        return idx < n - 1 ? idx : n - 1;
+    }
+    default: /* B_ROTATING */
+        return occ % n;
+    }
+}
+
+static inline int64_t block_end(const ProgTables *P, int64_t b) {
+    return P->addr[b] + P->ninstr[b] * 4;
+}
+
+/* Program.block_at for an address inside the code region. */
+static inline int64_t block_at(const ProgTables *P, int64_t addr) {
+    int64_t lo = 0, hi = P->n_blocks;
+    while (hi - lo > 1) {
+        int64_t mid = (lo + hi) >> 1;
+        if (P->addr[mid] <= addr) lo = mid; else hi = mid;
+    }
+    return lo;
+}
+
+/* Program.wrap */
+static inline int64_t wrap_pc(const ProgTables *P, int64_t addr) {
+    if (addr >= P->code_start && addr < P->code_end) return addr;
+    int64_t span = P->code_end - P->code_start;
+    int64_t r = (addr - P->code_start) % span;
+    return P->code_start + (r < 0 ? r + span : r);
+}
+
+/* OracleCursor.transition for the branch ending block `b`: the true
+ * direction and successor of its current occurrence. */
+static int64_t oracle_truth(Driver *d, int64_t b, int64_t *taken) {
+    const ProgTables *P = d->prog;
+    int64_t kind = P->kind[b];
+    int64_t occ = d->occ[b];
+    *taken = 1;
+    if (kind == K_COND) {
+        *taken = dir_taken(P, P->behavior[b], occ);
+        return *taken ? P->target[b] : block_end(P, b);
+    }
+    if (kind == K_RET) {
+        return d->cs_len > 0 ? d->call_stack[d->cs_len - 1] : P->entry;
+    }
+    if (IS_INDIRECT(kind)) {
+        int64_t n = P->targets_n[b];
+        return P->targets[P->targets_off[b] + target_index(P, P->behavior[b], occ, n)];
+    }
+    return P->target[b];
+}
+
+/* OracleCursor.advance past the branch ending block `b`. */
+static void oracle_advance(Driver *d, int64_t b, int64_t next_pc) {
+    const ProgTables *P = d->prog;
+    int64_t kind = P->kind[b];
+    d->occ[b]++;
+    if (!d->touched_flag[b]) {
+        d->touched_flag[b] = 1;
+        d->touched[d->n_touched++] = b;
+    }
+    if (IS_CALL(kind)) {
+        if (d->cs_len >= d->max_stack) {
+            memmove(d->call_stack, d->call_stack + 1, (size_t)(d->cs_len - 1) * sizeof(int64_t));
+            d->cs_len--;
+        }
+        d->call_stack[d->cs_len++] = block_end(P, b);
+    } else if (kind == K_RET && d->cs_len > 0) {
+        d->cs_len--;
+    }
+    d->oracle_pc = next_pc;
+    d->blocks_walked++;
+    d->instrs_walked += P->ninstr[b];
+}
+
+/* ---- branch prediction unit (branch/unit.py) ---- */
+
+static inline int64_t hist_low_bits(Driver *d) {
+    return (int64_t)(d->hist->words[0] & ((1ULL << d->ibtb_hist_bits) - 1));
+}
+
+static inline int64_t ibtb_mixed(Driver *d, int64_t pc) {
+    return (pc >> 2) ^ (hist_low_bits(d) * 0x9E37);
+}
+
+static inline int64_t hist_image_words(Driver *d) {
+    return d->hist_words + d->hist->n;
+}
+
+static void hist_save(Driver *d, int64_t *image) {
+    memcpy(image, d->hist->words, (size_t)d->hist_words * sizeof(int64_t));
+    memcpy(image + d->hist_words, d->hist->folded, (size_t)d->hist->n * sizeof(int64_t));
+}
+
+static void hist_restore(Driver *d, const int64_t *image) {
+    memcpy(d->hist->words, image, (size_t)d->hist_words * sizeof(int64_t));
+    memcpy(d->hist->folded, image + d->hist_words, (size_t)d->hist->n * sizeof(int64_t));
+}
+
+static void ras_push(Driver *d, int64_t addr) {
+    if (d->ras_len >= d->ras_cap) {
+        memmove(d->ras, d->ras + 1, (size_t)(d->ras_len - 1) * sizeof(int64_t));
+        d->ras_len--;
+        d->ras_overflows++;
+    }
+    d->ras[d->ras_len++] = addr;
+}
+
+/* ReturnAddressStack.repair from the oracle's true call stack. */
+static void ras_repair(Driver *d) {
+    int64_t n = d->cs_len < d->ras_cap ? d->cs_len : d->ras_cap;
+    memcpy(d->ras, d->call_stack + d->cs_len - n, (size_t)n * sizeof(int64_t));
+    d->ras_len = n;
+}
+
+/* ---- FTQ and MSHR file ---- */
+
+static inline FtqEntry *ftq_at(Driver *d, int64_t i) {
+    return &d->ftq[(d->ftq_head + i) % d->ftq_cap];
+}
+
+/* Drop every entry; a divergence attached to a dropped entry dies with it. */
+static void ftq_flush(Driver *d) {
+    d->ftq_head = (d->ftq_head + d->ftq_len) % d->ftq_cap;
+    d->ftq_len = 0;
+    for (int64_t i = 0; i < RESTEER_POOL; i++) {
+        if (d->resteers[i].state == RS_FTQ) d->resteers[i].state = RS_FREE;
+    }
+}
+
+static inline MshrEntry *mshr_lookup(Driver *d, int64_t line_addr) {
+    if (d->mshr_count == 0) return NULL;
+    for (int64_t i = 0; i < d->mshr_cap; i++) {
+        if (d->mshr[i].line_addr == line_addr) return &d->mshr[i];
+    }
+    return NULL;
+}
+
+/* Earliest outstanding fill, or -1 when none is in flight. */
+static int64_t mshr_next_ready(Driver *d) {
+    int64_t best = -1;
+    if (d->mshr_count == 0) return -1;
+    for (int64_t i = 0; i < d->mshr_cap; i++) {
+        const MshrEntry *m = &d->mshr[i];
+        if (m->line_addr >= 0 && (best < 0 || m->ready_cycle < best)) best = m->ready_cycle;
+    }
+    return best;
+}
+
+static void mshr_allocate(Driver *d, int64_t line_addr, int64_t ready_cycle,
+                          int64_t is_prefetch, int64_t off_path) {
+    for (int64_t i = 0; i < d->mshr_cap; i++) {
+        MshrEntry *m = &d->mshr[i];
+        if (m->line_addr < 0) {
+            m->line_addr = line_addr;
+            m->ready_cycle = ready_cycle;
+            m->is_prefetch = is_prefetch;
+            m->off_path = off_path;
+            m->demand_on_path = 0;
+            d->mshr_count++;
+            return;
+        }
+    }
+}
+
+/* An L1I miss below the L1I: the fill latency; bumps the ifetch level
+ * counter and, via `level_counter`, the caller's per-level counter. */
+static int64_t imiss(Driver *d, int64_t line_addr, int level_counter) {
+    int64_t packed = hier_imiss_impl(d->hier, line_addr);
+    int64_t level = packed & 3;
+    d->counters[DC_l2_ifetch_hits + level]++;
+    d->counters[level_counter + level]++;
+    return packed >> 2;
+}
+
+/* ---- the walker (frontend/bpu.py DecoupledFrontend) ---- */
+
+/* Allocate a resteer slot; retired branches' stale slots are reclaimed. */
+static int64_t resteer_alloc(Driver *d) {
+    for (int pass = 0; pass < 2; pass++) {
+        for (int64_t i = 0; i < RESTEER_POOL; i++) {
+            if (d->resteers[i].state == RS_FREE) return i;
+        }
+        for (int64_t i = 0; i < RESTEER_POOL; i++) {
+            Resteer *r = &d->resteers[i];
+            if (r->state == RS_BACKEND && r->seq < d->be->rob_head) r->state = RS_FREE;
+        }
+    }
+    d->error = ERR_RESTEER_POOL;
+    return -1;
+}
+
+typedef struct {
+    int64_t detected;
+    int64_t taken;          /* predicted taken */
+    int64_t target;         /* predicted target */
+    int64_t tage;           /* a TAGE prediction is pending training */
+} Prediction;
+
+/* DecoupledFrontend._predict: returns the walker's next pc. */
+static int64_t predict(Driver *d, int64_t pc, Prediction *p) {
+    int64_t g = btb_probe_impl(d->btb, pc);
+    p->tage = 0;
+    if (g < 0) {
+        d->counters[DC_btb_gen_misses]++;
+        p->detected = 0;
+        p->taken = 0;
+        p->target = 0;
+        return pc + 4;
+    }
+    d->counters[DC_btb_gen_hits]++;
+    int64_t kind = d->btb->kinds[g];
+    p->detected = 1;
+    p->taken = 1;
+    p->target = d->btb->targets[g];
+    if (kind == K_COND) {
+        d->counters[DC_bpu_cond_predictions]++;
+        tage_predict_impl(d->tage, pc);
+        p->taken = d->tage->out_taken;
+        p->tage = 1;
+    } else if (kind == K_RET) {
+        d->counters[DC_bpu_return_predictions]++;
+        if (d->ras_len == 0) {
+            d->ras_underflows++;
+            p->taken = 0;
+            p->target = 0;
+        } else {
+            p->target = d->ras[--d->ras_len];
+        }
+    } else if (IS_INDIRECT(kind)) {
+        d->counters[DC_bpu_indirect_predictions]++;
+        int64_t mixed = ibtb_mixed(d, pc);
+        int64_t target = ibtb_predict_impl(d->ibtb, mixed % d->ibtb->num_sets, mixed);
+        if (target >= 0) p->target = target;
+    }
+    if (IS_CALL(kind) && p->taken) ras_push(d, pc + 4);
+    return p->taken ? p->target : pc + 4;
+}
+
+/* DecoupledFrontend._shadow_oracle: train with the truth and open a
+ * divergence on mismatch.  Returns the new resteer slot or -1. */
+static int64_t shadow_oracle(Driver *d, int64_t b, const Prediction *p, int64_t walker_next) {
+    const ProgTables *P = d->prog;
+    int64_t pc = block_end(P, b) - 4;
+    int64_t kind = P->kind[b];
+    if (d->oracle_pc != P->addr[b]) {
+        d->error = ERR_ORACLE_SYNC;
+        d->error_pc = d->oracle_pc;
+        return -1;
+    }
+    int64_t taken;
+    int64_t true_next = oracle_truth(d, b, &taken);
+    int64_t diverges = walker_next != true_next;
+
+    if (p->detected && kind == K_COND && p->tage) {
+        TageDesc *t = d->tage;
+        if (t->out_taken != taken) d->counters[DC_bpu_cond_mispredicts]++;
+        tage_update_impl(t, pc, taken, t->out_taken, t->out_provider,
+                         t->out_provider_index, t->out_alt_taken,
+                         t->out_alt_provider, t->out_alt_index,
+                         t->out_newly_allocated, t->idx_scratch, t->tag_scratch);
+    }
+    if (IS_INDIRECT(kind)) {
+        int64_t mixed = ibtb_mixed(d, pc);
+        ibtb_train_impl(d->ibtb, mixed % d->ibtb->num_sets, mixed, true_next);
+        btb_fill_impl(d->btb, pc, kind, true_next);
+    }
+
+    int64_t slot = -1;
+    if (diverges) {
+        slot = resteer_alloc(d);
+        if (slot < 0) return -1;
+    }
+    int64_t *image = slot >= 0 ? d->resteers[slot].hist : NULL;
+    if (kind == K_COND) {
+        if (diverges) {
+            /* BranchPredictionUnit.divergence_checkpoint: the history as it
+             * will be once the branch resolves with its true outcome. */
+            hist_save(d, image);
+            hist_push_into(d->hist, (uint64_t *)image, image + d->hist_words, taken);
+        }
+        if (p->detected) hist_push_into(d->hist, d->hist->words, d->hist->folded, p->taken);
+    } else if (diverges) {
+        hist_save(d, image);
+    }
+
+    oracle_advance(d, b, true_next);
+    if (!diverges) return -1;
+
+    Resteer *r = &d->resteers[slot];
+    if (!p->detected) {
+        int direct = kind == K_COND || kind == K_JUMP || kind == K_CALL;
+        r->stage = direct && d->pfc ? STAGE_DECODE : STAGE_EXECUTE;
+        r->cause = CAUSE_BTB_MISS;
+    } else {
+        r->stage = STAGE_EXECUTE;
+        r->cause = kind == K_COND ? CAUSE_COND : (kind == K_RET ? CAUSE_RAS : CAUSE_INDIRECT);
+    }
+    r->state = RS_FTQ;
+    r->seq = -1;
+    r->branch_pc = pc;
+    r->resume_pc = true_next;
+    d->diverged = 1;
+    d->pending = slot;
+    d->counters[DC_divergence_btb_miss + r->cause]++;
+    return slot;
+}
+
+static inline void copy_ops(const ProgTables *P, FtqEntry *e, int64_t b, int64_t lo, int64_t hi) {
+    const uint8_t *ops = (const uint8_t *)(uintptr_t)P->ops[b];
+    for (int64_t pc = lo; pc < hi; pc += 4) {
+        e->ops[(pc - e->start) >> 2] = ops ? ops[(pc - P->addr[b]) >> 2] : 0;
+    }
+}
+
+/* DecoupledFrontend._walk_block into FTQ entry `e`. */
+static void walk_block(Driver *d, FtqEntry *e) {
+    const ProgTables *P = d->prog;
+    int64_t start = wrap_pc(P, d->spec_pc);
+    int64_t region_end = (start & FB_MASK) + 32;
+    int started_on_path = !d->diverged;
+    int64_t diverged_at = -1;
+    e->seq = d->next_seq++;
+    e->start = start;
+    e->line_addr = start & LINE_MASK;
+    e->ready_cycle = -1;
+    e->decode_offset = 0;
+    e->resteer = -1;
+    for (int i = 0; i < FB_INSTRS; i++) e->br_block[i] = -1;
+
+    int64_t cur = start;
+    int64_t b = block_at(P, cur);
+    while (cur < region_end) {
+        if (cur >= P->code_end) {
+            region_end = cur;
+            break;
+        }
+        int64_t bend = block_end(P, b);
+        int64_t seg_end = bend < region_end ? bend : region_end;
+        int64_t br_pc = bend - 4;
+        if (P->kind[b] < 0 || !(cur <= br_pc && br_pc < seg_end)) {
+            copy_ops(P, e, b, cur, seg_end);
+            if (seg_end == bend && !d->diverged) {
+                /* a completed fall-through block: the oracle's branchless advance */
+                d->oracle_pc = bend;
+                d->blocks_walked++;
+                d->instrs_walked += P->ninstr[b];
+            }
+            cur = seg_end;
+            b++;
+            continue;
+        }
+        copy_ops(P, e, b, cur, br_pc + 4);
+        Prediction p;
+        int64_t walker_next = predict(d, br_pc, &p);
+        int64_t off = (br_pc - start) >> 2;
+        e->br_block[off] = (int32_t)b;
+        e->br_detected[off] = (uint8_t)p.detected;
+        if (!d->diverged) {
+            int64_t slot = shadow_oracle(d, b, &p, walker_next);
+            if (d->error) return;
+            if (slot >= 0) {
+                e->resteer = slot;
+                diverged_at = br_pc;
+            }
+        } else if (p.detected && P->kind[b] == K_COND) {
+            /* wrong-path conditional: speculative history still advances */
+            hist_push_into(d->hist, d->hist->words, d->hist->folded, p.taken);
+        }
+        if (p.taken) {
+            region_end = br_pc + 4;
+            d->spec_pc = p.target;
+            goto finalize;
+        }
+        cur = br_pc + 4;
+        b++;
+    }
+    d->spec_pc = region_end;
+finalize:
+    e->end = region_end;
+    if (!started_on_path) {
+        e->on_path = 0;
+        e->on_path_instrs = 0;
+    } else {
+        e->on_path = 1;
+        e->on_path_instrs = diverged_at >= 0 ? (diverged_at + 4 - start) >> 2
+                                             : (region_end - start) >> 2;
+    }
+}
+
+/* DecoupledFrontend.generate */
+static void generate(Driver *d) {
+    for (int64_t i = 0; i < d->blocks_per_cycle; i++) {
+        if (d->ftq_len >= d->ftq_depth) {
+            d->counters[DC_ftq_full_cycles_blocks]++;
+            break;
+        }
+        FtqEntry *e = ftq_at(d, d->ftq_len);
+        walk_block(d, e);
+        if (d->error) return;
+        d->ftq_len++;
+        d->counters[e->on_path ? DC_ftq_blocks_on_path : DC_ftq_blocks_off_path]++;
+    }
+}
+
+/* ---- resteer / recovery (Simulator._resteer, frontend.recover) ---- */
+
+static void do_resteer(Driver *d, int64_t slot, int64_t squash_seq) {
+    Resteer *r = &d->resteers[slot];
+    if (squash_seq >= 0) {
+        d->counters[DC_backend_squashed_uops] += be_squash_impl(d->be, squash_seq);
+        for (int64_t i = 0; i < RESTEER_POOL; i++) {
+            Resteer *o = &d->resteers[i];
+            if (o->state == RS_BACKEND && o->seq > squash_seq) o->state = RS_FREE;
+        }
+    }
+    d->spec_pc = r->resume_pc;
+    d->diverged = 0;
+    d->pending = -1;
+    hist_restore(d, r->hist);
+    ras_repair(d);
+    d->counters[DC_bpu_recoveries]++;
+    d->counters[DC_resteers]++;
+    d->counters[DC_resteer_btb_miss + r->cause]++;
+    d->counters[DC_resteer_at_decode + r->stage]++;
+    ftq_flush(d);
+    r->state = RS_FREE;
+    d->next_scan_seq = d->next_seq;
+}
+
+/* ---- fills (Simulator._process_fills) ---- */
+
+static void process_fills(Driver *d, int64_t cycle) {
+    while (d->mshr_count > 0) {
+        /* pop in (ready_cycle, line_addr) order, like the MSHR ready heap */
+        MshrEntry *best = NULL;
+        for (int64_t i = 0; i < d->mshr_cap; i++) {
+            MshrEntry *m = &d->mshr[i];
+            if (m->line_addr < 0 || m->ready_cycle > cycle) continue;
+            if (best == NULL || m->ready_cycle < best->ready_cycle
+                || (m->ready_cycle == best->ready_cycle && m->line_addr < best->line_addr)) {
+                best = m;
+            }
+        }
+        if (best == NULL) return;
+        int64_t keep_prefetch = best->is_prefetch && !best->demand_on_path;
+        int64_t flags = (keep_prefetch ? FLAG_PREFETCH : 0) | (best->off_path ? FLAG_OFF_PATH : 0);
+        cache_install_impl(d->l1i, best->line_addr, flags);
+        CacheDesc *c = d->l1i;
+        if (c->evict_addr >= 0 && (c->evict_flags & FLAG_PREFETCH)) {
+            /* Simulator._on_l1i_eviction */
+            d->counters[DC_prefetch_useless]++;
+            d->counters[(c->evict_flags & FLAG_OFF_PATH) ? DC_prefetch_useless_off_path
+                                                         : DC_prefetch_useless_on_path]++;
+        }
+        d->counters[DC_l1i_fills]++;
+        best->line_addr = -1;
+        d->mshr_count--;
+    }
+}
+
+/* ---- backend (BackendCoreC.retire_and_issue, MemoryHierarchyC) ---- */
+
+static void replay_fill_counts(Driver *d) {
+    HierDesc *h = d->hier;
+    d->counters[DC_l2_data_hits] += h->n_l2_data;
+    d->counters[DC_llc_data_hits] += h->n_llc_data;
+    d->counters[DC_dram_data_fills] += h->n_dram_data;
+    d->counters[DC_stream_prefetches] += h->n_stream_pf;
+}
+
+static void retire_and_issue(Driver *d, int64_t cycle) {
+    BackendDesc *be = d->be;
+    d->counters[DC_wrong_path_retired] += be_retire_impl(be, cycle) >> 32;
+    int64_t n_mem = be_issue_impl(be, cycle);
+    for (int64_t i = 0; i < n_mem; i++) {
+        int64_t slot = be->out_mem[2 * i] & be->cap_mask;
+        if (be->out_mem[2 * i + 1]) {
+            hier_store_impl(d->hier, be->addr[slot]);
+            d->counters[DC_l1d_stores]++;
+            if (!d->hier->n_l1d_hit) replay_fill_counts(d);
+        } else {
+            be->complete_cycle[slot] = cycle + hier_load_impl(d->hier, be->addr[slot]);
+            d->counters[DC_l1d_accesses]++;
+            if (d->hier->n_l1d_hit) {
+                d->counters[DC_l1d_hits]++;
+            } else {
+                d->counters[DC_l1d_misses]++;
+                replay_fill_counts(d);
+            }
+        }
+    }
+}
+
+/* ---- fetch / decode (Simulator._fetch_decode and friends) ---- */
+
+static void prefetch_useful(Driver *d, int64_t off_path, int timely) {
+    d->counters[DC_prefetch_useful]++;
+    d->counters[off_path ? DC_prefetch_useful_off_path : DC_prefetch_useful_on_path]++;
+    d->counters[timely ? DC_atr_icache_hits : DC_atr_mshr_hits]++;
+}
+
+/* Simulator._demand_access */
+static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
+    int64_t line_addr = e->line_addr;
+    d->counters[DC_icache_demand_accesses]++;
+    int64_t g = cache_lookup_impl(d->l1i, line_addr, 1);
+    if (g >= 0) {
+        d->counters[DC_icache_demand_hits]++;
+        e->ready_cycle = cycle;
+        int64_t flags = d->l1i->flags[g];
+        if ((flags & FLAG_PREFETCH) && e->on_path) {
+            d->l1i->flags[g] = flags & ~FLAG_PREFETCH;
+            prefetch_useful(d, flags & FLAG_OFF_PATH, 1);
+        }
+        return;
+    }
+    MshrEntry *m = mshr_lookup(d, line_addr);
+    if (m != NULL) {
+        d->counters[DC_icache_demand_mshr_merges]++;
+        e->ready_cycle = m->ready_cycle;
+        if (m->is_prefetch && e->on_path && !m->demand_on_path) {
+            prefetch_useful(d, m->off_path, 0);
+        }
+        if (e->on_path) m->demand_on_path = 1;
+        return;
+    }
+    d->counters[DC_icache_demand_misses]++;
+    d->counters[e->on_path ? DC_icache_demand_misses_on_path : DC_icache_demand_misses_off_path]++;
+    if (d->mshr_count >= d->mshr_cap) {
+        d->counters[DC_icache_mshr_full_stalls]++;
+        return;
+    }
+    int64_t latency = imiss(d, line_addr, DC_demand_fill_l2);
+    mshr_allocate(d, line_addr, cycle + latency, 0, !e->on_path);
+    e->ready_cycle = cycle + latency;
+}
+
+/* Simulator._dispatch_branch: 0, or -1 when a decode-time resteer fired. */
+static int dispatch_branch(Driver *d, FtqEntry *e, int64_t off, int64_t pc,
+                           int64_t on_path, int64_t cycle) {
+    const ProgTables *P = d->prog;
+    int64_t b = e->br_block[off];
+    int64_t kind = P->kind[b];
+    int64_t detected = e->br_detected[off];
+    if (!detected && !IS_INDIRECT(kind)) {
+        /* decode-time discovery fills the BTB (direct kinds only) */
+        btb_fill_impl(d->btb, pc, kind, kind != K_RET ? P->target[b] : 0);
+        d->counters[DC_btb_decode_fills]++;
+    }
+    int64_t slot = e->resteer;
+    if (slot >= 0 && d->resteers[slot].branch_pc == pc) {
+        Resteer *r = &d->resteers[slot];
+        if (r->stage == STAGE_EXECUTE) {
+            r->seq = dispatch_one(d->be, pc, OP_BRANCH, on_path, cycle, 1);
+            r->state = RS_BACKEND;
+            return 0;
+        }
+        /* post-fetch correction: the undetected taken branch resteers now */
+        dispatch_one(d->be, pc, OP_BRANCH, on_path, cycle, 0);
+        do_resteer(d, slot, -1);
+        d->counters[DC_pfc_resteers]++;
+        return -1;
+    }
+    dispatch_one(d->be, pc, OP_BRANCH, on_path, cycle, 0);
+    if (!detected && !on_path && (kind == K_JUMP || kind == K_CALL) && d->pfc) {
+        /* wrong-path PFC: redirect the (still wrong-path) frontend */
+        ftq_flush(d);
+        d->spec_pc = P->target[b];
+        d->counters[DC_wrong_path_pfc_redirects]++;
+        d->next_scan_seq = d->next_seq;
+        return -1;
+    }
+    return 0;
+}
+
+/* Simulator._dispatch_entry: the remaining budget, -1 on a decode resteer. */
+static int64_t dispatch_entry(Driver *d, FtqEntry *e, int64_t cycle, int64_t budget) {
+    int64_t n = (e->end - e->start) >> 2;
+    while (budget > 0 && e->decode_offset < n) {
+        if (!can_dispatch(d->be)) {
+            d->counters[DC_dispatch_stall_backend_full]++;
+            return 0;
+        }
+        int64_t off = e->decode_offset;
+        int64_t pc = e->start + off * 4;
+        int64_t on_path = e->on_path && off < e->on_path_instrs;
+        e->decode_offset++;
+        budget--;
+        d->counters[DC_dispatched_instructions]++;
+        if (e->br_block[off] < 0) {
+            dispatch_one(d->be, pc, e->ops[off], on_path, cycle, 0);
+            continue;
+        }
+        if (dispatch_branch(d, e, off, pc, on_path, cycle) < 0) return -1;
+    }
+    return budget;
+}
+
+static void fetch_decode(Driver *d, int64_t cycle) {
+    int64_t budget = d->width;
+    int64_t accesses = 0;
+    while (budget > 0) {
+        if (d->ftq_len == 0) {
+            d->counters[DC_fetch_slots_lost_empty_ftq] += budget;
+            return;
+        }
+        FtqEntry *e = ftq_at(d, 0);
+        if (e->ready_cycle < 0) {
+            if (d->perfect_icache) {
+                e->ready_cycle = cycle;
+                d->counters[DC_icache_demand_accesses]++;
+                d->counters[DC_icache_demand_hits]++;
+            } else {
+                if (accesses >= d->blocks_per_cycle) return;
+                accesses++;
+                demand_access(d, e, cycle);
+                if (e->ready_cycle < 0) {
+                    d->counters[DC_fetch_slots_lost_mshr_full] += budget;
+                    return;
+                }
+            }
+        }
+        if (e->ready_cycle > cycle) {
+            d->counters[DC_fetch_slots_lost_icache] += budget;
+            d->counters[DC_fetch_stall_icache_cycles]++;
+            return;
+        }
+        int64_t seq = e->seq;
+        budget = dispatch_entry(d, e, cycle, budget);
+        if (budget < 0) return;
+        if (e->decode_offset >= (e->end - e->start) >> 2 && d->ftq_len > 0
+            && ftq_at(d, 0)->seq == seq) {
+            d->ftq_head = (d->ftq_head + 1) % d->ftq_cap;
+            d->ftq_len--;
+        }
+    }
+}
+
+/* ---- FDIP (frontend/fdip.py FDIPEngine.scan) ---- */
+
+static void fdip_scan(Driver *d, int64_t cycle) {
+    if (!d->fdip_enabled || d->perfect_icache || d->ftq_len == 0) return;
+    int64_t head_seq = ftq_at(d, 0)->seq;
+    if (d->next_scan_seq < head_seq) d->next_scan_seq = head_seq;
+    for (int64_t i = 0; i < d->fdip_lookups; i++) {
+        int64_t index = d->next_scan_seq - head_seq;
+        if (index >= d->ftq_len) return;
+        FtqEntry *e = ftq_at(d, index);
+        d->next_scan_seq++;
+        int64_t line_addr = e->line_addr;
+        int64_t base;
+        if (cache_find(d->l1i, line_addr, &base) >= 0) {
+            d->counters[DC_fdip_probe_resident]++;
+            continue;
+        }
+        if (mshr_lookup(d, line_addr) != NULL) {
+            d->counters[DC_fdip_probe_inflight]++;
+            continue;
+        }
+        d->counters[DC_fdip_candidates]++;
+        d->counters[e->on_path ? DC_fdip_candidates_on_path : DC_fdip_candidates_off_path]++;
+        if (d->mshr_count >= d->mshr_cap) {
+            d->counters[DC_fdip_drop_mshr_full]++;
+            continue;
+        }
+        int64_t latency = imiss(d, line_addr, DC_prefetch_fill_l2);
+        mshr_allocate(d, line_addr, cycle + latency, 1, !e->on_path);
+        d->counters[DC_prefetches_emitted]++;
+        d->counters[e->on_path ? DC_prefetches_emitted_on_path : DC_prefetches_emitted_off_path]++;
+    }
+}
+
+/* ---- the cycle loop (Simulator.step) ---- */
+
+static inline void sample_occupancy(Driver *d, int64_t cycles) {
+    d->occ_sum += d->ftq_len * cycles;
+    d->occ_samples += cycles;
+}
+
+/* Simulator._try_fast_forward */
+static void try_fast_forward(Driver *d) {
+    if (d->ftq_len == 0 || d->ftq_len < d->ftq_depth) return;
+    FtqEntry *head = ftq_at(d, 0);
+    int64_t cycle = d->cycle;
+    int64_t ready = head->ready_cycle;
+    if (ready <= cycle + 1) return;
+    if (d->fdip_enabled && !d->perfect_icache && d->next_scan_seq - head->seq < d->ftq_len) {
+        return;
+    }
+    int64_t backend_event = be_next_event_impl(d->be, cycle);
+    if (backend_event != NO_EVENT && backend_event <= cycle + 1) return;
+    int64_t target = ready;
+    int64_t mshr_ready = mshr_next_ready(d);
+    if (mshr_ready >= 0 && mshr_ready < target) target = mshr_ready;
+    if (backend_event != NO_EVENT && backend_event < target) target = backend_event;
+    if (target > d->max_cycles) target = d->max_cycles;
+    int64_t skipped = target - cycle - 1;
+    if (skipped <= 0) return;
+    d->counters[DC_fetch_stall_icache_cycles] += skipped;
+    d->counters[DC_fetch_slots_lost_icache] += skipped * d->width;
+    d->counters[DC_ftq_full_cycles_blocks] += skipped;
+    sample_occupancy(d, skipped);
+    d->cycle = cycle + skipped;
+    d->ff_skipped += skipped;
+    d->ff_jumps++;
+}
+
+/* Simulator._try_refill_step */
+static int try_refill_step(Driver *d) {
+    if (d->ftq_len >= d->ftq_depth || d->ftq_len == 0) return 0;
+    FtqEntry *head = ftq_at(d, 0);
+    int64_t cycle = d->cycle + 1;
+    if (head->ready_cycle < 0 || head->ready_cycle <= cycle) return 0;
+    int64_t mshr_ready = mshr_next_ready(d);
+    if (mshr_ready >= 0 && mshr_ready <= cycle) return 0;
+    int64_t backend_event = be_next_event_impl(d->be, d->cycle);
+    if (backend_event != NO_EVENT && backend_event <= cycle) return 0;
+    d->steps++;
+    d->cycle = cycle;
+    d->counters[DC_fetch_slots_lost_icache] += d->width;
+    d->counters[DC_fetch_stall_icache_cycles]++;
+    fdip_scan(d, cycle);
+    generate(d);
+    sample_occupancy(d, 1);
+    return 1;
+}
+
+static void step(Driver *d) {
+    try_fast_forward(d);
+    if (try_refill_step(d)) return;
+    d->steps++;
+    int64_t cycle = ++d->cycle;
+    process_fills(d, cycle);
+    int64_t fired = be_poll_impl(d->be, cycle);
+    if (fired >= 0) {
+        int64_t slot = -1;
+        for (int64_t i = 0; i < RESTEER_POOL; i++) {
+            if (d->resteers[i].state == RS_BACKEND && d->resteers[i].seq == fired) slot = i;
+        }
+        if (slot < 0) {
+            d->error = ERR_RESTEER_LOST;
+            return;
+        }
+        do_resteer(d, slot, fired);
+    }
+    retire_and_issue(d, cycle);
+    fetch_decode(d, cycle);
+    fdip_scan(d, cycle);
+    generate(d);
+    sample_occupancy(d, 1);
+}
+
+static void setup(Driver *d) {
+    int64_t words = hist_image_words(d);
+    for (int64_t i = 0; i < RESTEER_POOL; i++) {
+        d->resteers[i].state = RS_FREE;
+        d->resteers[i].hist = d->resteer_hist + i * words;
+    }
+    for (int64_t i = 0; i < d->mshr_cap; i++) d->mshr[i].line_addr = -1;
+    d->ftq_head = d->ftq_len = d->mshr_count = 0;
+    d->pending = -1;
+    d->be->hook_active = 0;
+    d->ready = 1;
+}
+
+/* run_cycles(driver, retire_target, stop): step until `retire_target`
+ * instructions have retired (RUN_DONE), the retired count reaches `stop`
+ * right after a step (RUN_STOP, the warmup boundary), or the cycle limit
+ * is hit before a step (RUN_LIMIT); negative on an internal error. */
+static PyObject *k_run_cycles(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_RUN_CYCLES]++;
+    Driver *d = (Driver *)arg_ptr(args, 0);
+    int64_t target = arg_i64(args, 1);
+    int64_t stop = arg_i64(args, 2);
+    if (PyErr_Occurred()) return NULL;
+    if (!d->ready) setup(d);
+    BackendDesc *be = d->be;
+    int64_t status = RUN_DONE;
+    int64_t steps = 0;
+    while (be->retired_instructions < target) {
+        if (d->cycle >= d->max_cycles) {
+            status = RUN_LIMIT;
+            break;
+        }
+        /* Python-level signal handlers (Ctrl-C, the engine's unit-timeout
+         * alarm) run here, between whole steps. */
+        if ((++steps & 4095) == 0 && PyErr_CheckSignals() < 0) return NULL;
+        step(d);
+        if (d->error) {
+            status = d->error;
+            break;
+        }
+        if (be->retired_instructions >= stop) {
+            status = RUN_STOP;
+            break;
+        }
+    }
+    return PyLong_FromLongLong(status);
+}
+
+/* Field offsets (in int64 words) of the descriptors Python fills in. */
+#define FIELD(type, name) {#name, offsetof(type, name) / 8},
+typedef struct { const char *name; size_t word; } FieldInfo;
+
+static const FieldInfo DRIVER_FIELDS[] = {
+    FIELD(Driver, cycle) FIELD(Driver, steps) FIELD(Driver, ff_jumps)
+    FIELD(Driver, ff_skipped) FIELD(Driver, occ_sum) FIELD(Driver, occ_samples)
+    FIELD(Driver, ftq_depth) FIELD(Driver, oracle_pc) FIELD(Driver, blocks_walked)
+    FIELD(Driver, instrs_walked) FIELD(Driver, cs_len) FIELD(Driver, spec_pc)
+    FIELD(Driver, next_seq) FIELD(Driver, diverged) FIELD(Driver, next_scan_seq)
+    FIELD(Driver, ras_len) FIELD(Driver, ras_overflows) FIELD(Driver, ras_underflows)
+    FIELD(Driver, n_touched) FIELD(Driver, error_pc)
+    FIELD(Driver, width) FIELD(Driver, blocks_per_cycle) FIELD(Driver, fdip_lookups)
+    FIELD(Driver, fdip_enabled) FIELD(Driver, perfect_icache) FIELD(Driver, pfc)
+    FIELD(Driver, max_cycles) FIELD(Driver, mshr_cap) FIELD(Driver, ftq_cap)
+    FIELD(Driver, ras_cap) FIELD(Driver, max_stack) FIELD(Driver, ibtb_hist_bits)
+    FIELD(Driver, hist_words)
+    FIELD(Driver, btb) FIELD(Driver, ibtb) FIELD(Driver, tage) FIELD(Driver, hist)
+    FIELD(Driver, l1i) FIELD(Driver, hier) FIELD(Driver, be) FIELD(Driver, prog)
+    FIELD(Driver, counters) FIELD(Driver, occ) FIELD(Driver, touched)
+    FIELD(Driver, touched_flag) FIELD(Driver, call_stack) FIELD(Driver, ras)
+    FIELD(Driver, ftq) FIELD(Driver, mshr) FIELD(Driver, resteers)
+    FIELD(Driver, resteer_hist)
+    {NULL, 0},
+};
+
+static const FieldInfo PROG_FIELDS[] = {
+    FIELD(ProgTables, n_blocks) FIELD(ProgTables, code_start)
+    FIELD(ProgTables, code_end) FIELD(ProgTables, entry) FIELD(ProgTables, addr)
+    FIELD(ProgTables, ninstr) FIELD(ProgTables, ops) FIELD(ProgTables, kind)
+    FIELD(ProgTables, target) FIELD(ProgTables, behavior)
+    FIELD(ProgTables, targets_off) FIELD(ProgTables, targets_n)
+    FIELD(ProgTables, targets) FIELD(ProgTables, node_kind)
+    FIELD(ProgTables, node_seed) FIELD(ProgTables, node_f) FIELD(ProgTables, node_a)
+    FIELD(ProgTables, node_b) FIELD(ProgTables, node_c)
+    {NULL, 0},
+};
+
+static PyObject *fields_dict(const FieldInfo *fields) {
+    PyObject *out = PyDict_New();
+    if (out == NULL) return NULL;
+    for (const FieldInfo *f = fields; f->name != NULL; f++) {
+        PyObject *value = PyLong_FromSize_t(f->word);
+        if (value == NULL || PyDict_SetItemString(out, f->name, value) < 0) {
+            Py_XDECREF(value);
+            Py_DECREF(out);
+            return NULL;
+        }
+        Py_DECREF(value);
+    }
+    return out;
+}
+
+/* Descriptor sizes (int64 words), field offsets and counter names for the
+ * Python side (sim/driver.py, workloads/tables.py). */
+static PyObject *k_driver_layout(PyObject *self, PyObject *args) {
+    (void)self; (void)args;
+    PyObject *names = PyTuple_New(DC_COUNT);
+    if (names == NULL) return NULL;
+    for (int i = 0; i < DC_COUNT; i++) {
+        PyObject *name = PyUnicode_FromString(DC_NAMES[i]);
+        if (name == NULL) {
+            Py_DECREF(names);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(names, i, name);
+    }
+    PyObject *driver = fields_dict(DRIVER_FIELDS);
+    PyObject *prog = fields_dict(PROG_FIELDS);
+    PyObject *out = NULL;
+    if (driver != NULL && prog != NULL) {
+        out = Py_BuildValue(
+            "{s:n,s:n,s:n,s:n,s:n,s:n,s:O,s:O,s:O}",
+            "driver_words", (Py_ssize_t)((sizeof(Driver) + 7) / 8),
+            "prog_words", (Py_ssize_t)((sizeof(ProgTables) + 7) / 8),
+            "ftq_entry_words", (Py_ssize_t)((sizeof(FtqEntry) + 7) / 8),
+            "mshr_entry_words", (Py_ssize_t)((sizeof(MshrEntry) + 7) / 8),
+            "resteer_words", (Py_ssize_t)((sizeof(Resteer) + 7) / 8),
+            "resteer_pool", (Py_ssize_t)RESTEER_POOL,
+            "driver_fields", driver, "prog_fields", prog, "counters", names);
+    }
+    Py_XDECREF(driver);
+    Py_XDECREF(prog);
+    Py_DECREF(names);
+    return out;
+}
+
+/* Raw buffer addresses of a sequence of bytes objects (0 for empty ones):
+ * the block op bytes the program tables point into without copying. */
+static PyObject *k_bytes_addresses(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    PyObject *seq = PySequence_Fast(args[0], "expected a sequence of bytes");
+    if (seq == NULL) return NULL;
+    int64_t *out = (int64_t *)arg_ptr(args, 1);
+    if (PyErr_Occurred()) {
+        Py_DECREF(seq);
+        return NULL;
+    }
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
+        if (!PyBytes_Check(item)) {
+            Py_DECREF(seq);
+            PyErr_SetString(PyExc_TypeError, "block ops must be bytes");
+            return NULL;
+        }
+        out[i] = PyBytes_GET_SIZE(item) ? (int64_t)(uintptr_t)PyBytes_AS_STRING(item) : 0;
+    }
+    Py_DECREF(seq);
+    Py_RETURN_NONE;
+}
+
+PyMethodDef repro_driver_methods[] = {
+    {"run_cycles", (PyCFunction)(void *)k_run_cycles, METH_FASTCALL, NULL},
+    {"driver_layout", k_driver_layout, METH_NOARGS, NULL},
+    {"bytes_addresses", (PyCFunction)(void *)k_bytes_addresses, METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL},
+};

@@ -234,20 +234,25 @@ enum {
     KC_BE_SQUASH,
     KC_BE_CAN_DISPATCH,
     KC_DATA_NEXT,
+    KC_RUN_CYCLES,
     KC_COUNT
 };
 
 extern int64_t repro_kernel_calls[KC_COUNT];
 
-/* cross-file helpers */
+/* The kernel files build as one translation unit (common/cc.py #includes
+ * them in KERNEL_SOURCES order), so a later file calls an earlier file's
+ * static helpers directly -- the cycle driver reuses every structure's
+ * kernel code this way instead of copying it. */
 int64_t cache_lookup_impl(CacheDesc *c, int64_t line_addr, int touch);
 int64_t cache_install_impl(CacheDesc *c, int64_t line_addr, int64_t flags);
 int64_t data_next_impl(DataDesc *d, int64_t pc);
 
-/* method tables contributed by each translation unit */
+/* method tables contributed by each kernel file */
 extern PyMethodDef repro_cache_methods[];
 extern PyMethodDef repro_btb_methods[];
 extern PyMethodDef repro_tage_methods[];
 extern PyMethodDef repro_backend_methods[];
+extern PyMethodDef repro_driver_methods[];
 
 #endif /* REPRO_KERNELS_H */

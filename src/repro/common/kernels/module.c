@@ -30,6 +30,7 @@ static const char *const KC_NAMES[KC_COUNT] = {
     "be_squash",
     "be_can_dispatch",
     "data_next",
+    "run_cycles",
 };
 
 static PyObject *k_call_counts(PyObject *self, PyObject *args) {
@@ -88,6 +89,7 @@ PyMODINIT_FUNC PyInit__repro_kernels(void) {
     append_methods(repro_btb_methods, &count);
     append_methods(repro_tage_methods, &count);
     append_methods(repro_backend_methods, &count);
+    append_methods(repro_driver_methods, &count);
     append_methods(module_methods, &count);
     all_methods[count].ml_name = NULL;
     return PyModule_Create(&repro_kernels_module);

@@ -35,13 +35,9 @@ static inline void update_ctr(TageDesc *d, int64_t g, int64_t taken) {
     }
 }
 
-static PyObject *k_tage_predict(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_TAGE_PREDICT]++;
-    TageDesc *d = (TageDesc *)arg_ptr(args, 0);
-    int64_t pc = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-
+/* The probe: leaves the prediction in the out_* fields and the per-table
+ * indices/tags in the scratch arrays. */
+static void tage_predict_impl(TageDesc *d, int64_t pc) {
     int64_t pc_idx = (pc >> 2) ^ (pc >> (d->table_bits + 2));
     int64_t pc_tag = pc >> 2;
     for (int64_t t = 0; t < d->num_tables; t++) {
@@ -101,26 +97,16 @@ static PyObject *k_tage_predict(PyObject *self, PyObject *const *args, Py_ssize_
     d->out_alt_provider = alt_provider;
     d->out_alt_index = alt_index;
     d->out_newly_allocated = newly_allocated;
-    Py_RETURN_NONE;
 }
 
-static PyObject *k_tage_update(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_TAGE_UPDATE]++;
-    TageDesc *d = (TageDesc *)arg_ptr(args, 0);
-    int64_t pc = arg_i64(args, 1);
-    int64_t taken = arg_i64(args, 2);
-    int64_t predicted_taken = arg_i64(args, 3);
-    int64_t provider = arg_i64(args, 4);
-    int64_t provider_index = arg_i64(args, 5);
-    int64_t alt_taken = arg_i64(args, 6);
-    int64_t alt_provider = arg_i64(args, 7);
-    int64_t alt_index = arg_i64(args, 8);
-    int64_t newly_allocated = arg_i64(args, 9);
-    PyObject *indices = args[10];
-    PyObject *tags = args[11];
-    if (PyErr_Occurred()) return NULL;
-
+/* Training with a resolved outcome; `indices`/`tags` are the prediction's
+ * own per-table values (predictions can be in flight between probes). */
+static void tage_update_impl(TageDesc *d, int64_t pc, int64_t taken,
+                             int64_t predicted_taken, int64_t provider,
+                             int64_t provider_index, int64_t alt_taken,
+                             int64_t alt_provider, int64_t alt_index,
+                             int64_t newly_allocated, const int64_t *indices,
+                             const int64_t *tags) {
     int64_t mispredicted = predicted_taken != taken;
 
     /* use_alt_on_na bookkeeping, before the provider counter moves. */
@@ -161,10 +147,9 @@ static PyObject *k_tage_update(PyObject *self, PyObject *const *args, Py_ssize_t
     if (mispredicted) {
         int64_t allocated = 0;
         for (int64_t t = provider + 1; t < d->num_tables; t++) {
-            int64_t idx = PyLong_AsLongLong(PyTuple_GET_ITEM(indices, t));
-            int64_t g = t * d->size + idx;
+            int64_t g = t * d->size + indices[t];
             if (d->useful[g] == 0) {
-                d->tags[g] = PyLong_AsLongLong(PyTuple_GET_ITEM(tags, t));
+                d->tags[g] = tags[t];
                 d->ctrs[g] = taken ? 0 : -1;
                 allocated = 1;
                 break;
@@ -172,8 +157,7 @@ static PyObject *k_tage_update(PyObject *self, PyObject *const *args, Py_ssize_t
         }
         if (!allocated) {
             for (int64_t t = provider + 1; t < d->num_tables; t++) {
-                int64_t idx = PyLong_AsLongLong(PyTuple_GET_ITEM(indices, t));
-                int64_t g = t * d->size + idx;
+                int64_t g = t * d->size + indices[t];
                 if (d->useful[g] > 0) d->useful[g]--;
             }
         }
@@ -186,6 +170,61 @@ static PyObject *k_tage_update(PyObject *self, PyObject *const *args, Py_ssize_t
             d->tick = 0;
         }
     }
+}
+
+static PyObject *k_tage_predict(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_TAGE_PREDICT]++;
+    TageDesc *d = (TageDesc *)arg_ptr(args, 0);
+    int64_t pc = arg_i64(args, 1);
+    if (PyErr_Occurred()) return NULL;
+    tage_predict_impl(d, pc);
+    Py_RETURN_NONE;
+}
+
+/* Copy a prediction's indices/tags tuple into `out` (num_tables items). */
+static int tuple_to_i64(PyObject *tuple, int64_t *out, int64_t count) {
+    if (!PyTuple_Check(tuple) || PyTuple_GET_SIZE(tuple) < count) {
+        PyErr_SetString(PyExc_ValueError, "TAGE prediction tuple too short");
+        return -1;
+    }
+    for (int64_t t = 0; t < count; t++) {
+        out[t] = PyLong_AsLongLong(PyTuple_GET_ITEM(tuple, t));
+    }
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *k_tage_update(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_TAGE_UPDATE]++;
+    TageDesc *d = (TageDesc *)arg_ptr(args, 0);
+    int64_t pc = arg_i64(args, 1);
+    int64_t taken = arg_i64(args, 2);
+    int64_t predicted_taken = arg_i64(args, 3);
+    int64_t provider = arg_i64(args, 4);
+    int64_t provider_index = arg_i64(args, 5);
+    int64_t alt_taken = arg_i64(args, 6);
+    int64_t alt_provider = arg_i64(args, 7);
+    int64_t alt_index = arg_i64(args, 8);
+    int64_t newly_allocated = arg_i64(args, 9);
+    if (PyErr_Occurred()) return NULL;
+    int64_t stack[2 * 32];
+    int64_t *scratch = stack;
+    if (d->num_tables > 32) {
+        scratch = PyMem_Malloc(2 * (size_t)d->num_tables * sizeof(int64_t));
+        if (scratch == NULL) return PyErr_NoMemory();
+    }
+    int64_t *indices = scratch;
+    int64_t *tags = scratch + (d->num_tables > 32 ? d->num_tables : 32);
+    int ok = tuple_to_i64(args[10], indices, d->num_tables) == 0
+             && tuple_to_i64(args[11], tags, d->num_tables) == 0;
+    if (ok) {
+        tage_update_impl(d, pc, taken, predicted_taken, provider, provider_index,
+                         alt_taken, alt_provider, alt_index, newly_allocated,
+                         indices, tags);
+    }
+    if (scratch != stack) PyMem_Free(scratch);
+    if (!ok) return NULL;
     Py_RETURN_NONE;
 }
 

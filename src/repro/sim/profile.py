@@ -109,9 +109,13 @@ class ProfileReport:
     seed: int
     fast_forward: bool
     # Active acceleration gates for this run: idle-cycle fast-forward,
-    # warmup checkpoint reuse, interval sampling, and the runtime-compiled C
-    # kernels (each togglable via its REPRO_NO_* env var).
+    # warmup checkpoint reuse, interval sampling, the runtime-compiled C
+    # kernels (each togglable via its REPRO_NO_* env var), and the compiled
+    # cycle driver (on when the configuration is eligible, see
+    # repro.sim.driver).
     gates: dict[str, bool]
+    # Why the compiled cycle driver is off ("" when it runs).
+    driver_off_reason: str
     # Per-kernel dispatch counts from the compiled extension (empty when the
     # kernels are unavailable or gated off).
     kernel_calls: dict[str, int]
@@ -165,6 +169,7 @@ def profile_run(
     """
     from repro.common import cc
     from repro.common.artifacts import reuse_disabled
+    from repro.sim.driver import ineligibility
     from repro.sim.sampling import sampling_disabled
 
     simulator = build_simulator(workload, config, seed)
@@ -175,6 +180,7 @@ def profile_run(
     kernels = cc.kernels() if simulator.compiled_enabled else None
     if kernels is not None:
         kernels.reset_call_counts()
+    driver_off_reason = ineligibility(simulator) or ""
 
     profiler = cProfile.Profile()
     started = time.perf_counter()
@@ -188,6 +194,7 @@ def profile_run(
         "checkpoint": not reuse_disabled(),
         "sampling": not sampling_disabled(),
         "compiled": simulator.compiled_enabled,
+        "driver": not driver_off_reason,
     }
     kernel_calls = cc.kernel_call_counts() if kernels is not None else {}
 
@@ -235,6 +242,7 @@ def profile_run(
         seed=seed,
         fast_forward=fast_forward,
         gates=gates,
+        driver_off_reason=driver_off_reason,
         kernel_calls=kernel_calls,
         wall_seconds=wall,
         cycles=simulator.cycle,
@@ -260,6 +268,14 @@ def format_report(report: ProfileReport) -> str:
         f"{name}={'on' if active else 'off'}"
         for name, active in report.gates.items()
     )
+    if report.driver_off_reason:
+        gates += f" (driver: {report.driver_off_reason})"
+    stage_header = (
+        "  per-stage breakdown (empty: the compiled cycle driver ran every "
+        "step in C, inside run()):"
+        if report.gates.get("driver")
+        else "  per-stage breakdown (cumulative seconds inside step()):"
+    )
     lines = [
         f"profile: {report.workload} / {report.config_name} "
         f"(fast-forward {'on' if report.fast_forward else 'off'})",
@@ -272,7 +288,7 @@ def format_report(report: ProfileReport) -> str:
         f"({report.ff_jumps} jumps, avg {report.avg_ff_jump_cycles:.1f} "
         f"cycles/jump)",
         "",
-        "  per-stage breakdown (cumulative seconds inside step()):",
+        stage_header,
     ]
     denom = report.step_seconds or 1.0
     for stage in report.stages:

@@ -132,7 +132,7 @@ class Simulator:
 
         profile = data_profile if data_profile is not None else DataProfile()
         if comp:
-            from repro.backend.core import BackendCoreC
+            from repro.backend.core import BackendCoreC, dep_flags
             from repro.workloads.data import DataAddressGeneratorC
 
             self.data_gen = DataAddressGeneratorC(
@@ -145,7 +145,9 @@ class Simulator:
                 self.counters,
                 seed=self.rng_seed,
             )
-            self.backend.install_dep_table(program.code_end)
+            self.backend.install_dep_table(
+                dep_flags(program, self.rng_seed, self.backend._dep_threshold)
+            )
         else:
             self.data_gen = DataAddressGenerator(profile, self.rng_seed)
             self.backend = BackendCore(
@@ -175,6 +177,9 @@ class Simulator:
         self.ff_cycles_skipped = 0  # cycles advanced without a full step
         self.ff_jumps = 0  # number of fast-forward jumps taken
         self.steps_executed = 0  # full step() bodies run (perf smoke checks)
+        # The compiled cycle driver, once it owns the pipeline (see
+        # _cycle_driver and repro.sim.driver).
+        self._driver = None
 
         # Hot-loop constants hoisted out of the per-cycle stages (the config
         # is immutable once the simulator is constructed).
@@ -391,19 +396,13 @@ class Simulator:
         if not self._warmed and self.cycle == 0 and self.config.functional_warmup_blocks > 0:
             self.functional_warmup(self.config.functional_warmup_blocks)
         warmup = self.config.warmup_instructions
-        warmup_done = warmup == 0
-        while self.backend.retired_instructions < target:
-            if self.cycle >= self.config.max_cycles:
-                raise SimulationError(
-                    f"cycle limit {self.config.max_cycles} hit at "
-                    f"{self.backend.retired_instructions} retired instructions"
-                )
-            self.step()
-            if not warmup_done and self.backend.retired_instructions >= warmup:
-                self._warmup_baseline = self.counters.snapshot()
-                self._warmup_cycle = self.cycle
-                self._warmup_retired = self.backend.retired_instructions
-                warmup_done = True
+
+        def end_warmup() -> None:
+            self._warmup_baseline = self.counters.snapshot()
+            self._warmup_cycle = self.cycle
+            self._warmup_retired = self.backend.retired_instructions
+
+        self._simulate(target, warmup if warmup else None, end_warmup)
         self.counters.set("cycles", self.cycle)
         self.counters.set("retired_instructions", self.backend.retired_instructions)
 
@@ -424,24 +423,80 @@ class Simulator:
         """
         if not self._warmed and self.cycle == 0 and self.config.functional_warmup_blocks > 0:
             self.functional_warmup(self.config.functional_warmup_blocks)
-        base_retired = self.backend.retired_instructions
-        warmup_target = base_retired + detailed_warmup
+        warmup_target = self.backend.retired_instructions + detailed_warmup
         target = warmup_target + measure_instructions
-        warmup_done = detailed_warmup == 0
-        while self.backend.retired_instructions < target:
-            if self.cycle >= self.config.max_cycles:
-                raise SimulationError(
-                    f"cycle limit {self.config.max_cycles} hit at "
-                    f"{self.backend.retired_instructions} retired instructions"
-                )
-            self.step()
-            if not warmup_done and self.backend.retired_instructions >= warmup_target:
-                self._warmup_baseline = self._meta_preserving_snapshot()
-                self._warmup_cycle = self.cycle
-                self._warmup_retired = self.backend.retired_instructions
-                warmup_done = True
+
+        def end_warmup() -> None:
+            self._warmup_baseline = self._meta_preserving_snapshot()
+            self._warmup_cycle = self.cycle
+            self._warmup_retired = self.backend.retired_instructions
+
+        self._simulate(target, warmup_target if detailed_warmup else None, end_warmup)
         self.counters.set("cycles", self.cycle)
         self.counters.set("retired_instructions", self.backend.retired_instructions)
+
+    def _simulate(self, target: int, warmup_target: int | None, end_warmup) -> None:
+        """Step until ``target`` instructions retired.
+
+        ``end_warmup`` runs once, right after the step whose retirement
+        reaches ``warmup_target`` (None: no warmup boundary).  The compiled
+        cycle driver runs the steps in C when it can (see
+        :meth:`_cycle_driver`), stopping only at that boundary, the target
+        or the cycle limit; otherwise :meth:`step` runs in Python.  Both
+        raise the same :class:`SimulationError` at the cycle limit.
+        """
+        driver = self._cycle_driver()
+        if driver is not None:
+            from repro.sim.driver import LIMIT, NEVER, STOP
+
+            stop = NEVER if warmup_target is None else warmup_target
+            while True:
+                status = driver.run(self, target, stop)
+                if status == STOP:
+                    end_warmup()
+                    stop = NEVER
+                    continue
+                if status == LIMIT:
+                    self._raise_cycle_limit()
+                return
+        backend = self.backend
+        while backend.retired_instructions < target:
+            if self.cycle >= self._max_cycles:
+                self._raise_cycle_limit()
+            self.step()
+            if warmup_target is not None and backend.retired_instructions >= warmup_target:
+                end_warmup()
+                warmup_target = None
+
+    def _raise_cycle_limit(self) -> None:
+        raise SimulationError(
+            f"cycle limit {self.config.max_cycles} hit at "
+            f"{self.backend.retired_instructions} retired instructions"
+        )
+
+    def _cycle_driver(self):
+        """The compiled cycle driver for this run, or None for the Python stepper.
+
+        Chosen once, on a clean machine (cycle 0: after warmup, restore or
+        fast-forward), from observable configuration only
+        (:func:`repro.sim.driver.ineligibility`).  Once it ran, the driver
+        owns the pipeline contents, so later runs keep using it.
+        """
+        if self._driver is not None:
+            if self.counters.hook is not None:
+                raise SimulationError(
+                    "a counter hook cannot be attached after the compiled "
+                    "cycle driver has run"
+                )
+            return self._driver
+        if self.cycle != 0:
+            return None
+        from repro.sim import driver
+
+        if driver.ineligibility(self) is not None:
+            return None
+        self._driver = driver.CycleDriver(self)
+        return self._driver
 
     def step(self) -> None:
         """Advance the machine to its next non-trivial cycle.
@@ -452,6 +507,11 @@ class Simulator:
         cycles are fast-forwarded in bulk with their per-cycle counters
         accounted for exactly (see :meth:`_try_fast_forward`).
         """
+        if self._driver is not None:
+            raise SimulationError(
+                "the compiled cycle driver owns this simulator's pipeline; "
+                "advance it with run() or run_interval()"
+            )
         if self.fast_forward_enabled and self.counters.hook is None:
             self._try_fast_forward()
             if self.compiled_enabled and self._try_refill_step():

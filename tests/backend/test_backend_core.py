@@ -172,3 +172,21 @@ def test_in_order_retirement():
     for cycle in range(3, 400):
         backend.retire_and_issue(cycle)
     assert backend.retired_instructions == 2
+
+
+def test_dep_flags_built_once_per_program_seed_and_threshold():
+    import numpy as np
+
+    from repro.backend.core import dep_flags
+    from repro.workloads import micro
+
+    program = micro.straight_loop()
+    backend = make_backend()
+    threshold = backend._dep_threshold
+    flags = dep_flags(program, 1, threshold)
+    assert dep_flags(program, 1, threshold) is flags  # shared, not rebuilt
+    assert not flags.flags.writeable
+    assert dep_flags(program, 2, threshold) is not flags
+    # Bit-identical to the per-PC hash the object backend evaluates.
+    expected = [backend._depends_on_load(pc) for pc in range(0, program.code_end, 4)]
+    assert np.array_equal(flags.astype(bool), np.array(expected))

@@ -1,0 +1,300 @@
+"""The compiled cycle driver: engagement and byte-identity at every exit.
+
+``run_cycles`` (``repro/common/kernels/driver.c``) runs the whole step()
+loop in C for configurations with no Python-side participant.  It must be
+a pure wall-clock optimization, exactly like the kernels under it
+(``tests/sim/test_modes.py``): at every point where it returns to Python
+-- the retire target, a timed-warmup or ``run_interval`` warmup boundary,
+the cycle limit -- counters, cycle, FTQ occupancy and the oracle position
+must equal the object oracle's.  And it must actually engage wherever it
+is eligible: a preset that silently falls back to the Python stepper still
+passes every identity test, but runs at stepper speed.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.common import cc
+from repro.common.config import SimConfig
+from repro.common.errors import SimulationError
+from repro.sim import driver as driver_mod
+from repro.sim.presets import PRESET_BUILDERS, baseline_config, miss_heavy_config
+from repro.sim.profile import build_simulator
+from repro.sim.simulator import Simulator
+from repro.workloads import micro
+from repro.workloads import store as program_store
+from repro.workloads.behavior import (
+    AlwaysTaken,
+    BiasedBehavior,
+    DirectionBehavior,
+    FixedTarget,
+    LoopBehavior,
+    PatternBehavior,
+    PhasedBehavior,
+    WeightedTargets,
+    ZipfTargets,
+)
+from repro.workloads.builder import ProgramBuilder
+from repro.workloads.phases import make_phased_program
+from repro.workloads.profiles import get_profile
+
+N = 4_000
+
+# Every preset the driver runs, and why each other preset cannot.
+ELIGIBLE = {"baseline", "perfect-icache", "no-prefetch", "bigger-icache", "miss-heavy"}
+REASONS = {
+    "udp": "udp enabled",
+    "infinite-storage": "udp enabled",
+    "uftq-aur": "uftq enabled",
+    "uftq-atr": "uftq enabled",
+    "uftq-atr-aur": "uftq enabled",
+    "eip": "technique object (eip)",
+    "sw-profile": "technique object (sw-profile)",
+    "mana": "technique object (mana)",
+    "shadow-btb": "technique object (shadow-btb)",
+    "two-level-btb": "two-level BTB",
+    "loop-predictor": "loop predictor",
+}
+
+needs_compiler = pytest.mark.skipif(
+    not cc.compiled_enabled(), reason="no C compiler on this host"
+)
+
+
+def _driver_calls() -> int:
+    return cc.kernel_call_counts().get("run_cycles", 0)
+
+
+def _state(sim: Simulator) -> tuple:
+    """Everything a driver exit writes back, as one comparable value."""
+    oracle = sim.oracle
+    return (
+        sim.cycle,
+        sim.measured_counters(),
+        sim.ftq.occupancy_sum,
+        sim.ftq.occupancy_samples,
+        oracle.pc,
+        oracle.blocks_walked,
+        oracle.instrs_walked,
+        list(oracle.call_stack),
+        dict(oracle._occurrences),
+    )
+
+
+def test_reasons_cover_every_ineligible_preset():
+    assert ELIGIBLE | set(REASONS) == set(PRESET_BUILDERS)
+    assert not ELIGIBLE & set(REASONS)
+
+
+@needs_compiler
+@pytest.mark.parametrize("preset", sorted(PRESET_BUILDERS))
+def test_driver_engages_iff_eligible(preset, monkeypatch):
+    steps = []
+    python_step = Simulator.step
+
+    def counting_step(self):
+        steps.append(1)
+        python_step(self)
+
+    monkeypatch.setattr(Simulator, "step", counting_step)
+    sim = build_simulator("gcc", PRESET_BUILDERS[preset](N), compiled=True)
+    assert driver_mod.ineligibility(sim) == REASONS.get(preset)
+    before = _driver_calls()
+    sim.run()
+    calls = _driver_calls() - before
+    if preset in ELIGIBLE:
+        assert calls >= 1 and not steps, (preset, calls, len(steps))
+        assert sim.steps_executed + sim.ff_cycles_skipped == sim.cycle
+    else:
+        assert calls == 0 and steps, (preset, calls, len(steps))
+
+
+def test_fallback_gates_name_their_reason(monkeypatch):
+    config = baseline_config(N)
+    sim = build_simulator("gcc", config, compiled=False)
+    assert driver_mod.ineligibility(sim) == "compiled kernels off"
+    if not cc.compiled_enabled():
+        return
+    sim = build_simulator("gcc", config, compiled=True)
+    sim.counters.hook = lambda name, amount: None
+    assert driver_mod.ineligibility(sim) == "counter hook attached"
+    monkeypatch.setenv("REPRO_NO_FASTFORWARD", "1")
+    sim = build_simulator("gcc", config, compiled=True)
+    assert driver_mod.ineligibility(sim) == "fast-forward off"
+
+
+@needs_compiler
+@pytest.mark.parametrize("workload,preset", [
+    ("gcc", "miss-heavy"), ("verilator", "miss-heavy"), ("xgboost", "baseline"),
+])
+def test_driver_keeps_the_steppers_idle_skip_accounting(workload, preset, monkeypatch):
+    """Same fast-forward and refill rules: step counts match the Python stepper."""
+    config = PRESET_BUILDERS[preset](N)
+    driven = build_simulator(workload, config, compiled=True)
+    driven.run()
+    monkeypatch.setattr(driver_mod, "ineligibility", lambda sim: "forced off")
+    stepped = build_simulator(workload, config, compiled=True)
+    stepped.run()
+    assert _state(driven) == _state(stepped)
+    assert (driven.steps_executed, driven.ff_jumps, driven.ff_cycles_skipped) == (
+        stepped.steps_executed, stepped.ff_jumps, stepped.ff_cycles_skipped
+    )
+
+
+@pytest.mark.parametrize("preset", ["baseline", "miss-heavy"])
+def test_timed_warmup_exit_matches_object_path(preset):
+    config = PRESET_BUILDERS[preset](N).replace(warmup_instructions=1_500)
+    before = _driver_calls()
+    driven = build_simulator("verilator", config, compiled=True)
+    driven.run()
+    if cc.compiled_enabled():
+        assert _driver_calls() - before == 2  # the warmup boundary, then the target
+    oracle = build_simulator("verilator", config, compiled=False)
+    oracle.run()
+    assert driven._warmup_cycle == oracle._warmup_cycle > 0
+    assert driven._warmup_retired == oracle._warmup_retired
+    assert _state(driven) == _state(oracle)
+
+
+def test_run_interval_warmup_exit_matches_object_path():
+    config = baseline_config(N).with_sampling(4, 500, 300)
+    prof = get_profile("gcc")
+    program = program_store.program_for("gcc", 1)
+
+    def interval(compiled: bool) -> Simulator:
+        sim = Simulator(program, config, data_profile=prof.data, compiled=compiled)
+        sim.functional_warmup(config.functional_warmup_blocks)
+        sim.fast_forward_to(sim.oracle.instrs_walked + 2_000)
+        sim.run_interval(500, detailed_warmup=300)
+        return sim
+
+    before = _driver_calls()
+    driven = interval(True)
+    if cc.compiled_enabled():
+        assert _driver_calls() - before == 2
+    oracle = interval(False)
+    assert driven._warmup_cycle == oracle._warmup_cycle > 0
+    assert _state(driven) == _state(oracle)
+    # Resumable: a second interval continues from where the driver stopped.
+    driven.run_interval(400)
+    oracle.run_interval(400)
+    assert _state(driven) == _state(oracle)
+
+
+def test_cycle_limit_exit_matches_object_path():
+    config = miss_heavy_config(N).replace(max_cycles=20_000)
+    errors = []
+    sims = []
+    for compiled in (True, False):
+        sim = build_simulator("gcc", config, compiled=compiled)
+        with pytest.raises(SimulationError) as info:
+            sim.run()
+        errors.append(str(info.value))
+        sims.append(sim)
+    assert errors[0] == errors[1]
+    assert "cycle limit 20000 hit" in errors[0]
+    driven, oracle = sims
+    assert driven.cycle == oracle.cycle == 20_000
+    assert driven.counters.snapshot() == oracle.counters.snapshot()
+    assert _state(driven) == _state(oracle)
+
+
+@needs_compiler
+def test_driver_owns_the_pipeline_after_it_ran():
+    sim = build_simulator("gcc", baseline_config(2_000), compiled=True)
+    sim.run()
+    assert sim._driver is not None
+    with pytest.raises(SimulationError, match="owns this simulator's pipeline"):
+        sim.step()
+    sim.counters.hook = lambda name, amount: None
+    with pytest.raises(SimulationError, match="counter hook"):
+        sim.run(3_000)
+
+
+def _behaviour_zoo():
+    """Every behaviour class the driver compiles, incl. ones synthesis rarely
+    emits: always-taken and noisy-pattern conditionals, a phased branch,
+    Zipf selectors on all three of its formulas, a negative fixed index,
+    and indirect calls returning through the call stack."""
+    b = ProgramBuilder()
+    head, skip1, skip2, skip3 = (b.label(n) for n in ("head", "s1", "s2", "s3"))
+    funcs = [b.label(f"f{i}") for i in range(4)]
+    b.place(head)
+    b.set_entry()
+    b.cond_branch(3, target=skip1, behavior=AlwaysTaken())
+    b.block(2)
+    b.place(skip1)
+    b.cond_branch(3, target=skip2, behavior=PatternBehavior(11, 0b1011001, 7, noise=0.2))
+    b.block(3)
+    b.place(skip2)
+    phased = PhasedBehavior(LoopBehavior(5), BiasedBehavior(3, 0.3), 50)
+    b.cond_branch(2, target=skip3, behavior=phased)
+    b.block(1)
+    b.place(skip3)
+    for selector in (ZipfTargets(5, 1.0), ZipfTargets(6, 0.5), ZipfTargets(7, 0.0)):
+        b.indirect(2, targets=list(funcs), behavior=selector, call=True)
+    b.indirect(2, targets=funcs[:2], behavior=FixedTarget(-1), call=True)
+    b.indirect(2, targets=funcs[:3], behavior=WeightedTargets(9, 0.6), call=True)
+    b.block(2, jump_to=head)
+    for i, label in enumerate(funcs):
+        b.place(label)
+        if i == 3:
+            b.call(2, target=funcs[0])
+        b.block(4 - i % 2)
+        b.ret(2)
+    return b.finish()
+
+
+class _Custom(DirectionBehavior):
+    def taken(self, occurrence: int) -> bool:
+        return occurrence % 3 == 0
+
+
+def _custom_program():
+    b = ProgramBuilder()
+    head, out = b.label("head"), b.label("out")
+    b.place(head)
+    b.set_entry()
+    b.cond_branch(4, target=out, behavior=_Custom())
+    b.block(3)
+    b.place(out)
+    b.block(2, jump_to=head)
+    return b.finish()
+
+
+PROGRAMS = {
+    "straight_loop": micro.straight_loop,
+    "counted_loop": lambda: micro.counted_loop(7),
+    "diamond": micro.diamond,
+    "pattern_diamond": lambda: micro.pattern_diamond(0b0110, 4),
+    "call_return": micro.call_return,
+    "rotating_switch": micro.rotating_switch,
+    "long_straight": lambda: micro.long_straight(num_blocks=1024),
+    "always_taken_chain": micro.always_taken_chain,
+    "behaviour_zoo": _behaviour_zoo,
+    "phased": lambda: make_phased_program(get_profile("mediawiki"), 1),
+    "custom_behaviour": _custom_program,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_handcrafted_programs_match_object_path(name):
+    program = PROGRAMS[name]()
+    config = SimConfig(max_instructions=3_000, functional_warmup_blocks=300)
+    # A 2 KiB L1I keeps even the small loops missing, so fills, prefetches
+    # and evictions all happen.
+    l1i = dataclasses.replace(config.memory.l1i, size_bytes=2 * 1024, assoc=2)
+    config = config.replace(memory=dataclasses.replace(config.memory, l1i=l1i))
+    before = _driver_calls()
+    driven = Simulator(program, config, compiled=True)
+    driven.run()
+    calls = _driver_calls() - before
+    oracle = Simulator(program, config, compiled=False)
+    oracle.run()
+    if cc.compiled_enabled():
+        compilable = name != "custom_behaviour"
+        assert (calls > 0) == compilable
+        if not compilable:
+            assert driver_mod.ineligibility(driven) == "program behaviours not compilable"
+    assert _state(driven) == _state(oracle)

@@ -114,16 +114,30 @@ def test_env_var_disables_compiled(monkeypatch):
     assert not forced.compiled_enabled
 
 
-@pytest.mark.parametrize("capture_mode", sorted(_MODES))
-@pytest.mark.parametrize("restore_mode", sorted(_MODES))
+# (preset, capture mode, restore mode); the udp cases keep their original
+# "restore-capture" ids.
+_ROUND_TRIPS = [
+    pytest.param(
+        preset, capture, restore,
+        id=f"{restore}-{capture}" if preset == "udp" else f"{preset}-{restore}-{capture}",
+    )
+    for preset in ("udp", "miss-heavy")
+    for restore in sorted(_MODES)
+    for capture in sorted(_MODES)
+]
+
+
+@pytest.mark.parametrize("preset,capture_mode,restore_mode", _ROUND_TRIPS)
 def test_checkpoint_round_trips_across_modes(
-    tmp_path, monkeypatch, capture_mode, restore_mode
+    tmp_path, monkeypatch, preset, capture_mode, restore_mode
 ):
     """A warmup blob is layout-neutral: any capture/restore mode combo must
-    reproduce the from-scratch counters of the restoring mode."""
+    reproduce the from-scratch counters of the restoring mode -- both on
+    the Python stepper (udp) and under the compiled cycle driver
+    (miss-heavy), which imports the restored oracle/RAS state."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_NO_CHECKPOINT", raising=False)
-    config = PRESET_BUILDERS["udp"](N, SEED)
+    config = PRESET_BUILDERS[preset](N, SEED)
     prof = get_profile("gcc")
     program = program_store.program_for("gcc", SEED)
 
