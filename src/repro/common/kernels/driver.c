@@ -3,13 +3,15 @@
  * Port of sim/simulator.py (step, the idle-cycle fast-forward and refill
  * rules, fills, fetch/decode/dispatch, resteer/squash/recovery),
  * frontend/bpu.py (the FTQ walker shadowing the oracle), frontend/fdip.py
- * (the FTQ scan), memory/mshr.py and workloads/trace.py (the true-path
- * cursor), for configurations that build no Python-side participant: no
- * technique object, UDP and UFTQ off, the monolithic BTB, no loop
- * predictor (sim/driver.py decides eligibility).  The kernels this file
- * calls -- cache, BTB/iBTB, history, TAGE, backend, hierarchy -- are the
- * same static helpers the per-call wrappers use: every kernel file is
- * #included into one translation unit (common/cc.py).
+ * (the FTQ scan), memory/mshr.py, workloads/trace.py (the true-path
+ * cursor) and core/ (UDP: the confidence estimator, the FDIP gate over the
+ * useful-set and the Seniority-FTQ, and their learning and flush rules),
+ * for configurations that build no Python-side participant: no technique
+ * object, UFTQ off, the monolithic BTB, no loop predictor (sim/driver.py
+ * decides eligibility).  The kernels this file calls -- cache, BTB/iBTB,
+ * history, TAGE, backend, hierarchy -- are the same static helpers the
+ * per-call wrappers use: every kernel file is #included into one
+ * translation unit (common/cc.py).
  *
  * State split: the structures above keep living in their descriptors, so
  * Python reads them as before.  The pipeline state Python never needs to
@@ -17,7 +19,9 @@
  * ember FTQ), the MSHR file and the in-flight resteers -- lives in arrays
  * only this file touches.  The observable scalars (cycle, counters, FTQ
  * occupancy, the oracle position, ...) sit at the front of the Driver
- * descriptor and are synced back by the Python wrapper at every exit.
+ * descriptor, UDP's at the front of its own, and the Python wrapper syncs
+ * them back at every exit; the useful-set's Bloom bits are the filters'
+ * own bytearrays.
  *
  * Ground truth comes from per-program tables (workloads/tables.py): block
  * addresses/sizes/op bytes, branch kinds and static targets, and the
@@ -48,6 +52,7 @@
 #define ERR_ORACLE_SYNC (-1)
 #define ERR_RESTEER_POOL (-2)
 #define ERR_RESTEER_LOST (-3)
+#define ERR_UDP_LINE (-4)
 
 /* workloads/program.py BranchKind */
 enum { K_COND, K_JUMP, K_CALL, K_RET, K_INDIRECT, K_INDIRECT_CALL };
@@ -92,7 +97,14 @@ enum { RS_FREE, RS_FTQ, RS_BACKEND };
     X(l2_ifetch_hits) X(llc_ifetch_hits) X(dram_ifetch_fills) \
     X(l1d_accesses) X(l1d_hits) X(l1d_misses) X(l1d_stores) \
     X(l2_data_hits) X(llc_data_hits) X(dram_data_fills) X(stream_prefetches) \
-    X(wrong_path_retired) X(backend_squashed_uops)
+    X(wrong_path_retired) X(backend_squashed_uops) \
+    X(udp_conf_0) X(udp_conf_1) X(udp_conf_2) X(udp_forced_off_path) \
+    X(udp_pass_on_path) X(udp_emit_off_path) X(udp_superline_emits) \
+    X(udp_drop_off_path) X(fdip_gated_drops) \
+    X(useful_set_hit_1) X(useful_set_hit_2) X(useful_set_hit_4) \
+    X(useful_set_insert_1) X(useful_set_insert_2) X(useful_set_insert_4) \
+    X(useful_set_flush_1) X(useful_set_flush_2) X(useful_set_flush_4) \
+    X(udp_learned_useful) X(udp_learned_useful_direct)
 
 #define DC_ENUM(name) DC_##name,
 enum { DRIVER_COUNTERS(DC_ENUM) DC_COUNT };
@@ -133,6 +145,7 @@ typedef struct {
     int64_t ready_cycle;    /* -1 = not yet accessed */
     int64_t decode_offset;
     int64_t resteer;        /* pool slot of the divergence inside, -1 = none */
+    int64_t assumed_off_path;  /* UDP's belief when the walk started */
     int32_t br_block[FB_INSTRS];  /* per offset: the branch's block, -1 = none */
     uint8_t br_detected[FB_INSTRS];
     uint8_t ops[FB_INSTRS];
@@ -144,6 +157,7 @@ typedef struct {
     int64_t is_prefetch;
     int64_t off_path;
     int64_t demand_on_path;
+    int64_t udp_candidate;  /* emitted while UDP assumed off-path */
 } MshrEntry;
 
 /* A detected divergence waiting for its resolution point. */
@@ -156,6 +170,48 @@ typedef struct {
     int64_t cause;
     int64_t *hist;          /* corrected history: hist_words words, then folds */
 } Resteer;
+
+/* One useful-set Bloom filter (core/bloom.py); slot k holds 2^k-line
+ * super-blocks. */
+typedef struct {
+    uint8_t *bits;          /* the filter's own bytearray */
+    int64_t mask;           /* size in bits - 1 */
+    int64_t inserted;       /* synced: inserts since the last clear */
+    int64_t capacity;       /* "full" once inserted reaches it */
+    const int64_t *seeds;   /* [num_hashes] per-hash XOR seeds */
+} Bloom;
+
+/* UDP (core/udp.py, confidence.py, useful_set.py, superline.py,
+ * seniority.py); the Driver points at one only when UDP is on. */
+typedef struct {
+    /* observable state, synced with Python at every exit */
+    int64_t conf_counter;
+    int64_t forced;
+    int64_t window_unuseful;
+    int64_t window_total;
+    int64_t coal_len;
+    int64_t sen_len;
+    int64_t sen_inserted;
+    int64_t sen_matched;
+    int64_t sen_evicted;
+    /* configuration */
+    int64_t threshold;
+    int64_t incr[3];        /* per TAGE confidence class: low, medium, high */
+    int64_t use_seniority;
+    int64_t use_superlines;
+    int64_t infinite;
+    int64_t num_hashes;
+    int64_t coal_cap;
+    int64_t sen_cap;
+    double flush_ratio;
+    int64_t exact_base;     /* first line of the code region */
+    int64_t exact_n;
+    Bloom bloom[3];
+    /* arrays owned by the Python wrapper */
+    int64_t *coal;          /* [coal_cap + 1] coalescing buffer, oldest first */
+    int64_t *sen;           /* [sen_cap] Seniority-FTQ lines, oldest first */
+    uint8_t *exact;         /* [exact_n] infinite storage: one byte per code line */
+} UdpState;
 
 typedef struct {
     /* observable state, synced with Python at every exit */
@@ -202,6 +258,7 @@ typedef struct {
     HierDesc *hier;
     BackendDesc *be;
     ProgTables *prog;
+    UdpState *udp;          /* NULL when UDP is off */
     /* arrays owned by the Python wrapper */
     int64_t *counters;      /* [DC_COUNT] deltas since the last sync */
     int64_t *occ;           /* [n_blocks] oracle occurrence counts */
@@ -432,7 +489,7 @@ static int64_t mshr_next_ready(Driver *d) {
 }
 
 static void mshr_allocate(Driver *d, int64_t line_addr, int64_t ready_cycle,
-                          int64_t is_prefetch, int64_t off_path) {
+                          int64_t is_prefetch, int64_t off_path, int64_t udp_candidate) {
     for (int64_t i = 0; i < d->mshr_cap; i++) {
         MshrEntry *m = &d->mshr[i];
         if (m->line_addr < 0) {
@@ -441,6 +498,7 @@ static void mshr_allocate(Driver *d, int64_t line_addr, int64_t ready_cycle,
             m->is_prefetch = is_prefetch;
             m->off_path = off_path;
             m->demand_on_path = 0;
+            m->udp_candidate = udp_candidate;
             d->mshr_count++;
             return;
         }
@@ -455,6 +513,188 @@ static int64_t imiss(Driver *d, int64_t line_addr, int level_counter) {
     d->counters[DC_l2_ifetch_hits + level]++;
     d->counters[level_counter + level]++;
     return packed >> 2;
+}
+
+/* ---- UDP (core/): useful-set, Seniority-FTQ, flush policy ---- */
+
+static int bloom_contains(const Bloom *b, int64_t num_hashes, int64_t key) {
+    for (int64_t i = 0; i < num_hashes; i++) {
+        uint64_t pos = mix64((uint64_t)key ^ (uint64_t)b->seeds[i]) & (uint64_t)b->mask;
+        if (!((b->bits[pos >> 3] >> (pos & 7)) & 1)) return 0;
+    }
+    return 1;
+}
+
+static void bloom_insert(Bloom *b, int64_t num_hashes, int64_t key) {
+    for (int64_t i = 0; i < num_hashes; i++) {
+        uint64_t pos = mix64((uint64_t)key ^ (uint64_t)b->seeds[i]) & (uint64_t)b->mask;
+        b->bits[pos >> 3] |= (uint8_t)(1u << (pos & 7));
+    }
+    b->inserted++;
+}
+
+/* The infinite-storage byte for `line`; every line the exact set can
+ * hold lies in the code region, so any other is an internal error. */
+static uint8_t *exact_slot(Driver *d, int64_t line) {
+    UdpState *u = d->udp;
+    int64_t i = (line - u->exact_base) >> 6;
+    if (line < u->exact_base || i >= u->exact_n) {
+        d->error = ERR_UDP_LINE;
+        d->error_pc = d->oracle_pc;
+        return NULL;
+    }
+    return &u->exact[i];
+}
+
+/* Index of `line` in the FIFO `fifo[0..len)`, or -1. */
+static inline int64_t fifo_find(const int64_t *fifo, int64_t len, int64_t line) {
+    for (int64_t i = 0; i < len; i++) {
+        if (fifo[i] == line) return i;
+    }
+    return -1;
+}
+
+static inline void fifo_remove(int64_t *fifo, int64_t *len, int64_t i) {
+    memmove(fifo + i, fifo + i + 1, (size_t)(*len - i - 1) * sizeof(int64_t));
+    (*len)--;
+}
+
+/* Move a buffered `line` to the young end (OrderedDict.move_to_end);
+ * 0 when it is not buffered. */
+static int fifo_refresh(int64_t *fifo, int64_t *len, int64_t line) {
+    int64_t i = fifo_find(fifo, *len, line);
+    if (i < 0) return 0;
+    fifo_remove(fifo, len, i);
+    fifo[(*len)++] = line;
+    return 1;
+}
+
+/* UsefulSet.insert: the exact set, or the coalescing buffer in front of
+ * the Bloom filters (CoalescingBuffer.insert/_extract_group). */
+static void useful_insert(Driver *d, int64_t line) {
+    UdpState *u = d->udp;
+    if (u->infinite) {
+        uint8_t *slot = exact_slot(d, line);
+        if (slot != NULL) *slot = 1;
+        return;
+    }
+    if (fifo_refresh(u->coal, &u->coal_len, line)) return;
+    u->coal[u->coal_len++] = line;
+    if (u->coal_len <= u->coal_cap) return;
+    /* the oldest line leaves in the largest aligned group fully buffered */
+    int64_t oldest = u->coal[0];
+    fifo_remove(u->coal, &u->coal_len, 0);
+    int k = u->use_superlines ? 2 : 0;
+    for (; k > 0; k--) {
+        int64_t base = oldest & ~((64LL << k) - 1);
+        int64_t j = 0;
+        for (; j < (1 << k); j++) {
+            int64_t member = base + 64 * j;
+            if (member != oldest && fifo_find(u->coal, u->coal_len, member) < 0) break;
+        }
+        if (j == (1 << k)) break;
+    }
+    int64_t base = k ? oldest & ~((64LL << k) - 1) : oldest;
+    for (int64_t j = 0; j < (1 << k); j++) {
+        int64_t at = fifo_find(u->coal, u->coal_len, base + 64 * j);
+        if (at >= 0) fifo_remove(u->coal, &u->coal_len, at);
+    }
+    bloom_insert(&u->bloom[k], u->num_hashes, base);
+    d->counters[DC_useful_set_insert_1 + k]++;
+}
+
+/* A line's bit in the mask over its aligned 4-line super-block. */
+static inline int64_t line_bit(int64_t line) {
+    return 1LL << ((line >> 6) & 3);
+}
+
+/* UsefulSet.query: the licensed lines as a line_bit mask, 0 when
+ * unknown.  Only the filters are probed: a line still in the coalescing
+ * buffer is not yet known. */
+static int64_t useful_query(Driver *d, int64_t line) {
+    UdpState *u = d->udp;
+    if (u->infinite) {
+        uint8_t *slot = exact_slot(d, line);
+        return slot != NULL && *slot ? line_bit(line) : 0;
+    }
+    int64_t lines = 0;
+    for (int k = 2; k >= 0; k--) {
+        int64_t base = line & ~((64LL << k) - 1);
+        if (bloom_contains(&u->bloom[k], u->num_hashes, base)) {
+            d->counters[DC_useful_set_hit_1 + k]++;
+            lines |= ((1LL << (1 << k)) - 1) * line_bit(base);
+        }
+    }
+    return lines;
+}
+
+/* UsefulSet.on_prefetch_outcome: flush full filters when a 256-outcome
+ * window was mostly unuseful. */
+static void udp_outcome(Driver *d, int useful) {
+    UdpState *u = d->udp;
+    if (u == NULL) return;
+    u->window_total++;
+    if (!useful) u->window_unuseful++;
+    if (u->window_total < 256) return;
+    if ((double)u->window_unuseful / (double)u->window_total >= u->flush_ratio) {
+        for (int k = 0; k < 3; k++) {
+            Bloom *b = &u->bloom[k];
+            if (b->inserted >= b->capacity) {
+                memset(b->bits, 0, (size_t)((b->mask + 1) >> 3));
+                b->inserted = 0;
+                d->counters[DC_useful_set_flush_1 + k]++;
+            }
+        }
+    }
+    u->window_total = 0;
+    u->window_unuseful = 0;
+}
+
+/* UDPFilter.on_demand_hit_off_path_prefetch */
+static void udp_learn_direct(Driver *d, int64_t line) {
+    useful_insert(d, line);
+    d->counters[DC_udp_learned_useful_direct]++;
+}
+
+/* SeniorityFTQ.insert: refresh a known line, else evict the oldest. */
+static void seniority_insert(UdpState *u, int64_t line) {
+    if (fifo_refresh(u->sen, &u->sen_len, line)) return;
+    if (u->sen_len >= u->sen_cap && u->sen_len > 0) {
+        fifo_remove(u->sen, &u->sen_len, 0);
+        u->sen_evicted++;
+    }
+    u->sen[u->sen_len++] = line;
+    u->sen_inserted++;
+}
+
+/* UDPFilter.on_retire for the line of one on-path retired instruction. */
+static void udp_on_retire(Driver *d, int64_t line) {
+    UdpState *u = d->udp;
+    int64_t i = fifo_find(u->sen, u->sen_len, line);
+    if (i < 0) return;
+    fifo_remove(u->sen, &u->sen_len, i);
+    u->sen_matched++;
+    useful_insert(d, line);
+    d->counters[DC_udp_learned_useful]++;
+}
+
+/* UDPFilter.evaluate: the lines to emit for a candidate, as a
+ * useful_query mask; 0 gates it off. */
+static int64_t udp_evaluate(Driver *d, const FtqEntry *e, int64_t line) {
+    UdpState *u = d->udp;
+    if (!e->assumed_off_path) {
+        d->counters[DC_udp_pass_on_path]++;
+        return line_bit(line);
+    }
+    if (u->use_seniority) seniority_insert(u, line);
+    int64_t lines = useful_query(d, line);
+    if (lines == 0) {
+        d->counters[DC_udp_drop_off_path]++;
+        return 0;
+    }
+    d->counters[DC_udp_emit_off_path]++;
+    if (lines & (lines - 1)) d->counters[DC_udp_superline_emits]++;
+    return lines;
 }
 
 /* ---- the walker (frontend/bpu.py DecoupledFrontend) ---- */
@@ -481,12 +721,23 @@ typedef struct {
     int64_t tage;           /* a TAGE prediction is pending training */
 } Prediction;
 
-/* DecoupledFrontend._predict: returns the walker's next pc. */
-static int64_t predict(Driver *d, int64_t pc, Prediction *p) {
+/* DecoupledFrontend._predict for the branch at `pc` of kind `true_kind`:
+ * returns the walker's next pc. */
+static int64_t predict(Driver *d, int64_t pc, int64_t true_kind, Prediction *p) {
     int64_t g = btb_probe_impl(d->btb, pc);
+    UdpState *u = d->udp;
     p->tage = 0;
     if (g < 0) {
         d->counters[DC_btb_gen_misses]++;
+        if (u != NULL && true_kind == K_COND) {
+            /* UDP: a tagged "taken" for a pc the BTB does not know forces
+             * the off-path belief */
+            tage_predict_impl(d->tage, pc);
+            if (d->tage->out_taken && d->tage->out_provider >= 0) {
+                u->forced = 1;
+                d->counters[DC_udp_forced_off_path]++;
+            }
+        }
         p->detected = 0;
         p->taken = 0;
         p->target = 0;
@@ -502,6 +753,11 @@ static int64_t predict(Driver *d, int64_t pc, Prediction *p) {
         tage_predict_impl(d->tage, pc);
         p->taken = d->tage->out_taken;
         p->tage = 1;
+        if (u != NULL) {
+            int64_t confidence = d->tage->out_confidence;
+            u->conf_counter += u->incr[confidence];
+            d->counters[DC_udp_conf_0 + confidence]++;
+        }
     } else if (kind == K_RET) {
         d->counters[DC_bpu_return_predictions]++;
         if (d->ras_len == 0) {
@@ -610,6 +866,8 @@ static void walk_block(Driver *d, FtqEntry *e) {
     e->ready_cycle = -1;
     e->decode_offset = 0;
     e->resteer = -1;
+    e->assumed_off_path = d->udp != NULL
+                          && (d->udp->forced || d->udp->conf_counter > d->udp->threshold);
     for (int i = 0; i < FB_INSTRS; i++) e->br_block[i] = -1;
 
     int64_t cur = start;
@@ -636,7 +894,7 @@ static void walk_block(Driver *d, FtqEntry *e) {
         }
         copy_ops(P, e, b, cur, br_pc + 4);
         Prediction p;
-        int64_t walker_next = predict(d, br_pc, &p);
+        int64_t walker_next = predict(d, br_pc, P->kind[b], &p);
         int64_t off = (br_pc - start) >> 2;
         e->br_block[off] = (int32_t)b;
         e->br_detected[off] = (uint8_t)p.detected;
@@ -703,6 +961,10 @@ static void do_resteer(Driver *d, int64_t slot, int64_t squash_seq) {
     d->pending = -1;
     hist_restore(d, r->hist);
     ras_repair(d);
+    if (d->udp != NULL) {
+        d->udp->conf_counter = 0;
+        d->udp->forced = 0;
+    }
     d->counters[DC_bpu_recoveries]++;
     d->counters[DC_resteers]++;
     d->counters[DC_resteer_btb_miss + r->cause]++;
@@ -728,7 +990,8 @@ static void process_fills(Driver *d, int64_t cycle) {
         }
         if (best == NULL) return;
         int64_t keep_prefetch = best->is_prefetch && !best->demand_on_path;
-        int64_t flags = (keep_prefetch ? FLAG_PREFETCH : 0) | (best->off_path ? FLAG_OFF_PATH : 0);
+        int64_t flags = (keep_prefetch ? FLAG_PREFETCH : 0) | (best->off_path ? FLAG_OFF_PATH : 0)
+                        | (best->udp_candidate ? FLAG_UDP : 0);
         cache_install_impl(d->l1i, best->line_addr, flags);
         CacheDesc *c = d->l1i;
         if (c->evict_addr >= 0 && (c->evict_flags & FLAG_PREFETCH)) {
@@ -736,6 +999,7 @@ static void process_fills(Driver *d, int64_t cycle) {
             d->counters[DC_prefetch_useless]++;
             d->counters[(c->evict_flags & FLAG_OFF_PATH) ? DC_prefetch_useless_off_path
                                                          : DC_prefetch_useless_on_path]++;
+            udp_outcome(d, 0);
         }
         d->counters[DC_l1i_fills]++;
         best->line_addr = -1;
@@ -755,7 +1019,17 @@ static void replay_fill_counts(Driver *d) {
 
 static void retire_and_issue(Driver *d, int64_t cycle) {
     BackendDesc *be = d->be;
-    d->counters[DC_wrong_path_retired] += be_retire_impl(be, cycle) >> 32;
+    int64_t packed = be_retire_impl(be, cycle);
+    d->counters[DC_wrong_path_retired] += packed >> 32;
+    /* UDP's retire hook (hook_active): a run of pcs in one line matches
+     * the Seniority-FTQ at most once, so each run is looked up once. */
+    int64_t hook_n = packed & 0xFFFFFFFF;
+    int64_t last_line = -1;
+    for (int64_t i = 0; i < hook_n; i++) {
+        int64_t line = be->out_retired[i] & LINE_MASK;
+        if (line != last_line) udp_on_retire(d, line);
+        last_line = line;
+    }
     int64_t n_mem = be_issue_impl(be, cycle);
     for (int64_t i = 0; i < n_mem; i++) {
         int64_t slot = be->out_mem[2 * i] & be->cap_mask;
@@ -782,6 +1056,7 @@ static void prefetch_useful(Driver *d, int64_t off_path, int timely) {
     d->counters[DC_prefetch_useful]++;
     d->counters[off_path ? DC_prefetch_useful_off_path : DC_prefetch_useful_on_path]++;
     d->counters[timely ? DC_atr_icache_hits : DC_atr_mshr_hits]++;
+    udp_outcome(d, 1);
 }
 
 /* Simulator._demand_access */
@@ -796,6 +1071,7 @@ static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
         if ((flags & FLAG_PREFETCH) && e->on_path) {
             d->l1i->flags[g] = flags & ~FLAG_PREFETCH;
             prefetch_useful(d, flags & FLAG_OFF_PATH, 1);
+            if (d->udp != NULL && (flags & FLAG_UDP)) udp_learn_direct(d, line_addr);
         }
         return;
     }
@@ -805,6 +1081,7 @@ static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
         e->ready_cycle = m->ready_cycle;
         if (m->is_prefetch && e->on_path && !m->demand_on_path) {
             prefetch_useful(d, m->off_path, 0);
+            if (d->udp != NULL && m->udp_candidate) udp_learn_direct(d, line_addr);
         }
         if (e->on_path) m->demand_on_path = 1;
         return;
@@ -816,7 +1093,7 @@ static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
         return;
     }
     int64_t latency = imiss(d, line_addr, DC_demand_fill_l2);
-    mshr_allocate(d, line_addr, cycle + latency, 0, !e->on_path);
+    mshr_allocate(d, line_addr, cycle + latency, 0, !e->on_path, 0);
     e->ready_cycle = cycle + latency;
 }
 
@@ -923,6 +1200,20 @@ static void fetch_decode(Driver *d, int64_t cycle) {
 
 /* ---- FDIP (frontend/fdip.py FDIPEngine.scan) ---- */
 
+/* FDIPEngine._emit */
+static void emit_prefetch(Driver *d, const FtqEntry *e, int64_t line_addr, int64_t cycle) {
+    int64_t base;
+    if (cache_find(d->l1i, line_addr, &base) >= 0 || mshr_lookup(d, line_addr) != NULL) return;
+    if (d->mshr_count >= d->mshr_cap) {
+        d->counters[DC_fdip_drop_mshr_full]++;
+        return;
+    }
+    int64_t latency = imiss(d, line_addr, DC_prefetch_fill_l2);
+    mshr_allocate(d, line_addr, cycle + latency, 1, !e->on_path, e->assumed_off_path);
+    d->counters[DC_prefetches_emitted]++;
+    d->counters[e->on_path ? DC_prefetches_emitted_on_path : DC_prefetches_emitted_off_path]++;
+}
+
 static void fdip_scan(Driver *d, int64_t cycle) {
     if (!d->fdip_enabled || d->perfect_icache || d->ftq_len == 0) return;
     int64_t head_seq = ftq_at(d, 0)->seq;
@@ -944,14 +1235,23 @@ static void fdip_scan(Driver *d, int64_t cycle) {
         }
         d->counters[DC_fdip_candidates]++;
         d->counters[e->on_path ? DC_fdip_candidates_on_path : DC_fdip_candidates_off_path]++;
-        if (d->mshr_count >= d->mshr_cap) {
-            d->counters[DC_fdip_drop_mshr_full]++;
+        if (d->udp == NULL) {
+            emit_prefetch(d, e, line_addr, cycle);
             continue;
         }
-        int64_t latency = imiss(d, line_addr, DC_prefetch_fill_l2);
-        mshr_allocate(d, line_addr, cycle + latency, 1, !e->on_path);
-        d->counters[DC_prefetches_emitted]++;
-        d->counters[e->on_path ? DC_prefetches_emitted_on_path : DC_prefetches_emitted_off_path]++;
+        int64_t lines = udp_evaluate(d, e, line_addr);
+        if (lines == 0) {
+            d->counters[DC_fdip_gated_drops]++;
+            continue;
+        }
+        /* the candidate first, then the rest of its super-block in order */
+        emit_prefetch(d, e, line_addr, cycle);
+        int64_t block = line_addr & ~255LL;
+        for (int64_t j = 0; j < 4; j++) {
+            if (((lines >> j) & 1) && block + 64 * j != line_addr) {
+                emit_prefetch(d, e, block + 64 * j, cycle);
+            }
+        }
     }
 }
 
@@ -1044,7 +1344,7 @@ static void setup(Driver *d) {
     for (int64_t i = 0; i < d->mshr_cap; i++) d->mshr[i].line_addr = -1;
     d->ftq_head = d->ftq_len = d->mshr_count = 0;
     d->pending = -1;
-    d->be->hook_active = 0;
+    d->be->hook_active = d->udp != NULL && d->udp->use_seniority;
     d->ready = 1;
 }
 
@@ -1103,6 +1403,7 @@ static const FieldInfo DRIVER_FIELDS[] = {
     FIELD(Driver, hist_words)
     FIELD(Driver, btb) FIELD(Driver, ibtb) FIELD(Driver, tage) FIELD(Driver, hist)
     FIELD(Driver, l1i) FIELD(Driver, hier) FIELD(Driver, be) FIELD(Driver, prog)
+    FIELD(Driver, udp)
     FIELD(Driver, counters) FIELD(Driver, occ) FIELD(Driver, touched)
     FIELD(Driver, touched_flag) FIELD(Driver, call_stack) FIELD(Driver, ras)
     FIELD(Driver, ftq) FIELD(Driver, mshr) FIELD(Driver, resteers)
@@ -1119,6 +1420,25 @@ static const FieldInfo PROG_FIELDS[] = {
     FIELD(ProgTables, targets) FIELD(ProgTables, node_kind)
     FIELD(ProgTables, node_seed) FIELD(ProgTables, node_f) FIELD(ProgTables, node_a)
     FIELD(ProgTables, node_b) FIELD(ProgTables, node_c)
+    {NULL, 0},
+};
+
+static const FieldInfo UDP_FIELDS[] = {
+    FIELD(UdpState, conf_counter) FIELD(UdpState, forced)
+    FIELD(UdpState, window_unuseful) FIELD(UdpState, window_total)
+    FIELD(UdpState, coal_len) FIELD(UdpState, sen_len) FIELD(UdpState, sen_inserted)
+    FIELD(UdpState, sen_matched) FIELD(UdpState, sen_evicted)
+    FIELD(UdpState, threshold) FIELD(UdpState, incr) FIELD(UdpState, use_seniority)
+    FIELD(UdpState, use_superlines) FIELD(UdpState, infinite) FIELD(UdpState, num_hashes)
+    FIELD(UdpState, coal_cap) FIELD(UdpState, sen_cap) FIELD(UdpState, flush_ratio)
+    FIELD(UdpState, exact_base) FIELD(UdpState, exact_n) FIELD(UdpState, bloom)
+    FIELD(UdpState, coal) FIELD(UdpState, sen) FIELD(UdpState, exact)
+    {NULL, 0},
+};
+
+static const FieldInfo BLOOM_FIELDS[] = {
+    FIELD(Bloom, bits) FIELD(Bloom, mask) FIELD(Bloom, inserted) FIELD(Bloom, capacity)
+    FIELD(Bloom, seeds)
     {NULL, 0},
 };
 
@@ -1153,20 +1473,27 @@ static PyObject *k_driver_layout(PyObject *self, PyObject *args) {
     }
     PyObject *driver = fields_dict(DRIVER_FIELDS);
     PyObject *prog = fields_dict(PROG_FIELDS);
+    PyObject *udp = fields_dict(UDP_FIELDS);
+    PyObject *bloom = fields_dict(BLOOM_FIELDS);
     PyObject *out = NULL;
-    if (driver != NULL && prog != NULL) {
+    if (driver != NULL && prog != NULL && udp != NULL && bloom != NULL) {
         out = Py_BuildValue(
-            "{s:n,s:n,s:n,s:n,s:n,s:n,s:O,s:O,s:O}",
+            "{s:n,s:n,s:n,s:n,s:n,s:n,s:n,s:n,s:O,s:O,s:O,s:O,s:O}",
             "driver_words", (Py_ssize_t)((sizeof(Driver) + 7) / 8),
             "prog_words", (Py_ssize_t)((sizeof(ProgTables) + 7) / 8),
             "ftq_entry_words", (Py_ssize_t)((sizeof(FtqEntry) + 7) / 8),
             "mshr_entry_words", (Py_ssize_t)((sizeof(MshrEntry) + 7) / 8),
             "resteer_words", (Py_ssize_t)((sizeof(Resteer) + 7) / 8),
             "resteer_pool", (Py_ssize_t)RESTEER_POOL,
-            "driver_fields", driver, "prog_fields", prog, "counters", names);
+            "udp_words", (Py_ssize_t)((sizeof(UdpState) + 7) / 8),
+            "bloom_words", (Py_ssize_t)(sizeof(Bloom) / 8),
+            "driver_fields", driver, "prog_fields", prog, "udp_fields", udp,
+            "bloom_fields", bloom, "counters", names);
     }
     Py_XDECREF(driver);
     Py_XDECREF(prog);
+    Py_XDECREF(udp);
+    Py_XDECREF(bloom);
     Py_DECREF(names);
     return out;
 }

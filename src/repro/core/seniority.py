@@ -24,8 +24,7 @@ class SeniorityFTQ:
 
     def __init__(self, capacity: int = 128) -> None:
         self.capacity = capacity
-        self._entries: OrderedDict[int, int] = OrderedDict()  # line -> insert seq
-        self._seq = 0
+        self._entries: OrderedDict[int, None] = OrderedDict()  # oldest first
         self.inserted = 0
         self.matched = 0
         self.evicted = 0
@@ -35,15 +34,13 @@ class SeniorityFTQ:
 
     def insert(self, line_addr: int) -> None:
         """Record an off-path prefetch candidate block."""
-        self._seq += 1
         if line_addr in self._entries:
             self._entries.move_to_end(line_addr)
-            self._entries[line_addr] = self._seq
             return
         if len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
             self.evicted += 1
-        self._entries[line_addr] = self._seq
+        self._entries[line_addr] = None
         self.inserted += 1
 
     def match(self, line_addr: int) -> bool:

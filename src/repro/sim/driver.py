@@ -5,20 +5,25 @@ call (``run_cycles`` in ``repro/common/kernels/driver.c``) and returns to
 Python only where Python must act: at the retire target, at a timed-warmup
 or ``run_interval`` warmup boundary, or at the cycle limit.  Every exit
 writes back what Python and the ledger read -- counters, ``cycle``, FTQ
-occupancy and depth, the oracle position, the frontend/RAS scalars and
-``steps_executed``/``ff_jumps``/``ff_cycles_skipped`` -- while the
-pipeline contents (FTQ entries, MSHRs, in-flight resteers) stay in C.
+occupancy and depth, the oracle position, the frontend/RAS scalars,
+UDP's state and ``steps_executed``/``ff_jumps``/``ff_cycles_skipped`` --
+while the pipeline contents (FTQ entries, MSHRs, in-flight resteers) stay
+in C.
 
-The driver only ports configurations with no Python-side participant
-(:func:`ineligibility` names what is missing otherwise); everything else,
-and every run under ``REPRO_NO_COMPILED``, ``REPRO_NO_FASTFORWARD`` or a
-counter hook, keeps the Python stepper over the same C structures, with
-the object path as the oracle.  Counters are byte-identical either way
+UDP runs inside the loop: the confidence estimator, the FDIP gate over the
+useful-set, the Seniority-FTQ retire hook and the flush policy
+(:class:`_UDPState` carries their state across).  The driver only ports
+configurations with no other Python-side participant (:func:`ineligibility`
+names what is missing otherwise); everything else, and every run under
+``REPRO_NO_COMPILED``, ``REPRO_NO_FASTFORWARD`` or a counter hook, keeps
+the Python stepper over the same C structures, with the object path as the
+oracle.  Counters are byte-identical either way
 (``tests/sim/test_driver.py``).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.branch.btb import BranchTargetBufferC
@@ -27,6 +32,7 @@ from repro.common.errors import SimulationError
 from repro.workloads.tables import program_tables
 
 if TYPE_CHECKING:
+    from repro.core.udp import UDPFilter
     from repro.sim.simulator import Simulator
 
 # run_cycles status codes (kernels/driver.c).
@@ -35,6 +41,7 @@ _ERRORS = {
     -1: "oracle out of sync with the walker",
     -2: "too many divergences in flight",
     -3: "a resolving branch has no pending resteer",
+    -4: "a useful-set line outside the code region",
 }
 # A retire count no run reaches: "no warmup boundary to stop at".
 NEVER = 1 << 62
@@ -53,8 +60,6 @@ def ineligibility(sim: "Simulator") -> str | None:
         return "fast-forward off"
     if sim.counters.hook is not None:
         return "counter hook attached"
-    if sim.udp is not None:
-        return "udp enabled"
     if sim.uftq is not None:
         return "uftq enabled"
     if sim.prefetcher is not None:
@@ -72,9 +77,10 @@ class CycleDriver:
     """One simulator's compiled cycle loop (built on a clean machine).
 
     Construction imports the Python-side state the loop mutates -- the
-    oracle cursor, the RAS, the frontend and FDIP scalars -- which is only
-    consistent before the first cycle; from then on the driver owns the
-    pipeline and :meth:`run` keeps the Python view in sync at every exit.
+    oracle cursor, the RAS, the frontend and FDIP scalars, UDP -- which is
+    only consistent before the first cycle; from then on the driver owns
+    the pipeline and :meth:`run` keeps the Python view in sync at every
+    exit.
     It also takes over the L1I eviction accounting, so the simulator's
     Python eviction hook is detached.  The driver keeps no reference to
     the simulator: with the hook gone, a finished simulator and its
@@ -118,6 +124,7 @@ class CycleDriver:
         self._resteers = zeros(pool * layout["resteer_words"])
         hist_words = len(history._words)
         self._resteer_hist = zeros(pool * (hist_words + len(history.folded)))
+        self._udp = _UDPState(sim, layout) if sim.udp is not None else None
 
         desc = np.zeros(layout["driver_words"], dtype=np.int64)
         values = {
@@ -142,6 +149,7 @@ class CycleDriver:
             "hier": sim.hierarchy._hdesc,
             "be": sim.backend._bdesc,
             "prog": tables.desc,
+            "udp": self._udp.desc if self._udp is not None else 0,
             "counters": self._counters.ctypes.data,
             "occ": self._occ.ctypes.data,
             "touched": self._touched.ctypes.data,
@@ -244,3 +252,117 @@ class CycleDriver:
         ras._stack = self._ras[: d[f["ras_len"]]].tolist()
         ras.overflows = d[f["ras_overflows"]]
         ras.underflows = d[f["ras_underflows"]]
+        if self._udp is not None:
+            self._udp.sync(sim.udp)
+
+
+class _UDPState:
+    """UDP's state inside the driver (a ``UdpState`` descriptor).
+
+    Imported from the :class:`~repro.core.udp.UDPFilter` on the clean
+    machine; :meth:`sync` writes it back at every exit.  The Bloom bit
+    arrays are the filters' own bytearrays, used in place.  The
+    infinite-storage exact set becomes a byte map over the program's code
+    lines: every line it can hold -- warmed, retired or fetched -- lies in
+    ``[code_start & ~63, code_end)``.
+    """
+
+    _SIZES = (1, 2, 4)  # the Bloom slots' super-block sizes
+
+    def __init__(self, sim: "Simulator", layout: dict) -> None:
+        import numpy as np
+
+        udp = sim.udp
+        config = udp.config
+        useful_set = udp.useful_set
+        seniority = udp.seniority
+        coalescer = useful_set.coalescer
+        filters = [useful_set.filters[size] for size in self._SIZES]
+        self._fields = f = layout["udp_fields"]
+        bloom_fields = layout["bloom_fields"]
+        bloom_words = layout["bloom_words"]
+        self._bloom_inserted = [
+            f["bloom"] + k * bloom_words + bloom_fields["inserted"] for k in range(3)
+        ]
+        # Keeps each bytearray exported, so it cannot be resized under C.
+        self._bloom_bits = [np.frombuffer(bloom._array, dtype=np.uint8) for bloom in filters]
+        self._seeds = np.array([bloom._seeds for bloom in filters], dtype=np.int64)
+        self._coal = np.zeros(coalescer.capacity + 1, dtype=np.int64)
+        self._sen = np.zeros(max(seniority.capacity, 1), dtype=np.int64)
+        self._exact_base = sim.program.code_start & ~63
+        self._exact = np.zeros(
+            (sim.program.code_end - self._exact_base + 63) // 64, dtype=np.uint8
+        )
+
+        desc = np.zeros(layout["udp_words"], dtype=np.int64)
+        values = {
+            "conf_counter": udp.estimator.counter,
+            "forced": int(udp.estimator._forced_off_path),
+            "window_unuseful": useful_set._window_unuseful,
+            "window_total": useful_set._window_total,
+            "coal_len": len(coalescer._lines),
+            "sen_len": len(seniority),
+            "sen_inserted": seniority.inserted,
+            "sen_matched": seniority.matched,
+            "sen_evicted": seniority.evicted,
+            "threshold": config.confidence_threshold,
+            "use_seniority": int(config.use_seniority),
+            "use_superlines": int(coalescer.enable_superlines),
+            "infinite": int(useful_set.infinite),
+            "num_hashes": config.bloom_hashes,
+            "coal_cap": coalescer.capacity,
+            "sen_cap": seniority.capacity,
+            "exact_base": self._exact_base,
+            "exact_n": len(self._exact),
+            "coal": self._coal.ctypes.data,
+            "sen": self._sen.ctypes.data,
+            "exact": self._exact.ctypes.data,
+        }
+        for name, value in values.items():
+            desc[f[name]] = value
+        increments = (config.low_increment, config.medium_increment, config.high_increment)
+        desc[f["incr"] : f["incr"] + 3] = increments
+        desc.view(np.float64)[f["flush_ratio"]] = config.flush_unuseful_ratio
+        for k, bloom in enumerate(filters):
+            at = f["bloom"] + k * bloom_words
+            desc[at + bloom_fields["bits"]] = self._bloom_bits[k].ctypes.data
+            desc[at + bloom_fields["mask"]] = bloom._mask
+            desc[at + bloom_fields["inserted"]] = bloom.inserted
+            desc[at + bloom_fields["capacity"]] = bloom.capacity
+            desc[at + bloom_fields["seeds"]] = self._seeds[k].ctypes.data
+        self._coal[: len(coalescer._lines)] = list(coalescer._lines)
+        self._sen[: len(seniority)] = list(seniority._entries)
+        if useful_set._exact:
+            lines = np.fromiter(useful_set._exact, dtype=np.int64, count=len(useful_set._exact))
+            slots = (lines - self._exact_base) >> 6
+            if lines.min() < self._exact_base or slots.max() >= len(self._exact):
+                raise SimulationError("useful-set line outside the code region")
+            self._exact[slots] = 1
+        self._dmv = memoryview(desc)  # keeps the descriptor array alive
+        self.desc = int(desc.ctypes.data)
+
+    def sync(self, udp: "UDPFilter") -> None:
+        """Write the driver's UDP state back into ``udp``."""
+        import numpy as np
+
+        d = self._dmv
+        f = self._fields
+        estimator = udp.estimator
+        estimator.counter = d[f["conf_counter"]]
+        estimator._forced_off_path = bool(d[f["forced"]])
+        useful_set = udp.useful_set
+        useful_set._window_unuseful = d[f["window_unuseful"]]
+        useful_set._window_total = d[f["window_total"]]
+        for size, at in zip(self._SIZES, self._bloom_inserted):
+            useful_set.filters[size].inserted = d[at]
+        useful_set.coalescer._lines = OrderedDict.fromkeys(
+            self._coal[: d[f["coal_len"]]].tolist()
+        )
+        if useful_set.infinite:
+            lines = np.flatnonzero(self._exact) * 64 + self._exact_base
+            useful_set._exact.update(lines.tolist())
+        seniority = udp.seniority
+        seniority._entries = OrderedDict.fromkeys(self._sen[: d[f["sen_len"]]].tolist())
+        seniority.inserted = d[f["sen_inserted"]]
+        seniority.matched = d[f["sen_matched"]]
+        seniority.evicted = d[f["sen_evicted"]]

@@ -267,11 +267,14 @@ class Simulator:
     def _useful_set_holds(self, line_addr: int) -> bool:
         """Silent membership probe of the UDP useful-set.
 
-        Mirrors :meth:`UsefulSet.query` (all three filter granularities plus
-        the still-buffered coalescer lines) without bumping its hit counters,
-        so fast-forward dedup never perturbs measured statistics.  A pure
-        function of current state, which keeps segmented fast-forwards
-        byte-identical to one-shot walks over the same span.
+        Probes all three filter granularities like :meth:`UsefulSet.query`,
+        without bumping its hit counters, so fast-forward dedup never
+        perturbs measured statistics.  Unlike ``query``, it also counts the
+        lines still waiting in the coalescing buffer: ``query`` never probes
+        the buffer, so a freshly inserted line stays unknown to the FDIP
+        gate until it leaves the buffer, while the walk skips re-inserting
+        it.  A pure function of current state, which keeps segmented
+        fast-forwards byte-identical to one-shot walks over the same span.
         """
         us = self.udp.useful_set
         if us.infinite:

@@ -1,12 +1,13 @@
 """The compiled cycle driver: engagement and byte-identity at every exit.
 
 ``run_cycles`` (``repro/common/kernels/driver.c``) runs the whole step()
-loop in C for configurations with no Python-side participant.  It must be
+loop in C, UDP included, for configurations with no other Python-side
+participant.  It must be
 a pure wall-clock optimization, exactly like the kernels under it
 (``tests/sim/test_modes.py``): at every point where it returns to Python
 -- the retire target, a timed-warmup or ``run_interval`` warmup boundary,
-the cycle limit -- counters, cycle, FTQ occupancy and the oracle position
-must equal the object oracle's.  And it must actually engage wherever it
+the cycle limit -- counters, cycle, FTQ occupancy, the oracle position and
+UDP's state must equal the object oracle's.  And it must actually engage wherever it
 is eligible: a preset that silently falls back to the Python stepper still
 passes every identity test, but runs at stepper speed.
 """
@@ -18,8 +19,15 @@ import pytest
 from repro.common import cc
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
+from repro.sim import checkpoint as ckpt
 from repro.sim import driver as driver_mod
-from repro.sim.presets import PRESET_BUILDERS, baseline_config, miss_heavy_config
+from repro.sim.presets import (
+    PRESET_BUILDERS,
+    baseline_config,
+    infinite_storage_config,
+    miss_heavy_config,
+    udp_config,
+)
 from repro.sim.profile import build_simulator
 from repro.sim.simulator import Simulator
 from repro.workloads import micro
@@ -42,10 +50,11 @@ from repro.workloads.profiles import get_profile
 N = 4_000
 
 # Every preset the driver runs, and why each other preset cannot.
-ELIGIBLE = {"baseline", "perfect-icache", "no-prefetch", "bigger-icache", "miss-heavy"}
+ELIGIBLE = {
+    "baseline", "perfect-icache", "no-prefetch", "bigger-icache", "miss-heavy",
+    "udp", "infinite-storage",
+}
 REASONS = {
-    "udp": "udp enabled",
-    "infinite-storage": "udp enabled",
     "uftq-aur": "uftq enabled",
     "uftq-atr": "uftq enabled",
     "uftq-atr-aur": "uftq enabled",
@@ -66,6 +75,23 @@ def _driver_calls() -> int:
     return cc.kernel_call_counts().get("run_cycles", 0)
 
 
+def _udp_state(sim: Simulator) -> tuple | None:
+    udp = sim.udp
+    if udp is None:
+        return None
+    useful_set = udp.useful_set
+    seniority = udp.seniority
+    return (
+        {size: (bytes(f._array), f.inserted) for size, f in useful_set.filters.items()},
+        list(useful_set.coalescer._lines),
+        (useful_set._window_unuseful, useful_set._window_total),
+        list(seniority._entries),
+        (seniority.inserted, seniority.matched, seniority.evicted),
+        (udp.estimator.counter, udp.estimator._forced_off_path),
+        sorted(useful_set._exact),
+    )
+
+
 def _state(sim: Simulator) -> tuple:
     """Everything a driver exit writes back, as one comparable value."""
     oracle = sim.oracle
@@ -79,6 +105,7 @@ def _state(sim: Simulator) -> tuple:
         oracle.instrs_walked,
         list(oracle.call_stack),
         dict(oracle._occurrences),
+        _udp_state(sim),
     )
 
 
@@ -298,3 +325,103 @@ def test_handcrafted_programs_match_object_path(name):
         if not compilable:
             assert driver_mod.ineligibility(driven) == "program behaviours not compilable"
     assert _state(driven) == _state(oracle)
+
+
+# One case per UDP branch the driver takes, with the counters that prove
+# the branch ran (so none passes vacuously).  xgboost at N instructions
+# keeps the gate busy: many off-path candidates, learning through both
+# channels, super-block emits.
+UDP_CASES = {
+    "udp": (
+        udp_config(N),
+        ("udp_forced_off_path", "udp_superline_emits", "udp_learned_useful",
+         "udp_learned_useful_direct"),
+    ),
+    "no-seniority": (udp_config(N, use_seniority=False), ("udp_learned_useful_direct",)),
+    "no-superlines": (udp_config(N, use_superlines=False), ("useful_set_hit_1",)),
+    "flush": (
+        udp_config(N, bloom_bits_1=64, bloom_bits_2=64, bloom_bits_4=64,
+                   flush_unuseful_ratio=0.05),
+        ("useful_set_flush_1",),
+    ),
+    "threshold-0": (udp_config(N, confidence_threshold=0), ("udp_emit_off_path",)),
+    "infinite-storage": (infinite_storage_config(N), ("udp_learned_useful",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UDP_CASES))
+def test_udp_branches_match_object_path(case):
+    config, targets = UDP_CASES[case]
+    before = _driver_calls()
+    driven = build_simulator("xgboost", config, compiled=True)
+    driven.run()
+    if cc.compiled_enabled():
+        assert _driver_calls() - before == 1
+    oracle = build_simulator("xgboost", config, compiled=False)
+    oracle.run()
+    counters = driven.measured_counters()
+    assert all(counters.get(name, 0) > 0 for name in targets), targets
+    assert _state(driven) == _state(oracle)
+    if case == "no-seniority":
+        assert "udp_learned_useful" not in driven.counters
+    if case == "no-superlines":
+        assert driven.udp.useful_set.filters[4].inserted == 0
+
+
+def test_udp_run_interval_matches_object_path():
+    """Sampled UDP intervals: a detailed-warmup exit, then a resumed interval."""
+    config = udp_config(N).with_sampling(4, 500, 300)
+    prof = get_profile("xgboost")
+    program = program_store.program_for("xgboost", 1)
+
+    def interval(compiled: bool) -> Simulator:
+        sim = Simulator(program, config, data_profile=prof.data, compiled=compiled)
+        sim.functional_warmup(config.functional_warmup_blocks)
+        sim.fast_forward_to(sim.oracle.instrs_walked + 2_000)
+        sim.run_interval(1_000, detailed_warmup=500)
+        return sim
+
+    before = _driver_calls()
+    driven = interval(True)
+    if cc.compiled_enabled():
+        assert _driver_calls() - before == 2
+    oracle = interval(False)
+    assert driven.measured_counters().get("udp_pass_on_path", 0) > 0
+    assert _state(driven) == _state(oracle)
+    driven.run_interval(1_500)
+    oracle.run_interval(1_500)
+    assert driven.measured_counters().get("udp_learned_useful", 0) > 0
+    assert _state(driven) == _state(oracle)
+
+
+@pytest.mark.parametrize("preset", ["udp", "infinite-storage"])
+def test_udp_restored_from_a_warmup_checkpoint_matches_object_path(preset):
+    """A warmed useful-set (Bloom bits, coalescer, exact set) crosses into C."""
+    config = PRESET_BUILDERS[preset](N)
+    prof = get_profile("xgboost")
+    program = program_store.program_for("xgboost", 1)
+    donor = Simulator(program, config, data_profile=prof.data, compiled=False)
+    donor.functional_warmup(config.functional_warmup_blocks)
+    blob = ckpt.capture_warmup(donor)
+    useful_set = donor.udp.useful_set
+    assert useful_set._exact if useful_set.infinite else useful_set.filters[1].inserted
+    sims = []
+    for compiled in (True, False):
+        sim = Simulator(program, config, data_profile=prof.data, compiled=compiled)
+        ckpt.restore_warmup(sim, blob)
+        sim.run()
+        sims.append(sim)
+    driven, oracle = sims
+    assert driven.measured_counters().get("udp_learned_useful", 0) > 0
+    assert _state(driven) == _state(oracle)
+    donor.run()
+    assert _state(driven) == _state(donor)
+
+
+@needs_compiler
+def test_udp_line_outside_the_code_region_is_an_error():
+    config = infinite_storage_config(N)
+    sim = build_simulator("gcc", config, compiled=True)
+    sim.udp.useful_set._exact.add(sim.program.code_end + 64)
+    with pytest.raises(SimulationError, match="outside the code region"):
+        sim.run()
