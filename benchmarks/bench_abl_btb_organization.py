@@ -8,21 +8,25 @@ monolithic design — the capacity/latency trade-off the BTB-research line
 
 from common import instructions, run_once, workloads
 
+from repro.sim.engine import run_batch, spec_for
 from repro.sim.presets import baseline_config, two_level_btb_config
-from repro.sim.runner import run_workload
 
 WORKLOADS = ["gcc", "mysql", "verilator"]
 
 
 def test_ablation_btb_organization(benchmark):
     def run():
-        rows = []
-        for name in workloads(WORKLOADS):
-            n = instructions()
-            mono = run_workload(name, baseline_config(n), "mono-btb")
-            two = run_workload(name, two_level_btb_config(n), "two-level-btb")
-            rows.append((name, mono, two))
-        return rows
+        names = workloads(WORKLOADS)
+        n = instructions()
+        results = run_batch([
+            spec
+            for name in names
+            for spec in (
+                spec_for(name, baseline_config(n), label="mono-btb"),
+                spec_for(name, two_level_btb_config(n), label="two-level-btb"),
+            )
+        ])
+        return list(zip(names, results[::2], results[1::2]))
 
     rows = run_once(benchmark, run)
     print()

@@ -8,8 +8,8 @@ FDIP (few drops).
 
 from common import instructions, run_once, workloads
 
+from repro.sim.engine import run_batch, spec_for
 from repro.sim.presets import udp_config
-from repro.sim.runner import run_workload
 
 WORKLOADS = ["xgboost", "gcc"]
 THRESHOLDS = [2, 4, 8, 16]
@@ -17,15 +17,21 @@ THRESHOLDS = [2, 4, 8, 16]
 
 def test_ablation_confidence_threshold(benchmark):
     def run():
+        names = workloads(WORKLOADS)
+        results = iter(run_batch([
+            spec_for(
+                name,
+                udp_config(instructions(), confidence_threshold=threshold),
+                label=f"udp-t{threshold}",
+            )
+            for name in names
+            for threshold in THRESHOLDS
+        ]))
         out = {}
-        for name in workloads(WORKLOADS):
+        for name in names:
             rows = []
             for threshold in THRESHOLDS:
-                r = run_workload(
-                    name,
-                    udp_config(instructions(), confidence_threshold=threshold),
-                    f"udp-t{threshold}",
-                )
+                r = next(results)
                 rows.append((threshold, r.ipc, r["udp_drop_off_path"],
                              r["udp_emit_off_path"]))
             out[name] = rows

@@ -8,8 +8,8 @@ monotonically; IPC differences stay modest.
 
 from common import instructions, run_once, workloads
 
+from repro.sim.engine import run_batch, spec_for
 from repro.sim.presets import udp_config
-from repro.sim.runner import run_workload
 
 WORKLOADS = ["verilator", "xgboost"]
 RATIOS = [0.5, 0.75, 0.95]
@@ -17,15 +17,21 @@ RATIOS = [0.5, 0.75, 0.95]
 
 def test_ablation_flush_policy(benchmark):
     def run():
+        names = workloads(WORKLOADS)
+        results = iter(run_batch([
+            spec_for(
+                name,
+                udp_config(instructions(), flush_unuseful_ratio=ratio),
+                label=f"udp-flush{ratio}",
+            )
+            for name in names
+            for ratio in RATIOS
+        ]))
         out = {}
-        for name in workloads(WORKLOADS):
+        for name in names:
             rows = []
             for ratio in RATIOS:
-                r = run_workload(
-                    name,
-                    udp_config(instructions(), flush_unuseful_ratio=ratio),
-                    f"udp-flush{ratio}",
-                )
+                r = next(results)
                 flushes = sum(
                     r[f"useful_set_flush_{size}"] for size in (1, 2, 4)
                 )

@@ -8,22 +8,32 @@ selective one (fewer insertions per prefetch).
 
 from common import instructions, run_once, workloads
 
+from repro.sim.engine import run_batch, spec_for
 from repro.sim.presets import baseline_config, udp_config
-from repro.sim.runner import run_workload
 
 WORKLOADS = ["xgboost", "mongodb", "gcc"]
 
 
 def test_ablation_seniority(benchmark):
     def run():
-        rows = []
-        for name in workloads(WORKLOADS):
-            n = instructions()
-            base = run_workload(name, baseline_config(n), "baseline")
-            with_sen = run_workload(name, udp_config(n), "udp")
-            without = run_workload(
-                name, udp_config(n, use_seniority=False), "udp-no-seniority"
+        names = workloads(WORKLOADS)
+        n = instructions()
+        results = run_batch([
+            spec
+            for name in names
+            for spec in (
+                spec_for(name, baseline_config(n), label="baseline"),
+                spec_for(name, udp_config(n), label="udp"),
+                spec_for(
+                    name, udp_config(n, use_seniority=False),
+                    label="udp-no-seniority",
+                ),
             )
+        ])
+        rows = []
+        for name, base, with_sen, without in zip(
+            names, results[::3], results[1::3], results[2::3]
+        ):
             rows.append(
                 (
                     name,

@@ -9,20 +9,30 @@ in software (storage_bytes far beyond any 8KB SRAM budget).
 from common import instructions, run_once, workloads
 
 from repro.prefetchers.swprefetch import build_for_program
+from repro.sim.engine import run_batch, spec_for
 from repro.sim.presets import baseline_config, sw_profile_config, udp_config
-from repro.sim.runner import program_for, run_workload
+from repro.workloads.store import program_for
 
 WORKLOADS = ["gcc", "verilator"]
 
 
 def test_ablation_sw_profile(benchmark):
     def run():
+        names = workloads(WORKLOADS)
+        n = instructions()
+        results = run_batch([
+            spec
+            for name in names
+            for spec in (
+                spec_for(name, baseline_config(n), label="baseline"),
+                spec_for(name, sw_profile_config(n), label="sw-profile"),
+                spec_for(name, udp_config(n), label="udp"),
+            )
+        ])
         rows = []
-        for name in workloads(WORKLOADS):
-            n = instructions()
-            base = run_workload(name, baseline_config(n), "baseline")
-            sw = run_workload(name, sw_profile_config(n), "sw-profile")
-            udp = run_workload(name, udp_config(n), "udp")
+        for name, base, sw, udp in zip(
+            names, results[::3], results[1::3], results[2::3]
+        ):
             profile = build_for_program(program_for(name), num_blocks=8_000)
             rows.append((name, base.ipc, sw.ipc, udp.ipc,
                          profile.num_triggers, profile.storage_bytes()))

@@ -8,19 +8,26 @@ moves less DRAM traffic per kilo-instruction.
 from common import instructions, run_once, workloads
 
 from repro.sim.energy import efficiency_comparison, energy_report
+from repro.sim.engine import run_batch, spec_for
 from repro.sim.presets import baseline_config, udp_config
-from repro.sim.runner import run_workload
 
 WORKLOADS = ["xgboost", "gcc", "mongodb"]
 
 
 def test_energy_efficiency(benchmark):
     def run():
+        names = workloads(WORKLOADS)
+        n = instructions()
+        results = run_batch([
+            spec
+            for name in names
+            for spec in (
+                spec_for(name, baseline_config(n), label="baseline"),
+                spec_for(name, udp_config(n), label="udp"),
+            )
+        ])
         rows = []
-        for name in workloads(WORKLOADS):
-            n = instructions()
-            base = run_workload(name, baseline_config(n), "baseline")
-            udp = run_workload(name, udp_config(n), "udp")
+        for name, base, udp in zip(names, results[::2], results[1::2]):
             deltas = efficiency_comparison(base, udp)
             report = energy_report(udp)
             rows.append((name, deltas, report))

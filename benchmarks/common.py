@@ -91,19 +91,14 @@ def get_ftq_sweep():
 
 def get_fig11():
     """The shared UFTQ run set (Figs 11-12)."""
-    def compute():
-        sweep = get_ftq_sweep()
-        optima = {
-            name: max(results, key=lambda d: results[d].ipc)
-            for name, results in sweep.items()
-        }
-        return experiments.fig11_uftq_speedup(
+    return cached(
+        "fig11",
+        lambda: experiments.fig11_uftq_speedup(
             workloads(SWEEP_WORKLOADS),
             instructions=instructions(),
-            opt_depths=optima,
-        )
-
-    return cached("fig11", compute)
+            opt_depths=experiments.optimal_depths(get_ftq_sweep()),
+        ),
+    )
 
 
 def get_fig13():

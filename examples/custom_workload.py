@@ -7,7 +7,7 @@ unpredictable branch), then a simulation comparing FDIP with and without
 UDP on it.
 """
 
-from repro import SimConfig, UDPConfig, run_program
+from repro import RunSpec, SimConfig, UDPConfig, run_batch
 from repro.workloads import (
     BiasedBehavior,
     LoopBehavior,
@@ -66,8 +66,10 @@ def main() -> None:
     base_config = SimConfig(max_instructions=15_000, functional_warmup_blocks=2_000)
     udp_config = base_config.replace(udp=UDPConfig(enabled=True))
 
-    base = run_program(program, base_config, "custom", "baseline")
-    udp = run_program(program, udp_config, "custom", "udp")
+    base, udp = run_batch([
+        RunSpec("custom", base_config, label="baseline", program=program),
+        RunSpec("custom", udp_config, label="udp", program=program),
+    ])
 
     for result in (base, udp):
         print(f"{result.config_name:10s} IPC={result.ipc:.3f} "

@@ -4,19 +4,32 @@ and off-chip traffic at equal (or better) performance.
 
 Prints per-workload energy/traffic breakdowns for the FDIP baseline and
 UDP, using the first-order energy model in ``repro.sim.energy``.
+
+Run:
+    python examples/efficiency_report.py [workload,workload,...] [instructions]
 """
 
-from repro import baseline_config, run_workload, udp_config
-from repro.sim.energy import efficiency_comparison, energy_report
+import sys
 
-WORKLOADS = ["xgboost", "gcc", "mongodb"]
-INSTRUCTIONS = 20_000
+from repro import baseline_config, run_batch, spec_for, udp_config
+from repro.sim.energy import efficiency_comparison, energy_report
 
 
 def main() -> None:
-    for workload in WORKLOADS:
-        base = run_workload(workload, baseline_config(INSTRUCTIONS), "baseline")
-        udp = run_workload(workload, udp_config(INSTRUCTIONS), "udp")
+    workloads = (
+        sys.argv[1].split(",") if len(sys.argv) > 1 else ["xgboost", "gcc", "mongodb"]
+    )
+    instructions = int(sys.argv[2]) if len(sys.argv) > 2 else 20_000
+
+    results = run_batch([
+        spec
+        for workload in workloads
+        for spec in (
+            spec_for(workload, baseline_config(instructions), label="baseline"),
+            spec_for(workload, udp_config(instructions), label="udp"),
+        )
+    ])
+    for workload, base, udp in zip(workloads, results[::2], results[1::2]):
         base_report = energy_report(base)
         udp_report = energy_report(udp)
         deltas = efficiency_comparison(base, udp)

@@ -9,7 +9,8 @@ Run:
 
 import sys
 
-from repro import baseline_config, sweep_ftq_depths
+from repro import baseline_config, run_batch, spec_for
+from repro.analysis.experiments import optimal_depths
 
 DEPTHS = [8, 16, 24, 32, 48, 64, 96]
 
@@ -19,9 +20,11 @@ def main() -> None:
     instructions = int(sys.argv[2]) if len(sys.argv) > 2 else 20_000
 
     print(f"FTQ depth sweep: {workload}, {instructions} instructions/run\n")
-    results = sweep_ftq_depths(
-        workload, baseline_config(instructions), DEPTHS
-    )
+    base = baseline_config(instructions)
+    results = dict(zip(DEPTHS, run_batch([
+        spec_for(workload, base.with_ftq_depth(depth), label=f"ftq{depth}")
+        for depth in DEPTHS
+    ])))
     base_ipc = results[32].ipc
 
     print(f"{'depth':>5s} {'IPC':>7s} {'vs 32':>7s} {'timely':>7s} "
@@ -34,7 +37,7 @@ def main() -> None:
             f"{r.avg_ftq_occupancy:10.1f}"
         )
 
-    best = max(DEPTHS, key=lambda d: results[d].ipc)
+    best = optimal_depths({workload: results})[workload]
     print(f"\noptimal FTQ depth for {workload}: {best} "
           f"({(results[best].ipc / base_ipc - 1) * 100:+.1f}% over depth 32)")
     print("Compare with the paper's Table III optima "

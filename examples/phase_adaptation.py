@@ -5,32 +5,40 @@ Builds a phase-shifting variant of a workload (its conditionals flip
 between the original predictable behaviour and coin flips every
 ``PHASE_LENGTH`` occurrences) and compares the fixed-32 baseline against
 UFTQ-ATR-AUR, which the paper keeps always-on precisely for this case.
+
+Run:
+    python examples/phase_adaptation.py [workload] [instructions]
 """
 
-from repro import SimConfig, UFTQConfig, run_program
+import sys
+
+from repro import RunSpec, SimConfig, UFTQConfig, run_batch
 from repro.workloads.phases import make_phased_program, phase_summary
 from repro.workloads.profiles import get_profile
 
-WORKLOAD = "gcc"
 PHASE_LENGTH = 200
-INSTRUCTIONS = 20_000
 
 
 def main() -> None:
-    profile = get_profile(WORKLOAD)
+    workload = sys.argv[1] if len(sys.argv) > 1 else "gcc"
+    instructions = int(sys.argv[2]) if len(sys.argv) > 2 else 20_000
+
     program = make_phased_program(
-        profile, seed=1, phase_length=PHASE_LENGTH, affected_fraction=0.5
+        get_profile(workload), seed=1, phase_length=PHASE_LENGTH,
+        affected_fraction=0.5,
     )
     summary = phase_summary(program)
-    print(f"{WORKLOAD} (phased): {summary['phased_conditionals']} conditionals "
+    print(f"{workload} (phased): {summary['phased_conditionals']} conditionals "
           f"flip behaviour every {PHASE_LENGTH} occurrences, "
           f"{summary['plain_conditionals']} stay fixed\n")
 
-    base_config = SimConfig(max_instructions=INSTRUCTIONS)
+    base_config = SimConfig(max_instructions=instructions)
     uftq_config = base_config.replace(uftq=UFTQConfig(mode="atr-aur"))
 
-    base = run_program(program, base_config, WORKLOAD, "baseline")
-    uftq = run_program(program, uftq_config, WORKLOAD, "uftq-atr-aur")
+    base, uftq = run_batch([
+        RunSpec(workload, base_config, label="baseline", program=program),
+        RunSpec(workload, uftq_config, label="uftq-atr-aur", program=program),
+    ])
 
     for result in (base, uftq):
         print(f"{result.config_name:14s} IPC={result.ipc:.3f} "

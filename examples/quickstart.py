@@ -13,7 +13,8 @@ import sys
 from repro import (
     baseline_config,
     perfect_icache_config,
-    run_workload,
+    run_batch,
+    spec_for,
     udp_config,
 )
 
@@ -24,13 +25,11 @@ def main() -> None:
 
     print(f"workload={workload}, {instructions} instructions per run\n")
 
-    baseline = run_workload(
-        workload, baseline_config(instructions), config_name="baseline"
-    )
-    udp = run_workload(workload, udp_config(instructions), config_name="udp")
-    perfect = run_workload(
-        workload, perfect_icache_config(instructions), config_name="perfect-icache"
-    )
+    baseline, udp, perfect = run_batch([
+        spec_for(workload, baseline_config(instructions), label="baseline"),
+        spec_for(workload, udp_config(instructions), label="udp"),
+        spec_for(workload, perfect_icache_config(instructions), label="perfect-icache"),
+    ])
 
     print(f"{'config':16s} {'IPC':>7s} {'MPKI':>7s} {'utility':>8s} "
           f"{'timely':>7s} {'on-path':>8s}")

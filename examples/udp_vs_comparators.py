@@ -20,7 +20,8 @@ from repro import (
     eip_config,
     geomean,
     infinite_storage_config,
-    run_workload,
+    run_batch,
+    spec_for,
     udp_config,
 )
 
@@ -38,14 +39,21 @@ def main() -> None:
         "eip-8k": eip_config(instructions),
     }
 
+    configs = {"baseline": baseline_config(instructions), **techniques}
+    specs = [
+        spec_for(workload, config, label=name)
+        for workload in workloads
+        for name, config in configs.items()
+    ]
+    runs = {(s.workload, s.label): r for s, r in zip(specs, run_batch(specs))}
+
     ratios: dict[str, list[float]] = {name: [] for name in techniques}
     print(f"{'workload':10s} " + " ".join(f"{n:>11s}" for n in techniques))
     for workload in workloads:
-        base = run_workload(workload, baseline_config(instructions), "baseline")
+        base = runs[(workload, "baseline")]
         cells = []
-        for name, config in techniques.items():
-            result = run_workload(workload, config, name)
-            ratio = result.ipc / base.ipc
+        for name in techniques:
+            ratio = runs[(workload, name)].ipc / base.ipc
             ratios[name].append(ratio)
             cells.append(f"{(ratio - 1) * 100:+10.1f}%")
         print(f"{workload:10s} " + " ".join(cells))

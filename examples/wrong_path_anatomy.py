@@ -6,17 +6,28 @@ Prints, per workload: resteer causes (conditional mispredicts, BTB misses,
 indirect/RAS mispredicts), decode vs execute resolution, the on/off-path
 prefetch split, and how useful the off-path prefetches turned out to be —
 the data behind the paper's three off-path-usefulness categories.
+
+Run:
+    python examples/wrong_path_anatomy.py [workload,workload,...] [instructions]
 """
 
-from repro import baseline_config, run_workload
+import sys
 
-WORKLOADS = ["verilator", "mysql", "mongodb", "xgboost"]
-INSTRUCTIONS = 20_000
+from repro import baseline_config, run_batch, spec_for
 
 
 def main() -> None:
-    for workload in WORKLOADS:
-        r = run_workload(workload, baseline_config(INSTRUCTIONS), "baseline")
+    workloads = (
+        sys.argv[1].split(",") if len(sys.argv) > 1
+        else ["verilator", "mysql", "mongodb", "xgboost"]
+    )
+    instructions = int(sys.argv[2]) if len(sys.argv) > 2 else 20_000
+
+    results = run_batch([
+        spec_for(workload, baseline_config(instructions), label="baseline")
+        for workload in workloads
+    ])
+    for workload, r in zip(workloads, results):
         total_useful = max(r["prefetch_useful"], 1)
         total_useless = r["prefetch_useless"]
         off_useful = r["prefetch_useful_off_path"]

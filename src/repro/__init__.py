@@ -1,23 +1,21 @@
 """repro — reproduction of "UDP: Utility-Driven Fetch Directed Instruction
 Prefetching" (ISCA 2024).
 
-Public API tour::
-
-    from repro import baseline_config, udp_config, run_workload, SUITE
-
-    base = run_workload("xgboost", baseline_config(max_instructions=20_000))
-    udp = run_workload("xgboost", udp_config(max_instructions=20_000))
-    print(udp.ipc / base.ipc)   # UDP's IPC speedup over fixed-FTQ FDIP
-
-Batches (sweeps over workload x config x seed) go through the parallel
+Public API tour: every simulation is a :class:`RunSpec` (workload x config
+x seed), and :func:`run_batch` runs a list of them through the parallel
 experiment engine, which fans out over ``REPRO_JOBS`` processes and caches
 results on disk (see ``docs/running_experiments.md``)::
 
-    from repro import run_batch, spec_for
+    from repro import baseline_config, run_batch, spec_for, udp_config
 
-    specs = [spec_for(w, baseline_config(20_000), label="base")
-             for w in ("xgboost", "gcc")]
-    base_x, base_gcc = run_batch(specs)
+    base, udp = run_batch([
+        spec_for("xgboost", baseline_config(max_instructions=20_000), label="base"),
+        spec_for("xgboost", udp_config(max_instructions=20_000), label="udp"),
+    ])
+    print(udp.ipc / base.ipc)   # UDP's IPC speedup over fixed-FTQ FDIP
+
+A hand-built program runs the same way, as
+``RunSpec(workload="custom", config=..., program=program)``.
 
 Layers (bottom-up):
 
@@ -28,7 +26,7 @@ Layers (bottom-up):
 * :mod:`repro.backend` — simplified OoO window with branch-resolution timing
 * :mod:`repro.core` — the paper's contributions: UDP and UFTQ
 * :mod:`repro.prefetchers` — stand-alone comparators (EIP, next-line)
-* :mod:`repro.sim` — the cycle loop, presets, run drivers, metrics
+* :mod:`repro.sim` — the cycle loop, presets, the batch engine, metrics
 * :mod:`repro.analysis` — one experiment function per paper figure/table
 """
 
@@ -57,13 +55,6 @@ from repro.sim.presets import (
     shadow_btb_config,
     udp_config,
     uftq_config,
-)
-from repro.sim.runner import (
-    optimal_ftq_depth,
-    run_program,
-    run_suite,
-    run_workload,
-    sweep_ftq_depths,
 )
 from repro.sim.simulator import Simulator
 from repro.workloads.profiles import PAPER_TABLE3, SUITE, get_profile
@@ -99,11 +90,6 @@ __all__ = [
     "shadow_btb_config",
     "udp_config",
     "uftq_config",
-    "optimal_ftq_depth",
-    "run_program",
-    "run_suite",
-    "run_workload",
-    "sweep_ftq_depths",
     "Simulator",
     "PAPER_TABLE3",
     "SUITE",

@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
+from repro.sim.engine import run_batch, spec_for
 from repro.sim.metrics import SimResult
 from repro.sim.presets import baseline_config
-from repro.sim.runner import program_for, run_workload
 from repro.workloads.profiles import SUITE
+from repro.workloads.program import Program
+from repro.workloads.store import program_for
 from repro.workloads.trace import trace_statistics
 
 
@@ -35,15 +37,11 @@ class WorkloadCharacter:
     ipc: float
 
     @classmethod
-    def measure(cls, name: str, instructions: int = 15_000, seed: int = 1
-                ) -> "WorkloadCharacter":
-        program = program_for(name, seed)
+    def from_run(cls, program: Program, result: SimResult) -> "WorkloadCharacter":
+        """Static traits from the program, dynamic ones from its baseline run."""
         stats = trace_statistics(program, 6_000)
-        result: SimResult = run_workload(
-            name, baseline_config(instructions, seed), "characterize", seed
-        )
         return cls(
-            name=name,
+            name=result.workload,
             footprint_kib=program.footprint_bytes / 1024.0,
             touched_kib=stats["touched_kib"],
             branch_mpki=result.branch_mpki,
@@ -57,10 +55,17 @@ class WorkloadCharacter:
 def characterize_suite(
     workloads: list[str] | None = None, instructions: int = 15_000, seed: int = 1
 ) -> dict[str, WorkloadCharacter]:
-    """Measure every suite workload."""
+    """Measure every suite workload: one baseline run each, as one batch."""
     names = workloads if workloads is not None else [p.name for p in SUITE]
+    results = run_batch(
+        [
+            spec_for(name, baseline_config(instructions, seed), seed, "characterize")
+            for name in names
+        ]
+    )
     return {
-        name: WorkloadCharacter.measure(name, instructions, seed) for name in names
+        name: WorkloadCharacter.from_run(program_for(name, seed), result)
+        for name, result in zip(names, results)
     }
 
 

@@ -123,6 +123,18 @@ def ftq_sweep_suite(
     return out
 
 
+def optimal_depths(sweep: dict[str, dict[int, SimResult]]) -> dict[str, int]:
+    """Each workload's OPT depth: the sweep depth with the highest IPC.
+
+    The paper's exhaustive-search oracle (Fig 11's OPT, Table III).  The
+    smallest depth wins ties.
+    """
+    return {
+        name: max(sorted(results), key=lambda depth: results[depth].ipc)
+        for name, results in sweep.items()
+    }
+
+
 def _sweep_series(
     sweep: dict[str, dict[int, SimResult]], metric
 ) -> tuple[list[int], dict[str, list[float]]]:
@@ -141,15 +153,11 @@ def fig3_ftq_sweep(sweep: dict[str, dict[int, SimResult]]) -> dict:
         name: [pct(v / values[base_index]) for v in values]
         for name, values in ipc.items()
     }
-    optima = {
-        name: depths[max(range(len(vals)), key=lambda i: vals[i])]
-        for name, vals in series.items()
-    }
     return {
         "experiment": "fig3",
         "depths": depths,
         "speedup_pct": series,
-        "optimal_depth": optima,
+        "optimal_depth": optimal_depths(sweep),
         "table": format_series(
             "ftq", depths, series, title="Fig 3: IPC speedup (%) vs FTQ depth (over depth 32)"
         ),
@@ -212,9 +220,8 @@ def table3_optimal_ftq(sweep: dict[str, dict[int, SimResult]]) -> dict:
     """Optimal FTQ depth + utility + timeliness per workload (Table III)."""
     rows = []
     optima: dict[str, tuple[int, float, float]] = {}
-    for name, results in sweep.items():
-        best_depth = max(results, key=lambda d: results[d].ipc)
-        best = results[best_depth]
+    for name, best_depth in optimal_depths(sweep).items():
+        best = sweep[name][best_depth]
         optima[name] = (best_depth, best.utility, best.timeliness)
         paper = PAPER_TABLE3.get(name)
         rows.append(
@@ -264,9 +271,14 @@ def fig11_uftq_speedup(
     workloads: list[str] | None = None,
     instructions: int = 25_000,
     seed: int = 1,
-    opt_depths: dict[str, int] | None = None,
+    *,
+    opt_depths: dict[str, int],
 ) -> dict:
-    """UFTQ-AUR / -ATR / -ATR-AUR / OPT IPC speedups over baseline (Fig 11)."""
+    """UFTQ-AUR / -ATR / -ATR-AUR / OPT IPC speedups over baseline (Fig 11).
+
+    ``opt_depths`` gives each workload's OPT depth, normally
+    :func:`optimal_depths` of an FTQ sweep at the same scale.
+    """
     names = _workloads(workloads)
     configs: dict[str, SimConfig] = {
         "uftq-aur": uftq_config("aur", instructions, seed),
@@ -278,11 +290,10 @@ def fig11_uftq_speedup(
         specs.append(spec_for(name, baseline_config(instructions, seed), seed, "baseline"))
         for cname, config in configs.items():
             specs.append(spec_for(name, config, seed, cname))
-        opt_depth = (opt_depths or {}).get(name, 32)
         specs.append(
             spec_for(
                 name,
-                baseline_config(instructions, seed).with_ftq_depth(opt_depth),
+                baseline_config(instructions, seed).with_ftq_depth(opt_depths[name]),
                 seed,
                 "opt",
             )

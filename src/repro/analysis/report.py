@@ -77,18 +77,8 @@ def build_report(
          f"measured correlations: {table3['correlations']}"],
     ))
 
-    # Pick each workload's best depth from the serialized (to_dict) form —
-    # the same stable representation the disk cache stores.
-    metrics = {
-        name: {depth: result.to_dict()["metrics"] for depth, result in results.items()}
-        for name, results in sweep.items()
-    }
-    optima = {
-        name: max(per_depth, key=lambda d: per_depth[d]["ipc"])
-        for name, per_depth in metrics.items()
-    }
     fig11 = experiments.fig11_uftq_speedup(
-        sweep_names, instructions, opt_depths=optima
+        sweep_names, instructions, opt_depths=experiments.optimal_depths(sweep)
     )
     sections.append(_section(
         "Fig 11 — UFTQ speedups",

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from repro.common.config import SimConfig
 from repro.common.stats import ci95_half_width, mean, stdev
+from repro.sim.engine import run_batch, spec_for
 from repro.sim.metrics import SimResult
-from repro.sim.runner import run_workload
 
 
 @dataclass
@@ -65,18 +65,23 @@ def multi_seed_speedup(
     technique: SimConfig,
     seeds: list[int],
 ) -> SpeedupStats:
-    """Run baseline and technique across ``seeds``; collect IPC ratios."""
+    """Run baseline and technique across ``seeds``; collect IPC ratios.
+
+    All ``2 x len(seeds)`` runs go to the engine as one batch.
+    """
     if not seeds:
         raise ValueError("need at least one seed")
-    ratios: list[float] = []
-    for seed in seeds:
-        base = run_workload(
-            workload, baseline.replace(seed=seed), "baseline", seed=seed
-        )
-        test = run_workload(
-            workload, technique.replace(seed=seed), "technique", seed=seed
-        )
-        ratios.append(test.ipc / base.ipc if base.ipc else 1.0)
+    results = run_batch(
+        [
+            spec_for(workload, config.replace(seed=seed), seed, label)
+            for seed in seeds
+            for label, config in (("baseline", baseline), ("technique", technique))
+        ]
+    )
+    ratios = [
+        test.ipc / base.ipc if base.ipc else 1.0
+        for base, test in zip(results[::2], results[1::2])
+    ]
     return SpeedupStats(workload, ratios)
 
 

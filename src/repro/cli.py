@@ -34,11 +34,20 @@ from repro.analysis import experiments
 from repro.analysis.tables import format_table
 from repro.sim import engine
 from repro.sim.presets import PRESET_BUILDERS, apply_sampling
-from repro.sim.runner import program_for
 from repro.workloads.profiles import SUITE
+from repro.workloads.store import program_for
 from repro.workloads.tracefile import record_trace
 
-_FIGURES_NEEDING_SWEEP = {"fig3", "fig4", "fig5", "fig6", "fig8", "table3"}
+# Figures read off the FTQ sweep; fig11/fig12 also need it, for OPT.
+_SWEEP_FIGURES = {
+    "fig3": experiments.fig3_ftq_sweep,
+    "fig4": experiments.fig4_timeliness,
+    "fig5": experiments.fig5_on_path_ratio,
+    "fig6": experiments.fig6_usefulness,
+    "fig8": experiments.fig8_occupancy,
+    "table3": experiments.table3_optimal_ftq,
+}
+_FIGURES_NEEDING_SWEEP = set(_SWEEP_FIGURES) | {"fig11", "fig12"}
 
 
 def _parse_workloads(value: str | None) -> list[str] | None:
@@ -170,8 +179,8 @@ def _install_engine_options(args) -> engine.BatchStats:
 
     The knobs (``--jobs``, ``--no-cache``, ``--retries``,
     ``--unit-timeout``, ``--on-failure``) are exported as environment
-    variables so every nested ``run_batch`` call (wrappers, experiment
-    drivers) picks them up.
+    variables so every nested ``run_batch`` call (experiment drivers,
+    analysis helpers) picks them up.
     """
     global _active_stats
     if getattr(args, "jobs", None) is not None:
@@ -394,27 +403,21 @@ def cmd_figure(args) -> int:
     stats = _install_engine_options(args)
     workloads = _parse_workloads(args.workloads)
     name = args.name
-    if name in _FIGURES_NEEDING_SWEEP:
-        sweep = experiments.ftq_sweep_suite(
-            workloads, instructions=args.instructions
-        )
-        fn = {
-            "fig3": experiments.fig3_ftq_sweep,
-            "fig4": experiments.fig4_timeliness,
-            "fig5": experiments.fig5_on_path_ratio,
-            "fig6": experiments.fig6_usefulness,
-            "fig8": experiments.fig8_occupancy,
-            "table3": experiments.table3_optimal_ftq,
-        }[name]
-        result = fn(sweep)
+    sweep = (
+        experiments.ftq_sweep_suite(workloads, instructions=args.instructions)
+        if name in _FIGURES_NEEDING_SWEEP
+        else None
+    )
+    if name in _SWEEP_FIGURES:
+        result = _SWEEP_FIGURES[name](sweep)
     elif name == "fig1":
         result = experiments.fig1_perfect_icache(workloads, args.instructions)
-    elif name == "fig11":
-        result = experiments.fig11_uftq_speedup(workloads, args.instructions)
-    elif name == "fig12":
-        result = experiments.fig12_uftq_mpki(
-            experiments.fig11_uftq_speedup(workloads, args.instructions)
+    elif name in ("fig11", "fig12"):
+        fig11 = experiments.fig11_uftq_speedup(
+            workloads, args.instructions,
+            opt_depths=experiments.optimal_depths(sweep),
         )
+        result = fig11 if name == "fig11" else experiments.fig12_uftq_mpki(fig11)
     elif name in ("fig13", "fig14", "fig15"):
         fig13 = experiments.fig13_udp_speedup(workloads, args.instructions)
         result = {
@@ -644,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument(
         "name",
         choices=sorted(_FIGURES_NEEDING_SWEEP | {
-            "fig1", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
+            "fig1", "fig13", "fig14", "fig15", "fig16", "fig17",
         }),
     )
     figure.add_argument("-w", "--workloads", default="")

@@ -3,7 +3,7 @@
 Used by both the sampling engine (per-interval IPC aggregation in
 :mod:`repro.sim.sampling`) and the multi-seed robustness analysis
 (:mod:`repro.analysis.stats`).  Lives under ``common`` because the sim layer
-must not import the analysis layer (which pulls in the runner/engine).
+must not import the analysis layer (which imports the engine).
 """
 
 from __future__ import annotations

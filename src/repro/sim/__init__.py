@@ -1,4 +1,4 @@
-"""Simulation: the cycle-level core model, run drivers, presets, metrics."""
+"""Simulation: the cycle-level core model, the batch engine, presets, metrics."""
 
 from repro.sim.energy import EnergyModel, EnergyReport, efficiency_comparison, energy_report
 from repro.sim.engine import (
@@ -28,15 +28,8 @@ from repro.sim.presets import (
     udp_config,
     uftq_config,
 )
-from repro.sim.runner import (
-    optimal_ftq_depth,
-    program_for,
-    run_program,
-    run_suite,
-    run_workload,
-    sweep_ftq_depths,
-)
 from repro.sim.simulator import Simulator
+from repro.workloads.store import program_for
 
 __all__ = [
     "BatchStats",
@@ -68,12 +61,7 @@ __all__ = [
     "perfect_icache_config",
     "udp_config",
     "uftq_config",
-    "optimal_ftq_depth",
     "program_for",
-    "run_program",
-    "run_suite",
-    "run_workload",
-    "sweep_ftq_depths",
     "Simulator",
 ]
 

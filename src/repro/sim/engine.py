@@ -40,9 +40,13 @@ per-interval counters back into a single :class:`SimResult` (with a
 ``sampling`` block carrying the per-interval IPCs and their CI).  Setting
 ``REPRO_NO_SAMPLING=1`` normalizes sampled specs back to full fidelity.
 
-The legacy drivers in :mod:`repro.sim.runner` (``run_program``,
-``run_workload``, ``run_suite``, ``sweep_ftq_depths``) are thin wrappers
-that build specs and submit them here, so they inherit all three layers.
+There is no other way to run a batch: the figure drivers, the CLI, the
+analysis helpers, the benchmark harness and the examples all build a spec
+grid and call :func:`run_batch`, so every run goes through all three
+layers.  :func:`_resolve_spec` is the one place that turns a (workload,
+config, seed) into a program and an effective config;
+:func:`repro.sim.profile.build_simulator` reuses it for runs that bypass
+the engine.
 
 Result-cache keys cover the full configuration dataclass (which includes
 the instruction count), the profile name, the seed, and a fingerprint of
@@ -92,7 +96,7 @@ from repro.sim.simulator import Simulator
 from repro.workloads import store as program_store
 from repro.workloads.profiles import WorkloadProfile, get_profile
 from repro.workloads.program import Program
-from repro.workloads.store import ProgramStore, get_program, program_for  # noqa: F401
+from repro.workloads.store import ProgramStore, get_program
 
 JOBS_ENV = "REPRO_JOBS"
 NO_CACHE_ENV = "REPRO_NO_CACHE"

@@ -28,9 +28,8 @@ import time
 from dataclasses import dataclass
 
 from repro.common.config import SimConfig
-from repro.sim.engine import program_for
+from repro.sim.engine import RunSpec, _resolve_spec
 from repro.sim.simulator import Simulator
-from repro.workloads.profiles import get_profile
 
 # (stage label, source file suffix, function name) for every stage root
 # called directly from Simulator.step().  File suffixes disambiguate
@@ -65,19 +64,14 @@ def build_simulator(
 ) -> Simulator:
     """Construct a Simulator for one suite workload, bypassing the engine.
 
-    Mirrors ``engine._execute``: the workload profile may pin intrinsic core
-    parameters (currently the load-dependence fraction), which are applied
-    on top of ``config``.  Used by the profiler and the throughput benchmark
-    where the run itself — not the cached result — is the object of study.
+    The program and the effective config (the workload profile's pinned
+    core parameters on top of ``config``) come from the engine's own
+    ``_resolve_spec``, so this simulator is the one ``run_batch`` would
+    build.  Used by the profiler and the throughput benchmark where the
+    run itself — not the cached result — is the object of study.
     """
-    prof = get_profile(workload)
-    program = program_for(workload, seed)
-    if prof.load_dependence_fraction is not None:
-        core = dataclasses.replace(
-            config.core, load_dependence_fraction=prof.load_dependence_fraction
-        )
-        config = config.replace(core=core)
-    return Simulator(program, config, data_profile=prof.data, compiled=compiled)
+    program, config, data_profile, _ = _resolve_spec(RunSpec(workload, config, seed))
+    return Simulator(program, config, data_profile=data_profile, compiled=compiled)
 
 
 @dataclass

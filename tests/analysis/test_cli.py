@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis import experiments
 from repro.cli import build_parser, main
+from repro.sim.engine import run_batch
 
 
 def test_list_workloads(capsys):
@@ -103,6 +105,33 @@ def test_figure_table3(capsys):
     assert main(["figure", "table3", "-w", "mediawiki", "-n", "2500"]) == 0
     out = capsys.readouterr().out
     assert "optimal FTQ" in out
+
+
+def test_figure_fig11_opt_is_the_sweep_optimum(capsys, monkeypatch):
+    # fig11 runs the FTQ sweep first: its OPT column is the sweep depth with
+    # the highest IPC (48 for verilator at this scale), not the FTQ-32
+    # baseline.
+    ran = {}
+
+    def recording_run_batch(specs, **kwargs):
+        specs = list(specs)
+        results = run_batch(specs, **kwargs)
+        ran.update((spec.label, (spec, result)) for spec, result in zip(specs, results))
+        return results
+
+    monkeypatch.setattr(experiments, "run_batch", recording_run_batch)
+    assert main(["figure", "fig11", "-w", "verilator", "-n", "3000"]) == 0
+    assert "OPT %" in capsys.readouterr().out
+    sweep = {
+        spec.config.frontend.ftq_depth: result
+        for label, (spec, result) in ran.items()
+        if label.startswith("ftq")
+    }
+    best = experiments.optimal_depths({"verilator": sweep})["verilator"]
+    assert best != 32
+    opt_spec, opt_result = ran["opt"]
+    assert opt_spec.config.frontend.ftq_depth == best
+    assert opt_result.ipc == sweep[best].ipc
 
 
 def test_trace_command(tmp_path, capsys):

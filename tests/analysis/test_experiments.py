@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import experiments
+from repro.sim.metrics import SimResult
 
 TINY = dict(workloads=["mediawiki"], instructions=3_000)
 
@@ -50,6 +51,21 @@ def test_fig8_occupancy_bounded(tiny_sweep):
         assert 0.0 <= occ <= depth
 
 
+def test_optimal_depths_picks_max_ipc(tiny_sweep):
+    results = tiny_sweep["mediawiki"]
+    best = experiments.optimal_depths(tiny_sweep)["mediawiki"]
+    assert results[best].ipc == max(r.ipc for r in results.values())
+
+    def result(retired, cycles):
+        return SimResult("w", "c", counters={
+            "retired_instructions": retired, "cycles": cycles,
+        })
+
+    # The smallest depth wins a tie, whatever order the sweep lists them in.
+    tied = {64: result(1000, 500), 16: result(1000, 500), 32: result(900, 500)}
+    assert experiments.optimal_depths({"w": tied}) == {"w": 16}
+
+
 def test_table3_structure(tiny_sweep):
     out = experiments.table3_optimal_ftq(tiny_sweep)
     depth, utility, timeliness = out["optima"]["mediawiki"]
@@ -60,8 +76,10 @@ def test_table3_structure(tiny_sweep):
     }
 
 
-def test_fig11_structure():
-    out = experiments.fig11_uftq_speedup(**TINY)
+def test_fig11_structure(tiny_sweep):
+    out = experiments.fig11_uftq_speedup(
+        **TINY, opt_depths=experiments.optimal_depths(tiny_sweep)
+    )
     assert set(out["speedups"]) == {"uftq-aur", "uftq-atr", "uftq-atr-aur", "opt"}
     assert "mediawiki" in out["speedups"]["opt"]
     fig12 = experiments.fig12_uftq_mpki(out)

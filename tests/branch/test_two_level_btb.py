@@ -61,9 +61,11 @@ def test_config_selects_organization():
 
 
 def test_simulation_with_two_level_btb():
+    from repro.sim.engine import run_batch, spec_for
     from repro.sim.presets import two_level_btb_config
-    from repro.sim.runner import run_workload
 
-    result = run_workload("mediawiki", two_level_btb_config(3_000), "2lvl")
+    (result,) = run_batch(
+        [spec_for("mediawiki", two_level_btb_config(3_000), label="2lvl")]
+    )
     assert result.retired >= 3_000
     assert result["wrong_path_retired"] == 0

@@ -2,19 +2,22 @@
 
 import pytest
 
+from repro.sim.engine import run_batch, spec_for
 from repro.sim.presets import baseline_config, perfect_icache_config, udp_config
-from repro.sim.runner import run_workload
 
 INSTRUCTIONS = 5_000
 WORKLOADS = ["mysql", "xgboost", "verilator"]
 
 
+def run_each(build, label):
+    """One batch running ``build(INSTRUCTIONS)`` on every workload."""
+    specs = [spec_for(name, build(INSTRUCTIONS), label=label) for name in WORKLOADS]
+    return dict(zip(WORKLOADS, run_batch(specs)))
+
+
 @pytest.fixture(scope="module")
 def results():
-    return {
-        name: run_workload(name, baseline_config(INSTRUCTIONS), "baseline")
-        for name in WORKLOADS
-    }
+    return run_each(baseline_config, "baseline")
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -79,15 +82,13 @@ def test_demand_access_accounting(results, name):
 
 
 def test_perfect_icache_beats_baseline(results):
-    for name in WORKLOADS:
-        perfect = run_workload(name, perfect_icache_config(INSTRUCTIONS), "perfect")
+    for name, perfect in run_each(perfect_icache_config, "perfect").items():
         assert perfect.ipc >= results[name].ipc * 0.97
         assert perfect.icache_mpki == 0.0
 
 
 def test_udp_stays_within_sane_band(results):
-    for name in WORKLOADS:
-        udp = run_workload(name, udp_config(INSTRUCTIONS), "udp")
+    for name, udp in run_each(udp_config, "udp").items():
         assert udp.ipc > results[name].ipc * 0.7, f"UDP collapsed on {name}"
 
 

@@ -53,11 +53,29 @@ def test_custom_workload(capsys):
     assert "UDP speedup" in out
 
 
-# wrong_path_anatomy and the heavier examples hardcode their workload
-# lists; run them only at full length in manual/doc checks, but verify they
-# at least parse here.
-def test_heavy_examples_compile():
-    for name in ("wrong_path_anatomy.py", "uftq_adaptation.py",
-                 "phase_adaptation.py", "efficiency_report.py"):
-        source = (EXAMPLES / name).read_text()
-        compile(source, name, "exec")
+def test_wrong_path_anatomy(capsys):
+    run_example("wrong_path_anatomy.py", ["mediawiki", "2500"])
+    out = capsys.readouterr().out
+    assert "=== mediawiki" in out
+    assert "off-path outcome" in out
+
+
+def test_uftq_adaptation(capsys):
+    run_example("uftq_adaptation.py", ["mediawiki", "2500"])
+    out = capsys.readouterr().out
+    assert "OPT (FTQ=" in out
+    assert "UFTQ-ATR-AUR" in out
+
+
+def test_phase_adaptation(capsys):
+    run_example("phase_adaptation.py", ["mediawiki", "2500"])
+    out = capsys.readouterr().out
+    assert "mediawiki (phased)" in out
+    assert "UFTQ speedup on the phased workload" in out
+
+
+def test_efficiency_report(capsys):
+    run_example("efficiency_report.py", ["mediawiki", "2500"])
+    out = capsys.readouterr().out
+    assert "=== mediawiki ===" in out
+    assert "pJ/instr" in out

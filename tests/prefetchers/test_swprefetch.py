@@ -53,9 +53,9 @@ def test_build_for_program():
 
 
 def test_simulation_with_sw_profile():
+    from repro.sim.engine import run_batch, spec_for
     from repro.sim.presets import sw_profile_config
-    from repro.sim.runner import run_workload
 
     config = sw_profile_config(3_000, profile_blocks=3_000)
-    result = run_workload("mediawiki", config, "sw")
+    (result,) = run_batch([spec_for("mediawiki", config, label="sw")])
     assert result.retired >= 3_000

@@ -14,7 +14,7 @@ from repro.sim import engine
 from repro.sim.engine import BatchStats, ResultCache, RunSpec, run_batch, spec_for
 from repro.sim.metrics import SimResult
 from repro.sim.presets import baseline_config
-from repro.sim.runner import run_workload
+from repro.sim.profile import build_simulator
 from repro.workloads import micro
 
 FAST = baseline_config(max_instructions=2_000).replace(
@@ -149,12 +149,32 @@ def test_explicit_program_specs_run_but_do_not_cache(tmp_path):
     assert cache.info().entries == 0
 
 
-def test_legacy_wrapper_matches_engine():
-    via_wrapper = run_workload("mediawiki", FAST, config_name="ftq32")
-    (via_engine,) = run_batch([spec_for("mediawiki", FAST, 1, "ftq32")])
-    assert json.dumps(via_wrapper.to_dict(), sort_keys=True) == json.dumps(
-        via_engine.to_dict(), sort_keys=True
-    )
+def test_run_batch_result_fields():
+    (result,) = run_batch([spec_for("mediawiki", FAST, label="fast")])
+    assert result.workload == "mediawiki"
+    assert result.config_name == "fast"
+    assert result.retired >= 2_000
+    assert result.cycles > 0
+    assert result.ipc > 0
+
+
+def test_workload_profile_pins_load_dependence():
+    # xgboost pins a high load-dependence fraction; it must not leak into
+    # the caller's config object.
+    config = baseline_config(max_instructions=2_000)
+    run_batch([spec_for("xgboost", config)])
+    assert config.core.load_dependence_fraction != 0.55
+
+
+def test_build_simulator_matches_engine():
+    # xgboost pins load_dependence_fraction (0.55 against the config's
+    # 0.18): build_simulator must apply the engine's overlay, not its own.
+    config = baseline_config(max_instructions=2_000)
+    assert config.core.load_dependence_fraction != 0.55
+    simulator = build_simulator("xgboost", config)
+    simulator.run()
+    (result,) = run_batch([spec_for("xgboost", config)], no_cache=True)
+    assert simulator.measured_counters() == result.counters
 
 
 def test_simresult_dict_round_trip():
