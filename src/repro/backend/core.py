@@ -355,8 +355,8 @@ class BackendCoreC(BackendCore):
       Python dict keyed by seq; the kernel only tracks the firing cycle.
 
     ``rob`` / ``rs`` are ``None`` here — any code that reaches for the
-    interpreted structures fails loudly (the simulator's dispatch loop has a
-    compiled batch variant).
+    interpreted structures fails loudly; the simulator's dispatch loop asks
+    :attr:`can_dispatch` instead.
     """
 
     def __init__(
@@ -433,7 +433,6 @@ class BackendCoreC(BackendCore):
         self._bdesc = int(bi.ctypes.data)
         self._resteers: dict[int, PendingResteer] = {}
         self._k_dispatch = kernels.be_dispatch
-        self._k_dispatch_batch = kernels.be_dispatch_batch
         self._k_can_dispatch = kernels.be_can_dispatch
         self._k_retire = kernels.be_retire
         self._k_issue = kernels.be_issue
@@ -503,20 +502,6 @@ class BackendCoreC(BackendCore):
         if resteer is not None:
             self._resteers[seq] = resteer
         return seq
-
-    def dispatch_batch(
-        self,
-        ops: bytes,
-        start_pc: int,
-        begin_off: int,
-        count: int,
-        cycle: int,
-        on_path_limit: int,
-    ) -> int:
-        """Dispatch a branch-free run of ``count`` ops; returns how many fit."""
-        return self._k_dispatch_batch(
-            self._bdesc, ops, start_pc, begin_off, count, cycle, on_path_limit
-        )
 
     def install_dep_table(self, flags) -> None:
         """Bind a per-PC load-dependence flag table (see :func:`dep_flags`).

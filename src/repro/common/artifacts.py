@@ -58,29 +58,43 @@ def reuse_disabled() -> bool:
     return env_truthy(NO_CHECKPOINT_ENV)
 
 
-@lru_cache(maxsize=1)
-def package_fingerprint() -> str:
-    """Hash of every ``repro`` source file plus the package version.
+# Source files whose edits change simulation results: the Python modules
+# and the C kernels under repro/common/kernels.
+SOURCE_SUFFIXES = (".py", ".c", ".h")
 
-    Included in each artifact key so that editing any simulator module (or
-    bumping the version) invalidates every stale entry without a manual
-    ``repro cache clear``.
+
+def source_digest(root: Path, salt: str = "") -> str:
+    """SHA-256 hex digest of every source file under ``root`` plus ``salt``.
+
+    Covers each file's path relative to ``root`` and its contents.
     """
     digest = hashlib.sha256()
-    root = Path(__file__).resolve().parents[1]
-    for path in sorted(root.rglob("*.py")):
+    paths = sorted(
+        path for path in root.rglob("*") if path.suffix in SOURCE_SUFFIXES
+    )
+    for path in paths:
         digest.update(str(path.relative_to(root)).encode())
         try:
             digest.update(path.read_bytes())
         except OSError:  # pragma: no cover - racing file removal
             continue
-    try:
-        from repro import __version__
+    digest.update(salt.encode())
+    return digest.hexdigest()
 
-        digest.update(__version__.encode())
-    except Exception:  # pragma: no cover - partial install
-        pass
-    return digest.hexdigest()[:16]
+
+@lru_cache(maxsize=1)
+def package_fingerprint() -> str:
+    """Hash of every ``repro`` source file plus the package version.
+
+    Included in each artifact key so that editing any simulator module or C
+    kernel (or bumping the version) invalidates every stale entry without a
+    manual ``repro cache clear``.
+    """
+    try:
+        from repro import __version__ as version
+    except ImportError:  # pragma: no cover - partial install
+        version = ""
+    return source_digest(Path(__file__).resolve().parents[1], version)[:16]
 
 
 def canonical_key(payload: dict) -> str:

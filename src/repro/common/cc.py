@@ -13,7 +13,7 @@ A measured design note: the kernels are a real CPython extension
 (``METH_FASTCALL``) rather than a ``ctypes``-loaded plain ``.so`` because a
 ``ctypes`` foreign call costs ~800ns in call overhead alone — more than the
 dict probes it would replace — while an extension call is ~80ns, cheap
-enough for per-probe kernels on top of the fat batch kernels.
+enough for per-probe kernels.
 
 Fallback contract: when no compiler is present, compilation fails, or
 ``REPRO_NO_COMPILED=1`` is set, :func:`kernels` returns ``None`` and every

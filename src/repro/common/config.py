@@ -86,7 +86,6 @@ class BranchConfig:
     tage_max_hist: int = 256
     tage_table_bits: int = 10
     tage_tag_bits: int = 9
-    tage_counter_bits: int = 3
     tage_use_alt_threshold: int = 8
     # TAGE-SC-L's loop component (optional extension; off reproduces the
     # core-TAGE baseline used throughout the evaluation).
@@ -124,8 +123,6 @@ class CoreConfig:
     num_store: int = 2
     rob_entries: int = 352
     rs_entries: int = 125
-    load_buffer: int = 64
-    store_buffer: int = 64
     # Extra pipeline stages between decode and execute: sets the minimum
     # branch-misprediction resolution latency on top of queueing delays.
     decode_to_execute_latency: int = 10
@@ -148,9 +145,7 @@ class FrontendConfig:
 
     ftq_depth: int = 32
     ftq_blocks_per_cycle: int = 2
-    fetch_block_bytes: int = 32
     fdip_lookups_per_cycle: int = 2
-    fetch_buffer_entries: int = 24
     post_fetch_correction: bool = True
     # Hard physical bound for adaptive FTQ sizing (UFTQ); the paper bounds the
     # logical size by the physical FTQ capacity.
@@ -160,8 +155,6 @@ class FrontendConfig:
     def validate(self) -> None:
         if self.ftq_depth <= 0 or self.ftq_depth > self.ftq_max_physical:
             raise ConfigError("FTQ depth must be in (0, ftq_max_physical]")
-        if self.fetch_block_bytes not in (16, 32, 64):
-            raise ConfigError("fetch block must be 16, 32 or 64 bytes")
         if self.ftq_blocks_per_cycle <= 0 or self.fdip_lookups_per_cycle <= 0:
             raise ConfigError("per-cycle frontend rates must be positive")
 

@@ -105,30 +105,6 @@ static PyObject *k_be_dispatch(PyObject *self, PyObject *const *args, Py_ssize_t
     return PyLong_FromLongLong(dispatch_one(b, pc, op, on_path, cycle, has_resteer));
 }
 
-/* Dispatch a branch-free run of `count` instructions from an FTQ entry's op
- * bytes; stops at the ROB/RS capacity limit.  Returns how many dispatched. */
-static PyObject *k_be_dispatch_batch(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BE_DISPATCH_BATCH]++;
-    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    const unsigned char *ops = (const unsigned char *)PyBytes_AS_STRING(args[1]);
-    int64_t start_pc = arg_i64(args, 2);
-    int64_t begin_off = arg_i64(args, 3);
-    int64_t count = arg_i64(args, 4);
-    int64_t cycle = arg_i64(args, 5);
-    int64_t on_path_limit = arg_i64(args, 6);
-    if (PyErr_Occurred()) return NULL;
-    int64_t k = 0;
-    for (int64_t off = begin_off; off < begin_off + count; off++) {
-        if (!can_dispatch(b)) {
-            break;
-        }
-        dispatch_one(b, start_pc + off * 4, ops[off], off < on_path_limit, cycle, 0);
-        k++;
-    }
-    return PyLong_FromLongLong(k);
-}
-
 static PyObject *k_be_can_dispatch(PyObject *self, PyObject *const *args, Py_ssize_t n) {
     (void)self; (void)n;
     repro_kernel_calls[KC_BE_CAN_DISPATCH]++;
@@ -386,7 +362,6 @@ static PyObject *k_data_next(PyObject *self, PyObject *const *args, Py_ssize_t n
 
 PyMethodDef repro_backend_methods[] = {
     {"be_dispatch", (PyCFunction)(void *)k_be_dispatch, METH_FASTCALL, NULL},
-    {"be_dispatch_batch", (PyCFunction)(void *)k_be_dispatch_batch, METH_FASTCALL, NULL},
     {"be_can_dispatch", (PyCFunction)(void *)k_be_can_dispatch, METH_FASTCALL, NULL},
     {"be_retire", (PyCFunction)(void *)k_be_retire, METH_FASTCALL, NULL},
     {"be_issue", (PyCFunction)(void *)k_be_issue, METH_FASTCALL, NULL},

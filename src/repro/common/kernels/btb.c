@@ -70,27 +70,6 @@ static PyObject *k_btb_contains(PyObject *self, PyObject *const *args, Py_ssize_
     return PyLong_FromLong(btb_find(b, set_index, pc) >= 0);
 }
 
-/* Side-effect-free scan of `count` pcs: index of the first pc resident in
- * the BTB, or -1 when every one misses.  No hit/miss counters, no LRU stamp
- * movement — the caller decides whether to commit to the all-miss fast path
- * (bulk-bumping the miss counters itself) or to re-run the scalar per-pc
- * probes, which then account every probe exactly once. */
-static PyObject *k_btb_first_hit(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BTB_FIRST_HIT]++;
-    BtbDesc *b = (BtbDesc *)arg_ptr(args, 0);
-    const int64_t *pcs = (const int64_t *)arg_ptr(args, 1);
-    int64_t count = arg_i64(args, 2);
-    if (PyErr_Occurred()) return NULL;
-    for (int64_t i = 0; i < count; i++) {
-        int64_t set_index = (pcs[i] >> 2) % b->num_sets;
-        if (btb_find(b, set_index, pcs[i]) >= 0) {
-            return PyLong_FromLongLong(i);
-        }
-    }
-    return PyLong_FromLong(-1);
-}
-
 static void btb_fill_impl(BtbDesc *b, int64_t pc, int64_t kind, int64_t target) {
     int64_t set_index = (pc >> 2) % b->num_sets;
     int64_t g = btb_find(b, set_index, pc);
@@ -194,7 +173,6 @@ static PyObject *k_hist_push(PyObject *self, PyObject *const *args, Py_ssize_t n
 PyMethodDef repro_btb_methods[] = {
     {"btb_probe", (PyCFunction)(void *)k_btb_probe, METH_FASTCALL, NULL},
     {"btb_contains", (PyCFunction)(void *)k_btb_contains, METH_FASTCALL, NULL},
-    {"btb_first_hit", (PyCFunction)(void *)k_btb_first_hit, METH_FASTCALL, NULL},
     {"btb_fill", (PyCFunction)(void *)k_btb_fill, METH_FASTCALL, NULL},
     {"ibtb_predict", (PyCFunction)(void *)k_ibtb_predict, METH_FASTCALL, NULL},
     {"ibtb_train", (PyCFunction)(void *)k_ibtb_train, METH_FASTCALL, NULL},

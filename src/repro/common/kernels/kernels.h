@@ -218,7 +218,6 @@ enum {
     KC_STREAM_ON_MISS,
     KC_BTB_PROBE,
     KC_BTB_CONTAINS,
-    KC_BTB_FIRST_HIT,
     KC_BTB_FILL,
     KC_IBTB_PREDICT,
     KC_IBTB_TRAIN,
@@ -226,7 +225,6 @@ enum {
     KC_TAGE_PREDICT,
     KC_TAGE_UPDATE,
     KC_BE_DISPATCH,
-    KC_BE_DISPATCH_BATCH,
     KC_BE_ISSUE,
     KC_BE_RETIRE,
     KC_BE_POLL,

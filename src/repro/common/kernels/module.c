@@ -14,7 +14,6 @@ static const char *const KC_NAMES[KC_COUNT] = {
     "stream_on_miss",
     "btb_probe",
     "btb_contains",
-    "btb_first_hit",
     "btb_fill",
     "ibtb_predict",
     "ibtb_train",
@@ -22,7 +21,6 @@ static const char *const KC_NAMES[KC_COUNT] = {
     "tage_predict",
     "tage_update",
     "be_dispatch",
-    "be_dispatch_batch",
     "be_issue",
     "be_retire",
     "be_poll",

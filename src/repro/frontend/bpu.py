@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.branch.btb import BranchTargetBufferC
 from repro.common.addr import FETCH_BLOCK_BYTES, INSTR_BYTES, block_of
 from repro.common.config import FrontendConfig
 from repro.common.counters import Counters
@@ -57,48 +56,6 @@ class PathEstimator(Protocol):
     def reset(self) -> None: ...
 
 
-class _WindowPlan:
-    """The static portion of one fetch-window walk, memoized per start PC.
-
-    For a given start address the *sequence of segments the walker visits* is
-    fixed by the program text — predictions only decide where the walk stops.
-    A plan therefore precomputes the full fall-through ops bytes, the final
-    window end (after code_end truncation), and one step per walk event:
-
-    ``(1, next_pc, num_instrs)``
-        a completed fall-through basic block — the oracle's branchless
-        advance, inlined (no occurrence/call-stack changes by construction);
-    ``(0, branch, ops_prefix_len)``
-        a branch inside the window; ``ops_prefix_len`` is the accumulated
-        ops length through the branch instruction (the taken-exit ops slice).
-
-    ``branches``/``pcs_ptr``/``n_branches`` pre-extract the branch steps for
-    the compiled off-path fast path: one ``btb_first_hit`` kernel call over
-    the pc array decides whether the whole window is walkable as a static
-    all-undetected fall-through.
-    """
-
-    __slots__ = (
-        "ops", "end", "steps", "branches", "_pcs", "pcs_ptr", "n_branches",
-        "seen_undetected",
-    )
-
-    def __init__(self, ops: bytes, end: int, steps: tuple, pcs=None) -> None:
-        self.ops = ops
-        self.end = end
-        self.steps = steps
-        self.branches = tuple(step[1] for step in steps if step[0] == 0)
-        self._pcs = pcs  # int64 ndarray of branch pcs (owns pcs_ptr's memory)
-        self.pcs_ptr = 0 if pcs is None else int(pcs.ctypes.data)
-        self.n_branches = len(self.branches)
-        # Interned all-undetected SeenBranch records for the off-path fast
-        # path.  SeenBranch instances are never mutated after construction,
-        # so sharing them across concurrently-live FTQ entries is safe.
-        self.seen_undetected = tuple(
-            SeenBranch(b, False, False) for b in self.branches
-        )
-
-
 class DecoupledFrontend:
     """Runs ahead of fetch, filling the FTQ with predicted fetch blocks."""
 
@@ -111,7 +68,6 @@ class DecoupledFrontend:
         config: FrontendConfig,
         counters: Counters,
         path_estimator: PathEstimator | None = None,
-        compiled: bool = False,
     ) -> None:
         self.program = program
         self.bpu = bpu
@@ -133,23 +89,6 @@ class DecoupledFrontend:
         # Set while a divergence is in flight; cleared by recover()/the
         # decode-stage resteer.  Used for asserting single-divergence.
         self.pending_resteer: PendingResteer | None = None
-        if compiled:
-            # Memoized fetch-window walk plans (the static part of
-            # _walk_block precomputed once per distinct start PC).
-            self._plans: dict[int, _WindowPlan] = {}
-            self._walk_block = self._walk_block_planned  # type: ignore[method-assign]
-            self._k_first_hit = None
-            self._btb_c = None
-            # Off-path fast path: a diverged walker with no UDP path
-            # estimator only consults the BTB, so a window whose branches all
-            # miss is fully static.  Requires the monolithic C BTB (its raw
-            # descriptor feeds btb_first_hit); disabled per-call while a
-            # counter hook is attached (bulk bumps change the event stream).
-            if path_estimator is None and isinstance(bpu.btb, BranchTargetBufferC):
-                from repro.common import cc
-
-                self._k_first_hit = cc.kernels().btb_first_hit
-                self._btb_c = bpu.btb
 
     # -- per-cycle generation ----------------------------------------------
 
@@ -241,140 +180,6 @@ class DecoupledFrontend:
         entry.end = region_end
         self.spec_pc = region_end
         entry.ops = bytes(ops)
-        self._finalize_path(entry, started_on_path, diverged_at)
-        return entry
-
-    # -- the planned block walk (compiled mode) -------------------------------
-
-    def _build_plan(self, start: int) -> _WindowPlan:
-        """Replicate the static walk from ``start`` once; cache the result."""
-        program = self.program
-        region_end = block_of(start) + FETCH_BLOCK_BYTES
-        ops = bytearray()
-        steps: list[tuple] = []
-        cur = start
-        code_end = program.code_end
-        while cur < region_end:
-            if cur >= code_end:
-                region_end = cur
-                break
-            block = program.block_at(cur)
-            seg_end = block.end_addr
-            if seg_end > region_end:
-                seg_end = region_end
-            branch = block.branch
-            if branch is None or not (cur <= branch.pc < seg_end):
-                self._append_ops(ops, block, cur, seg_end)
-                if seg_end == block.end_addr:
-                    # Branchless-block oracle advance, precomputed: the only
-                    # successor is sequential, so next_pc/instr count are
-                    # static (matches OracleTransition for branch=None).
-                    steps.append((1, block.end_addr, block.num_instrs))
-                cur = seg_end
-                continue
-            self._append_ops(ops, block, cur, branch.pc + INSTR_BYTES)
-            steps.append((0, branch, len(ops)))
-            cur = branch.fallthrough
-        pcs = None
-        if self._btb_c is not None:
-            branch_pcs = [s[1].pc for s in steps if s[0] == 0]
-            if branch_pcs:
-                import numpy as np
-
-                pcs = np.array(branch_pcs, dtype=np.int64)
-        return _WindowPlan(bytes(ops), region_end, tuple(steps), pcs)
-
-    def _walk_block_planned(self) -> FTQEntry:
-        """Semantics-identical ``_walk_block`` driven by a memoized plan."""
-        start = self.program.wrap(self.spec_pc)
-        plan = self._plans.get(start)
-        if plan is None:
-            plan = self._build_plan(start)
-            self._plans[start] = plan
-
-        if (
-            self.diverged
-            and self._btb_c is not None
-            and self.counters.hook is None
-            and (
-                plan.n_branches == 0
-                or self._k_first_hit(
-                    self._btb_c._desc, plan.pcs_ptr, plan.n_branches
-                )
-                < 0
-            )
-        ):
-            # Off-path all-undetected window: every branch misses the BTB, so
-            # the walk is the static fall-through — no oracle motion, no
-            # history pushes, no estimator.  One kernel call replaces the
-            # per-branch probe loop; the probe counters are bumped in bulk
-            # (identical totals to the scalar per-probe path).
-            entry = FTQEntry(
-                self.next_seq,
-                start,
-                plan.end,
-                False,
-                plan.ops,
-                list(plan.seen_undetected),
-                None,
-                0,
-            )
-            self.next_seq += 1
-            if plan.n_branches:
-                self._c_btb_gen_misses(plan.n_branches)
-                self._btb_c.misses += plan.n_branches
-            self.spec_pc = plan.end
-            return entry
-
-        entry = FTQEntry(
-            seq=self.next_seq,
-            start=start,
-            end=plan.end,
-            on_path=not self.diverged,
-            assumed_off_path=(
-                self.path_estimator.assumed_off_path
-                if self.path_estimator is not None
-                else False
-            ),
-        )
-        self.next_seq += 1
-        started_on_path = not self.diverged
-        diverged_at: int | None = None
-        oracle = self.oracle
-        bpu = self.bpu
-
-        for step in plan.steps:
-            if step[0] == 1:
-                if not self.diverged:
-                    # Inlined oracle.advance(oracle.transition()) for a
-                    # completed fall-through block (no branch: occurrence
-                    # counters and the call stack are untouched).
-                    oracle.pc = step[1]
-                    oracle.blocks_walked += 1
-                    oracle.instrs_walked += step[2]
-                continue
-
-            branch = step[1]
-            seen, walker_next = self._predict(branch)
-            entry.branches.append(seen)
-
-            if not self.diverged:
-                resteer = self._shadow_oracle(branch, seen, walker_next)
-                if resteer is not None:
-                    entry.resteer = resteer
-                    diverged_at = branch.pc
-            elif seen.detected and branch.kind == BranchKind.COND:
-                bpu.speculate(seen.predicted_taken)
-
-            if seen.predicted_taken:
-                entry.end = branch.pc + INSTR_BYTES
-                self.spec_pc = seen.predicted_target
-                entry.ops = plan.ops[: step[2]]
-                self._finalize_path(entry, started_on_path, diverged_at)
-                return entry
-
-        self.spec_pc = plan.end
-        entry.ops = plan.ops
         self._finalize_path(entry, started_on_path, diverged_at)
         return entry
 

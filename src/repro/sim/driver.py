@@ -14,11 +14,11 @@ UDP runs inside the loop: the confidence estimator, the FDIP gate over the
 useful-set, the Seniority-FTQ retire hook and the flush policy
 (:class:`_UDPState` carries their state across).  The driver only ports
 configurations with no other Python-side participant (:func:`ineligibility`
-names what is missing otherwise); everything else, and every run under
-``REPRO_NO_COMPILED``, ``REPRO_NO_FASTFORWARD`` or a counter hook, keeps
-the Python stepper over the same C structures, with the object path as the
-oracle.  Counters are byte-identical either way
-(``tests/sim/test_driver.py``).
+names what is missing otherwise).  Everything else runs the Python
+stepper: over the C structures in compiled mode (also under
+``REPRO_NO_FASTFORWARD`` or a counter hook), over the object structures
+under ``REPRO_NO_COMPILED``.  The object path is the oracle, and counters
+are byte-identical either way (``tests/sim/test_driver.py``).
 """
 
 from __future__ import annotations

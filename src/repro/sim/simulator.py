@@ -93,7 +93,6 @@ class Simulator:
             config.frontend,
             self.counters,
             path_estimator=self.udp.path_estimator if self.udp is not None else None,
-            compiled=comp,
         )
         self.hierarchy = make_hierarchy(config.memory, self.counters, compiled=comp)
         self.l1i = make_cache(config.memory.l1i, comp)
@@ -517,7 +516,7 @@ class Simulator:
             )
         if self.fast_forward_enabled and self.counters.hook is None:
             self._try_fast_forward()
-            if self.compiled_enabled and self._try_refill_step():
+            if self._try_refill_step():
                 return
         self.steps_executed += 1
         self.cycle += 1
@@ -544,8 +543,8 @@ class Simulator:
         bookkeeping.  Executing just the live stages (FDIP scan, generation,
         occupancy sampling) is cycle-exact — nothing is skipped, the cycle
         advances by one — so counters stay byte-identical to the full step.
-        Only used in compiled mode, where the backend idle probe is a single
-        C call; guarded by the same hook check as fast-forward.
+        Runs in both modes, under the same switch and hook check as
+        fast-forward.
         """
         ftq = self.ftq
         if not ftq.has_space:
@@ -701,19 +700,11 @@ class Simulator:
 
     def _dispatch_entry(self, entry: FTQEntry, cycle: int, budget: int) -> int:
         """Dispatch instructions from ``entry``; -1 signals a decode resteer."""
-        if self.compiled_enabled:
-            return self._dispatch_entry_compiled(entry, cycle, budget)
         backend = self.backend
-        counters = self.counters
         ops = entry.ops
         num_instrs = entry.num_instrs
-        # Inlined BackendCore.can_dispatch (a property probed per instruction).
-        rob = backend.rob
-        rs = backend.rs
-        rob_entries = backend.config.rob_entries
-        rs_entries = backend.config.rs_entries
         while budget > 0 and entry.decode_offset < num_instrs:
-            if len(rob) >= rob_entries or len(rs) >= rs_entries:
+            if not backend.can_dispatch:
                 self._c_dispatch_stall()
                 return 0
             offset = entry.decode_offset
@@ -722,68 +713,11 @@ class Simulator:
             on_path = entry.on_path and offset < entry.on_path_instrs
             entry.decode_offset += 1
             budget -= 1
+            self._c_dispatched()
             if seen is None:
                 backend.dispatch(pc, ops[offset], on_path, cycle)
-                self._c_dispatched()
                 continue
-
-            self._c_dispatched()
-            result = self._dispatch_branch(entry, seen, pc, on_path, cycle)
-            if result < 0:
-                return -1
-        return budget
-
-    def _dispatch_entry_compiled(self, entry: FTQEntry, cycle: int, budget: int) -> int:
-        """Compiled-mode dispatch: branch-free runs go through one C call.
-
-        Branch instructions (a small minority of dispatches) take the same
-        scalar path as the interpreted loop — their control flow (decode BTB
-        fills, post-fetch correction, resteer attachment) is shared via
-        :meth:`_dispatch_branch`.  With a tracer hook attached, every
-        instruction dispatches scalar so the per-event counter stream matches
-        the interpreted path exactly.
-        """
-        backend = self.backend
-        num_instrs = entry.num_instrs
-        branches = entry.branches
-        on_path_limit = entry.on_path_instrs if entry.on_path else 0
-        scalar = self.counters.hook is not None
-        while budget > 0 and entry.decode_offset < num_instrs:
-            offset = entry.decode_offset
-            pc = entry.start + offset * INSTR_BYTES
-            seen = entry.branch_at(pc) if branches else None
-            if seen is None and not scalar:
-                # Run length to the next branch (or entry/budget end).
-                limit = min(num_instrs, offset + budget)
-                run = limit - offset
-                if branches:
-                    for other in branches:
-                        boff = (other.branch.pc - entry.start) // INSTR_BYTES
-                        if offset < boff < limit and boff - offset < run:
-                            run = boff - offset
-                k = backend.dispatch_batch(
-                    entry.ops, entry.start, offset, run, cycle, on_path_limit
-                )
-                entry.decode_offset += k
-                budget -= k
-                if k:
-                    self._c_dispatched(k)
-                if k < run:
-                    self._c_dispatch_stall()
-                    return 0
-                continue
-            if not backend.can_dispatch:
-                self._c_dispatch_stall()
-                return 0
-            on_path = entry.on_path and offset < entry.on_path_instrs
-            entry.decode_offset += 1
-            budget -= 1
-            self._c_dispatched()
-            if seen is None:
-                backend.dispatch(pc, entry.ops[offset], on_path, cycle)
-                continue
-            result = self._dispatch_branch(entry, seen, pc, on_path, cycle)
-            if result < 0:
+            if self._dispatch_branch(entry, seen, pc, on_path, cycle) < 0:
                 return -1
         return budget
 

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.common.addr import FETCH_BLOCK_BYTES
 from repro.common.config import (
     BranchConfig,
     CacheConfig,
@@ -57,7 +58,25 @@ def test_table2_frontend_parameters():
     frontend = FrontendConfig()
     assert frontend.ftq_depth == 32
     assert frontend.ftq_blocks_per_cycle == 2
-    assert frontend.fetch_block_bytes == 32
+    # The fetch block size is fixed by the walker and the compiled driver.
+    assert FETCH_BLOCK_BYTES == 32
+
+
+@pytest.mark.parametrize(
+    "cls,field",
+    [
+        (FrontendConfig, "fetch_block_bytes"),
+        (FrontendConfig, "fetch_buffer_entries"),
+        (CoreConfig, "load_buffer"),
+        (CoreConfig, "store_buffer"),
+        (BranchConfig, "tage_counter_bits"),
+    ],
+)
+def test_unmodelled_parameters_are_rejected(cls, field):
+    # Nothing reads these Table II sizes, so a config that sets them must
+    # fail loudly rather than run unchanged.
+    with pytest.raises(TypeError):
+        cls(**{field: 1})
 
 
 def test_cache_num_sets():

@@ -1,14 +1,15 @@
 """Object oracle vs compiled C kernels: byte-identity in every preset.
 
 Style of ``tests/sim/test_fastforward.py``: the runtime-compiled C kernels
-(TAGE/BTB/iBTB/cache/backend state in structure-of-arrays buffers) and the
-structural fast paths that run with them (the planned fetch-window walker,
-the precomputed dep-flag table, off-path all-miss windows, reduced refill
-steps) must be pure wall-clock optimizations — for any (workload, preset)
-pair the final cycle count and every measured counter must match the
-object implementations exactly.  The object path stays in the tree
-(``REPRO_NO_COMPILED`` / ``compiled=False``) precisely so it can serve as
-the oracle.
+(TAGE/BTB/iBTB/cache/backend state in structure-of-arrays buffers, the
+precomputed dep-flag table) and the compiled cycle driver must be pure
+wall-clock optimizations — for any (workload, preset) pair the final cycle
+count and every measured counter must match the object implementations
+exactly.  The Python stepper runs the same code in both modes; compiled
+mode differs only in which structure classes it holds, so a traced run
+(a counter hook keeps it off the driver) narrates the same events in
+both.  The object path stays in the tree (``REPRO_NO_COMPILED`` /
+``compiled=False``) precisely so it can serve as the oracle.
 
 Checkpoints must also be layout-neutral: a warmup blob captured in either
 mode must restore into either mode and still reproduce the from-scratch
@@ -23,6 +24,7 @@ from repro.branch.history import GlobalHistoryC
 from repro.branch.tage import TagePredictorC
 from repro.branch.two_level_btb import TwoLevelBTB
 from repro.common import cc
+from repro.common.config import SimConfig
 from repro.memory.cache import SetAssocCacheC
 from repro.memory.hierarchy import MemoryHierarchyC
 from repro.memory.stream import StreamPrefetcherC
@@ -30,6 +32,8 @@ from repro.sim import checkpoint as ckpt
 from repro.sim.presets import PRESET_BUILDERS
 from repro.sim.profile import build_simulator
 from repro.sim.simulator import Simulator
+from repro.sim.tracer import PipelineTracer
+from repro.workloads import micro
 from repro.workloads import store as program_store
 from repro.workloads.data import DataAddressGeneratorC
 from repro.workloads.profiles import get_profile
@@ -100,6 +104,36 @@ def test_compiled_mode_uses_c_structures_in_every_preset():
             structures["stream"] = (hierarchy.stream, StreamPrefetcherC)
         for name, (obj, cls) in structures.items():
             assert isinstance(obj, cls), (preset, name, type(obj).__name__)
+
+
+# Traced runs: a counter hook keeps compiled mode on the Python stepper.
+_TRACED = {
+    "mispredicting-loop": lambda compiled: Simulator(
+        micro.mispredicting_loop(),
+        SimConfig(max_instructions=1_500, functional_warmup_blocks=0),
+        compiled=compiled,
+    ),
+    "xgboost-udp": lambda compiled: build_simulator(
+        "xgboost", PRESET_BUILDERS["udp"](3_000), compiled=compiled
+    ),
+    "gcc-mana": lambda compiled: build_simulator(
+        "gcc", PRESET_BUILDERS["mana"](3_000), compiled=compiled
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRACED))
+def test_tracer_records_the_same_events_in_both_modes(case):
+    runs = {}
+    for mode, compiled in _MODES.items():
+        sim = _TRACED[case](compiled)
+        tracer = PipelineTracer(sim)
+        sim.run()
+        assert not tracer.saturated
+        events = [(e.cycle, e.label, e.count) for e in tracer.events]
+        runs[mode] = (sim.cycle, sim.measured_counters(), events)
+    assert runs["object"][2]
+    assert runs["compiled"] == runs["object"]
 
 
 def test_env_var_disables_compiled(monkeypatch):
