@@ -6,12 +6,14 @@
  * (the FTQ scan), memory/mshr.py, workloads/trace.py (the true-path
  * cursor) and core/ (UDP: the confidence estimator, the FDIP gate over the
  * useful-set and the Seniority-FTQ, and their learning and flush rules),
- * for configurations that build no Python-side participant: no technique
- * object, UFTQ off, the monolithic BTB, no loop predictor (sim/driver.py
- * decides eligibility).  The kernels this file calls -- cache, BTB/iBTB,
- * history, TAGE, backend, hierarchy -- are the same static helpers the
- * per-call wrappers use: every kernel file is #included into one
- * translation unit (common/cc.py).
+ * for configurations with UFTQ off, the monolithic BTB and no loop
+ * predictor (sim/driver.py decides eligibility).  A registry technique
+ * stays in Python: the loop calls its on_demand_access/on_line_filled
+ * where Simulator.step() does and applies the returned prefetch lines
+ * here (Simulator._standalone_prefetch).  The kernels this file calls --
+ * cache, BTB/iBTB, history, TAGE, backend, hierarchy -- are the same
+ * static helpers the per-call wrappers use: every kernel file is
+ * #included into one translation unit (common/cc.py).
  *
  * State split: the structures above keep living in their descriptors, so
  * Python reads them as before.  The pipeline state Python never needs to
@@ -53,6 +55,7 @@
 #define ERR_RESTEER_POOL (-2)
 #define ERR_RESTEER_LOST (-3)
 #define ERR_UDP_LINE (-4)
+#define ERR_CALLBACK (-5)    /* a technique callback raised: the exception is set */
 
 /* workloads/program.py BranchKind */
 enum { K_COND, K_JUMP, K_CALL, K_RET, K_INDIRECT, K_INDIRECT_CALL };
@@ -235,6 +238,8 @@ typedef struct {
     int64_t ras_underflows;
     int64_t n_touched;
     int64_t error_pc;
+    int64_t demand_calls;   /* technique callbacks made */
+    int64_t fill_calls;
     /* configuration */
     int64_t width;
     int64_t blocks_per_cycle;
@@ -259,6 +264,10 @@ typedef struct {
     BackendDesc *be;
     ProgTables *prog;
     UdpState *udp;          /* NULL when UDP is off */
+    /* the technique's callables (references held by the Python wrapper) */
+    PyObject *on_demand;    /* on_demand_access, NULL without a technique object */
+    PyObject *on_fill;      /* on_line_filled, NULL unless it observes fills */
+    PyObject *reject;       /* raises SimulationError for a bad prefetch line */
     /* arrays owned by the Python wrapper */
     int64_t *counters;      /* [DC_COUNT] deltas since the last sync */
     int64_t *occ;           /* [n_blocks] oracle occurrence counts */
@@ -506,13 +515,87 @@ static void mshr_allocate(Driver *d, int64_t line_addr, int64_t ready_cycle,
 }
 
 /* An L1I miss below the L1I: the fill latency; bumps the ifetch level
- * counter and, via `level_counter`, the caller's per-level counter. */
+ * counter and, via `level_counter` (-1: none), the caller's per-level
+ * counter. */
 static int64_t imiss(Driver *d, int64_t line_addr, int level_counter) {
     int64_t packed = hier_imiss_impl(d->hier, line_addr);
     int64_t level = packed & 3;
     d->counters[DC_l2_ifetch_hits + level]++;
-    d->counters[level_counter + level]++;
+    if (level_counter >= 0) d->counters[level_counter + level]++;
     return packed >> 2;
+}
+
+/* ---- registry techniques: synchronous Python callbacks ---- */
+
+/* The line a technique returned, or -1 once `reject` has raised for a
+ * value that is not a non-negative, 64-byte-aligned int: -1 marks free
+ * cache ways and MSHR slots here, and an unaligned line fills a way no
+ * demand access ever hits. */
+static int64_t prefetch_line(Driver *d, PyObject *item) {
+    if (PyLong_CheckExact(item)) {
+        int overflow;
+        long long line = PyLong_AsLongLongAndOverflow(item, &overflow);
+        if (!overflow && line >= 0 && !(line & 63)) return line;
+    }
+    Py_XDECREF(PyObject_CallOneArg(d->reject, item));
+    return -1;
+}
+
+/* Simulator._standalone_prefetch: the technique observes one demand
+ * access; each line it returns is prefetched unless the L1I or an MSHR
+ * already holds it, until the MSHR file is full. */
+static void technique_demand(Driver *d, int64_t line_addr, int hit, int on_path,
+                             int64_t cycle) {
+    PyObject *args[3] = {PyLong_FromLongLong(line_addr), hit ? Py_True : Py_False,
+                         on_path ? Py_True : Py_False};
+    if (args[0] == NULL) {
+        d->error = ERR_CALLBACK;
+        return;
+    }
+    d->demand_calls++;
+    PyObject *lines = PyObject_Vectorcall(d->on_demand, args, 3, NULL);
+    Py_DECREF(args[0]);
+    PyObject *it = lines != NULL ? PyObject_GetIter(lines) : NULL;
+    Py_XDECREF(lines);
+    if (it == NULL) {
+        d->error = ERR_CALLBACK;
+        return;
+    }
+    PyObject *item;
+    while ((item = PyIter_Next(it)) != NULL) {
+        int64_t line = prefetch_line(d, item);
+        Py_DECREF(item);
+        if (line < 0) {
+            d->error = ERR_CALLBACK;
+            break;
+        }
+        int64_t base;
+        if (cache_find(d->l1i, line, &base) >= 0 || mshr_lookup(d, line) != NULL) continue;
+        if (d->mshr_count >= d->mshr_cap) break;
+        int64_t latency = imiss(d, line, -1);
+        mshr_allocate(d, line, cycle + latency, 1, !on_path, 0);
+        d->counters[DC_prefetches_emitted]++;
+        d->counters[on_path ? DC_prefetches_emitted_on_path : DC_prefetches_emitted_off_path]++;
+    }
+    Py_DECREF(it);
+    if (PyErr_Occurred()) d->error = ERR_CALLBACK;
+}
+
+/* The fill observer sees one installed line; 0 when it raised. */
+static int technique_fill(Driver *d, int64_t line_addr) {
+    PyObject *arg = PyLong_FromLongLong(line_addr);
+    PyObject *result = NULL;
+    if (arg != NULL) {
+        d->fill_calls++;
+        result = PyObject_CallOneArg(d->on_fill, arg);
+        Py_DECREF(arg);
+    }
+    if (result == NULL) {
+        d->error = ERR_CALLBACK;
+        return 0;
+    }
+    Py_DECREF(result);
+    return 1;
 }
 
 /* ---- UDP (core/): useful-set, Seniority-FTQ, flush policy ---- */
@@ -1002,8 +1085,10 @@ static void process_fills(Driver *d, int64_t cycle) {
             udp_outcome(d, 0);
         }
         d->counters[DC_l1i_fills]++;
+        int64_t line_addr = best->line_addr;
         best->line_addr = -1;
         d->mshr_count--;
+        if (d->on_fill != NULL && !technique_fill(d, line_addr)) return;
     }
 }
 
@@ -1073,6 +1158,7 @@ static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
             prefetch_useful(d, flags & FLAG_OFF_PATH, 1);
             if (d->udp != NULL && (flags & FLAG_UDP)) udp_learn_direct(d, line_addr);
         }
+        if (d->on_demand != NULL) technique_demand(d, line_addr, 1, e->on_path, cycle);
         return;
     }
     MshrEntry *m = mshr_lookup(d, line_addr);
@@ -1095,6 +1181,7 @@ static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
     int64_t latency = imiss(d, line_addr, DC_demand_fill_l2);
     mshr_allocate(d, line_addr, cycle + latency, 0, !e->on_path, 0);
     e->ready_cycle = cycle + latency;
+    if (d->on_demand != NULL) technique_demand(d, line_addr, 0, e->on_path, cycle);
 }
 
 /* Simulator._dispatch_branch: 0, or -1 when a decode-time resteer fired. */
@@ -1176,6 +1263,7 @@ static void fetch_decode(Driver *d, int64_t cycle) {
                 if (accesses >= d->blocks_per_cycle) return;
                 accesses++;
                 demand_access(d, e, cycle);
+                if (d->error) return;
                 if (e->ready_cycle < 0) {
                     d->counters[DC_fetch_slots_lost_mshr_full] += budget;
                     return;
@@ -1316,6 +1404,7 @@ static void step(Driver *d) {
     d->steps++;
     int64_t cycle = ++d->cycle;
     process_fills(d, cycle);
+    if (d->error) return;
     int64_t fired = be_poll_impl(d->be, cycle);
     if (fired >= 0) {
         int64_t slot = -1;
@@ -1330,6 +1419,7 @@ static void step(Driver *d) {
     }
     retire_and_issue(d, cycle);
     fetch_decode(d, cycle);
+    if (d->error) return;
     fdip_scan(d, cycle);
     generate(d);
     sample_occupancy(d, 1);
@@ -1351,7 +1441,9 @@ static void setup(Driver *d) {
 /* run_cycles(driver, retire_target, stop): step until `retire_target`
  * instructions have retired (RUN_DONE), the retired count reaches `stop`
  * right after a step (RUN_STOP, the warmup boundary), or the cycle limit
- * is hit before a step (RUN_LIMIT); negative on an internal error. */
+ * is hit before a step (RUN_LIMIT); negative on an internal error.  A
+ * technique callback that raises (a signal handler running inside it
+ * included) ends the call mid-step with its exception. */
 static PyObject *k_run_cycles(PyObject *self, PyObject *const *args, Py_ssize_t n) {
     (void)self; (void)n;
     repro_kernel_calls[KC_RUN_CYCLES]++;
@@ -1369,9 +1461,14 @@ static PyObject *k_run_cycles(PyObject *self, PyObject *const *args, Py_ssize_t 
             break;
         }
         /* Python-level signal handlers (Ctrl-C, the engine's unit-timeout
-         * alarm) run here, between whole steps. */
+         * alarm) run here, between whole steps, and inside technique
+         * callbacks. */
         if ((++steps & 4095) == 0 && PyErr_CheckSignals() < 0) return NULL;
         step(d);
+        if (d->error == ERR_CALLBACK) {
+            d->error = 0;
+            return NULL;
+        }
         if (d->error) {
             status = d->error;
             break;
@@ -1395,7 +1492,8 @@ static const FieldInfo DRIVER_FIELDS[] = {
     FIELD(Driver, instrs_walked) FIELD(Driver, cs_len) FIELD(Driver, spec_pc)
     FIELD(Driver, next_seq) FIELD(Driver, diverged) FIELD(Driver, next_scan_seq)
     FIELD(Driver, ras_len) FIELD(Driver, ras_overflows) FIELD(Driver, ras_underflows)
-    FIELD(Driver, n_touched) FIELD(Driver, error_pc)
+    FIELD(Driver, n_touched) FIELD(Driver, error_pc) FIELD(Driver, demand_calls)
+    FIELD(Driver, fill_calls)
     FIELD(Driver, width) FIELD(Driver, blocks_per_cycle) FIELD(Driver, fdip_lookups)
     FIELD(Driver, fdip_enabled) FIELD(Driver, perfect_icache) FIELD(Driver, pfc)
     FIELD(Driver, max_cycles) FIELD(Driver, mshr_cap) FIELD(Driver, ftq_cap)
@@ -1403,7 +1501,7 @@ static const FieldInfo DRIVER_FIELDS[] = {
     FIELD(Driver, hist_words)
     FIELD(Driver, btb) FIELD(Driver, ibtb) FIELD(Driver, tage) FIELD(Driver, hist)
     FIELD(Driver, l1i) FIELD(Driver, hier) FIELD(Driver, be) FIELD(Driver, prog)
-    FIELD(Driver, udp)
+    FIELD(Driver, udp) FIELD(Driver, on_demand) FIELD(Driver, on_fill) FIELD(Driver, reject)
     FIELD(Driver, counters) FIELD(Driver, occ) FIELD(Driver, touched)
     FIELD(Driver, touched_flag) FIELD(Driver, call_stack) FIELD(Driver, ras)
     FIELD(Driver, ftq) FIELD(Driver, mshr) FIELD(Driver, resteers)

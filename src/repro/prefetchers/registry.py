@@ -35,7 +35,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class Capabilities:
-    """What the simulator must provide for (or disable around) a technique."""
+    """What the simulator must provide for (or disable around) a technique.
+
+    It is the compiled cycle driver's contract too: ``run_cycles`` calls a
+    technique object's ``on_demand_access``, and ``on_line_filled`` when it
+    ``observes_fills``, where the Python stepper does, and the
+    ``hooks_btb`` callables reach the BTB arrays the driver predicts from
+    (docs/techniques.md, "Driver contract").
+    """
 
     # The technique layers on the FDIP baseline (False = FDIP fully off, as
     # in the "none" configuration).
@@ -44,8 +51,6 @@ class Capabilities:
     needs_profile_pass: bool = False
     # The technique receives btb_fill/btb_contains hooks into the BPU.
     hooks_btb: bool = False
-    # The technique receives a reference to the FTQ.
-    hooks_ftq: bool = False
     # The technique's on_line_filled() is called for every L1I fill.
     observes_fills: bool = False
 
@@ -57,7 +62,6 @@ class Capabilities:
                 ("fdip", self.uses_fdip),
                 ("profile-pass", self.needs_profile_pass),
                 ("btb-hooks", self.hooks_btb),
-                ("ftq-hooks", self.hooks_ftq),
                 ("fill-observer", self.observes_fills),
             )
             if on

@@ -12,9 +12,14 @@ in C.
 
 UDP runs inside the loop: the confidence estimator, the FDIP gate over the
 useful-set, the Seniority-FTQ retire hook and the flush policy
-(:class:`_UDPState` carries their state across).  The driver only ports
-configurations with no other Python-side participant (:func:`ineligibility`
-names what is missing otherwise).  Everything else runs the Python
+(:class:`_UDPState` carries their state across).  A registry technique
+stays in Python and is called back synchronously, as its
+:class:`~repro.prefetchers.registry.Capabilities` declare: the loop calls
+``on_demand_access`` and ``on_line_filled`` where :meth:`Simulator.step`
+does and applies the returned prefetch lines in C.  A callback that raises
+ends the run with its exception, after the write-back.  UFTQ, the
+two-level BTB and the loop predictor are not ported (:func:`ineligibility`
+names what is missing).  Those configurations run the Python
 stepper: over the C structures in compiled mode (also under
 ``REPRO_NO_FASTFORWARD`` or a counter hook), over the object structures
 under ``REPRO_NO_COMPILED``.  The object path is the oracle, and counters
@@ -24,11 +29,13 @@ are byte-identical either way (``tests/sim/test_driver.py``).
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.branch.btb import BranchTargetBufferC
 from repro.common import cc
 from repro.common.errors import SimulationError
+from repro.prefetchers.base import reject_prefetch_line
 from repro.workloads.tables import program_tables
 
 if TYPE_CHECKING:
@@ -52,7 +59,8 @@ def ineligibility(sim: "Simulator") -> str | None:
 
     The fork depends only on observable configuration: the compiled
     kernels, idle-cycle fast-forward, no counter hook (tracers narrate
-    every cycle), and no Python-side participant in the cycle loop.
+    every cycle), and no Python-side participant in the cycle loop other
+    than a registry technique, which the driver calls back.
     """
     if not sim.compiled_enabled:
         return "compiled kernels off"
@@ -62,8 +70,6 @@ def ineligibility(sim: "Simulator") -> str | None:
         return "counter hook attached"
     if sim.uftq is not None:
         return "uftq enabled"
-    if sim.prefetcher is not None:
-        return f"technique object ({sim.config.prefetcher.kind})"
     if not isinstance(sim.bpu.btb, BranchTargetBufferC):
         return "two-level BTB"
     if sim.bpu.loop is not None:
@@ -86,7 +92,9 @@ class CycleDriver:
     the simulator: with the hook gone, a finished simulator and its
     arrays are freed as soon as the last reference drops, instead of
     waiting for a cyclic collection (which the driver's allocation-free
-    loop rarely triggers).
+    loop rarely triggers).  It holds the technique's callbacks, looked up
+    on the technique object here rather than on its class, so a wrapper
+    installed on the class before the simulator was built sees every call.
     """
 
     def __init__(self, sim: "Simulator") -> None:
@@ -125,6 +133,16 @@ class CycleDriver:
         hist_words = len(history._words)
         self._resteer_hist = zeros(pool * (hist_words + len(history.folded)))
         self._udp = _UDPState(sim, layout) if sim.udp is not None else None
+        prefetcher = sim.prefetcher
+        observer = sim._fill_observer
+        self._callbacks = (
+            prefetcher.on_demand_access if prefetcher is not None else None,
+            observer.on_line_filled if observer is not None else None,
+            partial(reject_prefetch_line, config.prefetcher.kind),
+        )
+        on_demand, on_fill, reject = (
+            id(callback) if callback is not None else 0 for callback in self._callbacks
+        )
 
         desc = np.zeros(layout["driver_words"], dtype=np.int64)
         values = {
@@ -150,6 +168,10 @@ class CycleDriver:
             "be": sim.backend._bdesc,
             "prog": tables.desc,
             "udp": self._udp.desc if self._udp is not None else 0,
+            # CPython object addresses; self._callbacks keeps them alive.
+            "on_demand": on_demand,
+            "on_fill": on_fill,
+            "reject": reject,
             "counters": self._counters.ctypes.data,
             "occ": self._occ.ctypes.data,
             "touched": self._touched.ctypes.data,
@@ -178,6 +200,8 @@ class CycleDriver:
             "steps": sim.steps_executed,
             "ff_jumps": sim.ff_jumps,
             "ff_skipped": sim.ff_cycles_skipped,
+            "demand_calls": sim.driver_demand_callbacks,
+            "fill_calls": sim.driver_fill_callbacks,
         }
         for name, value in values.items():
             desc[fields[name]] = value
@@ -195,7 +219,11 @@ class CycleDriver:
 
     def run(self, sim: "Simulator", target: int, stop: int = NEVER) -> int:
         """Step ``sim`` until ``target`` retired (DONE), the retired count
-        reaches ``stop`` after a step (STOP), or the cycle limit (LIMIT)."""
+        reaches ``stop`` after a step (STOP), or the cycle limit (LIMIT).
+
+        An exception from a technique callback propagates unchanged, after
+        the write-back.
+        """
         try:
             status = self._k_run(self._desc, target, stop)
         finally:
@@ -226,6 +254,8 @@ class CycleDriver:
         sim.steps_executed = d[f["steps"]]
         sim.ff_jumps = d[f["ff_jumps"]]
         sim.ff_cycles_skipped = d[f["ff_skipped"]]
+        sim.driver_demand_callbacks = d[f["demand_calls"]]
+        sim.driver_fill_callbacks = d[f["fill_calls"]]
         ftq = sim.ftq
         ftq.occupancy_sum = d[f["occ_sum"]]
         ftq.occupancy_samples = d[f["occ_samples"]]

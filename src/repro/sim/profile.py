@@ -45,11 +45,14 @@ _STAGE_ROOTS = (
 _STAGE_ORDER = ("fills", "backend", "fetch/decode", "fdip-scan", "generate")
 
 # Registry-wired hooks whose cost hides *inside* the stage sub-trees above:
-# fill observers run inside the fills stage, the BTB hooks inside whichever
-# stage the active technique calls them from.  Attributed as their own
-# nested section so a technique's hook overhead is visible at a glance.
-# A None file suffix matches any module (fill observers are per-technique).
+# demand observers run inside the fetch/decode stage, fill observers inside
+# the fills stage, the BTB hooks inside whichever stage the active technique
+# calls them from.  Attributed as their own nested section so a technique's
+# hook overhead is visible at a glance.  Under the compiled cycle driver
+# there are no stage sub-trees: run_cycles calls the hooks itself.  A None
+# file suffix matches any module (the observers are per-technique).
 _HOOK_ROOTS = (
+    ("on_demand_access", None, "on_demand_access"),
     ("on_line_filled", None, "on_line_filled"),
     ("fill_btb", "branch/unit.py", "fill_btb"),
     ("btb_contains", "sim/simulator.py", "_btb_contains_hook"),
@@ -119,6 +122,9 @@ class ProfileReport:
     steps_executed: int
     ff_cycles_skipped: int
     ff_jumps: int
+    # Technique callbacks run_cycles made (0 under the Python stepper).
+    driver_demand_callbacks: int
+    driver_fill_callbacks: int
     kips: float
 
     @property
@@ -130,8 +136,9 @@ class ProfileReport:
     step_seconds: float  # cumulative time inside Simulator.step()
     stages: list[StageTime]
     step_overhead_seconds: float  # step() minus the five stage sub-trees
-    # Registry-wired hook sub-trees (fill observers, late-bound BTB hooks);
-    # nested inside the stages above, never added to their sum.
+    # Registry-wired hook sub-trees (demand and fill observers, late-bound
+    # BTB hooks); nested inside the stages above, or called from the
+    # compiled cycle driver, never added to the stages' sum.
     hooks: list[StageTime]
     top_functions: list[FunctionTime]
 
@@ -244,6 +251,8 @@ def profile_run(
         steps_executed=simulator.steps_executed,
         ff_cycles_skipped=simulator.ff_cycles_skipped,
         ff_jumps=simulator.ff_jumps,
+        driver_demand_callbacks=simulator.driver_demand_callbacks,
+        driver_fill_callbacks=simulator.driver_fill_callbacks,
         kips=retired / wall / 1000.0 if wall > 0 else 0.0,
         step_seconds=step_seconds,
         stages=[stage_totals[name] for name in _STAGE_ORDER],
@@ -298,11 +307,21 @@ def format_report(report: ProfileReport) -> str:
     )
     if report.hooks:
         lines.append("")
-        lines.append("  registry-wired hooks (nested inside the stages above):")
-        for hook in report.hooks:
-            share = 100.0 * hook.seconds / denom
+        hook_denom = denom
+        if report.gates.get("driver"):
+            # No step() time to share out: shares are of the run's wall.
+            hook_denom = report.wall_seconds or 1.0
+            lines.append("  registry-wired hooks (called from the compiled cycle driver):")
             lines.append(
-                f"    {hook.name:<13} {hook.seconds:8.3f}s  {share:5.1f}%"
+                f"    driver callbacks: {report.driver_demand_callbacks} "
+                f"on_demand_access, {report.driver_fill_callbacks} on_line_filled"
+            )
+        else:
+            lines.append("  registry-wired hooks (nested inside the stages above):")
+        for hook in report.hooks:
+            share = 100.0 * hook.seconds / hook_denom
+            lines.append(
+                f"    {hook.name:<16} {hook.seconds:8.3f}s  {share:5.1f}%"
                 f"  ({hook.calls} calls)"
             )
     if report.kernel_calls:

@@ -38,7 +38,7 @@ from repro.common.cc import resolve_compiled
 from repro.memory.cache import CacheLine, make_cache
 from repro.memory.hierarchy import make_hierarchy
 from repro.memory.mshr import MSHRFile
-from repro.prefetchers.base import FrontendHooks
+from repro.prefetchers.base import LINE_LIMIT, FrontendHooks, reject_prefetch_line
 from repro.prefetchers.registry import get_technique
 from repro.workloads.data import DataAddressGenerator
 from repro.workloads.profiles import DataProfile
@@ -120,7 +120,6 @@ class Simulator:
             # Late-bound through the facade (a named method, so `repro
             # profile` can attribute the hook's cost as its own stage).
             btb_contains=self._btb_contains_hook if caps.hooks_btb else None,
-            ftq=self.ftq if caps.hooks_ftq else None,
         )
         self.prefetcher = technique.build(config.prefetcher.params, program, hooks)
         self._fill_observer = (
@@ -176,6 +175,10 @@ class Simulator:
         self.ff_cycles_skipped = 0  # cycles advanced without a full step
         self.ff_jumps = 0  # number of fast-forward jumps taken
         self.steps_executed = 0  # full step() bodies run (perf smoke checks)
+        # Technique callbacks the compiled cycle driver made (0 under the
+        # Python stepper): on_demand_access and on_line_filled calls.
+        self.driver_demand_callbacks = 0
+        self.driver_fill_callbacks = 0
         # The compiled cycle driver, once it owns the pipeline (see
         # _cycle_driver and repro.sim.driver).
         self._driver = None
@@ -820,6 +823,12 @@ class Simulator:
         if self.prefetcher is None:
             return
         for prefetch_line in self.prefetcher.on_demand_access(line_addr, hit, on_path):
+            if (
+                type(prefetch_line) is not int
+                or not 0 <= prefetch_line < LINE_LIMIT
+                or prefetch_line & 63
+            ):
+                reject_prefetch_line(self.config.prefetcher.kind, prefetch_line)
             if self.l1i.contains(prefetch_line) or self.mshr.lookup(prefetch_line):
                 continue
             if self.mshr.full:

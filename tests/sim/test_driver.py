@@ -1,24 +1,30 @@
 """The compiled cycle driver: engagement and byte-identity at every exit.
 
 ``run_cycles`` (``repro/common/kernels/driver.c``) runs the whole step()
-loop in C, UDP included, for configurations with no other Python-side
-participant.  It must be
+loop in C, UDP included, and calls a registry technique's Python methods
+back where step() does.  It must be
 a pure wall-clock optimization, exactly like the kernels under it
 (``tests/sim/test_modes.py``): at every point where it returns to Python
 -- the retire target, a timed-warmup or ``run_interval`` warmup boundary,
-the cycle limit -- counters, cycle, FTQ occupancy, the oracle position and
-UDP's state must equal the object oracle's.  And it must actually engage wherever it
+the cycle limit, an exception from a technique callback -- counters,
+cycle, FTQ occupancy, the oracle position, UDP's state and the calls a
+technique saw must equal the object oracle's.  And it must actually engage wherever it
 is eligible: a preset that silently falls back to the Python stepper still
 passes every identity test, but runs at stepper speed.
 """
 
 import dataclasses
+import signal
+from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
 from repro.common import cc
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
+from repro.prefetchers import registry
+from repro.prefetchers.base import InstructionPrefetcher
 from repro.sim import checkpoint as ckpt
 from repro.sim import driver as driver_mod
 from repro.sim.presets import (
@@ -46,22 +52,19 @@ from repro.workloads.behavior import (
 from repro.workloads.builder import ProgramBuilder
 from repro.workloads.phases import make_phased_program
 from repro.workloads.profiles import get_profile
+from repro.workloads.program import BranchKind
 
 N = 4_000
 
 # Every preset the driver runs, and why each other preset cannot.
 ELIGIBLE = {
     "baseline", "perfect-icache", "no-prefetch", "bigger-icache", "miss-heavy",
-    "udp", "infinite-storage",
+    "udp", "infinite-storage", "eip", "sw-profile", "mana", "shadow-btb",
 }
 REASONS = {
     "uftq-aur": "uftq enabled",
     "uftq-atr": "uftq enabled",
     "uftq-atr-aur": "uftq enabled",
-    "eip": "technique object (eip)",
-    "sw-profile": "technique object (sw-profile)",
-    "mana": "technique object (mana)",
-    "shadow-btb": "technique object (shadow-btb)",
     "two-level-btb": "two-level BTB",
     "loop-predictor": "loop predictor",
 }
@@ -425,3 +428,352 @@ def test_udp_line_outside_the_code_region_is_an_error():
     sim.udp.useful_set._exact.add(sim.program.code_end + 64)
     with pytest.raises(SimulationError, match="outside the code region"):
         sim.run()
+
+
+# -- registry techniques: the driver's callbacks -------------------------------
+
+# Every registered technique that builds an object (its preset, or FDIP
+# plus the technique for next-line, which has none), with a counter that
+# proves it acted.  eip and sw-profile share prefetches_emitted with FDIP,
+# so their own `triggered` count (lines they returned) is checked too.
+TECHNIQUE_ACTIVITY = {
+    "eip": "prefetches_emitted",
+    "sw-profile": "prefetches_emitted",
+    "mana": "mana_replayed_lines",
+    "shadow-btb": "shadow_btb_prefills",
+    "next-line": "prefetches_emitted",
+}
+
+
+def _technique_config(kind: str) -> SimConfig:
+    if kind in PRESET_BUILDERS:
+        return PRESET_BUILDERS[kind](N)
+    return baseline_config(N).with_prefetcher(kind)
+
+
+def test_technique_cases_cover_the_registry():
+    assert set(TECHNIQUE_ACTIVITY) | {"fdip", "none"} == set(registry.names())
+
+
+def _technique_state(sim: Simulator) -> dict:
+    """The technique object's own tables and counts (ints and containers)."""
+    return {
+        name: value if not isinstance(value, deque) else list(value)
+        for name, value in vars(sim.prefetcher).items()
+        if isinstance(value, (int, dict, list, deque))
+    }
+
+
+@pytest.mark.parametrize("workload", ["gcc", "xgboost"])
+@pytest.mark.parametrize("kind", sorted(TECHNIQUE_ACTIVITY))
+def test_techniques_match_object_path(kind, workload):
+    config = _technique_config(kind)
+    before = _driver_calls()
+    driven = build_simulator(workload, config, compiled=True)
+    driven.run()
+    oracle = build_simulator(workload, config, compiled=False)
+    oracle.run()
+    if cc.compiled_enabled():
+        assert _driver_calls() - before == 1
+        assert driven.driver_demand_callbacks > 0
+        assert driven.steps_executed + driven.ff_cycles_skipped == driven.cycle
+    assert oracle.driver_demand_callbacks == 0
+    assert driven.measured_counters().get(TECHNIQUE_ACTIVITY[kind], 0) > 0
+    if kind in ("eip", "sw-profile"):
+        assert driven.prefetcher.triggered > 0
+    assert _state(driven) == _state(oracle)
+    assert _technique_state(driven) == _technique_state(oracle)
+    assert driven.bpu.btb.state_dict() == oracle.bpu.btb.state_dict()
+    assert (driven.steps_executed, driven.ff_jumps) == (oracle.steps_executed, oracle.ff_jumps)
+
+
+class _Boom(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class _RecorderParams:
+    # New lines returned after a demand miss: more than the MSHR file holds.
+    miss_burst: int = 12
+    # ("access" | "hit" | "fill", n): the n-th demand access, on-path hit
+    # or fill callback raises _Boom, itself or (how="signal") from a SIGUSR1
+    # handler running inside it.
+    raise_on: tuple = ()
+    how: str = "raise"
+
+
+class _Recorder(InstructionPrefetcher):
+    """Logs every callback; returns new, cached and in-flight lines.
+
+    Each demand access returns a generator, so the log also shows how far
+    the simulator consumed it: the demanded line itself (cached after a
+    hit, in flight after a miss), the recently demanded lines (mostly
+    cached), then a burst of new sequential lines -- after a miss, more
+    than the MSHR file holds, so the full-MSHR stop leaves it unfinished.
+    Fills are predecoded through the BTB hooks, shadow-btb style.
+    """
+
+    name = "recorder"
+
+    def __init__(self, params: _RecorderParams, hooks) -> None:
+        self.params = params
+        self.hooks = hooks
+        self.log: list[tuple] = []
+        self.calls = {"access": 0, "hit": 0, "fill": 0}
+        self.raised: BaseException | None = None
+        self._recent: deque[int] = deque(maxlen=4)
+
+    def _called(self, kind: str) -> None:
+        self.calls[kind] += 1
+        if self.params.raise_on != (kind, self.calls[kind]):
+            return
+        try:
+            if self.params.how == "signal":
+                signal.raise_signal(signal.SIGUSR1)  # its handler raises _Boom
+            raise _Boom(f"{kind} call {self.calls[kind]}")
+        except _Boom as exc:
+            self.raised = exc
+            raise
+
+    def on_demand_access(self, line_addr, hit, on_path):
+        self.log.append(("access", line_addr, hit, on_path))
+        self._called("access")
+        if hit and on_path:
+            self._called("hit")
+        recent = list(self._recent)
+        self._recent.append(line_addr)
+        return self._lines(line_addr, recent, 2 if hit else self.params.miss_burst)
+
+    def _lines(self, line_addr, recent, burst):
+        yield line_addr
+        yield from recent
+        self.log.append(("burst", burst))
+        for k in range(1, burst + 1):
+            self.log.append(("yield", k))
+            yield line_addr + 64 * k
+
+    def on_line_filled(self, line_addr):
+        self.log.append(("fill", line_addr))
+        self._called("fill")
+        program = self.hooks.program
+        if not program.code_start <= line_addr < program.code_end:
+            return
+        branch = program.block_at(line_addr).branch
+        if branch is None or branch.kind.is_indirect:
+            return
+        known = self.hooks.btb_contains(branch.pc)
+        self.log.append(("btb", branch.pc, known))
+        if not known:
+            target = 0 if branch.kind == BranchKind.RET else branch.target
+            self.hooks.btb_fill(branch.pc, branch.kind, target)
+
+
+@pytest.fixture
+def recorder():
+    registry.register(
+        registry.Technique(
+            name="recorder",
+            summary="test-only: logs the driver's callbacks",
+            params_cls=_RecorderParams,
+            build=lambda params, program, hooks: _Recorder(params, hooks),
+            capabilities=registry.Capabilities(hooks_btb=True, observes_fills=True),
+        )
+    )
+    yield
+    registry.unregister("recorder")
+
+
+def _recorder_config(**params) -> SimConfig:
+    # A 6-entry L1I MSHR file: a miss's burst reaches the full stop.
+    config = baseline_config(N).with_prefetcher("recorder", _RecorderParams(**params))
+    l1i = dataclasses.replace(config.memory.l1i, mshr_entries=6)
+    return config.replace(memory=dataclasses.replace(config.memory, l1i=l1i))
+
+
+def _observed(sim: Simulator) -> tuple:
+    return _state(sim), list(sim.prefetcher.log)
+
+
+def _both(run, config) -> tuple:
+    """``(sim, run(sim))`` for a driven and an object-path simulator on gcc."""
+    out = []
+    for compiled in (True, False):
+        before = _driver_calls()
+        sim = build_simulator("gcc", config, compiled=compiled)
+        out.append((sim, run(sim)))
+        if compiled and cc.compiled_enabled():
+            assert _driver_calls() - before >= 1
+            assert sim.driver_demand_callbacks == sim.prefetcher.calls["access"]
+            assert sim.driver_fill_callbacks == sim.prefetcher.calls["fill"]
+    return tuple(out)
+
+
+def test_recorder_sees_the_same_calls_at_the_retire_target(recorder):
+    (driven, _), (oracle, _) = _both(lambda sim: sim.run(), _recorder_config())
+    assert _observed(driven) == _observed(oracle)
+    log = oracle.prefetcher.log
+    # Not vacuous: hits and misses, on and off path, BTB probes both ways,
+    # and miss bursts the full-MSHR stop cut short.
+    accesses = {entry[2:] for entry in log if entry[0] == "access"}
+    assert accesses == {(h, p) for h in (True, False) for p in (True, False)}
+    assert {entry[2] for entry in log if entry[0] == "btb"} == {True, False}
+    bursts = []
+    for entry in log:
+        if entry[0] == "burst":
+            bursts.append([entry[1], 0])
+        elif entry[0] == "yield":
+            bursts[-1][1] += 1
+    assert any(consumed < length == 12 for length, consumed in bursts)
+    assert any(consumed == length == 2 for length, consumed in bursts)
+    counters = oracle.measured_counters()
+    assert counters["prefetches_emitted"] > 0 and counters["icache_mshr_full_stalls"] > 0
+    if cc.compiled_enabled():
+        assert driven.driver_demand_callbacks > 0 and driven.driver_fill_callbacks > 0
+
+
+def test_recorder_matches_at_the_timed_warmup_stop(recorder):
+    config = _recorder_config().replace(warmup_instructions=1_500)
+
+    def run(sim):
+        at_stop = []
+        simulate = sim._simulate
+
+        def capturing(target, warmup_target, end_warmup):
+            def end():
+                end_warmup()
+                at_stop.append(_observed(sim))
+
+            simulate(target, warmup_target, end)
+
+        sim._simulate = capturing
+        sim.run()
+        return at_stop
+
+    (driven, driven_stop), (oracle, oracle_stop) = _both(run, config)
+    assert len(driven_stop) == 1 and driven_stop == oracle_stop
+    assert driven._warmup_cycle == oracle._warmup_cycle > 0
+    assert _observed(driven) == _observed(oracle)
+
+
+def test_recorder_matches_across_run_intervals(recorder):
+    config = _recorder_config()
+
+    def run(sim):
+        sim.functional_warmup(config.functional_warmup_blocks)
+        sim.fast_forward_to(sim.oracle.instrs_walked + 2_000)
+        sim.run_interval(500, detailed_warmup=300)
+        first = _observed(sim)
+        sim.run_interval(400)
+        return first
+
+    (driven, first), (oracle, oracle_first) = _both(run, config)
+    assert first == oracle_first
+    assert driven._warmup_cycle == oracle._warmup_cycle > 0
+    assert _observed(driven) == _observed(oracle)
+
+
+def test_recorder_matches_at_the_cycle_limit(recorder):
+    config = _recorder_config().replace(max_cycles=3_000)
+
+    def run(sim):
+        with pytest.raises(SimulationError, match="cycle limit 3000 hit"):
+            sim.run()
+
+    (driven, _), (oracle, _) = _both(run, config)
+    assert driven.cycle == 3_000
+    assert _observed(driven) == _observed(oracle)
+
+
+def _raise_boom(signum, frame):
+    raise _Boom("from the SIGUSR1 handler")
+
+
+def _first_prefetch_consuming_hit() -> int:
+    """Which on-path hit (1-based) first consumes a prefetch, on the object path."""
+    sim = build_simulator("gcc", _recorder_config(), compiled=False)
+    hits = []
+    useful = sim._prefetch_useful
+
+    def spy(off_path, timely):
+        if timely:
+            hits.append(sim.prefetcher.calls["hit"] + 1)
+        useful(off_path, timely)
+
+    sim._prefetch_useful = spy
+    sim.run()
+    return hits[0]
+
+
+# Raising on the first on-path hit that consumes a prefetch shows the call
+# follows the useful-prefetch accounting; raising on a fill, that it
+# follows the install, the eviction accounting and l1i_fills.
+@pytest.mark.parametrize("how", ["raise", "signal"])
+@pytest.mark.parametrize(
+    "callback,nth", [("access", 1), ("access", 40), ("hit", None), ("fill", 25)]
+)
+def test_a_raising_callback_ends_the_run_with_its_exception(recorder, callback, nth, how):
+    if nth is None:
+        nth = _first_prefetch_consuming_hit()
+
+    def run(sim):
+        with pytest.raises(_Boom) as info:
+            sim.run()
+        assert info.value is sim.prefetcher.raised
+        assert sim.prefetcher.calls[callback] == nth
+        # No call after the raising one.
+        assert sim.prefetcher.log[-1][0] == ("fill" if callback == "fill" else "access")
+
+    previous = signal.signal(signal.SIGUSR1, _raise_boom)
+    try:
+        (driven, _), (oracle, _) = _both(run, _recorder_config(raise_on=(callback, nth), how=how))
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+    # The write-back ran: the driven view is the oracle's at the raise.
+    assert _observed(driven) == _observed(oracle)
+
+
+# Lines no technique may return: a non-int, negative (-1 marks free ways
+# and MSHR slots in C), unaligned (a way no demand access ever hits), or
+# beyond 64 bits.
+BAD_LINES = [-64, -1, 96, "4096", 4096.0, True, 1 << 64]
+
+
+@dataclass(frozen=True)
+class _BadParams:
+    line: object = -64
+
+
+class _BadLine(InstructionPrefetcher):
+    name = "bad-line"
+
+    def __init__(self, line) -> None:
+        self.line = line
+
+    def on_demand_access(self, line_addr, hit, on_path):
+        return [line_addr + 64, self.line]
+
+
+@pytest.fixture
+def bad_line_technique():
+    registry.register(
+        registry.Technique(
+            name="bad-line",
+            summary="test-only: returns an invalid prefetch line",
+            params_cls=_BadParams,
+            build=lambda params, program, hooks: _BadLine(params.line),
+        )
+    )
+    yield
+    registry.unregister("bad-line")
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "object"])
+@pytest.mark.parametrize("line", BAD_LINES, ids=repr)
+def test_an_invalid_prefetch_line_is_an_error(bad_line_technique, line, compiled):
+    config = baseline_config(N).with_prefetcher("bad-line", _BadParams(line))
+    sim = build_simulator("gcc", config, compiled=compiled)
+    with pytest.raises(SimulationError) as info:
+        sim.run()
+    message = str(info.value)
+    assert "'bad-line'" in message and repr(line) in message
+    assert "64-byte-aligned" in message

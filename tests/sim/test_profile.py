@@ -44,3 +44,21 @@ def test_profile_stage_breakdown_covers_step():
     }
     assert report.step_overhead_seconds >= 0.0
     assert report.as_dict()["ff_jumps"] == report.ff_jumps
+
+
+def test_profile_attributes_technique_callbacks_under_the_driver():
+    from repro.common import cc
+    from repro.sim.presets import mana_config
+
+    report = profile_run("gcc", mana_config(max_instructions=3_000), config_name="mana")
+    hooks = {hook.name: hook for hook in report.hooks}
+    assert hooks["on_demand_access"].calls > 0
+    text = format_report(report)
+    if not cc.compiled_enabled():
+        assert report.driver_demand_callbacks == 0
+        assert "nested inside the stages above" in text
+        return
+    assert report.gates["driver"] and "driver=on" in text
+    assert hooks["on_demand_access"].calls == report.driver_demand_callbacks
+    assert "called from the compiled cycle driver" in text
+    assert f"driver callbacks: {report.driver_demand_callbacks} on_demand_access" in text
