@@ -15,6 +15,12 @@
  * static helpers the per-call wrappers use: every kernel file is
  * #included into one translation unit (common/cc.py).
  *
+ * A second entry point, functional_walk, ports Simulator._walk_true_path:
+ * the functional warmup and the (warming) fast-forward, with no timing.
+ * It walks the oracle over the same program tables and structures, on a
+ * descriptor of its own that sim/driver.py writes back when it returns, so
+ * a walk never ties the cycles after it to the driver.
+ *
  * State split: the structures above keep living in their descriptors, so
  * Python reads them as before.  The pipeline state Python never needs to
  * see -- the FTQ ring (plain entries with separate head/length, after the
@@ -431,6 +437,22 @@ static inline int64_t hist_low_bits(Driver *d) {
 
 static inline int64_t ibtb_mixed(Driver *d, int64_t pc) {
     return (pc >> 2) ^ (hist_low_bits(d) * 0x9E37);
+}
+
+/* TagePredictorC.update with the prediction the last tage_predict_impl
+ * left in the descriptor. */
+static void tage_train(TageDesc *t, int64_t pc, int64_t taken) {
+    tage_update_impl(t, pc, taken, t->out_taken, t->out_provider,
+                     t->out_provider_index, t->out_alt_taken,
+                     t->out_alt_provider, t->out_alt_index,
+                     t->out_newly_allocated, t->idx_scratch, t->tag_scratch);
+}
+
+/* BranchPredictionUnit.train_indirect */
+static void train_indirect(Driver *d, int64_t pc, int64_t kind, int64_t target) {
+    int64_t mixed = ibtb_mixed(d, pc);
+    ibtb_train_impl(d->ibtb, mixed % d->ibtb->num_sets, mixed, target);
+    btb_fill_impl(d->btb, pc, kind, target);
 }
 
 static inline int64_t hist_image_words(Driver *d) {
@@ -876,18 +898,10 @@ static int64_t shadow_oracle(Driver *d, int64_t b, const Prediction *p, int64_t 
     int64_t diverges = walker_next != true_next;
 
     if (p->detected && kind == K_COND && p->tage) {
-        TageDesc *t = d->tage;
-        if (t->out_taken != taken) d->counters[DC_bpu_cond_mispredicts]++;
-        tage_update_impl(t, pc, taken, t->out_taken, t->out_provider,
-                         t->out_provider_index, t->out_alt_taken,
-                         t->out_alt_provider, t->out_alt_index,
-                         t->out_newly_allocated, t->idx_scratch, t->tag_scratch);
+        if (d->tage->out_taken != taken) d->counters[DC_bpu_cond_mispredicts]++;
+        tage_train(d->tage, pc, taken);
     }
-    if (IS_INDIRECT(kind)) {
-        int64_t mixed = ibtb_mixed(d, pc);
-        ibtb_train_impl(d->ibtb, mixed % d->ibtb->num_sets, mixed, true_next);
-        btb_fill_impl(d->btb, pc, kind, true_next);
-    }
+    if (IS_INDIRECT(kind)) train_indirect(d, pc, kind, true_next);
 
     int64_t slot = -1;
     if (diverges) {
@@ -1059,6 +1073,16 @@ static void do_resteer(Driver *d, int64_t slot, int64_t squash_seq) {
 
 /* ---- fills (Simulator._process_fills) ---- */
 
+/* Simulator._on_l1i_eviction for the victim of the last L1I install. */
+static void l1i_evicted(Driver *d) {
+    CacheDesc *c = d->l1i;
+    if (c->evict_addr < 0 || !(c->evict_flags & FLAG_PREFETCH)) return;
+    d->counters[DC_prefetch_useless]++;
+    d->counters[(c->evict_flags & FLAG_OFF_PATH) ? DC_prefetch_useless_off_path
+                                                 : DC_prefetch_useless_on_path]++;
+    udp_outcome(d, 0);
+}
+
 static void process_fills(Driver *d, int64_t cycle) {
     while (d->mshr_count > 0) {
         /* pop in (ready_cycle, line_addr) order, like the MSHR ready heap */
@@ -1076,14 +1100,7 @@ static void process_fills(Driver *d, int64_t cycle) {
         int64_t flags = (keep_prefetch ? FLAG_PREFETCH : 0) | (best->off_path ? FLAG_OFF_PATH : 0)
                         | (best->udp_candidate ? FLAG_UDP : 0);
         cache_install_impl(d->l1i, best->line_addr, flags);
-        CacheDesc *c = d->l1i;
-        if (c->evict_addr >= 0 && (c->evict_flags & FLAG_PREFETCH)) {
-            /* Simulator._on_l1i_eviction */
-            d->counters[DC_prefetch_useless]++;
-            d->counters[(c->evict_flags & FLAG_OFF_PATH) ? DC_prefetch_useless_off_path
-                                                         : DC_prefetch_useless_on_path]++;
-            udp_outcome(d, 0);
-        }
+        l1i_evicted(d);
         d->counters[DC_l1i_fills]++;
         int64_t line_addr = best->line_addr;
         best->line_addr = -1;
@@ -1100,6 +1117,26 @@ static void replay_fill_counts(Driver *d) {
     d->counters[DC_llc_data_hits] += h->n_llc_data;
     d->counters[DC_dram_data_fills] += h->n_dram_data;
     d->counters[DC_stream_prefetches] += h->n_stream_pf;
+}
+
+/* MemoryHierarchyC.load_latency, its counters included. */
+static int64_t data_load(Driver *d, int64_t addr) {
+    int64_t latency = hier_load_impl(d->hier, addr);
+    d->counters[DC_l1d_accesses]++;
+    if (d->hier->n_l1d_hit) {
+        d->counters[DC_l1d_hits]++;
+    } else {
+        d->counters[DC_l1d_misses]++;
+        replay_fill_counts(d);
+    }
+    return latency;
+}
+
+/* MemoryHierarchyC.store_access, its counters included. */
+static void data_store(Driver *d, int64_t addr) {
+    hier_store_impl(d->hier, addr);
+    d->counters[DC_l1d_stores]++;
+    if (!d->hier->n_l1d_hit) replay_fill_counts(d);
 }
 
 static void retire_and_issue(Driver *d, int64_t cycle) {
@@ -1119,18 +1156,9 @@ static void retire_and_issue(Driver *d, int64_t cycle) {
     for (int64_t i = 0; i < n_mem; i++) {
         int64_t slot = be->out_mem[2 * i] & be->cap_mask;
         if (be->out_mem[2 * i + 1]) {
-            hier_store_impl(d->hier, be->addr[slot]);
-            d->counters[DC_l1d_stores]++;
-            if (!d->hier->n_l1d_hit) replay_fill_counts(d);
+            data_store(d, be->addr[slot]);
         } else {
-            be->complete_cycle[slot] = cycle + hier_load_impl(d->hier, be->addr[slot]);
-            d->counters[DC_l1d_accesses]++;
-            if (d->hier->n_l1d_hit) {
-                d->counters[DC_l1d_hits]++;
-            } else {
-                d->counters[DC_l1d_misses]++;
-                replay_fill_counts(d);
-            }
+            be->complete_cycle[slot] = cycle + data_load(d, be->addr[slot]);
         }
     }
 }
@@ -1481,6 +1509,129 @@ static PyObject *k_run_cycles(PyObject *self, PyObject *const *args, Py_ssize_t 
     return PyLong_FromLongLong(status);
 }
 
+/* ---- the functional walk (Simulator._walk_true_path) ---- */
+
+#define WALK_WARM 1         /* replay the walked blocks' loads and stores */
+#define WALK_FIRST_TOUCH 2  /* dedupe useful-set inserts per call, not by membership */
+
+/* Simulator._useful_set_holds: the coalescing buffer, then the 4/2/1
+ * filters (or the exact set), without bumping any hit counter. */
+static int useful_holds(Driver *d, int64_t line) {
+    UdpState *u = d->udp;
+    if (u->infinite) {
+        uint8_t *slot = exact_slot(d, line);
+        return slot != NULL && *slot;
+    }
+    if (fifo_find(u->coal, u->coal_len, line) >= 0) return 1;
+    for (int k = 2; k >= 0; k--) {
+        if (bloom_contains(&u->bloom[k], u->num_hashes, line & ~((64LL << k) - 1))) return 1;
+    }
+    return 0;
+}
+
+/* Simulator._train_functional_branch for the branch ending block `b`. */
+static void train_branch(Driver *d, int64_t b, int64_t taken, int64_t next_pc) {
+    const ProgTables *P = d->prog;
+    int64_t pc = block_end(P, b) - 4;
+    int64_t kind = P->kind[b];
+    if (kind == K_COND) {
+        tage_predict_impl(d->tage, pc);
+        tage_train(d->tage, pc, taken);
+        hist_push_into(d->hist, d->hist->words, d->hist->folded, taken);
+        btb_fill_impl(d->btb, pc, kind, P->target[b]);
+    } else if (IS_INDIRECT(kind)) {
+        train_indirect(d, pc, kind, next_pc);
+    } else {
+        btb_fill_impl(d->btb, pc, kind, kind == K_RET ? 0 : P->target[b]);
+    }
+}
+
+/* The warm data replay: block `b`'s loads and stores in op order, their
+ * addresses drawn from the generator the measured region continues. */
+static void replay_data(Driver *d, int64_t b) {
+    const ProgTables *P = d->prog;
+    const uint8_t *ops = (const uint8_t *)(uintptr_t)P->ops[b];
+    if (ops == NULL) return;
+    int64_t pc = P->addr[b];
+    for (int64_t i = 0; i < P->ninstr[b]; i++, pc += 4) {
+        if (ops[i] == OPC_LOAD) {
+            data_load(d, data_next_impl(d->be->data, pc));
+        } else if (ops[i] == OPC_STORE) {
+            data_store(d, data_next_impl(d->be->data, pc));
+        }
+    }
+}
+
+/* functional_walk(driver, max_blocks, target, flags): walk the true path
+ * until `max_blocks` blocks are walked or the walked instruction count
+ * reaches `target` at a block boundary.  Per block: every line through
+ * the L1I (contains -> miss path -> install) and into the useful-set
+ * unless already there, the warm data replay, then the branch training
+ * and the oracle advance.  Returns 0, or negative on an internal error
+ * (ERR_ORACLE_SYNC: the oracle pc is not a block start); a signal
+ * handler that raises ends the walk between blocks with its exception.
+ * The state walked so far is in the structures either way. */
+static PyObject *k_functional_walk(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    repro_kernel_calls[KC_FUNCTIONAL_WALK]++;
+    Driver *d = (Driver *)arg_ptr(args, 0);
+    int64_t max_blocks = arg_i64(args, 1);
+    int64_t target = arg_i64(args, 2);
+    int64_t flags = arg_i64(args, 3);
+    if (PyErr_Occurred()) return NULL;
+    const ProgTables *P = d->prog;
+    UdpState *u = d->udp;
+    uint8_t *first_touch = NULL;  /* this call's inserted lines, per code line */
+    if (u != NULL && (flags & WALK_FIRST_TOUCH)) {
+        first_touch = PyMem_Calloc((size_t)u->exact_n, 1);
+        if (first_touch == NULL) return PyErr_NoMemory();
+    }
+    d->error = 0;
+    for (int64_t walked = 0; walked < max_blocks && d->instrs_walked < target; walked++) {
+        if ((walked & 4095) == 4095 && PyErr_CheckSignals() < 0) {
+            PyMem_Free(first_touch);
+            return NULL;
+        }
+        int64_t pc = d->oracle_pc;
+        int64_t b = block_at(P, wrap_pc(P, pc));
+        if (P->addr[b] != pc) {
+            d->error = ERR_ORACLE_SYNC;
+            d->error_pc = pc;
+            break;
+        }
+        int64_t end = block_end(P, b);
+        for (int64_t line = P->addr[b] & LINE_MASK; line < end && !d->error; line += 64) {
+            int64_t base;
+            if (cache_find(d->l1i, line, &base) < 0) imiss(d, line, -1);  /* fills L2/LLC */
+            cache_install_impl(d->l1i, line, 0);
+            l1i_evicted(d);
+            if (u == NULL) continue;
+            if (first_touch != NULL) {
+                uint8_t *seen = &first_touch[(line - u->exact_base) >> 6];
+                if (*seen) continue;
+                *seen = 1;
+            } else if (useful_holds(d, line)) {
+                continue;
+            }
+            useful_insert(d, line);
+        }
+        if (d->error) break;
+        if (flags & WALK_WARM) replay_data(d, b);
+        if (P->kind[b] < 0) {
+            d->oracle_pc = end;
+            d->blocks_walked++;
+            d->instrs_walked += P->ninstr[b];
+            continue;
+        }
+        int64_t taken;
+        int64_t next_pc = oracle_truth(d, b, &taken);
+        train_branch(d, b, taken, next_pc);
+        oracle_advance(d, b, next_pc);
+    }
+    PyMem_Free(first_touch);
+    return PyLong_FromLongLong(d->error);
+}
+
 /* Field offsets (in int64 words) of the descriptors Python fills in. */
 #define FIELD(type, name) {#name, offsetof(type, name) / 8},
 typedef struct { const char *name; size_t word; } FieldInfo;
@@ -1623,6 +1774,7 @@ static PyObject *k_bytes_addresses(PyObject *self, PyObject *const *args, Py_ssi
 
 PyMethodDef repro_driver_methods[] = {
     {"run_cycles", (PyCFunction)(void *)k_run_cycles, METH_FASTCALL, NULL},
+    {"functional_walk", (PyCFunction)(void *)k_functional_walk, METH_FASTCALL, NULL},
     {"driver_layout", k_driver_layout, METH_NOARGS, NULL},
     {"bytes_addresses", (PyCFunction)(void *)k_bytes_addresses, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},

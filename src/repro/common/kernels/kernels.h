@@ -233,6 +233,7 @@ enum {
     KC_BE_CAN_DISPATCH,
     KC_DATA_NEXT,
     KC_RUN_CYCLES,
+    KC_FUNCTIONAL_WALK,
     KC_COUNT
 };
 

@@ -29,6 +29,7 @@ static const char *const KC_NAMES[KC_COUNT] = {
     "be_can_dispatch",
     "data_next",
     "run_cycles",
+    "functional_walk",
 };
 
 static PyObject *k_call_counts(PyObject *self, PyObject *args) {

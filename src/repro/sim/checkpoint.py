@@ -1,9 +1,13 @@
 """Functional-warmup checkpointing: snapshot and restore warmed state.
 
 Every run in a sweep replays the identical functional warmup — 12k oracle
-blocks of BTB/TAGE/iBTB/cache training — before its first measured cycle,
-and for short measured regions that warmup dominates wall-clock.  This
-module makes warmup a cacheable artifact:
+blocks of BTB/TAGE/iBTB/cache training — before its first measured cycle.
+Where that walk runs in C (every configuration the compiled cycle driver
+runs, see ``Simulator._walk_true_path``), restoring a checkpoint costs
+about what the walk costs; what a checkpoint saves is the Python walk of
+the object path and of the configurations that keep it, 0.07-0.5 s per
+warmup (docs/performance.md, "What checkpoints still buy").  This module
+makes warmup a cacheable artifact:
 
 * :func:`capture_warmup` serializes everything ``Simulator.functional_warmup``
   and a (possibly warming) ``fast_forward_to`` mutate — the oracle walk

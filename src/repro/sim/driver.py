@@ -1,4 +1,4 @@
-"""The compiled cycle driver: eligibility and the Python side of run_cycles.
+"""The compiled cycle driver: eligibility and the Python side of its C calls.
 
 :class:`CycleDriver` runs :meth:`Simulator.step`'s whole loop in one C
 call (``run_cycles`` in ``repro/common/kernels/driver.c``) and returns to
@@ -24,6 +24,14 @@ stepper: over the C structures in compiled mode (also under
 ``REPRO_NO_FASTFORWARD`` or a counter hook), over the object structures
 under ``REPRO_NO_COMPILED``.  The object path is the oracle, and counters
 are byte-identical either way (``tests/sim/test_driver.py``).
+
+The same eligibility rule runs the functional walk in C:
+:func:`functional_walk` is :meth:`Simulator._walk_true_path` (the
+functional warmup and the fast-forward, warming or not) as one call of
+``functional_walk`` over a descriptor of its own.  Everything the walk
+moved -- counters, the oracle position, UDP's useful-set -- is written back
+before it returns, and nothing stays in C, so the cycles after a walk still
+choose between the driver and the Python stepper on their own.
 """
 
 from __future__ import annotations
@@ -44,14 +52,18 @@ if TYPE_CHECKING:
 
 # run_cycles status codes (kernels/driver.c).
 DONE, STOP, LIMIT = 0, 1, 2
+_ERR_ORACLE_SYNC = -1
 _ERRORS = {
     -1: "oracle out of sync with the walker",
     -2: "too many divergences in flight",
     -3: "a resolving branch has no pending resteer",
     -4: "a useful-set line outside the code region",
 }
-# A retire count no run reaches: "no warmup boundary to stop at".
+# A retire count no run reaches: "no warmup boundary to stop at" (and
+# for the functional walk, "no block or instruction limit").
 NEVER = 1 << 62
+# functional_walk flags (kernels/driver.c).
+_WALK_WARM, _WALK_FIRST_TOUCH = 1, 2
 
 
 def ineligibility(sim: "Simulator") -> str | None:
@@ -79,7 +91,132 @@ def ineligibility(sim: "Simulator") -> str | None:
     return None
 
 
-class CycleDriver:
+class _Machine:
+    """A ``Driver`` descriptor over one simulator's structures and oracle.
+
+    The part both C entry points share: the BTB/iBTB/TAGE/history, L1I,
+    hierarchy and backend descriptors (used in place), the program tables,
+    the oracle position (pc, walked counts, call stack, occurrence counts),
+    UDP's state and the counter deltas.  Imported from the Python objects,
+    so only consistent on a clean machine; :meth:`_sync` writes the
+    imported part back.
+    """
+
+    def __init__(self, sim: "Simulator", layout: dict, values: dict) -> None:
+        import numpy as np
+
+        tables = program_tables(sim.program)
+        bpu = sim.bpu
+        oracle = sim.oracle
+        self._tables = tables
+        self._counter_names = layout["counters"]
+        self._counters = _zeros(len(self._counter_names))
+        # Per-block state as one allocation (occurrences, touched list, flags).
+        self._occ, self._touched, self._touched_flag = np.zeros(
+            (3, tables.num_blocks), dtype=np.int64
+        )
+        self._call_stack = _zeros(oracle.max_stack)
+        self._udp = _UDPState(sim, layout) if sim.udp is not None else None
+
+        desc = np.zeros(layout["driver_words"], dtype=np.int64)
+        values = {
+            **values,
+            "max_stack": oracle.max_stack,
+            "ibtb_hist_bits": bpu.ibtb.history_bits,
+            "btb": bpu.btb._desc,
+            "ibtb": bpu.ibtb._desc,
+            "tage": bpu.tage._desc,
+            "hist": bpu.history._desc,
+            "l1i": sim.l1i._desc,
+            "hier": sim.hierarchy._hdesc,
+            "be": sim.backend._bdesc,
+            "prog": tables.desc,
+            "udp": self._udp.desc if self._udp is not None else 0,
+            "counters": self._counters.ctypes.data,
+            "occ": self._occ.ctypes.data,
+            "touched": self._touched.ctypes.data,
+            "touched_flag": self._touched_flag.ctypes.data,
+            "call_stack": self._call_stack.ctypes.data,
+            "oracle_pc": oracle.pc,
+            "blocks_walked": oracle.blocks_walked,
+            "instrs_walked": oracle.instrs_walked,
+            "cs_len": len(oracle.call_stack),
+        }
+        fields = layout["driver_fields"]
+        for name, value in values.items():
+            desc[fields[name]] = value
+        self._call_stack[: len(oracle.call_stack)] = oracle.call_stack
+        occurrences = oracle._occurrences
+        if occurrences:
+            pcs = np.fromiter(occurrences.keys(), dtype=np.int64, count=len(occurrences))
+            counts = np.fromiter(occurrences.values(), dtype=np.int64, count=len(occurrences))
+            self._occ[tables.block_index(pcs)] = counts
+        self._dmv = memoryview(desc)  # keeps the descriptor array alive
+        self._fields = fields
+        self._desc = int(desc.ctypes.data)
+
+    def _sync(self, sim: "Simulator") -> None:
+        """Write the counters, the oracle and UDP back into the Python objects."""
+        import numpy as np
+
+        d = self._dmv
+        f = self._fields
+        counts = self._counters
+        (nonzero,) = np.nonzero(counts)
+        if len(nonzero):
+            values = sim.counters._values
+            names = self._counter_names
+            for index, amount in zip(nonzero.tolist(), counts[nonzero].tolist()):
+                name = names[index]
+                values[name] = values.get(name, 0) + amount
+            counts[:] = 0
+        oracle = sim.oracle
+        oracle.pc = d[f["oracle_pc"]]
+        oracle.blocks_walked = d[f["blocks_walked"]]
+        oracle.instrs_walked = d[f["instrs_walked"]]
+        oracle.call_stack[:] = self._call_stack[: d[f["cs_len"]]].tolist()
+        n_touched = d[f["n_touched"]]
+        if n_touched:
+            touched = self._touched[:n_touched]
+            oracle._occurrences.update(
+                zip(self._tables.branch_pc[touched].tolist(), self._occ[touched].tolist())
+            )
+            self._touched_flag[touched] = 0
+            d[f["n_touched"]] = 0
+        if self._udp is not None:
+            self._udp.sync(sim.udp)
+
+
+def _zeros(count: int):
+    import numpy as np
+
+    return np.zeros(max(count, 1), dtype=np.int64)
+
+
+def functional_walk(
+    sim: "Simulator", max_blocks: int, target: int, first_touch: bool, warm: bool
+) -> None:
+    """Run :meth:`Simulator._walk_true_path`'s loop as one C call.
+
+    ``functional_walk`` in ``driver.c`` walks over a fresh descriptor, and
+    everything it moved is written back before this returns, even when a
+    signal handler raises mid-walk, so the walk leaves no state in C: a
+    later run picks the cycle driver or the Python stepper afresh.
+    """
+    kernels = cc.kernels()
+    machine = _Machine(sim, kernels.driver_layout(), {})
+    flags = (_WALK_WARM if warm else 0) | (_WALK_FIRST_TOUCH if first_touch else 0)
+    try:
+        status = kernels.functional_walk(machine._desc, max_blocks, target, flags)
+    finally:
+        machine._sync(sim)
+    if status == _ERR_ORACLE_SYNC:
+        sim.oracle.current_block()  # raises the Python walk's own error
+    if status < 0:
+        raise SimulationError(f"functional walk: {_ERRORS.get(status, status)}")
+
+
+class CycleDriver(_Machine):
     """One simulator's compiled cycle loop (built on a clean machine).
 
     Construction imports the Python-side state the loop mutates -- the
@@ -98,41 +235,24 @@ class CycleDriver:
     """
 
     def __init__(self, sim: "Simulator") -> None:
-        import numpy as np
-
         if sim.cycle != 0:
             raise SimulationError("the cycle driver must start on a clean machine")
         kernels = cc.kernels()
         layout = kernels.driver_layout()
-        fields = layout["driver_fields"]
-        tables = program_tables(sim.program)
         config = sim.config
         bpu = sim.bpu
         history = bpu.history
-        oracle = sim.oracle
-
-        def zeros(count, dtype=np.int64):
-            return np.zeros(max(count, 1), dtype=dtype)
 
         sim.l1i.eviction_hook = None
-        self._tables = tables
-        self._counter_names = layout["counters"]
-        self._counters = zeros(len(self._counter_names))
-        # Per-block state as one allocation (occurrences, touched list, flags).
-        self._occ, self._touched, self._touched_flag = np.zeros(
-            (3, tables.num_blocks), dtype=np.int64
-        )
-        self._call_stack = zeros(oracle.max_stack)
-        self._ras = zeros(bpu.ras.capacity)
+        self._ras = _zeros(bpu.ras.capacity)
         ftq_cap = sim.ftq.max_physical
-        self._ftq = zeros(ftq_cap * layout["ftq_entry_words"])
+        self._ftq = _zeros(ftq_cap * layout["ftq_entry_words"])
         mshr_cap = sim.mshr.capacity
-        self._mshr = zeros(mshr_cap * layout["mshr_entry_words"])
+        self._mshr = _zeros(mshr_cap * layout["mshr_entry_words"])
         pool = layout["resteer_pool"]
-        self._resteers = zeros(pool * layout["resteer_words"])
+        self._resteers = _zeros(pool * layout["resteer_words"])
         hist_words = len(history._words)
-        self._resteer_hist = zeros(pool * (hist_words + len(history.folded)))
-        self._udp = _UDPState(sim, layout) if sim.udp is not None else None
+        self._resteer_hist = _zeros(pool * (hist_words + len(history.folded)))
         prefetcher = sim.prefetcher
         observer = sim._fill_observer
         self._callbacks = (
@@ -143,9 +263,7 @@ class CycleDriver:
         on_demand, on_fill, reject = (
             id(callback) if callback is not None else 0 for callback in self._callbacks
         )
-
-        desc = np.zeros(layout["driver_words"], dtype=np.int64)
-        values = {
+        super().__init__(sim, layout, {
             "width": config.core.frontend_width,
             "blocks_per_cycle": config.frontend.ftq_blocks_per_cycle,
             "fdip_lookups": config.frontend.fdip_lookups_per_cycle,
@@ -156,41 +274,21 @@ class CycleDriver:
             "mshr_cap": mshr_cap,
             "ftq_cap": ftq_cap,
             "ras_cap": bpu.ras.capacity,
-            "max_stack": oracle.max_stack,
-            "ibtb_hist_bits": bpu.ibtb.history_bits,
             "hist_words": hist_words,
-            "btb": bpu.btb._desc,
-            "ibtb": bpu.ibtb._desc,
-            "tage": bpu.tage._desc,
-            "hist": history._desc,
-            "l1i": sim.l1i._desc,
-            "hier": sim.hierarchy._hdesc,
-            "be": sim.backend._bdesc,
-            "prog": tables.desc,
-            "udp": self._udp.desc if self._udp is not None else 0,
             # CPython object addresses; self._callbacks keeps them alive.
             "on_demand": on_demand,
             "on_fill": on_fill,
             "reject": reject,
-            "counters": self._counters.ctypes.data,
-            "occ": self._occ.ctypes.data,
-            "touched": self._touched.ctypes.data,
-            "touched_flag": self._touched_flag.ctypes.data,
-            "call_stack": self._call_stack.ctypes.data,
             "ras": self._ras.ctypes.data,
             "ftq": self._ftq.ctypes.data,
             "mshr": self._mshr.ctypes.data,
             "resteers": self._resteers.ctypes.data,
             "resteer_hist": self._resteer_hist.ctypes.data,
-            # Imported state: the machine is clean, so only the oracle, the
-            # RAS and the frontend/FDIP/FTQ scalars carry anything.
+            # Imported state: the machine is clean, so beyond the oracle
+            # only the RAS and the frontend/FDIP/FTQ scalars carry anything.
             "ftq_depth": sim.ftq.depth,
             "occ_sum": sim.ftq.occupancy_sum,
             "occ_samples": sim.ftq.occupancy_samples,
-            "oracle_pc": oracle.pc,
-            "blocks_walked": oracle.blocks_walked,
-            "instrs_walked": oracle.instrs_walked,
-            "cs_len": len(oracle.call_stack),
             "spec_pc": sim.frontend.spec_pc,
             "next_seq": sim.frontend.next_seq,
             "next_scan_seq": sim.fdip.next_scan_seq,
@@ -202,19 +300,8 @@ class CycleDriver:
             "ff_skipped": sim.ff_cycles_skipped,
             "demand_calls": sim.driver_demand_callbacks,
             "fill_calls": sim.driver_fill_callbacks,
-        }
-        for name, value in values.items():
-            desc[fields[name]] = value
-        self._call_stack[: len(oracle.call_stack)] = oracle.call_stack
+        })
         self._ras[: len(bpu.ras)] = bpu.ras._stack
-        occurrences = oracle._occurrences
-        if occurrences:
-            pcs = np.fromiter(occurrences.keys(), dtype=np.int64, count=len(occurrences))
-            counts = np.fromiter(occurrences.values(), dtype=np.int64, count=len(occurrences))
-            self._occ[tables.block_index(pcs)] = counts
-        self._dmv = memoryview(desc)  # keeps the descriptor array alive
-        self._fields = fields
-        self._desc = int(desc.ctypes.data)
         self._k_run = kernels.run_cycles
 
     def run(self, sim: "Simulator", target: int, stop: int = NEVER) -> int:
@@ -237,19 +324,9 @@ class CycleDriver:
 
     def _sync(self, sim: "Simulator") -> None:
         """Write the observable state back into the Python objects."""
-        import numpy as np
-
+        super()._sync(sim)
         d = self._dmv
         f = self._fields
-        counts = self._counters
-        (nonzero,) = np.nonzero(counts)
-        if len(nonzero):
-            values = sim.counters._values
-            names = self._counter_names
-            for index, amount in zip(nonzero.tolist(), counts[nonzero].tolist()):
-                name = names[index]
-                values[name] = values.get(name, 0) + amount
-            counts[:] = 0
         sim.cycle = d[f["cycle"]]
         sim.steps_executed = d[f["steps"]]
         sim.ff_jumps = d[f["ff_jumps"]]
@@ -260,19 +337,6 @@ class CycleDriver:
         ftq.occupancy_sum = d[f["occ_sum"]]
         ftq.occupancy_samples = d[f["occ_samples"]]
         ftq.depth = d[f["ftq_depth"]]
-        oracle = sim.oracle
-        oracle.pc = d[f["oracle_pc"]]
-        oracle.blocks_walked = d[f["blocks_walked"]]
-        oracle.instrs_walked = d[f["instrs_walked"]]
-        oracle.call_stack[:] = self._call_stack[: d[f["cs_len"]]].tolist()
-        n_touched = d[f["n_touched"]]
-        if n_touched:
-            touched = self._touched[:n_touched]
-            oracle._occurrences.update(
-                zip(self._tables.branch_pc[touched].tolist(), self._occ[touched].tolist())
-            )
-            self._touched_flag[touched] = 0
-            d[f["n_touched"]] = 0
         frontend = sim.frontend
         frontend.spec_pc = d[f["spec_pc"]]
         frontend.next_seq = d[f["next_seq"]]
@@ -282,8 +346,6 @@ class CycleDriver:
         ras._stack = self._ras[: d[f["ras_len"]]].tolist()
         ras.overflows = d[f["ras_overflows"]]
         ras.underflows = d[f["ras_underflows"]]
-        if self._udp is not None:
-            self._udp.sync(sim.udp)
 
 
 class _UDPState:

@@ -40,6 +40,7 @@ from repro.memory.hierarchy import make_hierarchy
 from repro.memory.mshr import MSHRFile
 from repro.prefetchers.base import LINE_LIMIT, FrontendHooks, reject_prefetch_line
 from repro.prefetchers.registry import get_technique
+from repro.sim import driver
 from repro.workloads.data import DataAddressGenerator
 from repro.workloads.profiles import DataProfile
 from repro.workloads.program import OP_LOAD, OP_STORE, BranchKind, Program
@@ -210,45 +211,102 @@ class Simulator:
         Mirrors the paper's 50M-instruction warmup at trace speed: the oracle
         advances ``num_blocks`` basic blocks while the BTB, TAGE, the iBTB,
         the global history, and the cache hierarchy are trained exactly as a
-        correct-path execution would train them.  Must be called before
-        :meth:`run`; the measured region continues from the warmed program
+        correct-path execution would train them (:meth:`_walk_true_path`).
+        Must be called once, first: before :meth:`run`, and not after
+        another warmup, a checkpoint restore or :meth:`fast_forward_to`,
+        whose walked span and counters a second warmup would silently
+        overwrite.  The measured region continues from the warmed program
         state.
         """
-        if self.cycle != 0:
+        if self._warmed:
+            raise SimulationError(
+                "functional warmup must come first: this simulator is already "
+                "warmed (by a warmup, a checkpoint restore or a fast-forward)"
+            )
+        if self.cycle != 0 or self._driver is not None:
             raise SimulationError("functional warmup must precede run()")
         self._warmed = True
-        bpu = self.bpu
-        l1i = self.l1i
-        hierarchy = self.hierarchy
-        udp = self.udp
-        warmed_lines: set[int] = set()
-        for _ in range(num_blocks):
-            transition = self.oracle.transition()
-            block = transition.block
-            for line_addr in range(block.addr & ~63, block.end_addr, 64):
-                if not l1i.contains(line_addr):
-                    hierarchy.instruction_miss_latency(line_addr)  # fills L2/LLC
-                l1i.install(line_addr)
-                if udp is not None and line_addr not in warmed_lines:
-                    # Lines that execute on the true path are exactly what the
-                    # Seniority-FTQ would have promoted over a long warmup.
-                    warmed_lines.add(line_addr)
-                    udp.useful_set.insert(line_addr)
-            if transition.branch is not None:
-                self._train_functional_branch(transition)
-            self.oracle.advance(transition)
-        bpu.ras.repair(self.oracle.call_stack)
-        self.frontend.spec_pc = self.oracle.pc
+        self._walk_true_path(num_blocks, driver.NEVER, first_touch=True, warm=False)
         # Warmup traffic must not leak into measured statistics.
         self._warmup_baseline = self.counters.snapshot()
         self.counters.set("warmup_blocks", num_blocks)
         self.counters.set("warmup_instructions_functional", self.oracle.instrs_walked)
 
+    def _walk_true_path(
+        self, max_blocks: int, target_walked: int, first_touch: bool, warm: bool
+    ) -> None:
+        """The functional walk of :meth:`functional_warmup` and :meth:`fast_forward_to`.
+
+        Advances the oracle ``max_blocks`` basic blocks, or to the first
+        block boundary at or past ``target_walked`` true-path instructions,
+        whichever comes first, with no timing.  Per block, in order: every
+        line it spans goes through the L1I (a miss fills L2/LLC through the
+        instruction miss path, then the line is installed) and, with UDP,
+        into the useful-set; ``warm`` replays the block's loads and stores
+        through ``self.data_gen`` into the data hierarchy; the branch trains
+        the BPU (:meth:`_train_functional_branch`); the oracle advances.
+        Then the RAS is repaired from the true call stack and the walker
+        resumes at the oracle's pc.
+
+        The useful-set learns each line once.  ``first_touch`` dedupes
+        within this call (the functional warmup); otherwise a line is
+        skipped while :meth:`_useful_set_holds` it, a pure function of the
+        current state, so chained fast-forwards equal one direct jump.
+
+        Runs as one C call whenever the compiled cycle driver could run
+        this simulator (:func:`repro.sim.driver.functional_walk`, same
+        eligibility rule); this loop is the reference it ports, and the
+        object path's walk.
+        """
+        oracle = self.oracle
+        if driver.ineligibility(self) is None:
+            driver.functional_walk(self, max_blocks, target_walked, first_touch, warm)
+        else:
+            l1i = self.l1i
+            hierarchy = self.hierarchy
+            useful_set = self.udp.useful_set if self.udp is not None else None
+            inserted: set[int] | None = set() if first_touch else None
+            warm_gen = self.data_gen if warm else None
+            load_latency = hierarchy.load_latency
+            store_access = hierarchy.store_access
+            blocks = 0
+            while blocks < max_blocks and oracle.instrs_walked < target_walked:
+                transition = oracle.transition()
+                block = transition.block
+                for line_addr in range(block.addr & ~63, block.end_addr, 64):
+                    if not l1i.contains(line_addr):
+                        hierarchy.instruction_miss_latency(line_addr)  # fills L2/LLC
+                    l1i.install(line_addr)
+                    # Lines that execute on the true path are exactly what the
+                    # Seniority-FTQ would have promoted over a long warmup.
+                    if useful_set is None:
+                        continue
+                    if inserted is not None:
+                        if line_addr in inserted:
+                            continue
+                        inserted.add(line_addr)
+                    elif self._useful_set_holds(line_addr):
+                        continue
+                    useful_set.insert(line_addr)
+                if warm_gen is not None and block.ops:
+                    pc = block.addr
+                    for op in block.ops:
+                        if op == OP_LOAD:
+                            load_latency(warm_gen.next_address(pc))
+                        elif op == OP_STORE:
+                            store_access(warm_gen.next_address(pc))
+                        pc += INSTR_BYTES
+                if transition.branch is not None:
+                    self._train_functional_branch(transition)
+                oracle.advance(transition)
+                blocks += 1
+        self.bpu.ras.repair(oracle.call_stack)
+        self.frontend.spec_pc = oracle.pc
+
     def _train_functional_branch(self, transition) -> None:
         """Train the BPU with one true-path transition (no timing).
 
-        Shared between :meth:`functional_warmup` and :meth:`fast_forward_to`:
-        exactly what a correct-path execution would teach the predictors.
+        Exactly what a correct-path execution would teach the predictors.
         """
         bpu = self.bpu
         branch = transition.branch
@@ -294,12 +352,12 @@ class Simulator:
         """Functionally advance the oracle to ``target_walked`` instructions.
 
         ``target_walked`` is an *absolute* position in true-path instructions
-        (``oracle.instrs_walked``); the walk stops at the first basic-block
-        boundary at or past it, so chaining fast-forwards through
-        intermediate targets lands in exactly the same state as one direct
-        jump (interval checkpoints depend on this).  Training mirrors
-        :meth:`functional_warmup`; afterwards the warmup baseline is
-        re-snapshotted so the skipped span never leaks into measurement.
+        (``oracle.instrs_walked``); the walk (:meth:`_walk_true_path`) stops
+        at the first basic-block boundary at or past it, so chaining
+        fast-forwards through intermediate targets lands in exactly the same
+        state as one direct jump (interval checkpoints depend on this).
+        Afterwards the warmup baseline is re-snapshotted so the skipped span
+        never leaks into measurement.
 
         ``warm`` additionally replays the walked blocks' loads and stores
         through ``self.data_gen`` into the data hierarchy (L1D/L2/LLC and
@@ -319,7 +377,7 @@ class Simulator:
         degenerate one-interval sampling run stays byte-identical to a plain
         run.
         """
-        if self.cycle != 0:
+        if self.cycle != 0 or self._driver is not None:
             raise SimulationError("fast-forward must precede run()")
         oracle = self.oracle
         if self._warmed and oracle.instrs_walked >= target_walked:
@@ -330,37 +388,7 @@ class Simulator:
             )
         start_blocks = oracle.blocks_walked
         start_instrs = oracle.instrs_walked
-        bpu = self.bpu
-        l1i = self.l1i
-        hierarchy = self.hierarchy
-        udp = self.udp
-        warm_gen = self.data_gen if warm else None
-        load_latency = hierarchy.load_latency
-        store_access = hierarchy.store_access
-        while oracle.instrs_walked < target_walked:
-            transition = oracle.transition()
-            block = transition.block
-            for line_addr in range(block.addr & ~63, block.end_addr, 64):
-                if not l1i.contains(line_addr):
-                    hierarchy.instruction_miss_latency(line_addr)  # fills L2/LLC
-                l1i.install(line_addr)
-                if udp is not None and not self._useful_set_holds(line_addr):
-                    udp.useful_set.insert(line_addr)
-            if warm_gen is not None:
-                ops = block.ops
-                if ops:
-                    pc = block.addr
-                    for op in ops:
-                        if op == OP_LOAD:
-                            load_latency(warm_gen.next_address(pc))
-                        elif op == OP_STORE:
-                            store_access(warm_gen.next_address(pc))
-                        pc += INSTR_BYTES
-            if transition.branch is not None:
-                self._train_functional_branch(transition)
-            oracle.advance(transition)
-        bpu.ras.repair(oracle.call_stack)
-        self.frontend.spec_pc = oracle.pc
+        self._walk_true_path(driver.NEVER, target_walked, first_touch=False, warm=warm)
         self._warmed = True
         walked_blocks = oracle.blocks_walked - start_blocks
         walked_instrs = oracle.instrs_walked - start_instrs
@@ -450,18 +478,16 @@ class Simulator:
         or the cycle limit; otherwise :meth:`step` runs in Python.  Both
         raise the same :class:`SimulationError` at the cycle limit.
         """
-        driver = self._cycle_driver()
-        if driver is not None:
-            from repro.sim.driver import LIMIT, NEVER, STOP
-
-            stop = NEVER if warmup_target is None else warmup_target
+        cycle_driver = self._cycle_driver()
+        if cycle_driver is not None:
+            stop = driver.NEVER if warmup_target is None else warmup_target
             while True:
-                status = driver.run(self, target, stop)
-                if status == STOP:
+                status = cycle_driver.run(self, target, stop)
+                if status == driver.STOP:
                     end_warmup()
-                    stop = NEVER
+                    stop = driver.NEVER
                     continue
-                if status == LIMIT:
+                if status == driver.LIMIT:
                     self._raise_cycle_limit()
                 return
         backend = self.backend
@@ -496,8 +522,6 @@ class Simulator:
             return self._driver
         if self.cycle != 0:
             return None
-        from repro.sim import driver
-
         if driver.ineligibility(self) is not None:
             return None
         self._driver = driver.CycleDriver(self)

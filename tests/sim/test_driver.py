@@ -52,7 +52,8 @@ from repro.workloads.behavior import (
 from repro.workloads.builder import ProgramBuilder
 from repro.workloads.phases import make_phased_program
 from repro.workloads.profiles import get_profile
-from repro.workloads.program import BranchKind
+from repro.workloads.program import OP_LOAD, OP_STORE, BranchKind
+from repro.workloads.trace import OracleCursor
 
 N = 4_000
 
@@ -777,3 +778,235 @@ def test_an_invalid_prefetch_line_is_an_error(bad_line_technique, line, compiled
     message = str(info.value)
     assert "'bad-line'" in message and repr(line) in message
     assert "64-byte-aligned" in message
+
+
+# -- the functional walk: warmup and fast-forward in one C call ---------------
+
+
+def _walk_calls() -> int:
+    return cc.kernel_call_counts().get("functional_walk", 0)
+
+
+def _walk_state(sim: Simulator) -> tuple:
+    """Everything the functional walk writes, layout-neutral.
+
+    ``_state`` plus the raw counters and baseline, the frontend and RAS
+    scalars and every trained structure in its checkpoint form.  The TAGE
+    bimodal base (an object without ``==``) becomes its bytes, the caches
+    their LRU-ordered line tuples and the data generator its occurrence
+    dict (the compiled one's packed buffers are in pc order).
+    """
+    bpu = sim.bpu
+    hierarchy = sim.hierarchy
+    tage = bpu.tage.state_dict()
+    tage["base"] = bytes(tage["base"].table)
+    caches = (sim.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.llc)
+    return (
+        _state(sim),
+        sim.counters.snapshot(),
+        sim._warmup_baseline,
+        sim.frontend.spec_pc,
+        (list(bpu.ras._stack), bpu.ras.overflows, bpu.ras.underflows),
+        bpu.history.checkpoint(),
+        tage,
+        bpu.btb.state_dict(),
+        bpu.ibtb.state_dict(),
+        [cache.state_lines() for cache in caches],
+        hierarchy.stream.state_dict() if hierarchy.stream is not None else None,
+        sim.data_gen.occurrences_dict(),
+    )
+
+
+@pytest.fixture
+def transitions(monkeypatch):
+    """Counts Python OracleCursor.transition calls (the walk's and the stepper's)."""
+    calls = []
+    transition = OracleCursor.transition
+
+    def counting(self):
+        calls.append(1)
+        return transition(self)
+
+    monkeypatch.setattr(OracleCursor, "transition", counting)
+    return calls
+
+
+@pytest.mark.parametrize("workload", ["gcc", "xgboost"])
+@pytest.mark.parametrize("preset", sorted(ELIGIBLE))
+def test_functional_warmup_matches_object_walk(preset, workload, transitions):
+    config = PRESET_BUILDERS[preset](N)
+    walked = build_simulator(workload, config, compiled=True)
+    before = _walk_calls()
+    del transitions[:]  # sw-profile's profiling pass walks at construction
+    walked.functional_warmup(config.functional_warmup_blocks)
+    if cc.compiled_enabled():
+        assert _walk_calls() - before == 1 and not transitions
+    oracle = build_simulator(workload, config, compiled=False)
+    oracle.functional_warmup(config.functional_warmup_blocks)
+    assert transitions
+    assert _walk_state(walked) == _walk_state(oracle)
+    walked.run()
+    oracle.run()
+    assert _walk_state(walked) == _walk_state(oracle)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("preset", ["udp", "infinite-storage", "miss-heavy"])
+def test_fast_forward_matches_object_walk(preset, warm):
+    """Cold and warming fast-forwards; chained hops land where one jump does."""
+    config = PRESET_BUILDERS[preset](N)
+
+    def forwarded(compiled: bool, hops) -> Simulator:
+        sim = build_simulator("verilator", config, compiled=compiled)
+        sim.functional_warmup(config.functional_warmup_blocks)
+        start = sim.oracle.instrs_walked
+        for hop in hops:
+            sim.fast_forward_to(start + hop, warm=warm)
+        return sim
+
+    before = _walk_calls()
+    direct = forwarded(True, [6_000])
+    if cc.compiled_enabled():
+        assert _walk_calls() - before == 2
+    chained = forwarded(True, [1_000, 2_500, 2_500, 6_000])
+    oracle = forwarded(False, [6_000])
+    counters = direct.counters
+    assert counters["sampling_ff_instructions"] >= 6_000
+    assert (counters["l1d_accesses"] > 0) == warm  # the warmup replays no data
+    assert _walk_state(direct) == _walk_state(oracle)
+    assert _walk_state(chained) == _walk_state(direct)
+    direct.run()
+    oracle.run()
+    assert _walk_state(direct) == _walk_state(oracle)
+
+
+def _deep_call_chain(depth: int = 300):
+    """Calls nested deeper than the oracle's 256-entry call stack, with
+    loads and stores on the way back up."""
+    b = ProgramBuilder()
+    head = b.label("head")
+    funcs = [b.label(f"f{i}") for i in range(depth)]
+    b.place(head)
+    b.set_entry()
+    b.call(2, target=funcs[0])
+    b.block(2, jump_to=head)
+    for i, label in enumerate(funcs):
+        b.place(label)
+        if i + 1 < depth:
+            b.call(3, target=funcs[i + 1], ops=bytes([OP_LOAD, OP_STORE, 0]))
+        b.ret(3, ops=bytes([OP_STORE, OP_LOAD, 0]))
+    return b.finish()
+
+
+WALK_PROGRAMS = {
+    name: PROGRAMS[name] for name in ("behaviour_zoo", "phased", "custom_behaviour")
+} | {"deep_call_chain": _deep_call_chain}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_PROGRAMS))
+def test_handcrafted_programs_walk_like_the_object_path(name, transitions):
+    program = WALK_PROGRAMS[name]()
+    # UDP on, so the useful-set learns every walked line both ways.  The
+    # deep chain's warmup stops 280 calls down, its stack capped at 256;
+    # the fast-forward then returns through it and on, to the entry.
+    blocks = 280 if name == "deep_call_chain" else 1_500
+    config = SimConfig(max_instructions=3_000, functional_warmup_blocks=blocks)
+    config = config.replace(udp=dataclasses.replace(config.udp, enabled=True))
+    sims = []
+    for compiled in (True, False):
+        before = _walk_calls()
+        del transitions[:]
+        sim = Simulator(program, config, compiled=compiled)
+        sim.functional_warmup(blocks)
+        if name == "deep_call_chain":
+            assert len(sim.oracle.call_stack) == sim.oracle.max_stack
+        sim.fast_forward_to(sim.oracle.instrs_walked + 4_000, warm=True)
+        if compiled and cc.compiled_enabled():
+            in_c = name != "custom_behaviour"
+            assert (_walk_calls() - before == 2) == in_c
+            assert (not transitions) == in_c
+        sims.append(sim)
+    walked, oracle = sims
+    assert _walk_state(walked) == _walk_state(oracle)
+    walked.run()
+    oracle.run()
+    assert _walk_state(walked) == _walk_state(oracle)
+
+
+@needs_compiler
+@pytest.mark.parametrize("preset", sorted(REASONS))
+def test_ineligible_presets_keep_the_python_walk(preset, transitions):
+    config = PRESET_BUILDERS[preset](N)
+    before = _walk_calls()
+    sim = build_simulator("gcc", config, compiled=True)
+    sim.functional_warmup(config.functional_warmup_blocks)
+    sim.fast_forward_to(sim.oracle.instrs_walked + 2_000, warm=True)
+    assert _walk_calls() == before and transitions
+    oracle = build_simulator("gcc", config, compiled=False)
+    oracle.functional_warmup(config.functional_warmup_blocks)
+    oracle.fast_forward_to(oracle.oracle.instrs_walked + 2_000, warm=True)
+    assert _walk_state(sim) == _walk_state(oracle)
+
+
+@needs_compiler
+def test_a_hook_attached_after_the_walk_gets_the_python_stepper(monkeypatch):
+    """The walk leaves nothing in C: a later hook still forks the run."""
+    steps = []
+    python_step = Simulator.step
+
+    def counting_step(self):
+        steps.append(1)
+        python_step(self)
+
+    monkeypatch.setattr(Simulator, "step", counting_step)
+    config = udp_config(2_000)
+    sims = []
+    for compiled in (True, False):
+        before = (_walk_calls(), _driver_calls())
+        sim = build_simulator("gcc", config, compiled=compiled)
+        sim.functional_warmup(config.functional_warmup_blocks)
+        sim.fast_forward_to(sim.oracle.instrs_walked + 1_000)
+        events = []
+        sim.counters.hook = lambda name, amount: events.append(name)
+        sim.run()
+        assert events and steps
+        assert (_walk_calls() - before[0], _driver_calls() - before[1]) == (
+            (2, 0) if compiled else (0, 0)
+        )
+        assert sim._driver is None
+        sims.append(sim)
+    assert _walk_state(sims[0]) == _walk_state(sims[1])
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "object"])
+def test_a_walk_from_inside_a_block_raises_the_oracles_error(compiled):
+    sim = build_simulator("gcc", baseline_config(N), compiled=compiled)
+    sim.oracle.pc += 4
+    with pytest.raises(SimulationError, match=r"oracle pc 0x[0-9a-f]+ is not a block start"):
+        sim.functional_warmup(100)
+    assert sim.oracle.blocks_walked == 0
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "object"])
+@pytest.mark.parametrize("first", ["warmup", "restore", "fast-forward"])
+def test_a_second_functional_warmup_is_an_error(first, compiled):
+    """A warmup after a warmup, a restore or a fast-forward would overwrite
+    the baseline and the walked counts; nothing is walked instead."""
+    config = baseline_config(N)
+    sim = build_simulator("gcc", config, compiled=compiled)
+    if first == "warmup":
+        sim.functional_warmup(1_000)
+    elif first == "restore":
+        donor = build_simulator("gcc", config, compiled=compiled)
+        donor.functional_warmup(1_000)
+        ckpt.restore_warmup(sim, ckpt.capture_warmup(donor))
+    else:
+        sim.fast_forward_to(5_000)
+    before = _walk_state(sim)
+    with pytest.raises(SimulationError, match="already warmed"):
+        sim.functional_warmup(1_000)
+    assert _walk_state(sim) == before
+    if first == "fast-forward":
+        assert sim.measured_counters()["sampling_ff_instructions"] >= 5_000
+    else:
+        assert sim.measured_counters()["warmup_blocks"] == 1_000
