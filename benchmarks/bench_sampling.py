@@ -8,12 +8,13 @@ three timings of the same region are taken with the result cache disabled:
 
 * **full** — one plain full-fidelity run (the accuracy reference; its
   functional-warmup checkpoint is left behind, as in real usage);
-* **sampled cold** — the first sampled run: every interval fast-forwards
-  from the nearest earlier snapshot and captures its own mid-run
-  checkpoint on the way;
-* **sampled warm** — a re-run against the populated checkpoint store:
-  every interval restores its own snapshot and fast-forwards nothing
-  (the steady state of iterating on a technique at fixed region).
+* **sampled cold** — the first sampled run: one walker restores that
+  warmup checkpoint, fast-forwards from interval to interval and hands
+  its state in memory to a fresh simulator per interval;
+* **sampled warm** — a re-run against the same store with the program and
+  blob memos cleared.  The warmup checkpoint is the only one a sampled run
+  keeps, so the re-run does the cold run's work again: restore the warmup,
+  then walk every fast-forward.
 
 Alongside the timings, each row reports the relative IPC error of the
 merged sampled result against the full run (with the default *warming*

@@ -17,15 +17,14 @@ from dataclasses import dataclass
 
 from repro.common.cc import resolve_compiled
 from repro.common.config import BranchConfig
+from repro.common.packed import resident_order, set_major_slots, unpack
 from repro.workloads.program import BranchKind
 
-
-def _check_geometry(sets_state: list, num_sets: int, assoc: int, name: str) -> None:
-    """Reject checkpointed sets that do not fit this buffer's geometry."""
-    if len(sets_state) != num_sets:
-        raise ValueError(f"{name} geometry mismatch")
-    if any(len(entries) > assoc for entries in sets_state):
-        raise ValueError(f"{name} set holds more entries than ways")
+# The planes of the packed checkpoint form (repro.common.packed), with
+# their dtypes: BTB entries are (pc, kind, target), iBTB entries (tag,
+# target).
+_BTB_PLANES = {"pcs": "int64", "kinds": "uint8", "targets": "int64"}
+_IBTB_PLANES = {"tags": "int64", "targets": "int64"}
 
 
 @dataclass
@@ -89,35 +88,53 @@ class BranchTargetBuffer:
 
     # -- checkpoint serialization (layout-neutral) --------------------------
 
-    def state_dict(self) -> dict:
-        """Per-set ``(pc, kind, target)`` tuples in LRU→MRU order.
+    def state_packed(self) -> dict:
+        """Entries as packed per-set buffers in LRU→MRU order (checkpoint form).
 
+        A ``uint16`` entry count per set, then ``int64`` pcs, ``uint8``
+        kinds and ``int64`` targets set-major (:mod:`repro.common.packed`).
         Only the *relative* recency within a set affects future behaviour
         (eviction takes the min stamp), so ordering replaces raw stamps and
         the format round-trips between the dict-based and SoA layouts.
         """
+        import numpy as np
+
+        entries = [
+            e
+            for way_set in self._sets
+            for e in sorted(way_set.values(), key=lambda e: e.lru)
+        ]
         return {
-            "sets": [
-                [
-                    (e.pc, int(e.kind), e.target)
-                    for e in sorted(way_set.values(), key=lambda e: e.lru)
-                ]
-                for way_set in self._sets
-            ],
+            "counts": np.array(
+                [len(way_set) for way_set in self._sets], dtype=np.uint16
+            ).tobytes(),
+            "pcs": np.array([e.pc for e in entries], dtype=np.int64).tobytes(),
+            "kinds": np.array([e.kind for e in entries], dtype=np.uint8).tobytes(),
+            "targets": np.array(
+                [e.target for e in entries], dtype=np.int64
+            ).tobytes(),
             "hits": self.hits,
             "misses": self.misses,
         }
 
-    def load_state(self, state: dict) -> None:
-        sets_state = state["sets"]
-        _check_geometry(sets_state, self.num_sets, self.assoc, "BTB")
-        for way_set, entries in zip(self._sets, sets_state):
+    def load_packed(self, state: dict) -> None:
+        """Restore :meth:`state_packed` output in place (validated first)."""
+        counts, (pcs, kinds, targets) = unpack(
+            state, _BTB_PLANES, self.num_sets, self.assoc, "BTB"
+        )
+        pcs = pcs.tolist()
+        kinds = [BranchKind(kind) for kind in kinds.tolist()]
+        targets = targets.tolist()
+        hits, misses = int(state["hits"]), int(state["misses"])
+        pos = 0
+        for way_set, n in zip(self._sets, counts.tolist()):
             way_set.clear()
-            for pc, kind, target in entries:
+            for i in range(pos, pos + n):
                 self._stamp += 1
-                way_set[pc] = BTBEntry(pc, BranchKind(kind), target, self._stamp)
-        self.hits = state["hits"]
-        self.misses = state["misses"]
+                way_set[pcs[i]] = BTBEntry(pcs[i], kinds[i], targets[i], self._stamp)
+            pos += n
+        self.hits = hits
+        self.misses = misses
 
 
 class BranchTargetBufferC(BranchTargetBuffer):
@@ -127,7 +144,7 @@ class BranchTargetBufferC(BranchTargetBuffer):
     ``(num_sets, assoc)`` int64 ndarrays the kernels address through raw
     pointers.  Replacement state is a monotonic stamp array (victim =
     minimum stamp), which picks the same victim as the object BTB's
-    minimum ``lru``.  The layout-neutral ``state_dict`` format (LRU→MRU
+    minimum ``lru``.  The packed ``state_packed`` format (LRU→MRU
     per set) round-trips with :class:`BranchTargetBuffer`.
     """
 
@@ -147,10 +164,8 @@ class BranchTargetBufferC(BranchTargetBuffer):
         self._pcs = np.full((self.num_sets, assoc), -1, dtype=np.int64)
         self._stamps = np.zeros(self.num_sets * assoc, dtype=np.int64)
         self._sets = None  # entries live in the arrays; fail loudly
-        self._pcs_f = memoryview(self._pcs.reshape(-1))
         self._kinds_f = memoryview(self._kinds.reshape(-1))
         self._targets_f = memoryview(self._targets.reshape(-1))
-        self._stamps_f = memoryview(self._stamps)
         di = np.zeros(10, dtype=np.int64)
         di[0] = self._pcs.ctypes.data
         di[1] = self._kinds.ctypes.data
@@ -201,55 +216,35 @@ class BranchTargetBufferC(BranchTargetBuffer):
     def occupancy(self) -> int:
         return int(self._dmv[9])
 
-    def _resident_lru_to_mru(self, set_index: int) -> list[int]:
-        base = set_index * self.assoc
-        ways = [
-            base + w
-            for w in range(self.assoc)
-            if self._pcs_f[base + w] != -1
-        ]
-        ways.sort(key=lambda g: self._stamps_f[g])
-        return ways
+    def state_packed(self) -> dict:
+        """Same packed format as :meth:`BranchTargetBuffer.state_packed`."""
+        import numpy as np
 
-    def state_dict(self) -> dict:
-        """Same layout-neutral format as :meth:`BranchTargetBuffer.state_dict`."""
+        counts, flat = resident_order(self._pcs != -1, self._stamps)
         return {
-            "sets": [
-                [
-                    (
-                        int(self._pcs_f[g]),
-                        int(self._kinds_f[g]),
-                        int(self._targets_f[g]),
-                    )
-                    for g in self._resident_lru_to_mru(s)
-                ]
-                for s in range(self.num_sets)
-            ],
+            "counts": counts.astype(np.uint16).tobytes(),
+            "pcs": self._pcs.reshape(-1)[flat].tobytes(),
+            "kinds": self._kinds.reshape(-1)[flat].astype(np.uint8).tobytes(),
+            "targets": self._targets.reshape(-1)[flat].tobytes(),
             "hits": self.hits,
             "misses": self.misses,
         }
 
-    def load_state(self, state: dict) -> None:
-        sets_state = state["sets"]
-        _check_geometry(sets_state, self.num_sets, self.assoc, "BTB")
-        self._pcs[:] = -1
-        self._stamps[:] = 0
-        stamp = int(self._di[6])
-        occupancy = 0
-        for s, entries in enumerate(sets_state):
-            base = s * self.assoc
-            for w, (pc, kind, target) in enumerate(entries):
-                stamp += 1
-                g = base + w
-                self._pcs_f[g] = pc
-                self._kinds_f[g] = kind
-                self._targets_f[g] = target
-                self._stamps_f[g] = stamp
-                occupancy += 1
-        self._di[6] = stamp
-        self._di[9] = occupancy
-        self.hits = state["hits"]
-        self.misses = state["misses"]
+    def load_packed(self, state: dict) -> None:
+        """Restore :meth:`state_packed` output in place (validated first)."""
+        counts, (pcs, kinds, targets) = unpack(
+            state, _BTB_PLANES, self.num_sets, self.assoc, "BTB"
+        )
+        if len(kinds) and int(kinds.max()) > max(BranchKind):
+            raise ValueError("BTB kinds plane holds an unknown branch kind")
+        hits, misses = int(state["hits"]), int(state["misses"])
+        _load_ways(
+            self,
+            counts,
+            ((self._pcs, pcs), (self._kinds, kinds), (self._targets, targets)),
+        )
+        self.hits = hits
+        self.misses = misses
 
 
 class IndirectTargetBuffer:
@@ -294,32 +289,46 @@ class IndirectTargetBuffer:
 
     # -- checkpoint serialization (layout-neutral) --------------------------
 
-    def state_dict(self) -> dict:
-        """Per-set ``(tag, target)`` tuples in LRU→MRU order."""
+    def state_packed(self) -> dict:
+        """Entries as packed per-set buffers in LRU→MRU order (checkpoint form).
+
+        A ``uint16`` entry count per set, then ``int64`` tags and targets
+        set-major, like :meth:`BranchTargetBuffer.state_packed`.
+        """
+        import numpy as np
+
+        entries = [
+            (tag, target)
+            for way_set in self._sets
+            for tag, (target, _) in sorted(way_set.items(), key=lambda kv: kv[1][1])
+        ]
         return {
-            "sets": [
-                [
-                    (tag, entry[0])
-                    for tag, entry in sorted(
-                        way_set.items(), key=lambda kv: kv[1][1]
-                    )
-                ]
-                for way_set in self._sets
-            ],
+            "counts": np.array(
+                [len(way_set) for way_set in self._sets], dtype=np.uint16
+            ).tobytes(),
+            "tags": np.array([e[0] for e in entries], dtype=np.int64).tobytes(),
+            "targets": np.array([e[1] for e in entries], dtype=np.int64).tobytes(),
             "hits": self.hits,
             "misses": self.misses,
         }
 
-    def load_state(self, state: dict) -> None:
-        sets_state = state["sets"]
-        _check_geometry(sets_state, self.num_sets, self.assoc, "iBTB")
-        for way_set, entries in zip(self._sets, sets_state):
+    def load_packed(self, state: dict) -> None:
+        """Restore :meth:`state_packed` output in place (validated first)."""
+        counts, (tags, targets) = unpack(
+            state, _IBTB_PLANES, self.num_sets, self.assoc, "iBTB"
+        )
+        tags = tags.tolist()
+        targets = targets.tolist()
+        hits, misses = int(state["hits"]), int(state["misses"])
+        pos = 0
+        for way_set, n in zip(self._sets, counts.tolist()):
             way_set.clear()
-            for tag, target in entries:
+            for i in range(pos, pos + n):
                 self._stamp += 1
-                way_set[tag] = (target, self._stamp)
-        self.hits = state["hits"]
-        self.misses = state["misses"]
+                way_set[tags[i]] = (targets[i], self._stamp)
+            pos += n
+        self.hits = hits
+        self.misses = misses
 
 
 class IndirectTargetBufferC(IndirectTargetBuffer):
@@ -346,9 +355,6 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
         self._targets = np.zeros((self.num_sets, assoc), dtype=np.int64)
         self._stamps = np.zeros(self.num_sets * assoc, dtype=np.int64)
         self._sets = None  # entries live in the arrays; fail loudly
-        self._tags_f = memoryview(self._tags.reshape(-1))
-        self._targets_f = memoryview(self._targets.reshape(-1))
-        self._stamps_f = memoryview(self._stamps)
         di = np.zeros(10, dtype=np.int64)
         di[0] = self._tags.ctypes.data
         di[1] = self._targets.ctypes.data  # kinds plane: never touched for iBTB
@@ -390,41 +396,52 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
     def misses(self, value: int) -> None:
         self._di[8] = value
 
-    def state_dict(self) -> dict:
-        sets_out = []
-        for s in range(self.num_sets):
-            base = s * self.assoc
-            ways = [
-                base + w
-                for w in range(self.assoc)
-                if self._tags_f[base + w] != -1
-            ]
-            ways.sort(key=lambda g: self._stamps_f[g])
-            sets_out.append(
-                [(int(self._tags_f[g]), int(self._targets_f[g])) for g in ways]
-            )
-        return {"sets": sets_out, "hits": self.hits, "misses": self.misses}
+    def state_packed(self) -> dict:
+        """Same packed format as :meth:`IndirectTargetBuffer.state_packed`."""
+        import numpy as np
 
-    def load_state(self, state: dict) -> None:
-        sets_state = state["sets"]
-        _check_geometry(sets_state, self.num_sets, self.assoc, "iBTB")
-        self._tags[:] = -1
-        self._stamps[:] = 0
-        stamp = int(self._di[6])
-        occupancy = 0
-        for s, entries in enumerate(sets_state):
-            base = s * self.assoc
-            for w, (tag, target) in enumerate(entries):
-                stamp += 1
-                g = base + w
-                self._tags_f[g] = tag
-                self._targets_f[g] = target
-                self._stamps_f[g] = stamp
-                occupancy += 1
-        self._di[6] = stamp
-        self._di[9] = occupancy
-        self.hits = state["hits"]
-        self.misses = state["misses"]
+        counts, flat = resident_order(self._tags != -1, self._stamps)
+        return {
+            "counts": counts.astype(np.uint16).tobytes(),
+            "tags": self._tags.reshape(-1)[flat].tobytes(),
+            "targets": self._targets.reshape(-1)[flat].tobytes(),
+            "hits": self.hits,
+            "misses": self.misses,
+        }
+
+    def load_packed(self, state: dict) -> None:
+        """Restore :meth:`state_packed` output in place (validated first)."""
+        counts, (tags, targets) = unpack(
+            state, _IBTB_PLANES, self.num_sets, self.assoc, "iBTB"
+        )
+        hits, misses = int(state["hits"]), int(state["misses"])
+        _load_ways(self, counts, ((self._tags, tags), (self._targets, targets)))
+        self.hits = hits
+        self.misses = misses
+
+
+def _load_ways(buf, counts, planes) -> None:
+    """Scatter validated packed entries into a compiled buffer's ways.
+
+    ``planes`` pairs each ``(sets, assoc)`` array with its packed values,
+    the tag plane first (``-1`` marks an empty way).  Entries land in ways
+    ``0..n-1`` of their set with stamps counting up set-major LRU→MRU,
+    which ranks them exactly like the object layout's per-set order.
+    """
+    import numpy as np
+
+    planes[0][0][:] = -1
+    buf._stamps[:] = 0
+    total = int(counts.sum())
+    stamp = int(buf._di[6])
+    if total:
+        flat = set_major_slots(counts, buf.assoc)
+        for array, values in planes:
+            array.reshape(-1)[flat] = values
+        buf._stamps[flat] = stamp + 1 + np.arange(total, dtype=np.int64)
+        stamp += total
+    buf._di[6] = stamp
+    buf._di[9] = total
 
 
 def btb_from_config(config: BranchConfig, compiled: bool | None = None):

@@ -305,7 +305,7 @@ class TagePredictor:
         ``tests/sim/test_modes.py``).
         """
         return {
-            "base": self.base,  # BimodalPredictor: identical class either mode
+            "base": bytes(self.base.table),
             "tables": [
                 (list(t.tags), list(t.ctrs), bytes(t.useful)) for t in self.tables
             ],
@@ -324,9 +324,15 @@ class TagePredictor:
             table.tags[:] = tags
             table.ctrs[:] = ctrs
             table.useful[:] = useful
-        self.base = state["base"]
+        self._load_base(state["base"])
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]
+
+    def _load_base(self, table: bytes) -> None:
+        """Copy the bimodal counters in place (never swap the object)."""
+        if len(table) != self.base.size:
+            raise ValueError("bimodal table geometry mismatch")
+        self.base.table[:] = table
 
 
 class TagePredictorC(TagePredictor):
@@ -380,7 +386,12 @@ class TagePredictorC(TagePredictor):
         di[6] = (1 << config.tage_tag_bits) - 1
         di[7] = config.tage_table_bits
         di[8] = history._folded_arr.ctypes.data
-        # di[9]/di[10]: bimodal base pointer+mask, bound by _bind_base below.
+        # di[9]/di[10]: the bimodal base's counters and index mask.  Loads
+        # copy into that bytearray in place and it never resizes, so the
+        # pointer stays valid for the predictor's lifetime.
+        self._base_view = np.frombuffer(self.base.table, dtype=np.uint8)
+        di[9] = self._base_view.ctypes.data
+        di[10] = self.base.size - 1
         di[11] = config.tage_use_alt_threshold  # use_alt_counter
         di[12] = config.tage_use_alt_threshold
         # di[13]: tick; di[14..21]: prediction outputs
@@ -389,20 +400,8 @@ class TagePredictorC(TagePredictor):
         self._di = di
         self._dmv = memoryview(di)
         self._desc = int(di.ctypes.data)
-        self._bind_base()
         self._k_predict = kernels.tage_predict
         self._k_update = kernels.tage_update
-
-    def _bind_base(self) -> None:
-        """(Re)point the descriptor at the bimodal table's buffer.
-
-        ``load_state`` replaces ``self.base`` wholesale, so the raw pointer
-        must be refreshed whenever that happens.  The bytearray is never
-        resized, so the pointer stays valid between rebinds.
-        """
-        self._base_view = self._np.frombuffer(self.base.table, dtype=self._np.uint8)
-        self._di[9] = self._base_view.ctypes.data
-        self._di[10] = self.base.size - 1
 
     @property
     def use_alt_counter(self) -> int:
@@ -458,7 +457,7 @@ class TagePredictorC(TagePredictor):
     def state_dict(self) -> dict:
         """Same layout-neutral format as :meth:`TagePredictor.state_dict`."""
         return {
-            "base": self.base,
+            "base": bytes(self.base.table),
             "tables": [
                 (
                     self._tags_arr[t].tolist(),
@@ -484,10 +483,9 @@ class TagePredictorC(TagePredictor):
             self._tags_arr[t, :] = tags
             self._ctrs_arr[t, :] = ctrs
             self._useful_arr[t, :] = np.frombuffer(useful, dtype=np.uint8)
-        self.base = state["base"]
+        self._load_base(state["base"])
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]
-        self._bind_base()
 
 
 def tage_from_config(

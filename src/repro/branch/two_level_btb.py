@@ -73,20 +73,20 @@ class TwoLevelBTB:
     def misses(self) -> int:
         return self.l1.misses
 
-    def state_dict(self) -> dict:
-        """Layout-neutral snapshot: both levels plus the promotion count."""
+    def state_packed(self) -> dict:
+        """Packed snapshot: both levels plus the promotion count."""
         return {
             "levels": 2,
-            "l1": self.l1.state_dict(),
-            "l2": self.l2.state_dict(),
+            "l1": self.l1.state_packed(),
+            "l2": self.l2.state_packed(),
             "promotions": self.promotions,
         }
 
-    def load_state(self, state: dict) -> None:
+    def load_packed(self, state: dict) -> None:
         if state.get("levels") != 2:
             raise ValueError("BTB level mismatch")
-        self.l1.load_state(state["l1"])
-        self.l2.load_state(state["l2"])
+        self.l1.load_packed(state["l1"])
+        self.l2.load_packed(state["l2"])
         self.promotions = state["promotions"]
 
     @property

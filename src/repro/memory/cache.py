@@ -23,6 +23,7 @@ from typing import Callable
 
 from repro.common.cc import resolve_compiled
 from repro.common.config import CacheConfig
+from repro.common.packed import resident_order, set_major_slots, unpack
 
 
 @dataclass(slots=True)
@@ -155,12 +156,9 @@ class SetAssocCache:
         """Contents as three packed arrays (the checkpoint wire form).
 
         Same information as :meth:`state_lines` — per-set resident lines in
-        LRU->MRU order — but flattened into parallel buffers: a ``uint16``
-        line count per set, then ``int64`` addresses and ``uint8`` metadata
-        flags in set-major order.  Pickling these is a memcpy, where the
-        nested tuple form built one Python object per line; interval
-        sampling serializes every cache once per interval, which made that
-        allocation churn a measurable share of sampled wall-clock.
+        LRU->MRU order — but flattened into :mod:`repro.common.packed`
+        buffers: a ``uint16`` line count per set, then ``int64`` addresses
+        and ``uint8`` metadata flags in set-major order.
         """
         import numpy as np
 
@@ -186,18 +184,11 @@ class SetAssocCache:
 
     def load_packed(self, state: dict[str, bytes]) -> None:
         """Restore contents from :meth:`state_packed` output, in place."""
-        import numpy as np
-
-        counts = np.frombuffer(state["counts"], dtype=np.uint16)
-        addrs = np.frombuffer(state["addrs"], dtype=np.int64).tolist()
-        flags = np.frombuffer(state["flags"], dtype=np.uint8).tolist()
-        if (
-            len(counts) != self.num_sets
-            or int(counts.max(initial=0)) > self.assoc
-            or int(counts.sum()) != len(addrs)
-            or len(flags) != len(addrs)
-        ):
-            raise ValueError("cache geometry mismatch")
+        counts, (addrs, flags) = unpack(
+            state, _PLANES, self.num_sets, self.assoc, "cache"
+        )
+        addrs = addrs.tolist()
+        flags = flags.tolist()
         sets = []
         pos = 0
         for n in counts.tolist():
@@ -223,6 +214,9 @@ _PREFETCH = 1
 _OFF_PATH = 2
 _UDP = 4
 _DIRTY = 8
+
+# The planes of the packed checkpoint form, with their dtypes.
+_PLANES = {"addrs": "int64", "flags": "uint8"}
 
 
 class _CLineRef:
@@ -428,17 +422,7 @@ class SetAssocCacheC(SetAssocCache):
     def state_packed(self) -> dict[str, bytes]:
         import numpy as np
 
-        resident = self._addrs != -1
-        counts = resident.sum(axis=1)
-        stamps = self._stamps.reshape(self.num_sets, self.assoc)
-        # Stamp order with empty ways sorted last; the stable sort breaks
-        # stamp ties by way index, exactly like the (stamp, gidx) sort of
-        # ``_iter_sets``.
-        key = np.where(resident, stamps, np.iinfo(np.int64).max)
-        order = np.argsort(key, axis=1, kind="stable")
-        gidx = order + np.arange(self.num_sets, dtype=np.int64)[:, None] * self.assoc
-        mask = np.arange(self.assoc, dtype=np.int64)[None, :] < counts[:, None]
-        flat = gidx[mask]
+        counts, flat = resident_order(self._addrs != -1, self._stamps)
         return {
             "counts": counts.astype(np.uint16).tobytes(),
             "addrs": self._addrs_flat[flat].tobytes(),
@@ -448,27 +432,17 @@ class SetAssocCacheC(SetAssocCache):
     def load_packed(self, state: dict[str, bytes]) -> None:
         import numpy as np
 
-        counts = np.frombuffer(state["counts"], dtype=np.uint16).astype(np.int64)
-        addrs = np.frombuffer(state["addrs"], dtype=np.int64)
-        flags = np.frombuffer(state["flags"], dtype=np.uint8)
-        total = int(counts.sum())
-        if (
-            len(counts) != self.num_sets
-            or int(counts.max(initial=0)) > self.assoc
-            or total != len(addrs)
-            or len(flags) != len(addrs)
-        ):
-            raise ValueError("cache geometry mismatch")
+        counts, (addrs, flags) = unpack(
+            state, _PLANES, self.num_sets, self.assoc, "cache"
+        )
+        total = len(addrs)
         self._addrs[:] = -1
         self._flags[:] = 0
         self._stamps[:] = 0
         di = self._di
         stamp = int(di[7])
         if total:
-            sets_rep = np.repeat(np.arange(self.num_sets, dtype=np.int64), counts)
-            starts = np.cumsum(counts) - counts
-            ways = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-            flat = sets_rep * self.assoc + ways
+            flat = set_major_slots(counts, self.assoc)
             self._addrs_flat[flat] = addrs
             self._flags_flat[flat] = flags
             # Stamps count up in set-major LRU->MRU order.

@@ -7,19 +7,24 @@ runs, see ``Simulator._walk_true_path``), restoring a checkpoint costs
 about what the walk costs; what a checkpoint saves is the Python walk of
 the object path and of the configurations that keep it, 0.07-0.5 s per
 warmup (docs/performance.md, "What checkpoints still buy").  This module
-makes warmup a cacheable artifact:
+makes warmup a cacheable artifact, in two layers:
 
-* :func:`capture_warmup` serializes everything ``Simulator.functional_warmup``
-  and a (possibly warming) ``fast_forward_to`` mutate — the oracle walk
-  position, the L1I/L1D/L2/LLC contents with their LRU order, the
-  BTB/iBTB/TAGE tables, the global history, the RAS, the stream data
-  prefetcher's table, the data-address generator's occurrence counters,
-  the UDP useful-set (Bloom filters + coalescer), the counter values, and
-  the warmup baseline snapshot;
-* :func:`restore_warmup` injects that state into a freshly constructed
-  simulator, which then behaves byte-for-byte like one that ran the warmup
-  itself (``tests/sim/test_checkpoint.py`` enforces equality of
-  ``measured_counters()`` per preset);
+* :func:`capture_state` / :func:`restore_state` — the single definition of
+  the functional state, as an unpickled dict: everything
+  ``Simulator.functional_warmup`` and a (possibly warming)
+  ``fast_forward_to`` mutate — the oracle walk position, the
+  L1I/L1D/L2/LLC contents with their LRU order, the BTB/iBTB/TAGE tables,
+  the global history, the RAS, the stream data prefetcher's table, the
+  data-address generator's occurrence counters, the UDP useful-set (Bloom
+  filters + coalescer), the counter values, and the warmup baseline
+  snapshot.  A restored simulator behaves byte-for-byte like one that
+  walked itself (``tests/sim/test_checkpoint.py`` enforces equality of
+  ``measured_counters()`` per preset).  The captured dict shares no
+  mutable object with its donor, so sampled runs hand it over in memory:
+  the engine's walker simulator fast-forwards between intervals and
+  passes its state to a fresh simulator per interval (``sim/engine.py``);
+* :func:`capture_warmup` / :func:`restore_warmup` — the same state pickled
+  to bytes and back, the warmup-checkpoint wire form;
 * :class:`CheckpointStore` persists the pickled snapshots under
   ``<cache_root>/checkpoints/`` keyed by :func:`checkpoint_key`.
 
@@ -29,23 +34,23 @@ plus the full ``branch``, ``memory``, and ``udp`` sub-configs (the warmup
 trains predictors, fills the hierarchy, and seeds the useful-set, and
 nothing else).  Measured-region knobs — FTQ depth and the rest of the
 frontend config, core widths, UFTQ mode, the prefetcher selection, the
-instruction budget — are deliberately excluded, so an entire FTQ-depth
-sweep shares a single checkpoint (``tests/sim/test_checkpoint_key.py``).
+instruction budget, the sampling shape — are deliberately excluded, so an
+entire FTQ-depth sweep shares a single checkpoint
+(``tests/sim/test_checkpoint_key.py``).
 
 Restoration rules worth knowing when extending the simulator:
 
 * **all** predictor and cache state is serialized layout-neutrally and
-  restored in place (``state_dict``/``load_state`` on TAGE/BTB/iBTB,
-  ``state_packed``/``load_packed`` on the caches): a snapshot captured by
-  the compiled (C-kernel) structures restores into the object ones and vice
-  versa, and no component object is ever swapped out from under the
-  closures and hooks that alias it;
-* cache contents travel as packed per-set line arrays in LRU->MRU order
-  (counts/addresses/flags buffers — interval sampling serializes every
-  cache once per interval, so the wire form must pickle as a memcpy),
-  BTB/iBTB sets are per-set entry tuples in LRU->MRU order — replacement
-  order is part of the state, the physical layout (dict of objects vs.
-  ndarray ways) is not.
+  restored in place (``state_dict``/``load_state`` on TAGE,
+  ``state_packed``/``load_packed`` on the BTB, the iBTB and the caches):
+  a snapshot captured by the compiled (C-kernel) structures restores into
+  the object ones and vice versa, and no component object is ever swapped
+  out from under the closures and hooks that alias it;
+* cache, BTB and iBTB contents travel as packed per-set buffers in
+  LRU->MRU order (:mod:`repro.common.packed`: a count per set plus one
+  flat buffer per payload plane, so pickling is a memcpy and the compiled
+  classes build and load them vectorized) — replacement order is part of
+  the state, the physical layout (dict of objects vs. ndarray ways) is not.
 
 ``REPRO_NO_CHECKPOINT=1`` opts out (the engine re-runs warmup from
 scratch); a corrupt or stale snapshot raises :class:`CheckpointError`,
@@ -83,10 +88,11 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointError",
     "CheckpointStore",
+    "capture_state",
     "capture_warmup",
     "checkpoint_key",
     "checkpointing_enabled",
-    "interval_checkpoint_key",
+    "restore_state",
     "restore_warmup",
     "warmup_config_subset",
 ]
@@ -101,7 +107,11 @@ __all__ = [
 # Cache contents and occurrence counters switch to packed array buffers
 # (``state_packed``/``occurrences_state``): sampled runs serialize them once
 # per interval, so the wire form must pickle as a memcpy.
-CHECKPOINT_SCHEMA = 3
+# Schema 4: BTB/iBTB contents move to the caches' packed per-set buffers,
+# TAGE's bimodal base travels as its counter bytes instead of the object,
+# and the interval checkpoint key is gone (sampled runs hand state over
+# in memory).
+CHECKPOINT_SCHEMA = 4
 
 
 class CheckpointError(Exception):
@@ -152,50 +162,22 @@ def checkpoint_key(program_key: str, seed: int, config: SimConfig) -> str:
     )
 
 
-def interval_checkpoint_key(
-    program_key: str, seed: int, config: SimConfig, ff_instructions: int
-) -> str:
-    """Content key of the fast-forwarded state at one sampling interval.
-
-    The state after ``Simulator.fast_forward_to(warmup_end + ff_instructions)``
-    is still purely functional (cycle 0), so it is captured and restored with
-    the same machinery as warmup checkpoints.  Only the warmup-affecting
-    config subset, the fast-forward distance, and the warming flag enter the
-    key — measured-region knobs (FTQ depth, prefetcher, interval length, the
-    per-interval RNG seed) are excluded, so e.g. an FTQ-depth sweep of
-    sampled runs shares one chain of interval checkpoints per (program,
-    seed).  The warming flag must be keyed: a warm and a cold fast-forward
-    to the same position leave different data-side state (the warming
-    replay is the whole point), so they can never alias.
-    """
-    return canonical_key(
-        {
-            "schema": CHECKPOINT_SCHEMA,
-            "fingerprint": package_fingerprint(),
-            "program": program_key,
-            "seed": seed,
-            "warmup": warmup_config_subset(config),
-            "interval_ff": ff_instructions,
-            "warm_ff": config.sampling.warm_fastforward,
-        }
-    )
-
-
 # ---------------------------------------------------------------------------
 # Capture
 # ---------------------------------------------------------------------------
 
 
-def capture_warmup(sim: "Simulator") -> bytes:
-    """Serialize all state :meth:`Simulator.functional_warmup` mutated.
+def capture_state(sim: "Simulator") -> dict:
+    """All state :meth:`Simulator.functional_warmup` and fast-forwards mutate.
 
-    Must be called on a simulator that has completed its functional warmup
-    and not yet executed a measured cycle.
+    Must be called on a simulator that is warmed (by a warmup, a restore or
+    a fast-forward) and has not yet executed a measured cycle.  The dict
+    holds copies only (ints, tuples, bytes, fresh lists and dicts), so the
+    donor may keep walking while a restored simulator runs.
     """
     if not sim._warmed or sim.cycle != 0:
         raise CheckpointError("capture requires a warmed, unstarted simulator")
     bpu = sim.bpu
-    tage = bpu.tage
     useful = None
     if sim.udp is not None:
         us = sim.udp.useful_set
@@ -208,7 +190,8 @@ def capture_warmup(sim: "Simulator") -> bytes:
             "coalescer": list(us.coalescer._lines),
             "window": (us._window_unuseful, us._window_total),
         }
-    state = {
+    baseline = sim._warmup_baseline
+    return {
         "schema": CHECKPOINT_SCHEMA,
         "oracle": {
             "pc": sim.oracle.pc,
@@ -219,9 +202,9 @@ def capture_warmup(sim: "Simulator") -> bytes:
         },
         "spec_pc": sim.frontend.spec_pc,
         "history": bpu.history.checkpoint(),
-        "tage": tage.state_dict(),
-        "btb": bpu.btb.state_dict(),
-        "ibtb": bpu.ibtb.state_dict(),
+        "tage": bpu.tage.state_dict(),
+        "btb": bpu.btb.state_packed(),
+        "ibtb": bpu.ibtb.state_packed(),
         "ras": {
             "stack": list(bpu.ras._stack),
             "overflows": bpu.ras.overflows,
@@ -233,10 +216,10 @@ def capture_warmup(sim: "Simulator") -> bytes:
             "l2": sim.hierarchy.l2.state_packed(),
             "llc": sim.hierarchy.llc.state_packed(),
         },
-        # Warming fast-forward state (schema 3): the data replay trains the
-        # stream prefetcher and advances the data generator's occurrence
-        # counters, so both must survive into resumed intervals for chained
-        # warm walks to equal one direct jump.
+        # Warming fast-forward state: the data replay trains the stream
+        # prefetcher and advances the data generator's occurrence counters,
+        # so both must reach an interval's simulator for chained warm walks
+        # to equal one direct jump.
         "stream": (
             sim.hierarchy.stream.state_dict()
             if sim.hierarchy.stream is not None
@@ -245,9 +228,13 @@ def capture_warmup(sim: "Simulator") -> bytes:
         "warm_data": sim.data_gen.occurrences_state(),
         "useful_set": useful,
         "counters": dict(sim.counters._values),
-        "warmup_baseline": sim._warmup_baseline,
+        "warmup_baseline": dict(baseline) if baseline is not None else None,
     }
-    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def capture_warmup(sim: "Simulator") -> bytes:
+    """:func:`capture_state`, pickled: the warmup checkpoint's bytes."""
+    return pickle.dumps(capture_state(sim), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +242,22 @@ def capture_warmup(sim: "Simulator") -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def restore_warmup(sim: "Simulator", blob: bytes) -> None:
-    """Inject a captured snapshot into a freshly constructed simulator.
+def restore_state(sim: "Simulator", state: dict) -> None:
+    """Inject :func:`capture_state` output into a freshly constructed simulator.
 
-    After this returns, ``sim.run()`` proceeds directly to the measured
-    region (``_warmed`` is set), producing counters byte-identical to a
-    from-scratch warmup.  Raises :class:`CheckpointError` on any corrupt or
-    incompatible snapshot; the simulator must then be considered unusable
-    (callers construct a fresh one and warm from scratch).
+    After this returns, ``sim.run()`` (or ``run_interval``) proceeds
+    directly to the measured region (``_warmed`` is set), producing
+    counters byte-identical to walking from scratch.  Everything is copied
+    in, so ``state`` stays reusable.  Raises :class:`CheckpointError` on any
+    malformed or incompatible state; the simulator must then be considered
+    unusable (callers construct a fresh one and warm from scratch).
     """
     if sim._warmed or sim.cycle != 0:
         raise CheckpointError("restore requires a pristine simulator")
-    try:
-        state = pickle.loads(blob)
-    except Exception as exc:  # noqa: BLE001 - any unpickling failure
-        raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
     if not isinstance(state, dict) or state.get("schema") != CHECKPOINT_SCHEMA:
         raise CheckpointError("checkpoint schema mismatch")
     try:
         oracle_state = state["oracle"]
-        tage_state = state["tage"]
         caches = state["caches"]
 
         oracle = sim.oracle
@@ -289,9 +272,9 @@ def restore_warmup(sim: "Simulator", blob: bytes) -> None:
         # In place: TAGE holds the same GlobalHistory object, and the BTB is
         # aliased by registry-wired hooks — nothing is swapped, only loaded.
         bpu.history.restore(state["history"])
-        bpu.tage.load_state(tage_state)
-        bpu.btb.load_state(state["btb"])
-        bpu.ibtb.load_state(state["ibtb"])
+        bpu.tage.load_state(state["tage"])
+        bpu.btb.load_packed(state["btb"])
+        bpu.ibtb.load_packed(state["ibtb"])
         ras_state = state["ras"]
         bpu.ras._stack[:] = ras_state["stack"]
         bpu.ras.overflows = ras_state["overflows"]
@@ -334,12 +317,28 @@ def restore_warmup(sim: "Simulator", blob: bytes) -> None:
         values.update(state["counters"])
 
         sim.frontend.spec_pc = state["spec_pc"]
-        sim._warmup_baseline = state["warmup_baseline"]
+        baseline = state["warmup_baseline"]
+        sim._warmup_baseline = dict(baseline) if baseline is not None else None
         sim._warmed = True
     except CheckpointError:
         raise
     except Exception as exc:  # noqa: BLE001 - malformed snapshot contents
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
+
+
+def restore_warmup(sim: "Simulator", blob: bytes) -> None:
+    """Unpickle a :func:`capture_warmup` blob and :func:`restore_state` it.
+
+    Raises :class:`CheckpointError` on any corrupt, stale (older schema) or
+    incompatible snapshot, which callers treat as a miss.
+    """
+    if sim._warmed or sim.cycle != 0:
+        raise CheckpointError("restore requires a pristine simulator")
+    try:
+        state = pickle.loads(blob)
+    except Exception as exc:  # noqa: BLE001 - any unpickling failure
+        raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
+    restore_state(sim, state)
 
 
 # ---------------------------------------------------------------------------

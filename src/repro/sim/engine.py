@@ -32,12 +32,15 @@ Two sweep-level reuse layers sit below the result cache (both disabled by
   warmup.  On the pool path one *leader* per missing key runs first and its
   *followers* are submitted as soon as the leader's checkpoint lands.
 
-Specs whose config enables **interval sampling** (``SimConfig.sampling``,
-see :mod:`repro.sim.sampling`) are expanded into one work unit per interval:
-each interval restores the nearest available checkpoint, fast-forwards the
-rest of the way, simulates its measured slice, and the engine merges the
-per-interval counters back into a single :class:`SimResult` (with a
-``sampling`` block carrying the per-interval IPCs and their CI).  Setting
+A spec whose config enables **interval sampling** (``SimConfig.sampling``,
+see :mod:`repro.sim.sampling`) is one work unit too, run as a chain: one
+walker simulator restores or creates the warmup checkpoint, fast-forwards
+to each interval in turn, and hands its functional state over in memory to
+a fresh simulator per interval, which simulates the measured slice.  The
+engine merges the per-interval counters into a single :class:`SimResult`
+(with a ``sampling`` block carrying the per-interval IPCs and their CI).
+Only the warmup is checkpointed; the retry budget and
+``REPRO_UNIT_TIMEOUT`` cover the whole chain.  Setting
 ``REPRO_NO_SAMPLING=1`` normalizes sampled specs back to full fidelity.
 
 There is no other way to run a batch: the figure drivers, the CLI, the
@@ -91,7 +94,7 @@ from repro.common.errors import ReproError
 from repro.sim import checkpoint as ckpt
 from repro.sim import sampling
 from repro.sim.metrics import SimResult
-from repro.sim.sampling import IntervalOutcome, IntervalPlan
+from repro.sim.sampling import IntervalOutcome
 from repro.sim.simulator import Simulator
 from repro.workloads import store as program_store
 from repro.workloads.profiles import WorkloadProfile, get_profile
@@ -201,195 +204,143 @@ def _resolve_spec(spec: RunSpec):
     return program, config, prof.data, source
 
 
+def _warmed_simulator(
+    spec: RunSpec, program, config: SimConfig, data_profile, meta: dict
+) -> Simulator:
+    """A simulator for ``spec`` past its functional warmup, when keyable.
+
+    Restores the spec's warmup checkpoint, or walks the warmup and stores
+    it under its key (a corrupt or stale snapshot counts as a miss and is
+    overwritten).  Specs with no checkpoint key — an explicit program, a
+    zero-block warmup, ``REPRO_NO_CHECKPOINT`` — get a pristine simulator
+    that warms itself when it runs.  Records ``checkpoint`` and
+    ``warmup_seconds`` in ``meta``.
+    """
+    simulator = Simulator(program, config, data_profile=data_profile)
+    if spec.program is not None:
+        return simulator
+    if not ckpt.checkpointing_enabled():
+        meta["checkpoint"] = "off"
+        return simulator
+    key = _checkpoint_key_for(spec)
+    if key is None:
+        return simulator
+    warmup_started = time.perf_counter()
+    store = ckpt.CheckpointStore()
+    blob = store.get(key)
+    if blob is not None:
+        try:
+            ckpt.restore_warmup(simulator, blob)
+            meta["checkpoint"] = "restored"
+        except ckpt.CheckpointError:
+            # Corrupt/stale snapshot: rebuild from scratch on a pristine
+            # simulator and overwrite the bad entry.
+            blob = None
+            simulator = Simulator(program, config, data_profile=data_profile)
+    if blob is None:
+        simulator.functional_warmup(spec.config.functional_warmup_blocks)
+        store.put(key, ckpt.capture_warmup(simulator))
+        meta["checkpoint"] = "created"
+    meta["warmup_seconds"] += time.perf_counter() - warmup_started
+    return simulator
+
+
 def _execute(spec: RunSpec) -> tuple[SimResult, float, dict]:
     """Simulate one spec; returns (result, wall seconds, execution metadata).
 
     The metadata dict reports where the pre-measurement work came from:
     ``program_source`` is ``"memo"``/``"disk"``/``"built"``/``"inline"``,
-    ``checkpoint`` is ``"restored"``/``"created"``/``"off"``/``"none"``, and
+    ``checkpoint`` is ``"restored"``/``"created"``/``"off"``/``"none"``,
     ``warmup_seconds`` is the wall-clock spent restoring or re-creating the
-    functional warmup (contained in the total ``seconds``).
-    """
-    started = time.perf_counter()
-    meta = {"program_source": "inline", "checkpoint": "none", "warmup_seconds": 0.0}
-    program, config, data_profile, meta["program_source"] = _resolve_spec(spec)
-    simulator = Simulator(program, config, data_profile=data_profile)
-    if spec.program is None:
-        if not ckpt.checkpointing_enabled():
-            meta["checkpoint"] = "off"
-        else:
-            key = _checkpoint_key_for(spec)
-            if key is not None:
-                warmup_started = time.perf_counter()
-                store = ckpt.CheckpointStore()
-                blob = store.get(key)
-                if blob is not None:
-                    try:
-                        ckpt.restore_warmup(simulator, blob)
-                        meta["checkpoint"] = "restored"
-                    except ckpt.CheckpointError:
-                        # Corrupt/stale snapshot: rebuild from scratch on a
-                        # pristine simulator and overwrite the bad entry.
-                        blob = None
-                        simulator = Simulator(
-                            program, config, data_profile=data_profile
-                        )
-                if blob is None:
-                    simulator.functional_warmup(
-                        spec.config.functional_warmup_blocks
-                    )
-                    store.put(key, ckpt.capture_warmup(simulator))
-                    meta["checkpoint"] = "created"
-                meta["warmup_seconds"] = time.perf_counter() - warmup_started
-    simulator.run()
-    result = SimResult(
-        workload=spec.workload,
-        config_name=spec.label,
-        counters=simulator.measured_counters(),
-        avg_ftq_occupancy=simulator.ftq.average_occupancy,
-        final_ftq_depth=simulator.ftq.depth,
-    )
-    return result, time.perf_counter() - started, meta
-
-
-def _execute_interval(
-    spec: RunSpec, plan: IntervalPlan
-) -> tuple[IntervalOutcome, float, dict]:
-    """Simulate one sampling interval of a sampled spec (pool-worker task).
-
-    Pre-measurement state is reached through the cheapest available route:
-    restore this interval's own mid-run checkpoint, else the nearest earlier
-    interval's, else the shared functional-warmup checkpoint, else a scratch
-    warmup — then :meth:`~repro.sim.simulator.Simulator.fast_forward_to` the
-    remaining distance (a no-op when the own checkpoint hit).  Whenever the
-    fast-forward actually walked, the reached state is captured under this
-    interval's key so later runs (and later intervals of this batch) start
-    from it.  All routes land on byte-identical state, so the measured
-    counters never depend on which checkpoints happened to exist.
+    functional warmup — for a sampled spec also its fast-forwards and
+    hand-offs — (contained in the total ``seconds``), and ``intervals``
+    counts the sampling intervals merged into the result (0: full run).
     """
     started = time.perf_counter()
     meta = {
         "program_source": "inline",
         "checkpoint": "none",
         "warmup_seconds": 0.0,
-        "interval_restored": False,
-        "interval_created": False,
+        "intervals": 0,
     }
     program, config, data_profile, meta["program_source"] = _resolve_spec(spec)
-
-    def fresh() -> Simulator:
-        return Simulator(
-            program, config, data_profile=data_profile, rng_seed=plan.rng_seed
-        )
-
-    simulator = fresh()
-    warmup_started = time.perf_counter()
-    own_key: str | None = None
-    store: ckpt.CheckpointStore | None = None
-    use_checkpoints = spec.cacheable and ckpt.checkpointing_enabled()
-    if not ckpt.checkpointing_enabled():
-        meta["checkpoint"] = "off"
-    if use_checkpoints:
-        store = ckpt.CheckpointStore()
-        program_key = ProgramStore().key_for(spec.workload, spec.seed)
-        # Candidate restore points, nearest (largest fast-forward) first.
-        candidates: list[tuple[int, str]] = []
-        if plan.ff_instructions > 0:
-            own_key = ckpt.interval_checkpoint_key(
-                program_key, spec.seed, spec.config, plan.ff_instructions
-            )
-            earlier = [
-                p
-                for p in sampling.plan_intervals(spec.config)
-                if 0 < p.ff_instructions <= plan.ff_instructions
-            ]
-            for p in sorted(
-                earlier, key=lambda p: p.ff_instructions, reverse=True
-            ):
-                key = (
-                    own_key
-                    if p.ff_instructions == plan.ff_instructions
-                    else ckpt.interval_checkpoint_key(
-                        program_key, spec.seed, spec.config, p.ff_instructions
-                    )
-                )
-                candidates.append((p.ff_instructions, key))
-        if spec.config.functional_warmup_blocks > 0:
-            candidates.append(
-                (0, ckpt.checkpoint_key(program_key, spec.seed, spec.config))
-            )
-        restored_ff: int | None = None
-        for ff, key in candidates:
-            blob = store.get(key)
-            if blob is None:
-                continue
-            try:
-                ckpt.restore_warmup(simulator, blob)
-            except ckpt.CheckpointError:
-                simulator = fresh()
-                continue
-            restored_ff = ff
-            break
-        if restored_ff is None:
-            if spec.config.functional_warmup_blocks > 0:
-                simulator.functional_warmup(spec.config.functional_warmup_blocks)
-                store.put(
-                    ckpt.checkpoint_key(program_key, spec.seed, spec.config),
-                    ckpt.capture_warmup(simulator),
-                )
-                meta["checkpoint"] = "created"
-        else:
-            meta["checkpoint"] = "restored"
-            meta["interval_restored"] = restored_ff == plan.ff_instructions
-    elif spec.config.functional_warmup_blocks > 0:
-        simulator.functional_warmup(spec.config.functional_warmup_blocks)
-    # The warmup's true-path position survives in the checkpointed counters,
-    # so the absolute fast-forward target is recoverable after any restore.
-    warmup_walked = simulator.counters.snapshot().get(
-        "warmup_instructions_functional", 0
-    )
-    ff_blocks, ff_walked = simulator.fast_forward_to(
-        warmup_walked + plan.ff_instructions
-    )
-    if store is not None and own_key is not None and ff_walked > 0:
-        store.put(own_key, ckpt.capture_warmup(simulator))
-        meta["interval_created"] = True
-    meta["warmup_seconds"] = time.perf_counter() - warmup_started
-    simulator.run_interval(
-        plan.measure_instructions, detailed_warmup=plan.detailed_warmup
-    )
-    outcome = IntervalOutcome(
-        index=plan.index,
-        counters=simulator.measured_counters(),
-        avg_ftq_occupancy=simulator.ftq.average_occupancy,
-        final_ftq_depth=simulator.ftq.depth,
-        ff_blocks=ff_blocks,
-        ff_instructions_walked=ff_walked,
-    )
-    return outcome, time.perf_counter() - started, meta
-
-
-def _merge_interval_meta(metas: list[dict]) -> dict:
-    """Aggregate per-interval execution metadata into one spec-level dict."""
-    checkpoints = [m.get("checkpoint", "none") for m in metas]
-    if "created" in checkpoints:
-        aggregated = "created"
-    elif "restored" in checkpoints:
-        aggregated = "restored"
+    simulator = _warmed_simulator(spec, program, config, data_profile, meta)
+    if spec.config.sampling.enabled:
+        result = _run_sampled(spec, simulator, program, config, data_profile, meta)
     else:
-        aggregated = checkpoints[0] if checkpoints else "none"
-    return {
-        "program_source": metas[0].get("program_source", "inline")
-        if metas
-        else "inline",
-        "checkpoint": aggregated,
-        "warmup_seconds": sum(m.get("warmup_seconds", 0.0) for m in metas),
-        "intervals": len(metas),
-        "interval_restores": sum(
-            1 for m in metas if m.get("interval_restored")
-        ),
-        "interval_creates": sum(1 for m in metas if m.get("interval_created")),
-    }
+        simulator.run()
+        result = SimResult(
+            workload=spec.workload,
+            config_name=spec.label,
+            counters=simulator.measured_counters(),
+            avg_ftq_occupancy=simulator.ftq.average_occupancy,
+            final_ftq_depth=simulator.ftq.depth,
+        )
+    return result, time.perf_counter() - started, meta
+
+
+def _run_sampled(
+    spec: RunSpec,
+    walker: Simulator,
+    program,
+    config: SimConfig,
+    data_profile,
+    meta: dict,
+) -> SimResult:
+    """Run a sampled spec's intervals as one chain over ``walker``.
+
+    The walker fast-forwards (:meth:`~repro.sim.simulator.Simulator.fast_forward_to`)
+    to each interval's start in plan order and hands its functional state
+    over in memory (:func:`~repro.sim.checkpoint.capture_state` into
+    :func:`~repro.sim.checkpoint.restore_state`) to a fresh simulator
+    seeded with the interval's ``rng_seed``, which runs the detailed warmup
+    and the measured slice; the walker itself never runs a cycle.  Chained
+    fast-forwards land in exactly the state of one direct jump, so every
+    interval measures what a simulator that warmed up and jumped straight
+    to its start would (``tests/sim/test_sampling.py``).  Each interval
+    fires its own fault tokens (``label#k``), and an exception raised in
+    interval ``k`` carries ``sampling_interval = k`` for the failure record.
+    """
+    if not walker._warmed and config.functional_warmup_blocks > 0:
+        started = time.perf_counter()
+        walker.functional_warmup(config.functional_warmup_blocks)
+        meta["warmup_seconds"] += time.perf_counter() - started
+    # The warmup's true-path position survives in the checkpointed counters,
+    # so the absolute fast-forward targets are recoverable after a restore.
+    warmup_walked = walker.counters["warmup_instructions_functional"]
+    outcomes = []
+    for plan in sampling.plan_intervals(spec.config):
+        try:
+            faults.fire_unit_faults(_interval_tokens(spec, plan.index))
+            simulator = Simulator(
+                program, config, data_profile=data_profile, rng_seed=plan.rng_seed
+            )
+            handoff_started = time.perf_counter()
+            ff_blocks, ff_walked = walker.fast_forward_to(
+                warmup_walked + plan.ff_instructions
+            )
+            ckpt.restore_state(simulator, ckpt.capture_state(walker))
+            meta["warmup_seconds"] += time.perf_counter() - handoff_started
+            simulator.run_interval(
+                plan.measure_instructions, detailed_warmup=plan.detailed_warmup
+            )
+        except Exception as exc:
+            exc.sampling_interval = plan.index
+            raise
+        outcomes.append(
+            IntervalOutcome(
+                index=plan.index,
+                counters=simulator.measured_counters(),
+                avg_ftq_occupancy=simulator.ftq.average_occupancy,
+                final_ftq_depth=simulator.ftq.depth,
+                ff_blocks=ff_blocks,
+                ff_instructions_walked=ff_walked,
+            )
+        )
+    meta["intervals"] = len(outcomes)
+    return sampling.merge_intervals(
+        spec.workload, spec.label, spec.config, outcomes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +393,9 @@ class SpecFailure:
     ``kind`` is ``"error"`` (the unit raised), ``"timeout"`` (it exceeded
     the per-unit wall-clock budget), or ``"crash"`` (its worker process
     died — the ``BrokenProcessPool`` shape).  ``attempts`` counts every
-    execution tried, retries included; ``interval`` is the failing
-    sampling interval (``-1`` for a full-fidelity run).
+    execution tried, retries included; ``interval`` is the sampling
+    interval the spec's unit raised in (``-1`` for a full-fidelity run,
+    and for a crash or a parent-side timeout, which name no interval).
     """
 
     index: int
@@ -539,15 +491,14 @@ def _timeout_grace() -> float:
         return 5.0
 
 
-def _unit_tokens(spec: RunSpec, interval: int) -> list[str]:
-    """The fault-injection tokens addressing one work unit."""
-    tokens = [spec.label, f"{spec.workload}/{spec.label}"]
-    if interval >= 0:
-        tokens += [
-            f"{spec.label}#{interval}",
-            f"{spec.workload}/{spec.label}#{interval}",
-        ]
-    return tokens
+def _unit_tokens(spec: RunSpec) -> list[str]:
+    """The fault-injection tokens addressing one work unit (one spec)."""
+    return [spec.label, f"{spec.workload}/{spec.label}"]
+
+
+def _interval_tokens(spec: RunSpec, interval: int) -> list[str]:
+    """The tokens addressing one sampling interval inside its spec's unit."""
+    return [f"{token}#{interval}" for token in _unit_tokens(spec)]
 
 
 @contextmanager
@@ -594,22 +545,18 @@ def _init_worker() -> None:
     gc.freeze()
 
 
-def _run_unit(
-    spec: RunSpec, plan: IntervalPlan | None, timeout: float | None
-) -> tuple:
-    """Execute one work unit under the fault-injection and timeout guards.
+def _run_unit(spec: RunSpec, timeout: float | None) -> tuple:
+    """Execute one work unit (one spec) under the fault and timeout guards.
 
     This is the single entry point both the serial loop and the pool
     workers submit, so retry/timeout/fault semantics are identical on
-    every path.  ``plan`` is ``None`` for a full-fidelity run.
+    every path.  A sampled spec is one unit: the timeout and the retries
+    cover its whole interval chain, its spec-level fault tokens fire once
+    here and its per-interval tokens inside the chain.
     """
     with _unit_alarm(timeout):
-        faults.fire_unit_faults(
-            _unit_tokens(spec, plan.index if plan is not None else -1)
-        )
-        if plan is None:
-            return _execute(spec)
-        return _execute_interval(spec, plan)
+        faults.fire_unit_faults(_unit_tokens(spec))
+        return _execute(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +741,9 @@ class RunEvent:
     # Pre-measurement reuse (defaults describe a cache hit / legacy event):
     checkpoint: str = "none"  # "restored" | "created" | "off" | "none"
     program_source: str = "inline"  # "memo" | "disk" | "built" | "inline"
-    warmup_seconds: float = 0.0  # restoring or re-creating the warmup
+    # Restoring or re-creating the warmup; for a sampled spec also the
+    # walker's fast-forwards and its per-interval hand-offs.
+    warmup_seconds: float = 0.0
     intervals: int = 0  # sampling intervals merged into this result (0 = full)
     # Failure reporting (None/defaults on success):
     error: str | None = None  # permanent-failure message
@@ -950,7 +899,9 @@ def run_batch(
 
     Cache hits are resolved first (in spec order).  The remaining specs fan
     out over a process pool when more than one worker is available and more
-    than one run is pending, otherwise they execute in-process.  Before the
+    than one run is pending, otherwise they execute in-process; each spec
+    is one work unit, a sampled one included (its intervals run as one
+    chain inside the unit, see :func:`_run_sampled`).  Before the
     pool spawns, each distinct (workload, seed) program is materialized once
     in this process, and pending specs are grouped by warmup checkpoint key:
     one leader per group whose checkpoint is not yet on disk runs first, and
@@ -959,7 +910,7 @@ def run_batch(
     order never affects the returned order.
 
     **Failure handling** (identical semantics on the serial and pool
-    paths): each work unit gets ``1 + retries`` executions
+    paths): each work unit (one spec) gets ``1 + retries`` executions
     (``retries`` argument > ``REPRO_RETRIES`` > 1) with exponential
     backoff (``REPRO_RETRY_BACKOFF`` base seconds) between attempts, and
     an optional per-unit wall-clock budget (``unit_timeout`` argument >
@@ -1038,12 +989,11 @@ def run_batch(
 
     failures: list[SpecFailure] = []
     failed_specs: set[int] = set()
-    spec_extra_attempts: dict[int, int] = {}
 
-    def finish(
-        index: int, result: SimResult, seconds: float, meta: dict
-    ) -> None:
+    def deliver(index: int, payload: tuple, attempts: int) -> None:
+        """Record one spec's successful unit (``attempts`` tried in all)."""
         nonlocal completed
+        result, seconds, meta = payload
         if active_cache is not None:
             active_cache.put(spec_list[index], result)
         results[index] = result
@@ -1062,7 +1012,7 @@ def run_batch(
                     program_source=meta.get("program_source", "inline"),
                     warmup_seconds=meta.get("warmup_seconds", 0.0),
                     intervals=meta.get("intervals", 0),
-                    attempts=1 + spec_extra_attempts.get(index, 0),
+                    attempts=attempts,
                 )
             )
 
@@ -1091,75 +1041,26 @@ def run_batch(
             raise BatchError(failures, results, total)
 
     def failure_for(
-        unit: tuple[int, int], kind: str, message: str, attempts: int
+        index: int, kind: str, message: str, attempts: int, interval: int = -1
     ) -> SpecFailure:
-        spec = spec_list[unit[0]]
+        spec = spec_list[index]
         return SpecFailure(
-            index=unit[0],
+            index=index,
             workload=spec.workload,
             label=spec.label,
             seed=spec.seed,
             kind=kind,
             message=message,
             attempts=attempts,
-            interval=unit[1],
+            interval=interval,
         )
 
-    # Work units are (spec index, interval index); full-fidelity specs are a
-    # single unit with interval -1.  Both execution paths iterate the same
-    # unit list, so retry/timeout/fault semantics (and therefore results)
-    # are identical serial and pooled.
-    units: list[tuple[int, int]] = []
-    plans_by_index: dict[int, list[IntervalPlan]] = {}
-    for index in pending:
-        spec = spec_list[index]
-        if spec.config.sampling.enabled:
-            plans = sampling.plan_intervals(spec.config)
-            plans_by_index[index] = plans
-            units.extend((index, plan.index) for plan in plans)
-        else:
-            units.append((index, -1))
-
-    def plan_for(unit: tuple[int, int]) -> IntervalPlan | None:
-        index, interval = unit
-        return plans_by_index[index][interval] if interval >= 0 else None
-
-    interval_payloads: dict[int, list[tuple[IntervalOutcome, float, dict]]] = {}
-
-    def deliver(unit: tuple[int, int], payload: tuple, attempts_used: int) -> None:
-        """Fold one successful unit payload into its spec's result."""
-        index, interval = unit
-        if index in failed_specs:
-            return  # a sibling interval already failed the spec
-        spec_extra_attempts[index] = (
-            spec_extra_attempts.get(index, 0) + attempts_used
-        )
-        if interval < 0:
-            result, seconds, meta = payload
-            finish(index, result, seconds, meta)
-            return
-        bucket = interval_payloads.setdefault(index, [])
-        bucket.append(payload)
-        if len(bucket) == len(plans_by_index[index]):
-            bucket.sort(key=lambda p: p[0].index)
-            merged = sampling.merge_intervals(
-                spec_list[index].workload,
-                spec_list[index].label,
-                spec_list[index].config,
-                [p[0] for p in bucket],
-            )
-            finish(
-                index,
-                merged,
-                sum(p[1] for p in bucket),
-                _merge_interval_meta([p[2] for p in bucket]),
-            )
-            del interval_payloads[index]
-
-    def classify(exc: BaseException) -> tuple[str, str]:
+    def classify(exc: BaseException) -> tuple[str, str, int]:
+        """``(kind, message, sampling interval)`` of a unit's exception."""
+        interval = getattr(exc, "sampling_interval", -1)
         if isinstance(exc, UnitTimeoutError):
-            return "timeout", str(exc)
-        return "error", f"{type(exc).__name__}: {exc}"
+            return "timeout", str(exc), interval
+        return "error", f"{type(exc).__name__}: {exc}", interval
 
     if pending and ckpt.checkpointing_enabled():
         # Build every distinct program once in the parent: forked workers
@@ -1173,42 +1074,39 @@ def run_batch(
         ):
             program_store.materialize(workload, seed)
 
+    # Every pending spec is one work unit, a sampled one included (its
+    # intervals chain inside the unit).  Both execution paths run the same
+    # units, so retry/timeout/fault semantics (and therefore results) are
+    # identical serial and pooled.
     workers = min(resolve_jobs(jobs), len(pending)) if pending else 0
     if workers <= 1:
         # Serial path needs no claim scheduling: units run in order, so the
-        # first unit of each checkpoint group creates the snapshot, later
-        # ones restore it, and a sampled spec's intervals chain (each
-        # fast-forward restores the previous interval's checkpoint).
-        for unit in units:
-            index, interval = unit
-            if index in failed_specs:
-                continue
-            spec = spec_list[index]
+        # first unit of each checkpoint group creates the snapshot and later
+        # ones restore it.
+        for index in pending:
             attempts = 0
             while True:
                 attempts += 1
                 try:
-                    payload = _run_unit(spec, plan_for(unit), unit_timeout)
+                    payload = _run_unit(spec_list[index], unit_timeout)
                 except Exception as exc:  # noqa: BLE001 - classified below
-                    kind, message = classify(exc)
+                    kind, message, interval = classify(exc)
                     if attempts <= retries:
                         if backoff > 0:
                             time.sleep(backoff * (2 ** (attempts - 1)))
                         continue
-                    fail(failure_for(unit, kind, message, attempts))
+                    fail(failure_for(index, kind, message, attempts, interval))
                     break
-                deliver(unit, payload, attempts - 1)
+                deliver(index, payload, attempts)
                 break
     else:
         _run_pool(
             spec_list=spec_list,
-            units=units,
-            plan_for=plan_for,
+            units=pending,
             deliver=deliver,
             fail=fail,
             failure_for=failure_for,
             classify=classify,
-            failed_specs=failed_specs,
             workers=workers,
             retries=retries,
             unit_timeout=unit_timeout,
@@ -1221,10 +1119,7 @@ def run_batch(
         if results[index] is None and index not in failed_specs:
             fail(
                 failure_for(
-                    (index, -1),
-                    "error",
-                    "internal scheduler error: spec never completed",
-                    1,
+                    index, "error", "internal scheduler error: spec never completed", 1
                 )
             )
 
@@ -1313,32 +1208,27 @@ def _run_batch_adaptive(
 def _run_pool(
     *,
     spec_list: list[RunSpec],
-    units: list[tuple[int, int]],
-    plan_for: Callable,
+    units: list[int],
     deliver: Callable,
     fail: Callable,
     failure_for: Callable,
     classify: Callable,
-    failed_specs: set[int],
     workers: int,
     retries: int,
     unit_timeout: float | None,
     backoff: float,
 ) -> None:
-    """Supervised pool execution of a batch's work units.
+    """Supervised pool execution of a batch's work units (spec indices).
 
     Responsibilities beyond plain fan-out:
 
-    * **Checkpoint-claim scheduling** — each unit lists the checkpoint
-      keys it would create if missing, in creation order (warmup first,
-      then its own interval key).  A unit claims each missing key it
-      reaches; hitting a key claimed by another unit parks it there until
-      that unit completes, so every missing checkpoint is created exactly
-      once instead of racing in every worker.  Claim order (warmup before
-      interval) keeps the wait-for chains acyclic.
+    * **Checkpoint-claim scheduling** — a unit whose warmup checkpoint is
+      missing claims its key; a unit hitting a key claimed by another unit
+      parks there until that unit completes, so every missing checkpoint
+      is created exactly once instead of racing in every worker.
     * **Retry with backoff** — a unit that raises is rescheduled (keeping
-      its claims) until its ``1 + retries`` attempt budget is spent, then
-      recorded as a permanent failure and its claims released so parked
+      its claim) until its ``1 + retries`` attempt budget is spent, then
+      recorded as a permanent failure and its claim released so parked
       followers re-run as leaders (no deadlock, no lost results).
     * **Broken-pool recovery** — a dying worker breaks the whole
       executor, failing *every* in-flight future.  The supervisor
@@ -1353,32 +1243,15 @@ def _run_pool(
       rebuilt.
     """
     store = ckpt.CheckpointStore()
-    create_keys: dict[tuple[int, int], list[str]] = {}
-    for index, interval in units:
-        spec = spec_list[index]
-        keys: list[str] = []
-        warmup_key = _checkpoint_key_for(spec)
-        if warmup_key is not None:
-            keys.append(warmup_key)
-        if interval >= 0 and spec.cacheable and ckpt.checkpointing_enabled():
-            plan = plan_for((index, interval))
-            if plan.ff_instructions > 0:
-                program_key = ProgramStore().key_for(spec.workload, spec.seed)
-                keys.append(
-                    ckpt.interval_checkpoint_key(
-                        program_key, spec.seed, spec.config, plan.ff_instructions
-                    )
-                )
-        create_keys[(index, interval)] = keys
-
-    claimed: dict[str, tuple[int, int]] = {}
-    parked: dict[str, list[tuple[int, int]]] = {}
+    create_key = {unit: _checkpoint_key_for(spec_list[unit]) for unit in units}
+    claimed: dict[str, int] = {}
+    parked: dict[str, list[int]] = {}
     waiting: dict = {}
     deadlines: dict = {}
-    unit_attempts: dict[tuple[int, int], int] = {}  # failed attempts so far
-    pending_submit: deque[tuple[int, int]] = deque(units)
-    retry_heap: list[tuple[float, int, tuple[int, int]]] = []
-    quarantine: deque[tuple[int, int]] = deque()
+    unit_attempts: dict[int, int] = {}  # failed attempts so far
+    pending_submit: deque[int] = deque(units)
+    retry_heap: list[tuple[float, int, int]] = []
+    quarantine: deque[int] = deque()
     sequence = itertools.count()
     grace = _timeout_grace()
 
@@ -1397,47 +1270,35 @@ def _run_pool(
             pass
         pool = make_pool()
 
-    def release(unit: tuple[int, int]) -> list[tuple[int, int]]:
-        freed: list[tuple[int, int]] = []
-        for key in create_keys[unit]:
-            if claimed.get(key) == unit:
-                del claimed[key]
-                freed.extend(parked.pop(key, ()))
-        return freed
+    def release(unit: int) -> list[int]:
+        """Drop the unit's claim; returns the units parked behind it."""
+        key = create_key[unit]
+        if key is None or claimed.get(key) != unit:
+            return []
+        del claimed[key]
+        return parked.pop(key, [])
 
-    def submit(unit: tuple[int, int]) -> None:
+    def submit(unit: int) -> None:
         """Hand a claim-cleared unit to the pool."""
-        index, _ = unit
-        future = pool.submit(
-            _run_unit, spec_list[index], plan_for(unit), unit_timeout
-        )
+        future = pool.submit(_run_unit, spec_list[unit], unit_timeout)
         waiting[future] = unit
         if unit_timeout is not None:
             deadlines[future] = time.monotonic() + unit_timeout * 2 + grace
 
-    def try_submit(unit: tuple[int, int]) -> None:
-        """Walk the unit's checkpoint claims, then submit or park it."""
-        index, _ = unit
-        if index in failed_specs:
-            pending_submit.extend(release(unit))
-            return
-        for key in create_keys[unit]:
-            if store.exists(key):
-                continue
-            owner = claimed.get(key)
-            if owner is None:
-                claimed[key] = unit
-            elif owner != unit:
+    def try_submit(unit: int) -> None:
+        """Claim the unit's missing checkpoint, then submit or park it."""
+        key = create_key[unit]
+        if key is not None and not store.exists(key):
+            owner = claimed.setdefault(key, unit)
+            if owner != unit:
                 parked.setdefault(key, []).append(unit)
                 return
         submit(unit)
 
-    def attempt_failed(unit: tuple[int, int], kind: str, message: str) -> None:
+    def attempt_failed(
+        unit: int, kind: str, message: str, interval: int = -1
+    ) -> None:
         """One failed execution: schedule a retry or record the failure."""
-        index, _ = unit
-        if index in failed_specs:
-            pending_submit.extend(release(unit))
-            return
         failed_count = unit_attempts.get(unit, 0) + 1
         unit_attempts[unit] = failed_count
         if failed_count <= retries:
@@ -1447,13 +1308,13 @@ def _run_pool(
             )
         else:
             pending_submit.extend(release(unit))
-            fail(failure_for(unit, kind, message, failed_count))
+            fail(failure_for(unit, kind, message, failed_count, interval))
 
-    def succeeded(unit: tuple[int, int], payload: tuple) -> None:
-        deliver(unit, payload, unit_attempts.pop(unit, 0))
+    def succeeded(unit: int, payload: tuple) -> None:
+        deliver(unit, payload, unit_attempts.pop(unit, 0) + 1)
         pending_submit.extend(release(unit))
 
-    def settle(unit: tuple[int, int], future) -> bool:
+    def settle(unit: int, future) -> bool:
         """Resolve one completed future; True if it broke the pool."""
         try:
             payload = future.result(timeout=30)
@@ -1466,13 +1327,12 @@ def _run_pool(
             # within moments of a break) — treat like a pool casualty.
             return True
         except Exception as exc:  # noqa: BLE001 - classified below
-            kind, message = classify(exc)
-            attempt_failed(unit, kind, message)
+            attempt_failed(unit, *classify(exc))
         else:
             succeeded(unit, payload)
         return False
 
-    def recover_broken_pool(first_unit: tuple[int, int]) -> None:
+    def recover_broken_pool(first_unit: int) -> None:
         """A worker died: quarantine in-flight units and rebuild the pool.
 
         If the break happened while a quarantined unit ran *alone*, that
@@ -1492,18 +1352,17 @@ def _run_pool(
             culprit = quarantine[0]
             failed_count = unit_attempts.get(culprit, 0) + 1
             unit_attempts[culprit] = failed_count
-            if failed_count > retries or culprit[0] in failed_specs:
+            if failed_count > retries:
                 quarantine.popleft()
                 pending_submit.extend(release(culprit))
-                if culprit[0] not in failed_specs:
-                    fail(
-                        failure_for(
-                            culprit,
-                            "crash",
-                            "worker process died while running this unit",
-                            failed_count,
-                        )
+                fail(
+                    failure_for(
+                        culprit,
+                        "crash",
+                        "worker process died while running this unit",
+                        failed_count,
                     )
+                )
             # else: the culprit stays at the quarantine front for a solo
             # retry against the rebuilt pool.
         else:
@@ -1544,12 +1403,7 @@ def _run_pool(
             if quarantine:
                 # Solo re-runs: exactly one quarantined unit in flight.
                 if not waiting:
-                    head = quarantine[0]
-                    if head[0] in failed_specs:
-                        quarantine.popleft()
-                        pending_submit.extend(release(head))
-                        continue
-                    submit(head)
+                    submit(quarantine[0])
             else:
                 now = time.monotonic()
                 while retry_heap and retry_heap[0][0] <= now:
@@ -1576,7 +1430,7 @@ def _run_pool(
             if not done:
                 enforce_deadlines()  # woke for a deadline or a due retry
                 continue
-            broke_for: tuple[int, int] | None = None
+            broke_for: int | None = None
             for future in done:
                 unit = waiting.pop(future)
                 deadlines.pop(future, None)

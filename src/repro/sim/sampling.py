@@ -7,10 +7,11 @@ periods.  Each period ends with ``detailed_warmup`` cycle-simulated but
 unmeasured instructions followed by ``interval_length`` measured
 instructions; everything earlier in the period is functionally
 fast-forwarded at oracle-walk speed
-(:meth:`~repro.sim.simulator.Simulator.fast_forward_to`).  The engine
-executes intervals as independent tasks (:mod:`repro.sim.engine`), reusing
-mid-run checkpoints keyed by the fast-forward distance
-(:func:`~repro.sim.checkpoint.interval_checkpoint_key`).
+(:meth:`~repro.sim.simulator.Simulator.fast_forward_to`).  The engine runs
+a sampled spec as one chain (:mod:`repro.sim.engine`): a single walker
+simulator keeps one functional warming pass going from interval to
+interval, as SMARTS does, and hands its state over in memory to a fresh
+simulator per interval; only the functional warmup is checkpointed.
 
 This module is pure planning and aggregation:
 
@@ -72,10 +73,9 @@ class IntervalPlan:
     of the functional warmup (block-granular, see ``fast_forward_to``);
     ``rng_seed`` drives the measured-region stochastic components.  With
     warm fast-forwards every interval carries ``rng_seed == config.seed``:
-    the warming replay consumes the simulator's own data generator, so the
-    measured region must draw from the same stream the replay advanced (and
-    chained interval checkpoints must share one address universe).  Cold
-    fast-forwards keep per-interval derived seeds
+    the warming replay consumes the walker's own data generator, so the
+    measured region must draw from the same stream the replay advanced.
+    Cold fast-forwards keep per-interval derived seeds
     (``interval_seed(config.seed, index)``).  Either way the seed is a pure
     function of ``(config, index)``, so results are independent of worker
     scheduling order.
@@ -90,7 +90,12 @@ class IntervalPlan:
 
 @dataclass
 class IntervalOutcome:
-    """What one executed interval contributes to the merged result."""
+    """What one executed interval contributes to the merged result.
+
+    ``ff_blocks``/``ff_instructions_walked`` count the walk from the
+    previous interval's start (from the end of the functional warmup for
+    the first), so their sums over a spec are its whole fast-forward.
+    """
 
     index: int
     counters: dict[str, int]

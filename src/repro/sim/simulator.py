@@ -74,8 +74,8 @@ class Simulator:
         # warmup never consumes this stream, so warmup checkpoints are
         # shared across rng_seed values; a *warming* fast-forward does
         # (the data replay), which is why warm sampled intervals all run
-        # with the base seed (plan_intervals) and the warm flag enters the
-        # interval checkpoint key.
+        # with the base seed (plan_intervals), the seed of the engine's
+        # walker whose state each interval's simulator takes over.
         self.rng_seed = rng_seed if rng_seed is not None else config.seed
         self.counters = Counters()
         self.cycle = 0
@@ -355,7 +355,8 @@ class Simulator:
         (``oracle.instrs_walked``); the walk (:meth:`_walk_true_path`) stops
         at the first basic-block boundary at or past it, so chaining
         fast-forwards through intermediate targets lands in exactly the same
-        state as one direct jump (interval checkpoints depend on this).
+        state as one direct jump (the engine's sampled chain, one walker
+        fast-forwarding from interval to interval, depends on this).
         Afterwards the warmup baseline is re-snapshotted so the skipped span
         never leaks into measurement.
 
@@ -369,8 +370,8 @@ class Simulator:
         counters cold — which is why sampled intervals share one
         ``rng_seed`` when warming is on (see ``plan_intervals``).  It
         defaults to the config's ``sampling.warm_fastforward``; every piece
-        of state it touches is checkpointed, so chained warm walks stay
-        byte-identical to one direct jump.
+        of state it touches is captured (:func:`repro.sim.checkpoint.capture_state`),
+        so chained warm walks stay byte-identical to one direct jump.
 
         Returns ``(blocks_walked, instructions_walked)`` for this call.
         Already being at or past the target is a strict no-op — the

@@ -97,23 +97,83 @@ def test_ibtb_capacity_bounded():
     assert total <= 8
 
 
-@pytest.mark.parametrize(
-    "cls",
-    [BranchTargetBuffer, BranchTargetBufferC, IndirectTargetBuffer, IndirectTargetBufferC],
-    ids=lambda cls: cls.__name__,
-)
+BUFFERS = [
+    BranchTargetBuffer,
+    BranchTargetBufferC,
+    IndirectTargetBuffer,
+    IndirectTargetBufferC,
+]
+
+
+def _filled(cls):
+    """A small buffer of ``cls`` with full and partly full sets."""
+    if cls in (BranchTargetBufferC, IndirectTargetBufferC) and cc.kernels() is None:
+        pytest.skip("no C compiler on this host")
+    buf = cls(entries=16, assoc=4)
+    for i in range(14):
+        if issubclass(cls, BranchTargetBuffer):
+            buf.fill(0x1000 + 4 * i, BranchKind.JUMP, 0x2000 + i)
+        else:
+            buf.train(0x1000 + 4 * i, history=i, target=0x2000 + i)
+    return buf
+
+
+@pytest.mark.parametrize("cls", BUFFERS, ids=lambda cls: cls.__name__)
 def test_load_state_rejects_overfull_set(cls):
     # A checkpoint set with more entries than ways must not be restored:
     # the C layout would spill into the next set, the dict layout would
     # silently exceed its associativity.
-    if cls in (BranchTargetBufferC, IndirectTargetBufferC) and cc.kernels() is None:
-        pytest.skip("no C compiler on this host")
-    buf = cls(entries=16, assoc=4)
-    state = buf.state_dict()
-    if issubclass(cls, BranchTargetBuffer):
-        entries = [(0x1000 + 16 * i, int(BranchKind.JUMP), 0x2000) for i in range(5)]
+    import numpy as np
+
+    buf = _filled(cls)
+    state = buf.state_packed()
+    counts = np.frombuffer(state["counts"], dtype=np.uint16).copy()
+    counts[0] = 5
+    state["counts"] = counts.tobytes()
+    with pytest.raises(ValueError, match="more entries than ways"):
+        buf.load_packed(state)
+
+
+@pytest.mark.parametrize("cls", BUFFERS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("damage", ["counts-length", "plane-length"])
+def test_load_packed_validates_before_loading(cls, damage):
+    # A counts buffer with the wrong number of sets, or a payload plane
+    # whose length is not sum(counts), raises ValueError up front (never an
+    # IndexError from the scatter) and leaves the buffer untouched.
+    buf = _filled(cls)
+    state = buf.state_packed()
+    if damage == "counts-length":
+        state["counts"] = state["counts"][:-2]
     else:
-        entries = [(0x1000 + 16 * i, 0x2000) for i in range(5)]
-    state["sets"][0] = entries
+        state["targets"] = state["targets"][:-8]
+    before = buf.state_packed()
     with pytest.raises(ValueError):
-        buf.load_state(state)
+        buf.load_packed(state)
+    assert buf.state_packed() == before
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (BranchTargetBuffer, BranchTargetBufferC),
+        (IndirectTargetBuffer, IndirectTargetBufferC),
+    ],
+    ids=["btb", "ibtb"],
+)
+def test_packed_state_round_trips_across_layouts(pair):
+    # The packed LRU->MRU buffers are layout-neutral: object -> C -> object
+    # reproduces the same bytes, and both replace the same victim next.
+    obj_cls, c_cls = pair
+    source = _filled(obj_cls)
+    compiled = _filled(c_cls)
+    compiled.load_packed(source.state_packed())
+    assert compiled.state_packed() == source.state_packed()
+    back = obj_cls(entries=16, assoc=4)
+    back.load_packed(compiled.state_packed())
+    assert back.state_packed() == source.state_packed()
+    for buf in (source, compiled, back):
+        if obj_cls is BranchTargetBuffer:
+            buf.fill(0x1000 + 4 * 16, BranchKind.CALL, 0x9000)
+        else:
+            buf.train(0x1000 + 4 * 16, history=16, target=0x9000)
+    assert compiled.state_packed() == source.state_packed() == back.state_packed()

@@ -8,10 +8,13 @@ original.  Plus the failure modes: corrupt blobs, mismatched configs, and
 the ``REPRO_NO_CHECKPOINT`` opt-out.
 """
 
+import functools
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.common import cc
 from repro.sim import checkpoint as ckpt
 from repro.sim.presets import PRESET_BUILDERS, baseline_config, miss_heavy_config
 from repro.sim.simulator import Simulator
@@ -154,20 +157,96 @@ def test_restore_rejects_wrong_geometry():
         ckpt.restore_warmup(target, blob)
 
 
-def test_restore_rejects_overfull_btb_set():
-    prof = get_profile("gcc")
+def _modes() -> list[bool]:
+    """The object structures always; the compiled ones where kernels build."""
+    return [False] + ([True] if cc.kernels() is not None else [])
+
+
+@functools.lru_cache(maxsize=None)
+def _donor_blob(compiled: bool) -> bytes:
+    """The warmup checkpoint of a gcc donor (shared by the cases below)."""
+    config = baseline_config(INSTRUCTIONS, SEED)
+    donor = Simulator(
+        program_store.program_for("gcc", SEED),
+        config,
+        data_profile=get_profile("gcc").data,
+        compiled=compiled,
+    )
+    donor.functional_warmup(config.functional_warmup_blocks)
+    return ckpt.capture_warmup(donor)
+
+
+def _donor_state(compiled: bool) -> tuple:
+    """(program, config, a fresh unpickled copy of the donor's state)."""
+    if compiled and cc.kernels() is None:
+        pytest.skip("no C compiler on this host")
     program = program_store.program_for("gcc", SEED)
     config = baseline_config(INSTRUCTIONS, SEED)
-    donor = Simulator(program, config, data_profile=prof.data)
-    donor.functional_warmup(config.functional_warmup_blocks)
-    state = pickle.loads(ckpt.capture_warmup(donor))
-    state["btb"]["sets"][0] = [
-        (0x1000 + 4 * i, 0, 0x2000) for i in range(config.branch.btb_assoc + 1)
-    ]
+    return program, config, pickle.loads(_donor_blob(compiled))
 
-    target = Simulator(program, config, data_profile=prof.data)
-    with pytest.raises(ckpt.CheckpointError):
+
+def _assert_rejected(program, config, state, compiled: bool) -> None:
+    """Restoring ``state`` fails validation: a ValueError, never an IndexError."""
+    target = Simulator(
+        program, config, data_profile=get_profile("gcc").data, compiled=compiled
+    )
+    with pytest.raises(ckpt.CheckpointError) as info:
         ckpt.restore_warmup(target, pickle.dumps(state))
+    assert type(info.value.__cause__) is ValueError
+
+
+def test_restore_rejects_overfull_btb_set():
+    for compiled in _modes():
+        program, config, state = _donor_state(compiled)
+        counts = np.frombuffer(state["btb"]["counts"], dtype=np.uint16).copy()
+        counts[0] = config.branch.btb_assoc + 1
+        state["btb"]["counts"] = counts.tobytes()
+        _assert_rejected(program, config, state, compiled)
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
+@pytest.mark.parametrize(
+    "part,plane",
+    [
+        ("btb", "counts"),
+        ("btb", "pcs"),
+        ("btb", "kinds"),
+        ("btb", "targets"),
+        ("ibtb", "counts"),
+        ("ibtb", "tags"),
+        ("ibtb", "targets"),
+    ],
+)
+def test_restore_rejects_malformed_packed_btb(part, plane, compiled):
+    # A counts buffer of the wrong length, or a plane whose length is not
+    # sum(counts): a CheckpointError, never an IndexError from the scatter.
+    program, config, state = _donor_state(compiled)
+    buffer = state[part][plane]
+    width = 2 if plane == "counts" else np.dtype(
+        "uint8" if plane == "kinds" else "int64"
+    ).itemsize
+    state[part][plane] = buffer[:-width]
+    _assert_rejected(program, config, state, compiled)
+
+
+def test_schema_3_blob_is_a_miss_that_rewarms():
+    # A snapshot written before the packed-BTB format (schema 3) stored
+    # under the current key must be treated as a miss: the engine re-warms,
+    # overwrites the entry and reports the same counters as a clean run.
+    from repro.sim import engine
+
+    spec = engine.spec_for("gcc", baseline_config(INSTRUCTIONS, SEED), SEED, "s3")
+    clean = engine.run_batch([spec], jobs=1, no_cache=True)[0]
+    key = engine._checkpoint_key_for(spec)
+    store = ckpt.CheckpointStore()
+    state = pickle.loads(store.get(key))
+    state["schema"] = 3
+    store.put(key, pickle.dumps(state))
+    stats = engine.BatchStats()
+    again = engine.run_batch([spec], jobs=1, no_cache=True, progress=stats)[0]
+    assert stats.checkpoint_creates == 1 and stats.checkpoint_restores == 0
+    assert again.counters == clean.counters
+    assert pickle.loads(store.get(key))["schema"] == ckpt.CHECKPOINT_SCHEMA
 
 
 def test_capture_requires_warmed_restore_requires_pristine():

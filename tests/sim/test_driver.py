@@ -484,7 +484,7 @@ def test_techniques_match_object_path(kind, workload):
         assert driven.prefetcher.triggered > 0
     assert _state(driven) == _state(oracle)
     assert _technique_state(driven) == _technique_state(oracle)
-    assert driven.bpu.btb.state_dict() == oracle.bpu.btb.state_dict()
+    assert driven.bpu.btb.state_packed() == oracle.bpu.btb.state_packed()
     assert (driven.steps_executed, driven.ff_jumps) == (oracle.steps_executed, oracle.ff_jumps)
 
 
@@ -791,15 +791,12 @@ def _walk_state(sim: Simulator) -> tuple:
     """Everything the functional walk writes, layout-neutral.
 
     ``_state`` plus the raw counters and baseline, the frontend and RAS
-    scalars and every trained structure in its checkpoint form.  The TAGE
-    bimodal base (an object without ``==``) becomes its bytes, the caches
-    their LRU-ordered line tuples and the data generator its occurrence
-    dict (the compiled one's packed buffers are in pc order).
+    scalars and every trained structure in its checkpoint form: the caches
+    as their LRU-ordered line tuples and the data generator as its
+    occurrence dict (the compiled one's packed buffers are in pc order).
     """
     bpu = sim.bpu
     hierarchy = sim.hierarchy
-    tage = bpu.tage.state_dict()
-    tage["base"] = bytes(tage["base"].table)
     caches = (sim.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.llc)
     return (
         _state(sim),
@@ -808,9 +805,9 @@ def _walk_state(sim: Simulator) -> tuple:
         sim.frontend.spec_pc,
         (list(bpu.ras._stack), bpu.ras.overflows, bpu.ras.underflows),
         bpu.history.checkpoint(),
-        tage,
-        bpu.btb.state_dict(),
-        bpu.ibtb.state_dict(),
+        bpu.tage.state_dict(),
+        bpu.btb.state_packed(),
+        bpu.ibtb.state_packed(),
         [cache.state_lines() for cache in caches],
         hierarchy.stream.state_dict() if hierarchy.stream is not None else None,
         sim.data_gen.occurrences_dict(),

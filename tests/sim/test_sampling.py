@@ -5,7 +5,9 @@ the whole measured region with no detailed warmup must produce counters
 byte-identical to a plain full-fidelity run, on every preset family the
 benchmark sweeps.  Everything else (pool scheduling, per-interval RNG
 seeds, checkpoint reuse, the ``REPRO_NO_SAMPLING`` escape hatch) must never
-change a merged result.
+change a merged result, and the engine's interval chain (one walker handing
+its state to a fresh simulator per interval) must equal every interval
+warming up and jumping straight to its own start.
 """
 
 import dataclasses
@@ -13,6 +15,7 @@ import json
 
 import pytest
 
+from repro.common import cc
 from repro.common.config import ConfigError, SamplingConfig
 from repro.common.rng import interval_seed
 from repro.sim import checkpoint as ckpt
@@ -20,11 +23,13 @@ from repro.sim import engine, sampling
 from repro.sim.engine import BatchStats, run_batch, spec_for
 from repro.sim.metrics import SimResult
 from repro.sim.presets import (
+    PRESET_BUILDERS,
     apply_sampling,
     baseline_config,
     miss_heavy_config,
     udp_config,
 )
+from repro.sim.simulator import Simulator
 
 FAST = baseline_config(max_instructions=2_000).replace(
     functional_warmup_blocks=800
@@ -281,25 +286,26 @@ def _sampled_spec(label="k4", seed=1):
 
 
 def test_pooled_intervals_match_serial():
-    serial = run_batch([_sampled_spec()], jobs=1, no_cache=True)[0]
-    pooled = run_batch([_sampled_spec()], jobs=2, no_cache=True)[0]
-    assert _identical(serial, pooled)
-    # The ff_* fields report walking actually performed, which shrinks once
-    # interval checkpoints exist; everything measured must be invariant.
-    stable = lambda b: {k: v for k, v in b.items() if not k.startswith("ff_")}
-    assert stable(pooled.sampling) == stable(serial.sampling)
+    # Two sampled specs, so the pool path runs and each worker runs a
+    # whole interval chain.
+    specs = [_sampled_spec(), _sampled_spec(label="k4-seed2", seed=2)]
+    serial = run_batch(specs, jobs=1, no_cache=True)
+    pooled = run_batch(specs, jobs=2, no_cache=True)
+    for a, b in zip(serial, pooled):
+        assert _identical(a, b)
+        assert a.sampling == b.sampling
 
 
 def test_repeated_pooled_runs_are_deterministic():
     # S3: per-interval RNG seeds derive from (base seed, interval index), so
-    # worker scheduling order can never leak into the merged counters.
-    first = run_batch([_sampled_spec()], jobs=2, no_cache=True)[0]
-    second = run_batch([_sampled_spec()], jobs=2, no_cache=True)[0]
-    assert _identical(first, second)
-    different_seed = run_batch(
-        [_sampled_spec(seed=2)], jobs=2, no_cache=True
-    )[0]
-    assert first.counters != different_seed.counters
+    # worker scheduling order can never leak into the merged counters.  Two
+    # specs per batch, so the runs really go through the pool.
+    specs = [_sampled_spec(), _sampled_spec(label="k4-seed2", seed=2)]
+    first = run_batch(specs, jobs=2, no_cache=True)
+    second = run_batch(specs, jobs=2, no_cache=True)
+    for a, b in zip(first, second):
+        assert _identical(a, b)
+    assert first[0].counters != first[1].counters
 
 
 def test_sampled_run_reports_interval_stats():
@@ -318,27 +324,119 @@ def test_sampled_run_reports_interval_stats():
     assert isinstance(result.counters["cycles"], int)
 
 
-def test_interval_checkpoints_created_and_reused():
+def test_sampled_run_stores_only_its_warmup_checkpoint():
+    # The intervals chain in memory: the warmup is the only checkpoint a
+    # sampled run writes, and a re-run restores it and walks again.
     store = ckpt.CheckpointStore()
     spec = _sampled_spec()
-    run_batch([spec], jobs=1, no_cache=True)
-    plans = sampling.plan_intervals(spec.config)
-    program_key = engine.ProgramStore().key_for(spec.workload, spec.seed)
-    interval_keys = [
-        ckpt.interval_checkpoint_key(
-            program_key, spec.seed, spec.config, p.ff_instructions
+    stats = BatchStats()
+    first = run_batch([spec], jobs=1, no_cache=True, progress=stats)[0]
+    assert store.stats()[0] == 1
+    assert store.exists(engine._checkpoint_key_for(spec))
+    assert (stats.checkpoint_creates, stats.checkpoint_restores) == (1, 0)
+    again = BatchStats()
+    rerun = run_batch(
+        [_sampled_spec(label="again")], jobs=1, no_cache=True, progress=again
+    )[0]
+    assert (again.checkpoint_creates, again.checkpoint_restores) == (0, 1)
+    assert store.stats()[0] == 1
+    assert rerun.sampling["ff_instructions_total"] > 0
+    assert rerun.sampling == first.sampling
+    assert _identical(rerun, first)
+
+
+# The oracle of the chain: every interval a fresh simulator that warms up
+# and fast-forwards straight to its own start.  two-level-btb keeps the
+# Python walk; the others run it in C when compiled.
+CHAIN_PRESETS = ("baseline", "udp", "miss-heavy", "two-level-btb")
+
+
+def _direct_route(spec, compiled: bool) -> SimResult:
+    program, config, data_profile, _ = engine._resolve_spec(spec)
+    outcomes = []
+    before = (0, 0)
+    for plan in sampling.plan_intervals(spec.config):
+        sim = Simulator(
+            program,
+            config,
+            data_profile=data_profile,
+            rng_seed=plan.rng_seed,
+            compiled=compiled,
         )
-        for p in plans
-        if p.ff_instructions > 0
-    ]
-    assert interval_keys and all(store.exists(k) for k in interval_keys)
-    # A measured-length tweak reuses the same fast-forward positions only
-    # where they coincide; the warmup checkpoint is always shared.
-    warmup_key = engine._checkpoint_key_for(spec)
-    assert store.exists(warmup_key)
-    # Second run restores every interval checkpoint instead of re-walking.
-    rerun = run_batch([_sampled_spec(label="again")], jobs=1, no_cache=True)[0]
-    assert rerun.sampling["ff_instructions_total"] == 0
+        sim.functional_warmup(config.functional_warmup_blocks)
+        blocks, walked = sim.fast_forward_to(
+            sim.oracle.instrs_walked + plan.ff_instructions
+        )
+        sim.run_interval(plan.measure_instructions, plan.detailed_warmup)
+        outcomes.append(
+            sampling.IntervalOutcome(
+                index=plan.index,
+                counters=sim.measured_counters(),
+                avg_ftq_occupancy=sim.ftq.average_occupancy,
+                final_ftq_depth=sim.ftq.depth,
+                # The chain's walker walks from the previous interval's start.
+                ff_blocks=blocks - before[0],
+                ff_instructions_walked=walked - before[1],
+            )
+        )
+        before = (blocks, walked)
+    return sampling.merge_intervals(spec.workload, spec.label, spec.config, outcomes)
+
+
+def _mode(monkeypatch, compiled: bool) -> None:
+    if compiled:
+        if cc.kernels() is None:
+            pytest.skip("no C compiler on this host")
+    else:
+        monkeypatch.setenv(cc.NO_COMPILED_ENV, "1")
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["warm-ff", "cold-ff"])
+@pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
+@pytest.mark.parametrize("preset", CHAIN_PRESETS)
+def test_chain_matches_direct_route(monkeypatch, preset, compiled, warm):
+    _mode(monkeypatch, compiled)
+    config = PRESET_BUILDERS[preset](2_000).replace(functional_warmup_blocks=800)
+    spec = spec_for(
+        "mediawiki", config.with_sampling(3, 200, 100, warm_fastforward=warm),
+        1, preset,
+    )
+    chained = run_batch([spec], jobs=1, no_cache=True)[0]
+    direct = _direct_route(spec, compiled)
+    assert _identical(chained, direct)
+    assert chained.sampling == direct.sampling
+    assert chained.sampling["ff_instructions_total"] > 0
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
+def test_handoff_is_independent_of_the_walker(monkeypatch, compiled):
+    # Like test_restored_state_is_independent_of_the_donor, for the in-memory
+    # hand-off: the walker advancing after it must not reach the interval's
+    # simulator, and the interval running must not reach the walker.
+    _mode(monkeypatch, compiled)
+    from repro.sim.profile import build_simulator
+
+    config = udp_config(max_instructions=2_000).replace(
+        functional_warmup_blocks=800
+    ).with_sampling(4, 200, 100)
+
+    def walked_to(distance):
+        sim = build_simulator("mediawiki", config, seed=1, compiled=compiled)
+        sim.functional_warmup(config.functional_warmup_blocks)
+        sim.fast_forward_to(sim.oracle.instrs_walked + distance)
+        return sim
+
+    walker = walked_to(500)
+    start = walker.oracle.instrs_walked
+    handed = build_simulator("mediawiki", config, seed=1, compiled=compiled)
+    ckpt.restore_state(handed, ckpt.capture_state(walker))
+    walker.fast_forward_to(start + 1_000)
+    handed.run_interval(200, detailed_warmup=100)
+    direct = walked_to(500)
+    direct.run_interval(200, detailed_warmup=100)
+    assert handed.measured_counters() == direct.measured_counters()
+    walker.fast_forward_to(start + 1_500)
+    assert ckpt.capture_warmup(walker) == ckpt.capture_warmup(walked_to(2_000))
 
 
 def test_sampling_matches_with_and_without_checkpoints(monkeypatch):
@@ -410,7 +508,7 @@ def test_warm_fastforward_defaults_from_sampling_config():
 
 
 def test_chained_warm_fastforward_equals_direct_jump():
-    # Interval checkpoints chain fast-forwards; every piece of
+    # The sampled chain's walker chains fast-forwards; every piece of
     # warming-mutated state must therefore be position-deterministic.
     sampled = FAST.with_sampling(4, 200, 100)
     chained = _warm_sim(sampled, warm=True)
@@ -438,8 +536,11 @@ def test_cold_fastforward_config_still_runs_and_differs():
     assert warm.sampling["num_intervals"] == cold.sampling["num_intervals"] == 4
     assert warm.counters != cold.counters
     # Serial and pooled stay identical in cold mode too.
-    pooled_cold = run_batch([cold_spec], jobs=2, no_cache=True)[0]
+    pooled_cold, pooled_warm = run_batch(
+        [cold_spec, warm_spec], jobs=2, no_cache=True
+    )
     assert _identical(cold, pooled_cold)
+    assert _identical(warm, pooled_warm)
 
 
 # ---------------------------------------------------------------------------
