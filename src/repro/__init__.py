@@ -28,72 +28,45 @@ Layers (bottom-up):
 * :mod:`repro.prefetchers` — stand-alone comparators (EIP, next-line)
 * :mod:`repro.sim` — the cycle loop, presets, the batch engine, metrics
 * :mod:`repro.analysis` — one experiment function per paper figure/table
+
+The public names below resolve on first use (``repro._lazy``), so
+``import repro`` loads only what a caller touches.
 """
 
-from repro.common.config import SimConfig, TechniqueConfig, UDPConfig, UFTQConfig
-from repro.sim.engine import (
-    BatchError,
-    BatchStats,
-    ResultCache,
-    RunEvent,
-    RunSpec,
-    SpecFailure,
-    default_cache,
-    run_batch,
-    set_default_progress,
-    spec_for,
-)
-from repro.sim.metrics import SimResult, geomean, speedup
-from repro.sim.presets import (
-    baseline_config,
-    bigger_icache_config,
-    eip_config,
-    infinite_storage_config,
-    mana_config,
-    opt_config,
-    perfect_icache_config,
-    shadow_btb_config,
-    udp_config,
-    uftq_config,
-)
-from repro.sim.simulator import Simulator
-from repro.workloads.profiles import PAPER_TABLE3, SUITE, get_profile
-from repro.workloads.synth import synthesize
+from repro._lazy import exports as _exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BatchError",
-    "BatchStats",
-    "ResultCache",
-    "RunEvent",
-    "RunSpec",
-    "SpecFailure",
-    "default_cache",
-    "run_batch",
-    "set_default_progress",
-    "spec_for",
-    "SimConfig",
-    "TechniqueConfig",
-    "UDPConfig",
-    "UFTQConfig",
-    "SimResult",
-    "geomean",
-    "speedup",
-    "baseline_config",
-    "bigger_icache_config",
-    "eip_config",
-    "infinite_storage_config",
-    "mana_config",
-    "opt_config",
-    "perfect_icache_config",
-    "shadow_btb_config",
-    "udp_config",
-    "uftq_config",
-    "Simulator",
-    "PAPER_TABLE3",
-    "SUITE",
-    "get_profile",
-    "synthesize",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = _exports(
+    __name__,
+    ("repro.sim.engine", (
+        "BatchError",
+        "BatchStats",
+        "ResultCache",
+        "RunEvent",
+        "RunSpec",
+        "SpecFailure",
+        "default_cache",
+        "run_batch",
+        "set_default_progress",
+        "spec_for",
+    )),
+    ("repro.common.config", ("SimConfig", "TechniqueConfig", "UDPConfig", "UFTQConfig")),
+    ("repro.sim.metrics", ("SimResult", "geomean", "speedup")),
+    ("repro.sim.presets", (
+        "baseline_config",
+        "bigger_icache_config",
+        "eip_config",
+        "infinite_storage_config",
+        "mana_config",
+        "opt_config",
+        "perfect_icache_config",
+        "shadow_btb_config",
+        "udp_config",
+        "uftq_config",
+    )),
+    ("repro.sim.simulator", ("Simulator",)),
+    ("repro.workloads.profiles", ("PAPER_TABLE3", "SUITE", "get_profile")),
+    ("repro.workloads.synth", ("synthesize",)),
+)
+__all__ += ["__version__"]

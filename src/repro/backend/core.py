@@ -20,6 +20,7 @@ from collections import deque
 
 from repro.common.config import CoreConfig
 from repro.common.counters import Counters
+from repro.common.packed import address, view, zeros
 from repro.frontend.fetch_block import PendingResteer
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads.behavior import mix64
@@ -308,31 +309,23 @@ class BackendCore:
         return len(self.rob)
 
 
-def dep_flags(program: Program, seed: int, threshold: int):
+def dep_flags(program: Program, seed: int, threshold: int) -> bytes:
     """The per-PC load-dependence flags of ``program``, built once per process.
 
-    One vectorized splitmix64 sweep over every instruction address, stored
-    as a uint8 table indexed by ``pc >> 2`` -- bit-identical to
-    :meth:`BackendCore._depends_on_load` (uint64 wrap-around equals the
-    ``& mask``).  Cached per (program, seed, threshold) in the program's
+    One splitmix64 sweep in C (``dep_flags`` in ``kernels/backend.c``) over
+    every instruction address, one byte per instruction indexed by
+    ``pc >> 2`` -- bit-identical to :meth:`BackendCore._depends_on_load`.
+    Immutable, and cached per (program, seed, threshold) in the program's
     per-process memo (:func:`repro.workloads.tables.program_cache`).
     """
-    import numpy as np
+    from repro.common import cc
 
     cache = program_cache(program)
     key = ("dep_flags", seed & 0xFFFF_FFFF_FFFF_FFFF, threshold)
     flags = cache.get(key)
     if flags is None:
-        u64 = np.uint64
-        with np.errstate(over="ignore"):
-            x = np.arange(0, program.code_end, 4, dtype=np.uint64)
-            x = (x ^ u64(key[1])) + u64(0x9E3779B97F4A7C15)
-            x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
-            x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
-            x ^= x >> u64(31)
-        flags = ((x & u64(0xFFFF_FFFF)) < u64(threshold)).astype(np.uint8)
-        flags.flags.writeable = False
-        cache[key] = flags
+        count = (program.code_end + 3) // 4  # instructions at 0, 4, ... < code_end
+        flags = cache[key] = cc.kernels().dep_flags(count, key[1], threshold)
     return flags
 
 
@@ -367,8 +360,6 @@ class BackendCoreC(BackendCore):
         counters: Counters,
         seed: int = 1,
     ) -> None:
-        import numpy as np
-
         from repro.common import cc
         from repro.workloads.data import DataAddressGeneratorC
 
@@ -382,30 +373,18 @@ class BackendCoreC(BackendCore):
         while cap < config.rob_entries:
             cap *= 2
         self._cap_mask = cap - 1
-        self._pc_arr = np.zeros(cap, dtype=np.int64)
-        self._op_arr = np.zeros(cap, dtype=np.int64)
-        self._flags_arr = np.zeros(cap, dtype=np.int64)
-        self._dep_arr = np.zeros(cap, dtype=np.int64)
-        self._addr_arr = np.zeros(cap, dtype=np.int64)
-        self._dispatch_arr = np.zeros(cap, dtype=np.int64)
-        self._complete_arr = np.zeros(cap, dtype=np.int64)
-        self._rs_arr = np.zeros(config.rs_entries, dtype=np.int64)
-        self._out_retired = np.zeros(max(config.retire_width, 1), dtype=np.int64)
-        self._out_mem = np.zeros(2 * max(self.issue_scan_window, 1), dtype=np.int64)
-        self._addr_mv = memoryview(self._addr_arr)
-        self._complete_mv = memoryview(self._complete_arr)
-        self._out_retired_mv = memoryview(self._out_retired)
-        self._out_mem_mv = memoryview(self._out_mem)
-        bi = np.zeros(34, dtype=np.int64)
-        bi[0] = self._pc_arr.ctypes.data
-        bi[1] = self._op_arr.ctypes.data
-        bi[2] = self._flags_arr.ctypes.data
-        bi[3] = self._dep_arr.ctypes.data
-        bi[4] = self._addr_arr.ctypes.data
-        bi[5] = self._dispatch_arr.ctypes.data
-        bi[6] = self._complete_arr.ctypes.data
+        # The uop ring columns, one per descriptor pointer bi[0..6].
+        self._ring = tuple(zeros(cap) for _ in range(7))
+        (self._pc_arr, self._op_arr, self._flags_arr, self._dep_arr, self._addr_arr,
+         self._dispatch_arr, self._complete_arr) = self._ring
+        self._rs_arr = zeros(config.rs_entries)
+        self._out_retired = zeros(config.retire_width)
+        self._out_mem = zeros(2 * self.issue_scan_window)
+        bi = zeros(34)
+        for i, column in enumerate(self._ring):
+            bi[i] = address(column)
         bi[7] = self._cap_mask
-        bi[8] = self._rs_arr.ctypes.data
+        bi[8] = address(self._rs_arr)
         # bi[9]=rs_len, bi[10]=rob_head, bi[11]=next_seq
         bi[12] = config.rob_entries
         bi[13] = config.rs_entries
@@ -422,15 +401,16 @@ class BackendCoreC(BackendCore):
         bi[24] = self.__dict__.pop("retired_instructions")
         bi[25] = self.__dict__.pop("retired_total")
         # bi[26]/bi[27]: dep table pointer+len, bound by install_dep_table
-        bi.view(np.uint64)[28] = seed & 0xFFFF_FFFF_FFFF_FFFF
+        view(bi, "Q")[28] = seed & 0xFFFF_FFFF_FFFF_FFFF
         bi[29] = self._dep_threshold
-        bi[30] = self._out_retired.ctypes.data
+        bi[30] = address(self._out_retired)
         # bi[31]=hook_active, set per retire call
-        bi[32] = self._out_mem.ctypes.data
+        bi[32] = address(self._out_mem)
         bi[33] = data_gen._desc
         self._bi = bi
         self._bmv = memoryview(bi)
-        self._bdesc = int(bi.ctypes.data)
+        self._bdesc = address(bi)
+        self._k_address = kernels.buffer_address
         self._resteers: dict[int, PendingResteer] = {}
         self._k_dispatch = kernels.be_dispatch
         self._k_can_dispatch = kernels.be_can_dispatch
@@ -503,15 +483,15 @@ class BackendCoreC(BackendCore):
             self._resteers[seq] = resteer
         return seq
 
-    def install_dep_table(self, flags) -> None:
+    def install_dep_table(self, flags: bytes) -> None:
         """Bind a per-PC load-dependence flag table (see :func:`dep_flags`).
 
         The dispatch kernels index it by ``pc >> 2`` instead of hashing
-        every dispatched PC; the table is only read, so one table is
-        shared by every simulator of the same program, seed and threshold.
+        every dispatched PC; the table is immutable, so one table is shared
+        by every simulator of the same program, seed and threshold.
         """
-        self._dep_view = flags
-        self._bi[26] = flags.ctypes.data
+        self._dep_table = flags
+        self._bi[26] = self._k_address(flags)
         self._bi[27] = len(flags)
 
     # -- per-cycle step ------------------------------------------------------
@@ -542,14 +522,14 @@ class BackendCoreC(BackendCore):
             if wrong:
                 self._c_wrong_path_retired(wrong)
             if hook_n:
-                out = self._out_retired_mv
+                out = self._out_retired
                 for i in range(hook_n):
                     hook(out[i])
         n_mem = self._k_issue(self._bdesc, cycle)
         if n_mem:
-            out = self._out_mem_mv
-            addr = self._addr_mv
-            complete = self._complete_mv
+            out = self._out_mem
+            addr = self._addr_arr
+            complete = self._complete_arr
             cap_mask = self._cap_mask
             hierarchy = self.hierarchy
             for i in range(n_mem):

@@ -13,18 +13,19 @@ target on a miss.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.common.cc import resolve_compiled
 from repro.common.config import BranchConfig
-from repro.common.packed import resident_order, set_major_slots, unpack
+from repro.common.packed import address, export_ways, import_ways, unpack, zeros
 from repro.workloads.program import BranchKind
 
 # The planes of the packed checkpoint form (repro.common.packed), with
-# their dtypes: BTB entries are (pc, kind, target), iBTB entries (tag,
-# target).
-_BTB_PLANES = {"pcs": "int64", "kinds": "uint8", "targets": "int64"}
-_IBTB_PLANES = {"tags": "int64", "targets": "int64"}
+# their array typecodes: BTB entries are (pc, kind, target), iBTB entries
+# (tag, target).
+_BTB_PLANES = {"pcs": "q", "kinds": "B", "targets": "q"}
+_IBTB_PLANES = {"tags": "q", "targets": "q"}
 
 
 @dataclass
@@ -97,22 +98,16 @@ class BranchTargetBuffer:
         (eviction takes the min stamp), so ordering replaces raw stamps and
         the format round-trips between the dict-based and SoA layouts.
         """
-        import numpy as np
-
         entries = [
             e
             for way_set in self._sets
             for e in sorted(way_set.values(), key=lambda e: e.lru)
         ]
         return {
-            "counts": np.array(
-                [len(way_set) for way_set in self._sets], dtype=np.uint16
-            ).tobytes(),
-            "pcs": np.array([e.pc for e in entries], dtype=np.int64).tobytes(),
-            "kinds": np.array([e.kind for e in entries], dtype=np.uint8).tobytes(),
-            "targets": np.array(
-                [e.target for e in entries], dtype=np.int64
-            ).tobytes(),
+            "counts": array("H", [len(way_set) for way_set in self._sets]).tobytes(),
+            "pcs": array("q", [e.pc for e in entries]).tobytes(),
+            "kinds": bytes(e.kind for e in entries),
+            "targets": array("q", [e.target for e in entries]).tobytes(),
             "hits": self.hits,
             "misses": self.misses,
         }
@@ -140,8 +135,8 @@ class BranchTargetBuffer:
 class BranchTargetBufferC(BranchTargetBuffer):
     """Compiled-kernel BTB: probe/fill run as single C calls over the SoA ways.
 
-    Way payloads (kind, target, tag pc) live in preallocated
-    ``(num_sets, assoc)`` int64 ndarrays the kernels address through raw
+    Way payloads (kind, target, tag pc) live in preallocated flat ``int64``
+    arrays of ``num_sets * assoc`` ways the kernels address through raw
     pointers.  Replacement state is a monotonic stamp array (victim =
     minimum stamp), which picks the same victim as the object BTB's
     minimum ``lru``.  The packed ``state_packed`` format (LRU→MRU
@@ -149,8 +144,6 @@ class BranchTargetBufferC(BranchTargetBuffer):
     """
 
     def __init__(self, entries: int, assoc: int) -> None:
-        import numpy as np
-
         from repro.common import cc
 
         kernels = cc.kernels()
@@ -159,34 +152,34 @@ class BranchTargetBufferC(BranchTargetBuffer):
         self.entries = entries
         self.assoc = assoc
         self.num_sets = entries // assoc
-        self._kinds = np.zeros((self.num_sets, assoc), dtype=np.int64)
-        self._targets = np.zeros((self.num_sets, assoc), dtype=np.int64)
-        self._pcs = np.full((self.num_sets, assoc), -1, dtype=np.int64)
-        self._stamps = np.zeros(self.num_sets * assoc, dtype=np.int64)
+        ways = self.num_sets * assoc
+        self._kinds = zeros(ways)
+        self._targets = zeros(ways)
+        self._pcs = zeros(ways, fill=-1)
+        self._stamps = zeros(ways)
         self._sets = None  # entries live in the arrays; fail loudly
-        self._kinds_f = memoryview(self._kinds.reshape(-1))
-        self._targets_f = memoryview(self._targets.reshape(-1))
-        di = np.zeros(10, dtype=np.int64)
-        di[0] = self._pcs.ctypes.data
-        di[1] = self._kinds.ctypes.data
-        di[2] = self._targets.ctypes.data
-        di[3] = self._stamps.ctypes.data
+        di = zeros(10)
+        di[0] = address(self._pcs)
+        di[1] = address(self._kinds)
+        di[2] = address(self._targets)
+        di[3] = address(self._stamps)
         di[4] = self.num_sets
         di[5] = assoc
         # di[6]=stamp, di[7]=hits, di[8]=misses, di[9]=occupancy
         self._di = di
-        self._dmv = memoryview(di)
-        self._desc = int(di.ctypes.data)
+        self._desc = address(di)
         self._k_probe = kernels.btb_probe
         self._k_contains = kernels.btb_contains
         self._k_fill = kernels.btb_fill
+        self._k_export = kernels.ways_export
+        self._k_import = kernels.ways_import
 
     def probe(self, pc: int) -> BTBEntry | None:
         """Look up the branch at ``pc``; update recency on hit."""
         g = self._k_probe(self._desc, pc)
         if g < 0:
             return None
-        return BTBEntry(pc, BranchKind(self._kinds_f[g]), self._targets_f[g])
+        return BTBEntry(pc, BranchKind(self._kinds[g]), self._targets[g])
 
     def contains(self, pc: int) -> bool:
         """Tag check without touching recency or statistics."""
@@ -198,7 +191,7 @@ class BranchTargetBufferC(BranchTargetBuffer):
 
     @property
     def hits(self) -> int:
-        return int(self._dmv[7])
+        return self._di[7]
 
     @hits.setter
     def hits(self, value: int) -> None:
@@ -206,7 +199,7 @@ class BranchTargetBufferC(BranchTargetBuffer):
 
     @property
     def misses(self) -> int:
-        return int(self._dmv[8])
+        return self._di[8]
 
     @misses.setter
     def misses(self, value: int) -> None:
@@ -214,35 +207,35 @@ class BranchTargetBufferC(BranchTargetBuffer):
 
     @property
     def occupancy(self) -> int:
-        return int(self._dmv[9])
+        return self._di[9]
 
     def state_packed(self) -> dict:
         """Same packed format as :meth:`BranchTargetBuffer.state_packed`."""
-        import numpy as np
-
-        counts, flat = resident_order(self._pcs != -1, self._stamps)
+        counts, pcs, kinds, targets = export_ways(
+            self._k_export, self._stamps, self.assoc,
+            (self._pcs, 8), (self._kinds, 1), (self._targets, 8),
+        )
         return {
-            "counts": counts.astype(np.uint16).tobytes(),
-            "pcs": self._pcs.reshape(-1)[flat].tobytes(),
-            "kinds": self._kinds.reshape(-1)[flat].astype(np.uint8).tobytes(),
-            "targets": self._targets.reshape(-1)[flat].tobytes(),
+            "counts": counts,
+            "pcs": pcs,
+            "kinds": kinds,
+            "targets": targets,
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def load_packed(self, state: dict) -> None:
         """Restore :meth:`state_packed` output in place (validated first)."""
-        counts, (pcs, kinds, targets) = unpack(
-            state, _BTB_PLANES, self.num_sets, self.assoc, "BTB"
-        )
-        if len(kinds) and int(kinds.max()) > max(BranchKind):
+        _, (_, kinds, _) = unpack(state, _BTB_PLANES, self.num_sets, self.assoc, "BTB")
+        if kinds and max(kinds) > max(BranchKind):
             raise ValueError("BTB kinds plane holds an unknown branch kind")
         hits, misses = int(state["hits"]), int(state["misses"])
-        _load_ways(
-            self,
-            counts,
-            ((self._pcs, pcs), (self._kinds, kinds), (self._targets, targets)),
+        total = import_ways(
+            self._k_import, self._stamps, self.assoc, self._di[6], state,
+            (self._pcs, 8, "pcs"), (self._kinds, 1, "kinds"), (self._targets, 8, "targets"),
         )
+        self._di[6] += total  # stamp
+        self._di[9] = total  # occupancy
         self.hits = hits
         self.misses = misses
 
@@ -295,19 +288,15 @@ class IndirectTargetBuffer:
         A ``uint16`` entry count per set, then ``int64`` tags and targets
         set-major, like :meth:`BranchTargetBuffer.state_packed`.
         """
-        import numpy as np
-
         entries = [
             (tag, target)
             for way_set in self._sets
             for tag, (target, _) in sorted(way_set.items(), key=lambda kv: kv[1][1])
         ]
         return {
-            "counts": np.array(
-                [len(way_set) for way_set in self._sets], dtype=np.uint16
-            ).tobytes(),
-            "tags": np.array([e[0] for e in entries], dtype=np.int64).tobytes(),
-            "targets": np.array([e[1] for e in entries], dtype=np.int64).tobytes(),
+            "counts": array("H", [len(way_set) for way_set in self._sets]).tobytes(),
+            "tags": array("q", [e[0] for e in entries]).tobytes(),
+            "targets": array("q", [e[1] for e in entries]).tobytes(),
             "hits": self.hits,
             "misses": self.misses,
         }
@@ -340,8 +329,6 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
     """
 
     def __init__(self, entries: int, assoc: int, history_bits: int = 12) -> None:
-        import numpy as np
-
         from repro.common import cc
 
         kernels = cc.kernels()
@@ -351,23 +338,25 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
         self.assoc = assoc
         self.num_sets = entries // assoc
         self.history_bits = history_bits
-        self._tags = np.full((self.num_sets, assoc), -1, dtype=np.int64)
-        self._targets = np.zeros((self.num_sets, assoc), dtype=np.int64)
-        self._stamps = np.zeros(self.num_sets * assoc, dtype=np.int64)
+        ways = self.num_sets * assoc
+        self._tags = zeros(ways, fill=-1)
+        self._targets = zeros(ways)
+        self._stamps = zeros(ways)
         self._sets = None  # entries live in the arrays; fail loudly
-        di = np.zeros(10, dtype=np.int64)
-        di[0] = self._tags.ctypes.data
-        di[1] = self._targets.ctypes.data  # kinds plane: never touched for iBTB
-        di[2] = self._targets.ctypes.data
-        di[3] = self._stamps.ctypes.data
+        di = zeros(10)
+        di[0] = address(self._tags)
+        di[1] = address(self._targets)  # kinds plane: never touched for iBTB
+        di[2] = address(self._targets)
+        di[3] = address(self._stamps)
         di[4] = self.num_sets
         di[5] = assoc
         # di[6]=stamp, di[7]=hits, di[8]=misses, di[9]=occupancy
         self._di = di
-        self._dmv = memoryview(di)
-        self._desc = int(di.ctypes.data)
+        self._desc = address(di)
         self._k_predict = kernels.ibtb_predict
         self._k_train = kernels.ibtb_train
+        self._k_export = kernels.ways_export
+        self._k_import = kernels.ways_import
 
     def predict(self, pc: int, history: int) -> int | None:
         """Predicted target for the indirect branch at ``pc``, or None."""
@@ -382,7 +371,7 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
 
     @property
     def hits(self) -> int:
-        return int(self._dmv[7])
+        return self._di[7]
 
     @hits.setter
     def hits(self, value: int) -> None:
@@ -390,7 +379,7 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
 
     @property
     def misses(self) -> int:
-        return int(self._dmv[8])
+        return self._di[8]
 
     @misses.setter
     def misses(self, value: int) -> None:
@@ -398,50 +387,29 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
 
     def state_packed(self) -> dict:
         """Same packed format as :meth:`IndirectTargetBuffer.state_packed`."""
-        import numpy as np
-
-        counts, flat = resident_order(self._tags != -1, self._stamps)
+        counts, tags, targets = export_ways(
+            self._k_export, self._stamps, self.assoc, (self._tags, 8), (self._targets, 8)
+        )
         return {
-            "counts": counts.astype(np.uint16).tobytes(),
-            "tags": self._tags.reshape(-1)[flat].tobytes(),
-            "targets": self._targets.reshape(-1)[flat].tobytes(),
+            "counts": counts,
+            "tags": tags,
+            "targets": targets,
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def load_packed(self, state: dict) -> None:
         """Restore :meth:`state_packed` output in place (validated first)."""
-        counts, (tags, targets) = unpack(
-            state, _IBTB_PLANES, self.num_sets, self.assoc, "iBTB"
-        )
+        unpack(state, _IBTB_PLANES, self.num_sets, self.assoc, "iBTB")
         hits, misses = int(state["hits"]), int(state["misses"])
-        _load_ways(self, counts, ((self._tags, tags), (self._targets, targets)))
+        total = import_ways(
+            self._k_import, self._stamps, self.assoc, self._di[6], state,
+            (self._tags, 8, "tags"), (self._targets, 8, "targets"),
+        )
+        self._di[6] += total  # stamp
+        self._di[9] = total  # occupancy
         self.hits = hits
         self.misses = misses
-
-
-def _load_ways(buf, counts, planes) -> None:
-    """Scatter validated packed entries into a compiled buffer's ways.
-
-    ``planes`` pairs each ``(sets, assoc)`` array with its packed values,
-    the tag plane first (``-1`` marks an empty way).  Entries land in ways
-    ``0..n-1`` of their set with stamps counting up set-major LRU→MRU,
-    which ranks them exactly like the object layout's per-set order.
-    """
-    import numpy as np
-
-    planes[0][0][:] = -1
-    buf._stamps[:] = 0
-    total = int(counts.sum())
-    stamp = int(buf._di[6])
-    if total:
-        flat = set_major_slots(counts, buf.assoc)
-        for array, values in planes:
-            array.reshape(-1)[flat] = values
-        buf._stamps[flat] = stamp + 1 + np.arange(total, dtype=np.int64)
-        stamp += total
-    buf._di[6] = stamp
-    buf._di[9] = total
 
 
 def btb_from_config(config: BranchConfig, compiled: bool | None = None):

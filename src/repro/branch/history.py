@@ -12,6 +12,10 @@ checkpoint on resteer, which is how real FDIP frontends behave.
 
 from __future__ import annotations
 
+from array import array
+
+from repro.common.packed import address, put, view, zeros
+
 
 class FoldedHistory:
     """Incrementally folds the most recent ``length`` history bits into ``width`` bits."""
@@ -122,8 +126,6 @@ class GlobalHistoryC(GlobalHistory):
     """
 
     def __init__(self, max_length: int, foldings: list[tuple[int, int]]) -> None:
-        import numpy as np
-
         from repro.common import cc
 
         kernels = cc.kernels()
@@ -132,14 +134,12 @@ class GlobalHistoryC(GlobalHistory):
         self.max_length = max_length
         self._mask = (1 << max_length) - 1
         count = len(foldings)
-        self._folded_arr = np.zeros(max(count, 1), dtype=np.int64)
+        self._folded_arr = zeros(count)
         self._folded_mv = memoryview(self._folded_arr)[:count]
-        self._lengths = np.array([l for l, _ in foldings] + [0], dtype=np.int64)
-        self._out_shifts = np.array([l % w for l, w in foldings] + [0], dtype=np.int64)
-        self._widths = np.array([w for _, w in foldings] + [1], dtype=np.int64)
-        self._masks_arr = np.array(
-            [(1 << w) - 1 for _, w in foldings] + [0], dtype=np.int64
-        )
+        self._lengths = array("q", [l for l, _ in foldings] + [0])
+        self._out_shifts = array("q", [l % w for l, w in foldings] + [0])
+        self._widths = array("q", [w for _, w in foldings] + [1])
+        self._masks_arr = array("q", [(1 << w) - 1 for _, w in foldings] + [0])
         # The shifted register covers max_length bits; extra zero words are
         # allocated (but never shifted into) so an out-bit read for a folding
         # length beyond max_length sees 0 — exactly what the interpreted
@@ -147,22 +147,22 @@ class GlobalHistoryC(GlobalHistory):
         self._n_words = max(1, (max_length + 63) // 64)
         max_len = max([max_length] + [l for l, _ in foldings])
         alloc_words = max(self._n_words, (max_len + 63) // 64)
-        self._words = np.zeros(alloc_words, dtype=np.uint64)
-        self._words_mv = memoryview(self._words)
+        self._words = zeros(alloc_words, "Q")
+        self._words_bytes = memoryview(self._words).cast("B")
         top_bits = max_length - 64 * (self._n_words - 1)
         top_mask = (1 << top_bits) - 1
-        di = np.zeros(9, dtype=np.int64)
-        di[0] = self._folded_arr.ctypes.data
-        di[1] = self._lengths.ctypes.data
-        di[2] = self._out_shifts.ctypes.data
-        di[3] = self._widths.ctypes.data
-        di[4] = self._masks_arr.ctypes.data
+        di = zeros(9)
+        di[0] = address(self._folded_arr)
+        di[1] = address(self._lengths)
+        di[2] = address(self._out_shifts)
+        di[3] = address(self._widths)
+        di[4] = address(self._masks_arr)
         di[5] = count
-        di[6] = self._words.ctypes.data
+        di[6] = address(self._words)
         di[7] = self._n_words
-        di.view(np.uint64)[8] = top_mask
+        view(di, "Q")[8] = top_mask
         self._di = di
-        self._desc = int(di.ctypes.data)
+        self._desc = address(di)
         self._k_push = kernels.hist_push
         self.folded = [
             _FoldedSlot(self._folded_arr, i, length, width)
@@ -171,24 +171,19 @@ class GlobalHistoryC(GlobalHistory):
 
     @property
     def bits(self) -> int:
-        return int.from_bytes(self._words[: self._n_words].tobytes(), "little")
+        return int.from_bytes(self._words_bytes[: self._n_words * 8], "little")
 
     @bits.setter
     def bits(self, value: int) -> None:
-        import numpy as np
-
-        masked = value & self._mask
-        self._words[:] = 0
-        self._words[: self._n_words] = np.frombuffer(
-            masked.to_bytes(self._n_words * 8, "little"), dtype=np.uint64
-        )
+        # Every allocated word: those above the shifted ones stay zero.
+        self._words_bytes[:] = (value & self._mask).to_bytes(len(self._words_bytes), "little")
 
     def push(self, taken: bool) -> None:
         self._k_push(self._desc, 1 if taken else 0)
 
     def low_bits(self, n: int) -> int:
         if n <= 64:
-            return self._words_mv[0] & ((1 << n) - 1)
+            return self._words[0] & ((1 << n) - 1)
         return self.bits & ((1 << n) - 1)
 
     def checkpoint(self) -> tuple[int, tuple[int, ...]]:
@@ -196,4 +191,4 @@ class GlobalHistoryC(GlobalHistory):
 
     def restore(self, state: tuple[int, tuple[int, ...]]) -> None:
         self.bits = state[0]
-        self._folded_arr[: len(state[1])] = state[1]
+        put(self._folded_arr, state[1])

@@ -15,12 +15,14 @@ as in the TAGE literature: a weak counter is Low, a saturated one is High.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.branch.bimodal import BimodalPredictor
 from repro.branch.history import GlobalHistory, GlobalHistoryC
 from repro.common.cc import resolve_compiled
 from repro.common.config import BranchConfig
+from repro.common.packed import address, zeros
 
 CONF_LOW = 0
 CONF_MEDIUM = 1
@@ -338,8 +340,9 @@ class TagePredictor:
 class TagePredictorC(TagePredictor):
     """TAGE with compiled predict/update kernels over structure-of-arrays tables.
 
-    Storage is three preallocated ``(tables, size)`` int64 ndarrays (tags,
-    signed counters, usefulness) the kernels address through raw pointers.
+    Storage is three preallocated flat ``int64`` arrays of ``tables * size``
+    entries (tags, signed counters, usefulness) the kernels address through
+    raw pointers.
     One C call per prediction (all index/tag folds, the provider scan, and
     the confidence classification) and one per training event (including
     allocation and the periodic usefulness aging).  Requires the shared
@@ -351,8 +354,6 @@ class TagePredictorC(TagePredictor):
     """
 
     def __init__(self, config: BranchConfig, history: GlobalHistoryC) -> None:
-        import numpy as np
-
         from repro.common import cc
 
         kernels = cc.kernels()
@@ -365,41 +366,44 @@ class TagePredictorC(TagePredictor):
             config.tage_tables, config.tage_min_hist, config.tage_max_hist
         )
         self._index_mask = (1 << config.tage_table_bits) - 1
-        self._np = np
-        size = 1 << config.tage_table_bits
-        num_tables = len(self.hist_lengths)
-        self._tags_arr = np.zeros((num_tables, size), dtype=np.int64)
-        self._ctrs_arr = np.zeros((num_tables, size), dtype=np.int64)
-        self._useful_arr = np.zeros((num_tables, size), dtype=np.int64)
+        self._size = size = 1 << config.tage_table_bits
+        self._num_tables = num_tables = len(self.hist_lengths)
+        self._tags_arr = zeros(num_tables * size)
+        self._ctrs_arr = zeros(num_tables * size)
+        self._useful_arr = zeros(num_tables * size)
+        self._tables_mv = tuple(
+            memoryview(arr) for arr in (self._tags_arr, self._ctrs_arr, self._useful_arr)
+        )
         self.tables = None  # table state lives in the arrays; fail loudly
-        self._idx_scratch = np.zeros(max(num_tables, 1), dtype=np.int64)
-        self._tag_scratch = np.zeros(max(num_tables, 1), dtype=np.int64)
+        self._idx_scratch = zeros(num_tables)
+        self._tag_scratch = zeros(num_tables)
         self._idx_mv = memoryview(self._idx_scratch)[:num_tables]
         self._tag_mv = memoryview(self._tag_scratch)[:num_tables]
-        di = np.zeros(24, dtype=np.int64)
-        di[0] = self._tags_arr.ctypes.data
-        di[1] = self._ctrs_arr.ctypes.data
-        di[2] = self._useful_arr.ctypes.data
+        di = zeros(24)
+        di[0] = address(self._tags_arr)
+        di[1] = address(self._ctrs_arr)
+        di[2] = address(self._useful_arr)
         di[3] = num_tables
         di[4] = size
         di[5] = self._index_mask
         di[6] = (1 << config.tage_tag_bits) - 1
         di[7] = config.tage_table_bits
-        di[8] = history._folded_arr.ctypes.data
+        di[8] = address(history._folded_arr)
         # di[9]/di[10]: the bimodal base's counters and index mask.  Loads
-        # copy into that bytearray in place and it never resizes, so the
-        # pointer stays valid for the predictor's lifetime.
-        self._base_view = np.frombuffer(self.base.table, dtype=np.uint8)
-        di[9] = self._base_view.ctypes.data
+        # copy into that bytearray in place, and the memoryview held here
+        # keeps it from resizing, so the pointer stays valid for the
+        # predictor's lifetime.
+        self._base_pin = memoryview(self.base.table)
+        di[9] = kernels.buffer_address(self.base.table)
         di[10] = self.base.size - 1
         di[11] = config.tage_use_alt_threshold  # use_alt_counter
         di[12] = config.tage_use_alt_threshold
         # di[13]: tick; di[14..21]: prediction outputs
-        di[22] = self._idx_scratch.ctypes.data
-        di[23] = self._tag_scratch.ctypes.data
+        di[22] = address(self._idx_scratch)
+        di[23] = address(self._tag_scratch)
         self._di = di
         self._dmv = memoryview(di)
-        self._desc = int(di.ctypes.data)
+        self._desc = address(di)
         self._k_predict = kernels.tage_predict
         self._k_update = kernels.tage_update
 
@@ -454,17 +458,21 @@ class TagePredictorC(TagePredictor):
             prediction.tags,
         )
 
+    def _rows(self, t: int) -> slice:
+        return slice(t * self._size, (t + 1) * self._size)
+
     def state_dict(self) -> dict:
         """Same layout-neutral format as :meth:`TagePredictor.state_dict`."""
+        tags, ctrs, useful = self._tables_mv
         return {
             "base": bytes(self.base.table),
             "tables": [
                 (
-                    self._tags_arr[t].tolist(),
-                    self._ctrs_arr[t].tolist(),
-                    self._useful_arr[t].astype("uint8").tobytes(),
+                    tags[self._rows(t)].tolist(),
+                    ctrs[self._rows(t)].tolist(),
+                    bytes(useful[self._rows(t)].tolist()),
                 )
-                for t in range(len(self._tags_arr))
+                for t in range(self._num_tables)
             ],
             "use_alt_counter": self.use_alt_counter,
             "tick": self._tick,
@@ -472,17 +480,17 @@ class TagePredictorC(TagePredictor):
 
     def load_state(self, state: dict) -> None:
         """Restore :meth:`state_dict` output in place (geometry must match)."""
-        np = self._np
         tables_state = state["tables"]
-        num_tables, size = self._tags_arr.shape
-        if len(tables_state) != num_tables:
+        if len(tables_state) != self._num_tables:
             raise ValueError("TAGE table count mismatch")
+        tags_mv, ctrs_mv, useful_mv = self._tables_mv
         for t, (tags, ctrs, useful) in enumerate(tables_state):
-            if any(len(part) != size for part in (tags, ctrs, useful)):
+            if any(len(part) != self._size for part in (tags, ctrs, useful)):
                 raise ValueError("TAGE table geometry mismatch")
-            self._tags_arr[t, :] = tags
-            self._ctrs_arr[t, :] = ctrs
-            self._useful_arr[t, :] = np.frombuffer(useful, dtype=np.uint8)
+            rows = self._rows(t)
+            tags_mv[rows] = array("q", tags)
+            ctrs_mv[rows] = array("q", ctrs)
+            useful_mv[rows] = array("q", list(useful))
         self._load_base(state["base"])
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]

@@ -360,7 +360,105 @@ static PyObject *k_data_next(PyObject *self, PyObject *const *args, Py_ssize_t n
     return PyLong_FromLongLong(data_next_impl(d, pc));
 }
 
+/* dep_flags(count, seed, threshold) -> bytes: BackendCore._depends_on_load
+ * of the instruction addresses 0, 4, ..., 4 * (count - 1), one byte each --
+ * the read-only table depends_on_load indexes by pc >> 2. */
+static PyObject *k_dep_flags(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    int64_t count = arg_i64(args, 0);
+    uint64_t seed = (uint64_t)PyLong_AsUnsignedLongLongMask(args[1]);
+    int64_t threshold = arg_i64(args, 2);
+    if (PyErr_Occurred()) return NULL;
+    PyObject *out = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)(count > 0 ? count : 0));
+    if (out == NULL) return NULL;
+    uint8_t *flags = (uint8_t *)PyBytes_AS_STRING(out);
+    for (int64_t i = 0; i < count; i++) {
+        flags[i] = (mix64(seed ^ (uint64_t)(i * 4)) & 0xFFFFFFFFULL) < (uint64_t)threshold;
+    }
+    return out;
+}
+
+/* pc_counts_export(counts, n) -> (pcs, values): the nonzero entries of a
+ * per-instruction int64 array indexed by pc >> 2 (the compiled data
+ * generator's occurrence counters), as two int64 buffers in pc order. */
+static PyObject *k_pc_counts_export(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    const int64_t *counts = (const int64_t *)arg_ptr(args, 0);
+    int64_t len = arg_i64(args, 1);
+    if (PyErr_Occurred()) return NULL;
+    Py_ssize_t nonzero = 0;
+    for (int64_t i = 0; i < len; i++) {
+        nonzero += counts[i] != 0;
+    }
+    PyObject *pcs = PyBytes_FromStringAndSize(NULL, nonzero * 8);
+    PyObject *values = PyBytes_FromStringAndSize(NULL, nonzero * 8);
+    if (pcs == NULL || values == NULL) {
+        Py_XDECREF(pcs);
+        Py_XDECREF(values);
+        return NULL;
+    }
+    char *pc_out = PyBytes_AS_STRING(pcs);
+    char *value_out = PyBytes_AS_STRING(values);
+    for (int64_t i = 0; i < len; i++) {
+        if (counts[i] == 0) continue;
+        int64_t pc = i << 2;
+        memcpy(pc_out, &pc, 8);
+        memcpy(value_out, &counts[i], 8);
+        pc_out += 8;
+        value_out += 8;
+    }
+    return Py_BuildValue("(NN)", pcs, values);
+}
+
+/* pc_counts_import(counts, n, pcs, values): replace the array's contents
+ * with the pairs of two int64 buffers (pc_counts_export's form).  Raises
+ * ValueError, with the array untouched, unless the buffers hold the same
+ * number of int64s and every pc >> 2 indexes the array. */
+static PyObject *k_pc_counts_import(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    int64_t *counts = (int64_t *)arg_ptr(args, 0);
+    int64_t len = arg_i64(args, 1);
+    if (PyErr_Occurred()) return NULL;
+    Py_buffer pcs, values;
+    if (PyObject_GetBuffer(args[2], &pcs, PyBUF_SIMPLE) < 0) return NULL;
+    if (PyObject_GetBuffer(args[3], &values, PyBUF_SIMPLE) < 0) {
+        PyBuffer_Release(&pcs);
+        return NULL;
+    }
+    PyObject *result = NULL;
+    Py_ssize_t pairs = pcs.len / 8;
+    if (pcs.len != values.len || pcs.len % 8 != 0) {
+        PyErr_SetString(PyExc_ValueError, "occurrence state arrays disagree in length");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < pairs; i++) {
+        int64_t pc;
+        memcpy(&pc, (const char *)pcs.buf + i * 8, 8);
+        if ((pc >> 2) < 0 || (pc >> 2) >= len) {
+            PyErr_Format(PyExc_ValueError,
+                         "occurrence pc %#llx outside the program's code range",
+                         (unsigned long long)pc);
+            goto done;
+        }
+    }
+    memset(counts, 0, (size_t)len * sizeof(int64_t));
+    for (Py_ssize_t i = 0; i < pairs; i++) {
+        int64_t pc;
+        memcpy(&pc, (const char *)pcs.buf + i * 8, 8);
+        memcpy(&counts[pc >> 2], (const char *)values.buf + i * 8, 8);
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    PyBuffer_Release(&pcs);
+    PyBuffer_Release(&values);
+    return result;
+}
+
 PyMethodDef repro_backend_methods[] = {
+    {"dep_flags", (PyCFunction)(void *)k_dep_flags, METH_FASTCALL, NULL},
+    {"pc_counts_export", (PyCFunction)(void *)k_pc_counts_export, METH_FASTCALL, NULL},
+    {"pc_counts_import", (PyCFunction)(void *)k_pc_counts_import, METH_FASTCALL, NULL},
     {"be_dispatch", (PyCFunction)(void *)k_be_dispatch, METH_FASTCALL, NULL},
     {"be_can_dispatch", (PyCFunction)(void *)k_be_can_dispatch, METH_FASTCALL, NULL},
     {"be_retire", (PyCFunction)(void *)k_be_retire, METH_FASTCALL, NULL},

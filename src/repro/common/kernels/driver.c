@@ -1772,10 +1772,79 @@ static PyObject *k_bytes_addresses(PyObject *self, PyObject *const *args, Py_ssi
     Py_RETURN_NONE;
 }
 
+/* buffer_address(obj) -> int: where a contiguous buffer's data lives (a
+ * bytes object's or a bytearray's).  The caller keeps the object alive,
+ * and a memoryview of it if it could resize, while C uses the address. */
+static PyObject *k_buffer_address(PyObject *self, PyObject *obj) {
+    (void)self;
+    Py_buffer view;
+    if (PyObject_GetBuffer(obj, &view, PyBUF_SIMPLE) < 0) return NULL;
+    void *data = view.buf;
+    PyBuffer_Release(&view);
+    return PyLong_FromVoidPtr(data);
+}
+
+/* oracle_import(driver, occurrences): the oracle's {branch pc: count} dict
+ * into the machine's per-block occurrence array (a fresh machine's import;
+ * a pc outside the code region raises ValueError). */
+static PyObject *k_oracle_import(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    Driver *d = (Driver *)arg_ptr(args, 0);
+    if (PyErr_Occurred()) return NULL;
+    if (!PyDict_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "oracle occurrences must be a dict");
+        return NULL;
+    }
+    const ProgTables *P = d->prog;
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(args[1], &pos, &key, &value)) {
+        int64_t pc = PyLong_AsLongLong(key);
+        int64_t count = PyLong_AsLongLong(value);
+        if (PyErr_Occurred()) return NULL;
+        if (pc < P->code_start || pc >= P->code_end) {
+            PyErr_Format(PyExc_ValueError, "oracle occurrence pc %#llx outside the code region",
+                         (unsigned long long)pc);
+            return NULL;
+        }
+        d->occ[block_at(P, pc)] = count;
+    }
+    Py_RETURN_NONE;
+}
+
+/* oracle_export(driver, occurrences): the counts of the blocks touched
+ * since the last export back into the oracle's dict, keyed by each block's
+ * branch pc in first-touch order; empties the touched list. */
+static PyObject *k_oracle_export(PyObject *self, PyObject *const *args, Py_ssize_t n) {
+    (void)self; (void)n;
+    Driver *d = (Driver *)arg_ptr(args, 0);
+    if (PyErr_Occurred()) return NULL;
+    if (!PyDict_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "oracle occurrences must be a dict");
+        return NULL;
+    }
+    const ProgTables *P = d->prog;
+    for (int64_t i = 0; i < d->n_touched; i++) {
+        int64_t b = d->touched[i];
+        PyObject *key = PyLong_FromLongLong(block_end(P, b) - 4);
+        PyObject *value = PyLong_FromLongLong(d->occ[b]);
+        int failed = key == NULL || value == NULL || PyDict_SetItem(args[1], key, value) < 0;
+        Py_XDECREF(key);
+        Py_XDECREF(value);
+        if (failed) return NULL;
+        d->touched_flag[b] = 0;
+    }
+    d->n_touched = 0;
+    Py_RETURN_NONE;
+}
+
 PyMethodDef repro_driver_methods[] = {
     {"run_cycles", (PyCFunction)(void *)k_run_cycles, METH_FASTCALL, NULL},
     {"functional_walk", (PyCFunction)(void *)k_functional_walk, METH_FASTCALL, NULL},
     {"driver_layout", k_driver_layout, METH_NOARGS, NULL},
     {"bytes_addresses", (PyCFunction)(void *)k_bytes_addresses, METH_FASTCALL, NULL},
+    {"buffer_address", k_buffer_address, METH_O, NULL},
+    {"oracle_import", (PyCFunction)(void *)k_oracle_import, METH_FASTCALL, NULL},
+    {"oracle_export", (PyCFunction)(void *)k_oracle_export, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };

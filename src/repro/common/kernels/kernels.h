@@ -2,12 +2,12 @@
  *
  * Every simulated structure that a kernel touches is described by a
  * "descriptor": a small C struct whose storage is a preallocated int64
- * ndarray owned by the Python wrapper (doubles are stored via a float64
- * view of the same buffer; every field is 8 bytes, so the layouts match
- * by construction).  Payload fields are raw pointers into the wrapper's
- * C-contiguous int64 SoA ndarrays -- the kernels mutate the exact arrays
- * the wrapper reads for checkpoints and line views, so nothing is copied
- * between C and Python.
+ * array ('q', Python's array module) owned by the Python wrapper (doubles
+ * and unsigned words are written through a cast memoryview of the same
+ * buffer; every field is 8 bytes, so the layouts match by construction).
+ * Payload fields are raw pointers into the wrapper's flat int64 SoA
+ * arrays -- the kernels mutate the exact arrays the wrapper reads for
+ * checkpoints and line views, so nothing is copied between C and Python.
  *
  * LRU everywhere is monotonic-stamp based: the object caches'
  * insertion-ordered dicts perform a move-to-end on every touch, so

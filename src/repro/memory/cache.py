@@ -18,12 +18,13 @@ O(assoc) ``min()`` scan over timestamps on every install.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.cc import resolve_compiled
 from repro.common.config import CacheConfig
-from repro.common.packed import resident_order, set_major_slots, unpack
+from repro.common.packed import address, export_ways, import_ways, unpack, zeros
 
 
 @dataclass(slots=True)
@@ -160,26 +161,18 @@ class SetAssocCache:
         buffers: a ``uint16`` line count per set, then ``int64`` addresses
         and ``uint8`` metadata flags in set-major order.
         """
-        import numpy as np
-
         sets = self.state_lines()
-        counts = np.array([len(lines) for lines in sets], dtype=np.uint16)
         flat = [line for lines in sets for line in lines]
-        addrs = np.array([t[0] for t in flat], dtype=np.int64)
-        flags = np.array(
-            [
+        return {
+            "counts": array("H", [len(lines) for lines in sets]).tobytes(),
+            "addrs": array("q", [t[0] for t in flat]).tobytes(),
+            "flags": bytes(
                 (_PREFETCH if t[1] else 0)
                 | (_OFF_PATH if t[2] else 0)
                 | (_UDP if t[3] else 0)
                 | (_DIRTY if t[4] else 0)
                 for t in flat
-            ],
-            dtype=np.uint8,
-        )
-        return {
-            "counts": counts.tobytes(),
-            "addrs": addrs.tobytes(),
-            "flags": flags.tobytes(),
+            ),
         }
 
     def load_packed(self, state: dict[str, bytes]) -> None:
@@ -215,8 +208,8 @@ _OFF_PATH = 2
 _UDP = 4
 _DIRTY = 8
 
-# The planes of the packed checkpoint form, with their dtypes.
-_PLANES = {"addrs": "int64", "flags": "uint8"}
+# The planes of the packed checkpoint form, with their array typecodes.
+_PLANES = {"addrs": "q", "flags": "B"}
 
 
 class _CLineRef:
@@ -227,9 +220,8 @@ class _CLineRef:
     single proxy per cache is re-pointed at the probed way instead of
     allocating a :class:`CacheLine` per access.  It is addressed by the
     *flat* way index the C kernels return (``set_idx * assoc + way``) over a
-    1-D memoryview of the flags array — a memoryview scalar access returns a
-    plain int ~3x faster than an ndarray scalar, and these reads sit on the
-    L1I demand-hit path.
+    memoryview of the flags array, and these reads sit on the L1I demand-hit
+    path.
     """
 
     __slots__ = ("_flags", "_gidx", "line_addr")
@@ -289,9 +281,9 @@ class _CLineRef:
 class SetAssocCacheC(SetAssocCache):
     """Compiled-kernel variant: probes run in C over structure-of-arrays ways.
 
-    Line addresses and packed metadata flags live in two preallocated
-    ``(num_sets, assoc)`` int64 ndarrays.  Replacement uses monotonic LRU
-    stamps, which select the same victim as the object cache's
+    Line addresses and packed metadata flags live in two preallocated flat
+    ``int64`` arrays of ``num_sets * assoc`` ways.  Replacement uses
+    monotonic LRU stamps, which select the same victim as the object cache's
     insertion-ordered dicts (every dict touch is a move-to-end, so "first
     key" == "minimum stamp"); which way a new line lands in is invisible to
     behaviour and to the stamp-ordered serialization.  The descriptor
@@ -299,8 +291,6 @@ class SetAssocCacheC(SetAssocCache):
     """
 
     def __init__(self, config: CacheConfig) -> None:
-        import numpy as np
-
         from repro.common import cc
 
         super().__init__(config)
@@ -308,28 +298,28 @@ class SetAssocCacheC(SetAssocCache):
         if kernels is None:  # pragma: no cover - factory guards this
             raise RuntimeError("compiled kernels unavailable")
         self._sets = None  # lines live in the arrays; fail loudly
-        self._addrs = np.full((self.num_sets, self.assoc), -1, dtype=np.int64)
-        self._flags = np.zeros((self.num_sets, self.assoc), dtype=np.int64)
-        self._stamps = np.zeros(self.num_sets * self.assoc, dtype=np.int64)
-        self._addrs_flat = self._addrs.reshape(-1)
-        self._flags_flat = self._flags.reshape(-1)
-        di = np.zeros(11, dtype=np.int64)
-        di[0] = self._addrs.ctypes.data
-        di[1] = self._flags.ctypes.data
-        di[2] = self._stamps.ctypes.data
+        ways = self.num_sets * self.assoc
+        self._addrs = zeros(ways, fill=-1)
+        self._flags = zeros(ways)
+        self._stamps = zeros(ways)
+        di = zeros(11)
+        di[0] = address(self._addrs)
+        di[1] = address(self._flags)
+        di[2] = address(self._stamps)
         di[3] = self.num_sets
         di[4] = self.assoc
         di[5] = self._set_mask
         di[6] = self.line_shift
         di[9] = -1  # evict_addr: none yet
-        self._di = di
         self._dmv = memoryview(di)
-        self._desc = int(di.ctypes.data)
+        self._desc = address(di)
         self._k_lookup = kernels.cache_lookup
         self._k_contains = kernels.cache_contains
         self._k_install = kernels.cache_install
         self._k_invalidate = kernels.cache_invalidate
-        self._ref = _CLineRef(memoryview(self._flags_flat))
+        self._k_export = kernels.ways_export
+        self._k_import = kernels.ways_import
+        self._ref = _CLineRef(memoryview(self._flags))
 
     def lookup(self, line_addr: int, touch: bool = True) -> _CLineRef | None:
         gidx = self._k_lookup(self._desc, line_addr, 1 if touch else 0)
@@ -382,33 +372,33 @@ class SetAssocCacheC(SetAssocCache):
 
     def _iter_sets(self):
         """Per set, the resident flat way indices in LRU->MRU (stamp) order."""
-        addrs = self._addrs_flat
+        addrs = self._addrs
         stamps = self._stamps
         assoc = self.assoc
         for base in range(0, self.num_sets * assoc, assoc):
             yield [
                 gidx
                 for _, gidx in sorted(
-                    (int(stamps[base + w]), base + w)
+                    (stamps[base + w], base + w)
                     for w in range(assoc)
                     if addrs[base + w] != -1
                 )
             ]
 
     def resident_lines(self) -> list[int]:
-        addrs = self._addrs_flat
+        addrs = self._addrs
         out: list[int] = []
         for ways in self._iter_sets():
-            out.extend(int(addrs[g]) for g in ways)
+            out.extend(addrs[g] for g in ways)
         return out
 
     def state_lines(self) -> list[list[tuple[int, bool, bool, bool, bool]]]:
-        addrs = self._addrs_flat
-        flags = self._flags_flat
+        addrs = self._addrs
+        flags = self._flags
         return [
             [
                 (
-                    int(addrs[g]),
+                    addrs[g],
                     bool(flags[g] & _PREFETCH),
                     bool(flags[g] & _OFF_PATH),
                     bool(flags[g] & _UDP),
@@ -420,37 +410,21 @@ class SetAssocCacheC(SetAssocCache):
         ]
 
     def state_packed(self) -> dict[str, bytes]:
-        import numpy as np
-
-        counts, flat = resident_order(self._addrs != -1, self._stamps)
-        return {
-            "counts": counts.astype(np.uint16).tobytes(),
-            "addrs": self._addrs_flat[flat].tobytes(),
-            "flags": self._flags_flat[flat].astype(np.uint8).tobytes(),
-        }
+        counts, addrs, flags = export_ways(
+            self._k_export, self._stamps, self.assoc, (self._addrs, 8), (self._flags, 1)
+        )
+        return {"counts": counts, "addrs": addrs, "flags": flags}
 
     def load_packed(self, state: dict[str, bytes]) -> None:
-        import numpy as np
-
-        counts, (addrs, flags) = unpack(
-            state, _PLANES, self.num_sets, self.assoc, "cache"
+        unpack(state, _PLANES, self.num_sets, self.assoc, "cache")
+        dmv = self._dmv
+        total = import_ways(
+            self._k_import, self._stamps, self.assoc, dmv[7], state,
+            (self._addrs, 8, "addrs"), (self._flags, 1, "flags"),
         )
-        total = len(addrs)
-        self._addrs[:] = -1
-        self._flags[:] = 0
-        self._stamps[:] = 0
-        di = self._di
-        stamp = int(di[7])
-        if total:
-            flat = set_major_slots(counts, self.assoc)
-            self._addrs_flat[flat] = addrs
-            self._flags_flat[flat] = flags
-            # Stamps count up in set-major LRU->MRU order.
-            self._stamps[flat] = stamp + 1 + np.arange(total, dtype=np.int64)
-            stamp += total
-        di[7] = stamp
-        di[8] = total
-        di[9] = -1
+        dmv[7] += total
+        dmv[8] = total
+        dmv[9] = -1
 
 
 def make_cache(config: CacheConfig, compiled: bool | None = None) -> SetAssocCache:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.common.addr import line_of
 from repro.common.config import MemoryConfig
 from repro.common.counters import Counters
+from repro.common.packed import address, zeros
 from repro.memory.cache import make_cache
 from repro.memory.stream import StreamPrefetcher
 
@@ -135,8 +136,6 @@ class MemoryHierarchyC(MemoryHierarchy):
     """
 
     def __init__(self, config: MemoryConfig, counters: Counters | None = None) -> None:
-        import numpy as np
-
         from repro.common import cc
         from repro.memory.cache import SetAssocCacheC
         from repro.memory.stream import StreamPrefetcherC
@@ -147,7 +146,7 @@ class MemoryHierarchyC(MemoryHierarchy):
             raise RuntimeError("compiled kernels unavailable")
         if self.stream is not None:
             self.stream = StreamPrefetcherC()
-        hi = np.zeros(13, dtype=np.int64)
+        hi = zeros(13)
         hi[0] = self.l1d._desc
         hi[1] = self.l2._desc
         hi[2] = self.llc._desc
@@ -157,9 +156,8 @@ class MemoryHierarchyC(MemoryHierarchy):
         hi[6] = config.llc.hit_latency
         hi[7] = config.dram_latency
         # hi[8..12]: n_l1d_hit, n_l2_data, n_llc_data, n_dram_data, n_stream_pf
-        self._hi = hi
         self._hmv = memoryview(hi)
-        self._hdesc = int(hi.ctypes.data)
+        self._hdesc = address(hi)
         self._k_load = kernels.hier_load
         self._k_store = kernels.hier_store
         self._k_imiss = kernels.hier_imiss

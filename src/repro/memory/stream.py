@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.addr import LINE_BYTES
+from repro.common.packed import address, zeros
 
 
 @dataclass
@@ -118,8 +119,6 @@ class StreamPrefetcherC(StreamPrefetcher):
     """
 
     def __init__(self, max_streams: int = 16, degree: int = 2, train_threshold: int = 2) -> None:
-        import numpy as np
-
         from repro.common import cc
 
         kernels = cc.kernels()
@@ -132,36 +131,31 @@ class StreamPrefetcherC(StreamPrefetcher):
         self.degree = degree
         self.train_threshold = train_threshold
         self._streams = None  # state lives in the SoA arrays; fail loudly
-        self._last_line = np.zeros(max_streams, dtype=np.int64)
-        self._direction = np.zeros(max_streams, dtype=np.int64)
-        self._confidence = np.zeros(max_streams, dtype=np.int64)
-        self._lru = np.zeros(max_streams, dtype=np.int64)
-        self._out = np.zeros(max(degree, 1), dtype=np.int64)
-        di = np.zeros(10, dtype=np.int64)
-        di[0] = self._last_line.ctypes.data
-        di[1] = self._direction.ctypes.data
-        di[2] = self._confidence.ctypes.data
-        di[3] = self._lru.ctypes.data
+        self._table = tuple(zeros(max_streams) for _ in range(4))
+        self._last_line, self._direction, self._confidence, self._lru = self._table
+        self._out = zeros(degree)
+        di = zeros(10)
+        for i, column in enumerate(self._table):
+            di[i] = address(column)
         # di[4]=count, di[5]=stamp
         di[6] = max_streams
         di[7] = degree
         di[8] = train_threshold
         # di[9]=issued
         self._di = di
-        self._desc = int(di.ctypes.data)
-        self._out_ptr = int(self._out.ctypes.data)
+        self._desc = address(di)
+        self._out_ptr = address(self._out)
         self._k_on_miss = kernels.stream_on_miss
 
     def on_miss(self, line_addr: int) -> list[int]:
         count = self._k_on_miss(self._desc, line_addr, self._out_ptr)
         if count == 0:
             return []
-        out = self._out
-        return [int(out[i]) for i in range(count)]
+        return self._out[:count].tolist()
 
     @property
     def issued(self) -> int:
-        return int(self._di[9])
+        return self._di[9]
 
     @issued.setter
     def issued(self, value: int) -> None:
@@ -169,22 +163,14 @@ class StreamPrefetcherC(StreamPrefetcher):
 
     @property
     def active_streams(self) -> int:
-        return int(self._di[4])
+        return self._di[4]
 
     def state_dict(self) -> dict:
-        count = int(self._di[4])
+        count = self._di[4]
         return {
-            "streams": [
-                (
-                    int(self._last_line[i]),
-                    int(self._direction[i]),
-                    int(self._confidence[i]),
-                    int(self._lru[i]),
-                )
-                for i in range(count)
-            ],
-            "stamp": int(self._di[5]),
-            "issued": int(self._di[9]),
+            "streams": list(zip(*(column[:count].tolist() for column in self._table))),
+            "stamp": self._di[5],
+            "issued": self._di[9],
         }
 
     def load_state(self, state: dict) -> None:
@@ -194,10 +180,8 @@ class StreamPrefetcherC(StreamPrefetcher):
                 f"checkpoint holds {len(streams)} streams, table fits "
                 f"{self.max_streams}"
             )
-        self._last_line[:] = 0
-        self._direction[:] = 0
-        self._confidence[:] = 0
-        self._lru[:] = 0
+        for column in self._table:
+            column[:] = zeros(self.max_streams)
         for i, (last, direction, confidence, lru) in enumerate(streams):
             self._last_line[i] = last
             self._direction[i] = direction

@@ -1,20 +1,18 @@
-"""Stand-alone instruction prefetchers used as comparators."""
+"""Stand-alone instruction prefetchers used as comparators.
 
-from repro.prefetchers.base import InstructionPrefetcher, NullPrefetcher
-from repro.prefetchers.eip import EntangledInstructionPrefetcher
-from repro.prefetchers.next_line import NextLinePrefetcher
-from repro.prefetchers.swprefetch import (
-    ProfileGuidedPrefetcher,
-    build_for_program,
-    profile_instruction_misses,
+The public names resolve on first use (``repro._lazy``).
+"""
+
+from repro._lazy import exports as _exports
+
+__all__, __getattr__, __dir__ = _exports(
+    __name__,
+    ("repro.prefetchers.base", ("InstructionPrefetcher", "NullPrefetcher")),
+    ("repro.prefetchers.eip", ("EntangledInstructionPrefetcher",)),
+    ("repro.prefetchers.next_line", ("NextLinePrefetcher",)),
+    ("repro.prefetchers.swprefetch", (
+        "ProfileGuidedPrefetcher",
+        "build_for_program",
+        "profile_instruction_misses",
+    )),
 )
-
-__all__ = [
-    "InstructionPrefetcher",
-    "NullPrefetcher",
-    "EntangledInstructionPrefetcher",
-    "NextLinePrefetcher",
-    "ProfileGuidedPrefetcher",
-    "build_for_program",
-    "profile_instruction_misses",
-]

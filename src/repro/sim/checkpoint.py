@@ -49,8 +49,9 @@ Restoration rules worth knowing when extending the simulator:
 * cache, BTB and iBTB contents travel as packed per-set buffers in
   LRU->MRU order (:mod:`repro.common.packed`: a count per set plus one
   flat buffer per payload plane, so pickling is a memcpy and the compiled
-  classes build and load them vectorized) — replacement order is part of
-  the state, the physical layout (dict of objects vs. ndarray ways) is not.
+  classes build and load them in one C call) — replacement order is part
+  of the state, the physical layout (dict of objects vs. flat way arrays)
+  is not.
 
 ``REPRO_NO_CHECKPOINT=1`` opts out (the engine re-runs warmup from
 scratch); a corrupt or stale snapshot raises :class:`CheckpointError`,

@@ -36,13 +36,16 @@ choose between the driver and the Python stepper on their own.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from functools import partial
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from repro.branch.btb import BranchTargetBufferC
 from repro.common import cc
 from repro.common.errors import SimulationError
+from repro.common.packed import address, put, view, zeros
 from repro.prefetchers.base import reject_prefetch_line
 from repro.workloads.tables import program_tables
 
@@ -103,22 +106,20 @@ class _Machine:
     """
 
     def __init__(self, sim: "Simulator", layout: dict, values: dict) -> None:
-        import numpy as np
-
+        kernels = cc.kernels()
         tables = program_tables(sim.program)
         bpu = sim.bpu
         oracle = sim.oracle
         self._tables = tables
         self._counter_names = layout["counters"]
-        self._counters = _zeros(len(self._counter_names))
+        self._counters = zeros(len(self._counter_names))
         # Per-block state as one allocation (occurrences, touched list, flags).
-        self._occ, self._touched, self._touched_flag = np.zeros(
-            (3, tables.num_blocks), dtype=np.int64
-        )
-        self._call_stack = _zeros(oracle.max_stack)
+        n = tables.num_blocks
+        self._per_block = zeros(3 * n)
+        self._call_stack = zeros(oracle.max_stack)
         self._udp = _UDPState(sim, layout) if sim.udp is not None else None
 
-        desc = np.zeros(layout["driver_words"], dtype=np.int64)
+        desc = zeros(layout["driver_words"])
         values = {
             **values,
             "max_stack": oracle.max_stack,
@@ -132,11 +133,11 @@ class _Machine:
             "be": sim.backend._bdesc,
             "prog": tables.desc,
             "udp": self._udp.desc if self._udp is not None else 0,
-            "counters": self._counters.ctypes.data,
-            "occ": self._occ.ctypes.data,
-            "touched": self._touched.ctypes.data,
-            "touched_flag": self._touched_flag.ctypes.data,
-            "call_stack": self._call_stack.ctypes.data,
+            "counters": address(self._counters),
+            "occ": address(self._per_block),
+            "touched": address(self._per_block) + 8 * n,
+            "touched_flag": address(self._per_block) + 16 * n,
+            "call_stack": address(self._call_stack),
             "oracle_pc": oracle.pc,
             "blocks_walked": oracle.blocks_walked,
             "instrs_walked": oracle.instrs_walked,
@@ -145,52 +146,32 @@ class _Machine:
         fields = layout["driver_fields"]
         for name, value in values.items():
             desc[fields[name]] = value
-        self._call_stack[: len(oracle.call_stack)] = oracle.call_stack
-        occurrences = oracle._occurrences
-        if occurrences:
-            pcs = np.fromiter(occurrences.keys(), dtype=np.int64, count=len(occurrences))
-            counts = np.fromiter(occurrences.values(), dtype=np.int64, count=len(occurrences))
-            self._occ[tables.block_index(pcs)] = counts
+        put(self._call_stack, oracle.call_stack)
         self._dmv = memoryview(desc)  # keeps the descriptor array alive
         self._fields = fields
-        self._desc = int(desc.ctypes.data)
+        self._desc = address(desc)
+        self._k_oracle_export = kernels.oracle_export
+        kernels.oracle_import(self._desc, oracle._occurrences)
 
     def _sync(self, sim: "Simulator") -> None:
         """Write the counters, the oracle and UDP back into the Python objects."""
-        import numpy as np
-
         d = self._dmv
         f = self._fields
         counts = self._counters
-        (nonzero,) = np.nonzero(counts)
-        if len(nonzero):
-            values = sim.counters._values
-            names = self._counter_names
-            for index, amount in zip(nonzero.tolist(), counts[nonzero].tolist()):
-                name = names[index]
+        values = sim.counters._values
+        for index, amount in enumerate(counts):
+            if amount:
+                name = self._counter_names[index]
                 values[name] = values.get(name, 0) + amount
-            counts[:] = 0
+                counts[index] = 0
         oracle = sim.oracle
         oracle.pc = d[f["oracle_pc"]]
         oracle.blocks_walked = d[f["blocks_walked"]]
         oracle.instrs_walked = d[f["instrs_walked"]]
         oracle.call_stack[:] = self._call_stack[: d[f["cs_len"]]].tolist()
-        n_touched = d[f["n_touched"]]
-        if n_touched:
-            touched = self._touched[:n_touched]
-            oracle._occurrences.update(
-                zip(self._tables.branch_pc[touched].tolist(), self._occ[touched].tolist())
-            )
-            self._touched_flag[touched] = 0
-            d[f["n_touched"]] = 0
+        self._k_oracle_export(self._desc, oracle._occurrences)
         if self._udp is not None:
             self._udp.sync(sim.udp)
-
-
-def _zeros(count: int):
-    import numpy as np
-
-    return np.zeros(max(count, 1), dtype=np.int64)
 
 
 def functional_walk(
@@ -244,15 +225,15 @@ class CycleDriver(_Machine):
         history = bpu.history
 
         sim.l1i.eviction_hook = None
-        self._ras = _zeros(bpu.ras.capacity)
+        self._ras = zeros(bpu.ras.capacity)
         ftq_cap = sim.ftq.max_physical
-        self._ftq = _zeros(ftq_cap * layout["ftq_entry_words"])
+        self._ftq = zeros(ftq_cap * layout["ftq_entry_words"])
         mshr_cap = sim.mshr.capacity
-        self._mshr = _zeros(mshr_cap * layout["mshr_entry_words"])
+        self._mshr = zeros(mshr_cap * layout["mshr_entry_words"])
         pool = layout["resteer_pool"]
-        self._resteers = _zeros(pool * layout["resteer_words"])
+        self._resteers = zeros(pool * layout["resteer_words"])
         hist_words = len(history._words)
-        self._resteer_hist = _zeros(pool * (hist_words + len(history.folded)))
+        self._resteer_hist = zeros(pool * (hist_words + len(history.folded)))
         prefetcher = sim.prefetcher
         observer = sim._fill_observer
         self._callbacks = (
@@ -279,11 +260,11 @@ class CycleDriver(_Machine):
             "on_demand": on_demand,
             "on_fill": on_fill,
             "reject": reject,
-            "ras": self._ras.ctypes.data,
-            "ftq": self._ftq.ctypes.data,
-            "mshr": self._mshr.ctypes.data,
-            "resteers": self._resteers.ctypes.data,
-            "resteer_hist": self._resteer_hist.ctypes.data,
+            "ras": address(self._ras),
+            "ftq": address(self._ftq),
+            "mshr": address(self._mshr),
+            "resteers": address(self._resteers),
+            "resteer_hist": address(self._resteer_hist),
             # Imported state: the machine is clean, so beyond the oracle
             # only the RAS and the frontend/FDIP/FTQ scalars carry anything.
             "ftq_depth": sim.ftq.depth,
@@ -301,7 +282,7 @@ class CycleDriver(_Machine):
             "demand_calls": sim.driver_demand_callbacks,
             "fill_calls": sim.driver_fill_callbacks,
         })
-        self._ras[: len(bpu.ras)] = bpu.ras._stack
+        put(self._ras, bpu.ras._stack)
         self._k_run = kernels.run_cycles
 
     def run(self, sim: "Simulator", target: int, stop: int = NEVER) -> int:
@@ -362,8 +343,6 @@ class _UDPState:
     _SIZES = (1, 2, 4)  # the Bloom slots' super-block sizes
 
     def __init__(self, sim: "Simulator", layout: dict) -> None:
-        import numpy as np
-
         udp = sim.udp
         config = udp.config
         useful_set = udp.useful_set
@@ -377,16 +356,14 @@ class _UDPState:
             f["bloom"] + k * bloom_words + bloom_fields["inserted"] for k in range(3)
         ]
         # Keeps each bytearray exported, so it cannot be resized under C.
-        self._bloom_bits = [np.frombuffer(bloom._array, dtype=np.uint8) for bloom in filters]
-        self._seeds = np.array([bloom._seeds for bloom in filters], dtype=np.int64)
-        self._coal = np.zeros(coalescer.capacity + 1, dtype=np.int64)
-        self._sen = np.zeros(max(seniority.capacity, 1), dtype=np.int64)
+        self._bloom_bits = [memoryview(bloom._array) for bloom in filters]
+        self._seeds = [array("q", bloom._seeds) for bloom in filters]
+        self._coal = zeros(coalescer.capacity + 1)
+        self._sen = zeros(seniority.capacity)
         self._exact_base = sim.program.code_start & ~63
-        self._exact = np.zeros(
-            (sim.program.code_end - self._exact_base + 63) // 64, dtype=np.uint8
-        )
+        self._exact = zeros((sim.program.code_end - self._exact_base + 63) // 64, "B")
 
-        desc = np.zeros(layout["udp_words"], dtype=np.int64)
+        desc = zeros(layout["udp_words"])
         values = {
             "conf_counter": udp.estimator.counter,
             "forced": int(udp.estimator._forced_off_path),
@@ -406,37 +383,36 @@ class _UDPState:
             "sen_cap": seniority.capacity,
             "exact_base": self._exact_base,
             "exact_n": len(self._exact),
-            "coal": self._coal.ctypes.data,
-            "sen": self._sen.ctypes.data,
-            "exact": self._exact.ctypes.data,
+            "coal": address(self._coal),
+            "sen": address(self._sen),
+            "exact": address(self._exact),
         }
         for name, value in values.items():
             desc[f[name]] = value
         increments = (config.low_increment, config.medium_increment, config.high_increment)
-        desc[f["incr"] : f["incr"] + 3] = increments
-        desc.view(np.float64)[f["flush_ratio"]] = config.flush_unuseful_ratio
+        for k, increment in enumerate(increments):
+            desc[f["incr"] + k] = increment
+        view(desc, "d")[f["flush_ratio"]] = config.flush_unuseful_ratio
+        buffer_address = cc.kernels().buffer_address
         for k, bloom in enumerate(filters):
             at = f["bloom"] + k * bloom_words
-            desc[at + bloom_fields["bits"]] = self._bloom_bits[k].ctypes.data
+            desc[at + bloom_fields["bits"]] = buffer_address(bloom._array)
             desc[at + bloom_fields["mask"]] = bloom._mask
             desc[at + bloom_fields["inserted"]] = bloom.inserted
             desc[at + bloom_fields["capacity"]] = bloom.capacity
-            desc[at + bloom_fields["seeds"]] = self._seeds[k].ctypes.data
-        self._coal[: len(coalescer._lines)] = list(coalescer._lines)
-        self._sen[: len(seniority)] = list(seniority._entries)
-        if useful_set._exact:
-            lines = np.fromiter(useful_set._exact, dtype=np.int64, count=len(useful_set._exact))
-            slots = (lines - self._exact_base) >> 6
-            if lines.min() < self._exact_base or slots.max() >= len(self._exact):
+            desc[at + bloom_fields["seeds"]] = address(self._seeds[k])
+        put(self._coal, coalescer._lines)
+        put(self._sen, seniority._entries)
+        for line in useful_set._exact:
+            slot = (line - self._exact_base) >> 6
+            if line < self._exact_base or slot >= len(self._exact):
                 raise SimulationError("useful-set line outside the code region")
-            self._exact[slots] = 1
+            self._exact[slot] = 1
         self._dmv = memoryview(desc)  # keeps the descriptor array alive
-        self.desc = int(desc.ctypes.data)
+        self.desc = address(desc)
 
     def sync(self, udp: "UDPFilter") -> None:
         """Write the driver's UDP state back into ``udp``."""
-        import numpy as np
-
         d = self._dmv
         f = self._fields
         estimator = udp.estimator
@@ -451,8 +427,10 @@ class _UDPState:
             self._coal[: d[f["coal_len"]]].tolist()
         )
         if useful_set.infinite:
-            lines = np.flatnonzero(self._exact) * 64 + self._exact_base
-            useful_set._exact.update(lines.tolist())
+            base = self._exact_base
+            useful_set._exact.update(
+                base + (slot << 6) for slot in compress(range(len(self._exact)), self._exact)
+            )
         seniority = udp.seniority
         seniority._entries = OrderedDict.fromkeys(self._sen[: d[f["sen_len"]]].tolist())
         seniority.inserted = d[f["sen_inserted"]]

@@ -69,17 +69,10 @@ import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.common import faults
 from repro.common.artifacts import (
@@ -95,11 +88,15 @@ from repro.sim import checkpoint as ckpt
 from repro.sim import sampling
 from repro.sim.metrics import SimResult
 from repro.sim.sampling import IntervalOutcome
-from repro.sim.simulator import Simulator
 from repro.workloads import store as program_store
 from repro.workloads.profiles import WorkloadProfile, get_profile
 from repro.workloads.program import Program
 from repro.workloads.store import ProgramStore, get_program
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.sim.simulator import Simulator
 
 JOBS_ENV = "REPRO_JOBS"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
@@ -216,6 +213,10 @@ def _warmed_simulator(
     that warms itself when it runs.  Records ``checkpoint`` and
     ``warmup_seconds`` in ``meta``.
     """
+    # Imported at the first simulation, not with the engine: a batch served
+    # from the result cache never loads the simulator.
+    from repro.sim.simulator import Simulator
+
     simulator = Simulator(program, config, data_profile=data_profile)
     if spec.program is not None:
         return simulator
@@ -301,6 +302,8 @@ def _run_sampled(
     fires its own fault tokens (``label#k``), and an exception raised in
     interval ``k`` carries ``sampling_interval = k`` for the failure record.
     """
+    from repro.sim.simulator import Simulator  # loaded with the walker
+
     if not walker._warmed and config.functional_warmup_blocks > 0:
         started = time.perf_counter()
         walker.functional_warmup(config.functional_warmup_blocks)
@@ -1242,6 +1245,20 @@ def _run_pool(
       the parent, the timeout charged to the overdue unit, and the pool
       rebuilt.
     """
+    # Only a pooled batch needs the pool machinery (and, through it,
+    # multiprocessing): a serial run never imports it.
+    from concurrent.futures import (
+        FIRST_COMPLETED,
+        BrokenExecutor,
+        CancelledError,
+        ProcessPoolExecutor,
+        wait,
+    )
+
+    # Forked workers inherit the parent's modules: load the simulator's
+    # once here instead of in every worker's first unit.
+    import repro.sim.simulator  # noqa: F401
+
     store = ckpt.CheckpointStore()
     create_key = {unit: _checkpoint_key_for(spec_list[unit]) for unit in units}
     claimed: dict[str, int] = {}

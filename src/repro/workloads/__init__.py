@@ -1,76 +1,51 @@
-"""Synthetic workloads: static programs, branch behaviours, oracle traces."""
+"""Synthetic workloads: static programs, branch behaviours, oracle traces.
 
-from repro.workloads.behavior import (
-    AlwaysTaken,
-    BiasedBehavior,
-    DirectionBehavior,
-    FixedTarget,
-    LoopBehavior,
-    PatternBehavior,
-    PhasedBehavior,
-    RotatingTargets,
-    TargetBehavior,
-    WeightedTargets,
-    ZipfTargets,
-)
-from repro.workloads.builder import Label, ProgramBuilder
-from repro.workloads.data import DataAddressGenerator
-from repro.workloads.profiles import (
-    PAPER_TABLE3,
-    SUITE,
-    SUITE_BY_NAME,
-    DataProfile,
-    WorkloadProfile,
-    get_profile,
-)
-from repro.workloads.program import BasicBlock, Branch, BranchKind, Program
-from repro.workloads.phases import make_phased_program, phase_summary
-from repro.workloads.synth import footprint_report, synthesize
-from repro.workloads.tracefile import (
-    TraceRecord,
-    read_trace,
-    record_trace,
-    trace_branch_mix,
-    trace_working_set_curve,
-)
-from repro.workloads.trace import OracleCursor, OracleTransition, run_trace, trace_statistics
+The public names resolve on first use (``repro._lazy``): a process that
+only hydrates stored programs never loads the synthesis pipeline.
+"""
 
-__all__ = [
-    "AlwaysTaken",
-    "BiasedBehavior",
-    "DirectionBehavior",
-    "FixedTarget",
-    "LoopBehavior",
-    "PatternBehavior",
-    "PhasedBehavior",
-    "RotatingTargets",
-    "TargetBehavior",
-    "WeightedTargets",
-    "ZipfTargets",
-    "Label",
-    "ProgramBuilder",
-    "DataAddressGenerator",
-    "PAPER_TABLE3",
-    "SUITE",
-    "SUITE_BY_NAME",
-    "DataProfile",
-    "WorkloadProfile",
-    "get_profile",
-    "BasicBlock",
-    "Branch",
-    "BranchKind",
-    "Program",
-    "make_phased_program",
-    "phase_summary",
-    "footprint_report",
-    "TraceRecord",
-    "read_trace",
-    "record_trace",
-    "trace_branch_mix",
-    "trace_working_set_curve",
-    "synthesize",
-    "OracleCursor",
-    "OracleTransition",
-    "run_trace",
-    "trace_statistics",
-]
+from repro._lazy import exports as _exports
+
+__all__, __getattr__, __dir__ = _exports(
+    __name__,
+    ("repro.workloads.behavior", (
+        "AlwaysTaken",
+        "BiasedBehavior",
+        "DirectionBehavior",
+        "FixedTarget",
+        "LoopBehavior",
+        "PatternBehavior",
+        "PhasedBehavior",
+        "RotatingTargets",
+        "TargetBehavior",
+        "WeightedTargets",
+        "ZipfTargets",
+    )),
+    ("repro.workloads.builder", ("Label", "ProgramBuilder")),
+    ("repro.workloads.data", ("DataAddressGenerator",)),
+    ("repro.workloads.profiles", (
+        "PAPER_TABLE3",
+        "SUITE",
+        "SUITE_BY_NAME",
+        "DataProfile",
+        "WorkloadProfile",
+        "get_profile",
+    )),
+    ("repro.workloads.program", ("BasicBlock", "Branch", "BranchKind", "Program")),
+    ("repro.workloads.phases", ("make_phased_program", "phase_summary")),
+    ("repro.workloads.synth", ("footprint_report",)),
+    ("repro.workloads.tracefile", (
+        "TraceRecord",
+        "read_trace",
+        "record_trace",
+        "trace_branch_mix",
+        "trace_working_set_curve",
+    )),
+    ("repro.workloads.synth", ("synthesize",)),
+    ("repro.workloads.trace", (
+        "OracleCursor",
+        "OracleTransition",
+        "run_trace",
+        "trace_statistics",
+    )),
+)

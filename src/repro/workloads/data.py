@@ -18,6 +18,9 @@ wrong-path loads reuse prior addresses with <1% IPC effect.
 
 from __future__ import annotations
 
+from array import array
+
+from repro.common.packed import address, view, zeros
 from repro.workloads.behavior import mix64
 from repro.workloads.profiles import DataProfile
 
@@ -92,22 +95,18 @@ class DataAddressGenerator:
         sampling captures and restores this state once per interval, so the
         dict form was a measurable share of sampled wall-clock.
         """
-        import numpy as np
-
         occ = self._occurrences
-        pcs = np.fromiter(occ.keys(), dtype=np.int64, count=len(occ))
-        counts = np.fromiter(occ.values(), dtype=np.int64, count=len(occ))
-        return {"pcs": pcs.tobytes(), "counts": counts.tobytes()}
+        return {
+            "pcs": array("q", occ.keys()).tobytes(),
+            "counts": array("q", occ.values()).tobytes(),
+        }
 
     def load_occurrences_state(self, state: dict[str, bytes]) -> None:
         """Restore counters from :meth:`occurrences_state` output."""
-        import numpy as np
-
-        pcs = np.frombuffer(state["pcs"], dtype=np.int64)
-        counts = np.frombuffer(state["counts"], dtype=np.int64)
-        if len(pcs) != len(counts):
+        pcs, counts = (memoryview(state[key]).cast("B") for key in ("pcs", "counts"))
+        if len(pcs) != len(counts) or len(pcs) % 8:
             raise ValueError("occurrence state arrays disagree in length")
-        self.load_occurrences(dict(zip(pcs.tolist(), counts.tolist())))
+        self.load_occurrences(dict(zip(pcs.cast("q").tolist(), counts.cast("q").tolist())))
 
 
 class DataAddressGeneratorC(DataAddressGenerator):
@@ -123,8 +122,6 @@ class DataAddressGeneratorC(DataAddressGenerator):
     """
 
     def __init__(self, profile: DataProfile, seed: int, code_end: int) -> None:
-        import numpy as np
-
         from repro.common import cc
 
         kernels = cc.kernels()
@@ -133,19 +130,21 @@ class DataAddressGeneratorC(DataAddressGenerator):
         super().__init__(profile, seed)
         self._occurrences = None  # state lives in the array; fail loudly
         n_pcs = max(code_end >> 2, 1)
-        self._occ_arr = np.zeros(n_pcs, dtype=np.int64)
-        di = np.zeros(7, dtype=np.int64)
-        di[0] = self._occ_arr.ctypes.data
+        self._occ_arr = zeros(n_pcs)
+        di = zeros(7)
+        di[0] = address(self._occ_arr)
         di[1] = n_pcs
-        di.view(np.uint64)[2] = seed & 0xFFFF_FFFF_FFFF_FFFF
-        dv = di.view(np.float64)
-        dv[3] = profile.stack_frac
-        dv[4] = profile.stack_frac + profile.stream_frac
+        view(di, "Q")[2] = seed & 0xFFFF_FFFF_FFFF_FFFF
+        floats = view(di, "d")
+        floats[3] = profile.stack_frac
+        floats[4] = profile.stack_frac + profile.stream_frac
         di[5] = profile.stride_bytes
         di[6] = max(profile.data_footprint_bytes, 64)
         self._di = di
-        self._desc = int(di.ctypes.data)
+        self._desc = address(di)
         self._k_next = kernels.data_next
+        self._k_export = kernels.pc_counts_export
+        self._k_import = kernels.pc_counts_import
 
     def next_address(self, pc: int) -> int:
         """Generate the next data address for the instruction at ``pc``."""
@@ -153,47 +152,27 @@ class DataAddressGeneratorC(DataAddressGenerator):
 
     def reset(self) -> None:
         """Forget all occurrence counters (fresh run)."""
-        self._occ_arr[:] = 0
+        self._k_import(address(self._occ_arr), len(self._occ_arr), b"", b"")
 
     def occurrences_dict(self) -> dict[int, int]:
         """Per-PC occurrence counters as a plain ``{pc: count}`` dict."""
-        (indices,) = self._occ_arr.nonzero()
+        state = self.occurrences_state()
         return dict(
-            zip((indices << 2).tolist(), self._occ_arr[indices].tolist())
+            zip(*(memoryview(state[key]).cast("q").tolist() for key in ("pcs", "counts")))
         )
 
     def load_occurrences(self, occurrences: dict[int, int]) -> None:
         """Replace all occurrence counters with a checkpointed dict."""
-        self._occ_arr[:] = 0
-        for pc, count in occurrences.items():
-            index = pc >> 2
-            if not 0 <= index < len(self._occ_arr):
-                raise ValueError(
-                    f"occurrence pc {pc:#x} outside the program's code range"
-                )
-            self._occ_arr[index] = count
+        self.load_occurrences_state({
+            "pcs": array("q", occurrences.keys()).tobytes(),
+            "counts": array("q", occurrences.values()).tobytes(),
+        })
 
     def occurrences_state(self) -> dict[str, bytes]:
         """The occurrence counters as packed int64 arrays (checkpoint form)."""
-        (indices,) = self._occ_arr.nonzero()
-        return {
-            "pcs": (indices << 2).tobytes(),
-            "counts": self._occ_arr[indices].tobytes(),
-        }
+        pcs, counts = self._k_export(address(self._occ_arr), len(self._occ_arr))
+        return {"pcs": pcs, "counts": counts}
 
     def load_occurrences_state(self, state: dict[str, bytes]) -> None:
         """Restore counters from :meth:`occurrences_state` output."""
-        import numpy as np
-
-        pcs = np.frombuffer(state["pcs"], dtype=np.int64)
-        counts = np.frombuffer(state["counts"], dtype=np.int64)
-        if len(pcs) != len(counts):
-            raise ValueError("occurrence state arrays disagree in length")
-        self._occ_arr[:] = 0
-        if len(pcs):
-            indices = pcs >> 2
-            if int(indices.min()) < 0 or int(indices.max()) >= len(self._occ_arr):
-                raise ValueError(
-                    "occurrence pcs outside the program's code range"
-                )
-            self._occ_arr[indices] = counts
+        self._k_import(address(self._occ_arr), len(self._occ_arr), state["pcs"], state["counts"])

@@ -53,7 +53,7 @@ class BranchKind(IntEnum):
         return self != BranchKind.COND
 
 
-@dataclass
+@dataclass(slots=True)
 class Branch:
     """A static control-transfer instruction terminating a basic block.
 
@@ -69,6 +69,15 @@ class Branch:
     direction: DirectionBehavior | None = None
     targets: tuple[int, ...] = ()
     target_behavior: TargetBehavior | None = None
+
+    def __reduce__(self):
+        # Unpickling calls the constructor with the fields: a program holds
+        # tens of thousands of branches and blocks, and one call each is
+        # cheaper than filling their slots one attribute at a time.
+        return Branch, (
+            self.pc, self.kind, self.target, self.direction, self.targets,
+            self.target_behavior,
+        )
 
     @property
     def fallthrough(self) -> int:
@@ -97,7 +106,7 @@ class Branch:
         return self.target
 
 
-@dataclass
+@dataclass(slots=True)
 class BasicBlock:
     """A straight-line run of instructions, optionally ending in a branch."""
 
@@ -107,6 +116,10 @@ class BasicBlock:
     ops: bytes = b""
     # Index within Program.blocks, filled by Program.__init__.
     index: int = field(default=-1, repr=False)
+
+    def __reduce__(self):
+        # See Branch.__reduce__.
+        return BasicBlock, (self.addr, self.num_instrs, self.branch, self.ops, self.index)
 
     @property
     def end_addr(self) -> int:

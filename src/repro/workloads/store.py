@@ -29,6 +29,7 @@ guarantee within one process.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import pickle
 from pathlib import Path
 
@@ -46,9 +47,9 @@ from repro.common.artifacts import (
 )
 from repro.workloads.profiles import WorkloadProfile, get_profile
 from repro.workloads.program import Program
-from repro.workloads.synth import synthesize
 
-PROGRAM_SCHEMA = 1
+# Schema 2: blocks and branches are slotted and pickle as constructor calls.
+PROGRAM_SCHEMA = 2
 
 # In-process memo: (workload name, seed) -> Program.  Deliberately not keyed
 # by store root: `program_for("x", 1) is program_for("x", 1)` must hold for
@@ -95,10 +96,18 @@ class ProgramStore:
             # Fault injection: pretend the stored pickle is corrupt so the
             # rebuild-and-rewrite fallback below is exercised end-to-end.
             blob = b"injected-corrupt-program"
+        # The cyclic GC would scan the tens of thousands of objects the
+        # pickle creates several times over while they are built; none of
+        # them is garbage, so it is paused until they all exist.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             program = pickle.loads(blob)
         except Exception:  # noqa: BLE001 - any unpickling failure is a miss
             return None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         return program if isinstance(program, Program) else None
 
     def store(self, workload: str, seed: int, program: Program) -> None:
@@ -115,6 +124,17 @@ class ProgramStore:
     def clear(self) -> int:
         """Delete every stored program; returns the number removed."""
         return clear_dir(self.root, "*/*.pkl")
+
+
+def synthesize(profile: WorkloadProfile, seed: int) -> Program:
+    """Build ``profile``'s program (:func:`repro.workloads.synth.synthesize`).
+
+    The synthesis pipeline is imported here, on the first build, so a
+    process that only hydrates stored programs never loads it.
+    """
+    from repro.workloads.synth import synthesize as build
+
+    return build(profile, seed)
 
 
 def get_program(

@@ -21,7 +21,9 @@ behaviours are per static branch.  The program-store format is untouched.
 from __future__ import annotations
 
 import weakref
+from array import array
 
+from repro.common.packed import address, zeros
 from repro.workloads.behavior import (
     AlwaysTaken,
     BiasedBehavior,
@@ -145,88 +147,85 @@ class ProgramTables:
     stays valid for the object's lifetime.
     """
 
-    # Per-block columns, rows of one array (one allocation).
+    # Per-block columns, consecutive runs of one array (one allocation).
     _BLOCK_COLUMNS = (
         "addr", "ninstr", "ops", "kind", "target", "behavior", "targets_off",
-        "targets_n", "branch_pc",
+        "targets_n",
     )
+    # Per-node columns, likewise.
+    _NODE_COLUMNS = ("node_kind", "node_seed", "node_f", "node_a", "node_b", "node_c")
 
     def __init__(self, program: Program, kernels) -> None:
-        import numpy as np
-
         blocks = program.blocks
-        n = len(blocks)
+        n = self.num_blocks = len(blocks)
         nodes = _Nodes()
         # Long-lived, so each table is one allocation: several arrays of a
         # few hundred KiB each would pin malloc arenas and raise peak RSS.
-        self._blocks = np.zeros((len(self._BLOCK_COLUMNS), n), dtype=np.int64)
-        for row, name in zip(self._blocks, self._BLOCK_COLUMNS):
-            setattr(self, name, row)
-        self.kind[:] = -1
-        self.behavior[:] = -1
+        self._blocks = zeros(len(self._BLOCK_COLUMNS) * n)
+        columns, pointers = _split(self._blocks, self._BLOCK_COLUMNS, n)
+        kind = columns["kind"]
+        target = columns["target"]
+        behavior = columns["behavior"]
+        targets_off = columns["targets_off"]
+        targets_n = columns["targets_n"]
+        kind[:] = behavior[:] = zeros(n, fill=-1)
         targets: list[int] = []
         for i, block in enumerate(blocks):
             branch = block.branch
             if branch is None:
                 continue
-            self.kind[i] = int(branch.kind)
-            self.target[i] = branch.target
+            kind[i] = int(branch.kind)
+            target[i] = branch.target
             if branch.kind == BranchKind.COND:
                 if branch.direction is None:
                     raise _Unsupported("conditional branch without a direction")
-                self.behavior[i] = nodes.direction(branch.direction)
+                behavior[i] = nodes.direction(branch.direction)
             elif branch.kind.is_indirect:
                 if branch.target_behavior is None:
                     raise _Unsupported("indirect branch without a selector")
-                self.behavior[i] = nodes.selector(branch.target_behavior, len(branch.targets))
-                self.targets_off[i] = len(targets)
-                self.targets_n[i] = len(branch.targets)
+                behavior[i] = nodes.selector(branch.target_behavior, len(branch.targets))
+                targets_off[i] = len(targets)
+                targets_n[i] = len(branch.targets)
                 targets.extend(branch.targets)
-        self.addr[:] = [b.addr for b in blocks]
-        self.ninstr[:] = [b.num_instrs for b in blocks]
+        columns["addr"][:] = array("q", [b.addr for b in blocks])
+        columns["ninstr"][:] = array("q", [b.num_instrs for b in blocks])
         # Raw pointers into the program's own op bytes, which live as long
         # as the program (and so as long as these tables, see _CACHE).
-        kernels.bytes_addresses([b.ops for b in blocks], self.ops.ctypes.data)
-        self.branch_pc[:] = self.addr + self.ninstr * 4 - 4  # where kind >= 0
-        self.targets = np.array(targets or [0], dtype=np.int64)
+        kernels.bytes_addresses([b.ops for b in blocks], pointers["ops"])
+        self.targets = array("q", targets or [0])
         m = max(len(nodes.kind), 1)
-        self._nodes = np.zeros((6, m), dtype=np.int64)
-        (self.node_kind, self.node_seed, node_f, self.node_a, self.node_b,
-         self.node_c) = self._nodes
-        self.node_f = node_f.view(np.float64)
+        self._nodes = zeros(len(self._NODE_COLUMNS) * m)
+        node_columns, node_pointers = _split(self._nodes, self._NODE_COLUMNS, m)
         if nodes.kind:
-            self.node_kind[:] = nodes.kind
-            self.node_seed[:] = np.array(nodes.seed, dtype=np.uint64).view(np.int64)
-            self.node_f[:] = nodes.f
-            self.node_a[:] = nodes.a
-            self.node_b[:] = nodes.b
-            self.node_c[:] = nodes.c
+            node_columns["node_kind"][:] = array("q", nodes.kind)
+            node_columns["node_seed"].cast("B").cast("Q")[:] = array("Q", nodes.seed)
+            node_columns["node_f"].cast("B").cast("d")[:] = array("d", nodes.f)
+            node_columns["node_a"][:] = array("q", nodes.a)
+            node_columns["node_b"][:] = array("q", nodes.b)
+            node_columns["node_c"][:] = array("q", nodes.c)
 
         layout = kernels.driver_layout()
         fields = layout["prog_fields"]
-        di = np.zeros(layout["prog_words"], dtype=np.int64)
+        di = zeros(layout["prog_words"])
         di[fields["n_blocks"]] = n
         di[fields["code_start"]] = program.code_start
         di[fields["code_end"]] = program.code_end
         di[fields["entry"]] = program.entry
-        for name in (
-            "addr", "ninstr", "ops", "kind", "target", "behavior", "targets_off",
-            "targets_n", "targets", "node_kind", "node_seed", "node_f", "node_a",
-            "node_b", "node_c",
-        ):
-            di[fields[name]] = getattr(self, name).ctypes.data
+        di[fields["targets"]] = address(self.targets)
+        for name, pointer in (*pointers.items(), *node_pointers.items()):
+            di[fields[name]] = pointer
         self._di = di
-        self.desc = int(di.ctypes.data)
+        self.desc = address(di)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.addr)
 
-    def block_index(self, pcs):
-        """Indices of the blocks containing each pc in ``pcs`` (an int64 array)."""
-        import numpy as np
-
-        return np.searchsorted(self.addr, pcs, side="right") - 1
+def _split(table: array, names: tuple, length: int) -> tuple[dict, dict]:
+    """``table`` as consecutive columns of ``length`` items: by name, a
+    writable memoryview of each and the address C reads it at."""
+    items = memoryview(table)
+    base = address(table)
+    views = {name: items[k * length:(k + 1) * length] for k, name in enumerate(names)}
+    pointers = {name: base + 8 * k * length for k, name in enumerate(names)}
+    return views, pointers
 
 
 def program_tables(program: Program) -> ProgramTables | None:

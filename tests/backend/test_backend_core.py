@@ -2,6 +2,8 @@
 
 import dataclasses
 
+import pytest
+
 from repro.backend.core import OP_BRANCH, BackendCore
 from repro.common.config import CoreConfig, MemoryConfig
 from repro.common.counters import Counters
@@ -175,18 +177,20 @@ def test_in_order_retirement():
 
 
 def test_dep_flags_built_once_per_program_seed_and_threshold():
-    import numpy as np
-
     from repro.backend.core import dep_flags
+    from repro.common import cc
     from repro.workloads import micro
+    from repro.workloads.store import program_for
 
-    program = micro.straight_loop()
+    if cc.kernels() is None:
+        pytest.skip("no C compiler on this host")
     backend = make_backend()
     threshold = backend._dep_threshold
-    flags = dep_flags(program, 1, threshold)
-    assert dep_flags(program, 1, threshold) is flags  # shared, not rebuilt
-    assert not flags.flags.writeable
-    assert dep_flags(program, 2, threshold) is not flags
-    # Bit-identical to the per-PC hash the object backend evaluates.
-    expected = [backend._depends_on_load(pc) for pc in range(0, program.code_end, 4)]
-    assert np.array_equal(flags.astype(bool), np.array(expected))
+    for program in (micro.straight_loop(), program_for("gcc")):
+        flags = dep_flags(program, 1, threshold)
+        assert dep_flags(program, 1, threshold) is flags  # shared, not rebuilt
+        assert isinstance(flags, bytes)  # immutable: every simulator shares it
+        assert dep_flags(program, 2, threshold) is not flags
+        # Bit-identical to the per-PC hash the object backend evaluates.
+        expected = [backend._depends_on_load(pc) for pc in range(0, program.code_end, 4)]
+        assert [bool(flag) for flag in flags] == expected

@@ -9,6 +9,7 @@ the ``REPRO_NO_CHECKPOINT`` opt-out.
 """
 
 import functools
+import gc
 import pickle
 
 import numpy as np
@@ -19,7 +20,23 @@ from repro.sim import checkpoint as ckpt
 from repro.sim.presets import PRESET_BUILDERS, baseline_config, miss_heavy_config
 from repro.sim.simulator import Simulator
 from repro.workloads import store as program_store
-from repro.workloads.profiles import get_profile
+from repro.workloads.behavior import (
+    AlwaysTaken,
+    BiasedBehavior,
+    DirectionBehavior,
+    FixedTarget,
+    LoopBehavior,
+    PatternBehavior,
+    PhasedBehavior,
+    RotatingTargets,
+    TargetBehavior,
+    WeightedTargets,
+    ZipfTargets,
+)
+from repro.workloads.builder import ProgramBuilder
+from repro.workloads.phases import make_phased_program, phase_summary
+from repro.workloads.profiles import SUITE, get_profile
+from repro.workloads.program import OP_ALU, OP_LOAD, OP_STORE
 
 INSTRUCTIONS = 3_000
 SEED = 1
@@ -118,6 +135,101 @@ def test_program_store_corrupt_pickle_is_a_miss(tmp_path):
     path.parent.mkdir(parents=True)
     path.write_bytes(b"not a pickle")
     assert store.load("gcc", SEED) is None
+
+
+def _every_behaviour_program():
+    """A builder program with one branch per behaviour class, calls and ops."""
+    b = ProgramBuilder(base=0x2_0000)
+    head, func = b.label("head"), b.label("func")
+    cases = [b.label(f"case{i}") for i in range(4)]
+    b.place(head)
+    b.set_entry()
+    ops = bytes([OP_LOAD, OP_STORE, OP_ALU])
+    for direction in (
+        AlwaysTaken(),
+        BiasedBehavior(7, 0.3),
+        LoopBehavior(5),
+        PatternBehavior(3, 0b1011, 4, noise=0.1),
+        PhasedBehavior(LoopBehavior(3), BiasedBehavior(9, 0.5), 100),
+    ):
+        b.cond_branch(3, target=head, behavior=direction, ops=ops)
+    b.call(2, target=func)
+    for selector in (FixedTarget(1), WeightedTargets(11, 0.7), ZipfTargets(13, 1.2)):
+        b.indirect(2, targets=list(cases), behavior=selector)
+    b.indirect(2, targets=list(cases), behavior=RotatingTargets(), call=True)
+    for case in cases:
+        b.place(case)
+        b.block(2, jump_to=head)
+    b.place(func)
+    b.block(4, ops=bytes([OP_LOAD] * 4))
+    b.ret(2)
+    return b.finish()
+
+
+def _assert_same_program(loaded, original) -> None:
+    """Field for field: layout, entry, every block and its branch."""
+    assert loaded is not original
+    assert loaded.entry == original.entry
+    assert loaded._starts == original._starts
+    assert (loaded.code_start, loaded.code_end) == (original.code_start, original.code_end)
+    assert len(loaded.blocks) == len(original.blocks)
+    for got, want in zip(loaded.blocks, original.blocks):
+        assert (got.addr, got.num_instrs, got.ops, got.index) == (
+            want.addr, want.num_instrs, want.ops, want.index
+        )
+        # Dataclass equality: pc, kind, targets and the behaviours, which
+        # compare by class and value.
+        assert got.branch == want.branch
+
+
+def _store_and_load(tmp_path, name: str, program):
+    store = program_store.ProgramStore(tmp_path / "programs")
+    store.store(name, SEED, program)
+    return store.load(name, SEED)
+
+
+@pytest.mark.parametrize("workload", [profile.name for profile in SUITE])
+def test_program_store_round_trips_every_suite_program(tmp_path, workload):
+    program = program_store.program_for(workload, SEED)
+    _assert_same_program(_store_and_load(tmp_path, workload, program), program)
+
+
+def test_program_store_round_trips_builder_and_phased_programs(tmp_path):
+    program = _every_behaviour_program()
+    behaviours = {
+        type(behaviour)
+        for block in program.blocks
+        if block.branch is not None
+        for behaviour in (block.branch.direction, block.branch.target_behavior)
+        if behaviour is not None
+    }
+    assert behaviours == {
+        cls
+        for cls in (*DirectionBehavior.__subclasses__(), *TargetBehavior.__subclasses__())
+        if cls.__module__ == "repro.workloads.behavior"  # not the tests' own
+    }
+    _assert_same_program(_store_and_load(tmp_path, "gcc", program), program)
+    phased = make_phased_program(get_profile("mediawiki"), SEED)
+    assert phase_summary(phased)["phased_conditionals"] > 0
+    _assert_same_program(_store_and_load(tmp_path, "mediawiki", phased), phased)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_program_store_load_keeps_the_callers_gc_state(tmp_path, enabled):
+    store = program_store.ProgramStore(tmp_path / "programs")
+    store.store("mediawiki", SEED, program_store.program_for("mediawiki", SEED))
+    corrupt = store.path_for("gcc", SEED)
+    corrupt.parent.mkdir(parents=True, exist_ok=True)
+    corrupt.write_bytes(b"not a pickle")
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert store.load("mediawiki", SEED) is not None
+        assert gc.isenabled() is enabled
+        assert store.load("gcc", SEED) is None  # still a miss
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_checkpoint_store_disk_roundtrip(tmp_path):
