@@ -131,6 +131,14 @@ class BranchTargetBuffer:
         self.hits = hits
         self.misses = misses
 
+    def copy_from(self, other: "BranchTargetBuffer") -> None:
+        """Take ``other``'s entries, recency and statistics, in place.
+
+        Loads ``other``'s packed form, so the object path stays the oracle
+        of the compiled buffer copy.
+        """
+        self.load_packed(other.state_packed())
+
 
 class BranchTargetBufferC(BranchTargetBuffer):
     """Compiled-kernel BTB: probe/fill run as single C calls over the SoA ways.
@@ -157,6 +165,7 @@ class BranchTargetBufferC(BranchTargetBuffer):
         self._targets = zeros(ways)
         self._pcs = zeros(ways, fill=-1)
         self._stamps = zeros(ways)
+        self._planes = (self._pcs, self._kinds, self._targets, self._stamps)
         self._sets = None  # entries live in the arrays; fail loudly
         di = zeros(10)
         di[0] = address(self._pcs)
@@ -239,6 +248,10 @@ class BranchTargetBufferC(BranchTargetBuffer):
         self.hits = hits
         self.misses = misses
 
+    def copy_from(self, other: "BranchTargetBufferC") -> None:
+        """Copy a same-geometry compiled BTB's ways in place."""
+        _copy_ways(self, other)
+
 
 class IndirectTargetBuffer:
     """Path-history-hashed predictor for indirect branch targets."""
@@ -319,6 +332,11 @@ class IndirectTargetBuffer:
         self.hits = hits
         self.misses = misses
 
+    def copy_from(self, other: "IndirectTargetBuffer") -> None:
+        """Take ``other``'s entries, recency and statistics, in place,
+        through its packed form."""
+        self.load_packed(other.state_packed())
+
 
 class IndirectTargetBufferC(IndirectTargetBuffer):
     """Compiled-kernel iBTB: predict/train as single C calls per branch.
@@ -342,6 +360,7 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
         self._tags = zeros(ways, fill=-1)
         self._targets = zeros(ways)
         self._stamps = zeros(ways)
+        self._planes = (self._tags, self._targets, self._stamps)
         self._sets = None  # entries live in the arrays; fail loudly
         di = zeros(10)
         di[0] = address(self._tags)
@@ -410,6 +429,21 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
         self._di[9] = total  # occupancy
         self.hits = hits
         self.misses = misses
+
+    def copy_from(self, other: "IndirectTargetBufferC") -> None:
+        """Copy a same-geometry compiled iBTB's ways in place."""
+        _copy_ways(self, other)
+
+
+def _copy_ways(dst, src) -> None:
+    """Copy a compiled BTB's or iBTB's way planes and descriptor state into
+    one of the same geometry, in place (C points into the planes)."""
+    if (src.num_sets, src.assoc) != (dst.num_sets, dst.assoc):
+        raise ValueError("BTB geometry mismatch")
+    for plane, source in zip(dst._planes, src._planes):
+        memoryview(plane)[:] = source
+    for word in (6, 7, 8, 9):  # stamp, hits, misses, occupancy
+        dst._di[word] = src._di[word]
 
 
 def btb_from_config(config: BranchConfig, compiled: bool | None = None):

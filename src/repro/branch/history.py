@@ -85,6 +85,10 @@ class GlobalHistory:
         for folded, value in zip(self.folded, folded_values):
             folded.restore(value)
 
+    def copy_from(self, other: "GlobalHistory") -> None:
+        """Take ``other``'s history, in place, through its checkpoint form."""
+        self.restore(other.checkpoint())
+
 
 class _FoldedSlot:
     """Attribute-compatible view of one folding register in the SoA array."""
@@ -192,3 +196,8 @@ class GlobalHistoryC(GlobalHistory):
     def restore(self, state: tuple[int, tuple[int, ...]]) -> None:
         self.bits = state[0]
         put(self._folded_arr, state[1])
+
+    def copy_from(self, other: "GlobalHistoryC") -> None:
+        """Copy a same-shape compiled history's words and folds in place."""
+        memoryview(self._words)[:] = other._words
+        memoryview(self._folded_arr)[:] = other._folded_arr

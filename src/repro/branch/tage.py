@@ -330,6 +330,14 @@ class TagePredictor:
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]
 
+    def copy_from(self, other: "TagePredictor") -> None:
+        """Take ``other``'s tables, base and counters, in place.
+
+        Loads ``other``'s state form, so the object path stays the oracle
+        of the compiled buffer copy.
+        """
+        self.load_state(other.state_dict())
+
     def _load_base(self, table: bytes) -> None:
         """Copy the bimodal counters in place (never swap the object)."""
         if len(table) != self.base.size:
@@ -494,6 +502,17 @@ class TagePredictorC(TagePredictor):
         self._load_base(state["base"])
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]
+
+    def copy_from(self, other: "TagePredictorC") -> None:
+        """Copy a same-geometry compiled predictor's tables, bimodal base,
+        ``use_alt_counter`` and tick in place (C points into all of them)."""
+        if (other._num_tables, other._size) != (self._num_tables, self._size):
+            raise ValueError("TAGE table geometry mismatch")
+        for table, source in zip(self._tables_mv, other._tables_mv):
+            table[:] = source
+        self._base_pin[:] = other.base.table
+        self._di[11] = other._di[11]  # use_alt_counter
+        self._di[13] = other._di[13]  # tick
 
 
 def tage_from_config(

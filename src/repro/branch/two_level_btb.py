@@ -89,6 +89,12 @@ class TwoLevelBTB:
         self.l2.load_packed(state["l2"])
         self.promotions = state["promotions"]
 
+    def copy_from(self, other: "TwoLevelBTB") -> None:
+        """Take ``other``'s levels and promotion count, in place."""
+        self.l1.copy_from(other.l1)
+        self.l2.copy_from(other.l2)
+        self.promotions = other.promotions
+
     @property
     def l2_coverage(self) -> float:
         """Fraction of L1 misses the L2 could have served."""

@@ -242,7 +242,6 @@ typedef struct {
     int64_t ras_len;
     int64_t ras_overflows;
     int64_t ras_underflows;
-    int64_t n_touched;
     int64_t error_pc;
     int64_t demand_calls;   /* technique callbacks made */
     int64_t fill_calls;
@@ -276,9 +275,7 @@ typedef struct {
     PyObject *reject;       /* raises SimulationError for a bad prefetch line */
     /* arrays owned by the Python wrapper */
     int64_t *counters;      /* [DC_COUNT] deltas since the last sync */
-    int64_t *occ;           /* [n_blocks] oracle occurrence counts */
-    int64_t *touched;       /* blocks whose count changed since the last sync */
-    int64_t *touched_flag;
+    int64_t *occ;           /* [n_blocks] the oracle's own occurrence counts */
     int64_t *call_stack;    /* [max_stack] */
     int64_t *ras;           /* [ras_cap] */
     FtqEntry *ftq;          /* [ftq_cap] ring */
@@ -411,10 +408,6 @@ static void oracle_advance(Driver *d, int64_t b, int64_t next_pc) {
     const ProgTables *P = d->prog;
     int64_t kind = P->kind[b];
     d->occ[b]++;
-    if (!d->touched_flag[b]) {
-        d->touched_flag[b] = 1;
-        d->touched[d->n_touched++] = b;
-    }
     if (IS_CALL(kind)) {
         if (d->cs_len >= d->max_stack) {
             memmove(d->call_stack, d->call_stack + 1, (size_t)(d->cs_len - 1) * sizeof(int64_t));
@@ -1643,7 +1636,7 @@ static const FieldInfo DRIVER_FIELDS[] = {
     FIELD(Driver, instrs_walked) FIELD(Driver, cs_len) FIELD(Driver, spec_pc)
     FIELD(Driver, next_seq) FIELD(Driver, diverged) FIELD(Driver, next_scan_seq)
     FIELD(Driver, ras_len) FIELD(Driver, ras_overflows) FIELD(Driver, ras_underflows)
-    FIELD(Driver, n_touched) FIELD(Driver, error_pc) FIELD(Driver, demand_calls)
+    FIELD(Driver, error_pc) FIELD(Driver, demand_calls)
     FIELD(Driver, fill_calls)
     FIELD(Driver, width) FIELD(Driver, blocks_per_cycle) FIELD(Driver, fdip_lookups)
     FIELD(Driver, fdip_enabled) FIELD(Driver, perfect_icache) FIELD(Driver, pfc)
@@ -1653,8 +1646,7 @@ static const FieldInfo DRIVER_FIELDS[] = {
     FIELD(Driver, btb) FIELD(Driver, ibtb) FIELD(Driver, tage) FIELD(Driver, hist)
     FIELD(Driver, l1i) FIELD(Driver, hier) FIELD(Driver, be) FIELD(Driver, prog)
     FIELD(Driver, udp) FIELD(Driver, on_demand) FIELD(Driver, on_fill) FIELD(Driver, reject)
-    FIELD(Driver, counters) FIELD(Driver, occ) FIELD(Driver, touched)
-    FIELD(Driver, touched_flag) FIELD(Driver, call_stack) FIELD(Driver, ras)
+    FIELD(Driver, counters) FIELD(Driver, occ) FIELD(Driver, call_stack) FIELD(Driver, ras)
     FIELD(Driver, ftq) FIELD(Driver, mshr) FIELD(Driver, resteers)
     FIELD(Driver, resteer_hist)
     {NULL, 0},
@@ -1708,8 +1700,7 @@ static PyObject *fields_dict(const FieldInfo *fields) {
 
 /* Descriptor sizes (int64 words), field offsets and counter names for the
  * Python side (sim/driver.py, workloads/tables.py). */
-static PyObject *k_driver_layout(PyObject *self, PyObject *args) {
-    (void)self; (void)args;
+static PyObject *build_layout(void) {
     PyObject *names = PyTuple_New(DC_COUNT);
     if (names == NULL) return NULL;
     for (int i = 0; i < DC_COUNT; i++) {
@@ -1745,6 +1736,17 @@ static PyObject *k_driver_layout(PyObject *self, PyObject *args) {
     Py_XDECREF(bloom);
     Py_DECREF(names);
     return out;
+}
+
+/* driver_layout() -> dict: build_layout(), built once per process (every C
+ * entry asks for it, and it never changes).  Callers only read it. */
+static PyObject *layout_memo = NULL;
+
+static PyObject *k_driver_layout(PyObject *self, PyObject *args) {
+    (void)self; (void)args;
+    if (layout_memo == NULL) layout_memo = build_layout();
+    Py_XINCREF(layout_memo);
+    return layout_memo;
 }
 
 /* Raw buffer addresses of a sequence of bytes objects (0 for empty ones):
@@ -1784,67 +1786,11 @@ static PyObject *k_buffer_address(PyObject *self, PyObject *obj) {
     return PyLong_FromVoidPtr(data);
 }
 
-/* oracle_import(driver, occurrences): the oracle's {branch pc: count} dict
- * into the machine's per-block occurrence array (a fresh machine's import;
- * a pc outside the code region raises ValueError). */
-static PyObject *k_oracle_import(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    Driver *d = (Driver *)arg_ptr(args, 0);
-    if (PyErr_Occurred()) return NULL;
-    if (!PyDict_Check(args[1])) {
-        PyErr_SetString(PyExc_TypeError, "oracle occurrences must be a dict");
-        return NULL;
-    }
-    const ProgTables *P = d->prog;
-    Py_ssize_t pos = 0;
-    PyObject *key, *value;
-    while (PyDict_Next(args[1], &pos, &key, &value)) {
-        int64_t pc = PyLong_AsLongLong(key);
-        int64_t count = PyLong_AsLongLong(value);
-        if (PyErr_Occurred()) return NULL;
-        if (pc < P->code_start || pc >= P->code_end) {
-            PyErr_Format(PyExc_ValueError, "oracle occurrence pc %#llx outside the code region",
-                         (unsigned long long)pc);
-            return NULL;
-        }
-        d->occ[block_at(P, pc)] = count;
-    }
-    Py_RETURN_NONE;
-}
-
-/* oracle_export(driver, occurrences): the counts of the blocks touched
- * since the last export back into the oracle's dict, keyed by each block's
- * branch pc in first-touch order; empties the touched list. */
-static PyObject *k_oracle_export(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    Driver *d = (Driver *)arg_ptr(args, 0);
-    if (PyErr_Occurred()) return NULL;
-    if (!PyDict_Check(args[1])) {
-        PyErr_SetString(PyExc_TypeError, "oracle occurrences must be a dict");
-        return NULL;
-    }
-    const ProgTables *P = d->prog;
-    for (int64_t i = 0; i < d->n_touched; i++) {
-        int64_t b = d->touched[i];
-        PyObject *key = PyLong_FromLongLong(block_end(P, b) - 4);
-        PyObject *value = PyLong_FromLongLong(d->occ[b]);
-        int failed = key == NULL || value == NULL || PyDict_SetItem(args[1], key, value) < 0;
-        Py_XDECREF(key);
-        Py_XDECREF(value);
-        if (failed) return NULL;
-        d->touched_flag[b] = 0;
-    }
-    d->n_touched = 0;
-    Py_RETURN_NONE;
-}
-
 PyMethodDef repro_driver_methods[] = {
     {"run_cycles", (PyCFunction)(void *)k_run_cycles, METH_FASTCALL, NULL},
     {"functional_walk", (PyCFunction)(void *)k_functional_walk, METH_FASTCALL, NULL},
     {"driver_layout", k_driver_layout, METH_NOARGS, NULL},
     {"bytes_addresses", (PyCFunction)(void *)k_bytes_addresses, METH_FASTCALL, NULL},
     {"buffer_address", k_buffer_address, METH_O, NULL},
-    {"oracle_import", (PyCFunction)(void *)k_oracle_import, METH_FASTCALL, NULL},
-    {"oracle_export", (PyCFunction)(void *)k_oracle_export, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };

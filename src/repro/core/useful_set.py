@@ -18,6 +18,8 @@ paper's "Infinite Storage" upper bound of Fig 13.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.common.config import UDPConfig
 from repro.common.counters import Counters
 from repro.core.bloom import BloomFilter
@@ -106,6 +108,23 @@ class UsefulSet:
                     self.counters.bump(f"useful_set_flush_{size}")
         self._window_total = 0
         self._window_unuseful = 0
+
+    # -- hand-off ----------------------------------------------------------------
+
+    def copy_from(self, other: "UsefulSet") -> None:
+        """Take ``other``'s learned set and flush window, in place.
+
+        The Bloom bits are copied into this set's own bytearrays, never
+        swapped: the compiled cycle driver points into them.
+        """
+        self._exact = set(other._exact)
+        for size, bloom in self.filters.items():
+            source = other.filters[size]
+            memoryview(bloom._array)[:] = source._array
+            bloom.inserted = source.inserted
+        self.coalescer._lines = OrderedDict(other.coalescer._lines)
+        self._window_unuseful = other._window_unuseful
+        self._window_total = other._window_total
 
     @property
     def storage_bits(self) -> int:

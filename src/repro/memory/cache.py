@@ -200,6 +200,14 @@ class SetAssocCache:
             pos += n
         self.load_lines(sets)
 
+    def copy_from(self, other: "SetAssocCache") -> None:
+        """Take ``other``'s contents and LRU order, in place.
+
+        Loads ``other``'s packed form, so the object path stays the oracle
+        of the compiled buffer copy.
+        """
+        self.load_packed(other.state_packed())
+
 
 # Bit positions of the packed per-line metadata (checkpoint flags buffer
 # and SetAssocCacheC._flags).
@@ -293,10 +301,15 @@ class SetAssocCacheC(SetAssocCache):
     def __init__(self, config: CacheConfig) -> None:
         from repro.common import cc
 
-        super().__init__(config)
         kernels = cc.kernels()
         if kernels is None:  # pragma: no cover - factory guards this
             raise RuntimeError("compiled kernels unavailable")
+        self.config = config
+        self.num_sets = config.num_sets
+        self.assoc = config.assoc
+        self.line_shift = config.line_bytes.bit_length() - 1
+        self._set_mask = self.num_sets - 1
+        self.eviction_hook = None
         self._sets = None  # lines live in the arrays; fail loudly
         ways = self.num_sets * self.assoc
         self._addrs = zeros(ways, fill=-1)
@@ -424,6 +437,19 @@ class SetAssocCacheC(SetAssocCache):
         )
         dmv[7] += total
         dmv[8] = total
+        dmv[9] = -1
+
+    def copy_from(self, other: "SetAssocCacheC") -> None:
+        """Copy a same-geometry compiled cache's ways, clock and occupancy
+        in place (the buffers C points into are never resized)."""
+        if (other.num_sets, other.assoc) != (self.num_sets, self.assoc):
+            raise ValueError("cache geometry mismatch")
+        memoryview(self._addrs)[:] = other._addrs
+        memoryview(self._flags)[:] = other._flags
+        memoryview(self._stamps)[:] = other._stamps
+        dmv = self._dmv
+        dmv[7] = other._dmv[7]  # clock
+        dmv[8] = other._dmv[8]  # occupancy
         dmv[9] = -1
 
 

@@ -20,11 +20,13 @@ from repro.common.config import MemoryConfig
 from repro.common.counters import Counters
 from repro.common.packed import address, zeros
 from repro.memory.cache import make_cache
-from repro.memory.stream import StreamPrefetcher
+from repro.memory.stream import StreamPrefetcher, StreamPrefetcherC
 
 
 class MemoryHierarchy:
     """Shared L2/LLC/DRAM plus the private L1D."""
+
+    _stream_class = StreamPrefetcher
 
     def __init__(
         self,
@@ -37,7 +39,7 @@ class MemoryHierarchy:
         self.l1d = make_cache(config.l1d, compiled)
         self.l2 = make_cache(config.l2, compiled)
         self.llc = make_cache(config.llc, compiled)
-        self.stream = StreamPrefetcher() if config.stream_prefetcher else None
+        self.stream = self._stream_class() if config.stream_prefetcher else None
         # Interned fast-path counter slots (see Counters.incrementer).
         counters = self.counters
         self._c_l2_ifetch_hits = counters.incrementer("l2_ifetch_hits")
@@ -135,17 +137,16 @@ class MemoryHierarchyC(MemoryHierarchy):
     caches, so the two paths interleave safely.
     """
 
+    _stream_class = StreamPrefetcherC
+
     def __init__(self, config: MemoryConfig, counters: Counters | None = None) -> None:
         from repro.common import cc
         from repro.memory.cache import SetAssocCacheC
-        from repro.memory.stream import StreamPrefetcherC
 
         super().__init__(config, counters, compiled=True)
         kernels = cc.kernels()
         if kernels is None or not isinstance(self.l1d, SetAssocCacheC):
             raise RuntimeError("compiled kernels unavailable")
-        if self.stream is not None:
-            self.stream = StreamPrefetcherC()
         hi = zeros(13)
         hi[0] = self.l1d._desc
         hi[1] = self.l2._desc

@@ -106,6 +106,10 @@ class StreamPrefetcher:
         self._stamp = state["stamp"]
         self.issued = state["issued"]
 
+    def copy_from(self, other: "StreamPrefetcher") -> None:
+        """Take ``other``'s stream table, in place, through its state form."""
+        self.load_state(other.state_dict())
+
 
 class StreamPrefetcherC(StreamPrefetcher):
     """Compiled-kernel stream table: SoA arrays driven by ``stream_on_miss``.
@@ -190,3 +194,10 @@ class StreamPrefetcherC(StreamPrefetcher):
         self._di[4] = len(streams)
         self._di[5] = state["stamp"]
         self._di[9] = state["issued"]
+
+    def copy_from(self, other: "StreamPrefetcherC") -> None:
+        """Copy a same-size compiled stream table in place."""
+        for column, source in zip(self._table, other._table):
+            memoryview(column)[:] = source
+        for word in (4, 5, 9):  # count, stamp, issued
+            self._di[word] = other._di[word]

@@ -20,11 +20,16 @@ makes warmup a cacheable artifact, in two layers:
   snapshot.  A restored simulator behaves byte-for-byte like one that
   walked itself (``tests/sim/test_checkpoint.py`` enforces equality of
   ``measured_counters()`` per preset).  The captured dict shares no
-  mutable object with its donor, so sampled runs hand it over in memory:
-  the engine's walker simulator fast-forwards between intervals and
-  passes its state to a fresh simulator per interval (``sim/engine.py``);
-* :func:`capture_warmup` / :func:`restore_warmup` — the same state pickled
-  to bytes and back, the warmup-checkpoint wire form;
+  mutable object with its donor;
+* :func:`handoff` — the same state moved from one live simulator into a
+  pristine one without the wire form, by copying each structure's buffers
+  (``copy_from``).  Sampled runs use it: the engine's walker simulator
+  fast-forwards between intervals and hands its state to a fresh
+  simulator per interval (``sim/engine.py``), so an interval costs a
+  buffer copy, not an export and an import of every set;
+* :func:`capture_warmup` / :func:`restore_warmup` — the state of
+  :func:`capture_state` pickled to bytes and back, the warmup-checkpoint
+  wire form;
 * :class:`CheckpointStore` persists the pickled snapshots under
   ``<cache_root>/checkpoints/`` keyed by :func:`checkpoint_key`.
 
@@ -93,6 +98,7 @@ __all__ = [
     "capture_warmup",
     "checkpoint_key",
     "checkpointing_enabled",
+    "handoff",
     "restore_state",
     "restore_warmup",
     "warmup_config_subset",
@@ -112,7 +118,9 @@ __all__ = [
 # TAGE's bimodal base travels as its counter bytes instead of the object,
 # and the interval checkpoint key is gone (sampled runs hand state over
 # in memory).
-CHECKPOINT_SCHEMA = 4
+# Schema 5: the oracle's branch occurrence counts travel as the bytes of
+# its per-block int64 array instead of a {branch pc: count} dict.
+CHECKPOINT_SCHEMA = 5
 
 
 class CheckpointError(Exception):
@@ -168,6 +176,16 @@ def checkpoint_key(program_key: str, seed: int, config: SimConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _require_warmed(sim: "Simulator") -> None:
+    if not sim._warmed or sim.cycle != 0:
+        raise CheckpointError("capture requires a warmed, unstarted simulator")
+
+
+def _require_pristine(sim: "Simulator") -> None:
+    if sim._warmed or sim.cycle != 0:
+        raise CheckpointError("restore requires a pristine simulator")
+
+
 def capture_state(sim: "Simulator") -> dict:
     """All state :meth:`Simulator.functional_warmup` and fast-forwards mutate.
 
@@ -176,8 +194,7 @@ def capture_state(sim: "Simulator") -> dict:
     holds copies only (ints, tuples, bytes, fresh lists and dicts), so the
     donor may keep walking while a restored simulator runs.
     """
-    if not sim._warmed or sim.cycle != 0:
-        raise CheckpointError("capture requires a warmed, unstarted simulator")
+    _require_warmed(sim)
     bpu = sim.bpu
     useful = None
     if sim.udp is not None:
@@ -199,7 +216,7 @@ def capture_state(sim: "Simulator") -> dict:
             "call_stack": list(sim.oracle.call_stack),
             "blocks_walked": sim.oracle.blocks_walked,
             "instrs_walked": sim.oracle.instrs_walked,
-            "occurrences": dict(sim.oracle._occurrences),
+            "occurrences": sim.oracle._occurrences.tobytes(),
         },
         "spec_pc": sim.frontend.spec_pc,
         "history": bpu.history.checkpoint(),
@@ -253,8 +270,7 @@ def restore_state(sim: "Simulator", state: dict) -> None:
     malformed or incompatible state; the simulator must then be considered
     unusable (callers construct a fresh one and warm from scratch).
     """
-    if sim._warmed or sim.cycle != 0:
-        raise CheckpointError("restore requires a pristine simulator")
+    _require_pristine(sim)
     if not isinstance(state, dict) or state.get("schema") != CHECKPOINT_SCHEMA:
         raise CheckpointError("checkpoint schema mismatch")
     try:
@@ -266,8 +282,11 @@ def restore_state(sim: "Simulator", state: dict) -> None:
         oracle.call_stack[:] = oracle_state["call_stack"]
         oracle.blocks_walked = oracle_state["blocks_walked"]
         oracle.instrs_walked = oracle_state["instrs_walked"]
-        oracle._occurrences.clear()
-        oracle._occurrences.update(oracle_state["occurrences"])
+        occurrences = memoryview(oracle_state["occurrences"]).cast("B")
+        counts = memoryview(oracle._occurrences).cast("B")
+        if len(occurrences) != len(counts):
+            raise ValueError("oracle occurrence counts do not match the program's blocks")
+        counts[:] = occurrences
 
         bpu = sim.bpu
         # In place: TAGE holds the same GlobalHistory object, and the BTB is
@@ -310,17 +329,7 @@ def restore_state(sim: "Simulator", state: dict) -> None:
             )
             us._window_unuseful, us._window_total = useful["window"]
 
-        # In place: interned incrementer closures bind this exact dict.
-        values = sim.counters._values
-        values.clear()
-        for name in sim.counters._interned:
-            values[name] = 0
-        values.update(state["counters"])
-
-        sim.frontend.spec_pc = state["spec_pc"]
-        baseline = state["warmup_baseline"]
-        sim._warmup_baseline = dict(baseline) if baseline is not None else None
-        sim._warmed = True
+        _finish_load(sim, state["counters"], state["spec_pc"], state["warmup_baseline"])
     except CheckpointError:
         raise
     except Exception as exc:  # noqa: BLE001 - malformed snapshot contents
@@ -333,13 +342,80 @@ def restore_warmup(sim: "Simulator", blob: bytes) -> None:
     Raises :class:`CheckpointError` on any corrupt, stale (older schema) or
     incompatible snapshot, which callers treat as a miss.
     """
-    if sim._warmed or sim.cycle != 0:
-        raise CheckpointError("restore requires a pristine simulator")
+    _require_pristine(sim)
     try:
         state = pickle.loads(blob)
     except Exception as exc:  # noqa: BLE001 - any unpickling failure
         raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
     restore_state(sim, state)
+
+
+def _finish_load(sim: "Simulator", counters: dict, spec_pc: int, baseline) -> None:
+    """Load the counter values, the frontend's pc and the warmup baseline,
+    and mark ``sim`` warmed."""
+    # In place: interned incrementer closures bind this exact dict.
+    values = sim.counters._values
+    values.clear()
+    for name in sim.counters._interned:
+        values[name] = 0
+    values.update(counters)
+    sim.frontend.spec_pc = spec_pc
+    sim._warmup_baseline = dict(baseline) if baseline is not None else None
+    sim._warmed = True
+
+
+# ---------------------------------------------------------------------------
+# Hand-off
+# ---------------------------------------------------------------------------
+
+
+def handoff(walker: "Simulator", sim: "Simulator") -> None:
+    """``restore_state(sim, capture_state(walker))`` without the wire form.
+
+    Moves exactly the state :func:`capture_state` defines from the warmed,
+    unstarted ``walker`` into the pristine ``sim``, which must be built for
+    the same program and geometry.  Every structure copies its twin's
+    buffers in place (``copy_from``: a memcpy per buffer for the compiled
+    classes, the packed or state form for the object ones); the useful-set,
+    the RAS, the counters, the oracle position and the warmup baseline are
+    copied the way :func:`restore_state` copies them.  ``sim`` then shares
+    no mutable object with ``walker``.
+    """
+    _require_warmed(walker)
+    _require_pristine(sim)
+    if (sim.hierarchy.stream is None) != (walker.hierarchy.stream is None):
+        raise CheckpointError("stream prefetcher enablement mismatch")
+    if (sim.udp is None) != (walker.udp is None):
+        raise CheckpointError("UDP enablement mismatch")
+    oracle, source = sim.oracle, walker.oracle
+    oracle.pc = source.pc
+    oracle.call_stack[:] = source.call_stack
+    oracle.blocks_walked = source.blocks_walked
+    oracle.instrs_walked = source.instrs_walked
+    memoryview(oracle._occurrences)[:] = source._occurrences
+
+    bpu, source_bpu = sim.bpu, walker.bpu
+    bpu.history.copy_from(source_bpu.history)
+    bpu.tage.copy_from(source_bpu.tage)
+    bpu.btb.copy_from(source_bpu.btb)
+    bpu.ibtb.copy_from(source_bpu.ibtb)
+    bpu.ras._stack[:] = source_bpu.ras._stack
+    bpu.ras.overflows = source_bpu.ras.overflows
+    bpu.ras.underflows = source_bpu.ras.underflows
+
+    sim.l1i.copy_from(walker.l1i)
+    hierarchy, source_hierarchy = sim.hierarchy, walker.hierarchy
+    hierarchy.l1d.copy_from(source_hierarchy.l1d)
+    hierarchy.l2.copy_from(source_hierarchy.l2)
+    hierarchy.llc.copy_from(source_hierarchy.llc)
+    if hierarchy.stream is not None:
+        hierarchy.stream.copy_from(source_hierarchy.stream)
+    sim.data_gen.copy_from(walker.data_gen)
+    if sim.udp is not None:
+        sim.udp.useful_set.copy_from(walker.udp.useful_set)
+    _finish_load(
+        sim, walker.counters._values, walker.frontend.spec_pc, walker._warmup_baseline
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ writes back what Python and the ledger read -- counters, ``cycle``, FTQ
 occupancy and depth, the oracle position, the frontend/RAS scalars,
 UDP's state and ``steps_executed``/``ff_jumps``/``ff_cycles_skipped`` --
 while the pipeline contents (FTQ entries, MSHRs, in-flight resteers) stay
-in C.
+in C.  The structures' buffers and the oracle's per-block occurrence
+counts need no write-back: C updates them in place.
 
 UDP runs inside the loop: the confidence estimator, the FDIP gate over the
 useful-set, the Seniority-FTQ retire hook and the flush policy
@@ -98,24 +99,20 @@ class _Machine:
     """A ``Driver`` descriptor over one simulator's structures and oracle.
 
     The part both C entry points share: the BTB/iBTB/TAGE/history, L1I,
-    hierarchy and backend descriptors (used in place), the program tables,
-    the oracle position (pc, walked counts, call stack, occurrence counts),
-    UDP's state and the counter deltas.  Imported from the Python objects,
-    so only consistent on a clean machine; :meth:`_sync` writes the
-    imported part back.
+    hierarchy and backend descriptors and the oracle's occurrence array
+    (used in place), the program tables, the oracle position (pc, walked
+    counts, call stack), UDP's state and the counter deltas.  The position
+    and UDP are imported from the Python objects, so only consistent on a
+    clean machine; :meth:`_sync` writes them back.
     """
 
     def __init__(self, sim: "Simulator", layout: dict, values: dict) -> None:
-        kernels = cc.kernels()
         tables = program_tables(sim.program)
         bpu = sim.bpu
         oracle = sim.oracle
         self._tables = tables
         self._counter_names = layout["counters"]
         self._counters = zeros(len(self._counter_names))
-        # Per-block state as one allocation (occurrences, touched list, flags).
-        n = tables.num_blocks
-        self._per_block = zeros(3 * n)
         self._call_stack = zeros(oracle.max_stack)
         self._udp = _UDPState(sim, layout) if sim.udp is not None else None
 
@@ -134,9 +131,7 @@ class _Machine:
             "prog": tables.desc,
             "udp": self._udp.desc if self._udp is not None else 0,
             "counters": address(self._counters),
-            "occ": address(self._per_block),
-            "touched": address(self._per_block) + 8 * n,
-            "touched_flag": address(self._per_block) + 16 * n,
+            "occ": address(oracle._occurrences),
             "call_stack": address(self._call_stack),
             "oracle_pc": oracle.pc,
             "blocks_walked": oracle.blocks_walked,
@@ -150,8 +145,6 @@ class _Machine:
         self._dmv = memoryview(desc)  # keeps the descriptor array alive
         self._fields = fields
         self._desc = address(desc)
-        self._k_oracle_export = kernels.oracle_export
-        kernels.oracle_import(self._desc, oracle._occurrences)
 
     def _sync(self, sim: "Simulator") -> None:
         """Write the counters, the oracle and UDP back into the Python objects."""
@@ -169,7 +162,6 @@ class _Machine:
         oracle.blocks_walked = d[f["blocks_walked"]]
         oracle.instrs_walked = d[f["instrs_walked"]]
         oracle.call_stack[:] = self._call_stack[: d[f["cs_len"]]].tolist()
-        self._k_oracle_export(self._desc, oracle._occurrences)
         if self._udp is not None:
             self._udp.sync(sim.udp)
 

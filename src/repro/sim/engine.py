@@ -292,8 +292,8 @@ def _run_sampled(
 
     The walker fast-forwards (:meth:`~repro.sim.simulator.Simulator.fast_forward_to`)
     to each interval's start in plan order and hands its functional state
-    over in memory (:func:`~repro.sim.checkpoint.capture_state` into
-    :func:`~repro.sim.checkpoint.restore_state`) to a fresh simulator
+    over in memory (:func:`~repro.sim.checkpoint.handoff`, a copy of each
+    structure's buffers) to a fresh simulator
     seeded with the interval's ``rng_seed``, which runs the detailed warmup
     and the measured slice; the walker itself never runs a cycle.  Chained
     fast-forwards land in exactly the state of one direct jump, so every
@@ -322,7 +322,7 @@ def _run_sampled(
             ff_blocks, ff_walked = walker.fast_forward_to(
                 warmup_walked + plan.ff_instructions
             )
-            ckpt.restore_state(simulator, ckpt.capture_state(walker))
+            ckpt.handoff(walker, simulator)
             meta["warmup_seconds"] += time.perf_counter() - handoff_started
             simulator.run_interval(
                 plan.measure_instructions, detailed_warmup=plan.detailed_warmup

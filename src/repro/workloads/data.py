@@ -108,6 +108,10 @@ class DataAddressGenerator:
             raise ValueError("occurrence state arrays disagree in length")
         self.load_occurrences(dict(zip(pcs.cast("q").tolist(), counts.cast("q").tolist())))
 
+    def copy_from(self, other: "DataAddressGenerator") -> None:
+        """Take ``other``'s occurrence counters, through their packed form."""
+        self.load_occurrences_state(other.occurrences_state())
+
 
 class DataAddressGeneratorC(DataAddressGenerator):
     """Compiled-kernel generator: occurrence counters in a flat int64 array.
@@ -176,3 +180,7 @@ class DataAddressGeneratorC(DataAddressGenerator):
     def load_occurrences_state(self, state: dict[str, bytes]) -> None:
         """Restore counters from :meth:`occurrences_state` output."""
         self._k_import(address(self._occ_arr), len(self._occ_arr), state["pcs"], state["counts"])
+
+    def copy_from(self, other: "DataAddressGeneratorC") -> None:
+        """Copy a same-program compiled generator's counters in place."""
+        memoryview(self._occ_arr)[:] = other._occ_arr

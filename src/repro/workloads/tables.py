@@ -157,7 +157,7 @@ class ProgramTables:
 
     def __init__(self, program: Program, kernels) -> None:
         blocks = program.blocks
-        n = self.num_blocks = len(blocks)
+        n = len(blocks)
         nodes = _Nodes()
         # Long-lived, so each table is one allocation: several arrays of a
         # few hundred KiB each would pin malloc arenas and raise peak RSS.

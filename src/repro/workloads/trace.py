@@ -2,7 +2,11 @@
 
 :class:`OracleCursor` walks the static program along the *true* path,
 maintaining per-branch occurrence counters (which index the deterministic
-behaviours) and the true call stack (which defines return targets).
+behaviours) and the true call stack (which defines return targets).  The
+counters are one flat ``int64`` array indexed by ``BasicBlock.index`` (a
+block's branch is its last instruction, so a block holds at most one); the
+compiled walk and cycle driver (``repro/sim/driver.py``) count in the same
+array in place.
 
 The decoupled frontend *shadows* the cursor while it is on-path: for every
 basic block the frontend's speculative walker processes, it asks the cursor
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import SimulationError
+from repro.common.packed import zeros
 from repro.workloads.program import BasicBlock, Branch, BranchKind, Program
 
 
@@ -40,7 +45,9 @@ class OracleCursor:
         self.call_stack: list[int] = []
         self.blocks_walked = 0
         self.instrs_walked = 0
-        self._occurrences: dict[int, int] = {}
+        # Per block, how often its branch has executed on-path.  Never
+        # resized: C holds its address for the length of a call.
+        self._occurrences = zeros(program.num_blocks)
 
     # -- inspection -------------------------------------------------------
 
@@ -55,7 +62,12 @@ class OracleCursor:
 
     def occurrence_of(self, branch_pc: int) -> int:
         """How many times the branch at ``branch_pc`` has executed on-path."""
-        return self._occurrences.get(branch_pc, 0)
+        if not self.program.contains(branch_pc):
+            return 0
+        block = self.program.block_at(branch_pc)
+        if block.branch is None or block.branch.pc != branch_pc:
+            return 0
+        return self._occurrences[block.index]
 
     # -- walking ------------------------------------------------------------
 
@@ -65,7 +77,7 @@ class OracleCursor:
         branch = block.branch
         if branch is None:
             return OracleTransition(block, None, False, block.end_addr, -1)
-        occurrence = self._occurrences.get(branch.pc, 0)
+        occurrence = self._occurrences[block.index]
         if branch.kind == BranchKind.COND:
             taken = branch.true_taken(occurrence)
             next_pc = branch.target if taken else branch.fallthrough
@@ -81,7 +93,7 @@ class OracleCursor:
         """Commit a transition previously computed by :meth:`transition`."""
         branch = transition.branch
         if branch is not None:
-            self._occurrences[branch.pc] = transition.occurrence + 1
+            self._occurrences[transition.block.index] = transition.occurrence + 1
             if branch.kind.is_call:
                 if len(self.call_stack) >= self.max_stack:
                     del self.call_stack[0]

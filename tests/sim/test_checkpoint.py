@@ -341,24 +341,40 @@ def test_restore_rejects_malformed_packed_btb(part, plane, compiled):
     _assert_rejected(program, config, state, compiled)
 
 
+@pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
+@pytest.mark.parametrize("change", [-8, 8], ids=["short", "long"])
+def test_restore_rejects_a_wrong_length_occurrence_buffer(change, compiled):
+    # The oracle's occurrence counts are one int64 per program block.
+    program, config, state = _donor_state(compiled)
+    occurrences = state["oracle"]["occurrences"]
+    assert len(occurrences) == 8 * program.num_blocks
+    state["oracle"]["occurrences"] = (
+        occurrences[:change] if change < 0 else occurrences + bytes(change)
+    )
+    _assert_rejected(program, config, state, compiled)
+
+
 def test_schema_3_blob_is_a_miss_that_rewarms():
-    # A snapshot written before the packed-BTB format (schema 3) stored
-    # under the current key must be treated as a miss: the engine re-warms,
-    # overwrites the entry and reports the same counters as a clean run.
+    # A snapshot written in an older format -- before the packed-BTB form
+    # (schema 3), or with the oracle's occurrences as a {pc: count} dict
+    # (schema 4) -- stored under the current key must be treated as a miss:
+    # the engine re-warms, overwrites the entry and reports the same
+    # counters as a clean run.
     from repro.sim import engine
 
     spec = engine.spec_for("gcc", baseline_config(INSTRUCTIONS, SEED), SEED, "s3")
     clean = engine.run_batch([spec], jobs=1, no_cache=True)[0]
     key = engine._checkpoint_key_for(spec)
     store = ckpt.CheckpointStore()
-    state = pickle.loads(store.get(key))
-    state["schema"] = 3
-    store.put(key, pickle.dumps(state))
-    stats = engine.BatchStats()
-    again = engine.run_batch([spec], jobs=1, no_cache=True, progress=stats)[0]
-    assert stats.checkpoint_creates == 1 and stats.checkpoint_restores == 0
-    assert again.counters == clean.counters
-    assert pickle.loads(store.get(key))["schema"] == ckpt.CHECKPOINT_SCHEMA
+    for schema in (3, 4):
+        state = pickle.loads(store.get(key))
+        state["schema"] = schema
+        store.put(key, pickle.dumps(state))
+        stats = engine.BatchStats()
+        again = engine.run_batch([spec], jobs=1, no_cache=True, progress=stats)[0]
+        assert stats.checkpoint_creates == 1 and stats.checkpoint_restores == 0
+        assert again.counters == clean.counters
+        assert pickle.loads(store.get(key))["schema"] == ckpt.CHECKPOINT_SCHEMA
 
 
 def test_capture_requires_warmed_restore_requires_pristine():

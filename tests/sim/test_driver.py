@@ -108,7 +108,7 @@ def _state(sim: Simulator) -> tuple:
         oracle.blocks_walked,
         oracle.instrs_walked,
         list(oracle.call_stack),
-        dict(oracle._occurrences),
+        oracle._occurrences.tolist(),
         _udp_state(sim),
     )
 
@@ -875,6 +875,27 @@ def test_fast_forward_matches_object_walk(preset, warm):
     direct.run()
     oracle.run()
     assert _walk_state(direct) == _walk_state(oracle)
+
+
+@needs_compiler
+@pytest.mark.parametrize("workload", ["gcc", "xgboost"])
+def test_the_c_walk_counts_in_the_oracles_own_array(workload, monkeypatch):
+    # C counts branch occurrences in place in the oracle's per-block array:
+    # with the exit's write-back skipped, occurrence_of still reads every
+    # count the C walk made, and they equal the Python walk's.
+    config = baseline_config(N)
+    oracle = build_simulator(workload, config, compiled=False)
+    oracle.functional_warmup(config.functional_warmup_blocks)
+    walked = build_simulator(workload, config, compiled=True)
+    monkeypatch.setattr(driver_mod._Machine, "_sync", lambda self, sim: None)
+    before = _walk_calls()
+    walked.functional_warmup(config.functional_warmup_blocks)
+    assert _walk_calls() - before == 1
+    assert walked.oracle.blocks_walked == 0  # the position was not written back
+    branches = [b.branch.pc for b in walked.program.blocks if b.branch is not None]
+    counts = [walked.oracle.occurrence_of(pc) for pc in branches]
+    assert counts == [oracle.oracle.occurrence_of(pc) for pc in branches]
+    assert sum(counts) > 0
 
 
 def _deep_call_chain(depth: int = 300):

@@ -429,7 +429,7 @@ def test_handoff_is_independent_of_the_walker(monkeypatch, compiled):
     walker = walked_to(500)
     start = walker.oracle.instrs_walked
     handed = build_simulator("mediawiki", config, seed=1, compiled=compiled)
-    ckpt.restore_state(handed, ckpt.capture_state(walker))
+    ckpt.handoff(walker, handed)
     walker.fast_forward_to(start + 1_000)
     handed.run_interval(200, detailed_warmup=100)
     direct = walked_to(500)
@@ -437,6 +437,82 @@ def test_handoff_is_independent_of_the_walker(monkeypatch, compiled):
     assert handed.measured_counters() == direct.measured_counters()
     walker.fast_forward_to(start + 1_500)
     assert ckpt.capture_warmup(walker) == ckpt.capture_warmup(walked_to(2_000))
+
+
+def _structures(sim: Simulator) -> tuple:
+    """Every structure a hand-off copies, in its checkpoint form, with the
+    occupancies only the compiled descriptors hold."""
+    bpu = sim.bpu
+    hierarchy = sim.hierarchy
+    caches = (sim.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.llc)
+    return (
+        bpu.history.checkpoint(),
+        bpu.tage.state_dict(),
+        (bpu.btb.state_packed(), bpu.btb.occupancy),
+        bpu.ibtb.state_packed(),
+        [(cache.state_packed(), cache.occupancy) for cache in caches],
+        hierarchy.stream.state_dict() if hierarchy.stream is not None else None,
+        sim.data_gen.occurrences_state(),
+    )
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["warm-ff", "cold-ff"])
+@pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
+@pytest.mark.parametrize("preset", sorted(PRESET_BUILDERS))
+def test_handoff_moves_exactly_the_captured_state(monkeypatch, preset, compiled, warm):
+    # The hand-off is restore_state(fresh, capture_state(walker)) without
+    # the wire form: it must leave the same captured state, and the interval
+    # the fresh simulator then runs must leave counters and structures (LRU
+    # order and occupancy included) equal to the wire route's.
+    _mode(monkeypatch, compiled)
+    from repro.sim.profile import build_simulator
+
+    config = PRESET_BUILDERS[preset](2_000).replace(
+        functional_warmup_blocks=800
+    ).with_sampling(4, 200, 100, warm_fastforward=warm)
+    walker = build_simulator("mediawiki", config, seed=1, compiled=compiled)
+    walker.functional_warmup(config.functional_warmup_blocks)
+    walker.fast_forward_to(walker.oracle.instrs_walked + 3_000)
+    handed = build_simulator("mediawiki", config, seed=1, compiled=compiled)
+    ckpt.handoff(walker, handed)
+    captured = ckpt.capture_state(walker)
+    assert ckpt.capture_state(handed) == captured
+    restored = build_simulator("mediawiki", config, seed=1, compiled=compiled)
+    ckpt.restore_state(restored, captured)
+    handed.run_interval(200, detailed_warmup=100)
+    restored.run_interval(200, detailed_warmup=100)
+    assert handed.measured_counters() == restored.measured_counters()
+    assert _structures(handed) == _structures(restored)
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
+def test_chain_captures_only_its_warmup_checkpoint(monkeypatch, compiled):
+    # A K-interval chain builds K + 1 simulators (the walker and one per
+    # interval); the warmup checkpoint is its only capture_state, and the
+    # intervals take the walker's state by buffer copy, never through
+    # restore_state.
+    _mode(monkeypatch, compiled)
+    calls = {"capture_state": 0, "restore_state": 0, "Simulator": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("capture_state", "restore_state"):
+        monkeypatch.setattr(ckpt, name, counted(name, getattr(ckpt, name)))
+    monkeypatch.setattr(Simulator, "__init__", counted("Simulator", Simulator.__init__))
+    k = 3
+    config = udp_config(2_000).replace(functional_warmup_blocks=800)
+    stats = BatchStats()
+    run_batch(
+        [spec_for("mediawiki", config.with_sampling(k, 200, 100), 1, "udp")],
+        jobs=1, no_cache=True, progress=stats,
+    )
+    assert (stats.checkpoint_creates, stats.intervals) == (1, k)
+    assert calls == {"capture_state": 1, "restore_state": 0, "Simulator": k + 1}
 
 
 def test_sampling_matches_with_and_without_checkpoints(monkeypatch):
