@@ -16,6 +16,13 @@ three timings of the same region are taken with the result cache disabled:
   keeps, so the re-run does the cold run's work again: restore the warmup,
   then walk every fast-forward.
 
+Each mode is timed over ``--reps`` repetitions (3 by default; a CI smoke
+may pass fewer).  Every repetition starts from an empty checkpoint store,
+so each does the same work; the row records every time with its median
+and range, and the speedups are ratios of medians (a single timing of a
+sub-second run read the same tree's cold speedup anywhere from 1.04x to
+1.44x).
+
 Alongside the timings, each row reports the relative IPC error of the
 merged sampled result against the full run (with the default *warming*
 fast-forward, which replays the skipped loads/stores through the data
@@ -52,6 +59,7 @@ import dataclasses
 import json
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -154,7 +162,17 @@ def _identity_gate(row: Row, seed: int, jobs: int) -> None:
         )
 
 
-def bench_row(row: Row, seed: int, jobs: int) -> dict:
+def _summary(seconds: list[float]) -> dict:
+    """Every timing of one mode, with its median and range."""
+    return {
+        "seconds": [round(t, 3) for t in seconds],
+        "median": round(statistics.median(seconds), 3),
+        "min": round(min(seconds), 3),
+        "max": round(max(seconds), 3),
+    }
+
+
+def bench_row(row: Row, seed: int, jobs: int, reps: int) -> dict:
     config = PRESET_BUILDERS[row.preset](row.instructions)
     sampled_config = config.with_sampling(
         row.num_intervals, row.interval_length, row.detailed_warmup
@@ -167,19 +185,33 @@ def bench_row(row: Row, seed: int, jobs: int) -> dict:
     sampled_spec = spec_for(row.workload, sampled_config, seed, "sampled")
     coldff_spec = spec_for(row.workload, coldff_config, seed, "coldff")
 
+    from repro.sim import checkpoint as ckpt
+
+    times: dict[str, list[float]] = {"full": [], "sampled_cold": [], "sampled_warm": []}
     root = _fresh_store_root()
     try:
         _reset_process_state()
         _identity_gate(row, seed, jobs)
 
-        _reset_process_state()
-        full, t_full, _ = _timed(full_spec, jobs)
+        for _ in range(reps):
+            # Every rep creates the warmup checkpoint again: the program
+            # store stays, the checkpoint store starts empty.
+            ckpt.CheckpointStore().clear()
+            _reset_process_state()
+            full, t_full, _ = _timed(full_spec, jobs)
 
-        _reset_process_state()
-        cold, t_cold, cold_stats = _timed(sampled_spec, jobs)
+            _reset_process_state()
+            cold, t_cold, cold_stats = _timed(sampled_spec, jobs)
 
-        _reset_process_state()  # warm disk, cold process: the honest case
-        warm, t_warm, warm_stats = _timed(sampled_spec, jobs)
+            _reset_process_state()  # warm disk, cold process: the honest case
+            warm, t_warm, warm_stats = _timed(sampled_spec, jobs)
+            if warm.counters != cold.counters:
+                raise SystemExit(
+                    f"{row.workload}/{row.preset}: warm sampled run diverged "
+                    "from cold — checkpoint-path bug"
+                )
+            for mode, seconds in zip(times, (t_full, t_cold, t_warm)):
+                times[mode].append(seconds)
 
         _reset_process_state()  # the bias A/B: same shape, no data replay
         coldff, _, _ = _timed(coldff_spec, jobs)
@@ -187,11 +219,8 @@ def bench_row(row: Row, seed: int, jobs: int) -> dict:
         shutil.rmtree(root, ignore_errors=True)
         os.environ.pop("REPRO_CACHE_DIR", None)
 
-    if warm.counters != cold.counters:
-        raise SystemExit(
-            f"{row.workload}/{row.preset}: warm sampled run diverged from "
-            "cold — checkpoint-path bug"
-        )
+    timings = {mode: _summary(seconds) for mode, seconds in times.items()}
+    t_full, t_cold, t_warm = (timings[mode]["median"] for mode in times)
 
     def rel_error(result):
         return abs(result.ipc - full.ipc) / full.ipc if full.ipc else 0.0
@@ -213,11 +242,13 @@ def bench_row(row: Row, seed: int, jobs: int) -> dict:
         "ipc_rel_error_coldff": round(rel_error(coldff), 4),
         "max_error": row.max_error,
         "ipc_relative_ci95": round(cold.sampling["ipc_relative_ci95"], 4),
-        "full_seconds": round(t_full, 3),
-        "sampled_cold_seconds": round(t_cold, 3),
-        "sampled_warm_seconds": round(t_warm, 3),
+        # Medians over the reps; every timing is under "timings".
+        "full_seconds": t_full,
+        "sampled_cold_seconds": t_cold,
+        "sampled_warm_seconds": t_warm,
         "speedup_cold": round(t_full / t_cold, 2),
         "speedup_warm": round(t_full / t_warm, 2),
+        "timings": timings,
         "identity_ok": True,  # enforced above; divergence aborts
         "batch_stats": {
             "sampled_cold": cold_stats.summary(),
@@ -233,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="pool workers (default 1: isolate sampling gains)")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="shrink regions/intervals proportionally (CI smoke)")
+    parser.add_argument("--reps", type=int, default=3,
+                        help="timed repetitions per mode (medians reported)")
     parser.add_argument("--max-error", type=float, default=None, metavar="M",
                         help="fail (exit 1) any row whose warming-mode IPC "
                              "error exceeds its blessed max_error times M "
@@ -246,9 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{row.workload}/{row.preset}: {row.instructions} instructions, "
               f"K={row.num_intervals} x ({row.interval_length} measured + "
               f"{row.detailed_warmup} warmup) ...", flush=True)
-        result = bench_row(row, args.seed, args.jobs)
+        result = bench_row(row, args.seed, args.jobs, args.reps)
         rows.append(result)
-        print(f"  full {result['full_seconds']:.2f}s | "
+        print(f"  medians of {args.reps}: full {result['full_seconds']:.2f}s | "
               f"cold {result['sampled_cold_seconds']:.2f}s "
               f"({result['speedup_cold']:.1f}x) | "
               f"warm {result['sampled_warm_seconds']:.2f}s "
@@ -283,6 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": sys.version.split()[0],
         "scale": args.scale,
         "jobs": args.jobs,
+        "reps": args.reps,
         "gate_rows": gate,
         "results": rows,
     }

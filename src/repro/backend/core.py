@@ -17,9 +17,11 @@ retire.
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 from repro.common.config import CoreConfig
 from repro.common.counters import Counters
+from repro.common.errors import SimulationError
 from repro.common.packed import address, view, zeros
 from repro.frontend.fetch_block import PendingResteer
 from repro.memory.hierarchy import MemoryHierarchy
@@ -27,6 +29,9 @@ from repro.workloads.behavior import mix64
 from repro.workloads.data import DataAddressGenerator
 from repro.workloads.program import OP_LOAD, OP_STORE, Program
 from repro.workloads.tables import program_cache
+
+if TYPE_CHECKING:
+    from repro.workloads.data import DataAddressGeneratorC
 
 OP_BRANCH = 3
 
@@ -329,61 +334,43 @@ def dep_flags(program: Program, seed: int, threshold: int) -> bytes:
     return flags
 
 
-class BackendCoreC(BackendCore):
-    """Backend with compiled dispatch/issue/retire kernels over ring arrays.
+class BackendCoreC:
+    """The backend's state in ring arrays, for the compiled cycle driver.
 
     Uop state lives in SoA ring arrays indexed by ``seq & cap_mask`` (the
     interpreted ROB deque only appends, pops left, and truncates right, so
-    the ROB is just the contiguous seq range ``[rob_head, next_seq)``).  The
-    kernels defer everything that needs Python — memory latencies, resteer
-    objects, retire hooks, counter bumps — into small per-call replay lists:
+    the ROB is just the contiguous seq range ``[rob_head, next_seq)``),
+    described by ``BackendDesc`` in ``repro/common/kernels/kernels.h``.
+    The driver dispatches, issues, retires, polls and squashes in C
+    (``repro/common/kernels/backend.c``) and replays the memory accesses
+    of each issue scan against the hierarchy itself; Python reads only the
+    retired counts.
 
-    * ``be_issue`` marks issued loads with a sentinel ``complete_cycle`` and
-      returns ``(seq, is_store)`` pairs; :meth:`retire_and_issue` replays
-      them against the hierarchy in scan order, preserving every L1D
-      LRU/stream/counter interaction.
-    * ``be_retire`` stages retired on-path pcs for the retire hook and
-      returns the wrong-path count for a single bulk counter bump.
-    * :class:`~repro.frontend.fetch_block.PendingResteer` objects stay in a
-      Python dict keyed by seq; the kernel only tracks the firing cycle.
-
-    ``rob`` / ``rs`` are ``None`` here — any code that reaches for the
-    interpreted structures fails loudly; the simulator's dispatch loop asks
-    :attr:`can_dispatch` instead.
+    :meth:`poll_resteer` and :meth:`retire_and_issue` are kept as entry
+    points that raise: tools that wrap the backend's per-cycle stages by
+    name find them, and a call means a Python stepper is running over
+    compiled structures, which never happens.
     """
 
     def __init__(
-        self,
-        config: CoreConfig,
-        hierarchy: MemoryHierarchy,
-        data_gen: DataAddressGenerator,
-        counters: Counters,
-        seed: int = 1,
+        self, config: CoreConfig, data_gen: DataAddressGeneratorC, seed: int = 1
     ) -> None:
-        from repro.common import cc
-        from repro.workloads.data import DataAddressGeneratorC
-
-        kernels = cc.kernels()
-        if kernels is None or not isinstance(data_gen, DataAddressGeneratorC):
-            raise RuntimeError("compiled kernels unavailable")
-        super().__init__(config, hierarchy, data_gen, counters, seed)
-        self.rob = None  # ROB/RS live in the ring arrays; fail loudly
-        self.rs = None
+        self.config = config
+        self.seed = seed
+        self.issue_scan_window = 24  # BackendCore's
+        self._dep_threshold = int(config.load_dependence_fraction * (1 << 32))
         cap = 1
         while cap < config.rob_entries:
             cap *= 2
-        self._cap_mask = cap - 1
         # The uop ring columns, one per descriptor pointer bi[0..6].
         self._ring = tuple(zeros(cap) for _ in range(7))
-        (self._pc_arr, self._op_arr, self._flags_arr, self._dep_arr, self._addr_arr,
-         self._dispatch_arr, self._complete_arr) = self._ring
         self._rs_arr = zeros(config.rs_entries)
         self._out_retired = zeros(config.retire_width)
         self._out_mem = zeros(2 * self.issue_scan_window)
         bi = zeros(34)
         for i, column in enumerate(self._ring):
             bi[i] = address(column)
-        bi[7] = self._cap_mask
+        bi[7] = cap - 1
         bi[8] = address(self._rs_arr)
         # bi[9]=rs_len, bi[10]=rob_head, bi[11]=next_seq
         bi[12] = config.rob_entries
@@ -397,164 +384,37 @@ class BackendCoreC(BackendCore):
         bi[20] = -1  # last_load: none
         bi[21] = 0  # issue_wake (oracle-equivalent initial gate)
         bi[22] = -1  # pending_resteer_cycle: none
-        # bi[23]=pending_resteer_seq
-        bi[24] = self.__dict__.pop("retired_instructions")
-        bi[25] = self.__dict__.pop("retired_total")
-        # bi[26]/bi[27]: dep table pointer+len, bound by install_dep_table
+        # bi[23]=pending_resteer_seq, bi[24]=retired_instructions,
+        # bi[25]=retired_total; bi[26]/bi[27]: the dep table pointer and
+        # length, bound by install_dep_table
         view(bi, "Q")[28] = seed & 0xFFFF_FFFF_FFFF_FFFF
         bi[29] = self._dep_threshold
         bi[30] = address(self._out_retired)
-        # bi[31]=hook_active, set per retire call
+        # bi[31]=hook_active, set by the driver
         bi[32] = address(self._out_mem)
         bi[33] = data_gen._desc
         self._bi = bi
-        self._bmv = memoryview(bi)
         self._bdesc = address(bi)
-        self._k_address = kernels.buffer_address
-        self._resteers: dict[int, PendingResteer] = {}
-        self._k_dispatch = kernels.be_dispatch
-        self._k_can_dispatch = kernels.be_can_dispatch
-        self._k_retire = kernels.be_retire
-        self._k_issue = kernels.be_issue
-        self._k_poll = kernels.be_poll
-        self._k_next_event = kernels.be_next_event
-        self._k_squash = kernels.be_squash
-        self._c_wrong_path_retired = counters.incrementer("wrong_path_retired")
-        self._c_squashed_uops = counters.incrementer("backend_squashed_uops")
-
-    # retired_instructions / retired_total live in the descriptor (the C
-    # retire kernel bumps them); the base __init__ assigns them before the
-    # descriptor exists, so the setters stash early writes in the instance
-    # dict and __init__ moves them into the descriptor.
 
     @property
     def retired_instructions(self) -> int:
-        bi = self.__dict__.get("_bi")
-        if bi is None:
-            return self.__dict__["retired_instructions"]
-        return int(bi[24])
-
-    @retired_instructions.setter
-    def retired_instructions(self, value: int) -> None:
-        bi = self.__dict__.get("_bi")
-        if bi is None:
-            self.__dict__["retired_instructions"] = value
-        else:
-            bi[24] = value
-
-    @property
-    def retired_total(self) -> int:
-        bi = self.__dict__.get("_bi")
-        if bi is None:
-            return self.__dict__["retired_total"]
-        return int(bi[25])
-
-    @retired_total.setter
-    def retired_total(self, value: int) -> None:
-        bi = self.__dict__.get("_bi")
-        if bi is None:
-            self.__dict__["retired_total"] = value
-        else:
-            bi[25] = value
-
-    # -- dispatch -----------------------------------------------------------
-
-    @property
-    def can_dispatch(self) -> bool:
-        bmv = self._bmv
-        return (
-            bmv[11] - bmv[10] < bmv[12]  # next_seq - rob_head < rob_entries
-            and bmv[9] < bmv[13]  # rs_len < rs_entries
-        )
-
-    def dispatch(
-        self,
-        pc: int,
-        op: int,
-        on_path: bool,
-        cycle: int,
-        resteer: PendingResteer | None = None,
-    ) -> int:
-        """Insert a decoded instruction; returns its seq (not a MicroOp)."""
-        seq = self._k_dispatch(
-            self._bdesc, pc, op, 1 if on_path else 0, cycle, 0 if resteer is None else 1
-        )
-        if resteer is not None:
-            self._resteers[seq] = resteer
-        return seq
+        return self._bi[24]
 
     def install_dep_table(self, flags: bytes) -> None:
         """Bind a per-PC load-dependence flag table (see :func:`dep_flags`).
 
-        The dispatch kernels index it by ``pc >> 2`` instead of hashing
+        The dispatch kernel indexes it by ``pc >> 2`` instead of hashing
         every dispatched PC; the table is immutable, so one table is shared
         by every simulator of the same program, seed and threshold.
         """
+        from repro.common import cc
+
         self._dep_table = flags
-        self._bi[26] = self._k_address(flags)
+        self._bi[26] = cc.kernels().buffer_address(flags)
         self._bi[27] = len(flags)
 
-    # -- per-cycle step ------------------------------------------------------
-
-    def poll_resteer(self, cycle: int) -> tuple[PendingResteer, int] | None:
-        seq = self._k_poll(self._bdesc, cycle)
-        if seq < 0:
-            return None
-        resteer = self._resteers.pop(seq)
-        if len(self._resteers) > 64:
-            # Entries for branches whose single-slot pending event was
-            # overwritten before firing (same semantics as the interpreted
-            # path) can linger; retired seqs can never fire anymore.
-            rob_head = self._bmv[10]
-            for stale in [s for s in self._resteers if s < rob_head]:
-                del self._resteers[stale]
-        return resteer, seq
+    def poll_resteer(self, cycle: int):
+        raise SimulationError("the compiled cycle driver runs this backend's stages")
 
     def retire_and_issue(self, cycle: int) -> None:
-        """Retire completed head-of-ROB uops, then issue ready RS entries."""
-        bi = self._bi
-        hook = self.retire_hook
-        bi[31] = 0 if hook is None else 1
-        packed = self._k_retire(self._bdesc, cycle)
-        if packed:
-            hook_n = packed & 0xFFFF_FFFF
-            wrong = packed >> 32
-            if wrong:
-                self._c_wrong_path_retired(wrong)
-            if hook_n:
-                out = self._out_retired
-                for i in range(hook_n):
-                    hook(out[i])
-        n_mem = self._k_issue(self._bdesc, cycle)
-        if n_mem:
-            out = self._out_mem
-            addr = self._addr_arr
-            complete = self._complete_arr
-            cap_mask = self._cap_mask
-            hierarchy = self.hierarchy
-            for i in range(n_mem):
-                slot = out[2 * i] & cap_mask
-                if out[2 * i + 1]:
-                    hierarchy.store_access(addr[slot])
-                else:
-                    complete[slot] = cycle + hierarchy.load_latency(addr[slot])
-
-    def next_event_cycle(self, cycle: int) -> int | None:
-        t = self._k_next_event(self._bdesc, cycle)
-        return None if t < 0 else t
-
-    # -- squash ---------------------------------------------------------------
-
-    def squash_younger(self, branch_seq: int) -> int:
-        """Drop every in-flight uop younger than ``branch_seq``."""
-        squashed = self._k_squash(self._bdesc, branch_seq)
-        self._c_squashed_uops(squashed)
-        if self._resteers:
-            for stale in [s for s in self._resteers if s > branch_seq]:
-                del self._resteers[stale]
-        return squashed
-
-    @property
-    def in_flight(self) -> int:
-        bmv = self._bmv
-        return bmv[11] - bmv[10]
+        raise SimulationError("the compiled cycle driver runs this backend's stages")

@@ -16,7 +16,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from repro.common.cc import resolve_compiled
 from repro.common.config import BranchConfig
 from repro.common.packed import address, export_ways, import_ways, unpack, zeros
 from repro.workloads.program import BranchKind
@@ -140,22 +139,24 @@ class BranchTargetBuffer:
         self.load_packed(other.state_packed())
 
 
-class BranchTargetBufferC(BranchTargetBuffer):
-    """Compiled-kernel BTB: probe/fill run as single C calls over the SoA ways.
+class BranchTargetBufferC:
+    """A BTB's state in flat arrays, for the compiled cycle driver.
 
     Way payloads (kind, target, tag pc) live in preallocated flat ``int64``
-    arrays of ``num_sets * assoc`` ways the kernels address through raw
-    pointers.  Replacement state is a monotonic stamp array (victim =
-    minimum stamp), which picks the same victim as the object BTB's
-    minimum ``lru``.  The packed ``state_packed`` format (LRU→MRU
-    per set) round-trips with :class:`BranchTargetBuffer`.
+    arrays of ``num_sets * assoc`` ways the driver probes and fills in C.
+    Replacement state is a monotonic stamp array (victim = minimum stamp),
+    which picks the same victim as the object BTB's minimum ``lru``.  The
+    packed ``state_packed`` format (LRU→MRU per set) round-trips with
+    :class:`BranchTargetBuffer`.  :meth:`fill` and :meth:`contains` are
+    the two calls Python still makes into it: a registry technique's BTB
+    hooks (shadow-btb's predecoder) run them from inside the driver.
     """
 
     def __init__(self, entries: int, assoc: int) -> None:
         from repro.common import cc
 
         kernels = cc.kernels()
-        if kernels is None:  # pragma: no cover - factory guards this
+        if kernels is None:  # pragma: no cover - the simulator guards this
             raise RuntimeError("compiled kernels unavailable")
         self.entries = entries
         self.assoc = assoc
@@ -166,7 +167,6 @@ class BranchTargetBufferC(BranchTargetBuffer):
         self._pcs = zeros(ways, fill=-1)
         self._stamps = zeros(ways)
         self._planes = (self._pcs, self._kinds, self._targets, self._stamps)
-        self._sets = None  # entries live in the arrays; fail loudly
         di = zeros(10)
         di[0] = address(self._pcs)
         di[1] = address(self._kinds)
@@ -177,18 +177,10 @@ class BranchTargetBufferC(BranchTargetBuffer):
         # di[6]=stamp, di[7]=hits, di[8]=misses, di[9]=occupancy
         self._di = di
         self._desc = address(di)
-        self._k_probe = kernels.btb_probe
         self._k_contains = kernels.btb_contains
         self._k_fill = kernels.btb_fill
         self._k_export = kernels.ways_export
         self._k_import = kernels.ways_import
-
-    def probe(self, pc: int) -> BTBEntry | None:
-        """Look up the branch at ``pc``; update recency on hit."""
-        g = self._k_probe(self._desc, pc)
-        if g < 0:
-            return None
-        return BTBEntry(pc, BranchKind(self._kinds[g]), self._targets[g])
 
     def contains(self, pc: int) -> bool:
         """Tag check without touching recency or statistics."""
@@ -338,19 +330,19 @@ class IndirectTargetBuffer:
         self.load_packed(other.state_packed())
 
 
-class IndirectTargetBufferC(IndirectTargetBuffer):
-    """Compiled-kernel iBTB: predict/train as single C calls per branch.
+class IndirectTargetBufferC:
+    """An iBTB's state in flat arrays, for the compiled cycle driver.
 
-    The set/tag hash stays in Python (a handful of integer ops on values the
-    caller already holds); the descriptor shares the BTB kernel's layout with
-    tags stored in the ``pcs`` array and the ``kinds`` plane unused.
+    The descriptor shares the BTB's layout, with tags stored in the ``pcs``
+    array and the ``kinds`` plane unused; the driver hashes the set and
+    tag exactly like :meth:`IndirectTargetBuffer._key`.
     """
 
     def __init__(self, entries: int, assoc: int, history_bits: int = 12) -> None:
         from repro.common import cc
 
         kernels = cc.kernels()
-        if kernels is None:  # pragma: no cover - factory guards this
+        if kernels is None:  # pragma: no cover - the simulator guards this
             raise RuntimeError("compiled kernels unavailable")
         self.entries = entries
         self.assoc = assoc
@@ -361,7 +353,6 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
         self._targets = zeros(ways)
         self._stamps = zeros(ways)
         self._planes = (self._tags, self._targets, self._stamps)
-        self._sets = None  # entries live in the arrays; fail loudly
         di = zeros(10)
         di[0] = address(self._tags)
         di[1] = address(self._targets)  # kinds plane: never touched for iBTB
@@ -372,21 +363,8 @@ class IndirectTargetBufferC(IndirectTargetBuffer):
         # di[6]=stamp, di[7]=hits, di[8]=misses, di[9]=occupancy
         self._di = di
         self._desc = address(di)
-        self._k_predict = kernels.ibtb_predict
-        self._k_train = kernels.ibtb_train
         self._k_export = kernels.ways_export
         self._k_import = kernels.ways_import
-
-    def predict(self, pc: int, history: int) -> int | None:
-        """Predicted target for the indirect branch at ``pc``, or None."""
-        set_index, tag = self._key(pc, history)
-        target = self._k_predict(self._desc, set_index, tag)
-        return None if target < 0 else target
-
-    def train(self, pc: int, history: int, target: int) -> None:
-        """Record the resolved target under the current path history."""
-        set_index, tag = self._key(pc, history)
-        self._k_train(self._desc, set_index, tag, target)
 
     @property
     def hits(self) -> int:
@@ -446,13 +424,13 @@ def _copy_ways(dst, src) -> None:
         dst._di[word] = src._di[word]
 
 
-def btb_from_config(config: BranchConfig, compiled: bool | None = None):
+def btb_from_config(config: BranchConfig, compiled: bool = False):
     """Construct the branch-discovery BTB.
 
     ``btb_levels == 1`` gives Table II's monolithic BTB; ``2`` gives the
     related-work hierarchical organization (see
-    :mod:`repro.branch.two_level_btb`).  ``compiled`` selects the C-kernel
-    classes (see :func:`repro.common.cc.resolve_compiled`).
+    :mod:`repro.branch.two_level_btb`).  ``compiled`` selects the compiled
+    cycle driver's array classes.
     """
     if config.btb_levels == 2:
         from repro.branch.two_level_btb import TwoLevelBTB
@@ -464,12 +442,11 @@ def btb_from_config(config: BranchConfig, compiled: bool | None = None):
             l2_assoc=config.btb_assoc,
             compiled=compiled,
         )
-    cls = BranchTargetBufferC if resolve_compiled(compiled) else BranchTargetBuffer
+    cls = BranchTargetBufferC if compiled else BranchTargetBuffer
     return cls(config.btb_entries, config.btb_assoc)
 
 
-def ibtb_from_config(config: BranchConfig, compiled: bool | None = None):
+def ibtb_from_config(config: BranchConfig, compiled: bool = False):
     """Construct the indirect target buffer per Table II."""
-    if resolve_compiled(compiled):
-        return IndirectTargetBufferC(config.ibtb_entries, config.ibtb_assoc)
-    return IndirectTargetBuffer(config.ibtb_entries, config.ibtb_assoc)
+    cls = IndirectTargetBufferC if compiled else IndirectTargetBuffer
+    return cls(config.ibtb_entries, config.ibtb_assoc)

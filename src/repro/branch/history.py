@@ -90,54 +90,21 @@ class GlobalHistory:
         self.restore(other.checkpoint())
 
 
-class _FoldedSlot:
-    """Attribute-compatible view of one folding register in the SoA array."""
+class GlobalHistoryC:
+    """The global history in flat arrays, for the compiled cycle driver.
 
-    __slots__ = ("_arr", "_idx", "length", "width", "_out_shift", "_mask")
-
-    def __init__(self, arr, idx: int, length: int, width: int) -> None:
-        self._arr = arr
-        self._idx = idx
-        self.length = length
-        self.width = width
-        self._out_shift = length % width
-        self._mask = (1 << width) - 1
-
-    @property
-    def folded(self) -> int:
-        return int(self._arr[self._idx])
-
-    @folded.setter
-    def folded(self, value: int) -> None:
-        self._arr[self._idx] = value
-
-    def snapshot(self) -> int:
-        return int(self._arr[self._idx])
-
-    def restore(self, value: int) -> None:
-        self._arr[self._idx] = value
-
-
-class GlobalHistoryC(GlobalHistory):
-    """Compiled-kernel history: raw bits in uint64 words, foldings in SoA.
-
-    ``push`` runs as one C call (``hist_push``) updating every folding
-    register and shifting the word array; the folded values live in an int64
-    array the TAGE descriptor points into, so the compiled predictor reads
-    them without any Python round-trip.  ``checkpoint``/``restore`` keep the
-    object format ``(bits_int, tuple(folded))``, so warmup checkpoints
-    round-trip between both implementations.
+    Raw bits live in uint64 words and the foldings in an int64 array the
+    TAGE descriptor points into; the driver pushes outcomes in C
+    (``hist_push_into``) and snapshots both arrays for its resteers.
+    ``checkpoint``/``restore`` keep the object format
+    ``(bits_int, tuple(folded))``, so warmup checkpoints round-trip between
+    both implementations.
     """
 
     def __init__(self, max_length: int, foldings: list[tuple[int, int]]) -> None:
-        from repro.common import cc
-
-        kernels = cc.kernels()
-        if kernels is None:  # pragma: no cover - factory guards this
-            raise RuntimeError("compiled kernels unavailable")
         self.max_length = max_length
         self._mask = (1 << max_length) - 1
-        count = len(foldings)
+        self.num_folds = count = len(foldings)
         self._folded_arr = zeros(count)
         self._folded_mv = memoryview(self._folded_arr)[:count]
         self._lengths = array("q", [l for l, _ in foldings] + [0])
@@ -167,11 +134,6 @@ class GlobalHistoryC(GlobalHistory):
         view(di, "Q")[8] = top_mask
         self._di = di
         self._desc = address(di)
-        self._k_push = kernels.hist_push
-        self.folded = [
-            _FoldedSlot(self._folded_arr, i, length, width)
-            for i, (length, width) in enumerate(foldings)
-        ]
 
     @property
     def bits(self) -> int:
@@ -181,14 +143,6 @@ class GlobalHistoryC(GlobalHistory):
     def bits(self, value: int) -> None:
         # Every allocated word: those above the shifted ones stay zero.
         self._words_bytes[:] = (value & self._mask).to_bytes(len(self._words_bytes), "little")
-
-    def push(self, taken: bool) -> None:
-        self._k_push(self._desc, 1 if taken else 0)
-
-    def low_bits(self, n: int) -> int:
-        if n <= 64:
-            return self._words[0] & ((1 << n) - 1)
-        return self.bits & ((1 << n) - 1)
 
     def checkpoint(self) -> tuple[int, tuple[int, ...]]:
         return self.bits, tuple(self._folded_mv)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.common.packed import address, zeros
+
 
 @dataclass
 class _LoopEntry:
@@ -106,3 +108,53 @@ class LoopPredictor:
         if self.overrides == 0:
             return 1.0
         return self.correct_overrides / self.overrides
+
+    def state(self) -> list[tuple[int, int, int, int] | None]:
+        """Per slot ``(tag, trip_count, current, confidence)``, or None."""
+        return [
+            None if e is None else (e.tag, e.trip_count, e.current, e.confidence)
+            for e in self._table
+        ]
+
+
+class LoopPredictorC:
+    """The loop predictor's table in flat arrays, for the compiled cycle driver.
+
+    The driver predicts, trains and resets it in C (``loop_predict``,
+    ``loop_update`` and the recovery in ``repro/common/kernels/driver.c``,
+    ``LoopDesc`` in ``kernels.h``), exactly like :class:`LoopPredictor`,
+    which stays the oracle.  An empty slot has tag -1.
+    """
+
+    def __init__(self, entries: int = 64, confidence_threshold: int = 3,
+                 max_trip: int = 4096) -> None:
+        if entries & (entries - 1):
+            raise ValueError("loop predictor size must be a power of two")
+        self.entries = entries
+        self.confidence_threshold = confidence_threshold
+        self.max_trip = max_trip
+        self._columns = (zeros(entries, fill=-1), zeros(entries), zeros(entries), zeros(entries))
+        di = zeros(9)
+        for i, column in enumerate(self._columns):
+            di[i] = address(column)
+        di[4] = entries - 1
+        di[5] = confidence_threshold
+        di[6] = max_trip
+        # di[7]=overrides, di[8]=correct_overrides
+        self._di = di
+        self._desc = address(di)
+
+    @property
+    def overrides(self) -> int:
+        return self._di[7]
+
+    @property
+    def correct_overrides(self) -> int:
+        return self._di[8]
+
+    def state(self) -> list[tuple[int, int, int, int] | None]:
+        """Same format as :meth:`LoopPredictor.state`."""
+        return [
+            None if row[0] == -1 else row
+            for row in zip(*(column.tolist() for column in self._columns))
+        ]

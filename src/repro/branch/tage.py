@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.branch.bimodal import BimodalPredictor
 from repro.branch.history import GlobalHistory, GlobalHistoryC
-from repro.common.cc import resolve_compiled
 from repro.common.config import BranchConfig
 from repro.common.packed import address, zeros
 
@@ -326,7 +325,7 @@ class TagePredictor:
             table.tags[:] = tags
             table.ctrs[:] = ctrs
             table.useful[:] = useful
-        self._load_base(state["base"])
+        _load_base(self.base, state["base"])
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]
 
@@ -338,34 +337,32 @@ class TagePredictor:
         """
         self.load_state(other.state_dict())
 
-    def _load_base(self, table: bytes) -> None:
-        """Copy the bimodal counters in place (never swap the object)."""
-        if len(table) != self.base.size:
-            raise ValueError("bimodal table geometry mismatch")
-        self.base.table[:] = table
+
+def _load_base(base: BimodalPredictor, table: bytes) -> None:
+    """Copy the bimodal counters in place (never swap the object)."""
+    if len(table) != base.size:
+        raise ValueError("bimodal table geometry mismatch")
+    base.table[:] = table
 
 
-class TagePredictorC(TagePredictor):
-    """TAGE with compiled predict/update kernels over structure-of-arrays tables.
+class TagePredictorC:
+    """TAGE's tables in flat arrays, for the compiled cycle driver.
 
     Storage is three preallocated flat ``int64`` arrays of ``tables * size``
-    entries (tags, signed counters, usefulness) the kernels address through
-    raw pointers.
-    One C call per prediction (all index/tag folds, the provider scan, and
-    the confidence classification) and one per training event (including
-    allocation and the periodic usefulness aging).  Requires the shared
-    history to be a :class:`~repro.branch.history.GlobalHistoryC`, whose
-    folded-fold array the descriptor points into.  ``use_alt_counter`` and
-    ``_tick`` live in the descriptor so C-side updates are visible to
-    ``state_dict``.  Byte-identical to :class:`TagePredictor` in
-    predictions, allocations, and counters (``tests/sim/test_modes.py``).
+    entries (tags, signed counters, usefulness) plus the bimodal base's
+    counter bytes, which the driver probes and trains in C
+    (``repro/common/kernels/tage.c``).  The descriptor points into the
+    shared :class:`~repro.branch.history.GlobalHistoryC`'s fold array.
+    ``use_alt_counter`` and ``_tick`` live in the descriptor so C-side
+    updates are visible to ``state_dict``, whose format is
+    :class:`TagePredictor`'s.
     """
 
     def __init__(self, config: BranchConfig, history: GlobalHistoryC) -> None:
         from repro.common import cc
 
         kernels = cc.kernels()
-        if kernels is None or not isinstance(history, GlobalHistoryC):
+        if kernels is None:  # pragma: no cover - the simulator guards this
             raise RuntimeError("compiled kernels unavailable")
         self.config = config
         self.history = history
@@ -382,11 +379,8 @@ class TagePredictorC(TagePredictor):
         self._tables_mv = tuple(
             memoryview(arr) for arr in (self._tags_arr, self._ctrs_arr, self._useful_arr)
         )
-        self.tables = None  # table state lives in the arrays; fail loudly
         self._idx_scratch = zeros(num_tables)
         self._tag_scratch = zeros(num_tables)
-        self._idx_mv = memoryview(self._idx_scratch)[:num_tables]
-        self._tag_mv = memoryview(self._tag_scratch)[:num_tables]
         di = zeros(24)
         di[0] = address(self._tags_arr)
         di[1] = address(self._ctrs_arr)
@@ -412,8 +406,6 @@ class TagePredictorC(TagePredictor):
         self._di = di
         self._dmv = memoryview(di)
         self._desc = address(di)
-        self._k_predict = kernels.tage_predict
-        self._k_update = kernels.tage_update
 
     @property
     def use_alt_counter(self) -> int:
@@ -430,41 +422,6 @@ class TagePredictorC(TagePredictor):
     @_tick.setter
     def _tick(self, value: int) -> None:
         self._di[13] = value
-
-    def predict(self, pc: int) -> TagePrediction:
-        """Predict the direction of the conditional branch at ``pc``."""
-        self._k_predict(self._desc, pc)
-        dmv = self._dmv
-        return TagePrediction(
-            pc=pc,
-            taken=bool(dmv[14]),
-            confidence=dmv[15],
-            provider=dmv[16],
-            provider_index=dmv[17],
-            alt_taken=bool(dmv[18]),
-            alt_provider=dmv[19],
-            alt_index=dmv[20],
-            indices=tuple(self._idx_mv),
-            tags=tuple(self._tag_mv),
-            newly_allocated=bool(dmv[21]),
-        )
-
-    def update(self, prediction: TagePrediction, taken: bool) -> None:
-        """Train with the resolved outcome of a previously made prediction."""
-        self._k_update(
-            self._desc,
-            prediction.pc,
-            1 if taken else 0,
-            1 if prediction.taken else 0,
-            prediction.provider,
-            prediction.provider_index,
-            1 if prediction.alt_taken else 0,
-            prediction.alt_provider,
-            prediction.alt_index,
-            1 if prediction.newly_allocated else 0,
-            prediction.indices,
-            prediction.tags,
-        )
 
     def _rows(self, t: int) -> slice:
         return slice(t * self._size, (t + 1) * self._size)
@@ -499,7 +456,7 @@ class TagePredictorC(TagePredictor):
             tags_mv[rows] = array("q", tags)
             ctrs_mv[rows] = array("q", ctrs)
             useful_mv[rows] = array("q", list(useful))
-        self._load_base(state["base"])
+        _load_base(self.base, state["base"])
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]
 
@@ -515,13 +472,9 @@ class TagePredictorC(TagePredictor):
         self._di[13] = other._di[13]  # tick
 
 
-def tage_from_config(
-    config: BranchConfig,
-    history: GlobalHistory,
-    compiled: bool | None = None,
-) -> TagePredictor:
-    """Construct the TAGE predictor (C kernels when ``compiled`` resolves on
-    and the shared history is the compiled one)."""
-    if resolve_compiled(compiled) and isinstance(history, GlobalHistoryC):
-        return TagePredictorC(config, history)
-    return TagePredictor(config, history)
+def tage_from_config(config: BranchConfig, history, compiled: bool = False):
+    """The compiled cycle driver's TAGE arrays over a
+    :class:`~repro.branch.history.GlobalHistoryC` (``compiled``), else the
+    object predictor over a :class:`~repro.branch.history.GlobalHistory`."""
+    cls = TagePredictorC if compiled else TagePredictor
+    return cls(config, history)

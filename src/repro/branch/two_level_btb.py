@@ -12,13 +12,16 @@ of first-touch resteers.
 
 Drop-in compatible with :class:`~repro.branch.btb.BranchTargetBuffer`
 (``probe`` / ``fill`` / ``contains`` / ``occupancy``); select it with
-``BranchConfig.btb_levels = 2``.
+``BranchConfig.btb_levels = 2``.  With ``compiled`` both levels are
+:class:`~repro.branch.btb.BranchTargetBufferC` arrays, which the compiled
+cycle driver probes as one L1 descriptor plus one L2 (``btb_probe`` in
+``repro/common/kernels/driver.c``); there only :meth:`fill`,
+:meth:`contains` and the state methods run in Python.
 """
 
 from __future__ import annotations
 
 from repro.branch.btb import BranchTargetBuffer, BranchTargetBufferC, BTBEntry
-from repro.common.cc import resolve_compiled
 from repro.workloads.program import BranchKind
 
 
@@ -31,9 +34,9 @@ class TwoLevelBTB:
         l1_assoc: int = 4,
         l2_entries: int = 8192,
         l2_assoc: int = 8,
-        compiled: bool | None = None,
+        compiled: bool = False,
     ) -> None:
-        cls = BranchTargetBufferC if resolve_compiled(compiled) else BranchTargetBuffer
+        cls = BranchTargetBufferC if compiled else BranchTargetBuffer
         self.l1 = cls(l1_entries, l1_assoc)
         self.l2 = cls(l2_entries, l2_assoc)
         self.promotions = 0

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from repro.branch.btb import BTBEntry, btb_from_config, ibtb_from_config
 from repro.branch.history import GlobalHistory, GlobalHistoryC
-from repro.branch.loop_predictor import LoopPredictor
+from repro.branch.loop_predictor import LoopPredictor, LoopPredictorC
 from repro.branch.ras import ReturnAddressStack
 from repro.branch.tage import TagePrediction, TagePredictor, tage_from_config
-from repro.common.cc import resolve_compiled
 from repro.common.config import BranchConfig
 from repro.common.counters import Counters
 from repro.workloads.program import BranchKind
@@ -39,14 +38,13 @@ class BranchPredictionUnit:
         self,
         config: BranchConfig,
         counters: Counters | None = None,
-        compiled: bool | None = None,
+        compiled: bool = False,
     ) -> None:
         self.config = config
         self.counters = counters if counters is not None else Counters()
-        # Compiled C-kernel structures unless REPRO_NO_COMPILED or no
-        # compiler, else the object oracle; both are byte-identical in
-        # behaviour (tests/sim/test_modes.py).
-        compiled = resolve_compiled(compiled)
+        # ``compiled``: the compiled cycle driver's array structures, which
+        # only it predicts and trains; the methods below drive the object
+        # structures, the oracle (tests/sim/test_modes.py).
         foldings = TagePredictor.expected_foldings(config)
         history_cls = GlobalHistoryC if compiled else GlobalHistory
         self.history = history_cls(config.tage_max_hist, foldings)
@@ -54,10 +52,9 @@ class BranchPredictionUnit:
         self.btb = btb_from_config(config, compiled)
         self.ibtb = ibtb_from_config(config, compiled)
         self.ras = ReturnAddressStack(config.ras_entries)
+        loop_cls = LoopPredictorC if compiled else LoopPredictor
         self.loop = (
-            LoopPredictor(config.loop_predictor_entries)
-            if config.use_loop_predictor
-            else None
+            loop_cls(config.loop_predictor_entries) if config.use_loop_predictor else None
         )
 
     # -- frontend-facing prediction ------------------------------------------

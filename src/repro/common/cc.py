@@ -1,23 +1,20 @@
-"""Runtime builder for the compiled hot-loop kernels.
+"""Runtime builder for the compiled kernels.
 
-Interpreted Python is the hot-path ceiling of the simulator's scalar
-leaves, and per-probe numpy is a pessimization at simulator table sizes
-(see docs/performance.md).  This module compiles the hand-written C
-kernels under ``repro/common/kernels/`` into a CPython extension module
-*on first use* with the system compiler, caches the built ``.so``
-content-addressed under the shared artifact root (digest of every source
-file plus the build flags and interpreter ABI; atomic rename, exactly like
-the program/checkpoint stores), and loads it via importlib.
-
-A measured design note: the kernels are a real CPython extension
-(``METH_FASTCALL``) rather than a ``ctypes``-loaded plain ``.so`` because a
-``ctypes`` foreign call costs ~800ns in call overhead alone — more than the
-dict probes it would replace — while an extension call is ~80ns, cheap
-enough for per-probe kernels.
+Interpreted Python is the hot-path ceiling of the simulator, and per-probe
+numpy is a pessimization at simulator table sizes (see
+docs/performance.md).  This module compiles the hand-written C kernels
+under ``repro/common/kernels/`` -- the compiled cycle driver and the
+structure code it runs -- into a CPython extension module *on first use*
+with the system compiler, caches the built ``.so`` content-addressed under
+the shared artifact root (digest of every source file plus the build flags
+and interpreter ABI; atomic rename, exactly like the program/checkpoint
+stores), and loads it via importlib.  Python enters it once per run
+(``run_cycles``) or walk (``functional_walk``), plus the bulk state
+helpers and the two BTB calls a registry technique's hooks make.
 
 Fallback contract: when no compiler is present, compilation fails, or
 ``REPRO_NO_COMPILED=1`` is set, :func:`kernels` returns ``None`` and every
-call site silently stays on the object implementations, which remain the
+simulator silently holds the object structures, which remain the
 byte-identity oracle (``tests/sim/test_modes.py`` enforces identical
 counters between the two).  No new Python dependencies are involved.
 """

@@ -354,6 +354,12 @@ class TechniqueConfig:
         return get_technique(self.kind).capabilities
 
 
+# The derived cycle limit (SimConfig.cycle_limit): at least this many
+# cycles, and this many per instruction of the run.
+DEFAULT_MAX_CYCLES = 5_000_000
+CYCLES_PER_INSTRUCTION_LIMIT = 50
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Top-level simulation configuration (Table II defaults)."""
@@ -367,7 +373,8 @@ class SimConfig:
     prefetcher: TechniqueConfig = field(default_factory=TechniqueConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     max_instructions: int = 50_000
-    max_cycles: int = 5_000_000
+    # The cycle limit; None derives it from max_instructions (cycle_limit).
+    max_cycles: int | None = None
     # Timed warmup: cycle-accurate cycles excluded from measurement.
     warmup_instructions: int = 0
     # Functional warmup: basic blocks walked at trace speed before timing,
@@ -384,7 +391,7 @@ class SimConfig:
         self.uftq.validate()
         self.udp.validate()
         self.prefetcher.validate()
-        if self.max_instructions <= 0 or self.max_cycles <= 0:
+        if self.max_instructions <= 0 or self.cycle_limit <= 0:
             raise ConfigError("instruction and cycle limits must be positive")
         if self.warmup_instructions < 0 or self.warmup_instructions >= self.max_instructions:
             raise ConfigError("warmup must be in [0, max_instructions)")
@@ -396,6 +403,15 @@ class SimConfig:
                 "interval sampling carries its own detailed warmup; "
                 "warmup_instructions must be 0 when sampling is enabled"
             )
+
+    @property
+    def cycle_limit(self) -> int:
+        """The cycle count a run may not pass: ``max_cycles`` when set,
+        else 50 cycles per instruction and at least 5,000,000 (a miss-heavy
+        run needs about 20 cycles per instruction)."""
+        if self.max_cycles is not None:
+            return self.max_cycles
+        return max(DEFAULT_MAX_CYCLES, CYCLES_PER_INSTRUCTION_LIMIT * self.max_instructions)
 
     def replace(self, **kwargs) -> "SimConfig":
         """Return a copy with top-level fields replaced."""

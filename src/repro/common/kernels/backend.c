@@ -1,7 +1,8 @@
 /* Out-of-order backend kernels over SoA ring storage.
  *
  * Port of backend/core.py (BackendCore) plus workloads/data.py
- * (DataAddressGenerator.next_address).  The ROB is a contiguous seq range
+ * (DataAddressGenerator.next_address), for the cycle driver.  The ROB is a
+ * contiguous seq range
  * [rob_head, next_seq) -- the interpreted deque only ever appends, pops
  * from the left, and truncates from the right -- so uop state lives in
  * ring arrays indexed by seq & cap_mask and the ROB itself needs no
@@ -9,8 +10,8 @@
  *
  * Memory latencies are *deferred*: the issue scan marks an issued load's
  * complete_cycle with the WAKE_IDLE sentinel and appends (seq, is_store)
- * to out_mem; the Python wrapper replays that list in scan order right
- * after the kernel returns, calling the hierarchy for the real latency.
+ * to out_mem; the driver replays that list in scan order right after the
+ * scan, calling the hierarchy for the real latency.
  * Equivalence argument: a same-scan dependent sees sentinel > cycle
  * (blocked, exactly like any real latency >= 1); the sentinel as a wake
  * candidate is harmless because a load issuing forces issued_any, which
@@ -34,8 +35,8 @@
 #define RANDOM_BASE 0x2000000000LL
 
 int64_t data_next_impl(DataDesc *d, int64_t pc) {
-    int64_t occurrence = d->occurrences[pc >> 2];
-    d->occurrences[pc >> 2] = occurrence + 1;
+    int64_t *slot = &d->occurrences[(pc - d->code_start) >> 2];
+    int64_t occurrence = (*slot)++;
     double u = (double)mix64(d->seed ^ (uint64_t)pc) / 18446744073709551616.0;
     if (u < d->stack_frac) {
         int64_t offset = (int64_t)(mix64(d->seed ^ (uint64_t)(pc * 3)) % STACK_SPAN);
@@ -92,27 +93,6 @@ static inline int64_t can_dispatch(BackendDesc *b) {
     return (b->next_seq - b->rob_head) < b->rob_entries && b->rs_len < b->rs_entries;
 }
 
-static PyObject *k_be_dispatch(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BE_DISPATCH]++;
-    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    int64_t pc = arg_i64(args, 1);
-    int64_t op = arg_i64(args, 2);
-    int64_t on_path = arg_i64(args, 3);
-    int64_t cycle = arg_i64(args, 4);
-    int64_t has_resteer = arg_i64(args, 5);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(dispatch_one(b, pc, op, on_path, cycle, has_resteer));
-}
-
-static PyObject *k_be_can_dispatch(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BE_CAN_DISPATCH]++;
-    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLong((int)can_dispatch(b));
-}
-
 /* Returns (wrong_path_retired << 32) | n_hook_pcs (pcs in out_retired). */
 static int64_t be_retire_impl(BackendDesc *b, int64_t cycle) {
     int64_t retired = 0, wrong = 0, hook_n = 0;
@@ -136,17 +116,8 @@ static int64_t be_retire_impl(BackendDesc *b, int64_t cycle) {
     return (wrong << 32) | hook_n;
 }
 
-static PyObject *k_be_retire(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BE_RETIRE]++;
-    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    int64_t cycle = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(be_retire_impl(b, cycle));
-}
-
 /* Issue scan; memory ops land in out_mem as (seq, is_store) pairs for the
- * wrapper to replay against the hierarchy.  Returns the pair count. */
+ * driver to replay against the hierarchy.  Returns the pair count. */
 static int64_t be_issue_impl(BackendDesc *b, int64_t cycle) {
     if (cycle < b->issue_wake) {
         return 0;
@@ -242,15 +213,6 @@ static int64_t be_issue_impl(BackendDesc *b, int64_t cycle) {
     return n_mem;
 }
 
-static PyObject *k_be_issue(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BE_ISSUE]++;
-    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    int64_t cycle = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(be_issue_impl(b, cycle));
-}
-
 /* The seq of the branch whose resteer fires this cycle, or -1. */
 static int64_t be_poll_impl(BackendDesc *b, int64_t cycle) {
     if (b->pending_resteer_cycle < 0 || b->pending_resteer_cycle > cycle) {
@@ -258,15 +220,6 @@ static int64_t be_poll_impl(BackendDesc *b, int64_t cycle) {
     }
     b->pending_resteer_cycle = -1;
     return b->pending_resteer_seq;
-}
-
-static PyObject *k_be_poll(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BE_POLL]++;
-    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    int64_t cycle = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(be_poll_impl(b, cycle));
 }
 
 /* Earliest future cycle with backend work, or NO_EVENT when drained. */
@@ -306,15 +259,6 @@ static int64_t be_next_event_impl(BackendDesc *b, int64_t cycle) {
     return event;
 }
 
-static PyObject *k_be_next_event(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BE_NEXT_EVENT]++;
-    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    int64_t cycle = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(be_next_event_impl(b, cycle));
-}
-
 /* Drop every uop younger than `branch_seq`; returns how many. */
 static int64_t be_squash_impl(BackendDesc *b, int64_t branch_seq) {
     int64_t cap = b->cap_mask;
@@ -342,24 +286,6 @@ static int64_t be_squash_impl(BackendDesc *b, int64_t branch_seq) {
     return squashed;
 }
 
-static PyObject *k_be_squash(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BE_SQUASH]++;
-    BackendDesc *b = (BackendDesc *)arg_ptr(args, 0);
-    int64_t branch_seq = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(be_squash_impl(b, branch_seq));
-}
-
-static PyObject *k_data_next(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_DATA_NEXT]++;
-    DataDesc *d = (DataDesc *)arg_ptr(args, 0);
-    int64_t pc = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(data_next_impl(d, pc));
-}
-
 /* dep_flags(count, seed, threshold) -> bytes: BackendCore._depends_on_load
  * of the instruction addresses 0, 4, ..., 4 * (count - 1), one byte each --
  * the read-only table depends_on_load indexes by pc >> 2. */
@@ -378,13 +304,15 @@ static PyObject *k_dep_flags(PyObject *self, PyObject *const *args, Py_ssize_t n
     return out;
 }
 
-/* pc_counts_export(counts, n) -> (pcs, values): the nonzero entries of a
- * per-instruction int64 array indexed by pc >> 2 (the compiled data
- * generator's occurrence counters), as two int64 buffers in pc order. */
+/* pc_counts_export(counts, n, base) -> (pcs, values): the nonzero entries
+ * of a per-instruction int64 array indexed by (pc - base) >> 2 (the
+ * compiled data generator's occurrence counters), as two int64 buffers in
+ * pc order. */
 static PyObject *k_pc_counts_export(PyObject *self, PyObject *const *args, Py_ssize_t n) {
     (void)self; (void)n;
     const int64_t *counts = (const int64_t *)arg_ptr(args, 0);
     int64_t len = arg_i64(args, 1);
+    int64_t base = arg_i64(args, 2);
     if (PyErr_Occurred()) return NULL;
     Py_ssize_t nonzero = 0;
     for (int64_t i = 0; i < len; i++) {
@@ -401,7 +329,7 @@ static PyObject *k_pc_counts_export(PyObject *self, PyObject *const *args, Py_ss
     char *value_out = PyBytes_AS_STRING(values);
     for (int64_t i = 0; i < len; i++) {
         if (counts[i] == 0) continue;
-        int64_t pc = i << 2;
+        int64_t pc = base + (i << 2);
         memcpy(pc_out, &pc, 8);
         memcpy(value_out, &counts[i], 8);
         pc_out += 8;
@@ -410,18 +338,19 @@ static PyObject *k_pc_counts_export(PyObject *self, PyObject *const *args, Py_ss
     return Py_BuildValue("(NN)", pcs, values);
 }
 
-/* pc_counts_import(counts, n, pcs, values): replace the array's contents
- * with the pairs of two int64 buffers (pc_counts_export's form).  Raises
- * ValueError, with the array untouched, unless the buffers hold the same
- * number of int64s and every pc >> 2 indexes the array. */
+/* pc_counts_import(counts, n, base, pcs, values): replace the array's
+ * contents with the pairs of two int64 buffers (pc_counts_export's form).
+ * Raises ValueError, with the array untouched, unless the buffers hold the
+ * same number of int64s and every (pc - base) >> 2 indexes the array. */
 static PyObject *k_pc_counts_import(PyObject *self, PyObject *const *args, Py_ssize_t n) {
     (void)self; (void)n;
     int64_t *counts = (int64_t *)arg_ptr(args, 0);
     int64_t len = arg_i64(args, 1);
+    int64_t base = arg_i64(args, 2);
     if (PyErr_Occurred()) return NULL;
     Py_buffer pcs, values;
-    if (PyObject_GetBuffer(args[2], &pcs, PyBUF_SIMPLE) < 0) return NULL;
-    if (PyObject_GetBuffer(args[3], &values, PyBUF_SIMPLE) < 0) {
+    if (PyObject_GetBuffer(args[3], &pcs, PyBUF_SIMPLE) < 0) return NULL;
+    if (PyObject_GetBuffer(args[4], &values, PyBUF_SIMPLE) < 0) {
         PyBuffer_Release(&pcs);
         return NULL;
     }
@@ -434,7 +363,7 @@ static PyObject *k_pc_counts_import(PyObject *self, PyObject *const *args, Py_ss
     for (Py_ssize_t i = 0; i < pairs; i++) {
         int64_t pc;
         memcpy(&pc, (const char *)pcs.buf + i * 8, 8);
-        if ((pc >> 2) < 0 || (pc >> 2) >= len) {
+        if (pc < base || ((pc - base) >> 2) >= len) {
             PyErr_Format(PyExc_ValueError,
                          "occurrence pc %#llx outside the program's code range",
                          (unsigned long long)pc);
@@ -445,7 +374,7 @@ static PyObject *k_pc_counts_import(PyObject *self, PyObject *const *args, Py_ss
     for (Py_ssize_t i = 0; i < pairs; i++) {
         int64_t pc;
         memcpy(&pc, (const char *)pcs.buf + i * 8, 8);
-        memcpy(&counts[pc >> 2], (const char *)values.buf + i * 8, 8);
+        memcpy(&counts[(pc - base) >> 2], (const char *)values.buf + i * 8, 8);
     }
     result = Py_None;
     Py_INCREF(result);
@@ -459,13 +388,5 @@ PyMethodDef repro_backend_methods[] = {
     {"dep_flags", (PyCFunction)(void *)k_dep_flags, METH_FASTCALL, NULL},
     {"pc_counts_export", (PyCFunction)(void *)k_pc_counts_export, METH_FASTCALL, NULL},
     {"pc_counts_import", (PyCFunction)(void *)k_pc_counts_import, METH_FASTCALL, NULL},
-    {"be_dispatch", (PyCFunction)(void *)k_be_dispatch, METH_FASTCALL, NULL},
-    {"be_can_dispatch", (PyCFunction)(void *)k_be_can_dispatch, METH_FASTCALL, NULL},
-    {"be_retire", (PyCFunction)(void *)k_be_retire, METH_FASTCALL, NULL},
-    {"be_issue", (PyCFunction)(void *)k_be_issue, METH_FASTCALL, NULL},
-    {"be_poll", (PyCFunction)(void *)k_be_poll, METH_FASTCALL, NULL},
-    {"be_next_event", (PyCFunction)(void *)k_be_next_event, METH_FASTCALL, NULL},
-    {"be_squash", (PyCFunction)(void *)k_be_squash, METH_FASTCALL, NULL},
-    {"data_next", (PyCFunction)(void *)k_data_next, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };

@@ -1,9 +1,11 @@
-/* BTB / iBTB probe+insert kernels and the folded global-history push.
+/* BTB / iBTB probe and insert, and the folded global-history push.
  *
  * Ports of branch/btb.py (BranchTargetBuffer, IndirectTargetBuffer)
- * and branch/history.py (GlobalHistory.push).  The iBTB set/tag hash stays
- * in the Python wrapper (it is a handful of integer ops on values Python
- * already holds); both structures share BtbDesc with tags in `pcs`.
+ * and branch/history.py (GlobalHistory.push) for the cycle driver; both
+ * buffers share BtbDesc with the iBTB's tags in `pcs`.  Python reaches a
+ * compiled BTB through two calls only, btb_fill and btb_contains: the
+ * hooks a registry technique gets (shadow-btb's predecoder) call them
+ * from inside run_cycles.
  */
 #include "kernels.h"
 
@@ -49,15 +51,6 @@ static int64_t btb_probe_impl(BtbDesc *b, int64_t pc) {
     b->hits++;
     b->stamps[g] = ++b->stamp;
     return g;
-}
-
-static PyObject *k_btb_probe(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_BTB_PROBE]++;
-    BtbDesc *b = (BtbDesc *)arg_ptr(args, 0);
-    int64_t pc = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(btb_probe_impl(b, pc));
 }
 
 static PyObject *k_btb_contains(PyObject *self, PyObject *const *args, Py_ssize_t n) {
@@ -116,28 +109,6 @@ static void ibtb_train_impl(BtbDesc *b, int64_t set_index, int64_t tag, int64_t 
     b->stamps[g] = ++b->stamp;
 }
 
-static PyObject *k_ibtb_predict(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_IBTB_PREDICT]++;
-    BtbDesc *b = (BtbDesc *)arg_ptr(args, 0);
-    int64_t set_index = arg_i64(args, 1);
-    int64_t tag = arg_i64(args, 2);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(ibtb_predict_impl(b, set_index, tag));
-}
-
-static PyObject *k_ibtb_train(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_IBTB_TRAIN]++;
-    BtbDesc *b = (BtbDesc *)arg_ptr(args, 0);
-    int64_t set_index = arg_i64(args, 1);
-    int64_t tag = arg_i64(args, 2);
-    int64_t target = arg_i64(args, 3);
-    if (PyErr_Occurred()) return NULL;
-    ibtb_train_impl(b, set_index, tag, target);
-    Py_RETURN_NONE;
-}
-
 /* Shift one outcome into a history image: `words`/`folded` are either the
  * live arrays the descriptor points at or a checkpoint copy of them (the
  * driver builds corrected-history checkpoints this way). */
@@ -160,22 +131,8 @@ static void hist_push_into(const HistDesc *h, uint64_t *words, int64_t *folded,
     words[h->n_words - 1] &= h->top_mask;
 }
 
-static PyObject *k_hist_push(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_HIST_PUSH]++;
-    HistDesc *h = (HistDesc *)arg_ptr(args, 0);
-    int64_t new_bit = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    hist_push_into(h, h->words, h->folded, new_bit);
-    Py_RETURN_NONE;
-}
-
 PyMethodDef repro_btb_methods[] = {
-    {"btb_probe", (PyCFunction)(void *)k_btb_probe, METH_FASTCALL, NULL},
     {"btb_contains", (PyCFunction)(void *)k_btb_contains, METH_FASTCALL, NULL},
     {"btb_fill", (PyCFunction)(void *)k_btb_fill, METH_FASTCALL, NULL},
-    {"ibtb_predict", (PyCFunction)(void *)k_ibtb_predict, METH_FASTCALL, NULL},
-    {"ibtb_train", (PyCFunction)(void *)k_ibtb_train, METH_FASTCALL, NULL},
-    {"hist_push", (PyCFunction)(void *)k_hist_push, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };

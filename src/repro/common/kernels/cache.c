@@ -1,7 +1,9 @@
-/* Set-associative cache kernels plus the fused data/instruction miss path.
+/* Set-associative caches plus the fused data/instruction miss path, and
+ * the packed per-set state every set-associative structure exports.
  *
  * Ports of memory/cache.py (SetAssocCache), memory/stream.py and
- * memory/hierarchy.py, operating on the descriptor layouts in kernels.h.
+ * memory/hierarchy.py, operating on the descriptor layouts in kernels.h;
+ * the cycle driver (driver.c) calls them.
  * Replacement is stamp-LRU (see the header note on dict-order equivalence);
  * free-way choice is lowest index, which is invisible to behaviour and
  * serialization.
@@ -73,54 +75,6 @@ int64_t cache_install_impl(CacheDesc *c, int64_t line_addr, int64_t flags) {
     return g;
 }
 
-static PyObject *k_cache_lookup(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_CACHE_LOOKUP]++;
-    CacheDesc *c = (CacheDesc *)arg_ptr(args, 0);
-    int64_t line_addr = arg_i64(args, 1);
-    int64_t touch = arg_i64(args, 2);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(cache_lookup_impl(c, line_addr, (int)touch));
-}
-
-static PyObject *k_cache_contains(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_CACHE_CONTAINS]++;
-    CacheDesc *c = (CacheDesc *)arg_ptr(args, 0);
-    int64_t line_addr = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    int64_t base;
-    return PyLong_FromLong(cache_find(c, line_addr, &base) >= 0);
-}
-
-static PyObject *k_cache_install(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_CACHE_INSTALL]++;
-    CacheDesc *c = (CacheDesc *)arg_ptr(args, 0);
-    int64_t line_addr = arg_i64(args, 1);
-    int64_t flags = arg_i64(args, 2);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(cache_install_impl(c, line_addr, flags));
-}
-
-static PyObject *k_cache_invalidate(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_CACHE_INVALIDATE]++;
-    CacheDesc *c = (CacheDesc *)arg_ptr(args, 0);
-    int64_t line_addr = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    int64_t base;
-    int64_t g = cache_find(c, line_addr, &base);
-    if (g < 0) {
-        return PyLong_FromLong(0);
-    }
-    c->addrs[g] = -1;
-    c->flags[g] = 0;
-    c->stamps[g] = 0;
-    c->occupancy--;
-    return PyLong_FromLong(1);
-}
-
 /* ---- stream prefetcher ---- */
 
 /* Port of StreamPrefetcher.on_miss; emits into out[], returns the count. */
@@ -175,16 +129,6 @@ static int64_t stream_on_miss_impl(StreamDesc *s, int64_t line_addr, int64_t *ou
     return 0;
 }
 
-static PyObject *k_stream_on_miss(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_STREAM_ON_MISS]++;
-    StreamDesc *s = (StreamDesc *)arg_ptr(args, 0);
-    int64_t line_addr = arg_i64(args, 1);
-    int64_t *out = (int64_t *)arg_ptr(args, 2);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(stream_on_miss_impl(s, line_addr, out));
-}
-
 /* ---- fused hierarchy paths ---- */
 
 /* Port of MemoryHierarchy._fill_data_line: probe L2/LLC inclusively,
@@ -209,7 +153,7 @@ static int64_t fill_data_line(HierDesc *h, int64_t line_addr) {
 }
 
 /* Port of MemoryHierarchy.load_latency; the per-level event counts are
- * left in the descriptor for the caller to replay into counters. */
+ * left in the descriptor for the caller to add to its counters. */
 static int64_t hier_load_impl(HierDesc *h, int64_t addr) {
     int64_t line_addr = addr & ~63LL;
     h->n_l2_data = h->n_llc_data = h->n_dram_data = h->n_stream_pf = 0;
@@ -268,34 +212,6 @@ static int64_t hier_imiss_impl(HierDesc *h, int64_t line_addr) {
         level = 2;
     }
     return (latency << 2) | level;
-}
-
-static PyObject *k_hier_load(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_HIER_LOAD]++;
-    HierDesc *h = (HierDesc *)arg_ptr(args, 0);
-    int64_t addr = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(hier_load_impl(h, addr));
-}
-
-static PyObject *k_hier_store(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_HIER_STORE]++;
-    HierDesc *h = (HierDesc *)arg_ptr(args, 0);
-    int64_t addr = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    hier_store_impl(h, addr);
-    Py_RETURN_NONE;
-}
-
-static PyObject *k_hier_imiss(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_HIER_IMISS]++;
-    HierDesc *h = (HierDesc *)arg_ptr(args, 0);
-    int64_t line_addr = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    return PyLong_FromLongLong(hier_imiss_impl(h, line_addr));
 }
 
 /* ---- packed per-set state (common/packed.py) ----
@@ -498,13 +414,5 @@ done:
 PyMethodDef repro_cache_methods[] = {
     {"ways_export", (PyCFunction)(void *)k_ways_export, METH_FASTCALL, NULL},
     {"ways_import", (PyCFunction)(void *)k_ways_import, METH_FASTCALL, NULL},
-    {"cache_lookup", (PyCFunction)(void *)k_cache_lookup, METH_FASTCALL, NULL},
-    {"cache_contains", (PyCFunction)(void *)k_cache_contains, METH_FASTCALL, NULL},
-    {"cache_install", (PyCFunction)(void *)k_cache_install, METH_FASTCALL, NULL},
-    {"cache_invalidate", (PyCFunction)(void *)k_cache_invalidate, METH_FASTCALL, NULL},
-    {"stream_on_miss", (PyCFunction)(void *)k_stream_on_miss, METH_FASTCALL, NULL},
-    {"hier_load", (PyCFunction)(void *)k_hier_load, METH_FASTCALL, NULL},
-    {"hier_store", (PyCFunction)(void *)k_hier_store, METH_FASTCALL, NULL},
-    {"hier_imiss", (PyCFunction)(void *)k_hier_imiss, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };

@@ -2,17 +2,20 @@
  *
  * Port of sim/simulator.py (step, the idle-cycle fast-forward and refill
  * rules, fills, fetch/decode/dispatch, resteer/squash/recovery),
- * frontend/bpu.py (the FTQ walker shadowing the oracle), frontend/fdip.py
- * (the FTQ scan), memory/mshr.py, workloads/trace.py (the true-path
- * cursor) and core/ (UDP: the confidence estimator, the FDIP gate over the
- * useful-set and the Seniority-FTQ, and their learning and flush rules),
- * for configurations with UFTQ off, the monolithic BTB and no loop
- * predictor (sim/driver.py decides eligibility).  A registry technique
- * stays in Python: the loop calls its on_demand_access/on_line_filled
- * where Simulator.step() does and applies the returned prefetch lines
- * here (Simulator._standalone_prefetch).  The kernels this file calls --
- * cache, BTB/iBTB, history, TAGE, backend, hierarchy -- are the same
- * static helpers the per-call wrappers use: every kernel file is
+ * frontend/bpu.py (the FTQ walker shadowing the oracle), branch/unit.py
+ * (the BTB, the two-level BTB's L2 and promotion, the loop predictor's
+ * override), frontend/fdip.py (the FTQ scan), memory/mshr.py,
+ * workloads/trace.py (the true-path cursor) and core/ (UDP: the
+ * confidence estimator, the FDIP gate over the useful-set and the
+ * Seniority-FTQ, and their learning and flush rules), for every
+ * configuration.  Two participants stay in Python and are called back
+ * synchronously: a registry technique (the loop calls its
+ * on_demand_access/on_line_filled where Simulator.step() does and applies
+ * the returned prefetch lines here, Simulator._standalone_prefetch) and
+ * UFTQ's controller (told of each on-path demand miss and prefetch
+ * outcome, it returns the FTQ depth it chose).  The kernels this file
+ * calls -- cache, BTB/iBTB, history, TAGE, backend, hierarchy -- are
+ * static helpers of the other kernel files: every kernel file is
  * #included into one translation unit (common/cc.py).
  *
  * A second entry point, functional_walk, ports Simulator._walk_true_path:
@@ -61,7 +64,7 @@
 #define ERR_RESTEER_POOL (-2)
 #define ERR_RESTEER_LOST (-3)
 #define ERR_UDP_LINE (-4)
-#define ERR_CALLBACK (-5)    /* a technique callback raised: the exception is set */
+#define ERR_CALLBACK (-5)    /* a Python callback raised: the exception is set */
 
 /* workloads/program.py BranchKind */
 enum { K_COND, K_JUMP, K_CALL, K_RET, K_INDIRECT, K_INDIRECT_CALL };
@@ -98,6 +101,7 @@ enum { RS_FREE, RS_FTQ, RS_BACKEND };
     X(resteer_at_decode) X(resteer_at_execute) \
     X(bpu_cond_predictions) X(bpu_indirect_predictions) \
     X(bpu_return_predictions) X(bpu_recoveries) X(bpu_cond_mispredicts) \
+    X(bpu_loop_overrides) \
     X(fdip_probe_resident) X(fdip_probe_inflight) X(fdip_candidates) \
     X(fdip_candidates_on_path) X(fdip_candidates_off_path) \
     X(prefetches_emitted) X(prefetches_emitted_on_path) \
@@ -245,6 +249,7 @@ typedef struct {
     int64_t error_pc;
     int64_t demand_calls;   /* technique callbacks made */
     int64_t fill_calls;
+    int64_t btb_promotions; /* two-level BTB: L2 hits promoted into the L1 */
     /* configuration */
     int64_t width;
     int64_t blocks_per_cycle;
@@ -260,7 +265,9 @@ typedef struct {
     int64_t ibtb_hist_bits;
     int64_t hist_words;     /* allocated history words (>= the shifted ones) */
     /* structures (descriptors owned by their Python wrappers) */
-    BtbDesc *btb;
+    BtbDesc *btb;           /* the BTB, or the two-level BTB's L1 */
+    BtbDesc *btb2;          /* the two-level BTB's L2, NULL for one level */
+    LoopDesc *loop;         /* NULL without the loop predictor */
     BtbDesc *ibtb;
     TageDesc *tage;
     HistDesc *hist;
@@ -273,6 +280,7 @@ typedef struct {
     PyObject *on_demand;    /* on_demand_access, NULL without a technique object */
     PyObject *on_fill;      /* on_line_filled, NULL unless it observes fills */
     PyObject *reject;       /* raises SimulationError for a bad prefetch line */
+    PyObject *on_uftq;      /* UFTQ's event callback, NULL when UFTQ is off */
     /* arrays owned by the Python wrapper */
     int64_t *counters;      /* [DC_COUNT] deltas since the last sync */
     int64_t *occ;           /* [n_blocks] the oracle's own occurrence counts */
@@ -432,20 +440,90 @@ static inline int64_t ibtb_mixed(Driver *d, int64_t pc) {
     return (pc >> 2) ^ (hist_low_bits(d) * 0x9E37);
 }
 
-/* TagePredictorC.update with the prediction the last tage_predict_impl
- * left in the descriptor. */
-static void tage_train(TageDesc *t, int64_t pc, int64_t taken) {
-    tage_update_impl(t, pc, taken, t->out_taken, t->out_provider,
-                     t->out_provider_index, t->out_alt_taken,
-                     t->out_alt_provider, t->out_alt_index,
-                     t->out_newly_allocated, t->idx_scratch, t->tag_scratch);
+/* BranchPredictionUnit.fill_btb: both levels of a two-level BTB (its L2
+ * is inclusive). */
+static void btb_fill(Driver *d, int64_t pc, int64_t kind, int64_t target) {
+    btb_fill_impl(d->btb, pc, kind, target);
+    if (d->btb2 != NULL) btb_fill_impl(d->btb2, pc, kind, target);
 }
 
 /* BranchPredictionUnit.train_indirect */
 static void train_indirect(Driver *d, int64_t pc, int64_t kind, int64_t target) {
     int64_t mixed = ibtb_mixed(d, pc);
     ibtb_train_impl(d->ibtb, mixed % d->ibtb->num_sets, mixed, target);
-    btb_fill_impl(d->btb, pc, kind, target);
+    btb_fill(d, pc, kind, target);
+}
+
+/* TwoLevelBTB.probe: the L1 way, or -1.  An L2 hit promotes the entry
+ * into the L1 but still misses this probe. */
+static int64_t btb_probe(Driver *d, int64_t pc) {
+    int64_t g = btb_probe_impl(d->btb, pc);
+    if (g >= 0 || d->btb2 == NULL) return g;
+    int64_t g2 = btb_probe_impl(d->btb2, pc);
+    if (g2 >= 0) {
+        btb_fill_impl(d->btb, pc, d->btb2->kinds[g2], d->btb2->targets[g2]);
+        d->btb_promotions++;
+    }
+    return -1;
+}
+
+/* ---- the loop predictor (branch/loop_predictor.py) ---- */
+
+/* LoopPredictor.predict: the trip-count override (0/1), or -1 to defer
+ * to TAGE. */
+static int64_t loop_predict(LoopDesc *l, int64_t pc) {
+    int64_t i = (pc >> 2) & l->mask;
+    if (l->tags[i] != pc || l->confidence[i] < l->threshold || l->trip[i] == 0) return -1;
+    l->overrides++;
+    return l->current[i] < l->trip[i] - 1;
+}
+
+/* LoopPredictor.update with a resolved outcome; `predicted` is the
+ * override the prediction carried (-1: none). */
+static void loop_update(LoopDesc *l, int64_t pc, int64_t taken, int64_t predicted) {
+    if (predicted >= 0 && predicted == taken) l->correct_overrides++;
+    int64_t i = (pc >> 2) & l->mask;
+    if (l->tags[i] != pc) {
+        /* allocate on a not-taken outcome only: exits delimit trips */
+        if (!taken) {
+            l->tags[i] = pc;
+            l->trip[i] = l->current[i] = l->confidence[i] = 0;
+        }
+        return;
+    }
+    if (taken) {
+        if (++l->current[i] > l->max_trip) {
+            /* not a bounded loop: poison the entry */
+            l->trip[i] = l->current[i] = l->confidence[i] = 0;
+        }
+        return;
+    }
+    int64_t observed = l->current[i] + 1;
+    if (observed == l->trip[i]) {
+        if (l->confidence[i] < l->threshold) l->confidence[i]++;
+    } else {
+        l->trip[i] = observed;
+        l->confidence[i] = 0;
+    }
+    l->current[i] = 0;
+}
+
+/* ---- UFTQ (core/uftq.py): a synchronous Python callback ---- */
+
+/* UFTQController.on_event's event codes (core/uftq.py mirrors them). */
+enum { UFTQ_DEMAND_MISS, UFTQ_USEFUL_TIMELY, UFTQ_USEFUL_LATE, UFTQ_USELESS };
+
+/* Tell UFTQ's controller of one event and take the FTQ depth it returns;
+ * ERR_CALLBACK when it raised. */
+static void uftq_event(Driver *d, int64_t event) {
+    PyObject *arg = PyLong_FromLongLong(event);
+    PyObject *depth = arg != NULL ? PyObject_CallOneArg(d->on_uftq, arg) : NULL;
+    Py_XDECREF(arg);
+    if (depth != NULL) {
+        d->ftq_depth = PyLong_AsLongLong(depth);
+        Py_DECREF(depth);
+    }
+    if (depth == NULL || PyErr_Occurred()) d->error = ERR_CALLBACK;
 }
 
 static inline int64_t hist_image_words(Driver *d) {
@@ -817,14 +895,16 @@ typedef struct {
     int64_t taken;          /* predicted taken */
     int64_t target;         /* predicted target */
     int64_t tage;           /* a TAGE prediction is pending training */
+    int64_t loop;           /* the loop predictor's override, -1 = none */
 } Prediction;
 
 /* DecoupledFrontend._predict for the branch at `pc` of kind `true_kind`:
  * returns the walker's next pc. */
 static int64_t predict(Driver *d, int64_t pc, int64_t true_kind, Prediction *p) {
-    int64_t g = btb_probe_impl(d->btb, pc);
+    int64_t g = btb_probe(d, pc);
     UdpState *u = d->udp;
     p->tage = 0;
+    p->loop = -1;
     if (g < 0) {
         d->counters[DC_btb_gen_misses]++;
         if (u != NULL && true_kind == K_COND) {
@@ -849,6 +929,15 @@ static int64_t predict(Driver *d, int64_t pc, int64_t true_kind, Prediction *p) 
     if (kind == K_COND) {
         d->counters[DC_bpu_cond_predictions]++;
         tage_predict_impl(d->tage, pc);
+        if (d->loop != NULL) {
+            /* TAGE-SC-L's "L": a confident trip count overrides TAGE, and
+             * TAGE then trains against the overridden direction */
+            p->loop = loop_predict(d->loop, pc);
+            if (p->loop >= 0) {
+                d->tage->out_taken = p->loop;
+                d->counters[DC_bpu_loop_overrides]++;
+            }
+        }
         p->taken = d->tage->out_taken;
         p->tage = 1;
         if (u != NULL) {
@@ -892,7 +981,8 @@ static int64_t shadow_oracle(Driver *d, int64_t b, const Prediction *p, int64_t 
 
     if (p->detected && kind == K_COND && p->tage) {
         if (d->tage->out_taken != taken) d->counters[DC_bpu_cond_mispredicts]++;
-        tage_train(d->tage, pc, taken);
+        tage_update_impl(d->tage, pc, taken);
+        if (d->loop != NULL) loop_update(d->loop, pc, taken, p->loop);
     }
     if (IS_INDIRECT(kind)) train_indirect(d, pc, kind, true_next);
 
@@ -1051,6 +1141,10 @@ static void do_resteer(Driver *d, int64_t slot, int64_t squash_seq) {
     d->pending = -1;
     hist_restore(d, r->hist);
     ras_repair(d);
+    if (d->loop != NULL) {
+        /* LoopPredictor.reset_speculation */
+        memset(d->loop->current, 0, (size_t)(d->loop->mask + 1) * sizeof(int64_t));
+    }
     if (d->udp != NULL) {
         d->udp->conf_counter = 0;
         d->udp->forced = 0;
@@ -1073,6 +1167,10 @@ static void l1i_evicted(Driver *d) {
     d->counters[DC_prefetch_useless]++;
     d->counters[(c->evict_flags & FLAG_OFF_PATH) ? DC_prefetch_useless_off_path
                                                  : DC_prefetch_useless_on_path]++;
+    if (d->on_uftq != NULL) {
+        uftq_event(d, UFTQ_USELESS);
+        if (d->error) return;
+    }
     udp_outcome(d, 0);
 }
 
@@ -1094,6 +1192,7 @@ static void process_fills(Driver *d, int64_t cycle) {
                         | (best->udp_candidate ? FLAG_UDP : 0);
         cache_install_impl(d->l1i, best->line_addr, flags);
         l1i_evicted(d);
+        if (d->error) return;
         d->counters[DC_l1i_fills]++;
         int64_t line_addr = best->line_addr;
         best->line_addr = -1;
@@ -1162,6 +1261,10 @@ static void prefetch_useful(Driver *d, int64_t off_path, int timely) {
     d->counters[DC_prefetch_useful]++;
     d->counters[off_path ? DC_prefetch_useful_off_path : DC_prefetch_useful_on_path]++;
     d->counters[timely ? DC_atr_icache_hits : DC_atr_mshr_hits]++;
+    if (d->on_uftq != NULL) {
+        uftq_event(d, timely ? UFTQ_USEFUL_TIMELY : UFTQ_USEFUL_LATE);
+        if (d->error) return;
+    }
     udp_outcome(d, 1);
 }
 
@@ -1177,6 +1280,7 @@ static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
         if ((flags & FLAG_PREFETCH) && e->on_path) {
             d->l1i->flags[g] = flags & ~FLAG_PREFETCH;
             prefetch_useful(d, flags & FLAG_OFF_PATH, 1);
+            if (d->error) return;
             if (d->udp != NULL && (flags & FLAG_UDP)) udp_learn_direct(d, line_addr);
         }
         if (d->on_demand != NULL) technique_demand(d, line_addr, 1, e->on_path, cycle);
@@ -1188,6 +1292,7 @@ static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
         e->ready_cycle = m->ready_cycle;
         if (m->is_prefetch && e->on_path && !m->demand_on_path) {
             prefetch_useful(d, m->off_path, 0);
+            if (d->error) return;
             if (d->udp != NULL && m->udp_candidate) udp_learn_direct(d, line_addr);
         }
         if (e->on_path) m->demand_on_path = 1;
@@ -1195,6 +1300,11 @@ static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
     }
     d->counters[DC_icache_demand_misses]++;
     d->counters[e->on_path ? DC_icache_demand_misses_on_path : DC_icache_demand_misses_off_path]++;
+    if (d->on_uftq != NULL && e->on_path) {
+        /* the strongest untimeliness signal: no prefetch arrived at all */
+        uftq_event(d, UFTQ_DEMAND_MISS);
+        if (d->error) return;
+    }
     if (d->mshr_count >= d->mshr_cap) {
         d->counters[DC_icache_mshr_full_stalls]++;
         return;
@@ -1214,7 +1324,7 @@ static int dispatch_branch(Driver *d, FtqEntry *e, int64_t off, int64_t pc,
     int64_t detected = e->br_detected[off];
     if (!detected && !IS_INDIRECT(kind)) {
         /* decode-time discovery fills the BTB (direct kinds only) */
-        btb_fill_impl(d->btb, pc, kind, kind != K_RET ? P->target[b] : 0);
+        btb_fill(d, pc, kind, kind != K_RET ? P->target[b] : 0);
         d->counters[DC_btb_decode_fills]++;
     }
     int64_t slot = e->resteer;
@@ -1529,13 +1639,13 @@ static void train_branch(Driver *d, int64_t b, int64_t taken, int64_t next_pc) {
     int64_t kind = P->kind[b];
     if (kind == K_COND) {
         tage_predict_impl(d->tage, pc);
-        tage_train(d->tage, pc, taken);
+        tage_update_impl(d->tage, pc, taken);
         hist_push_into(d->hist, d->hist->words, d->hist->folded, taken);
-        btb_fill_impl(d->btb, pc, kind, P->target[b]);
+        btb_fill(d, pc, kind, P->target[b]);
     } else if (IS_INDIRECT(kind)) {
         train_indirect(d, pc, kind, next_pc);
     } else {
-        btb_fill_impl(d->btb, pc, kind, kind == K_RET ? 0 : P->target[b]);
+        btb_fill(d, pc, kind, kind == K_RET ? 0 : P->target[b]);
     }
 }
 
@@ -1562,7 +1672,8 @@ static void replay_data(Driver *d, int64_t b) {
  * unless already there, the warm data replay, then the branch training
  * and the oracle advance.  Returns 0, or negative on an internal error
  * (ERR_ORACLE_SYNC: the oracle pc is not a block start); a signal
- * handler that raises ends the walk between blocks with its exception.
+ * handler that raises ends the walk between blocks, and a raising UFTQ
+ * callback (an evicted prefetched line) at once, with the exception.
  * The state walked so far is in the structures either way. */
 static PyObject *k_functional_walk(PyObject *self, PyObject *const *args, Py_ssize_t n) {
     (void)self; (void)n;
@@ -1598,7 +1709,7 @@ static PyObject *k_functional_walk(PyObject *self, PyObject *const *args, Py_ssi
             if (cache_find(d->l1i, line, &base) < 0) imiss(d, line, -1);  /* fills L2/LLC */
             cache_install_impl(d->l1i, line, 0);
             l1i_evicted(d);
-            if (u == NULL) continue;
+            if (d->error || u == NULL) continue;
             if (first_touch != NULL) {
                 uint8_t *seen = &first_touch[(line - u->exact_base) >> 6];
                 if (*seen) continue;
@@ -1622,6 +1733,7 @@ static PyObject *k_functional_walk(PyObject *self, PyObject *const *args, Py_ssi
         oracle_advance(d, b, next_pc);
     }
     PyMem_Free(first_touch);
+    if (d->error == ERR_CALLBACK) return NULL;
     return PyLong_FromLongLong(d->error);
 }
 
@@ -1637,15 +1749,16 @@ static const FieldInfo DRIVER_FIELDS[] = {
     FIELD(Driver, next_seq) FIELD(Driver, diverged) FIELD(Driver, next_scan_seq)
     FIELD(Driver, ras_len) FIELD(Driver, ras_overflows) FIELD(Driver, ras_underflows)
     FIELD(Driver, error_pc) FIELD(Driver, demand_calls)
-    FIELD(Driver, fill_calls)
+    FIELD(Driver, fill_calls) FIELD(Driver, btb_promotions)
     FIELD(Driver, width) FIELD(Driver, blocks_per_cycle) FIELD(Driver, fdip_lookups)
     FIELD(Driver, fdip_enabled) FIELD(Driver, perfect_icache) FIELD(Driver, pfc)
     FIELD(Driver, max_cycles) FIELD(Driver, mshr_cap) FIELD(Driver, ftq_cap)
     FIELD(Driver, ras_cap) FIELD(Driver, max_stack) FIELD(Driver, ibtb_hist_bits)
     FIELD(Driver, hist_words)
-    FIELD(Driver, btb) FIELD(Driver, ibtb) FIELD(Driver, tage) FIELD(Driver, hist)
-    FIELD(Driver, l1i) FIELD(Driver, hier) FIELD(Driver, be) FIELD(Driver, prog)
-    FIELD(Driver, udp) FIELD(Driver, on_demand) FIELD(Driver, on_fill) FIELD(Driver, reject)
+    FIELD(Driver, btb) FIELD(Driver, btb2) FIELD(Driver, loop) FIELD(Driver, ibtb)
+    FIELD(Driver, tage) FIELD(Driver, hist) FIELD(Driver, l1i) FIELD(Driver, hier)
+    FIELD(Driver, be) FIELD(Driver, prog) FIELD(Driver, udp) FIELD(Driver, on_demand)
+    FIELD(Driver, on_fill) FIELD(Driver, reject) FIELD(Driver, on_uftq)
     FIELD(Driver, counters) FIELD(Driver, occ) FIELD(Driver, call_stack) FIELD(Driver, ras)
     FIELD(Driver, ftq) FIELD(Driver, mshr) FIELD(Driver, resteers)
     FIELD(Driver, resteer_hist)

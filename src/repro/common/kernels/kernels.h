@@ -7,7 +7,7 @@
  * buffer; every field is 8 bytes, so the layouts match by construction).
  * Payload fields are raw pointers into the wrapper's flat int64 SoA
  * arrays -- the kernels mutate the exact arrays the wrapper reads for
- * checkpoints and line views, so nothing is copied between C and Python.
+ * checkpoints, so nothing is copied between C and Python.
  *
  * LRU everywhere is monotonic-stamp based: the object caches'
  * insertion-ordered dicts perform a move-to-end on every touch, so
@@ -75,7 +75,7 @@ typedef struct {
     int64_t l2_hit_latency;
     int64_t llc_hit_latency;
     int64_t dram_latency;
-    /* per-call event counts, replayed into Python counters by the wrapper */
+    /* the last access's event counts, read back by the cycle driver */
     int64_t n_l1d_hit;       /* 0/1 */
     int64_t n_l2_data;
     int64_t n_llc_data;
@@ -126,7 +126,7 @@ typedef struct {
     int64_t use_alt_counter;
     int64_t use_alt_threshold;
     int64_t tick;
-    /* prediction outputs */
+    /* the last prediction, which tage_update_impl trains */
     int64_t out_taken;
     int64_t out_confidence;
     int64_t out_provider;
@@ -139,10 +139,24 @@ typedef struct {
     int64_t *tag_scratch;
 } TageDesc;
 
+/* ---- loop predictor (branch/loop_predictor.py LoopPredictorC) ---- */
+typedef struct {
+    int64_t *tags;        /* [entries] branch pc, -1 = empty slot */
+    int64_t *trip;        /* learned trip count, 0 = unknown */
+    int64_t *current;     /* iterations in the current traversal */
+    int64_t *confidence;
+    int64_t mask;         /* entries - 1 */
+    int64_t threshold;    /* confidence to override TAGE */
+    int64_t max_trip;
+    int64_t overrides;
+    int64_t correct_overrides;
+} LoopDesc;
+
 /* ---- synthetic data-address generator (workloads/data.py) ---- */
 typedef struct {
-    int64_t *occurrences;  /* [n_pcs], indexed by pc >> 2 */
+    int64_t *occurrences;  /* [n_pcs], indexed by (pc - code_start) >> 2 */
     int64_t n_pcs;
+    int64_t code_start;
     uint64_t seed;
     double stack_frac;
     double stack_plus_stream_frac;
@@ -208,30 +222,8 @@ static inline void *arg_ptr(PyObject *const *args, Py_ssize_t i) {
 
 /* kernel call counters (profile attribution) */
 enum {
-    KC_CACHE_LOOKUP,
-    KC_CACHE_CONTAINS,
-    KC_CACHE_INSTALL,
-    KC_CACHE_INVALIDATE,
-    KC_HIER_LOAD,
-    KC_HIER_STORE,
-    KC_HIER_IMISS,
-    KC_STREAM_ON_MISS,
-    KC_BTB_PROBE,
     KC_BTB_CONTAINS,
     KC_BTB_FILL,
-    KC_IBTB_PREDICT,
-    KC_IBTB_TRAIN,
-    KC_HIST_PUSH,
-    KC_TAGE_PREDICT,
-    KC_TAGE_UPDATE,
-    KC_BE_DISPATCH,
-    KC_BE_ISSUE,
-    KC_BE_RETIRE,
-    KC_BE_POLL,
-    KC_BE_NEXT_EVENT,
-    KC_BE_SQUASH,
-    KC_BE_CAN_DISPATCH,
-    KC_DATA_NEXT,
     KC_RUN_CYCLES,
     KC_FUNCTIONAL_WALK,
     KC_COUNT
@@ -250,7 +242,6 @@ int64_t data_next_impl(DataDesc *d, int64_t pc);
 /* method tables contributed by each kernel file */
 extern PyMethodDef repro_cache_methods[];
 extern PyMethodDef repro_btb_methods[];
-extern PyMethodDef repro_tage_methods[];
 extern PyMethodDef repro_backend_methods[];
 extern PyMethodDef repro_driver_methods[];
 

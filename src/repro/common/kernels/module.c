@@ -4,30 +4,8 @@
 #include "kernels.h"
 
 static const char *const KC_NAMES[KC_COUNT] = {
-    "cache_lookup",
-    "cache_contains",
-    "cache_install",
-    "cache_invalidate",
-    "hier_load",
-    "hier_store",
-    "hier_imiss",
-    "stream_on_miss",
-    "btb_probe",
     "btb_contains",
     "btb_fill",
-    "ibtb_predict",
-    "ibtb_train",
-    "hist_push",
-    "tage_predict",
-    "tage_update",
-    "be_dispatch",
-    "be_issue",
-    "be_retire",
-    "be_poll",
-    "be_next_event",
-    "be_squash",
-    "be_can_dispatch",
-    "data_next",
     "run_cycles",
     "functional_walk",
 };
@@ -86,7 +64,6 @@ PyMODINIT_FUNC PyInit__repro_kernels(void) {
     int count = 0;
     append_methods(repro_cache_methods, &count);
     append_methods(repro_btb_methods, &count);
-    append_methods(repro_tage_methods, &count);
     append_methods(repro_backend_methods, &count);
     append_methods(repro_driver_methods, &count);
     append_methods(module_methods, &count);

@@ -1,13 +1,11 @@
-/* TAGE kernels: the per-branch probe and the training/allocation path.
+/* TAGE: the per-branch probe and the training/allocation path.
  *
  * Port of branch/tage.py (TagePredictor.predict/update over the
  * TagePredictorC SoA arrays) plus the bimodal base (branch/bimodal.py,
- * a raw uint8 table).  predict() leaves its outputs in the descriptor's
- * out_* fields and the per-table indices/tags in the scratch arrays; the
- * wrapper materializes the TagePrediction dataclass from those.  update()
- * receives the prediction's own indices/tags tuples because predictions
- * are in flight between fetch and resolve -- the scratch arrays only ever
- * describe the most recent probe.
+ * a raw uint8 table), for the cycle driver.  The probe leaves its outputs
+ * in the descriptor's out_* fields and the per-table indices/tags in the
+ * scratch arrays, and the update trains that prediction: the driver
+ * resolves every branch it trains before it probes the next one.
  */
 #include "kernels.h"
 
@@ -99,15 +97,19 @@ static void tage_predict_impl(TageDesc *d, int64_t pc) {
     d->out_newly_allocated = newly_allocated;
 }
 
-/* Training with a resolved outcome; `indices`/`tags` are the prediction's
- * own per-table values (predictions can be in flight between probes). */
-static void tage_update_impl(TageDesc *d, int64_t pc, int64_t taken,
-                             int64_t predicted_taken, int64_t provider,
-                             int64_t provider_index, int64_t alt_taken,
-                             int64_t alt_provider, int64_t alt_index,
-                             int64_t newly_allocated, const int64_t *indices,
-                             const int64_t *tags) {
-    int64_t mispredicted = predicted_taken != taken;
+/* Train the last prediction (the out_* fields and the scratch arrays,
+ * out_taken possibly overridden by the loop predictor) with its resolved
+ * outcome. */
+static void tage_update_impl(TageDesc *d, int64_t pc, int64_t taken) {
+    int64_t provider = d->out_provider;
+    int64_t provider_index = d->out_provider_index;
+    int64_t alt_taken = d->out_alt_taken;
+    int64_t alt_provider = d->out_alt_provider;
+    int64_t alt_index = d->out_alt_index;
+    int64_t newly_allocated = d->out_newly_allocated;
+    const int64_t *indices = d->idx_scratch;
+    const int64_t *tags = d->tag_scratch;
+    int64_t mispredicted = d->out_taken != taken;
 
     /* use_alt_on_na bookkeeping, before the provider counter moves. */
     if (provider >= 0 && newly_allocated) {
@@ -171,65 +173,3 @@ static void tage_update_impl(TageDesc *d, int64_t pc, int64_t taken,
         }
     }
 }
-
-static PyObject *k_tage_predict(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_TAGE_PREDICT]++;
-    TageDesc *d = (TageDesc *)arg_ptr(args, 0);
-    int64_t pc = arg_i64(args, 1);
-    if (PyErr_Occurred()) return NULL;
-    tage_predict_impl(d, pc);
-    Py_RETURN_NONE;
-}
-
-/* Copy a prediction's indices/tags tuple into `out` (num_tables items). */
-static int tuple_to_i64(PyObject *tuple, int64_t *out, int64_t count) {
-    if (!PyTuple_Check(tuple) || PyTuple_GET_SIZE(tuple) < count) {
-        PyErr_SetString(PyExc_ValueError, "TAGE prediction tuple too short");
-        return -1;
-    }
-    for (int64_t t = 0; t < count; t++) {
-        out[t] = PyLong_AsLongLong(PyTuple_GET_ITEM(tuple, t));
-    }
-    return PyErr_Occurred() ? -1 : 0;
-}
-
-static PyObject *k_tage_update(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    repro_kernel_calls[KC_TAGE_UPDATE]++;
-    TageDesc *d = (TageDesc *)arg_ptr(args, 0);
-    int64_t pc = arg_i64(args, 1);
-    int64_t taken = arg_i64(args, 2);
-    int64_t predicted_taken = arg_i64(args, 3);
-    int64_t provider = arg_i64(args, 4);
-    int64_t provider_index = arg_i64(args, 5);
-    int64_t alt_taken = arg_i64(args, 6);
-    int64_t alt_provider = arg_i64(args, 7);
-    int64_t alt_index = arg_i64(args, 8);
-    int64_t newly_allocated = arg_i64(args, 9);
-    if (PyErr_Occurred()) return NULL;
-    int64_t stack[2 * 32];
-    int64_t *scratch = stack;
-    if (d->num_tables > 32) {
-        scratch = PyMem_Malloc(2 * (size_t)d->num_tables * sizeof(int64_t));
-        if (scratch == NULL) return PyErr_NoMemory();
-    }
-    int64_t *indices = scratch;
-    int64_t *tags = scratch + (d->num_tables > 32 ? d->num_tables : 32);
-    int ok = tuple_to_i64(args[10], indices, d->num_tables) == 0
-             && tuple_to_i64(args[11], tags, d->num_tables) == 0;
-    if (ok) {
-        tage_update_impl(d, pc, taken, predicted_taken, provider, provider_index,
-                         alt_taken, alt_provider, alt_index, newly_allocated,
-                         indices, tags);
-    }
-    if (scratch != stack) PyMem_Free(scratch);
-    if (!ok) return NULL;
-    Py_RETURN_NONE;
-}
-
-PyMethodDef repro_tage_methods[] = {
-    {"tage_predict", (PyCFunction)(void *)k_tage_predict, METH_FASTCALL, NULL},
-    {"tage_update", (PyCFunction)(void *)k_tage_update, METH_FASTCALL, NULL},
-    {NULL, NULL, 0, NULL},
-};

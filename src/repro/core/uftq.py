@@ -43,6 +43,10 @@ PHASE_AUR = "aur"
 PHASE_ATR = "atr"
 PHASE_HOLD = "hold"
 
+# The compiled cycle driver's event codes for on_event (UFTQ_* in
+# repro/common/kernels/driver.c).
+EVENT_DEMAND_MISS, EVENT_USEFUL_TIMELY, EVENT_USEFUL_LATE, EVENT_USELESS = range(4)
+
 # Convergence/robustness knobs of the search FSM (not in the paper's text;
 # any bounded search works — these keep phases short relative to a run).
 _MAX_PHASE_WINDOWS = 6
@@ -134,6 +138,22 @@ class UFTQController:
             self._adjust(self._atr_direction(ratio))
         elif self.config.mode == "atr-aur":
             self._combined_window(ratio, kind=PHASE_ATR)
+
+    def on_event(self, event: int) -> int:
+        """One event from the compiled cycle driver; returns the FTQ depth.
+
+        The driver calls this where :class:`~repro.sim.simulator.Simulator`
+        calls the two feeds above: an on-path demand miss (untimely), a
+        useful prefetch (then timely or not) and a useless eviction.
+        """
+        if event == EVENT_DEMAND_MISS:
+            self.on_timeliness_event(False)
+        elif event == EVENT_USELESS:
+            self.on_utility_event(False)
+        else:
+            self.on_utility_event(True)
+            self.on_timeliness_event(event == EVENT_USEFUL_TIMELY)
+        return self.ftq.depth
 
     # -- adjustment rules -----------------------------------------------------------
 

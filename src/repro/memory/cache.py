@@ -22,7 +22,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.common.cc import resolve_compiled
 from repro.common.config import CacheConfig
 from repro.common.packed import address, export_ways, import_ways, unpack, zeros
 
@@ -210,7 +209,7 @@ class SetAssocCache:
 
 
 # Bit positions of the packed per-line metadata (checkpoint flags buffer
-# and SetAssocCacheC._flags).
+# and SetAssocCacheC._flags, FLAG_* in kernels.h).
 _PREFETCH = 1
 _OFF_PATH = 2
 _UDP = 4
@@ -220,97 +219,30 @@ _DIRTY = 8
 _PLANES = {"addrs": "q", "flags": "B"}
 
 
-class _CLineRef:
-    """A reusable write-through view of one way in a :class:`SetAssocCacheC`.
+class SetAssocCacheC:
+    """A cache's state in flat arrays, for the compiled cycle driver.
 
-    Every ``lookup``/``install`` call site in the tree uses the returned line
-    transiently (reads or flips flags before the next cache call), so a
-    single proxy per cache is re-pointed at the probed way instead of
-    allocating a :class:`CacheLine` per access.  It is addressed by the
-    *flat* way index the C kernels return (``set_idx * assoc + way``) over a
-    memoryview of the flags array, and these reads sit on the L1I demand-hit
-    path.
-    """
-
-    __slots__ = ("_flags", "_gidx", "line_addr")
-
-    def __init__(self, flags: memoryview) -> None:
-        self._flags = flags
-        self._gidx = 0
-        self.line_addr = 0
-
-    def _bind(self, gidx: int, line_addr: int) -> "_CLineRef":
-        self._gidx = gidx
-        self.line_addr = line_addr
-        return self
-
-    def _get(self, bit: int) -> bool:
-        return bool(self._flags[self._gidx] & bit)
-
-    def _put(self, bit: int, value: bool) -> None:
-        if value:
-            self._flags[self._gidx] |= bit
-        else:
-            self._flags[self._gidx] &= ~bit
-
-    @property
-    def prefetch_bit(self) -> bool:
-        return self._get(_PREFETCH)
-
-    @prefetch_bit.setter
-    def prefetch_bit(self, value: bool) -> None:
-        self._put(_PREFETCH, value)
-
-    @property
-    def prefetch_off_path(self) -> bool:
-        return self._get(_OFF_PATH)
-
-    @prefetch_off_path.setter
-    def prefetch_off_path(self, value: bool) -> None:
-        self._put(_OFF_PATH, value)
-
-    @property
-    def prefetch_udp_candidate(self) -> bool:
-        return self._get(_UDP)
-
-    @prefetch_udp_candidate.setter
-    def prefetch_udp_candidate(self, value: bool) -> None:
-        self._put(_UDP, value)
-
-    @property
-    def dirty(self) -> bool:
-        return self._get(_DIRTY)
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self._put(_DIRTY, value)
-
-
-class SetAssocCacheC(SetAssocCache):
-    """Compiled-kernel variant: probes run in C over structure-of-arrays ways.
-
-    Line addresses and packed metadata flags live in two preallocated flat
-    ``int64`` arrays of ``num_sets * assoc`` ways.  Replacement uses
-    monotonic LRU stamps, which select the same victim as the object cache's
-    insertion-ordered dicts (every dict touch is a move-to-end, so "first
-    key" == "minimum stamp"); which way a new line lands in is invisible to
-    behaviour and to the stamp-ordered serialization.  The descriptor
-    layout is ``CacheDesc`` in ``repro/common/kernels/kernels.h``.
+    Line addresses, packed metadata flags and LRU stamps live in three
+    preallocated flat ``int64`` arrays of ``num_sets * assoc`` ways, which
+    the driver probes and fills in C (``CacheDesc`` in
+    ``repro/common/kernels/kernels.h``); Python only exports, imports and
+    copies them.  Replacement uses monotonic LRU stamps, which select the
+    same victim as :class:`SetAssocCache`'s insertion-ordered dicts (every
+    dict touch is a move-to-end, so "first key" == "minimum stamp"); which
+    way a new line lands in is invisible to behaviour and to the
+    stamp-ordered serialization.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         from repro.common import cc
 
         kernels = cc.kernels()
-        if kernels is None:  # pragma: no cover - factory guards this
+        if kernels is None:  # pragma: no cover - the simulator guards this
             raise RuntimeError("compiled kernels unavailable")
         self.config = config
         self.num_sets = config.num_sets
         self.assoc = config.assoc
         self.line_shift = config.line_bytes.bit_length() - 1
-        self._set_mask = self.num_sets - 1
-        self.eviction_hook = None
-        self._sets = None  # lines live in the arrays; fail loudly
         ways = self.num_sets * self.assoc
         self._addrs = zeros(ways, fill=-1)
         self._flags = zeros(ways)
@@ -321,63 +253,13 @@ class SetAssocCacheC(SetAssocCache):
         di[2] = address(self._stamps)
         di[3] = self.num_sets
         di[4] = self.assoc
-        di[5] = self._set_mask
+        di[5] = self.num_sets - 1
         di[6] = self.line_shift
         di[9] = -1  # evict_addr: none yet
         self._dmv = memoryview(di)
         self._desc = address(di)
-        self._k_lookup = kernels.cache_lookup
-        self._k_contains = kernels.cache_contains
-        self._k_install = kernels.cache_install
-        self._k_invalidate = kernels.cache_invalidate
         self._k_export = kernels.ways_export
         self._k_import = kernels.ways_import
-        self._ref = _CLineRef(memoryview(self._flags))
-
-    def lookup(self, line_addr: int, touch: bool = True) -> _CLineRef | None:
-        gidx = self._k_lookup(self._desc, line_addr, 1 if touch else 0)
-        if gidx < 0:
-            return None
-        return self._ref._bind(gidx, line_addr)
-
-    def contains(self, line_addr: int) -> bool:
-        return bool(self._k_contains(self._desc, line_addr))
-
-    def install(
-        self,
-        line_addr: int,
-        prefetch: bool = False,
-        prefetch_off_path: bool = False,
-        prefetch_udp_candidate: bool = False,
-        dirty: bool = False,
-    ) -> _CLineRef:
-        flags = (
-            (_PREFETCH if prefetch else 0)
-            | (_OFF_PATH if prefetch_off_path else 0)
-            | (_UDP if prefetch_udp_candidate else 0)
-            | (_DIRTY if dirty else 0)
-        )
-        gidx = self._k_install(self._desc, line_addr, flags)
-        if self.eviction_hook is not None:
-            victim_addr = self._dmv[9]
-            if victim_addr >= 0:
-                victim_flags = self._dmv[10]
-                # Fired after the install rather than before it, which is
-                # equivalent: the hook only touches counters/UDP state, never
-                # the cache (see Simulator._on_l1i_eviction).
-                self.eviction_hook(
-                    CacheLine(
-                        victim_addr,
-                        prefetch_bit=bool(victim_flags & _PREFETCH),
-                        prefetch_off_path=bool(victim_flags & _OFF_PATH),
-                        prefetch_udp_candidate=bool(victim_flags & _UDP),
-                        dirty=bool(victim_flags & _DIRTY),
-                    )
-                )
-        return self._ref._bind(gidx, line_addr)
-
-    def invalidate(self, line_addr: int) -> bool:
-        return bool(self._k_invalidate(self._desc, line_addr))
 
     @property
     def occupancy(self) -> int:
@@ -398,14 +280,8 @@ class SetAssocCacheC(SetAssocCache):
                 )
             ]
 
-    def resident_lines(self) -> list[int]:
-        addrs = self._addrs
-        out: list[int] = []
-        for ways in self._iter_sets():
-            out.extend(addrs[g] for g in ways)
-        return out
-
     def state_lines(self) -> list[list[tuple[int, bool, bool, bool, bool]]]:
+        """Same format as :meth:`SetAssocCache.state_lines`."""
         addrs = self._addrs
         flags = self._flags
         return [
@@ -423,12 +299,14 @@ class SetAssocCacheC(SetAssocCache):
         ]
 
     def state_packed(self) -> dict[str, bytes]:
+        """Same packed format as :meth:`SetAssocCache.state_packed`."""
         counts, addrs, flags = export_ways(
             self._k_export, self._stamps, self.assoc, (self._addrs, 8), (self._flags, 1)
         )
         return {"counts": counts, "addrs": addrs, "flags": flags}
 
     def load_packed(self, state: dict[str, bytes]) -> None:
+        """Restore :meth:`state_packed` output in place (validated first)."""
         unpack(state, _PLANES, self.num_sets, self.assoc, "cache")
         dmv = self._dmv
         total = import_ways(
@@ -453,9 +331,6 @@ class SetAssocCacheC(SetAssocCache):
         dmv[9] = -1
 
 
-def make_cache(config: CacheConfig, compiled: bool | None = None) -> SetAssocCache:
-    """Build the compiled-kernel cache when ``compiled`` resolves on (see
-    :mod:`repro.common.cc`), else the object cache."""
-    if resolve_compiled(compiled):
-        return SetAssocCacheC(config)
-    return SetAssocCache(config)
+def make_cache(config: CacheConfig, compiled: bool = False):
+    """The compiled cycle driver's cache (``compiled``), else the object cache."""
+    return SetAssocCacheC(config) if compiled else SetAssocCache(config)

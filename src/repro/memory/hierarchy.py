@@ -26,20 +26,13 @@ from repro.memory.stream import StreamPrefetcher, StreamPrefetcherC
 class MemoryHierarchy:
     """Shared L2/LLC/DRAM plus the private L1D."""
 
-    _stream_class = StreamPrefetcher
-
-    def __init__(
-        self,
-        config: MemoryConfig,
-        counters: Counters | None = None,
-        compiled: bool | None = None,
-    ) -> None:
+    def __init__(self, config: MemoryConfig, counters: Counters | None = None) -> None:
         self.config = config
         self.counters = counters if counters is not None else Counters()
-        self.l1d = make_cache(config.l1d, compiled)
-        self.l2 = make_cache(config.l2, compiled)
-        self.llc = make_cache(config.llc, compiled)
-        self.stream = self._stream_class() if config.stream_prefetcher else None
+        self.l1d = make_cache(config.l1d)
+        self.l2 = make_cache(config.l2)
+        self.llc = make_cache(config.llc)
+        self.stream = StreamPrefetcher() if config.stream_prefetcher else None
         # Interned fast-path counter slots (see Counters.incrementer).
         counters = self.counters
         self._c_l2_ifetch_hits = counters.incrementer("l2_ifetch_hits")
@@ -124,29 +117,24 @@ class MemoryHierarchy:
         return latency
 
 
-class MemoryHierarchyC(MemoryHierarchy):
-    """Fused compiled miss paths: one C call per load/store/ifetch miss.
+class MemoryHierarchyC:
+    """The hierarchy's state for the compiled cycle driver: the L1D, L2 and
+    LLC as :class:`~repro.memory.cache.SetAssocCacheC` arrays and the
+    stream prefetcher's table, under one ``HierDesc`` descriptor.
 
-    ``hier_load`` / ``hier_store`` / ``hier_imiss`` walk L1D/L2/LLC, train
-    the stream prefetcher, and install fill lines entirely in C, leaving
-    per-call event counts in the descriptor; the wrappers replay those into
-    the interned counter slots, so totals are byte-identical to the
-    interpreted path.  When a counter *hook* is attached (tracers need every
-    individual bump event in order), each call transparently falls back to
-    the inherited per-probe methods — which operate on the same C-backed
-    caches, so the two paths interleave safely.
+    The driver walks the fused miss paths (``hier_load_impl``,
+    ``hier_store_impl`` and ``hier_imiss_impl`` in
+    ``repro/common/kernels/cache.c``) in C and counts their events itself,
+    so this class holds state only: the checkpoint and hand-off code reach
+    the caches and the stream table through it.
     """
 
-    _stream_class = StreamPrefetcherC
-
-    def __init__(self, config: MemoryConfig, counters: Counters | None = None) -> None:
-        from repro.common import cc
-        from repro.memory.cache import SetAssocCacheC
-
-        super().__init__(config, counters, compiled=True)
-        kernels = cc.kernels()
-        if kernels is None or not isinstance(self.l1d, SetAssocCacheC):
-            raise RuntimeError("compiled kernels unavailable")
+    def __init__(self, config: MemoryConfig) -> None:
+        self.config = config
+        self.l1d = make_cache(config.l1d, compiled=True)
+        self.l2 = make_cache(config.l2, compiled=True)
+        self.llc = make_cache(config.llc, compiled=True)
+        self.stream = StreamPrefetcherC() if config.stream_prefetcher else None
         hi = zeros(13)
         hi[0] = self.l1d._desc
         hi[1] = self.l2._desc
@@ -157,71 +145,17 @@ class MemoryHierarchyC(MemoryHierarchy):
         hi[6] = config.llc.hit_latency
         hi[7] = config.dram_latency
         # hi[8..12]: n_l1d_hit, n_l2_data, n_llc_data, n_dram_data, n_stream_pf
-        self._hmv = memoryview(hi)
+        self._hi = hi
         self._hdesc = address(hi)
-        self._k_load = kernels.hier_load
-        self._k_store = kernels.hier_store
-        self._k_imiss = kernels.hier_imiss
-
-    def instruction_miss_latency(self, line_addr: int) -> tuple[int, str]:
-        if self.counters.hook is not None:
-            return super().instruction_miss_latency(line_addr)
-        packed = self._k_imiss(self._hdesc, line_addr)
-        latency = packed >> 2
-        level = packed & 3
-        if level == 0:
-            self._c_l2_ifetch_hits()
-            return latency, "l2"
-        if level == 1:
-            self._c_llc_ifetch_hits()
-            return latency, "llc"
-        self._c_dram_ifetch_fills()
-        return latency, "dram"
-
-    def load_latency(self, addr: int) -> int:
-        if self.counters.hook is not None:
-            return super().load_latency(addr)
-        latency = self._k_load(self._hdesc, addr)
-        hmv = self._hmv
-        self._c_l1d_accesses()
-        if hmv[8]:
-            self._c_l1d_hits()
-            return latency
-        self._c_l1d_misses()
-        self._replay_fill_counts(hmv)
-        return latency
-
-    def store_access(self, addr: int) -> None:
-        if self.counters.hook is not None:
-            return super().store_access(addr)
-        self._k_store(self._hdesc, addr)
-        self._c_l1d_stores()
-        if not self._hmv[8]:
-            self._replay_fill_counts(self._hmv)
-
-    def _replay_fill_counts(self, hmv) -> None:
-        n = hmv[9]
-        if n:
-            self._c_l2_data_hits(n)
-        n = hmv[10]
-        if n:
-            self._c_llc_data_hits(n)
-        n = hmv[11]
-        if n:
-            self._c_dram_data_fills(n)
-        n = hmv[12]
-        if n:
-            self._c_stream_prefetches(n)
 
 
 def make_hierarchy(
     config: MemoryConfig,
     counters: Counters | None = None,
-    compiled: bool | None = None,
-) -> MemoryHierarchy:
-    """Build the hierarchy, selecting the compiled fused path when available."""
-    from repro.common.cc import resolve_compiled
-
-    if resolve_compiled(compiled):
-        return MemoryHierarchyC(config, counters)
-    return MemoryHierarchy(config, counters, compiled=False)
+    compiled: bool = False,
+):
+    """The compiled cycle driver's hierarchy (``compiled``), else the
+    object hierarchy counting into ``counters``."""
+    if compiled:
+        return MemoryHierarchyC(config)
+    return MemoryHierarchy(config, counters)

@@ -111,33 +111,26 @@ class StreamPrefetcher:
         self.load_state(other.state_dict())
 
 
-class StreamPrefetcherC(StreamPrefetcher):
-    """Compiled-kernel stream table: SoA arrays driven by ``stream_on_miss``.
+class StreamPrefetcherC:
+    """The stream table in SoA arrays, for the compiled cycle driver.
 
     Stream state lives in four preallocated int64 arrays described by
-    ``StreamDesc`` (see ``repro/common/kernels/kernels.h``); the same
-    descriptor is embedded in the hierarchy's fused ``hier_load`` kernel, so
-    a compiled load miss trains the prefetcher without re-entering Python.
-    Victim selection ports the interpreted first-minimum-LRU scan (including
-    the list compaction order) exactly.
+    ``StreamDesc`` (see ``repro/common/kernels/kernels.h``), embedded in
+    the hierarchy's descriptor, so a compiled load miss trains the
+    prefetcher in C (``stream_on_miss_impl``, which ports
+    :meth:`StreamPrefetcher.on_miss` with its first-minimum-LRU victim and
+    list compaction order).  Python only exports, imports and copies it.
     """
 
     def __init__(self, max_streams: int = 16, degree: int = 2, train_threshold: int = 2) -> None:
-        from repro.common import cc
-
-        kernels = cc.kernels()
-        if kernels is None:  # pragma: no cover - factory guards this
-            raise RuntimeError("compiled kernels unavailable")
         if degree > 16:
-            # The fused hier_load kernel buffers prefetches on the stack.
+            # The fused load path (hier_load_impl) buffers prefetches on the stack.
             raise ValueError("compiled stream prefetcher supports degree <= 16")
         self.max_streams = max_streams
         self.degree = degree
         self.train_threshold = train_threshold
-        self._streams = None  # state lives in the SoA arrays; fail loudly
         self._table = tuple(zeros(max_streams) for _ in range(4))
         self._last_line, self._direction, self._confidence, self._lru = self._table
-        self._out = zeros(degree)
         di = zeros(10)
         for i, column in enumerate(self._table):
             di[i] = address(column)
@@ -148,28 +141,9 @@ class StreamPrefetcherC(StreamPrefetcher):
         # di[9]=issued
         self._di = di
         self._desc = address(di)
-        self._out_ptr = address(self._out)
-        self._k_on_miss = kernels.stream_on_miss
-
-    def on_miss(self, line_addr: int) -> list[int]:
-        count = self._k_on_miss(self._desc, line_addr, self._out_ptr)
-        if count == 0:
-            return []
-        return self._out[:count].tolist()
-
-    @property
-    def issued(self) -> int:
-        return self._di[9]
-
-    @issued.setter
-    def issued(self, value: int) -> None:
-        self._di[9] = value
-
-    @property
-    def active_streams(self) -> int:
-        return self._di[4]
 
     def state_dict(self) -> dict:
+        """Same format as :meth:`StreamPrefetcher.state_dict`."""
         count = self._di[4]
         return {
             "streams": list(zip(*(column[:count].tolist() for column in self._table))),

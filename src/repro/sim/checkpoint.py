@@ -2,12 +2,14 @@
 
 Every run in a sweep replays the identical functional warmup — 12k oracle
 blocks of BTB/TAGE/iBTB/cache training — before its first measured cycle.
-Where that walk runs in C (every configuration the compiled cycle driver
-runs, see ``Simulator._walk_true_path``), restoring a checkpoint costs
-about what the walk costs; what a checkpoint saves is the Python walk of
-the object path and of the configurations that keep it, 0.07-0.5 s per
-warmup (docs/performance.md, "What checkpoints still buy").  This module
-makes warmup a cacheable artifact, in two layers:
+On a compiled simulator that walk runs in C, whatever the preset (see
+``Simulator._walk_true_path``), and restoring a checkpoint costs about
+what the walk costs; what a checkpoint saves is the Python walk of a
+simulator on the object structures (``compiled=False``,
+``REPRO_NO_COMPILED``, ``REPRO_NO_FASTFORWARD``, or branch behaviours the
+driver cannot compile), 0.07-0.5 s per warmup (docs/performance.md, "What
+checkpoints still buy").  This module makes warmup a cacheable artifact,
+in two layers:
 
 * :func:`capture_state` / :func:`restore_state` — the single definition of
   the functional state, as an unpickled dict: everything

@@ -5,34 +5,38 @@ call (``run_cycles`` in ``repro/common/kernels/driver.c``) and returns to
 Python only where Python must act: at the retire target, at a timed-warmup
 or ``run_interval`` warmup boundary, or at the cycle limit.  Every exit
 writes back what Python and the ledger read -- counters, ``cycle``, FTQ
-occupancy and depth, the oracle position, the frontend/RAS scalars,
-UDP's state and ``steps_executed``/``ff_jumps``/``ff_cycles_skipped`` --
-while the pipeline contents (FTQ entries, MSHRs, in-flight resteers) stay
-in C.  The structures' buffers and the oracle's per-block occurrence
-counts need no write-back: C updates them in place.
+occupancy and depth, the oracle position, the frontend/RAS scalars, the
+two-level BTB's promotions, UDP's state and
+``steps_executed``/``ff_jumps``/``ff_cycles_skipped`` -- while the pipeline
+contents (FTQ entries, MSHRs, in-flight resteers) stay in C.  The
+structures' buffers and the oracle's per-block occurrence counts need no
+write-back: C updates them in place.
 
-UDP runs inside the loop: the confidence estimator, the FDIP gate over the
-useful-set, the Seniority-FTQ retire hook and the flush policy
-(:class:`_UDPState` carries their state across).  A registry technique
-stays in Python and is called back synchronously, as its
-:class:`~repro.prefetchers.registry.Capabilities` declare: the loop calls
+Every preset runs inside the loop.  UDP does (the confidence estimator,
+the FDIP gate over the useful-set, the Seniority-FTQ retire hook and the
+flush policy; :class:`_UDPState` carries their state across), and so do
+the two-level BTB (a second BTB descriptor probed after an L1 miss) and
+the loop predictor (a table of its own).  Two participants stay in Python
+and are called back synchronously: a registry technique, as its
+:class:`~repro.prefetchers.registry.Capabilities` declare (the loop calls
 ``on_demand_access`` and ``on_line_filled`` where :meth:`Simulator.step`
-does and applies the returned prefetch lines in C.  A callback that raises
-ends the run with its exception, after the write-back.  UFTQ, the
-two-level BTB and the loop predictor are not ported (:func:`ineligibility`
-names what is missing).  Those configurations run the Python
-stepper: over the C structures in compiled mode (also under
-``REPRO_NO_FASTFORWARD`` or a counter hook), over the object structures
-under ``REPRO_NO_COMPILED``.  The object path is the oracle, and counters
-are byte-identical either way (``tests/sim/test_driver.py``).
+does and applies the returned prefetch lines in C), and UFTQ's controller
+(:meth:`~repro.core.uftq.UFTQController.on_event`, told of every on-path
+demand miss, useful prefetch and useless eviction, returns the FTQ depth).
+A callback that raises ends the run with its exception, after the
+write-back.
 
-The same eligibility rule runs the functional walk in C:
-:func:`functional_walk` is :meth:`Simulator._walk_true_path` (the
-functional warmup and the fast-forward, warming or not) as one call of
-``functional_walk`` over a descriptor of its own.  Everything the walk
-moved -- counters, the oracle position, UDP's useful-set -- is written back
-before it returns, and nothing stays in C, so the cycles after a walk still
-choose between the driver and the Python stepper on their own.
+The same loop runs the functional walk in C: :func:`functional_walk` is
+:meth:`Simulator._walk_true_path` (the functional warmup and the
+fast-forward, warming or not) as one call of ``functional_walk`` over a
+descriptor of its own.  Everything the walk moved -- counters, the oracle
+position, UDP's useful-set -- is written back before it returns, and
+nothing stays in C.
+
+A simulator holds the C structures exactly when the driver can run it
+(:func:`ineligibility`, decided once, at construction), and the object
+structures, the oracle, otherwise; counters are byte-identical either way
+(``tests/sim/test_driver.py``, ``tests/sim/test_fuzz_modes.py``).
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from functools import partial
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from repro.branch.btb import BranchTargetBufferC
 from repro.common import cc
+from repro.common.artifacts import env_truthy
 from repro.common.errors import SimulationError
 from repro.common.packed import address, put, view, zeros
 from repro.prefetchers.base import reject_prefetch_line
@@ -53,6 +57,9 @@ from repro.workloads.tables import program_tables
 if TYPE_CHECKING:
     from repro.core.udp import UDPFilter
     from repro.sim.simulator import Simulator
+    from repro.workloads.program import Program
+
+NO_FASTFORWARD_ENV = "REPRO_NO_FASTFORWARD"
 
 # run_cycles status codes (kernels/driver.c).
 DONE, STOP, LIMIT = 0, 1, 2
@@ -70,27 +77,22 @@ NEVER = 1 << 62
 _WALK_WARM, _WALK_FIRST_TOUCH = 1, 2
 
 
-def ineligibility(sim: "Simulator") -> str | None:
-    """Why ``sim`` cannot run under the compiled driver, or None if it can.
+def ineligibility(program: "Program", compiled: bool | None = None) -> str | None:
+    """Why a simulator of ``program`` cannot run compiled, or None if it can.
 
-    The fork depends only on observable configuration: the compiled
-    kernels, idle-cycle fast-forward, no counter hook (tracers narrate
-    every cycle), and no Python-side participant in the cycle loop other
-    than a registry technique, which the driver calls back.
+    What :class:`~repro.sim.simulator.Simulator` decides its structures by,
+    at construction: ``compiled`` (None defers to the environment) with the
+    kernels built (:func:`repro.common.cc.resolve_compiled`), idle-cycle
+    fast-forward on (``REPRO_NO_FASTFORWARD`` unset), and every branch
+    behaviour of the program compilable to the driver's tables.  All of it
+    is memoized per process or per program, so the decision costs nothing
+    per simulator.
     """
-    if not sim.compiled_enabled:
+    if not cc.resolve_compiled(compiled):
         return "compiled kernels off"
-    if not sim.fast_forward_enabled:
+    if env_truthy(NO_FASTFORWARD_ENV):
         return "fast-forward off"
-    if sim.counters.hook is not None:
-        return "counter hook attached"
-    if sim.uftq is not None:
-        return "uftq enabled"
-    if not isinstance(sim.bpu.btb, BranchTargetBufferC):
-        return "two-level BTB"
-    if sim.bpu.loop is not None:
-        return "loop predictor"
-    if program_tables(sim.program) is None:
+    if program_tables(program) is None:
         return "program behaviours not compilable"
     return None
 
@@ -98,12 +100,14 @@ def ineligibility(sim: "Simulator") -> str | None:
 class _Machine:
     """A ``Driver`` descriptor over one simulator's structures and oracle.
 
-    The part both C entry points share: the BTB/iBTB/TAGE/history, L1I,
-    hierarchy and backend descriptors and the oracle's occurrence array
-    (used in place), the program tables, the oracle position (pc, walked
-    counts, call stack), UDP's state and the counter deltas.  The position
-    and UDP are imported from the Python objects, so only consistent on a
-    clean machine; :meth:`_sync` writes them back.
+    The part both C entry points share: the BTB (both levels of a
+    two-level one), loop predictor, iBTB, TAGE, history, L1I, hierarchy and
+    backend descriptors and the oracle's occurrence array (used in place),
+    the program tables, the oracle position (pc, walked counts, call
+    stack), the two-level BTB's promotion count, UDP's state, UFTQ's
+    callback and the counter deltas.  The position, the promotions and UDP
+    are imported from the Python objects, so only consistent on a clean
+    machine; :meth:`_sync` writes them back.
     """
 
     def __init__(self, sim: "Simulator", layout: dict, values: dict) -> None:
@@ -113,15 +117,29 @@ class _Machine:
         self._tables = tables
         self._counter_names = layout["counters"]
         self._counters = zeros(len(self._counter_names))
+        # Every counter the driver moves gets its slot now, in the driver's
+        # order, so the counters' order never depends on which exit first
+        # moved one (chained walks pickle like one direct walk).
+        slots = sim.counters._values
+        for name in self._counter_names:
+            slots.setdefault(name, 0)
         self._call_stack = zeros(oracle.max_stack)
         self._udp = _UDPState(sim, layout) if sim.udp is not None else None
+        btb = bpu.btb
+        self._btb_l2 = getattr(btb, "l2", None)  # None for a one-level BTB
+        # Held here: C only has its address.
+        self._on_uftq = sim.uftq.on_event if sim.uftq is not None else None
 
         desc = zeros(layout["driver_words"])
         values = {
             **values,
             "max_stack": oracle.max_stack,
             "ibtb_hist_bits": bpu.ibtb.history_bits,
-            "btb": bpu.btb._desc,
+            "btb": getattr(btb, "l1", btb)._desc,
+            "btb2": self._btb_l2._desc if self._btb_l2 is not None else 0,
+            "btb_promotions": getattr(btb, "promotions", 0),
+            "loop": bpu.loop._desc if bpu.loop is not None else 0,
+            "on_uftq": id(self._on_uftq) if self._on_uftq is not None else 0,
             "ibtb": bpu.ibtb._desc,
             "tage": bpu.tage._desc,
             "hist": bpu.history._desc,
@@ -162,6 +180,8 @@ class _Machine:
         oracle.blocks_walked = d[f["blocks_walked"]]
         oracle.instrs_walked = d[f["instrs_walked"]]
         oracle.call_stack[:] = self._call_stack[: d[f["cs_len"]]].tolist()
+        if self._btb_l2 is not None:
+            sim.bpu.btb.promotions = d[f["btb_promotions"]]
         if self._udp is not None:
             self._udp.sync(sim.udp)
 
@@ -173,8 +193,7 @@ def functional_walk(
 
     ``functional_walk`` in ``driver.c`` walks over a fresh descriptor, and
     everything it moved is written back before this returns, even when a
-    signal handler raises mid-walk, so the walk leaves no state in C: a
-    later run picks the cycle driver or the Python stepper afresh.
+    signal handler raises mid-walk, so the walk leaves no state in C.
     """
     kernels = cc.kernels()
     machine = _Machine(sim, kernels.driver_layout(), {})
@@ -196,15 +215,13 @@ class CycleDriver(_Machine):
     oracle cursor, the RAS, the frontend and FDIP scalars, UDP -- which is
     only consistent before the first cycle; from then on the driver owns
     the pipeline and :meth:`run` keeps the Python view in sync at every
-    exit.
-    It also takes over the L1I eviction accounting, so the simulator's
-    Python eviction hook is detached.  The driver keeps no reference to
-    the simulator: with the hook gone, a finished simulator and its
-    arrays are freed as soon as the last reference drops, instead of
-    waiting for a cyclic collection (which the driver's allocation-free
-    loop rarely triggers).  It holds the technique's callbacks, looked up
-    on the technique object here rather than on its class, so a wrapper
-    installed on the class before the simulator was built sees every call.
+    exit.  The driver keeps no reference to the simulator, so a finished
+    simulator and its arrays are freed as soon as the last reference
+    drops, instead of waiting for a cyclic collection (which the driver's
+    allocation-free loop rarely triggers).  It holds the callbacks, looked
+    up on the technique and UFTQ objects here rather than on their
+    classes, so a wrapper installed on a class before the simulator was
+    built sees every call.
     """
 
     def __init__(self, sim: "Simulator") -> None:
@@ -216,7 +233,6 @@ class CycleDriver(_Machine):
         bpu = sim.bpu
         history = bpu.history
 
-        sim.l1i.eviction_hook = None
         self._ras = zeros(bpu.ras.capacity)
         ftq_cap = sim.ftq.max_physical
         self._ftq = zeros(ftq_cap * layout["ftq_entry_words"])
@@ -225,7 +241,7 @@ class CycleDriver(_Machine):
         pool = layout["resteer_pool"]
         self._resteers = zeros(pool * layout["resteer_words"])
         hist_words = len(history._words)
-        self._resteer_hist = zeros(pool * (hist_words + len(history.folded)))
+        self._resteer_hist = zeros(pool * (hist_words + history.num_folds))
         prefetcher = sim.prefetcher
         observer = sim._fill_observer
         self._callbacks = (
@@ -243,7 +259,7 @@ class CycleDriver(_Machine):
             "fdip_enabled": int(sim.fdip.enabled),
             "perfect_icache": int(config.frontend.perfect_icache),
             "pfc": int(config.frontend.post_fetch_correction),
-            "max_cycles": config.max_cycles,
+            "max_cycles": config.cycle_limit,
             "mshr_cap": mshr_cap,
             "ftq_cap": ftq_cap,
             "ras_cap": bpu.ras.capacity,

@@ -108,7 +108,7 @@ class ProfileReport:
     # Active acceleration gates for this run: idle-cycle fast-forward,
     # warmup checkpoint reuse, interval sampling, the runtime-compiled C
     # kernels (each togglable via its REPRO_NO_* env var), and the compiled
-    # cycle driver (on when the configuration is eligible, see
+    # cycle driver, which runs exactly the compiled simulators (see
     # repro.sim.driver).
     gates: dict[str, bool]
     # Why the compiled cycle driver is off ("" when it runs).
@@ -164,16 +164,16 @@ def profile_run(
 ) -> ProfileReport:
     """Profile one simulation and attribute time to step() stages.
 
-    ``fast_forward=False`` forces the naive stepper; ``True`` (the default)
-    defers to the simulator's own setting so ``REPRO_NO_FASTFORWARD=1``
-    still wins when the CLI flag is not given.
+    ``fast_forward=False`` forces the naive stepper, on the object
+    structures; ``True`` (the default) defers to the simulator's own
+    setting so ``REPRO_NO_FASTFORWARD=1`` still wins when the CLI flag is
+    not given.
     """
     from repro.common import cc
     from repro.common.artifacts import reuse_disabled
-    from repro.sim.driver import ineligibility
     from repro.sim.sampling import sampling_disabled
 
-    simulator = build_simulator(workload, config, seed)
+    simulator = build_simulator(workload, config, seed, compiled=None if fast_forward else False)
     if not fast_forward:
         simulator.fast_forward_enabled = False
     fast_forward = simulator.fast_forward_enabled
@@ -181,7 +181,10 @@ def profile_run(
     kernels = cc.kernels() if simulator.compiled_enabled else None
     if kernels is not None:
         kernels.reset_call_counts()
-    driver_off_reason = ineligibility(simulator) or ""
+    # The naive stepper runs the object structures, whatever else holds.
+    driver_off_reason = (
+        "fast-forward off" if not fast_forward else simulator.driver_off_reason or ""
+    )
 
     profiler = cProfile.Profile()
     started = time.perf_counter()

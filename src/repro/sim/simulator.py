@@ -34,19 +34,17 @@ from repro.frontend.bpu import DecoupledFrontend
 from repro.frontend.fdip import FDIPEngine
 from repro.frontend.fetch_block import RESTEER_AT_EXECUTE, FTQEntry, PendingResteer
 from repro.frontend.ftq import FetchTargetQueue
-from repro.common.cc import resolve_compiled
 from repro.memory.cache import CacheLine, make_cache
 from repro.memory.hierarchy import make_hierarchy
 from repro.memory.mshr import MSHRFile
 from repro.prefetchers.base import LINE_LIMIT, FrontendHooks, reject_prefetch_line
 from repro.prefetchers.registry import get_technique
 from repro.sim import driver
+from repro.sim.driver import NO_FASTFORWARD_ENV
 from repro.workloads.data import DataAddressGenerator
 from repro.workloads.profiles import DataProfile
 from repro.workloads.program import OP_LOAD, OP_STORE, BranchKind, Program
 from repro.workloads.trace import OracleCursor
-
-NO_FASTFORWARD_ENV = "REPRO_NO_FASTFORWARD"
 
 
 class Simulator:
@@ -63,11 +61,14 @@ class Simulator:
         config.validate()
         self.program = program
         self.config = config
-        # Compiled C kernels when a working compiler is available, else the
-        # object oracle; byte-identical counters either way
-        # (tests/sim/test_modes.py, REPRO_NO_COMPILED).
-        self.compiled_enabled = resolve_compiled(compiled)
-        comp = self.compiled_enabled
+        # Compiled means the compiled cycle driver: this simulator holds the
+        # C structures exactly when the driver can run it (kernels built,
+        # fast-forward on, program behaviours compilable; see
+        # driver.ineligibility), and the object structures, which the
+        # Python stepper and walk run, otherwise.  Counters are
+        # byte-identical either way (tests/sim/test_modes.py).
+        self.driver_off_reason = driver.ineligibility(program, compiled)
+        self.compiled_enabled = comp = self.driver_off_reason is None
         # Stochastic measured-region components (data addresses, backend
         # latency draws) may use a seed decoupled from the synthesis seed —
         # cold-fast-forward sampling derives one per interval.  Functional
@@ -97,7 +98,8 @@ class Simulator:
         )
         self.hierarchy = make_hierarchy(config.memory, self.counters, compiled=comp)
         self.l1i = make_cache(config.memory.l1i, comp)
-        self.l1i.eviction_hook = self._on_l1i_eviction
+        if not comp:
+            self.l1i.eviction_hook = self._on_l1i_eviction
         self.mshr = MSHRFile(config.memory.l1i.mshr_entries)
         # Technique construction is fully registry-driven: the capability
         # declaration decides what gets wired up, never the kind string.
@@ -135,15 +137,9 @@ class Simulator:
             from repro.workloads.data import DataAddressGeneratorC
 
             self.data_gen = DataAddressGeneratorC(
-                profile, self.rng_seed, program.code_end
+                profile, self.rng_seed, program.code_start, program.code_end
             )
-            self.backend = BackendCoreC(
-                config.core,
-                self.hierarchy,
-                self.data_gen,
-                self.counters,
-                seed=self.rng_seed,
-            )
+            self.backend = BackendCoreC(config.core, self.data_gen, seed=self.rng_seed)
             self.backend.install_dep_table(
                 dep_flags(program, self.rng_seed, self.backend._dep_threshold)
             )
@@ -156,8 +152,8 @@ class Simulator:
                 self.counters,
                 seed=self.rng_seed,
             )
-        if self.udp is not None:
-            self.backend.retire_hook = self.udp.on_retire
+            if self.udp is not None:
+                self.backend.retire_hook = self.udp.on_retire
 
         self.uftq = (
             UFTQController(config.uftq, self.ftq, self.counters)
@@ -170,8 +166,10 @@ class Simulator:
         self._warmed = False
 
         # Idle-cycle fast-forward (see docs/performance.md).  Counters are
-        # byte-identical either way; REPRO_NO_FASTFORWARD keeps the naive
-        # one-cycle-at-a-time stepper as the oracle for equivalence tests.
+        # byte-identical either way; REPRO_NO_FASTFORWARD (or clearing this
+        # flag on an object simulator) keeps the naive one-cycle-at-a-time
+        # stepper as the oracle for equivalence tests.  The compiled cycle
+        # driver always fast-forwards.
         self.fast_forward_enabled = not env_truthy(NO_FASTFORWARD_ENV)
         self.ff_cycles_skipped = 0  # cycles advanced without a full step
         self.ff_jumps = 0  # number of fast-forward jumps taken
@@ -180,8 +178,8 @@ class Simulator:
         # Python stepper): on_demand_access and on_line_filled calls.
         self.driver_demand_callbacks = 0
         self.driver_fill_callbacks = 0
-        # The compiled cycle driver, once it owns the pipeline (see
-        # _cycle_driver and repro.sim.driver).
+        # The compiled cycle driver, built at a compiled simulator's first
+        # run (see _cycle_driver and repro.sim.driver).
         self._driver = None
 
         # Hot-loop constants hoisted out of the per-cycle stages (the config
@@ -189,7 +187,7 @@ class Simulator:
         self._frontend_width = config.core.frontend_width
         self._max_fetch_accesses = config.frontend.ftq_blocks_per_cycle
         self._perfect_icache = config.frontend.perfect_icache
-        self._max_cycles = config.max_cycles
+        self._max_cycles = config.cycle_limit
 
         # Interned fast-path counter slots (see Counters.incrementer).
         counters = self.counters
@@ -253,13 +251,12 @@ class Simulator:
         skipped while :meth:`_useful_set_holds` it, a pure function of the
         current state, so chained fast-forwards equal one direct jump.
 
-        Runs as one C call whenever the compiled cycle driver could run
-        this simulator (:func:`repro.sim.driver.functional_walk`, same
-        eligibility rule); this loop is the reference it ports, and the
-        object path's walk.
+        Runs as one C call on a compiled simulator
+        (:func:`repro.sim.driver.functional_walk`); this loop is the
+        reference it ports, and the object structures' walk.
         """
         oracle = self.oracle
-        if driver.ineligibility(self) is None:
+        if self.compiled_enabled:
             driver.functional_walk(self, max_blocks, target_walked, first_touch, warm)
         else:
             l1i = self.l1i
@@ -473,14 +470,15 @@ class Simulator:
         """Step until ``target`` instructions retired.
 
         ``end_warmup`` runs once, right after the step whose retirement
-        reaches ``warmup_target`` (None: no warmup boundary).  The compiled
-        cycle driver runs the steps in C when it can (see
+        reaches ``warmup_target`` (None: no warmup boundary).  On a compiled
+        simulator the compiled cycle driver runs the steps in C (see
         :meth:`_cycle_driver`), stopping only at that boundary, the target
-        or the cycle limit; otherwise :meth:`step` runs in Python.  Both
-        raise the same :class:`SimulationError` at the cycle limit.
+        or the cycle limit; on the object structures :meth:`step` runs in
+        Python.  Both raise the same :class:`SimulationError` at the cycle
+        limit.
         """
-        cycle_driver = self._cycle_driver()
-        if cycle_driver is not None:
+        if self.compiled_enabled:
+            cycle_driver = self._cycle_driver()
             stop = driver.NEVER if warmup_target is None else warmup_target
             while True:
                 status = cycle_driver.run(self, target, stop)
@@ -502,30 +500,33 @@ class Simulator:
 
     def _raise_cycle_limit(self) -> None:
         raise SimulationError(
-            f"cycle limit {self.config.max_cycles} hit at "
+            f"cycle limit {self._max_cycles} hit at "
             f"{self.backend.retired_instructions} retired instructions"
         )
 
-    def _cycle_driver(self):
-        """The compiled cycle driver for this run, or None for the Python stepper.
+    def _cycle_driver(self) -> "driver.CycleDriver":
+        """This compiled simulator's cycle driver, built at its first run.
 
-        Chosen once, on a clean machine (cycle 0: after warmup, restore or
-        fast-forward), from observable configuration only
-        (:func:`repro.sim.driver.ineligibility`).  Once it ran, the driver
-        owns the pipeline contents, so later runs keep using it.
+        Built on a clean machine (cycle 0: after warmup, restore or
+        fast-forward); from then on it owns the pipeline contents.  The
+        driver narrates nothing and always fast-forwards, so a counter hook
+        (a tracer) or a cleared ``fast_forward_enabled`` is an error here:
+        those need the Python stepper, over the object structures.
         """
-        if self._driver is not None:
-            if self.counters.hook is not None:
-                raise SimulationError(
-                    "a counter hook cannot be attached after the compiled "
-                    "cycle driver has run"
-                )
-            return self._driver
-        if self.cycle != 0:
-            return None
-        if driver.ineligibility(self) is not None:
-            return None
-        self._driver = driver.CycleDriver(self)
+        if self.counters.hook is not None:
+            raise SimulationError(
+                "a counter hook needs the Python stepper: build the simulator "
+                "with compiled=False (the compiled cycle driver does not "
+                "narrate counter bumps)"
+            )
+        if not self.fast_forward_enabled:
+            raise SimulationError(
+                "the naive stepper needs the object structures: build the "
+                "simulator with compiled=False (the compiled cycle driver "
+                "always fast-forwards)"
+            )
+        if self._driver is None:
+            self._driver = driver.CycleDriver(self)
         return self._driver
 
     def step(self) -> None:
@@ -537,7 +538,7 @@ class Simulator:
         cycles are fast-forwarded in bulk with their per-cycle counters
         accounted for exactly (see :meth:`_try_fast_forward`).
         """
-        if self._driver is not None:
+        if self.compiled_enabled:
             raise SimulationError(
                 "the compiled cycle driver owns this simulator's pipeline; "
                 "advance it with run() or run_interval()"

@@ -6,14 +6,17 @@ resteers, retirement — and render them as an annotated text timeline.
 This is how the wrong-path machinery in this repository was debugged, and
 it doubles as the quickest way to *see* FDIP run ahead:
 
-    sim = Simulator(program, config)
+    sim = Simulator(program, config, compiled=False)
     tracer = PipelineTracer(sim, max_events=2000)
     sim.run()
     print(tracer.render(first_cycle=0, last_cycle=120))
 
 The tracer observes the simulator's counters object through its ``hook``
 callback, so it works with any configuration and adds zero cost when
-detached.
+detached.  It narrates the Python stepper, so it needs a simulator on the
+object structures (``compiled=False``): the compiled cycle driver does not
+report counter bumps one by one, and a compiled simulator with a hook
+attached raises :class:`~repro.common.errors.SimulationError` at its run.
 """
 
 from __future__ import annotations

@@ -113,50 +113,49 @@ class DataAddressGenerator:
         self.load_occurrences_state(other.occurrences_state())
 
 
-class DataAddressGeneratorC(DataAddressGenerator):
-    """Compiled-kernel generator: occurrence counters in a flat int64 array.
+class DataAddressGeneratorC:
+    """The generator's occurrence counters in a flat int64 array, for the
+    compiled cycle driver.
 
-    The descriptor is embedded in the backend's dispatch kernel, so a
-    compiled dispatch computes load/store addresses without re-entering
-    Python.  Needs ``code_end`` up front to size the per-PC occurrence
-    array (the dict is keyed by pc; instruction pcs are 4-byte aligned, so
-    index ``pc >> 2`` is unique per instruction).  The class-probability
-    boundary ``stack_frac + stream_frac`` is pre-summed here with the same
-    IEEE addition the interpreted path performs per call.
+    The descriptor is embedded in the backend's, so the driver computes
+    load/store addresses in C (``data_next_impl``) exactly like
+    :meth:`DataAddressGenerator.next_address`.  The array holds one counter
+    per instruction of the code region, index ``(pc - code_start) >> 2``
+    (instruction pcs are 4-byte aligned from ``code_start``).  The
+    class-probability boundary ``stack_frac + stream_frac`` is pre-summed
+    here with the same IEEE addition the interpreted path performs per
+    call.
     """
 
-    def __init__(self, profile: DataProfile, seed: int, code_end: int) -> None:
+    def __init__(
+        self, profile: DataProfile, seed: int, code_start: int, code_end: int
+    ) -> None:
         from repro.common import cc
 
         kernels = cc.kernels()
-        if kernels is None:  # pragma: no cover - factory guards this
+        if kernels is None:  # pragma: no cover - the simulator guards this
             raise RuntimeError("compiled kernels unavailable")
-        super().__init__(profile, seed)
-        self._occurrences = None  # state lives in the array; fail loudly
-        n_pcs = max(code_end >> 2, 1)
-        self._occ_arr = zeros(n_pcs)
-        di = zeros(7)
+        self.profile = profile
+        self.seed = seed
+        self.code_start = code_start
+        self._occ_arr = zeros(max((code_end - code_start) >> 2, 1))
+        di = zeros(8)
         di[0] = address(self._occ_arr)
-        di[1] = n_pcs
-        view(di, "Q")[2] = seed & 0xFFFF_FFFF_FFFF_FFFF
+        di[1] = len(self._occ_arr)
+        di[2] = code_start
+        view(di, "Q")[3] = seed & 0xFFFF_FFFF_FFFF_FFFF
         floats = view(di, "d")
-        floats[3] = profile.stack_frac
-        floats[4] = profile.stack_frac + profile.stream_frac
-        di[5] = profile.stride_bytes
-        di[6] = max(profile.data_footprint_bytes, 64)
+        floats[4] = profile.stack_frac
+        floats[5] = profile.stack_frac + profile.stream_frac
+        di[6] = profile.stride_bytes
+        di[7] = max(profile.data_footprint_bytes, 64)
         self._di = di
         self._desc = address(di)
-        self._k_next = kernels.data_next
         self._k_export = kernels.pc_counts_export
         self._k_import = kernels.pc_counts_import
 
-    def next_address(self, pc: int) -> int:
-        """Generate the next data address for the instruction at ``pc``."""
-        return self._k_next(self._desc, pc)
-
-    def reset(self) -> None:
-        """Forget all occurrence counters (fresh run)."""
-        self._k_import(address(self._occ_arr), len(self._occ_arr), b"", b"")
+    def _counts(self) -> tuple[int, int, int]:
+        return address(self._occ_arr), len(self._occ_arr), self.code_start
 
     def occurrences_dict(self) -> dict[int, int]:
         """Per-PC occurrence counters as a plain ``{pc: count}`` dict."""
@@ -174,12 +173,12 @@ class DataAddressGeneratorC(DataAddressGenerator):
 
     def occurrences_state(self) -> dict[str, bytes]:
         """The occurrence counters as packed int64 arrays (checkpoint form)."""
-        pcs, counts = self._k_export(address(self._occ_arr), len(self._occ_arr))
+        pcs, counts = self._k_export(*self._counts())
         return {"pcs": pcs, "counts": counts}
 
     def load_occurrences_state(self, state: dict[str, bytes]) -> None:
         """Restore counters from :meth:`occurrences_state` output."""
-        self._k_import(address(self._occ_arr), len(self._occ_arr), state["pcs"], state["counts"])
+        self._k_import(*self._counts(), state["pcs"], state["counts"])
 
     def copy_from(self, other: "DataAddressGeneratorC") -> None:
         """Copy a same-program compiled generator's counters in place."""

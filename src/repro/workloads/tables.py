@@ -230,7 +230,8 @@ def _split(table: array, names: tuple, length: int) -> tuple[dict, dict]:
 
 def program_tables(program: Program) -> ProgramTables | None:
     """The driver's tables for ``program``; None when a behaviour is not
-    compilable (such programs keep the Python stepper) or no kernels."""
+    compilable (simulators of such programs hold the object structures) or
+    no kernels."""
     from repro.common import cc
 
     kernels = cc.kernels()

@@ -193,3 +193,13 @@ def test_configs_are_hashable_and_frozen():
     hash(config)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.seed = 2  # type: ignore[misc]
+
+
+def test_cycle_limit_scales_with_the_run_unless_set():
+    # 50 cycles per instruction, at least 5M: a 10M-instruction run is no
+    # longer stopped at 5M cycles, and an explicit max_cycles always wins.
+    assert SimConfig(max_instructions=50_000).cycle_limit == 5_000_000
+    assert SimConfig(max_instructions=10_000_000).cycle_limit == 500_000_000
+    assert SimConfig(max_instructions=10_000_000, max_cycles=1_234).cycle_limit == 1_234
+    with pytest.raises(ConfigError):
+        SimConfig(max_cycles=0).validate()

@@ -3,8 +3,12 @@
 The compiled caches, BTB and iBTB build and load their checkpoint form with
 one C call each (``ways_export``/``ways_import``); the object classes build
 it in Python.  After any sequence of fills, touches and evictions at the
-default geometries both must produce the same bytes, and a state must
-round-trip object -> C -> object and then evict the same victims.
+default geometries, the state must round-trip object -> C -> C (the
+hand-off's buffer copy) -> object byte for byte, and the round trip must
+rank every set's recency like the original, so both evict the same
+victims next.  The compiled structures hold state only (the cycle driver
+runs the sequences in C); tests/sim/test_fuzz_modes.py compares whole
+driven runs, structure states included, against the object path.
 """
 
 from __future__ import annotations
@@ -124,21 +128,25 @@ STRUCTURES = {
 @given(ops=_OPS, tail=_OPS)
 def test_compiled_packed_state_matches_object(name, ops, tail):
     make_object, make_compiled, apply = STRUCTURES[name]
-    source, compiled = make_object(), make_compiled()
-    assert apply(source, ops) == apply(compiled, ops)
+    source = make_object()
+    apply(source, ops)
     state = source.state_packed()
-    assert compiled.state_packed() == state
 
-    # object -> C -> object, through fresh structures.
+    # object -> C -> C -> object, through fresh structures.
     loaded = make_compiled()
     loaded.load_packed(state)
     assert loaded.state_packed() == state
+    copied = make_compiled()
+    copied.copy_from(loaded)
+    assert copied.state_packed() == state
     back = make_object()
-    back.load_packed(loaded.state_packed())
+    back.load_packed(copied.state_packed())
     assert back.state_packed() == state
 
-    # The loaded recency order picks the same victims from here on.
-    results = [apply(buf, tail) for buf in (source, compiled, loaded, back)]
-    assert all(result == results[0] for result in results)
+    # The round trip kept every set's recency order: the same operations
+    # evict the same victims from here on.
+    assert apply(source, tail) == apply(back, tail)
     final = source.state_packed()
-    assert all(buf.state_packed() == final for buf in (compiled, loaded, back))
+    assert back.state_packed() == final
+    loaded.load_packed(final)
+    assert loaded.state_packed() == final

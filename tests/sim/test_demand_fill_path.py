@@ -14,8 +14,9 @@ from repro.workloads import micro
 
 
 def make_sim(**kwargs):
+    # The Python stepper's state machine: the object structures.
     config = SimConfig(max_instructions=100, functional_warmup_blocks=0, **kwargs)
-    return Simulator(micro.straight_loop(), config)
+    return Simulator(micro.straight_loop(), config, compiled=False)
 
 
 def entry(start, on_path=True, assumed_off=False, seq=0):

@@ -1,16 +1,16 @@
 """The compiled cycle driver: engagement and byte-identity at every exit.
 
 ``run_cycles`` (``repro/common/kernels/driver.c``) runs the whole step()
-loop in C, UDP included, and calls a registry technique's Python methods
-back where step() does.  It must be
-a pure wall-clock optimization, exactly like the kernels under it
-(``tests/sim/test_modes.py``): at every point where it returns to Python
--- the retire target, a timed-warmup or ``run_interval`` warmup boundary,
-the cycle limit, an exception from a technique callback -- counters,
+loop in C, UDP, the two-level BTB and the loop predictor included, and
+calls a registry technique's and UFTQ's Python methods back where step()
+does.  It must be a pure wall-clock optimization (``tests/sim/test_modes.py``,
+``tests/sim/test_fuzz_modes.py``): at every point where it returns to
+Python -- the retire target, a timed-warmup or ``run_interval`` warmup
+boundary, the cycle limit, an exception from a callback -- counters,
 cycle, FTQ occupancy, the oracle position, UDP's state and the calls a
-technique saw must equal the object oracle's.  And it must actually engage wherever it
-is eligible: a preset that silently falls back to the Python stepper still
-passes every identity test, but runs at stepper speed.
+technique saw must equal the object oracle's.  And a compiled simulator
+must actually run it: one that silently fell back to the Python stepper
+would still pass every identity test, but at stepper speed.
 """
 
 import dataclasses
@@ -23,6 +23,8 @@ import pytest
 from repro.common import cc
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
+from repro.core.uftq import UFTQController
+from repro.memory.cache import SetAssocCache
 from repro.prefetchers import registry
 from repro.prefetchers.base import InstructionPrefetcher
 from repro.sim import checkpoint as ckpt
@@ -57,18 +59,11 @@ from repro.workloads.trace import OracleCursor
 
 N = 4_000
 
-# Every preset the driver runs, and why each other preset cannot.
-ELIGIBLE = {
-    "baseline", "perfect-icache", "no-prefetch", "bigger-icache", "miss-heavy",
-    "udp", "infinite-storage", "eip", "sw-profile", "mana", "shadow-btb",
-}
-REASONS = {
-    "uftq-aur": "uftq enabled",
-    "uftq-atr": "uftq enabled",
-    "uftq-atr-aur": "uftq enabled",
-    "two-level-btb": "two-level BTB",
-    "loop-predictor": "loop predictor",
-}
+# Every preset the driver runs, and why each other preset cannot: the
+# driver runs them all, and only construction-time reasons remain
+# (compiled=False, REPRO_NO_FASTFORWARD, behaviours it cannot compile).
+ELIGIBLE = set(PRESET_BUILDERS)
+REASONS: dict[str, str] = {}
 
 needs_compiler = pytest.mark.skipif(
     not cc.compiled_enabled(), reason="no C compiler on this host"
@@ -130,7 +125,8 @@ def test_driver_engages_iff_eligible(preset, monkeypatch):
 
     monkeypatch.setattr(Simulator, "step", counting_step)
     sim = build_simulator("gcc", PRESET_BUILDERS[preset](N), compiled=True)
-    assert driver_mod.ineligibility(sim) == REASONS.get(preset)
+    assert sim.driver_off_reason == REASONS.get(preset)
+    assert driver_mod.ineligibility(sim.program, True) == REASONS.get(preset)
     before = _driver_calls()
     sim.run()
     calls = _driver_calls() - before
@@ -142,30 +138,48 @@ def test_driver_engages_iff_eligible(preset, monkeypatch):
 
 
 def test_fallback_gates_name_their_reason(monkeypatch):
+    """The structures are chosen at construction, and the reason kept."""
     config = baseline_config(N)
     sim = build_simulator("gcc", config, compiled=False)
-    assert driver_mod.ineligibility(sim) == "compiled kernels off"
+    assert sim.driver_off_reason == "compiled kernels off"
+    assert not sim.compiled_enabled and isinstance(sim.l1i, SetAssocCache)
     if not cc.compiled_enabled():
         return
     sim = build_simulator("gcc", config, compiled=True)
-    sim.counters.hook = lambda name, amount: None
-    assert driver_mod.ineligibility(sim) == "counter hook attached"
+    assert sim.driver_off_reason is None and sim.compiled_enabled
     monkeypatch.setenv("REPRO_NO_FASTFORWARD", "1")
     sim = build_simulator("gcc", config, compiled=True)
-    assert driver_mod.ineligibility(sim) == "fast-forward off"
+    assert sim.driver_off_reason == "fast-forward off"
+    assert not sim.compiled_enabled and isinstance(sim.l1i, SetAssocCache)
+
+
+@needs_compiler
+@pytest.mark.parametrize("attach", ["hook", "naive"])
+def test_a_compiled_simulator_refuses_what_only_the_stepper_does(attach):
+    """A counter hook or the naive stepper needs the object structures, and
+    the error says how to get them."""
+    sim = build_simulator("gcc", baseline_config(2_000), compiled=True)
+    if attach == "hook":
+        sim.counters.hook = lambda name, amount: None
+    else:
+        sim.fast_forward_enabled = False
+    with pytest.raises(SimulationError, match="compiled=False"):
+        sim.run()
+    with pytest.raises(SimulationError, match="owns this simulator's pipeline"):
+        sim.step()
+    assert sim.cycle == 0 and sim._driver is None
 
 
 @needs_compiler
 @pytest.mark.parametrize("workload,preset", [
     ("gcc", "miss-heavy"), ("verilator", "miss-heavy"), ("xgboost", "baseline"),
 ])
-def test_driver_keeps_the_steppers_idle_skip_accounting(workload, preset, monkeypatch):
+def test_driver_keeps_the_steppers_idle_skip_accounting(workload, preset):
     """Same fast-forward and refill rules: step counts match the Python stepper."""
     config = PRESET_BUILDERS[preset](N)
     driven = build_simulator(workload, config, compiled=True)
     driven.run()
-    monkeypatch.setattr(driver_mod, "ineligibility", lambda sim: "forced off")
-    stepped = build_simulator(workload, config, compiled=True)
+    stepped = build_simulator(workload, config, compiled=False)
     stepped.run()
     assert _state(driven) == _state(stepped)
     assert (driven.steps_executed, driven.ff_jumps, driven.ff_cycles_skipped) == (
@@ -327,7 +341,7 @@ def test_handcrafted_programs_match_object_path(name):
         compilable = name != "custom_behaviour"
         assert (calls > 0) == compilable
         if not compilable:
-            assert driver_mod.ineligibility(driven) == "program behaviours not compilable"
+            assert driven.driver_off_reason == "program behaviours not compilable"
     assert _state(driven) == _state(oracle)
 
 
@@ -367,7 +381,9 @@ def test_udp_branches_match_object_path(case):
     assert all(counters.get(name, 0) > 0 for name in targets), targets
     assert _state(driven) == _state(oracle)
     if case == "no-seniority":
-        assert "udp_learned_useful" not in driven.counters
+        # Zero-valued slots are invisible in the counters' dict form: the
+        # driver registers a slot for every counter it can move.
+        assert "udp_learned_useful" not in driven.measured_counters()
     if case == "no-superlines":
         assert driven.udp.useful_set.filters[4].inserted == 0
 
@@ -952,23 +968,10 @@ def test_handcrafted_programs_walk_like_the_object_path(name, transitions):
 
 
 @needs_compiler
-@pytest.mark.parametrize("preset", sorted(REASONS))
-def test_ineligible_presets_keep_the_python_walk(preset, transitions):
-    config = PRESET_BUILDERS[preset](N)
-    before = _walk_calls()
-    sim = build_simulator("gcc", config, compiled=True)
-    sim.functional_warmup(config.functional_warmup_blocks)
-    sim.fast_forward_to(sim.oracle.instrs_walked + 2_000, warm=True)
-    assert _walk_calls() == before and transitions
-    oracle = build_simulator("gcc", config, compiled=False)
-    oracle.functional_warmup(config.functional_warmup_blocks)
-    oracle.fast_forward_to(oracle.oracle.instrs_walked + 2_000, warm=True)
-    assert _walk_state(sim) == _walk_state(oracle)
-
-
-@needs_compiler
 def test_a_hook_attached_after_the_walk_gets_the_python_stepper(monkeypatch):
-    """The walk leaves nothing in C: a later hook still forks the run."""
+    """The walks leave nothing in C, and a hook then needs the Python
+    stepper: the object simulator narrates its run, the compiled one
+    raises before its first cycle, naming compiled=False."""
     steps = []
     python_step = Simulator.step
 
@@ -984,16 +987,24 @@ def test_a_hook_attached_after_the_walk_gets_the_python_stepper(monkeypatch):
         sim = build_simulator("gcc", config, compiled=compiled)
         sim.functional_warmup(config.functional_warmup_blocks)
         sim.fast_forward_to(sim.oracle.instrs_walked + 1_000)
+        sims.append(sim)
         events = []
         sim.counters.hook = lambda name, amount: events.append(name)
-        sim.run()
-        assert events and steps
+        if compiled:
+            with pytest.raises(SimulationError, match="counter hook.*compiled=False"):
+                sim.run()
+            assert not events and not steps and sim.cycle == 0
+        else:
+            sim.run()
+            assert events and steps
         assert (_walk_calls() - before[0], _driver_calls() - before[1]) == (
             (2, 0) if compiled else (0, 0)
         )
         assert sim._driver is None
-        sims.append(sim)
-    assert _walk_state(sims[0]) == _walk_state(sims[1])
+    walked, oracle = sims
+    walked.counters.hook = None
+    walked.run()
+    assert _walk_state(walked) == _walk_state(oracle)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "object"])
@@ -1028,3 +1039,139 @@ def test_a_second_functional_warmup_is_an_error(first, compiled):
         assert sim.measured_counters()["sampling_ff_instructions"] >= 5_000
     else:
         assert sim.measured_counters()["warmup_blocks"] == 1_000
+
+
+# -- the presets the driver gained: UFTQ, the two-level BTB, the loop predictor --
+
+# Each with a workload and a length where its own work counter moves
+# (checked on the object path, so no case passes vacuously): the loop
+# predictor needs three equal trips before it overrides TAGE.
+NEW_PRESETS = {
+    "uftq-aur": ("xgboost", "uftq_adjustments", N),
+    "uftq-atr": ("xgboost", "uftq_adjustments", N),
+    "uftq-atr-aur": ("xgboost", "uftq_adjustments", N),
+    "two-level-btb": ("xgboost", "btb_promotions", N),
+    "loop-predictor": ("mediawiki", "bpu_loop_overrides", 12_000),
+}
+
+
+def _own_work(sim: Simulator, name: str) -> int:
+    if name == "btb_promotions":
+        return sim.bpu.btb.promotions
+    return sim.counters.snapshot().get(name, 0)
+
+
+def _component_state(sim: Simulator) -> tuple:
+    """The new components' own state: UFTQ's search, the loop table, the
+    BTB levels and promotions."""
+    uftq = sim.uftq
+    btb = sim.bpu.btb
+    loop = sim.bpu.loop
+    return (
+        sim.ftq.depth,
+        None if uftq is None else (
+            uftq.phase, uftq.qd_aur, uftq.qd_atr, uftq.adjustments,
+            (uftq._utility.positive, uftq._utility.total),
+            (uftq._timeliness.positive, uftq._timeliness.total),
+        ),
+        None if loop is None else (loop.state(), loop.overrides, loop.correct_overrides),
+        btb.state_packed(),
+        getattr(btb, "promotions", None),
+    )
+
+
+def _new_preset_run(preset: str, compiled: bool, exit: str) -> Simulator:
+    workload, _, length = NEW_PRESETS[preset]
+    config = PRESET_BUILDERS[preset](length)
+    if exit == "timed-warmup":
+        config = config.replace(warmup_instructions=1_500)
+    elif exit == "cycle-limit":
+        config = config.replace(max_cycles=3_000)
+    sim = build_simulator(workload, config, compiled=compiled)
+    if exit == "cycle-limit":
+        with pytest.raises(SimulationError, match="cycle limit 3000 hit"):
+            sim.run()
+    elif exit == "run-interval":
+        sim.functional_warmup(config.functional_warmup_blocks)
+        sim.fast_forward_to(sim.oracle.instrs_walked + 2_000)
+        sim.run_interval(1_000, detailed_warmup=500)
+        sim.run_interval(2_000)
+    else:
+        sim.run()
+    return sim
+
+
+@pytest.mark.parametrize("exit", ["target", "timed-warmup", "run-interval", "cycle-limit"])
+@pytest.mark.parametrize("preset", sorted(NEW_PRESETS))
+def test_new_presets_match_object_path_at_every_exit(preset, exit):
+    before = _driver_calls()
+    driven = _new_preset_run(preset, True, exit)
+    calls = _driver_calls() - before
+    oracle = _new_preset_run(preset, False, exit)
+    if cc.compiled_enabled():
+        expected = {"target": 1, "timed-warmup": 2, "run-interval": 3, "cycle-limit": 1}
+        assert calls == expected[exit]
+        assert driven.steps_executed + driven.ff_cycles_skipped == driven.cycle
+    if exit in ("target", "timed-warmup"):
+        own = NEW_PRESETS[preset][1]
+        assert _own_work(oracle, own) > 0, own
+    assert _state(driven) == _state(oracle)
+    assert _component_state(driven) == _component_state(oracle)
+
+
+def _raise_boom_in_uftq(signum, frame):
+    raise _Boom("from the SIGUSR1 handler")
+
+
+@pytest.mark.parametrize("how", ["raise", "signal"])
+@pytest.mark.parametrize("event,nth", [("utility", 1), ("utility", 300), ("timeliness", 50)])
+def test_a_raising_uftq_callback_ends_the_run_with_its_exception(monkeypatch, event, nth, how):
+    """UFTQ's feeds raise at the n-th call on both paths: the driver ends the
+    run with the exception, after the write-back, at the same point."""
+    calls = {"utility": 0, "timeliness": 0}
+    feeds = {
+        "utility": UFTQController.on_utility_event,
+        "timeliness": UFTQController.on_timeliness_event,
+    }
+
+    def patched(kind):
+        def feed(self, flag):
+            calls[kind] += 1
+            if kind == event and calls[kind] == nth:
+                if how == "signal":
+                    signal.raise_signal(signal.SIGUSR1)
+                raise _Boom(f"{kind} call {nth}")
+            return feeds[kind](self, flag)
+        return feed
+
+    for kind in feeds:
+        monkeypatch.setattr(UFTQController, f"on_{kind}_event", patched(kind))
+    previous = signal.signal(signal.SIGUSR1, _raise_boom_in_uftq)
+    sims = []
+    try:
+        for compiled in (True, False):
+            calls.update(utility=0, timeliness=0)
+            sim = build_simulator("xgboost", PRESET_BUILDERS["uftq-atr-aur"](N), compiled=compiled)
+            with pytest.raises(_Boom):
+                sim.run()
+            assert calls[event] == nth
+            sims.append((sim, dict(calls)))
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+    (driven, driven_calls), (oracle, oracle_calls) = sims
+    assert driven_calls == oracle_calls
+    assert _state(driven) == _state(oracle)
+    assert _component_state(driven) == _component_state(oracle)
+
+
+@needs_compiler
+def test_the_default_cycle_limit_scales_with_the_run():
+    """miss-heavy needs about 20 cycles per instruction: at 300k
+    instructions it passes the old fixed 5M-cycle limit and still ends at
+    its retire target."""
+    config = miss_heavy_config(300_000)
+    assert config.max_cycles is None
+    sim = build_simulator("verilator", config, compiled=True)
+    sim.run()
+    assert sim.backend.retired_instructions >= 300_000
+    assert 5_000_000 < sim.cycle < config.cycle_limit

@@ -1,11 +1,12 @@
 """Idle-cycle fast-forward: equivalence with the naive stepper, plus smoke.
 
-The fast-forward path (``Simulator._try_fast_forward``) must be a pure
-wall-clock optimization: for any (workload, preset) pair the final cycle
-count and every measured counter must be byte-identical to stepping one
-cycle at a time.  These tests are the enforcement of that contract; the
-naive stepper stays in the tree (``REPRO_NO_FASTFORWARD`` /
-``fast_forward_enabled = False``) precisely so it can serve as the oracle.
+The fast-forward path (``Simulator._try_fast_forward`` and its port in the
+compiled cycle driver) must be a pure wall-clock optimization: for any
+(workload, preset) pair the final cycle count and every measured counter
+must be byte-identical to stepping one cycle at a time.  These tests are
+the enforcement of that contract; the naive stepper stays in the tree
+(``REPRO_NO_FASTFORWARD`` / ``fast_forward_enabled = False`` on an object
+simulator) precisely so it can serve as the oracle.
 """
 
 import pytest
@@ -17,8 +18,10 @@ N = 4_000
 
 
 def _run(workload: str, preset: str, n: int, fast: bool):
+    # The naive stepper runs the object structures; a fast run takes the
+    # compiled cycle driver wherever the kernels build.
     config = PRESET_BUILDERS[preset](n)
-    simulator = build_simulator(workload, config)
+    simulator = build_simulator(workload, config, compiled=None if fast else False)
     simulator.fast_forward_enabled = fast
     simulator.run()
     return simulator

@@ -1,0 +1,234 @@
+"""Differential fuzzing: the compiled cycle driver against the object oracle.
+
+Hypothesis draws a preset (every ``PRESET_BUILDERS`` entry), a workload and
+perturbed settings: FTQ depth, fetch and FDIP widths, L1I geometry and
+MSHRs, BTB/iBTB/RAS/ROB/RS sizes, UDP's knobs, UFTQ's window, step and
+depth bounds, the loop predictor's entries, the two-level BTB's L1, the
+functional and timed warmups and a cycle-limit exit.  Each configuration
+runs on a compiled simulator and with ``compiled=False``; configurations
+that validation rejects are skipped, and every other must end with equal
+counters, ``cycle`` and state of every structure (caches, BTBs, TAGE,
+history, RAS, stream table, data generator, loop predictor, UFTQ, UDP and
+the oracle).  This is what the per-call C tests used to check structure by
+structure, now checked through whole driven runs.
+
+Tier-1 runs a derandomized budget of 25 examples.  ``-m slow`` runs 200
+more and also fuzzes the sampled chain (warming fast-forwards handed to a
+fresh simulator per interval) and warmup-checkpoint round trips.  On a host
+without a C compiler both sides are the object path.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
+
+from repro.common.config import SimConfig
+from repro.common.errors import ConfigError, SimulationError
+from repro.sim import checkpoint as ckpt
+from repro.sim.presets import PRESET_BUILDERS
+from repro.sim.simulator import Simulator
+from repro.workloads import store as program_store
+from repro.workloads.profiles import get_profile
+
+WORKLOADS = ("gcc", "mediawiki", "mysql", "verilator", "xgboost")
+
+_FAST = settings(
+    max_examples=25, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+_SLOW = settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+def _pow2(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda k: 1 << k)
+
+
+@st.composite
+def configs(draw, max_instructions=st.integers(1_000, 3_000)) -> tuple[str, SimConfig]:
+    """A workload and a perturbed preset configuration (maybe invalid)."""
+    preset = draw(st.sampled_from(sorted(PRESET_BUILDERS)))
+    workload = draw(st.sampled_from(WORKLOADS))
+    n = draw(max_instructions)
+    config = PRESET_BUILDERS[preset](n)
+    core = dataclasses.replace(
+        config.core,
+        frontend_width=draw(st.integers(1, 8)),
+        rob_entries=draw(st.integers(16, 512)),
+        rs_entries=draw(st.integers(8, 160)),
+    )
+    frontend = dataclasses.replace(
+        config.frontend,
+        ftq_depth=draw(st.integers(1, 128)),
+        ftq_blocks_per_cycle=draw(st.integers(1, 4)),
+        fdip_lookups_per_cycle=draw(st.integers(0, 4)),
+    )
+    l1i = dataclasses.replace(
+        config.memory.l1i,
+        size_bytes=draw(_pow2(11, 15)),
+        assoc=draw(_pow2(0, 3)),
+        mshr_entries=draw(st.integers(1, 32)),
+    )
+    branch = dataclasses.replace(
+        config.branch,
+        btb_entries=draw(_pow2(6, 13)),
+        btb_assoc=draw(_pow2(0, 3)),
+        ibtb_entries=draw(_pow2(4, 11)),
+        ibtb_assoc=draw(_pow2(0, 3)),
+        ras_entries=draw(st.integers(1, 64)),
+        loop_predictor_entries=draw(_pow2(2, 8)),
+        l1_btb_entries=draw(_pow2(4, 10)),
+        l1_btb_assoc=draw(_pow2(0, 2)),
+    )
+    udp = dataclasses.replace(
+        config.udp,
+        confidence_threshold=draw(st.integers(0, 16)),
+        bloom_bits_1=draw(_pow2(6, 14)),
+        bloom_bits_2=draw(_pow2(6, 14)),
+        bloom_bits_4=draw(_pow2(6, 14)),
+        bloom_hashes=draw(st.integers(1, 6)),
+        coalesce_buffer=draw(st.integers(1, 16)),
+        seniority_entries=draw(st.integers(1, 256)),
+        flush_unuseful_ratio=draw(st.sampled_from([0.05, 0.5, 0.75, 1.0])),
+        use_superlines=draw(st.booleans()),
+        use_seniority=draw(st.booleans()),
+    )
+    lo = draw(st.integers(1, 32))
+    uftq = dataclasses.replace(
+        config.uftq,
+        window_prefetches=draw(st.integers(4, 200)),
+        step=draw(st.integers(1, 16)),
+        min_depth=lo,
+        max_depth=draw(st.integers(lo, 128)),
+        initial_depth=draw(st.integers(lo, 128)),
+    )
+    config = config.replace(
+        core=core,
+        frontend=frontend,
+        branch=branch,
+        memory=dataclasses.replace(config.memory, l1i=l1i),
+        udp=udp,
+        uftq=uftq,
+        functional_warmup_blocks=draw(st.integers(0, 2_000)),
+        warmup_instructions=draw(st.sampled_from([0, 0, n // 3])),
+        max_cycles=draw(st.sampled_from([None, None, None, 2_000, 8_000])),
+    )
+    try:
+        config.validate()
+    except (ConfigError, ValueError):
+        reject()
+    return workload, config
+
+
+def _structures(sim: Simulator) -> tuple:
+    """Every structure's state, layout-neutral, plus the run's scalars."""
+    bpu = sim.bpu
+    hierarchy = sim.hierarchy
+    oracle = sim.oracle
+    udp = sim.udp
+    uftq = sim.uftq
+    loop = bpu.loop
+    btb = bpu.btb
+    return (
+        sim.cycle,
+        sim.counters.snapshot(),
+        sim.measured_counters(),
+        (sim.ftq.depth, sim.ftq.occupancy_sum, sim.ftq.occupancy_samples),
+        (oracle.pc, oracle.blocks_walked, oracle.instrs_walked, list(oracle.call_stack)),
+        oracle._occurrences.tobytes(),
+        [cache.state_lines() for cache in (sim.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.llc)],
+        None if hierarchy.stream is None else hierarchy.stream.state_dict(),
+        sim.data_gen.occurrences_dict(),
+        btb.state_packed(),
+        getattr(btb, "promotions", None),
+        bpu.ibtb.state_packed(),
+        bpu.tage.state_dict(),
+        bpu.history.checkpoint(),
+        (list(bpu.ras._stack), bpu.ras.overflows, bpu.ras.underflows),
+        None if loop is None else (loop.state(), loop.overrides, loop.correct_overrides),
+        None if uftq is None else (
+            uftq.phase, uftq.qd_aur, uftq.qd_atr, uftq.adjustments,
+            (uftq._utility.positive, uftq._utility.total),
+            (uftq._timeliness.positive, uftq._timeliness.total),
+        ),
+        None if udp is None else (
+            {k: (bytes(f._array), f.inserted) for k, f in udp.useful_set.filters.items()},
+            list(udp.useful_set.coalescer._lines),
+            sorted(udp.useful_set._exact),
+            (udp.useful_set._window_unuseful, udp.useful_set._window_total),
+            list(udp.seniority._entries),
+            (udp.seniority.inserted, udp.seniority.matched, udp.seniority.evicted),
+            (udp.estimator.counter, udp.estimator._forced_off_path),
+        ),
+    )
+
+
+def _build(workload: str, config: SimConfig, compiled: bool, **kwargs) -> Simulator:
+    program = program_store.program_for(workload, config.seed)
+    return Simulator(
+        program, config, data_profile=get_profile(workload).data, compiled=compiled, **kwargs
+    )
+
+
+def _run(workload: str, config: SimConfig, compiled: bool) -> tuple:
+    sim = _build(workload, config, compiled)
+    try:
+        sim.run()
+        error = None
+    except SimulationError as exc:  # the cycle limit
+        error = str(exc)
+    return error, _structures(sim)
+
+
+def _check_run(case) -> None:
+    workload, config = case
+    assert _run(workload, config, True) == _run(workload, config, False)
+
+
+@_FAST
+@given(case=configs())
+def test_compiled_matches_object_on_random_configs(case):
+    _check_run(case)
+
+
+@pytest.mark.slow
+@_SLOW
+@given(case=configs(max_instructions=st.integers(1_000, 8_000)))
+def test_compiled_matches_object_on_random_configs_at_length(case):
+    _check_run(case)
+
+
+def _chain(workload: str, config: SimConfig, compiled: bool, hops: list[int]) -> list:
+    """The engine's sampled chain by hand: a walker warms up, its state
+    crosses a warmup checkpoint, then per hop it fast-forwards (warming)
+    and hands its state to a fresh simulator that runs an interval."""
+    walker = _build(workload, config, compiled)
+    walker.functional_warmup(config.functional_warmup_blocks)
+    restored = _build(workload, config, compiled)
+    ckpt.restore_warmup(restored, ckpt.capture_warmup(walker))
+    out = [_structures(restored)]
+    for hop in hops:
+        walker.fast_forward_to(walker.oracle.instrs_walked + hop, warm=True)
+        interval = _build(workload, config, compiled, rng_seed=config.seed)
+        ckpt.handoff(walker, interval)
+        try:
+            interval.run_interval(500, detailed_warmup=250)
+        except SimulationError as exc:
+            out.append(str(exc))
+        out.append(_structures(interval))
+    return out
+
+
+@pytest.mark.slow
+@_SLOW
+@given(case=configs(), hops=st.lists(st.integers(0, 5_000), min_size=1, max_size=3))
+def test_sampled_chain_and_checkpoints_match_object_path(case, hops):
+    workload, config = case
+    config = config.replace(warmup_instructions=0)
+    assert _chain(workload, config, True, hops) == _chain(workload, config, False, hops)

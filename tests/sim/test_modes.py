@@ -1,14 +1,13 @@
-"""Object oracle vs compiled C kernels: byte-identity in every preset.
+"""Object oracle vs compiled cycle driver: byte-identity in every preset.
 
-Style of ``tests/sim/test_fastforward.py``: the runtime-compiled C kernels
-(TAGE/BTB/iBTB/cache/backend state in structure-of-arrays buffers, the
-precomputed dep-flag table) and the compiled cycle driver must be pure
-wall-clock optimizations — for any (workload, preset) pair the final cycle
-count and every measured counter must match the object implementations
-exactly.  The Python stepper runs the same code in both modes; compiled
-mode differs only in which structure classes it holds, so a traced run
-(a counter hook keeps it off the driver) narrates the same events in
-both.  The object path stays in the tree (``REPRO_NO_COMPILED`` /
+Style of ``tests/sim/test_fastforward.py``: a compiled simulator (the
+TAGE/BTB/iBTB/cache/backend state in structure-of-arrays buffers, the
+precomputed dep-flag table, and the compiled cycle driver running them)
+must be a pure wall-clock optimization — for any (workload, preset) pair
+the final cycle count and every measured counter must match the object
+implementations exactly.  A traced run needs the Python stepper, so it
+runs the object structures, and its counters equal an untraced compiled
+run's.  The object path stays in the tree (``REPRO_NO_COMPILED`` /
 ``compiled=False``) precisely so it can serve as the oracle.
 
 Checkpoints must also be layout-neutral: a warmup blob captured in either
@@ -21,10 +20,12 @@ import pytest
 from repro.backend.core import BackendCoreC
 from repro.branch.btb import BranchTargetBufferC, IndirectTargetBufferC
 from repro.branch.history import GlobalHistoryC
+from repro.branch.loop_predictor import LoopPredictorC
 from repro.branch.tage import TagePredictorC
 from repro.branch.two_level_btb import TwoLevelBTB
 from repro.common import cc
 from repro.common.config import SimConfig
+from repro.common.errors import SimulationError
 from repro.memory.cache import SetAssocCacheC
 from repro.memory.hierarchy import MemoryHierarchyC
 from repro.memory.stream import StreamPrefetcherC
@@ -102,11 +103,14 @@ def test_compiled_mode_uses_c_structures_in_every_preset():
             structures[f"btb{level}"] = (btb, BranchTargetBufferC)
         if hierarchy.stream is not None:
             structures["stream"] = (hierarchy.stream, StreamPrefetcherC)
+        if bpu.loop is not None:
+            structures["loop"] = (bpu.loop, LoopPredictorC)
         for name, (obj, cls) in structures.items():
             assert isinstance(obj, cls), (preset, name, type(obj).__name__)
 
 
-# Traced runs: a counter hook keeps compiled mode on the Python stepper.
+# Traced runs: a counter hook needs the Python stepper, so the object
+# structures.
 _TRACED = {
     "mispredicting-loop": lambda compiled: Simulator(
         micro.mispredicting_loop(),
@@ -124,16 +128,24 @@ _TRACED = {
 
 @pytest.mark.parametrize("case", sorted(_TRACED))
 def test_tracer_records_the_same_events_in_both_modes(case):
-    runs = {}
-    for mode, compiled in _MODES.items():
-        sim = _TRACED[case](compiled)
-        tracer = PipelineTracer(sim)
-        sim.run()
-        assert not tracer.saturated
-        events = [(e.cycle, e.label, e.count) for e in tracer.events]
-        runs[mode] = (sim.cycle, sim.measured_counters(), events)
-    assert runs["object"][2]
-    assert runs["compiled"] == runs["object"]
+    """The traced object run narrates the run a compiled simulator makes:
+    same cycle and counters.  A tracer on a compiled simulator raises,
+    naming compiled=False, before its first cycle."""
+    traced = _TRACED[case](False)
+    tracer = PipelineTracer(traced)
+    traced.run()
+    assert not tracer.saturated and tracer.events
+    compiled = _TRACED[case](True)
+    compiled.run()
+    assert (compiled.cycle, compiled.measured_counters()) == (
+        traced.cycle, traced.measured_counters()
+    )
+    if compiled.compiled_enabled:
+        sim = _TRACED[case](True)
+        PipelineTracer(sim)
+        with pytest.raises(SimulationError, match="compiled=False"):
+            sim.run()
+        assert sim.cycle == 0
 
 
 def test_env_var_disables_compiled(monkeypatch):

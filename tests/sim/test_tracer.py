@@ -7,9 +7,11 @@ from repro.workloads import micro
 
 
 def traced_sim(program, max_events=5_000, instructions=1_500):
+    # A tracer narrates the Python stepper, which runs the object structures.
     sim = Simulator(
         program,
         SimConfig(max_instructions=instructions, functional_warmup_blocks=0),
+        compiled=False,
     )
     tracer = PipelineTracer(sim, max_events=max_events)
     sim.run()

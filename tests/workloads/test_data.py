@@ -54,3 +54,28 @@ def test_different_seeds_differ():
     addrs_a = [a.next_address(0x5000 + 8 * i) for i in range(50)]
     addrs_b = [b.next_address(0x5000 + 8 * i) for i in range(50)]
     assert addrs_a != addrs_b
+
+
+def test_compiled_occurrence_array_spans_the_code_region():
+    # One counter per instruction from code_start on: nothing below it.
+    # The round trips through it stay byte-identical to the object
+    # generator (tests/sim/test_modes.py's warm fast-forward checkpoints,
+    # tests/sim/test_sampling.py's hand-offs and chained warm walks).
+    import pytest
+
+    from repro.common import cc
+    from repro.sim.presets import baseline_config
+    from repro.sim.profile import build_simulator
+
+    if cc.kernels() is None:
+        pytest.skip("no C compiler on this host")
+    for workload in ("verilator", "clang"):
+        sim = build_simulator(workload, baseline_config(1_000), compiled=True)
+        program = sim.program
+        assert program.code_start > 0
+        assert len(sim.data_gen._occ_arr) == (program.code_end - program.code_start) >> 2
+        sim.fast_forward_to(20_000, warm=True)
+        occurrences = sim.data_gen.occurrences_dict()
+        assert occurrences and all(
+            program.code_start <= pc < program.code_end for pc in occurrences
+        )
