@@ -24,17 +24,15 @@ sub-second run read the same tree's cold speedup anywhere from 1.04x to
 1.44x).
 
 Alongside the timings, each row reports the relative IPC error of the
-merged sampled result against the full run (with the default *warming*
-fast-forward, which replays the skipped loads/stores through the data
-hierarchy) and, for contrast, the error of a cold fast-forward
-(``warm_fastforward=False`` — the pre-warming behaviour, whose cold
-L1D/L2/LLC bias is what the warming mode exists to kill).  Each covered
+merged sampled result against the full run (the fast-forward warms the
+data side too: it replays the skipped loads/stores through the data
+hierarchy) and the sampled result's own relative CI95.  Each covered
 preset is also gated through the equivalence oracle at a reduced region:
 one interval spanning the whole region with no detailed warmup must be
 byte-identical (counters) to the plain run — divergence aborts the
 benchmark.
 
-Every row carries a blessed ``max_error`` bound on the warming-mode IPC
+Every row carries a blessed ``max_error`` bound on the sampled IPC
 error; ``--max-error M`` turns the bound into a hard gate (each row must
 satisfy ``ipc_rel_error <= max_error * M``, exit 1 otherwise).  CI runs a
 reduced-scale smoke with a loose multiplier; the committed full-scale
@@ -47,7 +45,7 @@ The committed results live in ``BENCH_sampling.json``; regenerate with::
 ``--scale 0.05`` shrinks every region/interval proportionally for CI
 smoke runs.  Rows run serially (``--jobs 1``) so speedups measure the work
 actually avoided, not pool parallelism; interval shapes are tuned per
-workload — with warming fast-forwards the main lever is the interval
+workload — with the data side warmed the main lever is the interval
 *count* (statistical width), so large regions take many short intervals
 rather than few long ones.
 """
@@ -89,18 +87,18 @@ class Row:
     num_intervals: int
     interval_length: int
     detailed_warmup: int
-    # Blessed upper bound on the warming-mode relative IPC error; the
+    # Blessed upper bound on the sampled relative IPC error; the
     # --max-error gate enforces it (scaled by its multiplier).
     max_error: float
 
 
 ROWS = (
-    # Small-footprint reference row: stays under 1% error.  Warming
-    # fast-forwards carry most of the state-warming burden, so the
+    # Small-footprint reference row: stays under 1% error.  The warming
+    # fast-forward carries most of the state-warming burden, so the
     # detailed warmup can stay short without reopening the warmup bias.
     Row("mediawiki", "baseline", 500_000, 10, 4_000, 1_500, 0.01),
     Row("gcc", "baseline", 500_000, 25, 2_000, 1_000, 0.025),
-    # The headline row: 7.9% with cold fast-forwards before warming landed.
+    # The headline row: 7.9% before the fast-forward warmed the data side.
     Row("verilator", "baseline", 500_000, 25, 1_000, 500, 0.02),
     # Stall-dominated regime: idle-cycle fast-forward already accelerates
     # the full run, so sampling's win is smaller here by construction, and
@@ -177,13 +175,8 @@ def bench_row(row: Row, seed: int, jobs: int, reps: int) -> dict:
     sampled_config = config.with_sampling(
         row.num_intervals, row.interval_length, row.detailed_warmup
     )
-    coldff_config = config.with_sampling(
-        row.num_intervals, row.interval_length, row.detailed_warmup,
-        warm_fastforward=False,
-    )
     full_spec = spec_for(row.workload, config, seed, "full")
     sampled_spec = spec_for(row.workload, sampled_config, seed, "sampled")
-    coldff_spec = spec_for(row.workload, coldff_config, seed, "coldff")
 
     from repro.sim import checkpoint as ckpt
 
@@ -212,9 +205,6 @@ def bench_row(row: Row, seed: int, jobs: int, reps: int) -> dict:
                 )
             for mode, seconds in zip(times, (t_full, t_cold, t_warm)):
                 times[mode].append(seconds)
-
-        _reset_process_state()  # the bias A/B: same shape, no data replay
-        coldff, _, _ = _timed(coldff_spec, jobs)
     finally:
         shutil.rmtree(root, ignore_errors=True)
         os.environ.pop("REPRO_CACHE_DIR", None)
@@ -239,7 +229,6 @@ def bench_row(row: Row, seed: int, jobs: int, reps: int) -> dict:
         "ipc_full": round(full.ipc, 4),
         "ipc_sampled": round(cold.ipc, 4),
         "ipc_rel_error": round(rel_error(cold), 4),
-        "ipc_rel_error_coldff": round(rel_error(coldff), 4),
         "max_error": row.max_error,
         "ipc_relative_ci95": round(cold.sampling["ipc_relative_ci95"], 4),
         # Medians over the reps; every timing is under "timings".
@@ -267,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=3,
                         help="timed repetitions per mode (medians reported)")
     parser.add_argument("--max-error", type=float, default=None, metavar="M",
-                        help="fail (exit 1) any row whose warming-mode IPC "
+                        help="fail (exit 1) any row whose sampled IPC "
                              "error exceeds its blessed max_error times M "
                              "(use 1 at full scale, looser for scaled smokes)")
     parser.add_argument("-o", "--out", default=DEFAULT_OUT)
@@ -287,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
               f"warm {result['sampled_warm_seconds']:.2f}s "
               f"({result['speedup_warm']:.1f}x) | "
               f"IPC err {result['ipc_rel_error']:.2%} "
-              f"(cold-ff {result['ipc_rel_error_coldff']:.2%})")
+              f"(CI95 {result['ipc_relative_ci95']:.2%})")
 
     gate = [
         f"{r['workload']}/{r['preset']}"

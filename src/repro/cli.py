@@ -108,12 +108,6 @@ def _add_sampling_args(parser: argparse.ArgumentParser) -> None:
              "PCT percent; implies --sample "
              f"{_DEFAULT_ADAPTIVE_INTERVALS} when --sample is not given",
     )
-    parser.add_argument(
-        "--sample-cold-ff", action="store_true",
-        help="fast-forward with cold data-side state (pre-warming "
-             "behaviour) instead of replaying loads/stores through the "
-             "cache hierarchy; for warmup-bias A/B studies",
-    )
 
 
 # Starting interval count when --sample-error is given without --sample;
@@ -128,10 +122,7 @@ def _apply_sampling_args(config, args):
         intervals = _DEFAULT_ADAPTIVE_INTERVALS
     if not intervals:
         return config
-    return apply_sampling(
-        config, intervals, args.sample_length, args.sample_warmup,
-        warm_fastforward=not getattr(args, "sample_cold_ff", False),
-    )
+    return apply_sampling(config, intervals, args.sample_length, args.sample_warmup)
 
 
 def _sample_error_fraction(args) -> float | None:
@@ -155,7 +146,7 @@ def _sampling_summary(result) -> str | None:
         f"sampled: {block['num_intervals']} intervals x "
         f"{block['interval_length']} instructions "
         f"(+{block['detailed_warmup']} detailed warmup), "
-        f"IPC {block['ipc_mean']:.4f} +/- {block['ipc_ci95_half']:.4f} "
+        f"IPC {result.ipc:.4f} +/- {block['ipc_ci95_half']:.4f} "
         f"({block['ipc_relative_ci95']:.1%} rel. CI95), "
         f"{block['ff_instructions_total']} instructions fast-forwarded"
     )

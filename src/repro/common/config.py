@@ -247,21 +247,14 @@ class SamplingConfig:
     configuration — one interval spanning the whole region with no detailed
     warmup — fast-forward zero instructions, so it is byte-identical to a
     plain run (the sampling-equivalence oracle in tests/sim/test_sampling.py).
-
-    ``warm_fastforward`` extends the functional fast-forward between
-    intervals to the data side as well: the oracle walk replays every
-    load/store through L1D/L2/LLC and the stream prefetcher (no cycle
-    accounting), so each interval resumes with live-point-style warm
-    microarchitectural state instead of the cold data caches that biased
-    large-footprint workloads (see docs/performance.md "Sampled
-    simulation").  It is on by default; disable it only to reproduce the
-    historical cold-cache estimator.
+    The fast-forward warms the data side too: it replays every skipped
+    load/store through L1D/L2/LLC and the stream prefetcher, with no cycle
+    accounting (see docs/performance.md "Sampled simulation").
     """
 
     num_intervals: int = 0
     interval_length: int = 0
     detailed_warmup: int = 0
-    warm_fastforward: bool = True
 
     def __post_init__(self) -> None:
         # Field-local invariants are enforced at construction so an invalid
@@ -375,8 +368,6 @@ class SimConfig:
     max_instructions: int = 50_000
     # The cycle limit; None derives it from max_instructions (cycle_limit).
     max_cycles: int | None = None
-    # Timed warmup: cycle-accurate cycles excluded from measurement.
-    warmup_instructions: int = 0
     # Functional warmup: basic blocks walked at trace speed before timing,
     # training BTB/TAGE/iBTB/caches (the paper's 50M-instruction warmup,
     # scaled).  Applied automatically at the start of Simulator.run().
@@ -393,16 +384,9 @@ class SimConfig:
         self.prefetcher.validate()
         if self.max_instructions <= 0 or self.cycle_limit <= 0:
             raise ConfigError("instruction and cycle limits must be positive")
-        if self.warmup_instructions < 0 or self.warmup_instructions >= self.max_instructions:
-            raise ConfigError("warmup must be in [0, max_instructions)")
         if self.functional_warmup_blocks < 0:
             raise ConfigError("functional warmup must be non-negative")
         self.sampling.validate(self.max_instructions)
-        if self.sampling.enabled and self.warmup_instructions > 0:
-            raise ConfigError(
-                "interval sampling carries its own detailed warmup; "
-                "warmup_instructions must be 0 when sampling is enabled"
-            )
 
     @property
     def cycle_limit(self) -> int:
@@ -446,7 +430,6 @@ class SimConfig:
         num_intervals: int,
         interval_length: int,
         detailed_warmup: int = 0,
-        warm_fastforward: bool = True,
     ) -> "SimConfig":
         """Return a copy with interval sampling enabled (0 intervals = off).
 
@@ -459,7 +442,6 @@ class SimConfig:
             num_intervals=num_intervals,
             interval_length=interval_length,
             detailed_warmup=detailed_warmup,
-            warm_fastforward=warm_fastforward,
         )
         sampling.validate(self.max_instructions)
         return self.replace(sampling=sampling)

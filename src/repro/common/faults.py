@@ -91,10 +91,6 @@ def mark_worker() -> None:
     _IN_WORKER = True
 
 
-def in_worker() -> bool:
-    return _IN_WORKER
-
-
 def active() -> bool:
     """Cheap guard: is any fault directive configured at all?"""
     return bool(os.environ.get(FAULT_ENV, "").strip())

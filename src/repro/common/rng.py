@@ -19,20 +19,6 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def interval_seed(base_seed: int, index: int) -> int:
-    """Deterministic per-sampling-interval seed from (base seed, index).
-
-    Interval 0 keeps the base seed unchanged so the degenerate one-interval
-    sampling configuration stays byte-identical to a plain run; later
-    intervals draw decorrelated streams.  The derivation depends only on the
-    two arguments, so pooled interval execution is reproducible regardless
-    of worker scheduling order.
-    """
-    if index == 0:
-        return base_seed
-    return derive_seed(base_seed, f"interval:{index}")
-
-
 def substream(master_seed: int, name: str) -> random.Random:
     """Return a ``random.Random`` seeded deterministically for ``name``."""
     return random.Random(derive_seed(master_seed, name))

@@ -65,10 +65,6 @@ class BloomFilter:
     def full(self) -> bool:
         return self.inserted >= self.capacity
 
-    def _bit_positions(self, key: int) -> list[int]:
-        mask = self._mask
-        return [mix64(key ^ s) & mask for s in self._seeds]
-
     def insert(self, key: int) -> None:
         """Add ``key`` to the set."""
         array = self._array

@@ -51,9 +51,6 @@ class SetAssocCache:
         # Called with the victim CacheLine on every eviction (utility tracking).
         self.eviction_hook: Callable[[CacheLine], None] | None = None
 
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr >> self.line_shift) & self._set_mask
-
     def lookup(self, line_addr: int, touch: bool = True) -> CacheLine | None:
         """Return the resident line or None; refreshes LRU when ``touch``."""
         way_set = self._sets[(line_addr >> self.line_shift) & self._set_mask]
@@ -264,39 +261,6 @@ class SetAssocCacheC:
     @property
     def occupancy(self) -> int:
         return int(self._dmv[8])
-
-    def _iter_sets(self):
-        """Per set, the resident flat way indices in LRU->MRU (stamp) order."""
-        addrs = self._addrs
-        stamps = self._stamps
-        assoc = self.assoc
-        for base in range(0, self.num_sets * assoc, assoc):
-            yield [
-                gidx
-                for _, gidx in sorted(
-                    (stamps[base + w], base + w)
-                    for w in range(assoc)
-                    if addrs[base + w] != -1
-                )
-            ]
-
-    def state_lines(self) -> list[list[tuple[int, bool, bool, bool, bool]]]:
-        """Same format as :meth:`SetAssocCache.state_lines`."""
-        addrs = self._addrs
-        flags = self._flags
-        return [
-            [
-                (
-                    addrs[g],
-                    bool(flags[g] & _PREFETCH),
-                    bool(flags[g] & _OFF_PATH),
-                    bool(flags[g] & _UDP),
-                    bool(flags[g] & _DIRTY),
-                )
-                for g in ways
-            ]
-            for ways in self._iter_sets()
-        ]
 
     def state_packed(self) -> dict[str, bytes]:
         """Same packed format as :meth:`SetAssocCache.state_packed`."""

@@ -30,6 +30,7 @@ from repro.common.errors import ConfigError
 from repro.memory.cache import SetAssocCache
 from repro.prefetchers.base import FrontendHooks, InstructionPrefetcher
 from repro.workloads.program import Program
+from repro.workloads.tables import program_cache
 from repro.workloads.trace import OracleCursor
 
 
@@ -124,10 +125,21 @@ def build_for_program(
 def build_sw_profile(
     params: SWProfileParams, program: Program, hooks: FrontendHooks
 ) -> ProfileGuidedPrefetcher:
-    """Registry factory: run the offline profile pass, deploy the result."""
-    return build_for_program(
-        program,
-        params.profile_blocks,
-        prefetch_distance=params.prefetch_distance,
-        max_targets_per_trigger=params.max_targets_per_trigger,
-    )
+    """Registry factory: deploy the offline profile of ``program``.
+
+    The profile pass runs once per process, program and ``params``: it is
+    memoized in the program's per-process memo, and every simulator of the
+    program (a sampled spec builds one per interval) deploys the same dict,
+    which the prefetcher only reads.
+    """
+    cache = program_cache(program)
+    key = ("sw_profile", params)
+    profile = cache.get(key)
+    if profile is None:
+        profile = cache[key] = profile_instruction_misses(
+            program,
+            params.profile_blocks,
+            prefetch_distance=params.prefetch_distance,
+            max_targets_per_trigger=params.max_targets_per_trigger,
+        )
+    return ProfileGuidedPrefetcher(profile)

@@ -2,8 +2,8 @@
 
 :class:`CycleDriver` runs :meth:`Simulator.step`'s whole loop in one C
 call (``run_cycles`` in ``repro/common/kernels/driver.c``) and returns to
-Python only where Python must act: at the retire target, at a timed-warmup
-or ``run_interval`` warmup boundary, or at the cycle limit.  Every exit
+Python only where Python must act: at the retire target, at a
+``run_interval`` detailed-warmup boundary, or at the cycle limit.  Every exit
 writes back what Python and the ledger read -- counters, ``cycle``, FTQ
 occupancy and depth, the oracle position, the frontend/RAS scalars, the
 two-level BTB's promotions, UDP's state and

@@ -38,10 +38,10 @@ walker simulator restores or creates the warmup checkpoint, fast-forwards
 to each interval in turn, and hands its functional state over in memory to
 a fresh simulator per interval, which simulates the measured slice.  The
 engine merges the per-interval counters into a single :class:`SimResult`
-(with a ``sampling`` block carrying the per-interval IPCs and their CI).
+(with a ``sampling`` block carrying the per-interval IPCs and the CI of the
+merged IPC).
 Only the warmup is checkpointed; the retry budget and
-``REPRO_UNIT_TIMEOUT`` cover the whole chain.  Setting
-``REPRO_NO_SAMPLING=1`` normalizes sampled specs back to full fidelity.
+``REPRO_UNIT_TIMEOUT`` cover the whole chain.
 
 There is no other way to run a batch: the figure drivers, the CLI, the
 analysis helpers, the benchmark harness and the examples all build a spec
@@ -293,12 +293,11 @@ def _run_sampled(
     The walker fast-forwards (:meth:`~repro.sim.simulator.Simulator.fast_forward_to`)
     to each interval's start in plan order and hands its functional state
     over in memory (:func:`~repro.sim.checkpoint.handoff`, a copy of each
-    structure's buffers) to a fresh simulator
-    seeded with the interval's ``rng_seed``, which runs the detailed warmup
-    and the measured slice; the walker itself never runs a cycle.  Chained
-    fast-forwards land in exactly the state of one direct jump, so every
-    interval measures what a simulator that warmed up and jumped straight
-    to its start would (``tests/sim/test_sampling.py``).  Each interval
+    structure's buffers) to a fresh simulator, which runs the detailed
+    warmup and the measured slice; the walker itself never runs a cycle.
+    Chained fast-forwards land in exactly the state of one direct jump, so
+    every interval measures what a simulator that warmed up and jumped
+    straight to its start would (``tests/sim/test_sampling.py``).  Each interval
     fires its own fault tokens (``label#k``), and an exception raised in
     interval ``k`` carries ``sampling_interval = k`` for the failure record.
     """
@@ -315,9 +314,7 @@ def _run_sampled(
     for plan in sampling.plan_intervals(spec.config):
         try:
             faults.fire_unit_faults(_interval_tokens(spec, plan.index))
-            simulator = Simulator(
-                program, config, data_profile=data_profile, rng_seed=plan.rng_seed
-            )
+            simulator = Simulator(program, config, data_profile=data_profile)
             handoff_started = time.perf_counter()
             ff_blocks, ff_walked = walker.fast_forward_to(
                 warmup_walked + plan.ff_instructions
@@ -897,8 +894,8 @@ def run_batch(
     intervals first, then longer detailed warmup) and re-run, up to
     ``_ADAPTIVE_MAX_ROUNDS`` rounds total; the final result replaces the
     original at its spec index and carries a ``sampling["adaptive"]`` block
-    (``target``/``rounds``/``met``).  Full-fidelity specs (and every spec
-    under ``REPRO_NO_SAMPLING``) pass through untouched.
+    (``target``/``rounds``/``met``).  Full-fidelity specs pass through
+    untouched.
 
     Cache hits are resolved first (in spec order).  The remaining specs fan
     out over a process pool when more than one worker is available and more
@@ -942,15 +939,6 @@ def run_batch(
             on_failure=on_failure,
         )
     spec_list = list(specs)
-    if sampling.sampling_disabled():
-        # REPRO_NO_SAMPLING: normalize sampled specs to full fidelity up
-        # front so their cache keys match genuinely plain runs.
-        spec_list = [
-            dataclasses.replace(spec, config=spec.config.without_sampling())
-            if spec.config.sampling.enabled
-            else spec
-            for spec in spec_list
-        ]
     total = len(spec_list)
     callback = progress if progress is not None else _default_progress
     retries = resolve_retries(retries)
@@ -1161,8 +1149,6 @@ def _run_batch_adaptive(
             f"sample_error must be a fraction in (0, 1), got {sample_error!r}"
         )
     results = run_batch(spec_list, **batch_kwargs)
-    if sampling.sampling_disabled():
-        return results
 
     # index -> spec currently standing at that index (escalations replace it)
     active = {
@@ -1177,9 +1163,9 @@ def _run_batch_adaptive(
         retry: dict[int, RunSpec] = {}
         for index, spec in active.items():
             result = results[index]
-            if result is None or result.sampling is None:
-                continue  # failed under keep-going, or normalized away
-            if result.sampling.get("ipc_relative_ci95", 0.0) <= sample_error:
+            if result is None:
+                continue  # failed under keep-going
+            if result.sampling["ipc_relative_ci95"] <= sample_error:
                 continue
             escalated = sampling.escalate_sampling(spec.config)
             if escalated is None:
@@ -1198,12 +1184,12 @@ def _run_batch_adaptive(
 
     for index in active:
         result = results[index]
-        if result is None or result.sampling is None:
+        if result is None:
             continue
         result.sampling["adaptive"] = {
             "target": sample_error,
             "rounds": rounds[index],
-            "met": result.sampling.get("ipc_relative_ci95", 0.0) <= sample_error,
+            "met": result.sampling["ipc_relative_ci95"] <= sample_error,
         }
     return results
 

@@ -58,10 +58,6 @@ class SimResult:
         """All L1I demand misses per 1000 retired instructions."""
         return ratio(self["icache_demand_misses"] * 1000.0, self.retired)
 
-    @property
-    def icache_mpki_on_path(self) -> float:
-        return ratio(self["icache_demand_misses_on_path"] * 1000.0, self.retired)
-
     # -- paper ratios ------------------------------------------------------------
 
     @property

@@ -185,16 +185,13 @@ def apply_sampling(
     num_intervals: int,
     interval_length: int | None = None,
     detailed_warmup: int | None = None,
-    warm_fastforward: bool = True,
 ) -> SimConfig:
     """Enable interval sampling on any preset with sensible defaults.
 
     Unless given explicitly, each interval measures 10% of its period and
     runs half an interval of detailed (unmeasured) warmup first — small
     enough for an order-of-magnitude speedup, long enough to re-steady the
-    pipeline after the functional fast-forward.  ``warm_fastforward=False``
-    reverts to cold (instruction-side-only) fast-forwards for bias A/B
-    studies (the ``--sample-cold-ff`` CLI flag).  Used by the ``--sample``
+    pipeline after the functional fast-forward.  Used by the ``--sample``
     CLI flags; pass exact values for full control.
     """
     if num_intervals <= 0:
@@ -204,12 +201,7 @@ def apply_sampling(
         interval_length = max(1, period // 10)
     if detailed_warmup is None:
         detailed_warmup = min(interval_length // 2, period - interval_length)
-    return config.with_sampling(
-        num_intervals,
-        interval_length,
-        detailed_warmup,
-        warm_fastforward=warm_fastforward,
-    )
+    return config.with_sampling(num_intervals, interval_length, detailed_warmup)
 
 
 PRESET_BUILDERS = {

@@ -106,8 +106,8 @@ class ProfileReport:
     seed: int
     fast_forward: bool
     # Active acceleration gates for this run: idle-cycle fast-forward,
-    # warmup checkpoint reuse, interval sampling, the runtime-compiled C
-    # kernels (each togglable via its REPRO_NO_* env var), and the compiled
+    # warmup checkpoint reuse, the runtime-compiled C kernels (each
+    # togglable via its REPRO_NO_* env var), and the compiled
     # cycle driver, which runs exactly the compiled simulators (see
     # repro.sim.driver).
     gates: dict[str, bool]
@@ -171,7 +171,6 @@ def profile_run(
     """
     from repro.common import cc
     from repro.common.artifacts import reuse_disabled
-    from repro.sim.sampling import sampling_disabled
 
     simulator = build_simulator(workload, config, seed, compiled=None if fast_forward else False)
     if not fast_forward:
@@ -196,7 +195,6 @@ def profile_run(
     gates = {
         "fast-forward": fast_forward,
         "checkpoint": not reuse_disabled(),
-        "sampling": not sampling_disabled(),
         "compiled": simulator.compiled_enabled,
         "driver": not driver_off_reason,
     }

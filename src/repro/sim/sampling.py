@@ -15,14 +15,12 @@ simulator per interval; only the functional warmup is checkpointed.
 
 This module is pure planning and aggregation:
 
-* :func:`plan_intervals` — the per-interval fast-forward targets, budgets,
-  and derived RNG seeds for a sampled configuration;
+* :func:`plan_intervals` — the per-interval fast-forward targets and
+  budgets of a sampled configuration;
 * :func:`merge_intervals` — sum per-interval measured counters into one
   :class:`~repro.sim.metrics.SimResult` carrying a ``sampling`` block with
-  per-interval IPCs and their mean/CI (the reported sampling error);
-* ``REPRO_NO_SAMPLING=1`` (:func:`sampling_disabled`) — a global opt-out:
-  the engine normalizes sampled specs back to full fidelity, sharing cache
-  entries with genuinely plain runs.
+  the per-interval IPCs and the CI95 of the merged IPC (the reported
+  sampling error).
 
 Anchoring measurement at the *end* of each period makes the degenerate
 configuration — one interval covering the whole region with no detailed
@@ -36,33 +34,18 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.common.artifacts import env_truthy
 from repro.common.config import SimConfig
-from repro.common.rng import interval_seed
-from repro.common.stats import (
-    ci95_half_width,
-    mean,
-    relative_half_width,
-    stdev,
-)
+from repro.common.counters import ratio
+from repro.common.stats import mean, ratio_ci95_half_width
 from repro.sim.metrics import SimResult
 
-NO_SAMPLING_ENV = "REPRO_NO_SAMPLING"
-
 __all__ = [
-    "NO_SAMPLING_ENV",
     "IntervalOutcome",
     "IntervalPlan",
     "escalate_sampling",
     "merge_intervals",
     "plan_intervals",
-    "sampling_disabled",
 ]
-
-
-def sampling_disabled() -> bool:
-    """True when ``REPRO_NO_SAMPLING`` forces full-fidelity simulation."""
-    return env_truthy(NO_SAMPLING_ENV)
 
 
 @dataclass(frozen=True)
@@ -70,22 +53,16 @@ class IntervalPlan:
     """One systematic sampling interval of a sampled configuration.
 
     ``ff_instructions`` counts true-path instructions to skip past the end
-    of the functional warmup (block-granular, see ``fast_forward_to``);
-    ``rng_seed`` drives the measured-region stochastic components.  With
-    warm fast-forwards every interval carries ``rng_seed == config.seed``:
-    the warming replay consumes the walker's own data generator, so the
-    measured region must draw from the same stream the replay advanced.
-    Cold fast-forwards keep per-interval derived seeds
-    (``interval_seed(config.seed, index)``).  Either way the seed is a pure
-    function of ``(config, index)``, so results are independent of worker
-    scheduling order.
+    of the functional warmup (block-granular, see ``fast_forward_to``).
+    Every interval runs under ``config.seed``: the warming fast-forward
+    consumes the walker's own data generator, and the measured region
+    continues the stream the replay advanced.
     """
 
     index: int
     ff_instructions: int
     detailed_warmup: int
     measure_instructions: int
-    rng_seed: int
 
 
 @dataclass
@@ -139,11 +116,6 @@ def plan_intervals(config: SimConfig) -> list[IntervalPlan]:
                 ff_instructions=ff,
                 detailed_warmup=s.detailed_warmup,
                 measure_instructions=s.interval_length,
-                rng_seed=(
-                    config.seed
-                    if s.warm_fastforward
-                    else interval_seed(config.seed, index)
-                ),
             )
         )
     return plans
@@ -196,9 +168,10 @@ def merge_intervals(
 
     Counters are summed entry-wise with no zero-dropping, so merging the
     degenerate single interval reproduces its counter dict exactly (the
-    byte-identity gate).  The ``sampling`` block reports per-interval IPCs
-    with mean, sample stdev, and a normal-approximation 95% CI half-width —
-    the sampling error estimate to quote next to the merged IPC.
+    byte-identity gate).  The merged IPC is the ratio estimator
+    Σretired / Σcycles, and the ``sampling`` block reports its 95% CI
+    half-width by the delta method, as SMARTS does — the sampling error
+    estimate to quote next to the merged IPC — with the per-interval IPCs.
     """
     if not outcomes:
         raise ValueError("cannot merge zero intervals")
@@ -218,17 +191,17 @@ def merge_intervals(
     else:
         avg_occupancy = mean([o.avg_ftq_occupancy for o in outcomes])
 
-    ipcs = [outcome.ipc for outcome in outcomes]
+    retired = [outcome.counters.get("retired_instructions", 0) for outcome in outcomes]
+    half = ratio_ci95_half_width(retired, cycles)
+    ipc = ratio(sum(retired), total_cycles)
     s = config.sampling
     sampling_block = {
         "num_intervals": s.num_intervals,
         "interval_length": s.interval_length,
         "detailed_warmup": s.detailed_warmup,
-        "interval_ipc": ipcs,
-        "ipc_mean": mean(ipcs),
-        "ipc_stdev": stdev(ipcs),
-        "ipc_ci95_half": ci95_half_width(ipcs),
-        "ipc_relative_ci95": relative_half_width(ipcs),
+        "interval_ipc": [outcome.ipc for outcome in outcomes],
+        "ipc_ci95_half": half,
+        "ipc_relative_ci95": ratio(half, ipc),
         "ff_instructions_total": sum(o.ff_instructions_walked for o in outcomes),
         "ff_blocks_total": sum(o.ff_blocks for o in outcomes),
     }

@@ -55,7 +55,6 @@ class Simulator:
         program: Program,
         config: SimConfig,
         data_profile: DataProfile | None = None,
-        rng_seed: int | None = None,
         compiled: bool | None = None,
     ) -> None:
         config.validate()
@@ -69,15 +68,6 @@ class Simulator:
         # byte-identical either way (tests/sim/test_modes.py).
         self.driver_off_reason = driver.ineligibility(program, compiled)
         self.compiled_enabled = comp = self.driver_off_reason is None
-        # Stochastic measured-region components (data addresses, backend
-        # latency draws) may use a seed decoupled from the synthesis seed —
-        # cold-fast-forward sampling derives one per interval.  Functional
-        # warmup never consumes this stream, so warmup checkpoints are
-        # shared across rng_seed values; a *warming* fast-forward does
-        # (the data replay), which is why warm sampled intervals all run
-        # with the base seed (plan_intervals), the seed of the engine's
-        # walker whose state each interval's simulator takes over.
-        self.rng_seed = rng_seed if rng_seed is not None else config.seed
         self.counters = Counters()
         self.cycle = 0
 
@@ -132,25 +122,30 @@ class Simulator:
         )
 
         profile = data_profile if data_profile is not None else DataProfile()
+        # The stochastic components (data addresses, backend latency draws)
+        # draw from config.seed.  The functional warmup never consumes these
+        # streams; the warming fast-forward does (its data replay), and the
+        # measured region continues where it left them.
+        seed = config.seed
         if comp:
             from repro.backend.core import BackendCoreC, dep_flags
             from repro.workloads.data import DataAddressGeneratorC
 
             self.data_gen = DataAddressGeneratorC(
-                profile, self.rng_seed, program.code_start, program.code_end
+                profile, seed, program.code_start, program.code_end
             )
-            self.backend = BackendCoreC(config.core, self.data_gen, seed=self.rng_seed)
+            self.backend = BackendCoreC(config.core, self.data_gen, seed=seed)
             self.backend.install_dep_table(
-                dep_flags(program, self.rng_seed, self.backend._dep_threshold)
+                dep_flags(program, seed, self.backend._dep_threshold)
             )
         else:
-            self.data_gen = DataAddressGenerator(profile, self.rng_seed)
+            self.data_gen = DataAddressGenerator(profile, seed)
             self.backend = BackendCore(
                 config.core,
                 self.hierarchy,
                 self.data_gen,
                 self.counters,
-                seed=self.rng_seed,
+                seed=seed,
             )
             if self.udp is not None:
                 self.backend.retire_hook = self.udp.on_retire
@@ -343,9 +338,7 @@ class Simulator:
             for size in (4, 2, 1)
         )
 
-    def fast_forward_to(
-        self, target_walked: int, warm: bool | None = None
-    ) -> tuple[int, int]:
+    def fast_forward_to(self, target_walked: int) -> tuple[int, int]:
         """Functionally advance the oracle to ``target_walked`` instructions.
 
         ``target_walked`` is an *absolute* position in true-path instructions
@@ -357,18 +350,14 @@ class Simulator:
         Afterwards the warmup baseline is re-snapshotted so the skipped span
         never leaks into measurement.
 
-        ``warm`` additionally replays the walked blocks' loads and stores
-        through ``self.data_gen`` into the data hierarchy (L1D/L2/LLC and
-        the stream prefetcher, no cycle accounting), killing the cold-cache
-        bias that sampled large-footprint workloads otherwise suffer.  The
-        replay consumes the *same* generator the measured region draws from
-        — warming with a decoupled stream would fill the caches with
-        addresses the interval never touches and leave its occurrence
-        counters cold — which is why sampled intervals share one
-        ``rng_seed`` when warming is on (see ``plan_intervals``).  It
-        defaults to the config's ``sampling.warm_fastforward``; every piece
-        of state it touches is captured (:func:`repro.sim.checkpoint.capture_state`),
-        so chained warm walks stay byte-identical to one direct jump.
+        The walk warms the data side too: it replays the walked blocks'
+        loads and stores through ``self.data_gen`` into the data hierarchy
+        (L1D/L2/LLC and the stream prefetcher, no cycle accounting), so a
+        sampled large-footprint workload does not start each interval
+        against cold data caches.  The replay consumes the *same* generator
+        the measured region draws from; every piece of state it touches is
+        captured (:func:`repro.sim.checkpoint.capture_state`), so chained
+        walks stay byte-identical to one direct jump.
 
         Returns ``(blocks_walked, instructions_walked)`` for this call.
         Already being at or past the target is a strict no-op — the
@@ -380,13 +369,9 @@ class Simulator:
         oracle = self.oracle
         if self._warmed and oracle.instrs_walked >= target_walked:
             return (0, 0)
-        if warm is None:
-            warm = self.config.sampling.enabled and (
-                self.config.sampling.warm_fastforward
-            )
         start_blocks = oracle.blocks_walked
         start_instrs = oracle.instrs_walked
-        self._walk_true_path(driver.NEVER, target_walked, first_touch=False, warm=warm)
+        self._walk_true_path(driver.NEVER, target_walked, first_touch=False, warm=True)
         self._warmed = True
         walked_blocks = oracle.blocks_walked - start_blocks
         walked_instrs = oracle.instrs_walked - start_instrs
@@ -426,14 +411,7 @@ class Simulator:
         )
         if not self._warmed and self.cycle == 0 and self.config.functional_warmup_blocks > 0:
             self.functional_warmup(self.config.functional_warmup_blocks)
-        warmup = self.config.warmup_instructions
-
-        def end_warmup() -> None:
-            self._warmup_baseline = self.counters.snapshot()
-            self._warmup_cycle = self.cycle
-            self._warmup_retired = self.backend.retired_instructions
-
-        self._simulate(target, warmup if warmup else None, end_warmup)
+        self._simulate(target, None, None)
         self.counters.set("cycles", self.cycle)
         self.counters.set("retired_instructions", self.backend.retired_instructions)
 

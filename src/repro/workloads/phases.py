@@ -10,21 +10,11 @@ observed and tested.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.common.rng import RngPool, derive_seed
 from repro.workloads.behavior import BiasedBehavior, PhasedBehavior
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.program import BasicBlock, Branch, BranchKind, Program
 from repro.workloads.synth import synthesize
-
-
-def phased_profile(
-    base: WorkloadProfile,
-    name_suffix: str = "-phased",
-) -> WorkloadProfile:
-    """A copy of ``base`` registered under a phased name (bookkeeping only)."""
-    return dataclasses.replace(base, name=base.name + name_suffix)
 
 
 def make_phased_program(

@@ -158,11 +158,6 @@ def test_technique_config_rejects_bad_params():
         SimConfig(prefetcher=bad).validate()
 
 
-def test_simconfig_rejects_warmup_beyond_run():
-    with pytest.raises(ConfigError):
-        SimConfig(max_instructions=100, warmup_instructions=100).validate()
-
-
 def test_with_ftq_depth_returns_new_config():
     config = SimConfig()
     deeper = config.with_ftq_depth(64)

@@ -59,3 +59,26 @@ def test_simulation_with_sw_profile():
     config = sw_profile_config(3_000, profile_blocks=3_000)
     (result,) = run_batch([spec_for("mediawiki", config, label="sw")])
     assert result.retired >= 3_000
+
+
+def test_profile_pass_runs_once_per_program_and_params(monkeypatch):
+    from repro.prefetchers import swprefetch
+    from repro.sim.presets import sw_profile_config
+    from repro.sim.simulator import Simulator
+
+    calls = []
+    profile_pass = swprefetch.profile_instruction_misses
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return profile_pass(*args, **kwargs)
+
+    monkeypatch.setattr(swprefetch, "profile_instruction_misses", counted)
+    program = synthesize(get_profile("mediawiki"), seed=1)  # nothing memoized yet
+    config = sw_profile_config(3_000, profile_blocks=3_000)
+    first = Simulator(program, config)
+    second = Simulator(program, config)
+    assert len(calls) == 1
+    assert second.prefetcher.profile is first.prefetcher.profile
+    Simulator(program, sw_profile_config(3_000, profile_blocks=2_000))
+    assert len(calls) == 2  # other params, another pass

@@ -5,7 +5,7 @@ loop in C, UDP, the two-level BTB and the loop predictor included, and
 calls a registry technique's and UFTQ's Python methods back where step()
 does.  It must be a pure wall-clock optimization (``tests/sim/test_modes.py``,
 ``tests/sim/test_fuzz_modes.py``): at every point where it returns to
-Python -- the retire target, a timed-warmup or ``run_interval`` warmup
+Python -- the retire target, a ``run_interval`` detailed-warmup
 boundary, the cycle limit, an exception from a callback -- counters,
 cycle, FTQ occupancy, the oracle position, UDP's state and the calls a
 technique saw must equal the object oracle's.  And a compiled simulator
@@ -185,21 +185,6 @@ def test_driver_keeps_the_steppers_idle_skip_accounting(workload, preset):
     assert (driven.steps_executed, driven.ff_jumps, driven.ff_cycles_skipped) == (
         stepped.steps_executed, stepped.ff_jumps, stepped.ff_cycles_skipped
     )
-
-
-@pytest.mark.parametrize("preset", ["baseline", "miss-heavy"])
-def test_timed_warmup_exit_matches_object_path(preset):
-    config = PRESET_BUILDERS[preset](N).replace(warmup_instructions=1_500)
-    before = _driver_calls()
-    driven = build_simulator("verilator", config, compiled=True)
-    driven.run()
-    if cc.compiled_enabled():
-        assert _driver_calls() - before == 2  # the warmup boundary, then the target
-    oracle = build_simulator("verilator", config, compiled=False)
-    oracle.run()
-    assert driven._warmup_cycle == oracle._warmup_cycle > 0
-    assert driven._warmup_retired == oracle._warmup_retired
-    assert _state(driven) == _state(oracle)
 
 
 def test_run_interval_warmup_exit_matches_object_path():
@@ -648,8 +633,8 @@ def test_recorder_sees_the_same_calls_at_the_retire_target(recorder):
         assert driven.driver_demand_callbacks > 0 and driven.driver_fill_callbacks > 0
 
 
-def test_recorder_matches_at_the_timed_warmup_stop(recorder):
-    config = _recorder_config().replace(warmup_instructions=1_500)
+def test_recorder_matches_at_the_detailed_warmup_stop(recorder):
+    config = _recorder_config()
 
     def run(sim):
         at_stop = []
@@ -663,7 +648,7 @@ def test_recorder_matches_at_the_timed_warmup_stop(recorder):
             simulate(target, warmup_target, end)
 
         sim._simulate = capturing
-        sim.run()
+        sim.run_interval(config.max_instructions - 1_500, detailed_warmup=1_500)
         return at_stop
 
     (driven, driven_stop), (oracle, oracle_stop) = _both(run, config)
@@ -808,7 +793,7 @@ def _walk_state(sim: Simulator) -> tuple:
 
     ``_state`` plus the raw counters and baseline, the frontend and RAS
     scalars and every trained structure in its checkpoint form: the caches
-    as their LRU-ordered line tuples and the data generator as its
+    as their packed LRU-ordered lines and the data generator as its
     occurrence dict (the compiled one's packed buffers are in pc order).
     """
     bpu = sim.bpu
@@ -824,7 +809,7 @@ def _walk_state(sim: Simulator) -> tuple:
         bpu.tage.state_dict(),
         bpu.btb.state_packed(),
         bpu.ibtb.state_packed(),
-        [cache.state_lines() for cache in caches],
+        [cache.state_packed() for cache in caches],
         hierarchy.stream.state_dict() if hierarchy.stream is not None else None,
         sim.data_gen.occurrences_dict(),
     )
@@ -863,10 +848,9 @@ def test_functional_warmup_matches_object_walk(preset, workload, transitions):
     assert _walk_state(walked) == _walk_state(oracle)
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("preset", ["udp", "infinite-storage", "miss-heavy"])
-def test_fast_forward_matches_object_walk(preset, warm):
-    """Cold and warming fast-forwards; chained hops land where one jump does."""
+def test_fast_forward_matches_object_walk(preset):
+    """Warming fast-forwards; chained hops land where one jump does."""
     config = PRESET_BUILDERS[preset](N)
 
     def forwarded(compiled: bool, hops) -> Simulator:
@@ -874,7 +858,7 @@ def test_fast_forward_matches_object_walk(preset, warm):
         sim.functional_warmup(config.functional_warmup_blocks)
         start = sim.oracle.instrs_walked
         for hop in hops:
-            sim.fast_forward_to(start + hop, warm=warm)
+            sim.fast_forward_to(start + hop)
         return sim
 
     before = _walk_calls()
@@ -885,7 +869,7 @@ def test_fast_forward_matches_object_walk(preset, warm):
     oracle = forwarded(False, [6_000])
     counters = direct.counters
     assert counters["sampling_ff_instructions"] >= 6_000
-    assert (counters["l1d_accesses"] > 0) == warm  # the warmup replays no data
+    assert counters["l1d_accesses"] > 0  # the warmup replays no data; this does
     assert _walk_state(direct) == _walk_state(oracle)
     assert _walk_state(chained) == _walk_state(direct)
     direct.run()
@@ -954,7 +938,7 @@ def test_handcrafted_programs_walk_like_the_object_path(name, transitions):
         sim.functional_warmup(blocks)
         if name == "deep_call_chain":
             assert len(sim.oracle.call_stack) == sim.oracle.max_stack
-        sim.fast_forward_to(sim.oracle.instrs_walked + 4_000, warm=True)
+        sim.fast_forward_to(sim.oracle.instrs_walked + 4_000)
         if compiled and cc.compiled_enabled():
             in_c = name != "custom_behaviour"
             assert (_walk_calls() - before == 2) == in_c
@@ -1083,9 +1067,7 @@ def _component_state(sim: Simulator) -> tuple:
 def _new_preset_run(preset: str, compiled: bool, exit: str) -> Simulator:
     workload, _, length = NEW_PRESETS[preset]
     config = PRESET_BUILDERS[preset](length)
-    if exit == "timed-warmup":
-        config = config.replace(warmup_instructions=1_500)
-    elif exit == "cycle-limit":
+    if exit == "cycle-limit":
         config = config.replace(max_cycles=3_000)
     sim = build_simulator(workload, config, compiled=compiled)
     if exit == "cycle-limit":
@@ -1101,7 +1083,7 @@ def _new_preset_run(preset: str, compiled: bool, exit: str) -> Simulator:
     return sim
 
 
-@pytest.mark.parametrize("exit", ["target", "timed-warmup", "run-interval", "cycle-limit"])
+@pytest.mark.parametrize("exit", ["target", "run-interval", "cycle-limit"])
 @pytest.mark.parametrize("preset", sorted(NEW_PRESETS))
 def test_new_presets_match_object_path_at_every_exit(preset, exit):
     before = _driver_calls()
@@ -1109,10 +1091,10 @@ def test_new_presets_match_object_path_at_every_exit(preset, exit):
     calls = _driver_calls() - before
     oracle = _new_preset_run(preset, False, exit)
     if cc.compiled_enabled():
-        expected = {"target": 1, "timed-warmup": 2, "run-interval": 3, "cycle-limit": 1}
+        expected = {"target": 1, "run-interval": 3, "cycle-limit": 1}
         assert calls == expected[exit]
         assert driven.steps_executed + driven.ff_cycles_skipped == driven.cycle
-    if exit in ("target", "timed-warmup"):
+    if exit == "target":
         own = NEW_PRESETS[preset][1]
         assert _own_work(oracle, own) > 0, own
     assert _state(driven) == _state(oracle)

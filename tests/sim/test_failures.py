@@ -340,7 +340,7 @@ def test_hard_hang_hits_parent_backstop(monkeypatch):
 
 def test_sampled_interval_failure_names_the_interval(monkeypatch):
     monkeypatch.setenv(faults.FAULT_ENV, "raise:samp#1")
-    sampled = FAST.replace(warmup_instructions=0).with_sampling(2, 100)
+    sampled = FAST.with_sampling(2, 100)
     specs = [
         spec_for("mediawiki", sampled, 1, "samp"),
         spec_for("mediawiki", FAST, 2, "plain"),

@@ -4,7 +4,8 @@ Hypothesis draws a preset (every ``PRESET_BUILDERS`` entry), a workload and
 perturbed settings: FTQ depth, fetch and FDIP widths, L1I geometry and
 MSHRs, BTB/iBTB/RAS/ROB/RS sizes, UDP's knobs, UFTQ's window, step and
 depth bounds, the loop predictor's entries, the two-level BTB's L1, the
-functional and timed warmups and a cycle-limit exit.  Each configuration
+functional warmup, a detailed warmup (``run_interval``'s warmup-boundary
+exit) and a cycle-limit exit.  Each configuration
 runs on a compiled simulator and with ``compiled=False``; configurations
 that validation rejects are skipped, and every other must end with equal
 counters, ``cycle`` and state of every structure (caches, BTBs, TAGE,
@@ -51,8 +52,9 @@ def _pow2(lo: int, hi: int):
 
 
 @st.composite
-def configs(draw, max_instructions=st.integers(1_000, 3_000)) -> tuple[str, SimConfig]:
-    """A workload and a perturbed preset configuration (maybe invalid)."""
+def configs(draw, max_instructions=st.integers(1_000, 3_000)) -> tuple[str, SimConfig, int]:
+    """A workload, a perturbed preset configuration (maybe invalid) and a
+    detailed warmup for the run (0: none)."""
     preset = draw(st.sampled_from(sorted(PRESET_BUILDERS)))
     workload = draw(st.sampled_from(WORKLOADS))
     n = draw(max_instructions)
@@ -108,6 +110,8 @@ def configs(draw, max_instructions=st.integers(1_000, 3_000)) -> tuple[str, SimC
         max_depth=draw(st.integers(lo, 128)),
         initial_depth=draw(st.integers(lo, 128)),
     )
+    functional_warmup_blocks = draw(st.integers(0, 2_000))
+    detailed_warmup = draw(st.sampled_from([0, 0, n // 3]))
     config = config.replace(
         core=core,
         frontend=frontend,
@@ -115,15 +119,14 @@ def configs(draw, max_instructions=st.integers(1_000, 3_000)) -> tuple[str, SimC
         memory=dataclasses.replace(config.memory, l1i=l1i),
         udp=udp,
         uftq=uftq,
-        functional_warmup_blocks=draw(st.integers(0, 2_000)),
-        warmup_instructions=draw(st.sampled_from([0, 0, n // 3])),
+        functional_warmup_blocks=functional_warmup_blocks,
         max_cycles=draw(st.sampled_from([None, None, None, 2_000, 8_000])),
     )
     try:
         config.validate()
     except (ConfigError, ValueError):
         reject()
-    return workload, config
+    return workload, config, detailed_warmup
 
 
 def _structures(sim: Simulator) -> tuple:
@@ -142,7 +145,7 @@ def _structures(sim: Simulator) -> tuple:
         (sim.ftq.depth, sim.ftq.occupancy_sum, sim.ftq.occupancy_samples),
         (oracle.pc, oracle.blocks_walked, oracle.instrs_walked, list(oracle.call_stack)),
         oracle._occurrences.tobytes(),
-        [cache.state_lines() for cache in (sim.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.llc)],
+        [cache.state_packed() for cache in (sim.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.llc)],
         None if hierarchy.stream is None else hierarchy.stream.state_dict(),
         sim.data_gen.occurrences_dict(),
         btb.state_packed(),
@@ -169,17 +172,20 @@ def _structures(sim: Simulator) -> tuple:
     )
 
 
-def _build(workload: str, config: SimConfig, compiled: bool, **kwargs) -> Simulator:
+def _build(workload: str, config: SimConfig, compiled: bool) -> Simulator:
     program = program_store.program_for(workload, config.seed)
-    return Simulator(
-        program, config, data_profile=get_profile(workload).data, compiled=compiled, **kwargs
-    )
+    return Simulator(program, config, data_profile=get_profile(workload).data, compiled=compiled)
 
 
-def _run(workload: str, config: SimConfig, compiled: bool) -> tuple:
+def _run(workload: str, config: SimConfig, compiled: bool, detailed_warmup: int) -> tuple:
     sim = _build(workload, config, compiled)
     try:
-        sim.run()
+        if detailed_warmup:
+            sim.run_interval(
+                config.max_instructions - detailed_warmup, detailed_warmup=detailed_warmup
+            )
+        else:
+            sim.run()
         error = None
     except SimulationError as exc:  # the cycle limit
         error = str(exc)
@@ -187,8 +193,10 @@ def _run(workload: str, config: SimConfig, compiled: bool) -> tuple:
 
 
 def _check_run(case) -> None:
-    workload, config = case
-    assert _run(workload, config, True) == _run(workload, config, False)
+    workload, config, detailed_warmup = case
+    assert _run(workload, config, True, detailed_warmup) == _run(
+        workload, config, False, detailed_warmup
+    )
 
 
 @_FAST
@@ -214,8 +222,8 @@ def _chain(workload: str, config: SimConfig, compiled: bool, hops: list[int]) ->
     ckpt.restore_warmup(restored, ckpt.capture_warmup(walker))
     out = [_structures(restored)]
     for hop in hops:
-        walker.fast_forward_to(walker.oracle.instrs_walked + hop, warm=True)
-        interval = _build(workload, config, compiled, rng_seed=config.seed)
+        walker.fast_forward_to(walker.oracle.instrs_walked + hop)
+        interval = _build(workload, config, compiled)
         ckpt.handoff(walker, interval)
         try:
             interval.run_interval(500, detailed_warmup=250)
@@ -229,6 +237,5 @@ def _chain(workload: str, config: SimConfig, compiled: bool, hops: list[int]) ->
 @_SLOW
 @given(case=configs(), hops=st.lists(st.integers(0, 5_000), min_size=1, max_size=3))
 def test_sampled_chain_and_checkpoints_match_object_path(case, hops):
-    workload, config = case
-    config = config.replace(warmup_instructions=0)
+    workload, config, _ = case
     assert _chain(workload, config, True, hops) == _chain(workload, config, False, hops)

@@ -210,10 +210,10 @@ def test_checkpoint_round_trips_across_modes(
 
 @pytest.mark.parametrize("capture_mode", sorted(_MODES))
 @pytest.mark.parametrize("restore_mode", sorted(_MODES))
-def test_warm_fastforward_checkpoints_cross_modes(
+def test_fast_forward_checkpoints_cross_modes(
     tmp_path, monkeypatch, capture_mode, restore_mode
 ):
-    """Schema-3 state — the data caches filled by the warming replay, the
+    """Schema-3 state — the data caches filled by the fast-forward's replay, the
     stream prefetcher table, and the data generator's occurrence counters —
     survives any capture/restore mode combo just like warmup state does."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -230,7 +230,7 @@ def test_warm_fastforward_checkpoints_cross_modes(
     donor = fresh(capture_mode)
     donor.functional_warmup(config.functional_warmup_blocks)
     target = donor.oracle.instrs_walked + 600
-    donor.fast_forward_to(target, warm=True)
+    donor.fast_forward_to(target)
     assert donor.data_gen.occurrences_dict()
     blob = ckpt.capture_warmup(donor)
 
@@ -239,7 +239,7 @@ def test_warm_fastforward_checkpoints_cross_modes(
 
     scratch = fresh(restore_mode)
     scratch.functional_warmup(config.functional_warmup_blocks)
-    scratch.fast_forward_to(target, warm=True)
+    scratch.fast_forward_to(target)
 
     # The warming-mutated state restores layout-neutrally...
     assert (
@@ -247,8 +247,8 @@ def test_warm_fastforward_checkpoints_cross_modes(
         == scratch.data_gen.occurrences_dict()
     )
     assert (
-        restored.hierarchy.l1d.state_lines()
-        == scratch.hierarchy.l1d.state_lines()
+        restored.hierarchy.l1d.state_packed()
+        == scratch.hierarchy.l1d.state_packed()
     )
     assert (restored.hierarchy.stream is None) == (
         scratch.hierarchy.stream is None

@@ -3,21 +3,18 @@
 The load-bearing property is the equivalence oracle: one interval covering
 the whole measured region with no detailed warmup must produce counters
 byte-identical to a plain full-fidelity run, on every preset family the
-benchmark sweeps.  Everything else (pool scheduling, per-interval RNG
-seeds, checkpoint reuse, the ``REPRO_NO_SAMPLING`` escape hatch) must never
-change a merged result, and the engine's interval chain (one walker handing
-its state to a fresh simulator per interval) must equal every interval
-warming up and jumping straight to its own start.
+benchmark sweeps.  Everything else (pool scheduling, checkpoint reuse)
+must never change a merged result, and the engine's interval chain (one
+walker handing its state to a fresh simulator per interval) must equal
+every interval warming up and jumping straight to its own start.
 """
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.common import cc
 from repro.common.config import ConfigError, SamplingConfig
-from repro.common.rng import interval_seed
 from repro.sim import checkpoint as ckpt
 from repro.sim import engine, sampling
 from repro.sim.engine import BatchStats, run_batch, spec_for
@@ -42,7 +39,6 @@ def _sampling_env(monkeypatch, tmp_path):
     monkeypatch.setenv(engine.CACHE_DIR_ENV, str(tmp_path / "cache"))
     monkeypatch.delenv(engine.NO_CACHE_ENV, raising=False)
     monkeypatch.delenv("REPRO_NO_CHECKPOINT", raising=False)
-    monkeypatch.delenv(sampling.NO_SAMPLING_ENV, raising=False)
 
 
 def _identical(a: SimResult, b: SimResult) -> bool:
@@ -67,26 +63,11 @@ def test_sampling_config_validation():
     SamplingConfig(2, 4_000, 1_000).validate(10_000)
 
 
-def test_sampling_rejects_timed_warmup():
-    config = FAST.replace(warmup_instructions=200).with_sampling(2, 100)
-    with pytest.raises(ConfigError, match="warmup_instructions"):
-        config.validate()
-    config.replace(warmup_instructions=0).validate()
-
-
 def test_with_and_without_sampling_round_trip():
     sampled = FAST.with_sampling(4, 100, 50)
     assert sampled.sampling == SamplingConfig(4, 100, 50)
     assert sampled.without_sampling() == FAST
     assert FAST.without_sampling() == FAST  # no-op when already plain
-
-
-def test_interval_seed_identity_and_determinism():
-    assert interval_seed(7, 0) == 7  # K=1 keeps the base seed
-    assert interval_seed(7, 3) == interval_seed(7, 3)
-    seeds = {interval_seed(7, i) for i in range(16)}
-    assert len(seeds) == 16
-    assert interval_seed(7, 3) != interval_seed(8, 3)
 
 
 def test_plan_intervals_anchors_measurement_at_period_end():
@@ -96,16 +77,6 @@ def test_plan_intervals_anchors_measurement_at_period_end():
     assert [p.ff_instructions for p in plans] == [4_250, 9_250, 14_250, 19_250]
     assert all(p.measure_instructions == 500 for p in plans)
     assert all(p.detailed_warmup == 250 for p in plans)
-    # Warm fast-forwards (the default) share the base seed across intervals:
-    # the warming replay and the measured region consume one data stream.
-    assert {p.rng_seed for p in plans} == {config.seed}
-    cold = sampling.plan_intervals(
-        config.replace(
-            sampling=dataclasses.replace(config.sampling, warm_fastforward=False)
-        )
-    )
-    assert cold[0].rng_seed == config.seed
-    assert len({p.rng_seed for p in cold}) == 4  # decorrelated per interval
     with pytest.raises(ValueError):
         sampling.plan_intervals(baseline_config())
 
@@ -115,7 +86,6 @@ def test_degenerate_plan_fast_forwards_nothing():
     (plan,) = sampling.plan_intervals(config)
     assert plan.ff_instructions == 0
     assert plan.measure_instructions == FAST.max_instructions
-    assert plan.rng_seed == config.seed
 
 
 def test_sampling_config_rejected_at_construction():
@@ -238,6 +208,35 @@ def test_merge_intervals_zero_cycles_never_divides():
     assert merged.avg_ftq_occupancy == pytest.approx(0.5)
 
 
+def test_merge_intervals_reports_the_ratio_estimators_ci():
+    # Two intervals of 100 retired instructions, in 100 and 300 cycles.  The
+    # merged IPC is the ratio estimator 200 / 400 = 0.5 (not the 0.667 mean
+    # of the per-interval IPCs 1 and 1/3).  Delta method: residuals
+    # 100 - 0.5 * 100 = 50 and 100 - 0.5 * 300 = -50, sample stdev
+    # sqrt(5000), SE = sqrt(5000) / sqrt(2) / 200 = 0.25, half-width
+    # 1.96 * 0.25 = 0.49, relative 0.49 / 0.5 = 0.98.
+    outcomes = [
+        sampling.IntervalOutcome(
+            index=i,
+            counters={"cycles": cycles, "retired_instructions": 100},
+            avg_ftq_occupancy=1.0,
+            final_ftq_depth=0,
+            ff_blocks=0,
+            ff_instructions_walked=0,
+        )
+        for i, cycles in enumerate((100, 300))
+    ]
+    merged = sampling.merge_intervals(
+        "w", "l", FAST.with_sampling(2, 100), outcomes
+    )
+    assert merged.ipc == 0.5
+    assert merged.sampling["interval_ipc"] == pytest.approx([1.0, 1 / 3])
+    assert merged.sampling["ipc_ci95_half"] == pytest.approx(0.49)
+    assert merged.sampling["ipc_relative_ci95"] == pytest.approx(0.98)
+    assert "ipc_mean" not in merged.sampling
+    assert "ipc_stdev" not in merged.sampling
+
+
 # ---------------------------------------------------------------------------
 # The equivalence oracle: K=1 over the whole region == a plain run
 # ---------------------------------------------------------------------------
@@ -297,9 +296,9 @@ def test_pooled_intervals_match_serial():
 
 
 def test_repeated_pooled_runs_are_deterministic():
-    # S3: per-interval RNG seeds derive from (base seed, interval index), so
-    # worker scheduling order can never leak into the merged counters.  Two
-    # specs per batch, so the runs really go through the pool.
+    # Every interval runs under the spec's seed, so worker scheduling order
+    # can never leak into the merged counters.  Two specs per batch, so the
+    # runs really go through the pool.
     specs = [_sampled_spec(), _sampled_spec(label="k4-seed2", seed=2)]
     first = run_batch(specs, jobs=2, no_cache=True)
     second = run_batch(specs, jobs=2, no_cache=True)
@@ -314,10 +313,11 @@ def test_sampled_run_reports_interval_stats():
     block = result.sampling
     assert block["num_intervals"] == 4
     assert len(block["interval_ipc"]) == 4
-    assert block["ipc_mean"] == pytest.approx(
-        sum(block["interval_ipc"]) / 4
+    # The CI describes the IPC the result reports: Σretired / Σcycles.
+    assert block["ipc_ci95_half"] > 0
+    assert block["ipc_relative_ci95"] == pytest.approx(
+        block["ipc_ci95_half"] / result.ipc
     )
-    assert block["ipc_ci95_half"] >= 0
     assert block["ff_instructions_total"] > 0
     assert stats.intervals == 4
     assert "4 sampled intervals" in stats.summary()
@@ -346,9 +346,9 @@ def test_sampled_run_stores_only_its_warmup_checkpoint():
 
 
 # The oracle of the chain: every interval a fresh simulator that warms up
-# and fast-forwards straight to its own start.  two-level-btb keeps the
-# Python walk; the others run it in C when compiled.
-CHAIN_PRESETS = ("baseline", "udp", "miss-heavy", "two-level-btb")
+# and fast-forwards straight to its own start.  sw-profile rebuilds its
+# technique (from the memoized profile) in every interval's simulator.
+CHAIN_PRESETS = ("baseline", "udp", "miss-heavy", "two-level-btb", "sw-profile")
 
 
 def _direct_route(spec, compiled: bool) -> SimResult:
@@ -356,13 +356,7 @@ def _direct_route(spec, compiled: bool) -> SimResult:
     outcomes = []
     before = (0, 0)
     for plan in sampling.plan_intervals(spec.config):
-        sim = Simulator(
-            program,
-            config,
-            data_profile=data_profile,
-            rng_seed=plan.rng_seed,
-            compiled=compiled,
-        )
+        sim = Simulator(program, config, data_profile=data_profile, compiled=compiled)
         sim.functional_warmup(config.functional_warmup_blocks)
         blocks, walked = sim.fast_forward_to(
             sim.oracle.instrs_walked + plan.ff_instructions
@@ -391,16 +385,12 @@ def _mode(monkeypatch, compiled: bool) -> None:
         monkeypatch.setenv(cc.NO_COMPILED_ENV, "1")
 
 
-@pytest.mark.parametrize("warm", [True, False], ids=["warm-ff", "cold-ff"])
 @pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
 @pytest.mark.parametrize("preset", CHAIN_PRESETS)
-def test_chain_matches_direct_route(monkeypatch, preset, compiled, warm):
+def test_chain_matches_direct_route(monkeypatch, preset, compiled):
     _mode(monkeypatch, compiled)
     config = PRESET_BUILDERS[preset](2_000).replace(functional_warmup_blocks=800)
-    spec = spec_for(
-        "mediawiki", config.with_sampling(3, 200, 100, warm_fastforward=warm),
-        1, preset,
-    )
+    spec = spec_for("mediawiki", config.with_sampling(3, 200, 100), 1, preset)
     chained = run_batch([spec], jobs=1, no_cache=True)[0]
     direct = _direct_route(spec, compiled)
     assert _identical(chained, direct)
@@ -456,10 +446,9 @@ def _structures(sim: Simulator) -> tuple:
     )
 
 
-@pytest.mark.parametrize("warm", [True, False], ids=["warm-ff", "cold-ff"])
 @pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
 @pytest.mark.parametrize("preset", sorted(PRESET_BUILDERS))
-def test_handoff_moves_exactly_the_captured_state(monkeypatch, preset, compiled, warm):
+def test_handoff_moves_exactly_the_captured_state(monkeypatch, preset, compiled):
     # The hand-off is restore_state(fresh, capture_state(walker)) without
     # the wire form: it must leave the same captured state, and the interval
     # the fresh simulator then runs must leave counters and structures (LRU
@@ -469,7 +458,7 @@ def test_handoff_moves_exactly_the_captured_state(monkeypatch, preset, compiled,
 
     config = PRESET_BUILDERS[preset](2_000).replace(
         functional_warmup_blocks=800
-    ).with_sampling(4, 200, 100, warm_fastforward=warm)
+    ).with_sampling(4, 200, 100)
     walker = build_simulator("mediawiki", config, seed=1, compiled=compiled)
     walker.functional_warmup(config.functional_warmup_blocks)
     walker.fast_forward_to(walker.oracle.instrs_walked + 3_000)
@@ -515,22 +504,38 @@ def test_chain_captures_only_its_warmup_checkpoint(monkeypatch, compiled):
     assert calls == {"capture_state": 1, "restore_state": 0, "Simulator": k + 1}
 
 
+def test_a_sampled_sw_profile_spec_profiles_once(monkeypatch):
+    # A K-interval chain builds K + 1 simulators, and sw-profile builds its
+    # technique in each: the profile pass runs in the first, and the rest
+    # deploy the same memoized profile.
+    from repro.prefetchers import swprefetch
+    from repro.workloads.profiles import get_profile
+    from repro.workloads.synth import synthesize
+
+    calls = []
+    profile_pass = swprefetch.profile_instruction_misses
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return profile_pass(*args, **kwargs)
+
+    monkeypatch.setattr(swprefetch, "profile_instruction_misses", counted)
+    config = PRESET_BUILDERS["sw-profile"](2_000).replace(functional_warmup_blocks=800)
+    program = synthesize(get_profile("mediawiki"), seed=1)  # nothing memoized yet
+    spec = engine.RunSpec(
+        "mediawiki", config.with_sampling(4, 200, 100), program=program
+    )
+    stats = BatchStats()
+    run_batch([spec], jobs=1, no_cache=True, progress=stats)
+    assert stats.intervals == 4
+    assert len(calls) == 1
+
+
 def test_sampling_matches_with_and_without_checkpoints(monkeypatch):
     checkpointed = run_batch([_sampled_spec()], jobs=1, no_cache=True)[0]
     monkeypatch.setenv("REPRO_NO_CHECKPOINT", "1")
     scratch = run_batch([_sampled_spec()], jobs=1, no_cache=True)[0]
     assert _identical(checkpointed, scratch)
-
-
-def test_no_sampling_env_normalizes_to_full_fidelity(monkeypatch):
-    plain = run_batch([spec_for("mediawiki", FAST, 1, "plain")], jobs=1)[0]
-    monkeypatch.setenv(sampling.NO_SAMPLING_ENV, "1")
-    stats = BatchStats()
-    gated = run_batch([_sampled_spec()], jobs=1, progress=stats)[0]
-    assert gated.sampling is None
-    assert gated.counters == plain.counters
-    # The normalized spec shares the plain run's cache entry.
-    assert stats.cache_hits == 1 and stats.simulated == 0
 
 
 def test_sampled_result_serialization_round_trip():
@@ -541,82 +546,50 @@ def test_sampled_result_serialization_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Warm fast-forward: the data-side replay
+# The fast-forward's data-side replay
 # ---------------------------------------------------------------------------
 
 
-def _warm_sim(config, warm: bool, distance: int = 1_000):
-    # ``fast_forward_to`` takes an absolute true-path position, so the
-    # distance is offset past wherever functional warmup stopped walking.
+def _warmed_up(config):
     from repro.sim.profile import build_simulator
 
     sim = build_simulator("mediawiki", config, seed=1)
     sim.functional_warmup(config.functional_warmup_blocks)
-    sim.fast_forward_to(sim.oracle.instrs_walked + distance, warm=warm)
     return sim
 
 
-def test_warm_fastforward_fills_the_data_side():
+def _fast_forwarded(config, distance: int = 1_000):
+    # ``fast_forward_to`` takes an absolute true-path position, so the
+    # distance is offset past wherever functional warmup stopped walking.
+    sim = _warmed_up(config)
+    sim.fast_forward_to(sim.oracle.instrs_walked + distance)
+    return sim
+
+
+def test_fast_forward_fills_the_data_side():
     sampled = FAST.with_sampling(4, 200, 100)
-    cold = _warm_sim(sampled, warm=False)
-    warm = _warm_sim(sampled, warm=True)
-    # Cold walks leave the data caches exactly as functional warmup did
-    # (instruction lines only); warming replays the walked loads/stores.
-    assert not cold.data_gen.occurrences_dict()
-    assert warm.data_gen.occurrences_dict()
-    lines = lambda sim: sum(len(s) for s in sim.hierarchy.l1d.state_lines())
-    assert lines(cold) == 0
-    assert lines(warm) > 0
-    # The warming replay never consumes cycles or measured counters.
-    assert warm.cycle == 0 and cold.cycle == 0
+    warmed_up = _warmed_up(sampled)
+    forwarded = _fast_forwarded(sampled)
+    # The functional warmup leaves the data caches cold (instruction lines
+    # only); the fast-forward replays the walked loads and stores.
+    assert not warmed_up.data_gen.occurrences_dict()
+    assert forwarded.data_gen.occurrences_dict()
+    assert warmed_up.hierarchy.l1d.occupancy == 0
+    assert forwarded.hierarchy.l1d.occupancy > 0
+    # The replay never consumes cycles or measured counters.
+    assert forwarded.cycle == 0 and warmed_up.cycle == 0
 
 
-def test_warm_fastforward_defaults_from_sampling_config():
-    warm_default = _warm_sim(FAST.with_sampling(4, 200, 100), warm=None)
-    assert warm_default.data_gen.occurrences_dict()
-    cold_config = FAST.replace(
-        sampling=dataclasses.replace(
-            FAST.with_sampling(4, 200, 100).sampling, warm_fastforward=False
-        )
-    )
-    cold_default = _warm_sim(cold_config, warm=None)
-    assert not cold_default.data_gen.occurrences_dict()
-
-
-def test_chained_warm_fastforward_equals_direct_jump():
+def test_chained_fast_forward_equals_direct_jump():
     # The sampled chain's walker chains fast-forwards; every piece of
     # warming-mutated state must therefore be position-deterministic.
     sampled = FAST.with_sampling(4, 200, 100)
-    chained = _warm_sim(sampled, warm=True)
+    chained = _fast_forwarded(sampled)
     target = chained.oracle.instrs_walked + 600
-    chained.fast_forward_to(target, warm=True)
-    from repro.sim.profile import build_simulator
-
-    direct = build_simulator("mediawiki", sampled, seed=1)
-    direct.functional_warmup(sampled.functional_warmup_blocks)
-    direct.fast_forward_to(target, warm=True)
+    chained.fast_forward_to(target)
+    direct = _warmed_up(sampled)
+    direct.fast_forward_to(target)
     assert ckpt.capture_warmup(chained) == ckpt.capture_warmup(direct)
-
-
-def test_cold_fastforward_config_still_runs_and_differs():
-    warm_spec = _sampled_spec(label="warmff")
-    cold_config = FAST.replace(
-        sampling=dataclasses.replace(
-            warm_spec.config.sampling, warm_fastforward=False
-        )
-    )
-    cold_spec = spec_for("mediawiki", cold_config, 1, "coldff")
-    warm = run_batch([warm_spec], jobs=1, no_cache=True)[0]
-    cold = run_batch([cold_spec], jobs=1, no_cache=True)[0]
-    # Both merge cleanly; the data replay makes the merged counters differ.
-    assert warm.sampling["num_intervals"] == cold.sampling["num_intervals"] == 4
-    assert warm.counters != cold.counters
-    # Serial and pooled stay identical in cold mode too.
-    pooled_cold, pooled_warm = run_batch(
-        [cold_spec, warm_spec], jobs=2, no_cache=True
-    )
-    assert _identical(cold, pooled_cold)
-    assert _identical(warm, pooled_warm)
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +631,6 @@ def test_adaptive_ignores_plain_specs_and_rejects_bad_targets():
             run_batch([], sample_error=bad)
 
 
-def test_adaptive_respects_no_sampling_env(monkeypatch):
-    monkeypatch.setenv(sampling.NO_SAMPLING_ENV, "1")
-    result = run_batch(
-        [_sampled_spec()], jobs=1, no_cache=True, sample_error=0.5
-    )[0]
-    assert result.sampling is None  # normalized to full fidelity, no loop
-
-
 def test_boolean_env_gates_share_one_parser(monkeypatch):
     # The opt-out gates all route through artifacts.env_truthy, so the
     # spelled-out truthy values ("YES", "on", "True") behave identically
@@ -674,9 +639,7 @@ def test_boolean_env_gates_share_one_parser(monkeypatch):
     from repro.sim.simulator import NO_FASTFORWARD_ENV
 
     for value in ("YES", "on", "True"):
-        monkeypatch.setenv(sampling.NO_SAMPLING_ENV, value)
         monkeypatch.setenv(engine.NO_CACHE_ENV, value)
-        assert sampling.sampling_disabled()
         assert engine._cache_disabled_by_env()
     monkeypatch.setenv(NO_FASTFORWARD_ENV, "yes")
     assert not build_simulator("mediawiki", FAST, seed=1).fast_forward_enabled
@@ -715,11 +678,11 @@ def test_sampling_error_is_small_at_benchmark_scale():
 
 
 @pytest.mark.slow
-def test_warm_fastforward_fixes_large_footprint_error_at_benchmark_scale():
-    # The headline row of the warming change: verilator's working set blows
-    # through L1/L2, and before warm fast-forwards its sampled IPC was off
-    # by ~8% (BENCH_sampling.json history).  With the data-side replay the
-    # same region samples to within 2%.
+def test_fast_forward_warming_fixes_large_footprint_error_at_benchmark_scale():
+    # The headline row of the warming fast-forward: verilator's working set
+    # blows through L1/L2, and before the fast-forward warmed the data side
+    # its sampled IPC was off by ~8% (BENCH_sampling.json history).  With
+    # the data-side replay the same region samples to within 2%.
     from repro.analysis.stats import ipc_sampling_error
 
     config = baseline_config(max_instructions=500_000)

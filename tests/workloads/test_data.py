@@ -59,8 +59,8 @@ def test_different_seeds_differ():
 def test_compiled_occurrence_array_spans_the_code_region():
     # One counter per instruction from code_start on: nothing below it.
     # The round trips through it stay byte-identical to the object
-    # generator (tests/sim/test_modes.py's warm fast-forward checkpoints,
-    # tests/sim/test_sampling.py's hand-offs and chained warm walks).
+    # generator (tests/sim/test_modes.py's fast-forward checkpoints,
+    # tests/sim/test_sampling.py's hand-offs and chained walks).
     import pytest
 
     from repro.common import cc
@@ -74,7 +74,7 @@ def test_compiled_occurrence_array_spans_the_code_region():
         program = sim.program
         assert program.code_start > 0
         assert len(sim.data_gen._occ_arr) == (program.code_end - program.code_start) >> 2
-        sim.fast_forward_to(20_000, warm=True)
+        sim.fast_forward_to(20_000)
         occurrences = sim.data_gen.occurrences_dict()
         assert occurrences and all(
             program.code_start <= pc < program.code_end for pc in occurrences
