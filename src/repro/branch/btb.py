@@ -17,7 +17,9 @@ from array import array
 from dataclasses import dataclass
 
 from repro.common.config import BranchConfig
-from repro.common.packed import address, export_ways, import_ways, unpack, zeros
+from repro.common.packed import (
+    Stateful, address, copy_buffers, export_ways, import_ways, unpack, zeros
+)
 from repro.workloads.program import BranchKind
 
 # The planes of the packed checkpoint form (repro.common.packed), with
@@ -37,7 +39,7 @@ class BTBEntry:
     lru: int = 0
 
 
-class BranchTargetBuffer:
+class BranchTargetBuffer(Stateful):
     """Set-associative BTB with true-LRU replacement and full tags."""
 
     def __init__(self, entries: int, assoc: int) -> None:
@@ -86,9 +88,9 @@ class BranchTargetBuffer:
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    # -- checkpoint serialization (layout-neutral) --------------------------
+    # -- state protocol (repro.common.packed) --------------------------------
 
-    def state_packed(self) -> dict:
+    def state(self) -> dict:
         """Entries as packed per-set buffers in LRU→MRU order (checkpoint form).
 
         A ``uint16`` entry count per set, then ``int64`` pcs, ``uint8``
@@ -111,8 +113,8 @@ class BranchTargetBuffer:
             "misses": self.misses,
         }
 
-    def load_packed(self, state: dict) -> None:
-        """Restore :meth:`state_packed` output in place (validated first)."""
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state` output in place (validated first)."""
         counts, (pcs, kinds, targets) = unpack(
             state, _BTB_PLANES, self.num_sets, self.assoc, "BTB"
         )
@@ -130,14 +132,6 @@ class BranchTargetBuffer:
         self.hits = hits
         self.misses = misses
 
-    def copy_from(self, other: "BranchTargetBuffer") -> None:
-        """Take ``other``'s entries, recency and statistics, in place.
-
-        Loads ``other``'s packed form, so the object path stays the oracle
-        of the compiled buffer copy.
-        """
-        self.load_packed(other.state_packed())
-
 
 class BranchTargetBufferC:
     """A BTB's state in flat arrays, for the compiled cycle driver.
@@ -146,7 +140,7 @@ class BranchTargetBufferC:
     arrays of ``num_sets * assoc`` ways the driver probes and fills in C.
     Replacement state is a monotonic stamp array (victim = minimum stamp),
     which picks the same victim as the object BTB's minimum ``lru``.  The
-    packed ``state_packed`` format (LRU→MRU per set) round-trips with
+    packed :meth:`state` format (LRU→MRU per set) round-trips with
     :class:`BranchTargetBuffer`.  :meth:`fill` and :meth:`contains` are
     the two calls Python still makes into it: a registry technique's BTB
     hooks (shadow-btb's predecoder) run them from inside the driver.
@@ -210,8 +204,8 @@ class BranchTargetBufferC:
     def occupancy(self) -> int:
         return self._di[9]
 
-    def state_packed(self) -> dict:
-        """Same packed format as :meth:`BranchTargetBuffer.state_packed`."""
+    def state(self) -> dict:
+        """Same packed format as :meth:`BranchTargetBuffer.state`."""
         counts, pcs, kinds, targets = export_ways(
             self._k_export, self._stamps, self.assoc,
             (self._pcs, 8), (self._kinds, 1), (self._targets, 8),
@@ -225,8 +219,8 @@ class BranchTargetBufferC:
             "misses": self.misses,
         }
 
-    def load_packed(self, state: dict) -> None:
-        """Restore :meth:`state_packed` output in place (validated first)."""
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state` output in place (validated first)."""
         _, (_, kinds, _) = unpack(state, _BTB_PLANES, self.num_sets, self.assoc, "BTB")
         if kinds and max(kinds) > max(BranchKind):
             raise ValueError("BTB kinds plane holds an unknown branch kind")
@@ -241,11 +235,12 @@ class BranchTargetBufferC:
         self.misses = misses
 
     def copy_from(self, other: "BranchTargetBufferC") -> None:
-        """Copy a same-geometry compiled BTB's ways in place."""
-        _copy_ways(self, other)
+        """Copy a same-geometry compiled BTB's ways and stamp, hits, misses
+        and occupancy in place."""
+        copy_buffers(self._planes, other._planes, self._di, other._di, (6, 7, 8, 9))
 
 
-class IndirectTargetBuffer:
+class IndirectTargetBuffer(Stateful):
     """Path-history-hashed predictor for indirect branch targets."""
 
     def __init__(self, entries: int, assoc: int, history_bits: int = 12) -> None:
@@ -285,13 +280,13 @@ class IndirectTargetBuffer:
             del way_set[victim]
         way_set[tag] = (target, self._stamp)
 
-    # -- checkpoint serialization (layout-neutral) --------------------------
+    # -- state protocol (repro.common.packed) --------------------------------
 
-    def state_packed(self) -> dict:
+    def state(self) -> dict:
         """Entries as packed per-set buffers in LRU→MRU order (checkpoint form).
 
         A ``uint16`` entry count per set, then ``int64`` tags and targets
-        set-major, like :meth:`BranchTargetBuffer.state_packed`.
+        set-major, like :meth:`BranchTargetBuffer.state`.
         """
         entries = [
             (tag, target)
@@ -306,8 +301,8 @@ class IndirectTargetBuffer:
             "misses": self.misses,
         }
 
-    def load_packed(self, state: dict) -> None:
-        """Restore :meth:`state_packed` output in place (validated first)."""
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state` output in place (validated first)."""
         counts, (tags, targets) = unpack(
             state, _IBTB_PLANES, self.num_sets, self.assoc, "iBTB"
         )
@@ -323,11 +318,6 @@ class IndirectTargetBuffer:
             pos += n
         self.hits = hits
         self.misses = misses
-
-    def copy_from(self, other: "IndirectTargetBuffer") -> None:
-        """Take ``other``'s entries, recency and statistics, in place,
-        through its packed form."""
-        self.load_packed(other.state_packed())
 
 
 class IndirectTargetBufferC:
@@ -382,8 +372,8 @@ class IndirectTargetBufferC:
     def misses(self, value: int) -> None:
         self._di[8] = value
 
-    def state_packed(self) -> dict:
-        """Same packed format as :meth:`IndirectTargetBuffer.state_packed`."""
+    def state(self) -> dict:
+        """Same packed format as :meth:`IndirectTargetBuffer.state`."""
         counts, tags, targets = export_ways(
             self._k_export, self._stamps, self.assoc, (self._tags, 8), (self._targets, 8)
         )
@@ -395,8 +385,8 @@ class IndirectTargetBufferC:
             "misses": self.misses,
         }
 
-    def load_packed(self, state: dict) -> None:
-        """Restore :meth:`state_packed` output in place (validated first)."""
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state` output in place (validated first)."""
         unpack(state, _IBTB_PLANES, self.num_sets, self.assoc, "iBTB")
         hits, misses = int(state["hits"]), int(state["misses"])
         total = import_ways(
@@ -409,19 +399,9 @@ class IndirectTargetBufferC:
         self.misses = misses
 
     def copy_from(self, other: "IndirectTargetBufferC") -> None:
-        """Copy a same-geometry compiled iBTB's ways in place."""
-        _copy_ways(self, other)
-
-
-def _copy_ways(dst, src) -> None:
-    """Copy a compiled BTB's or iBTB's way planes and descriptor state into
-    one of the same geometry, in place (C points into the planes)."""
-    if (src.num_sets, src.assoc) != (dst.num_sets, dst.assoc):
-        raise ValueError("BTB geometry mismatch")
-    for plane, source in zip(dst._planes, src._planes):
-        memoryview(plane)[:] = source
-    for word in (6, 7, 8, 9):  # stamp, hits, misses, occupancy
-        dst._di[word] = src._di[word]
+        """Copy a same-geometry compiled iBTB's ways and stamp, hits, misses
+        and occupancy in place."""
+        copy_buffers(self._planes, other._planes, self._di, other._di, (6, 7, 8, 9))
 
 
 def btb_from_config(config: BranchConfig, compiled: bool = False):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 
-from repro.common.packed import address, put, view, zeros
+from repro.common.packed import Stateful, address, copy_buffers, put, view, zeros
 
 
 class FoldedHistory:
@@ -43,12 +43,13 @@ class FoldedHistory:
         self.folded = value
 
 
-class GlobalHistory:
+class GlobalHistory(Stateful):
     """The speculative global history register with checkpoint/restore.
 
     Keeps the raw history as an integer bit-vector (newest bit = LSB) plus
     per-(length, width) folded registers for TAGE.  ``checkpoint()`` returns
-    an opaque state usable by ``restore()`` after a pipeline flush.
+    an opaque state usable by ``restore()`` after a pipeline flush; the
+    state protocol (:mod:`repro.common.packed`) uses the same tuple.
     """
 
     def __init__(self, max_length: int, foldings: list[tuple[int, int]]) -> None:
@@ -85,9 +86,12 @@ class GlobalHistory:
         for folded, value in zip(self.folded, folded_values):
             folded.restore(value)
 
-    def copy_from(self, other: "GlobalHistory") -> None:
-        """Take ``other``'s history, in place, through its checkpoint form."""
-        self.restore(other.checkpoint())
+    state = checkpoint
+
+    def load_state(self, state: tuple[int, tuple[int, ...]]) -> None:
+        """:meth:`restore`, validated first."""
+        _check_history(state, self._mask, len(self.folded))
+        self.restore(state)
 
 
 class GlobalHistoryC:
@@ -151,7 +155,25 @@ class GlobalHistoryC:
         self.bits = state[0]
         put(self._folded_arr, state[1])
 
+    state = checkpoint
+
+    def load_state(self, state: tuple[int, tuple[int, ...]]) -> None:
+        """:meth:`restore`, validated first."""
+        _check_history(state, self._mask, self.num_folds)
+        self.restore(state)
+
     def copy_from(self, other: "GlobalHistoryC") -> None:
         """Copy a same-shape compiled history's words and folds in place."""
-        memoryview(self._words)[:] = other._words
-        memoryview(self._folded_arr)[:] = other._folded_arr
+        copy_buffers((self._words, self._folded_arr), (other._words, other._folded_arr))
+
+
+def _check_history(state: tuple[int, tuple[int, ...]], mask: int, folds: int) -> None:
+    """ValueError unless ``state`` is ``(bits within mask, one int per folding)``."""
+    bits, folded = state
+    if (
+        type(bits) is not int
+        or bits & ~mask
+        or len(folded) != folds
+        or not all(type(value) is int for value in folded)
+    ):
+        raise ValueError(f"history state is not (bits, {folds} folded registers)")

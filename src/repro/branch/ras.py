@@ -43,3 +43,31 @@ class ReturnAddressStack:
 
     def __len__(self) -> int:
         return len(self._stack)
+
+    # -- state protocol (repro.common.packed) --------------------------------
+
+    def state(self) -> dict:
+        """The stack (oldest first) and the overflow and underflow counts."""
+        return {
+            "stack": list(self._stack),
+            "overflows": self.overflows,
+            "underflows": self.underflows,
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state` output, validated first: the compiled
+        driver copies the stack into a ``capacity``-entry buffer."""
+        stack, overflows, underflows = state["stack"], state["overflows"], state["underflows"]
+        if len(stack) > self.capacity or not all(
+            type(value) is int for value in (*stack, overflows, underflows)
+        ):
+            raise ValueError(f"RAS state is not {self.capacity} or fewer entries, two counts")
+        self._stack = list(stack)
+        self.overflows = overflows
+        self.underflows = underflows
+
+    def copy_from(self, other: "ReturnAddressStack") -> None:
+        """Take a same-capacity stack's entries and counts, by direct copy."""
+        self._stack = list(other._stack)
+        self.overflows = other.overflows
+        self.underflows = other.underflows

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.branch.bimodal import BimodalPredictor
 from repro.branch.history import GlobalHistory, GlobalHistoryC
 from repro.common.config import BranchConfig
-from repro.common.packed import address, zeros
+from repro.common.packed import Stateful, address, copy_buffers, zeros
 
 CONF_LOW = 0
 CONF_MEDIUM = 1
@@ -76,7 +76,7 @@ class _TaggedTable:
         self.useful = bytearray(self.size)
 
 
-class TagePredictor:
+class TagePredictor(Stateful):
     """TAGE with a bimodal base and geometric tagged tables."""
 
     def __init__(self, config: BranchConfig, history: GlobalHistory) -> None:
@@ -295,9 +295,9 @@ class TagePredictor:
                 if useful[i]:
                     useful[i] -= 1
 
-    # -- checkpoint serialization (layout-neutral) ----------------------------
+    # -- state protocol (repro.common.packed) --------------------------------
 
-    def state_dict(self) -> dict:
+    def state(self) -> dict:
         """Serializable predictor state, independent of the table layout.
 
         The same format is produced and consumed by :class:`TagePredictor`
@@ -315,34 +315,30 @@ class TagePredictor:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output in place (geometry must match)."""
-        tables_state = state["tables"]
-        if len(tables_state) != len(self.tables):
-            raise ValueError("TAGE table count mismatch")
+        """Restore :meth:`state` output in place (validated first)."""
+        size = 1 << self.config.tage_table_bits
+        tables_state = _checked_tables(state, len(self.tables), size, self.base)
         for table, (tags, ctrs, useful) in zip(self.tables, tables_state):
-            if any(len(part) != table.size for part in (tags, ctrs, useful)):
-                raise ValueError("TAGE table geometry mismatch")
             table.tags[:] = tags
             table.ctrs[:] = ctrs
             table.useful[:] = useful
-        _load_base(self.base, state["base"])
+        self.base.table[:] = state["base"]  # in place: never swap the object
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]
 
-    def copy_from(self, other: "TagePredictor") -> None:
-        """Take ``other``'s tables, base and counters, in place.
 
-        Loads ``other``'s state form, so the object path stays the oracle
-        of the compiled buffer copy.
-        """
-        self.load_state(other.state_dict())
-
-
-def _load_base(base: BimodalPredictor, table: bytes) -> None:
-    """Copy the bimodal counters in place (never swap the object)."""
-    if len(table) != base.size:
+def _checked_tables(state: dict, count: int, size: int, base: BimodalPredictor) -> list:
+    """``state``'s tables, once its geometry is checked (else ValueError)."""
+    tables_state = state["tables"]
+    if len(tables_state) != count:
+        raise ValueError("TAGE table count mismatch")
+    if any(len(part) != size for table in tables_state for part in table):
+        raise ValueError("TAGE table geometry mismatch")
+    if len(state["base"]) != base.size:
         raise ValueError("bimodal table geometry mismatch")
-    base.table[:] = table
+    if not all(type(state[key]) is int for key in ("use_alt_counter", "tick")):
+        raise ValueError("TAGE counters are not integers")
+    return tables_state
 
 
 class TagePredictorC:
@@ -354,7 +350,7 @@ class TagePredictorC:
     (``repro/common/kernels/tage.c``).  The descriptor points into the
     shared :class:`~repro.branch.history.GlobalHistoryC`'s fold array.
     ``use_alt_counter`` and ``_tick`` live in the descriptor so C-side
-    updates are visible to ``state_dict``, whose format is
+    updates are visible to :meth:`state`, whose format is
     :class:`TagePredictor`'s.
     """
 
@@ -426,8 +422,8 @@ class TagePredictorC:
     def _rows(self, t: int) -> slice:
         return slice(t * self._size, (t + 1) * self._size)
 
-    def state_dict(self) -> dict:
-        """Same layout-neutral format as :meth:`TagePredictor.state_dict`."""
+    def state(self) -> dict:
+        """Same layout-neutral format as :meth:`TagePredictor.state`."""
         tags, ctrs, useful = self._tables_mv
         return {
             "base": bytes(self.base.table),
@@ -444,32 +440,26 @@ class TagePredictorC:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output in place (geometry must match)."""
-        tables_state = state["tables"]
-        if len(tables_state) != self._num_tables:
-            raise ValueError("TAGE table count mismatch")
+        """Restore :meth:`state` output in place (validated first)."""
+        tables_state = _checked_tables(state, self._num_tables, self._size, self.base)
         tags_mv, ctrs_mv, useful_mv = self._tables_mv
         for t, (tags, ctrs, useful) in enumerate(tables_state):
-            if any(len(part) != self._size for part in (tags, ctrs, useful)):
-                raise ValueError("TAGE table geometry mismatch")
             rows = self._rows(t)
             tags_mv[rows] = array("q", tags)
             ctrs_mv[rows] = array("q", ctrs)
             useful_mv[rows] = array("q", list(useful))
-        _load_base(self.base, state["base"])
+        self._base_pin[:] = state["base"]
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]
 
     def copy_from(self, other: "TagePredictorC") -> None:
         """Copy a same-geometry compiled predictor's tables, bimodal base,
         ``use_alt_counter`` and tick in place (C points into all of them)."""
-        if (other._num_tables, other._size) != (self._num_tables, self._size):
-            raise ValueError("TAGE table geometry mismatch")
-        for table, source in zip(self._tables_mv, other._tables_mv):
-            table[:] = source
-        self._base_pin[:] = other.base.table
-        self._di[11] = other._di[11]  # use_alt_counter
-        self._di[13] = other._di[13]  # tick
+        copy_buffers(
+            (*self._tables_mv, self._base_pin),
+            (*other._tables_mv, other._base_pin),
+            self._di, other._di, (11, 13),
+        )
 
 
 def tage_from_config(config: BranchConfig, history, compiled: bool = False):

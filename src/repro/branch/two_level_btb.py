@@ -16,7 +16,7 @@ Drop-in compatible with :class:`~repro.branch.btb.BranchTargetBuffer`
 :class:`~repro.branch.btb.BranchTargetBufferC` arrays, which the compiled
 cycle driver probes as one L1 descriptor plus one L2 (``btb_probe`` in
 ``repro/common/kernels/driver.c``); there only :meth:`fill`,
-:meth:`contains` and the state methods run in Python.
+:meth:`contains` and the state protocol run in Python.
 """
 
 from __future__ import annotations
@@ -76,21 +76,24 @@ class TwoLevelBTB:
     def misses(self) -> int:
         return self.l1.misses
 
-    def state_packed(self) -> dict:
+    def state(self) -> dict:
         """Packed snapshot: both levels plus the promotion count."""
         return {
             "levels": 2,
-            "l1": self.l1.state_packed(),
-            "l2": self.l2.state_packed(),
+            "l1": self.l1.state(),
+            "l2": self.l2.state(),
             "promotions": self.promotions,
         }
 
-    def load_packed(self, state: dict) -> None:
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state` output in place, level by level (each
+        validated before it loads)."""
         if state.get("levels") != 2:
             raise ValueError("BTB level mismatch")
-        self.l1.load_packed(state["l1"])
-        self.l2.load_packed(state["l2"])
-        self.promotions = state["promotions"]
+        promotions = int(state["promotions"])
+        self.l1.load_state(state["l1"])
+        self.l2.load_state(state["l2"])
+        self.promotions = promotions
 
     def copy_from(self, other: "TwoLevelBTB") -> None:
         """Take ``other``'s levels and promotion count, in place."""

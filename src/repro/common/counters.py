@@ -119,6 +119,34 @@ class Counters:
         for name in self._interned:
             self._values[name] = 0
 
+    # -- state protocol (repro.common.packed) --------------------------------
+
+    def state(self) -> dict[str, int]:
+        """Every counter slot, zero slots included, in slot order."""
+        return dict(self._values)
+
+    def load_state(self, state: dict[str, int]) -> None:
+        """Replace every counter with :meth:`state` output, validated first.
+
+        In place, keeping ``state``'s slot order: interned incrementers bind
+        this exact dict.  An interned name ``state`` lacks gets a zero slot
+        after the others.
+        """
+        if not all(type(name) is str and type(value) is int for name, value in state.items()):
+            raise ValueError("counter state is not a {name: int} dict")
+        self._load(state)
+
+    def copy_from(self, other: "Counters") -> None:
+        """Take ``other``'s slots in place, by direct copy."""
+        self._load(other._values)
+
+    def _load(self, slots: dict[str, int]) -> None:
+        values = self._values
+        values.clear()
+        values.update(slots)
+        for name in self._interned:
+            values.setdefault(name, 0)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         items = ", ".join(f"{k}={v}" for k, v in sorted(self._values.items()))
         return f"Counters({items})"

@@ -1,9 +1,22 @@
-"""Flat buffers shared with C, and the packed per-set checkpoint form.
+"""Flat buffers shared with C, the state protocol, and the packed form.
 
 Every compiled structure keeps its state in stdlib :mod:`array` buffers
 (:func:`zeros`), which it never resizes, and hands C their
 :func:`address`; descriptors are ``int64`` arrays whose unsigned and
 floating-point words are written through :func:`view`.
+
+Every component the functional walk changes answers one state protocol,
+which :mod:`repro.sim.checkpoint` loops over: ``state()``, a
+layout-neutral snapshot of copies, the same for an object class and its
+compiled twin; ``load_state(state)``, which loads one in place (C and
+closures may alias the buffers and objects) after validating it, raising
+:class:`ValueError` and changing nothing when it is malformed; and
+``copy_from(other)``, the same as ``load_state(other.state())`` for a
+same-geometry twin.  The object classes copy through the wire form
+(:class:`Stateful`), as the oracle of the rest; the compiled classes copy
+their twin's buffers (:func:`copy_buffers`), and the classes both modes
+share copy their twin's fields, because every sampled interval's hand-off
+runs them.
 
 The caches, the BTB and the iBTB serialize their contents the same way: a
 ``uint16`` entry count per set (``counts``), then one flat buffer per
@@ -20,7 +33,20 @@ from __future__ import annotations
 
 from array import array
 
-__all__ = ["address", "export_ways", "import_ways", "put", "unpack", "view", "zeros"]
+__all__ = [
+    "Stateful", "address", "copy_buffers", "export_ways", "import_ways", "put", "unpack",
+    "view", "zeros",
+]
+
+
+class Stateful:
+    """``copy_from`` through the wire form, for the object classes."""
+
+    __slots__ = ()
+
+    def copy_from(self, other) -> None:
+        """Take ``other``'s state, in place, through its ``state()`` form."""
+        self.load_state(other.state())
 
 
 def zeros(count: int, typecode: str = "q", fill: int = 0) -> array:
@@ -41,6 +67,19 @@ def put(buf: array, values) -> None:
     """
     items = array(buf.typecode, values)
     memoryview(buf)[: len(items)] = items
+
+
+def copy_buffers(buffers, sources, desc=None, source_desc=None, words=()) -> None:
+    """Copy each of ``sources`` over the same-length buffer of ``buffers``,
+    and ``source_desc``'s descriptor ``words`` over ``desc``'s, in place.
+
+    A compiled structure's ``copy_from``: C keeps its pointers, because no
+    buffer is resized, and a length mismatch raises :class:`ValueError`.
+    """
+    for buf, source in zip(buffers, sources, strict=True):
+        memoryview(buf)[:] = source
+    for word in words:
+        desc[word] = source_desc[word]
 
 
 def view(buf: array, fmt: str) -> memoryview:

@@ -14,7 +14,6 @@ __all__ = [
     "ci95_half_width",
     "mean",
     "ratio_ci95_half_width",
-    "relative_half_width",
     "stdev",
 ]
 
@@ -55,19 +54,3 @@ def ratio_ci95_half_width(numerators: list[float], denominators: list[float]) ->
     ratio = sum(numerators) / total
     residuals = [n - ratio * d for n, d in zip(numerators, denominators)]
     return ci95_half_width(residuals) / mean(denominators)
-
-
-def relative_half_width(values: list[float]) -> float:
-    """The 95% CI half-width as a fraction of the mean.
-
-    A zero mean makes the ratio undefined; rather than dividing by zero,
-    it maps to the two honest answers: 0.0 when the half-width is also
-    zero (no spread — e.g. every interval measured zero cycles), ``inf``
-    when there is spread around a zero mean (the estimate is useless and
-    any error-targeting loop should keep escalating).
-    """
-    mu = mean(values)
-    half = ci95_half_width(values)
-    if mu == 0.0:
-        return 0.0 if half == 0.0 else math.inf
-    return half / abs(mu)

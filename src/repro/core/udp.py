@@ -30,13 +30,21 @@ from repro.frontend.fetch_block import FTQEntry
 
 
 class UDPFilter:
-    """The complete UDP mechanism: estimator + useful-set + Seniority-FTQ."""
+    """The complete UDP mechanism: estimator + useful-set + Seniority-FTQ.
 
-    def __init__(self, config: UDPConfig, counters: Counters | None = None) -> None:
+    ``code_lines`` bound the useful-set's exact set (:class:`UsefulSet`).
+    """
+
+    def __init__(
+        self,
+        config: UDPConfig,
+        counters: Counters | None = None,
+        code_lines: range | None = None,
+    ) -> None:
         self.config = config
         self.counters = counters if counters is not None else Counters()
         self.estimator = ConfidenceEstimator(config, self.counters)
-        self.useful_set = UsefulSet(config, self.counters)
+        self.useful_set = UsefulSet(config, self.counters, code_lines)
         self.seniority = SeniorityFTQ(config.seniority_entries)
 
     # -- FDIP gate (PrefetchGate protocol) ------------------------------------

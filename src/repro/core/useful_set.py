@@ -27,12 +27,23 @@ from repro.core.superline import CoalescingBuffer, superline_base, superline_lin
 
 
 class UsefulSet:
-    """The learned set of useful prefetch candidate lines."""
+    """The learned set of useful prefetch candidate lines.
 
-    def __init__(self, config: UDPConfig, counters: Counters | None = None) -> None:
+    ``code_lines`` are the line addresses the infinite-storage exact set
+    can hold, a simulator's code lines (the compiled driver keeps the set
+    as a byte map over them); None accepts any.
+    """
+
+    def __init__(
+        self,
+        config: UDPConfig,
+        counters: Counters | None = None,
+        code_lines: range | None = None,
+    ) -> None:
         self.config = config
         self.counters = counters if counters is not None else Counters()
         self.infinite = config.infinite_storage
+        self.code_lines = code_lines
         self._exact: set[int] = set()
         self.filters = {
             1: BloomFilter(config.bloom_bits_1, config.bloom_hashes, seed=11),
@@ -109,18 +120,55 @@ class UsefulSet:
         self._window_total = 0
         self._window_unuseful = 0
 
-    # -- hand-off ----------------------------------------------------------------
+    # -- state protocol (repro.common.packed) --------------------------------
 
-    def copy_from(self, other: "UsefulSet") -> None:
-        """Take ``other``'s learned set and flush window, in place.
+    def state(self) -> dict:
+        """The exact set (ascending), each Bloom filter's bits and insert
+        count, the coalescer's lines (oldest first) and the flush window."""
+        return {
+            "exact": sorted(self._exact),
+            "filters": {
+                size: (bytes(bloom._array), bloom.inserted)
+                for size, bloom in self.filters.items()
+            },
+            "coalescer": list(self.coalescer._lines),
+            "window": (self._window_unuseful, self._window_total),
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state` output in place, validated first.
 
         The Bloom bits are copied into this set's own bytearrays, never
-        swapped: the compiled cycle driver points into them.
+        swapped: the compiled cycle driver points into them, and copies the
+        coalescer into a buffer of its capacity.
         """
+        exact, filters, lines = state["exact"], state["filters"], state["coalescer"]
+        unuseful, total = state["window"]
+        capacity = self.coalescer.capacity
+        if self.code_lines is not None and not all(line in self.code_lines for line in exact):
+            raise ValueError("useful-set line outside the code region")
+        if filters.keys() != self.filters.keys() or any(
+            len(filters[size][0]) != len(bloom._array) for size, bloom in self.filters.items()
+        ):
+            raise ValueError("bloom filter geometry mismatch")
+        inserted = [count for _, count in filters.values()]
+        if len(lines) > capacity or not all(
+            type(value) is int for value in (*exact, *lines, *inserted, unuseful, total)
+        ):
+            raise ValueError(f"useful-set state is not integers, {capacity} or fewer buffered")
+        self._exact = set(exact)
+        for size, bloom in self.filters.items():
+            bits, bloom.inserted = filters[size]
+            bloom._array[:] = bits
+        self.coalescer._lines = OrderedDict.fromkeys(lines)
+        self._window_unuseful, self._window_total = unuseful, total
+
+    def copy_from(self, other: "UsefulSet") -> None:
+        """Take a same-configuration set's state in place, by direct copy."""
         self._exact = set(other._exact)
         for size, bloom in self.filters.items():
             source = other.filters[size]
-            memoryview(bloom._array)[:] = source._array
+            bloom._array[:] = source._array
             bloom.inserted = source.inserted
         self.coalescer._lines = OrderedDict(other.coalescer._lines)
         self._window_unuseful = other._window_unuseful

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 from repro.common.config import CacheConfig
-from repro.common.packed import address, export_ways, import_ways, unpack, zeros
+from repro.common.packed import (
+    Stateful, address, copy_buffers, export_ways, import_ways, unpack, zeros
+)
 
 
 @dataclass(slots=True)
@@ -37,7 +40,7 @@ class CacheLine:
     dirty: bool = False
 
 
-class SetAssocCache:
+class SetAssocCache(Stateful):
     """A set-associative cache with true-LRU replacement."""
 
     def __init__(self, config: CacheConfig) -> None:
@@ -116,93 +119,44 @@ class SetAssocCache:
             out.extend(way_set.keys())
         return out
 
-    # -- layout-neutral (de)serialization -------------------------------------
+    # -- state protocol (repro.common.packed) --------------------------------
 
-    def state_lines(self) -> list[list[tuple[int, bool, bool, bool, bool]]]:
-        """Per-set resident lines in LRU->MRU order (checkpoint format)."""
-        return [
-            [
-                (
-                    line.line_addr,
-                    line.prefetch_bit,
-                    line.prefetch_off_path,
-                    line.prefetch_udp_candidate,
-                    line.dirty,
-                )
-                for line in way_set.values()
-            ]
-            for way_set in self._sets
-        ]
-
-    def load_lines(self, sets: list[list[tuple[int, bool, bool, bool, bool]]]) -> None:
-        """Restore contents from :meth:`state_lines` output, in place."""
-        if len(sets) != self.num_sets:
-            raise ValueError("cache geometry mismatch")
-        for way_set, lines in zip(self._sets, sets):
-            way_set.clear()
-            for addr, pf, off_path, udp, dirty in lines:
-                way_set[addr] = CacheLine(
-                    addr,
-                    prefetch_bit=pf,
-                    prefetch_off_path=off_path,
-                    prefetch_udp_candidate=udp,
-                    dirty=dirty,
-                )
-
-    def state_packed(self) -> dict[str, bytes]:
+    def state(self) -> dict[str, bytes]:
         """Contents as three packed arrays (the checkpoint wire form).
 
-        Same information as :meth:`state_lines` — per-set resident lines in
-        LRU->MRU order — but flattened into :mod:`repro.common.packed`
-        buffers: a ``uint16`` line count per set, then ``int64`` addresses
-        and ``uint8`` metadata flags in set-major order.
+        A ``uint16`` line count per set, then the ``int64`` address and
+        ``uint8`` metadata flags of every resident line, set-major and
+        LRU->MRU within its set (:mod:`repro.common.packed`).
         """
-        sets = self.state_lines()
-        flat = [line for lines in sets for line in lines]
+        lines = [line for way_set in self._sets for line in way_set.values()]
         return {
-            "counts": array("H", [len(lines) for lines in sets]).tobytes(),
-            "addrs": array("q", [t[0] for t in flat]).tobytes(),
+            "counts": array("H", [len(way_set) for way_set in self._sets]).tobytes(),
+            "addrs": array("q", [line.line_addr for line in lines]).tobytes(),
             "flags": bytes(
-                (_PREFETCH if t[1] else 0)
-                | (_OFF_PATH if t[2] else 0)
-                | (_UDP if t[3] else 0)
-                | (_DIRTY if t[4] else 0)
-                for t in flat
+                (_PREFETCH if line.prefetch_bit else 0)
+                | (_OFF_PATH if line.prefetch_off_path else 0)
+                | (_UDP if line.prefetch_udp_candidate else 0)
+                | (_DIRTY if line.dirty else 0)
+                for line in lines
             ),
         }
 
-    def load_packed(self, state: dict[str, bytes]) -> None:
-        """Restore contents from :meth:`state_packed` output, in place."""
+    def load_state(self, state: dict[str, bytes]) -> None:
+        """Restore :meth:`state` output in place (validated first)."""
         counts, (addrs, flags) = unpack(
             state, _PLANES, self.num_sets, self.assoc, "cache"
         )
-        addrs = addrs.tolist()
-        flags = flags.tolist()
-        sets = []
-        pos = 0
-        for n in counts.tolist():
-            sets.append(
-                [
-                    (
-                        addrs[i],
-                        bool(flags[i] & _PREFETCH),
-                        bool(flags[i] & _OFF_PATH),
-                        bool(flags[i] & _UDP),
-                        bool(flags[i] & _DIRTY),
-                    )
-                    for i in range(pos, pos + n)
-                ]
-            )
-            pos += n
-        self.load_lines(sets)
-
-    def copy_from(self, other: "SetAssocCache") -> None:
-        """Take ``other``'s contents and LRU order, in place.
-
-        Loads ``other``'s packed form, so the object path stays the oracle
-        of the compiled buffer copy.
-        """
-        self.load_packed(other.state_packed())
+        lines = zip(addrs.tolist(), flags.tolist())
+        for way_set, n in zip(self._sets, counts.tolist()):
+            way_set.clear()
+            for addr, flag in islice(lines, n):
+                way_set[addr] = CacheLine(
+                    addr,
+                    prefetch_bit=bool(flag & _PREFETCH),
+                    prefetch_off_path=bool(flag & _OFF_PATH),
+                    prefetch_udp_candidate=bool(flag & _UDP),
+                    dirty=bool(flag & _DIRTY),
+                )
 
 
 # Bit positions of the packed per-line metadata (checkpoint flags buffer
@@ -244,6 +198,7 @@ class SetAssocCacheC:
         self._addrs = zeros(ways, fill=-1)
         self._flags = zeros(ways)
         self._stamps = zeros(ways)
+        self._ways = (self._addrs, self._flags, self._stamps)
         di = zeros(11)
         di[0] = address(self._addrs)
         di[1] = address(self._flags)
@@ -262,15 +217,15 @@ class SetAssocCacheC:
     def occupancy(self) -> int:
         return int(self._dmv[8])
 
-    def state_packed(self) -> dict[str, bytes]:
-        """Same packed format as :meth:`SetAssocCache.state_packed`."""
+    def state(self) -> dict[str, bytes]:
+        """Same packed format as :meth:`SetAssocCache.state`."""
         counts, addrs, flags = export_ways(
             self._k_export, self._stamps, self.assoc, (self._addrs, 8), (self._flags, 1)
         )
         return {"counts": counts, "addrs": addrs, "flags": flags}
 
-    def load_packed(self, state: dict[str, bytes]) -> None:
-        """Restore :meth:`state_packed` output in place (validated first)."""
+    def load_state(self, state: dict[str, bytes]) -> None:
+        """Restore :meth:`state` output in place (validated first)."""
         unpack(state, _PLANES, self.num_sets, self.assoc, "cache")
         dmv = self._dmv
         total = import_ways(
@@ -283,16 +238,9 @@ class SetAssocCacheC:
 
     def copy_from(self, other: "SetAssocCacheC") -> None:
         """Copy a same-geometry compiled cache's ways, clock and occupancy
-        in place (the buffers C points into are never resized)."""
-        if (other.num_sets, other.assoc) != (self.num_sets, self.assoc):
-            raise ValueError("cache geometry mismatch")
-        memoryview(self._addrs)[:] = other._addrs
-        memoryview(self._flags)[:] = other._flags
-        memoryview(self._stamps)[:] = other._stamps
-        dmv = self._dmv
-        dmv[7] = other._dmv[7]  # clock
-        dmv[8] = other._dmv[8]  # occupancy
-        dmv[9] = -1
+        in place."""
+        copy_buffers(self._ways, other._ways, self._dmv, other._dmv, (7, 8))
+        self._dmv[9] = -1
 
 
 def make_cache(config: CacheConfig, compiled: bool = False):

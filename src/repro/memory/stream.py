@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.addr import LINE_BYTES
-from repro.common.packed import address, zeros
+from repro.common.packed import Stateful, address, copy_buffers, zeros
 
 
 @dataclass
@@ -25,7 +25,7 @@ class _Stream:
     lru: int = 0
 
 
-class StreamPrefetcher:
+class StreamPrefetcher(Stateful):
     """Detects up to ``max_streams`` monotonic miss streams."""
 
     def __init__(self, max_streams: int = 16, degree: int = 2, train_threshold: int = 2) -> None:
@@ -73,14 +73,14 @@ class StreamPrefetcher:
     def active_streams(self) -> int:
         return len(self._streams)
 
-    # -- layout-neutral serialization (warmup checkpoints, schema >= 3) ------
+    # -- state protocol (repro.common.packed) --------------------------------
 
-    def state_dict(self) -> dict:
+    def state(self) -> dict:
         """Logical stream-table state, independent of physical layout.
 
         Streams are listed in table order — victim selection scans for the
         first LRU minimum and compacts the list, so ordering is part of the
-        state, exactly like cache set order in ``state_lines``.
+        state, exactly like the LRU order within a cache set.
         """
         return {
             "streams": [
@@ -92,23 +92,11 @@ class StreamPrefetcher:
         }
 
     def load_state(self, state: dict) -> None:
-        streams = state["streams"]
-        if len(streams) > self.max_streams:
-            raise ValueError(
-                f"checkpoint holds {len(streams)} streams, table fits "
-                f"{self.max_streams}"
-            )
-        self._streams = [
-            _Stream(last_line=last, direction=direction,
-                    confidence=confidence, lru=lru)
-            for last, direction, confidence, lru in streams
-        ]
-        self._stamp = state["stamp"]
-        self.issued = state["issued"]
-
-    def copy_from(self, other: "StreamPrefetcher") -> None:
-        """Take ``other``'s stream table, in place, through its state form."""
-        self.load_state(other.state_dict())
+        """Restore :meth:`state` output (validated first)."""
+        streams, stamp, issued = _checked_streams(state, self.max_streams)
+        self._streams = [_Stream(*stream) for stream in streams]
+        self._stamp = stamp
+        self.issued = issued
 
 
 class StreamPrefetcherC:
@@ -142,8 +130,8 @@ class StreamPrefetcherC:
         self._di = di
         self._desc = address(di)
 
-    def state_dict(self) -> dict:
-        """Same format as :meth:`StreamPrefetcher.state_dict`."""
+    def state(self) -> dict:
+        """Same format as :meth:`StreamPrefetcher.state`."""
         count = self._di[4]
         return {
             "streams": list(zip(*(column[:count].tolist() for column in self._table))),
@@ -152,12 +140,8 @@ class StreamPrefetcherC:
         }
 
     def load_state(self, state: dict) -> None:
-        streams = state["streams"]
-        if len(streams) > self.max_streams:
-            raise ValueError(
-                f"checkpoint holds {len(streams)} streams, table fits "
-                f"{self.max_streams}"
-            )
+        """Restore :meth:`state` output in place (validated first)."""
+        streams, stamp, issued = _checked_streams(state, self.max_streams)
         for column in self._table:
             column[:] = zeros(self.max_streams)
         for i, (last, direction, confidence, lru) in enumerate(streams):
@@ -166,12 +150,22 @@ class StreamPrefetcherC:
             self._confidence[i] = confidence
             self._lru[i] = lru
         self._di[4] = len(streams)
-        self._di[5] = state["stamp"]
-        self._di[9] = state["issued"]
+        self._di[5] = stamp
+        self._di[9] = issued
 
     def copy_from(self, other: "StreamPrefetcherC") -> None:
-        """Copy a same-size compiled stream table in place."""
-        for column, source in zip(self._table, other._table):
-            memoryview(column)[:] = source
-        for word in (4, 5, 9):  # count, stamp, issued
-            self._di[word] = other._di[word]
+        """Copy a same-size compiled stream table and its count, stamp and
+        issued total in place."""
+        copy_buffers(self._table, other._table, self._di, other._di, (4, 5, 9))
+
+
+def _checked_streams(state: dict, max_streams: int) -> tuple:
+    """``(streams, stamp, issued)`` of a stream-table state: ValueError
+    unless it holds at most ``max_streams`` streams of four integers."""
+    streams, stamp, issued = state["streams"], state["stamp"], state["issued"]
+    values = [value for stream in streams for value in stream]
+    if len(streams) > max_streams or len(values) != 4 * len(streams) or not all(
+        type(value) is int for value in (*values, stamp, issued)
+    ):
+        raise ValueError(f"stream state is not {max_streams} or fewer streams of four integers")
+    return streams, stamp, issued

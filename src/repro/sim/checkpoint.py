@@ -8,32 +8,29 @@ what the walk costs; what a checkpoint saves is the Python walk of a
 simulator on the object structures (``compiled=False``,
 ``REPRO_NO_COMPILED``, ``REPRO_NO_FASTFORWARD``, or branch behaviours the
 driver cannot compile), 0.07-0.5 s per warmup (docs/performance.md, "What
-checkpoints still buy").  This module makes warmup a cacheable artifact,
-in two layers:
+checkpoints still buy").
 
-* :func:`capture_state` / :func:`restore_state` — the single definition of
-  the functional state, as an unpickled dict: everything
-  ``Simulator.functional_warmup`` and a (possibly warming)
-  ``fast_forward_to`` mutate — the oracle walk position, the
-  L1I/L1D/L2/LLC contents with their LRU order, the BTB/iBTB/TAGE tables,
-  the global history, the RAS, the stream data prefetcher's table, the
-  data-address generator's occurrence counters, the UDP useful-set (Bloom
-  filters + coalescer), the counter values, and the warmup baseline
-  snapshot.  A restored simulator behaves byte-for-byte like one that
-  walked itself (``tests/sim/test_checkpoint.py`` enforces equality of
-  ``measured_counters()`` per preset).  The captured dict shares no
-  mutable object with its donor;
+The functional state is one table, :func:`_components`: every component
+:meth:`Simulator.functional_warmup` and ``fast_forward_to`` change, by
+checkpoint key (``None`` where a configuration has none).  Each answers
+the state protocol of :mod:`repro.common.packed` (``state``,
+``load_state``, ``copy_from``), and everything here is a loop over the
+table plus :func:`_finish_load` (the frontend's pc, the warmup baseline
+and the warmed flag):
+
+* :func:`capture_state` / :func:`restore_state` — the wire form, a dict of
+  each component's ``state()``.  A restored simulator behaves
+  byte-for-byte like one that walked itself (``tests/sim/test_checkpoint.py``
+  enforces equality of ``measured_counters()`` per preset), and a
+  malformed part raises :class:`CheckpointError`.  The states are
+  layout-neutral, so a snapshot captured by the compiled structures
+  restores into the object ones and vice versa;
 * :func:`handoff` — the same state moved from one live simulator into a
-  pristine one without the wire form, by copying each structure's buffers
-  (``copy_from``).  Sampled runs use it: the engine's walker simulator
-  fast-forwards between intervals and hands its state to a fresh
-  simulator per interval (``sim/engine.py``), so an interval costs a
-  buffer copy, not an export and an import of every set;
-* :func:`capture_warmup` / :func:`restore_warmup` — the state of
-  :func:`capture_state` pickled to bytes and back, the warmup-checkpoint
-  wire form;
-* :class:`CheckpointStore` persists the pickled snapshots under
-  ``<cache_root>/checkpoints/`` keyed by :func:`checkpoint_key`.
+  pristine one by ``copy_from``, without the wire form.  Sampled runs hand
+  the walker's state to a fresh simulator per interval (``sim/engine.py``);
+* :func:`capture_warmup` / :func:`restore_warmup` — the wire form pickled,
+  the warmup checkpoint's bytes, which :class:`CheckpointStore` persists
+  under ``<cache_root>/checkpoints/`` keyed by :func:`checkpoint_key`.
 
 **Key derivation is explicit**: only the configuration fields that can
 influence warmup-produced state enter the key — ``functional_warmup_blocks``
@@ -44,21 +41,6 @@ frontend config, core widths, UFTQ mode, the prefetcher selection, the
 instruction budget, the sampling shape — are deliberately excluded, so an
 entire FTQ-depth sweep shares a single checkpoint
 (``tests/sim/test_checkpoint_key.py``).
-
-Restoration rules worth knowing when extending the simulator:
-
-* **all** predictor and cache state is serialized layout-neutrally and
-  restored in place (``state_dict``/``load_state`` on TAGE,
-  ``state_packed``/``load_packed`` on the BTB, the iBTB and the caches):
-  a snapshot captured by the compiled (C-kernel) structures restores into
-  the object ones and vice versa, and no component object is ever swapped
-  out from under the closures and hooks that alias it;
-* cache, BTB and iBTB contents travel as packed per-set buffers in
-  LRU->MRU order (:mod:`repro.common.packed`: a count per set plus one
-  flat buffer per payload plane, so pickling is a memcpy and the compiled
-  classes build and load them in one C call) — replacement order is part
-  of the state, the physical layout (dict of objects vs. flat way arrays)
-  is not.
 
 ``REPRO_NO_CHECKPOINT=1`` opts out (the engine re-runs warmup from
 scratch); a corrupt or stale snapshot raises :class:`CheckpointError`,
@@ -106,23 +88,11 @@ __all__ = [
     "warmup_config_subset",
 ]
 
-# Schema 2: layout-neutral predictor/cache serialization (state_dict /
-# state_lines) replacing pickled component objects, so compiled-mode and
-# object-mode simulators share checkpoints interchangeably.
-# Schema 3: warming fast-forward state — the stream data prefetcher's table
-# and the data-address generator's per-PC occurrence counters join the
-# snapshot (both mutated by the data-side replay of
-# ``Simulator.fast_forward_to``), and the warm flag enters the interval key.
-# Cache contents and occurrence counters switch to packed array buffers
-# (``state_packed``/``occurrences_state``): sampled runs serialize them once
-# per interval, so the wire form must pickle as a memcpy.
-# Schema 4: BTB/iBTB contents move to the caches' packed per-set buffers,
-# TAGE's bimodal base travels as its counter bytes instead of the object,
-# and the interval checkpoint key is gone (sampled runs hand state over
-# in memory).
-# Schema 5: the oracle's branch occurrence counts travel as the bytes of
-# its per-block int64 array instead of a {branch pc: count} dict.
-CHECKPOINT_SCHEMA = 5
+# Bumped whenever the wire form changes, so an older blob is a miss that
+# re-warms.  Schema 6: one entry per component of ``_components``, its
+# ``state()``, and the object data generator lists pcs ascending, like the
+# compiled one.
+CHECKPOINT_SCHEMA = 6
 
 
 class CheckpointError(Exception):
@@ -174,8 +144,44 @@ def checkpoint_key(program_key: str, seed: int, config: SimConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Capture
+# The components, capture, restore and hand-off
 # ---------------------------------------------------------------------------
+
+
+def _components(sim: "Simulator") -> dict:
+    """Every component the functional walk changes, by checkpoint key
+    (``None`` where ``sim``'s configuration has none)."""
+    bpu = sim.bpu
+    hierarchy = sim.hierarchy
+    return {
+        "oracle": sim.oracle,
+        "history": bpu.history,
+        "tage": bpu.tage,
+        "btb": bpu.btb,
+        "ibtb": bpu.ibtb,
+        "ras": bpu.ras,
+        "l1i": sim.l1i,
+        "l1d": hierarchy.l1d,
+        "l2": hierarchy.l2,
+        "llc": hierarchy.llc,
+        "stream": hierarchy.stream,
+        "data_gen": sim.data_gen,
+        "useful_set": sim.udp.useful_set if sim.udp is not None else None,
+        "counters": sim.counters,
+    }
+
+
+def _pairs(sim: "Simulator", parts: dict) -> list[tuple]:
+    """``(component, part)`` for each of ``sim``'s components, ``parts``
+    holding another simulator's components or their states by key."""
+    pairs = []
+    for key, component in _components(sim).items():
+        part = parts[key]
+        if (component is None) != (part is None):
+            raise CheckpointError(f"{key} enablement mismatch")
+        if component is not None:
+            pairs.append((component, part))
+    return pairs
 
 
 def _require_warmed(sim: "Simulator") -> None:
@@ -193,73 +199,26 @@ def capture_state(sim: "Simulator") -> dict:
 
     Must be called on a simulator that is warmed (by a warmup, a restore or
     a fast-forward) and has not yet executed a measured cycle.  The dict
-    holds copies only (ints, tuples, bytes, fresh lists and dicts), so the
-    donor may keep walking while a restored simulator runs.
+    holds copies only, so the donor may keep walking while a restored
+    simulator runs.
     """
     _require_warmed(sim)
-    bpu = sim.bpu
-    useful = None
-    if sim.udp is not None:
-        us = sim.udp.useful_set
-        useful = {
-            "exact": sorted(us._exact),
-            "filters": {
-                size: (bytes(f._array), f.inserted)
-                for size, f in us.filters.items()
-            },
-            "coalescer": list(us.coalescer._lines),
-            "window": (us._window_unuseful, us._window_total),
-        }
-    baseline = sim._warmup_baseline
-    return {
-        "schema": CHECKPOINT_SCHEMA,
-        "oracle": {
-            "pc": sim.oracle.pc,
-            "call_stack": list(sim.oracle.call_stack),
-            "blocks_walked": sim.oracle.blocks_walked,
-            "instrs_walked": sim.oracle.instrs_walked,
-            "occurrences": sim.oracle._occurrences.tobytes(),
-        },
-        "spec_pc": sim.frontend.spec_pc,
-        "history": bpu.history.checkpoint(),
-        "tage": bpu.tage.state_dict(),
-        "btb": bpu.btb.state_packed(),
-        "ibtb": bpu.ibtb.state_packed(),
-        "ras": {
-            "stack": list(bpu.ras._stack),
-            "overflows": bpu.ras.overflows,
-            "underflows": bpu.ras.underflows,
-        },
-        "caches": {
-            "l1i": sim.l1i.state_packed(),
-            "l1d": sim.hierarchy.l1d.state_packed(),
-            "l2": sim.hierarchy.l2.state_packed(),
-            "llc": sim.hierarchy.llc.state_packed(),
-        },
-        # Warming fast-forward state: the data replay trains the stream
-        # prefetcher and advances the data generator's occurrence counters,
-        # so both must reach an interval's simulator for chained warm walks
-        # to equal one direct jump.
-        "stream": (
-            sim.hierarchy.stream.state_dict()
-            if sim.hierarchy.stream is not None
-            else None
-        ),
-        "warm_data": sim.data_gen.occurrences_state(),
-        "useful_set": useful,
-        "counters": dict(sim.counters._values),
-        "warmup_baseline": dict(baseline) if baseline is not None else None,
+    state = {
+        key: component.state() if component is not None else None
+        for key, component in _components(sim).items()
     }
+    baseline = sim._warmup_baseline
+    state.update(
+        schema=CHECKPOINT_SCHEMA,
+        spec_pc=sim.frontend.spec_pc,
+        warmup_baseline=dict(baseline) if baseline is not None else None,
+    )
+    return state
 
 
 def capture_warmup(sim: "Simulator") -> bytes:
     """:func:`capture_state`, pickled: the warmup checkpoint's bytes."""
     return pickle.dumps(capture_state(sim), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-# ---------------------------------------------------------------------------
-# Restore
-# ---------------------------------------------------------------------------
 
 
 def restore_state(sim: "Simulator", state: dict) -> None:
@@ -276,62 +235,9 @@ def restore_state(sim: "Simulator", state: dict) -> None:
     if not isinstance(state, dict) or state.get("schema") != CHECKPOINT_SCHEMA:
         raise CheckpointError("checkpoint schema mismatch")
     try:
-        oracle_state = state["oracle"]
-        caches = state["caches"]
-
-        oracle = sim.oracle
-        oracle.pc = oracle_state["pc"]
-        oracle.call_stack[:] = oracle_state["call_stack"]
-        oracle.blocks_walked = oracle_state["blocks_walked"]
-        oracle.instrs_walked = oracle_state["instrs_walked"]
-        occurrences = memoryview(oracle_state["occurrences"]).cast("B")
-        counts = memoryview(oracle._occurrences).cast("B")
-        if len(occurrences) != len(counts):
-            raise ValueError("oracle occurrence counts do not match the program's blocks")
-        counts[:] = occurrences
-
-        bpu = sim.bpu
-        # In place: TAGE holds the same GlobalHistory object, and the BTB is
-        # aliased by registry-wired hooks — nothing is swapped, only loaded.
-        bpu.history.restore(state["history"])
-        bpu.tage.load_state(state["tage"])
-        bpu.btb.load_packed(state["btb"])
-        bpu.ibtb.load_packed(state["ibtb"])
-        ras_state = state["ras"]
-        bpu.ras._stack[:] = ras_state["stack"]
-        bpu.ras.overflows = ras_state["overflows"]
-        bpu.ras.underflows = ras_state["underflows"]
-
-        sim.l1i.load_packed(caches["l1i"])
-        sim.hierarchy.l1d.load_packed(caches["l1d"])
-        sim.hierarchy.l2.load_packed(caches["l2"])
-        sim.hierarchy.llc.load_packed(caches["llc"])
-
-        stream_state = state["stream"]
-        if (stream_state is None) != (sim.hierarchy.stream is None):
-            raise CheckpointError("stream prefetcher enablement mismatch")
-        if stream_state is not None:
-            sim.hierarchy.stream.load_state(stream_state)
-        sim.data_gen.load_occurrences_state(state["warm_data"])
-
-        useful = state["useful_set"]
-        if (useful is None) != (sim.udp is None):
-            raise CheckpointError("UDP enablement mismatch")
-        if useful is not None:
-            us = sim.udp.useful_set
-            us._exact = set(useful["exact"])
-            for size, (array, inserted) in useful["filters"].items():
-                bloom = us.filters[size]
-                if len(array) != len(bloom._array):
-                    raise CheckpointError("bloom filter geometry mismatch")
-                bloom._array[:] = array
-                bloom.inserted = inserted
-            us.coalescer._lines = OrderedDict(
-                (addr, None) for addr in useful["coalescer"]
-            )
-            us._window_unuseful, us._window_total = useful["window"]
-
-        _finish_load(sim, state["counters"], state["spec_pc"], state["warmup_baseline"])
+        for component, part in _pairs(sim, state):
+            component.load_state(part)
+        _finish_load(sim, state["spec_pc"], state["warmup_baseline"])
     except CheckpointError:
         raise
     except Exception as exc:  # noqa: BLE001 - malformed snapshot contents
@@ -352,72 +258,28 @@ def restore_warmup(sim: "Simulator", blob: bytes) -> None:
     restore_state(sim, state)
 
 
-def _finish_load(sim: "Simulator", counters: dict, spec_pc: int, baseline) -> None:
-    """Load the counter values, the frontend's pc and the warmup baseline,
-    and mark ``sim`` warmed."""
-    # In place: interned incrementer closures bind this exact dict.
-    values = sim.counters._values
-    values.clear()
-    for name in sim.counters._interned:
-        values[name] = 0
-    values.update(counters)
-    sim.frontend.spec_pc = spec_pc
-    sim._warmup_baseline = dict(baseline) if baseline is not None else None
-    sim._warmed = True
-
-
-# ---------------------------------------------------------------------------
-# Hand-off
-# ---------------------------------------------------------------------------
-
-
 def handoff(walker: "Simulator", sim: "Simulator") -> None:
     """``restore_state(sim, capture_state(walker))`` without the wire form.
 
     Moves exactly the state :func:`capture_state` defines from the warmed,
     unstarted ``walker`` into the pristine ``sim``, which must be built for
-    the same program and geometry.  Every structure copies its twin's
-    buffers in place (``copy_from``: a memcpy per buffer for the compiled
-    classes, the packed or state form for the object ones); the useful-set,
-    the RAS, the counters, the oracle position and the warmup baseline are
-    copied the way :func:`restore_state` copies them.  ``sim`` then shares
-    no mutable object with ``walker``.
+    the same program and geometry: each component takes its twin's state
+    in place (``copy_from``).  ``sim`` then shares no mutable object with
+    ``walker``.
     """
     _require_warmed(walker)
     _require_pristine(sim)
-    if (sim.hierarchy.stream is None) != (walker.hierarchy.stream is None):
-        raise CheckpointError("stream prefetcher enablement mismatch")
-    if (sim.udp is None) != (walker.udp is None):
-        raise CheckpointError("UDP enablement mismatch")
-    oracle, source = sim.oracle, walker.oracle
-    oracle.pc = source.pc
-    oracle.call_stack[:] = source.call_stack
-    oracle.blocks_walked = source.blocks_walked
-    oracle.instrs_walked = source.instrs_walked
-    memoryview(oracle._occurrences)[:] = source._occurrences
+    for component, source in _pairs(sim, _components(walker)):
+        component.copy_from(source)
+    _finish_load(sim, walker.frontend.spec_pc, walker._warmup_baseline)
 
-    bpu, source_bpu = sim.bpu, walker.bpu
-    bpu.history.copy_from(source_bpu.history)
-    bpu.tage.copy_from(source_bpu.tage)
-    bpu.btb.copy_from(source_bpu.btb)
-    bpu.ibtb.copy_from(source_bpu.ibtb)
-    bpu.ras._stack[:] = source_bpu.ras._stack
-    bpu.ras.overflows = source_bpu.ras.overflows
-    bpu.ras.underflows = source_bpu.ras.underflows
 
-    sim.l1i.copy_from(walker.l1i)
-    hierarchy, source_hierarchy = sim.hierarchy, walker.hierarchy
-    hierarchy.l1d.copy_from(source_hierarchy.l1d)
-    hierarchy.l2.copy_from(source_hierarchy.l2)
-    hierarchy.llc.copy_from(source_hierarchy.llc)
-    if hierarchy.stream is not None:
-        hierarchy.stream.copy_from(source_hierarchy.stream)
-    sim.data_gen.copy_from(walker.data_gen)
-    if sim.udp is not None:
-        sim.udp.useful_set.copy_from(walker.udp.useful_set)
-    _finish_load(
-        sim, walker.counters._values, walker.frontend.spec_pc, walker._warmup_baseline
-    )
+def _finish_load(sim: "Simulator", spec_pc: int, baseline) -> None:
+    """Load the frontend's pc and the warmup baseline, and mark ``sim``
+    warmed."""
+    sim.frontend.spec_pc = spec_pc
+    sim._warmup_baseline = dict(baseline) if baseline is not None else None
+    sim._warmed = True
 
 
 # ---------------------------------------------------------------------------

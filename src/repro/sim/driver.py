@@ -343,9 +343,8 @@ class _UDPState:
     Imported from the :class:`~repro.core.udp.UDPFilter` on the clean
     machine; :meth:`sync` writes it back at every exit.  The Bloom bit
     arrays are the filters' own bytearrays, used in place.  The
-    infinite-storage exact set becomes a byte map over the program's code
-    lines: every line it can hold -- warmed, retired or fetched -- lies in
-    ``[code_start & ~63, code_end)``.
+    infinite-storage exact set becomes a byte map over the useful-set's
+    ``code_lines``, the program's code lines.
     """
 
     _SIZES = (1, 2, 4)  # the Bloom slots' super-block sizes
@@ -368,8 +367,8 @@ class _UDPState:
         self._seeds = [array("q", bloom._seeds) for bloom in filters]
         self._coal = zeros(coalescer.capacity + 1)
         self._sen = zeros(seniority.capacity)
-        self._exact_base = sim.program.code_start & ~63
-        self._exact = zeros((sim.program.code_end - self._exact_base + 63) // 64, "B")
+        self._exact_base = useful_set.code_lines.start
+        self._exact = zeros(len(useful_set.code_lines), "B")
 
         desc = zeros(layout["udp_words"])
         values = {

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.backend.core import OP_BRANCH, BackendCore
 from repro.branch.unit import BranchPredictionUnit
-from repro.common.addr import INSTR_BYTES
+from repro.common.addr import INSTR_BYTES, LINE_BYTES
 from repro.common.artifacts import env_truthy
 from repro.common.config import SimConfig
 from repro.common.counters import Counters
@@ -76,7 +76,12 @@ class Simulator:
         self.ftq = FetchTargetQueue(
             config.frontend.ftq_depth, config.frontend.ftq_max_physical
         )
-        self.udp = UDPFilter(config.udp, self.counters) if config.udp.enabled else None
+        # Every line the exact set can hold -- warmed, retired or fetched --
+        # is a line of the code region.
+        code_lines = range(program.code_start & -LINE_BYTES, program.code_end, LINE_BYTES)
+        self.udp = (
+            UDPFilter(config.udp, self.counters, code_lines) if config.udp.enabled else None
+        )
         self.frontend = DecoupledFrontend(
             program,
             self.bpu,

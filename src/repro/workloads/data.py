@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 
-from repro.common.packed import address, view, zeros
+from repro.common.packed import Stateful, address, view, zeros
 from repro.workloads.behavior import mix64
 from repro.workloads.profiles import DataProfile
 
@@ -32,7 +32,7 @@ _NUM_STREAMS = 64
 _RANDOM_BASE = 0x20_0000_0000
 
 
-class DataAddressGenerator:
+class DataAddressGenerator(Stateful):
     """Produces the data address for each dynamic load/store."""
 
     def __init__(self, profile: DataProfile, seed: int) -> None:
@@ -70,47 +70,28 @@ class DataAddressGenerator:
         """Forget all occurrence counters (fresh run)."""
         self._occurrences.clear()
 
-    # -- layout-neutral state (warm fast-forward checkpoints) ---------------
+    # -- state protocol (repro.common.packed) --------------------------------
 
-    def occurrences_dict(self) -> dict[int, int]:
-        """Per-PC occurrence counters as a plain ``{pc: count}`` dict.
+    def state(self) -> dict[str, bytes]:
+        """The occurrence counters as packed ``int64`` arrays, pcs ascending.
 
-        The layout-neutral form stored in warm-fast-forward checkpoints
-        (:mod:`repro.sim.checkpoint`): a snapshot captured by an interpreted
-        generator restores into a compiled one and vice versa.
+        Two parallel ``bytes`` buffers, so pickling a checkpoint costs a
+        memcpy instead of one tuple per touched pc; the same bytes as
+        :meth:`DataAddressGeneratorC.state`.
         """
-        return dict(self._occurrences)
-
-    def load_occurrences(self, occurrences: dict[int, int]) -> None:
-        """Replace all occurrence counters with a checkpointed dict."""
-        self._occurrences.clear()
-        self._occurrences.update(occurrences)
-
-    def occurrences_state(self) -> dict[str, bytes]:
-        """The occurrence counters as packed int64 arrays (checkpoint form).
-
-        Semantically identical to :meth:`occurrences_dict`, but serialized
-        as two parallel ``bytes`` buffers so pickling a checkpoint costs a
-        memcpy instead of building one tuple per touched PC — interval
-        sampling captures and restores this state once per interval, so the
-        dict form was a measurable share of sampled wall-clock.
-        """
-        occ = self._occurrences
+        occurrences = self._occurrences
+        pcs = sorted(occurrences)
         return {
-            "pcs": array("q", occ.keys()).tobytes(),
-            "counts": array("q", occ.values()).tobytes(),
+            "pcs": array("q", pcs).tobytes(),
+            "counts": array("q", [occurrences[pc] for pc in pcs]).tobytes(),
         }
 
-    def load_occurrences_state(self, state: dict[str, bytes]) -> None:
-        """Restore counters from :meth:`occurrences_state` output."""
+    def load_state(self, state: dict[str, bytes]) -> None:
+        """Restore :meth:`state` output (validated first)."""
         pcs, counts = (memoryview(state[key]).cast("B") for key in ("pcs", "counts"))
         if len(pcs) != len(counts) or len(pcs) % 8:
             raise ValueError("occurrence state arrays disagree in length")
-        self.load_occurrences(dict(zip(pcs.cast("q").tolist(), counts.cast("q").tolist())))
-
-    def copy_from(self, other: "DataAddressGenerator") -> None:
-        """Take ``other``'s occurrence counters, through their packed form."""
-        self.load_occurrences_state(other.occurrences_state())
+        self._occurrences = dict(zip(pcs.cast("q").tolist(), counts.cast("q").tolist()))
 
 
 class DataAddressGeneratorC:
@@ -157,27 +138,16 @@ class DataAddressGeneratorC:
     def _counts(self) -> tuple[int, int, int]:
         return address(self._occ_arr), len(self._occ_arr), self.code_start
 
-    def occurrences_dict(self) -> dict[int, int]:
-        """Per-PC occurrence counters as a plain ``{pc: count}`` dict."""
-        state = self.occurrences_state()
-        return dict(
-            zip(*(memoryview(state[key]).cast("q").tolist() for key in ("pcs", "counts")))
-        )
-
-    def load_occurrences(self, occurrences: dict[int, int]) -> None:
-        """Replace all occurrence counters with a checkpointed dict."""
-        self.load_occurrences_state({
-            "pcs": array("q", occurrences.keys()).tobytes(),
-            "counts": array("q", occurrences.values()).tobytes(),
-        })
-
-    def occurrences_state(self) -> dict[str, bytes]:
-        """The occurrence counters as packed int64 arrays (checkpoint form)."""
+    def state(self) -> dict[str, bytes]:
+        """The nonzero occurrence counters as packed ``int64`` arrays, pcs
+        ascending (:meth:`DataAddressGenerator.state`'s form)."""
         pcs, counts = self._k_export(*self._counts())
         return {"pcs": pcs, "counts": counts}
 
-    def load_occurrences_state(self, state: dict[str, bytes]) -> None:
-        """Restore counters from :meth:`occurrences_state` output."""
+    def load_state(self, state: dict[str, bytes]) -> None:
+        """Restore :meth:`state` output in place; ``ValueError``, changing
+        nothing, unless both arrays hold as many ``int64`` and every pc lies
+        in the code region."""
         self._k_import(*self._counts(), state["pcs"], state["counts"])
 
     def copy_from(self, other: "DataAddressGeneratorC") -> None:

@@ -110,6 +110,48 @@ class OracleCursor:
         self.advance(transition)
         return transition
 
+    # -- state protocol (repro.common.packed) --------------------------------
+
+    def state(self) -> dict:
+        """The walk position, the true call stack and the occurrence counts
+        (the bytes of the per-block ``int64`` array)."""
+        return {
+            "pc": self.pc,
+            "call_stack": list(self.call_stack),
+            "blocks_walked": self.blocks_walked,
+            "instrs_walked": self.instrs_walked,
+            "occurrences": self._occurrences.tobytes(),
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state` output in place, validated first: the
+        compiled driver copies the call stack into a ``max_stack``-entry
+        buffer and counts in the occurrence array."""
+        pc, call_stack = state["pc"], state["call_stack"]
+        walked = state["blocks_walked"], state["instrs_walked"]
+        occurrences = memoryview(state["occurrences"]).cast("B")
+        counts = memoryview(self._occurrences).cast("B")
+        if len(occurrences) != len(counts):
+            raise ValueError("oracle occurrence counts do not match the program's blocks")
+        if len(call_stack) > self.max_stack or not all(
+            type(value) is int for value in (pc, *call_stack, *walked)
+        ):
+            raise ValueError(f"oracle state is not integers, {self.max_stack} or fewer calls")
+        if not self.program.contains(pc) or self.program.block_at(pc).addr != pc:
+            raise ValueError(f"oracle pc {pc:#x} is not a block start")
+        self.pc = pc
+        self.call_stack[:] = call_stack
+        self.blocks_walked, self.instrs_walked = walked
+        counts[:] = occurrences
+
+    def copy_from(self, other: "OracleCursor") -> None:
+        """Take a same-program cursor's position and counts, by direct copy."""
+        self.pc = other.pc
+        self.call_stack[:] = other.call_stack
+        self.blocks_walked = other.blocks_walked
+        self.instrs_walked = other.instrs_walked
+        memoryview(self._occurrences)[:] = other._occurrences
+
 
 def run_trace(program: Program, num_blocks: int) -> list[OracleTransition]:
     """Materialize the first ``num_blocks`` true-path transitions.

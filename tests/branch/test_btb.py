@@ -119,7 +119,7 @@ def _filled(cls):
         if cc.kernels() is None:
             pytest.skip("no C compiler on this host")
         buf = cls(entries=16, assoc=4)
-        buf.load_packed(_filled(_OBJECT_TWIN[cls]).state_packed())
+        buf.load_state(_filled(_OBJECT_TWIN[cls]).state())
         return buf
     buf = cls(entries=16, assoc=4)
     for i in range(14):
@@ -138,30 +138,30 @@ def test_load_state_rejects_overfull_set(cls):
     import numpy as np
 
     buf = _filled(cls)
-    state = buf.state_packed()
+    state = buf.state()
     counts = np.frombuffer(state["counts"], dtype=np.uint16).copy()
     counts[0] = 5
     state["counts"] = counts.tobytes()
     with pytest.raises(ValueError, match="more entries than ways"):
-        buf.load_packed(state)
+        buf.load_state(state)
 
 
 @pytest.mark.parametrize("cls", BUFFERS, ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize("damage", ["counts-length", "plane-length"])
-def test_load_packed_validates_before_loading(cls, damage):
+def test_load_state_validates_before_loading(cls, damage):
     # A counts buffer with the wrong number of sets, or a payload plane
     # whose length is not sum(counts), raises ValueError up front (never an
     # IndexError from the scatter) and leaves the buffer untouched.
     buf = _filled(cls)
-    state = buf.state_packed()
+    state = buf.state()
     if damage == "counts-length":
         state["counts"] = state["counts"][:-2]
     else:
         state["targets"] = state["targets"][:-8]
-    before = buf.state_packed()
+    before = buf.state()
     with pytest.raises(ValueError):
-        buf.load_packed(state)
-    assert buf.state_packed() == before
+        buf.load_state(state)
+    assert buf.state() == before
 
 
 @pytest.mark.parametrize(
@@ -181,15 +181,15 @@ def test_packed_state_round_trips_across_layouts(pair):
     obj_cls, c_cls = pair
     source = _filled(obj_cls)
     compiled = _filled(c_cls)
-    compiled.load_packed(source.state_packed())
-    assert compiled.state_packed() == source.state_packed()
+    compiled.load_state(source.state())
+    assert compiled.state() == source.state()
     back = obj_cls(entries=16, assoc=4)
-    back.load_packed(compiled.state_packed())
-    assert back.state_packed() == source.state_packed()
+    back.load_state(compiled.state())
+    assert back.state() == source.state()
     buffers = (source, compiled, back) if obj_cls is BranchTargetBuffer else (source, back)
     for buf in buffers:
         if obj_cls is BranchTargetBuffer:
             buf.fill(0x1000 + 4 * 16, BranchKind.CALL, 0x9000)
         else:
             buf.train(0x1000 + 4 * 16, history=16, target=0x9000)
-    assert all(buf.state_packed() == source.state_packed() for buf in buffers)
+    assert all(buf.state() == source.state() for buf in buffers)

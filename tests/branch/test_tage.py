@@ -137,7 +137,7 @@ def test_load_state_rejects_table_length_mismatch(compiled):
         tage = TagePredictorC(config, GlobalHistoryC(config.tage_max_hist, foldings))
     else:
         tage = TagePredictor(config, GlobalHistory(config.tage_max_hist, foldings))
-    good = tage.state_dict()
+    good = tage.state()
     for part in range(3):
         state = dict(good, tables=list(good["tables"]))
         table = list(state["tables"][0])
@@ -145,4 +145,4 @@ def test_load_state_rejects_table_length_mismatch(compiled):
         state["tables"][0] = tuple(table)
         with pytest.raises(ValueError):
             tage.load_state(state)
-    assert tage.state_dict()["tables"] == good["tables"]
+    assert tage.state()["tables"] == good["tables"]

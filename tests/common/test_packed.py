@@ -130,23 +130,23 @@ def test_compiled_packed_state_matches_object(name, ops, tail):
     make_object, make_compiled, apply = STRUCTURES[name]
     source = make_object()
     apply(source, ops)
-    state = source.state_packed()
+    state = source.state()
 
     # object -> C -> C -> object, through fresh structures.
     loaded = make_compiled()
-    loaded.load_packed(state)
-    assert loaded.state_packed() == state
+    loaded.load_state(state)
+    assert loaded.state() == state
     copied = make_compiled()
     copied.copy_from(loaded)
-    assert copied.state_packed() == state
+    assert copied.state() == state
     back = make_object()
-    back.load_packed(copied.state_packed())
-    assert back.state_packed() == state
+    back.load_state(copied.state())
+    assert back.state() == state
 
     # The round trip kept every set's recency order: the same operations
     # evict the same victims from here on.
     assert apply(source, tail) == apply(back, tail)
-    final = source.state_packed()
-    assert back.state_packed() == final
-    loaded.load_packed(final)
-    assert loaded.state_packed() == final
+    final = source.state()
+    assert back.state() == final
+    loaded.load_state(final)
+    assert loaded.state() == final

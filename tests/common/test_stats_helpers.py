@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.common.stats import (
-    ci95_half_width,
-    mean,
-    relative_half_width,
-    stdev,
-)
+from repro.common.stats import ci95_half_width, mean, stdev
 
 
 def test_mean():
@@ -31,23 +26,3 @@ def test_ci95_half_width():
     expected = 1.96 * math.sqrt(2.0) / math.sqrt(2)
     assert ci95_half_width(values) == pytest.approx(expected)
 
-
-def test_relative_half_width():
-    assert relative_half_width([]) == 0.0
-    values = [2.0, 4.0]
-    assert relative_half_width(values) == pytest.approx(
-        ci95_half_width(values) / 3.0
-    )
-
-
-def test_relative_half_width_zero_mean_never_divides():
-    # Zero mean with no spread: a degenerate-but-converged sample (all
-    # intervals stalled to zero IPC) is reported as zero error, not a
-    # ZeroDivisionError.
-    assert relative_half_width([0.0, 0.0]) == 0.0
-    assert relative_half_width([0.0]) == 0.0
-    # Zero mean with genuine spread: the relative width is meaningless, and
-    # infinity (rather than an exception) lets adaptive drivers treat the
-    # estimate as "target not met" without special-casing.
-    assert relative_half_width([2.0, -2.0]) == math.inf
-    assert relative_half_width([1.0, 0.0, -1.0]) == math.inf

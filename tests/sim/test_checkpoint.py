@@ -275,32 +275,34 @@ def _modes() -> list[bool]:
 
 
 @functools.lru_cache(maxsize=None)
-def _donor_blob(compiled: bool) -> bytes:
-    """The warmup checkpoint of a gcc donor (shared by the cases below)."""
-    config = baseline_config(INSTRUCTIONS, SEED)
+def _donor_blob(compiled: bool, workload: str, preset: str) -> bytes:
+    """The checkpoint of a donor past its warmup and a fast-forward, so the
+    data side holds state too (shared by the cases below)."""
+    config = PRESET_BUILDERS[preset](INSTRUCTIONS, SEED)
     donor = Simulator(
-        program_store.program_for("gcc", SEED),
+        program_store.program_for(workload, SEED),
         config,
-        data_profile=get_profile("gcc").data,
+        data_profile=get_profile(workload).data,
         compiled=compiled,
     )
     donor.functional_warmup(config.functional_warmup_blocks)
+    donor.fast_forward_to(donor.oracle.instrs_walked + 2_000)
     return ckpt.capture_warmup(donor)
 
 
-def _donor_state(compiled: bool) -> tuple:
+def _donor_state(compiled: bool, workload: str = "gcc", preset: str = "baseline") -> tuple:
     """(program, config, a fresh unpickled copy of the donor's state)."""
     if compiled and cc.kernels() is None:
         pytest.skip("no C compiler on this host")
-    program = program_store.program_for("gcc", SEED)
-    config = baseline_config(INSTRUCTIONS, SEED)
-    return program, config, pickle.loads(_donor_blob(compiled))
+    program = program_store.program_for(workload, SEED)
+    config = PRESET_BUILDERS[preset](INSTRUCTIONS, SEED)
+    return program, config, pickle.loads(_donor_blob(compiled, workload, preset))
 
 
-def _assert_rejected(program, config, state, compiled: bool) -> None:
+def _assert_rejected(program, config, state, compiled: bool, workload: str = "gcc") -> None:
     """Restoring ``state`` fails validation: a ValueError, never an IndexError."""
     target = Simulator(
-        program, config, data_profile=get_profile("gcc").data, compiled=compiled
+        program, config, data_profile=get_profile(workload).data, compiled=compiled
     )
     with pytest.raises(ckpt.CheckpointError) as info:
         ckpt.restore_warmup(target, pickle.dumps(state))
@@ -352,6 +354,110 @@ def test_restore_rejects_a_wrong_length_occurrence_buffer(change, compiled):
         occurrences[:change] if change < 0 else occurrences + bytes(change)
     )
     _assert_rejected(program, config, state, compiled)
+
+
+# State the compiled driver would trust, each out of what its fixed buffer
+# or byte map holds: (preset, damage(state, program)).
+_OUT_OF_RANGE = {
+    "ras-stack": (
+        "udp",
+        lambda state, program: state["ras"].update(stack=[program.entry] * 256),
+    ),
+    "oracle-call-stack": (
+        "udp",
+        lambda state, program: state["oracle"].update(call_stack=[program.entry] * 10_000),
+    ),
+    "coalescer": (
+        "udp",
+        lambda state, program: state["useful_set"].update(
+            coalescer=[program.code_start + 64 * i for i in range(100)]
+        ),
+    ),
+    "exact-line": (
+        "infinite-storage",
+        lambda state, program: state["useful_set"]["exact"].append(program.code_end + 64),
+    ),
+}
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_restore_rejects_state_out_of_range(case, compiled):
+    # A 256-entry RAS (32 ways), a 10,000-deep oracle call stack (256), a
+    # 100-line coalescer (8) and an exact-set line outside the code lines:
+    # a CheckpointError at load in both modes, never a failure at the first
+    # run (compiled) or a structure running over capacity (object).
+    preset, damage = _OUT_OF_RANGE[case]
+    program, config, state = _donor_state(compiled, "mediawiki", preset)
+    damage(state, program)
+    _assert_rejected(program, config, state, compiled, "mediawiki")
+
+
+def test_an_out_of_range_checkpoint_on_disk_is_rewarmed():
+    # Like a corrupt blob (tests/sim/test_engine.py), a stored checkpoint
+    # holding state out of range is a miss: re-warmed and overwritten.
+    from repro.sim import engine
+
+    config = PRESET_BUILDERS["udp"](INSTRUCTIONS, SEED)
+    spec = engine.spec_for("mediawiki", config, SEED, "udp")
+    clean = engine.run_batch([spec], jobs=1, no_cache=True)[0]
+    key = engine._checkpoint_key_for(spec)
+    store = ckpt.CheckpointStore()
+    state = pickle.loads(store.get(key))
+    state["ras"]["stack"] = [0x1000] * 256
+    store.path_for(key).write_bytes(pickle.dumps(state))
+    ckpt._BLOB_MEMO.clear()
+    stats = engine.BatchStats()
+    again = engine.run_batch([spec], jobs=1, no_cache=True, progress=stats)[0]
+    assert stats.checkpoint_creates == 1 and stats.checkpoint_restores == 0
+    assert again.counters == clean.counters
+    ckpt._BLOB_MEMO.clear()
+    assert len(pickle.loads(store.get(key))["ras"]["stack"]) <= config.branch.ras_entries
+
+
+# One malformed part per component: (preset, key, damage(part)).
+_MALFORMED_PARTS = {
+    "oracle-pc": ("baseline", "oracle", lambda part: {**part, "pc": part["pc"] + 4}),
+    "oracle-occurrences": (
+        "baseline",
+        "oracle",
+        lambda part: {**part, "occurrences": part["occurrences"][:-8]},
+    ),
+    "history": ("baseline", "history", lambda part: (part[0], part[1][:-1])),
+    "tage-base": ("baseline", "tage", lambda part: {**part, "base": part["base"][:-1]}),
+    "ras": ("baseline", "ras", lambda part: {**part, "stack": [0x1000] * 33}),
+    "stream": ("baseline", "stream", lambda part: {**part, "streams": [(0, 1, 0, 0)] * 17}),
+    "data-gen": ("baseline", "data_gen", lambda part: {**part, "counts": part["counts"][:-8]}),
+    "coalescer": (
+        "udp",
+        "useful_set",
+        lambda part: {**part, "coalescer": list(range(0, 64 * 9, 64))},
+    ),
+    "bloom": (
+        "udp",
+        "useful_set",
+        lambda part: {**part, "filters": {**part["filters"], 4: (b"", 0)}},
+    ),
+    "counters": ("baseline", "counters", lambda part: {**part, "cycles": "many"}),
+}
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED_PARTS))
+def test_load_state_validates_before_changing_anything(case, compiled):
+    # Each component's load_state raises ValueError on a malformed part and
+    # leaves the component as it was (here a pristine simulator's).
+    preset, key, damage = _MALFORMED_PARTS[case]
+    program, config, state = _donor_state(compiled, "mediawiki", preset)
+    target = Simulator(
+        program, config, data_profile=get_profile("mediawiki").data, compiled=compiled
+    )
+    component = ckpt._components(target)[key]
+    before = component.state()
+    assert state[key] != before
+    with pytest.raises(ValueError):
+        component.load_state(damage(state[key]))
+    assert component.state() == before
 
 
 def test_schema_3_blob_is_a_miss_that_rewarms():

@@ -485,7 +485,7 @@ def test_techniques_match_object_path(kind, workload):
         assert driven.prefetcher.triggered > 0
     assert _state(driven) == _state(oracle)
     assert _technique_state(driven) == _technique_state(oracle)
-    assert driven.bpu.btb.state_packed() == oracle.bpu.btb.state_packed()
+    assert driven.bpu.btb.state() == oracle.bpu.btb.state()
     assert (driven.steps_executed, driven.ff_jumps) == (oracle.steps_executed, oracle.ff_jumps)
 
 
@@ -793,8 +793,8 @@ def _walk_state(sim: Simulator) -> tuple:
 
     ``_state`` plus the raw counters and baseline, the frontend and RAS
     scalars and every trained structure in its checkpoint form: the caches
-    as their packed LRU-ordered lines and the data generator as its
-    occurrence dict (the compiled one's packed buffers are in pc order).
+    as their packed LRU-ordered lines and the data generator as its packed
+    occurrence counters, pcs ascending in both modes.
     """
     bpu = sim.bpu
     hierarchy = sim.hierarchy
@@ -806,12 +806,12 @@ def _walk_state(sim: Simulator) -> tuple:
         sim.frontend.spec_pc,
         (list(bpu.ras._stack), bpu.ras.overflows, bpu.ras.underflows),
         bpu.history.checkpoint(),
-        bpu.tage.state_dict(),
-        bpu.btb.state_packed(),
-        bpu.ibtb.state_packed(),
-        [cache.state_packed() for cache in caches],
-        hierarchy.stream.state_dict() if hierarchy.stream is not None else None,
-        sim.data_gen.occurrences_dict(),
+        bpu.tage.state(),
+        bpu.btb.state(),
+        bpu.ibtb.state(),
+        [cache.state() for cache in caches],
+        hierarchy.stream.state() if hierarchy.stream is not None else None,
+        sim.data_gen.state(),
     )
 
 
@@ -1059,7 +1059,7 @@ def _component_state(sim: Simulator) -> tuple:
             (uftq._timeliness.positive, uftq._timeliness.total),
         ),
         None if loop is None else (loop.state(), loop.overrides, loop.correct_overrides),
-        btb.state_packed(),
+        btb.state(),
         getattr(btb, "promotions", None),
     )
 

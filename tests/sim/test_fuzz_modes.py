@@ -145,13 +145,13 @@ def _structures(sim: Simulator) -> tuple:
         (sim.ftq.depth, sim.ftq.occupancy_sum, sim.ftq.occupancy_samples),
         (oracle.pc, oracle.blocks_walked, oracle.instrs_walked, list(oracle.call_stack)),
         oracle._occurrences.tobytes(),
-        [cache.state_packed() for cache in (sim.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.llc)],
-        None if hierarchy.stream is None else hierarchy.stream.state_dict(),
-        sim.data_gen.occurrences_dict(),
-        btb.state_packed(),
+        [cache.state() for cache in (sim.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.llc)],
+        None if hierarchy.stream is None else hierarchy.stream.state(),
+        sim.data_gen.state(),
+        btb.state(),
         getattr(btb, "promotions", None),
-        bpu.ibtb.state_packed(),
-        bpu.tage.state_dict(),
+        bpu.ibtb.state(),
+        bpu.tage.state(),
         bpu.history.checkpoint(),
         (list(bpu.ras._stack), bpu.ras.overflows, bpu.ras.underflows),
         None if loop is None else (loop.state(), loop.overrides, loop.correct_overrides),

@@ -231,7 +231,7 @@ def test_fast_forward_checkpoints_cross_modes(
     donor.functional_warmup(config.functional_warmup_blocks)
     target = donor.oracle.instrs_walked + 600
     donor.fast_forward_to(target)
-    assert donor.data_gen.occurrences_dict()
+    assert donor.data_gen.state()["pcs"]
     blob = ckpt.capture_warmup(donor)
 
     restored = fresh(restore_mode)
@@ -243,20 +243,20 @@ def test_fast_forward_checkpoints_cross_modes(
 
     # The warming-mutated state restores layout-neutrally...
     assert (
-        restored.data_gen.occurrences_dict()
-        == scratch.data_gen.occurrences_dict()
+        restored.data_gen.state()
+        == scratch.data_gen.state()
     )
     assert (
-        restored.hierarchy.l1d.state_packed()
-        == scratch.hierarchy.l1d.state_packed()
+        restored.hierarchy.l1d.state()
+        == scratch.hierarchy.l1d.state()
     )
     assert (restored.hierarchy.stream is None) == (
         scratch.hierarchy.stream is None
     )
     if restored.hierarchy.stream is not None:
         assert (
-            restored.hierarchy.stream.state_dict()
-            == scratch.hierarchy.stream.state_dict()
+            restored.hierarchy.stream.state()
+            == scratch.hierarchy.stream.state()
         )
     # ...and the measured region proceeds byte-identically.
     restored.run()

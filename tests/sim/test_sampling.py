@@ -437,12 +437,12 @@ def _structures(sim: Simulator) -> tuple:
     caches = (sim.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.llc)
     return (
         bpu.history.checkpoint(),
-        bpu.tage.state_dict(),
-        (bpu.btb.state_packed(), bpu.btb.occupancy),
-        bpu.ibtb.state_packed(),
-        [(cache.state_packed(), cache.occupancy) for cache in caches],
-        hierarchy.stream.state_dict() if hierarchy.stream is not None else None,
-        sim.data_gen.occurrences_state(),
+        bpu.tage.state(),
+        (bpu.btb.state(), bpu.btb.occupancy),
+        bpu.ibtb.state(),
+        [(cache.state(), cache.occupancy) for cache in caches],
+        hierarchy.stream.state() if hierarchy.stream is not None else None,
+        sim.data_gen.state(),
     )
 
 
@@ -472,6 +472,49 @@ def test_handoff_moves_exactly_the_captured_state(monkeypatch, preset, compiled)
     restored.run_interval(200, detailed_warmup=100)
     assert handed.measured_counters() == restored.measured_counters()
     assert _structures(handed) == _structures(restored)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_BUILDERS))
+def test_a_compiled_handoff_never_takes_the_wire_form(monkeypatch, preset):
+    # A compiled hand-off copies buffers: with every compiled class's
+    # state/load_state refusing, it still completes.  The wire form costs
+    # ten times as much (docs/performance.md, "Sampled simulation").
+    if cc.kernels() is None:
+        pytest.skip("no C compiler on this host")
+    from repro.branch.btb import BranchTargetBufferC, IndirectTargetBufferC
+    from repro.branch.history import GlobalHistoryC
+    from repro.branch.tage import TagePredictorC
+    from repro.memory.cache import SetAssocCacheC
+    from repro.memory.stream import StreamPrefetcherC
+    from repro.sim.profile import build_simulator
+    from repro.workloads.data import DataAddressGeneratorC
+
+    config = PRESET_BUILDERS[preset](2_000).replace(
+        functional_warmup_blocks=800
+    ).with_sampling(4, 200, 100)
+    walker = build_simulator("mediawiki", config, seed=1, compiled=True)
+    walker.functional_warmup(config.functional_warmup_blocks)
+    walker.fast_forward_to(walker.oracle.instrs_walked + 3_000)
+    handed = build_simulator("mediawiki", config, seed=1, compiled=True)
+    assert handed.compiled_enabled
+
+    def refuse(*args):
+        raise AssertionError("a compiled hand-off went through the wire form")
+
+    with monkeypatch.context() as patch:
+        for cls in (
+            BranchTargetBufferC,
+            DataAddressGeneratorC,
+            GlobalHistoryC,
+            IndirectTargetBufferC,
+            SetAssocCacheC,
+            StreamPrefetcherC,
+            TagePredictorC,
+        ):
+            patch.setattr(cls, "state", refuse)
+            patch.setattr(cls, "load_state", refuse)
+        ckpt.handoff(walker, handed)
+    assert ckpt.capture_state(handed) == ckpt.capture_state(walker)
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
@@ -572,8 +615,8 @@ def test_fast_forward_fills_the_data_side():
     forwarded = _fast_forwarded(sampled)
     # The functional warmup leaves the data caches cold (instruction lines
     # only); the fast-forward replays the walked loads and stores.
-    assert not warmed_up.data_gen.occurrences_dict()
-    assert forwarded.data_gen.occurrences_dict()
+    assert not warmed_up.data_gen.state()["pcs"]
+    assert forwarded.data_gen.state()["pcs"]
     assert warmed_up.hierarchy.l1d.occupancy == 0
     assert forwarded.hierarchy.l1d.occupancy > 0
     # The replay never consumes cycles or measured counters.

@@ -75,7 +75,5 @@ def test_compiled_occurrence_array_spans_the_code_region():
         assert program.code_start > 0
         assert len(sim.data_gen._occ_arr) == (program.code_end - program.code_start) >> 2
         sim.fast_forward_to(20_000)
-        occurrences = sim.data_gen.occurrences_dict()
-        assert occurrences and all(
-            program.code_start <= pc < program.code_end for pc in occurrences
-        )
+        pcs = memoryview(sim.data_gen.state()["pcs"]).cast("q").tolist()
+        assert pcs and all(program.code_start <= pc < program.code_end for pc in pcs)
