@@ -5,7 +5,7 @@ Three content-addressed artifact classes live under one cache root
 
 * **results** — serialized ``SimResult`` objects
   (:class:`repro.sim.engine.ResultCache`, ``<root>/<k>/<key>.json``),
-* **programs** — pickled synthetic ``Program`` objects
+* **programs** — synthetic programs' pickled flat columns
   (:class:`repro.workloads.store.ProgramStore`, ``<root>/programs/...``),
 * **checkpoints** — functional-warmup state snapshots
   (:class:`repro.sim.checkpoint.CheckpointStore`, ``<root>/checkpoints/...``).

@@ -124,7 +124,8 @@ enum { DRIVER_COUNTERS(DC_ENUM) DC_COUNT };
 #define DC_NAME(name) #name,
 static const char *const DC_NAMES[DC_COUNT] = { DRIVER_COUNTERS(DC_NAME) };
 
-/* Per-program ground truth (workloads/tables.py ProgramTables). */
+/* Per-program ground truth: the program's own column buffers
+ * (workloads/tables.py, checked there before C reads a stored one). */
 typedef struct {
     int64_t n_blocks;
     int64_t code_start;
@@ -132,7 +133,7 @@ typedef struct {
     int64_t entry;
     const int64_t *addr;        /* [n_blocks] block start */
     const int64_t *ninstr;
-    const int64_t *ops;         /* raw pointer to the block's op bytes, 0 = all ALU */
+    const uint8_t *ops;         /* one op byte per instruction, at (pc - code_start) >> 2 */
     const int64_t *kind;        /* branch kind, -1 = no branch */
     const int64_t *target;      /* direct target */
     const int64_t *behavior;    /* COND: direction node; indirect: selector node */
@@ -1026,10 +1027,9 @@ static int64_t shadow_oracle(Driver *d, int64_t b, const Prediction *p, int64_t 
     return slot;
 }
 
-static inline void copy_ops(const ProgTables *P, FtqEntry *e, int64_t b, int64_t lo, int64_t hi) {
-    const uint8_t *ops = (const uint8_t *)(uintptr_t)P->ops[b];
+static inline void copy_ops(const ProgTables *P, FtqEntry *e, int64_t lo, int64_t hi) {
     for (int64_t pc = lo; pc < hi; pc += 4) {
-        e->ops[(pc - e->start) >> 2] = ops ? ops[(pc - P->addr[b]) >> 2] : 0;
+        e->ops[(pc - e->start) >> 2] = P->ops[(pc - P->code_start) >> 2];
     }
 }
 
@@ -1061,7 +1061,7 @@ static void walk_block(Driver *d, FtqEntry *e) {
         int64_t seg_end = bend < region_end ? bend : region_end;
         int64_t br_pc = bend - 4;
         if (P->kind[b] < 0 || !(cur <= br_pc && br_pc < seg_end)) {
-            copy_ops(P, e, b, cur, seg_end);
+            copy_ops(P, e, cur, seg_end);
             if (seg_end == bend && !d->diverged) {
                 /* a completed fall-through block: the oracle's branchless advance */
                 d->oracle_pc = bend;
@@ -1072,7 +1072,7 @@ static void walk_block(Driver *d, FtqEntry *e) {
             b++;
             continue;
         }
-        copy_ops(P, e, b, cur, br_pc + 4);
+        copy_ops(P, e, cur, br_pc + 4);
         Prediction p;
         int64_t walker_next = predict(d, br_pc, P->kind[b], &p);
         int64_t off = (br_pc - start) >> 2;
@@ -1653,9 +1653,8 @@ static void train_branch(Driver *d, int64_t b, int64_t taken, int64_t next_pc) {
  * addresses drawn from the generator the measured region continues. */
 static void replay_data(Driver *d, int64_t b) {
     const ProgTables *P = d->prog;
-    const uint8_t *ops = (const uint8_t *)(uintptr_t)P->ops[b];
-    if (ops == NULL) return;
     int64_t pc = P->addr[b];
+    const uint8_t *ops = P->ops + ((pc - P->code_start) >> 2);
     for (int64_t i = 0; i < P->ninstr[b]; i++, pc += 4) {
         if (ops[i] == OPC_LOAD) {
             data_load(d, data_next_impl(d->be->data, pc));
@@ -1862,31 +1861,6 @@ static PyObject *k_driver_layout(PyObject *self, PyObject *args) {
     return layout_memo;
 }
 
-/* Raw buffer addresses of a sequence of bytes objects (0 for empty ones):
- * the block op bytes the program tables point into without copying. */
-static PyObject *k_bytes_addresses(PyObject *self, PyObject *const *args, Py_ssize_t n) {
-    (void)self; (void)n;
-    PyObject *seq = PySequence_Fast(args[0], "expected a sequence of bytes");
-    if (seq == NULL) return NULL;
-    int64_t *out = (int64_t *)arg_ptr(args, 1);
-    if (PyErr_Occurred()) {
-        Py_DECREF(seq);
-        return NULL;
-    }
-    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
-    for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
-        if (!PyBytes_Check(item)) {
-            Py_DECREF(seq);
-            PyErr_SetString(PyExc_TypeError, "block ops must be bytes");
-            return NULL;
-        }
-        out[i] = PyBytes_GET_SIZE(item) ? (int64_t)(uintptr_t)PyBytes_AS_STRING(item) : 0;
-    }
-    Py_DECREF(seq);
-    Py_RETURN_NONE;
-}
-
 /* buffer_address(obj) -> int: where a contiguous buffer's data lives (a
  * bytes object's or a bytearray's).  The caller keeps the object alive,
  * and a memoryview of it if it could resize, while C uses the address. */
@@ -1903,7 +1877,6 @@ PyMethodDef repro_driver_methods[] = {
     {"run_cycles", (PyCFunction)(void *)k_run_cycles, METH_FASTCALL, NULL},
     {"functional_walk", (PyCFunction)(void *)k_functional_walk, METH_FASTCALL, NULL},
     {"driver_layout", k_driver_layout, METH_NOARGS, NULL},
-    {"bytes_addresses", (PyCFunction)(void *)k_bytes_addresses, METH_FASTCALL, NULL},
     {"buffer_address", k_buffer_address, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };

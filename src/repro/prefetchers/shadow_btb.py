@@ -11,22 +11,27 @@ win is fewer BTB-miss resteers on first-touch code — the frontend walker
 follows branches it would otherwise have walked straight past.
 
 Here the "predecode" consults the static program image (our instruction
-bytes), scanning exactly the one line that filled.  The technique layers
-on top of FDIP and emits no prefetches of its own: it registers the
-``hooks_btb`` + ``observes_fills`` capabilities, receiving the BPU fill /
-tag-probe callables and per-fill callbacks from the simulator.  RET
-branches are installed with target 0, matching the decode-time discovery
-path (returns take their target from the RAS).
+bytes), scanning exactly the one line that filled: a bisect over the
+program's block-address column, then its kind, size and target columns
+(:mod:`repro.workloads.tables`), so predecoding never builds the block
+view.  The technique layers on top of FDIP and emits no prefetches of its
+own: it registers the ``hooks_btb`` + ``observes_fills`` capabilities,
+receiving the BPU fill / tag-probe callables and per-fill callbacks from
+the simulator.  RET branches are installed with target 0, matching the
+decode-time discovery path (returns take their target from the RAS).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.common.addr import LINE_BYTES
+from repro.common.addr import INSTR_BYTES, LINE_BYTES
 from repro.common.errors import ConfigError
 from repro.prefetchers.base import FrontendHooks, InstructionPrefetcher
 from repro.workloads.program import BranchKind, Program
+
+_INDIRECT = (BranchKind.INDIRECT, BranchKind.INDIRECT_CALL)
 
 
 @dataclass(frozen=True)
@@ -68,24 +73,25 @@ class ShadowBranchPrefiller(InstructionPrefetcher):
         counters = self.counters
         counters.bump("shadow_btb_lines_scanned")
         budget = self.params.max_prefills_per_fill
+        columns = program.columns
+        starts, kinds = columns.addr, columns.kind
+        block = bisect_right(starts, start) - 1
         addr = start
         while addr < end:
-            block = program.block_at(addr)
-            branch = block.branch
-            if (
-                branch is not None
-                and addr <= branch.pc < end
-                and not branch.kind.is_indirect
-            ):
+            block_end = starts[block] + columns.ninstr[block] * INSTR_BYTES
+            kind = kinds[block]
+            pc = block_end - INSTR_BYTES
+            if kind >= 0 and addr <= pc < end and kind not in _INDIRECT:
                 counters.bump("shadow_btb_branches_found")
-                if not self._btb_contains(branch.pc):
-                    target = 0 if branch.kind == BranchKind.RET else branch.target
-                    self._btb_fill(branch.pc, branch.kind, target)
+                if not self._btb_contains(pc):
+                    target = 0 if kind == BranchKind.RET else columns.target[block]
+                    self._btb_fill(pc, BranchKind(kind), target)
                     counters.bump("shadow_btb_prefills")
                     budget -= 1
                     if budget == 0:
                         return
-            addr = block.end_addr
+            addr = block_end
+            block += 1
 
 
 def build_shadow_btb(

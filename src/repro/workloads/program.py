@@ -11,20 +11,30 @@ which is how wrong-path execution after BTB misses arises naturally.
 Addresses are byte addresses; ``Program.block_at`` maps any code address to
 the containing block, which is what lets the frontend walk arbitrary
 (including wrong-path) addresses.
+
+A :class:`Program` holds its ground truth as flat columns
+(:class:`repro.workloads.tables.Columns`): the arrays the compiled cycle
+driver reads and the program store pickles.  :class:`BasicBlock`,
+:class:`Branch` and the behaviour objects are a view of them, which a
+program built from blocks keeps and a stored program builds the first
+time Python walks it (:attr:`Program.blocks`).  The counts, the region
+and the block-start test read the columns directly.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 from repro.common.addr import INSTR_BYTES
 from repro.common.errors import ProgramError
 from repro.workloads.behavior import DirectionBehavior, TargetBehavior
 
-# Per-instruction operation kinds, stored as one byte each in
-# ``BasicBlock.ops`` to keep large programs compact.
+# Per-instruction operation kinds, stored as one byte each in the
+# program's op bytes (and ``BasicBlock.ops``) to keep large programs compact.
 OP_ALU = 0
 OP_LOAD = 1
 OP_STORE = 2
@@ -70,15 +80,6 @@ class Branch:
     targets: tuple[int, ...] = ()
     target_behavior: TargetBehavior | None = None
 
-    def __reduce__(self):
-        # Unpickling calls the constructor with the fields: a program holds
-        # tens of thousands of branches and blocks, and one call each is
-        # cheaper than filling their slots one attribute at a time.
-        return Branch, (
-            self.pc, self.kind, self.target, self.direction, self.targets,
-            self.target_behavior,
-        )
-
     @property
     def fallthrough(self) -> int:
         """Address of the next sequential instruction."""
@@ -114,12 +115,8 @@ class BasicBlock:
     num_instrs: int
     branch: Branch | None = None
     ops: bytes = b""
-    # Index within Program.blocks, filled by Program.__init__.
+    # Index within Program.blocks, filled by Program.__init__ (or the view).
     index: int = field(default=-1, repr=False)
-
-    def __reduce__(self):
-        # See Branch.__reduce__.
-        return BasicBlock, (self.addr, self.num_instrs, self.branch, self.ops, self.index)
 
     @property
     def end_addr(self) -> int:
@@ -161,15 +158,25 @@ class Program:
     defined block.  Walking past the final block wraps to ``code_start``
     (documented model simplification; synthesized programs end in an
     unconditional backward jump so the wrap is never exercised on-path).
+
+    Built from blocks, a program validates them, keeps them as its view and
+    flattens them into :attr:`columns`; a program whose behaviours cannot
+    be flattened has no behaviour nodes there, so it has no driver tables
+    and cannot be stored.  :meth:`from_state` builds one from stored
+    columns, checked first.
     """
 
     def __init__(self, blocks: list[BasicBlock], entry: int | None = None) -> None:
+        from repro.workloads.tables import flatten  # tables imports this module
+
         if not blocks:
             raise ProgramError("a program needs at least one block")
         blocks = sorted(blocks, key=lambda b: b.addr)
         for i, block in enumerate(blocks):
             block.validate()
             block.index = i
+            if not block.ops:
+                block.ops = bytes(block.num_instrs)  # all ALU, one byte each like the columns
         for prev, cur in zip(blocks, blocks[1:]):
             if prev.end_addr != cur.addr:
                 raise ProgramError(
@@ -184,6 +191,44 @@ class Program:
         if not self.contains(self.entry):
             raise ProgramError(f"entry {self.entry:#x} outside code region")
         self._validate_targets()
+        self.columns = flatten(blocks)
+
+    @classmethod
+    def from_state(cls, state: tuple) -> "Program":
+        """The program :meth:`state` describes; :class:`ValueError` unless
+        its columns pass :func:`repro.workloads.tables.checked_columns`."""
+        from repro.workloads.tables import checked_columns
+
+        entry, *buffers = state
+        program = cls.__new__(cls)
+        program.columns = columns = checked_columns(entry, *buffers)
+        program.code_start = columns.addr[0]
+        program.code_end = columns.addr[-1] + columns.ninstr[-1] * INSTR_BYTES
+        program.entry = entry
+        return program
+
+    def state(self) -> tuple:
+        """The entry and the column buffers: what the program store keeps."""
+        if self.columns.nodes is None:
+            raise ProgramError("a program whose behaviours cannot be flattened cannot be stored")
+        return (self.entry, *self.columns.state())
+
+    def __reduce__(self):
+        if self.columns.nodes is None:
+            return Program, (self.blocks, self.entry)
+        return Program.from_state, (self.state(),)
+
+    @cached_property
+    def blocks(self) -> list[BasicBlock]:
+        """The object view, built from the columns on first use
+        (:func:`repro.workloads.tables.unflatten`)."""
+        from repro.workloads.tables import unflatten
+
+        return unflatten(self)
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        return self.columns.addr.tolist()
 
     def _validate_targets(self) -> None:
         starts = set(self._starts)
@@ -224,6 +269,12 @@ class Program:
         span = self.code_end - self.code_start
         return self.code_start + (addr - self.code_start) % span
 
+    def is_block_start(self, addr: int) -> bool:
+        """True if a block starts at ``addr`` (read from the columns)."""
+        starts = self.columns.addr
+        i = bisect_right(starts, addr) - 1
+        return i >= 0 and starts[i] == addr
+
     def block_at(self, addr: int) -> BasicBlock:
         """Return the basic block containing ``addr`` (wrapping if outside)."""
         # Inlined wrap(): this is the hottest program-model call (every walked
@@ -253,7 +304,7 @@ class Program:
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return self.columns.n_blocks
 
     @property
     def footprint_bytes(self) -> int:
@@ -262,15 +313,12 @@ class Program:
 
     @property
     def num_branches(self) -> int:
-        return sum(1 for b in self.blocks if b.branch is not None)
+        return self.num_blocks - self.columns.kind.tolist().count(-1)
 
     def branch_kind_histogram(self) -> dict[BranchKind, int]:
-        """Count of static branches per kind."""
-        hist: dict[BranchKind, int] = {}
-        for block in self.blocks:
-            if block.branch is not None:
-                hist[block.branch.kind] = hist.get(block.branch.kind, 0) + 1
-        return hist
+        """Count of static branches per kind, in order of first occurrence."""
+        counts = Counter(self.columns.kind.tolist())
+        return {BranchKind(kind): count for kind, count in counts.items() if kind >= 0}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

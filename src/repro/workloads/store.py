@@ -1,4 +1,4 @@
-"""Content-addressed on-disk store of synthesized :class:`Program` objects.
+"""Content-addressed on-disk store of synthesized programs' flat columns.
 
 Synthesizing a workload's program (``profiles.py`` -> ``synth.py`` ->
 ``builder.py``) costs more wall-clock than a short measured region, and a
@@ -7,18 +7,24 @@ the identical program from the profile before its first run.  This store
 eliminates that redundancy:
 
 * ``run_batch`` **materializes** each distinct (workload, seed) program once
-  in the parent process — synthesized if needed, then pickled to
-  ``<cache_root>/programs/<key[:2]>/<key>.pkl``;
+  in the parent process — synthesized if needed, then its
+  :meth:`Program.state` (the entry and the flat column buffers of
+  :mod:`repro.workloads.tables`, about 1.5 MiB for the largest suite
+  program) pickled to ``<cache_root>/programs/<key[:2]>/<key>.pkl``;
 * pool workers (and later cold processes) **hydrate** the pickle instead of
-  re-running synthesis.  On Linux the fork start method means workers also
-  inherit the parent's in-process memo directly.
+  re-running synthesis: they unpickle four buffers and check them
+  (:func:`~repro.workloads.tables.checked_columns`) before anything reads
+  them, C included.  The :class:`~repro.workloads.program.BasicBlock` view
+  is built only if Python walks the program.  On Linux the fork start
+  method means workers also inherit the parent's in-process memo directly.
 
 Keys are content-addressed over (schema, package fingerprint, workload
 name, the full :class:`WorkloadProfile` dataclass, seed), so editing the
 synthesis pipeline or a profile invalidates stale entries automatically.
-A pickled program round-trips to a functionally identical object (all
+A stored program round-trips to a functionally identical object (all
 behaviour is a pure function of its fields and the seed), which
-``tests/sim/test_checkpoint.py`` locks in byte-for-byte.
+``tests/sim/test_checkpoint.py`` locks in block for block, and a blob that
+fails a check is a miss (``tests/workloads/test_store.py``).
 
 ``REPRO_NO_CHECKPOINT=1`` bypasses the disk layer entirely (synthesis runs
 from scratch, as before this store existed); the in-process memo stays
@@ -29,7 +35,6 @@ guarantee within one process.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import pickle
 from pathlib import Path
 
@@ -48,8 +53,8 @@ from repro.common.artifacts import (
 from repro.workloads.profiles import WorkloadProfile, get_profile
 from repro.workloads.program import Program
 
-# Schema 2: blocks and branches are slotted and pickle as constructor calls.
-PROGRAM_SCHEMA = 2
+# Schema 3: the entry and the flat column buffers, no object graph.
+PROGRAM_SCHEMA = 3
 
 # In-process memo: (workload name, seed) -> Program.  Deliberately not keyed
 # by store root: `program_for("x", 1) is program_for("x", 1)` must hold for
@@ -59,7 +64,7 @@ _MEMO: dict[tuple[str, int], Program] = {}
 
 
 class ProgramStore:
-    """Pickled :class:`Program` objects under ``<root>/<key[:2]>/<key>.pkl``."""
+    """Pickled :meth:`Program.state` tuples under ``<root>/<key[:2]>/<key>.pkl``."""
 
     def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else cache_root() / "programs"
@@ -86,8 +91,9 @@ class ProgramStore:
     def load(self, workload: str, seed: int) -> Program | None:
         """The stored program, or ``None`` on any kind of miss.
 
-        A corrupt or truncated pickle is a miss (the program is rebuilt and
-        the entry rewritten), never a crash.
+        A corrupt or truncated pickle, or columns that fail a check, is a
+        miss (the program is rebuilt and the entry rewritten), never a
+        crash.
         """
         blob = read_bytes_or_none(self.path_for(workload, seed))
         if blob is None:
@@ -96,23 +102,18 @@ class ProgramStore:
             # Fault injection: pretend the stored pickle is corrupt so the
             # rebuild-and-rewrite fallback below is exercised end-to-end.
             blob = b"injected-corrupt-program"
-        # The cyclic GC would scan the tens of thousands of objects the
-        # pickle creates several times over while they are built; none of
-        # them is garbage, so it is paused until they all exist.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
         try:
-            program = pickle.loads(blob)
-        except Exception:  # noqa: BLE001 - any unpickling failure is a miss
+            return Program.from_state(pickle.loads(blob))
+        except Exception:  # noqa: BLE001 - any unpickling or check failure is a miss
             return None
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return program if isinstance(program, Program) else None
 
     def store(self, workload: str, seed: int, program: Program) -> None:
-        """Atomically persist ``program``; filesystem errors are non-fatal."""
-        blob = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
+        """Atomically persist ``program``; filesystem errors are non-fatal.
+
+        Raises :class:`~repro.common.errors.ProgramError` for a program
+        whose behaviours cannot be flattened.
+        """
+        blob = pickle.dumps(program.state(), protocol=pickle.HIGHEST_PROTOCOL)
         atomic_write_bytes(self.path_for(workload, seed), blob)
 
     # -- maintenance ---------------------------------------------------------

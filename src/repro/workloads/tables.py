@@ -1,28 +1,44 @@
-"""Read-only per-program tables for the compiled kernels, built once per process.
+"""A program's ground truth as flat columns: the format, its checks, its view.
 
-A :class:`~repro.workloads.program.Program` is immutable, so anything
-derived from it alone can be computed once and shared by every simulator
-in the process.  :func:`program_cache` is that memo: a dict attached
-weakly to the program object (programs are themselves memoized per
-process by :mod:`repro.workloads.store`), holding
+A :class:`~repro.workloads.program.Program` holds its blocks, branches and
+behaviours as the flat columns the compiled cycle driver reads
+(``repro/common/kernels/driver.c``), in a :class:`Columns`:
 
-* the backend's load-dependence flag table, one per (seed, threshold)
-  (:func:`repro.backend.core.dep_flags`), and
-* the :class:`ProgramTables` the compiled cycle driver walks
-  (``repro/common/kernels/driver.c``): block layout, branch kinds and
-  static targets, and every branch behaviour compiled to a flat node
-  array.
+* per block: start address, instruction count, branch kind (-1: none),
+  direct target, behaviour node (a COND's direction, an indirect branch's
+  target selector; -1: none), and the offset and count of its indirect
+  targets;
+* per instruction: one op byte, indexed by ``(pc - code_start) >> 2``;
+* per behaviour node: kind (the ``B_*`` enum below, which mirrors
+  driver.c's), seed, ``f``, ``a``, ``b`` and ``c``;
+* the indirect targets.
 
-Nothing here is per instruction: block arrays are per basic block, op
-bytes are pointed to in place (the program's own ``bytes`` objects), and
-behaviours are per static branch.  The program-store format is untouched.
+This module owns that format.  :func:`flatten` builds the columns when a
+program is built from blocks; :func:`checked_columns` validates a stored
+program's buffers before anything reads them (everything C relies on);
+:func:`unflatten` builds the :class:`~repro.workloads.program.BasicBlock`
+view back, the first time Python walks a program; and
+:class:`ProgramTables` is the C ``ProgTables`` descriptor over the
+program's own buffers.  The program store pickles only the buffers.
+
+:func:`program_cache` is the per-process memo of what is derived from a
+program alone: a dict attached weakly to the program object (programs are
+themselves memoized per process by :mod:`repro.workloads.store`), holding
+the backend's load-dependence flag table, one per (seed, threshold)
+(:func:`repro.backend.core.dep_flags`), the driver's
+:class:`ProgramTables`, and ``sw-profile``'s offline profile.
 """
 
 from __future__ import annotations
 
+import gc
+import math
 import weakref
 from array import array
+from itertools import compress, repeat
+from operator import add, mul
 
+from repro.common.addr import INSTR_BYTES
 from repro.common.packed import address, zeros
 from repro.workloads.behavior import (
     AlwaysTaken,
@@ -35,7 +51,7 @@ from repro.workloads.behavior import (
     WeightedTargets,
     ZipfTargets,
 )
-from repro.workloads.program import BranchKind, Program
+from repro.workloads.program import BasicBlock, Branch, BranchKind, Program
 
 _MASK64 = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1
@@ -47,6 +63,24 @@ _CACHE: "weakref.WeakKeyDictionary[Program, dict]" = weakref.WeakKeyDictionary()
     B_ALWAYS, B_BIASED, B_LOOP, B_PATTERN, B_PHASED,
     B_FIXED, B_WEIGHTED, B_ZIPF, B_ROTATING,
 ) = range(9)
+_DIRECTIONS = frozenset(range(B_ALWAYS, B_PHASED + 1))
+_SELECTORS = frozenset(range(B_FIXED, B_ROTATING + 1))
+
+# Per-block columns: consecutive runs of one int64 array, one allocation
+# (several arrays of a few hundred KiB each would pin malloc arenas and
+# raise peak RSS).  Per-node columns likewise.
+BLOCK_COLUMNS = ("addr", "ninstr", "kind", "target", "behavior", "targets_off", "targets_n")
+NODE_COLUMNS = ("node_kind", "node_seed", "node_f", "node_a", "node_b", "node_c")
+
+# Code addresses stay below this, as user space does on x86-64: C adds to
+# them in int64, and per-pc tables (the backend's dependence flags) are
+# indexed from address 0.
+_ADDRESS_LIMIT = 1 << 48
+
+_COND = int(BranchKind.COND)
+_INDIRECT = frozenset({int(BranchKind.INDIRECT), int(BranchKind.INDIRECT_CALL)})
+_DIRECT = frozenset({_COND, int(BranchKind.JUMP), int(BranchKind.CALL)})
+_KINDS = frozenset({-1, *map(int, BranchKind)})
 
 
 def program_cache(program: Program) -> dict:
@@ -57,33 +91,67 @@ def program_cache(program: Program) -> dict:
     return cache
 
 
+class Columns:
+    """A program's flat columns over its four buffers.
+
+    ``blocks`` holds the per-block columns (:data:`BLOCK_COLUMNS`) as
+    consecutive runs of one ``int64`` array, ``nodes`` the per-node ones
+    (:data:`NODE_COLUMNS`; ``None`` when a behaviour cannot be flattened:
+    such a program keeps its blocks, runs the object path and cannot be
+    stored), ``ops`` the op bytes and ``targets`` the indirect targets.
+    Each named column is a read-only memoryview into its buffer;
+    ``node_seed`` reads ``uint64`` and ``node_f`` ``double``.
+    """
+
+    __slots__ = ("blocks", "ops", "nodes", "targets", "n_blocks", *BLOCK_COLUMNS, *NODE_COLUMNS)
+
+    def __init__(self, blocks: array, ops: bytes, nodes: array | None, targets: array) -> None:
+        self.blocks, self.ops, self.nodes, self.targets = blocks, ops, nodes, targets
+        self.n_blocks = len(blocks) // len(BLOCK_COLUMNS)
+        for name, column in zip(BLOCK_COLUMNS, _split(blocks, len(BLOCK_COLUMNS))):
+            setattr(self, name, column)
+        columns = _split(nodes, len(NODE_COLUMNS)) if nodes is not None else repeat(None)
+        for name, column in zip(NODE_COLUMNS, columns):
+            setattr(self, name, column)
+        if nodes is not None:
+            self.node_seed = self.node_seed.cast("B").cast("Q")
+            self.node_f = self.node_f.cast("B").cast("d")
+
+    def state(self) -> tuple:
+        """The four buffers: what the program store pickles."""
+        return self.blocks, self.ops, self.nodes, self.targets
+
+
+def _split(table: array, count: int) -> list[memoryview]:
+    """``table`` as ``count`` consecutive, equally long read-only columns."""
+    items = memoryview(table).toreadonly()
+    length = len(table) // count
+    return [items[k * length:(k + 1) * length] for k in range(count)]
+
+
+# -- flatten: blocks -> columns ----------------------------------------------
+
+
 class _Unsupported(Exception):
-    """A branch behaviour (or parameter) the compiled tables cannot express."""
+    """A branch behaviour (or parameter) the flat columns cannot express."""
 
 
 class _Nodes:
     """Flat behaviour-node columns; one node per distinct behaviour object."""
 
     def __init__(self) -> None:
-        self.kind: list[int] = []
-        self.seed: list[int] = []
-        self.f: list[float] = []
-        self.a: list[int] = []
-        self.b: list[int] = []
-        self.c: list[int] = []
-        self._ids: dict[int, int] = {}  # id(behaviour) -> node; the program holds them
+        self.columns: tuple[list, ...] = tuple([] for _ in NODE_COLUMNS)
+        self._ids: dict[int, int] = {}  # id(behaviour) -> node; the blocks hold them
 
     def _add(self, kind, seed=0, f=0.0, a=0, b=0, c=0) -> int:
         for value in (a, b, c):
             if not -_INT64_MAX <= value <= _INT64_MAX:
                 raise _Unsupported("behaviour parameter outside int64")
-        self.kind.append(kind)
-        self.seed.append(seed & _MASK64)
-        self.f.append(float(f))
-        self.a.append(a)
-        self.b.append(b)
-        self.c.append(c)
-        return len(self.kind) - 1
+        if not math.isfinite(f):
+            raise _Unsupported("non-finite behaviour parameter")
+        for column, value in zip(self.columns, (kind, seed & _MASK64, float(f), a, b, c)):
+            column.append(value)
+        return len(self.columns[0]) - 1
 
     def _memo(self, behavior, build) -> int:
         node = self._ids.get(id(behavior))
@@ -138,109 +206,254 @@ class _Nodes:
 
         return self._memo(behavior, build)
 
+    def table(self) -> array:
+        """The node columns as one ``int64`` array (seeds and ``f`` as bits)."""
+        kind, seed, f, a, b, c = self.columns
+        table = array("q", kind)
+        table.frombytes(array("Q", seed).tobytes())
+        table.frombytes(array("d", f).tobytes())
+        for column in (a, b, c):
+            table.extend(column)
+        return table
+
+
+def flatten(blocks: list[BasicBlock]) -> Columns:
+    """The columns of ``blocks``: a validated program's, sorted, tiling and
+    with one op byte per instruction.
+
+    The node columns are ``None`` when a behaviour cannot be flattened.
+    """
+    n = len(blocks)
+    kind, target, behavior = [-1] * n, [0] * n, [-1] * n
+    targets_off, targets_n = [0] * n, [0] * n
+    targets: list[int] = []
+    nodes: _Nodes | None = _Nodes()
+    for i, block in enumerate(blocks):
+        branch = block.branch
+        if branch is None:
+            continue
+        kind[i] = int(branch.kind)
+        target[i] = branch.target
+        indirect = branch.kind.is_indirect
+        if indirect:
+            targets_off[i] = len(targets)
+            targets_n[i] = len(branch.targets)
+            targets.extend(branch.targets)
+        if nodes is None:
+            continue
+        try:
+            if branch.kind == BranchKind.COND:
+                behavior[i] = nodes.direction(branch.direction)
+            elif indirect:
+                behavior[i] = nodes.selector(branch.target_behavior, len(branch.targets))
+        except _Unsupported:
+            nodes = None
+    table = array("q", [b.addr for b in blocks])
+    for column in ([b.num_instrs for b in blocks], kind, target, behavior, targets_off, targets_n):
+        table.extend(column)
+    ops = b"".join(block.ops for block in blocks)
+    return Columns(
+        table, ops, nodes.table() if nodes is not None else None, array("q", targets)
+    )
+
+
+# -- validate: stored buffers -> columns ----------------------------------------
+
+
+def checked_columns(entry, blocks, ops, nodes, targets) -> Columns:
+    """A stored program's buffers as :class:`Columns`, checked first.
+
+    Raises :class:`ValueError` unless everything C relies on holds: the
+    buffers have the format's types and whole columns; the blocks tile the
+    code region with positive instruction counts, the region lies in
+    ``[0, 2**48)``, and there is one op byte per instruction; branch kinds are in range; every COND and indirect
+    branch has a behaviour node of its family (a direction, a selector), a
+    phased node's children are earlier direction nodes, and every node's
+    parameters are ones C computes with (positive pattern and phase
+    lengths, a fixed index inside its branch's targets, a finite ``f``);
+    each indirect branch's targets lie inside the targets array; direct and
+    indirect targets are block starts; and the entry lies in the code.
+    """
+    if not (
+        type(entry) is int and type(ops) is bytes
+        and all(type(buf) is array and buf.typecode == "q" for buf in (blocks, nodes, targets))
+    ):
+        raise ValueError("program buffers are not the flat format")
+    if not blocks or len(blocks) % len(BLOCK_COLUMNS) or len(nodes) % len(NODE_COLUMNS):
+        raise ValueError("truncated program column")
+    columns = Columns(blocks, ops, nodes, targets)
+    starts, counts = columns.addr.tolist(), columns.ninstr.tolist()
+    if min(counts) <= 0 or starts[0] % INSTR_BYTES:
+        raise ValueError("empty or unaligned block")
+    ends = list(map(add, starts, map(mul, counts, repeat(INSTR_BYTES))))
+    if ends[:-1] != starts[1:]:
+        raise ValueError("blocks do not tile the code region")
+    if not 0 <= starts[0] <= ends[-1] <= _ADDRESS_LIMIT:
+        raise ValueError("code region outside the address space")
+    if len(ops) != (ends[-1] - starts[0]) // INSTR_BYTES:
+        raise ValueError("not one op byte per instruction")
+    if not starts[0] <= entry < ends[-1]:
+        raise ValueError(f"entry {entry:#x} outside the code region")
+    kinds = columns.kind.tolist()
+    if not _KINDS.issuperset(kinds):
+        raise ValueError("branch kind out of range")
+    block_starts = set(starts)
+    if not block_starts.issuperset(targets):
+        raise ValueError("an indirect target is not a block start")
+    direct = compress(columns.target.tolist(), map(_DIRECT.__contains__, kinds))
+    if not block_starts.issuperset(direct):
+        raise ValueError("a direct target is not a block start")
+    node_kinds = columns.node_kind.tolist()
+    _check_nodes(columns, node_kinds)
+    m, t = len(node_kinds), len(targets)
+    behavior = columns.behavior.tolist()
+    cond = list(compress(behavior, map(_COND.__eq__, kinds)))
+    if cond and not (
+        0 <= min(cond) and max(cond) < m
+        and _DIRECTIONS.issuperset(map(node_kinds.__getitem__, cond))
+    ):
+        raise ValueError("a conditional branch without a direction node")
+    first, count, fixed = columns.targets_off, columns.targets_n, columns.node_a
+    for i in compress(range(len(kinds)), map(_INDIRECT.__contains__, kinds)):
+        node, n = behavior[i], count[i]
+        if not (0 <= node < m and node_kinds[node] in _SELECTORS):
+            raise ValueError("an indirect branch without a selector node")
+        if not (n > 0 and 0 <= first[i] <= t - n):
+            raise ValueError("indirect targets outside the targets array")
+        if node_kinds[node] == B_FIXED and not -n <= fixed[node] < n:
+            raise ValueError("fixed target index out of range")
+    return columns
+
+
+def _check_nodes(columns: Columns, node_kinds: list[int]) -> None:
+    if not all(map(math.isfinite, columns.node_f.tolist())):
+        raise ValueError("non-finite behaviour parameter")
+    a, b, c = columns.node_a.tolist(), columns.node_b.tolist(), columns.node_c.tolist()
+    for j, kind in enumerate(node_kinds):
+        if kind == B_PATTERN and (a[j] < 0 or b[j] <= 0):
+            raise ValueError("pattern node outside 63 bits")
+        if kind == B_PHASED and not (
+            a[j] > 0 and 0 <= b[j] < j and 0 <= c[j] < j
+            and node_kinds[b[j]] in _DIRECTIONS and node_kinds[c[j]] in _DIRECTIONS
+        ):
+            raise ValueError("phased node without earlier direction children")
+
+
+# -- unflatten: columns -> the object view ----------------------------------------
+
+
+def unflatten(program: Program) -> list[BasicBlock]:
+    """``program``'s :class:`BasicBlock` view, built from its columns.
+
+    One block per column entry, in address order with its ``index``; one
+    :class:`Branch` per branch; one behaviour object per node, shared by
+    the branches that share it.  A block's ``ops`` are its slice of the op
+    bytes.  Built with the cyclic GC paused: none of the tens of thousands
+    of objects is garbage, and the collector would scan them several times
+    over while they are built.
+    """
+    columns = program.columns
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        behaviours = _behaviours(columns)
+        ops, targets = columns.ops, columns.targets.tolist()
+        kinds = tuple(BranchKind)  # indexed by value
+        blocks: list[BasicBlock] = []
+        append = blocks.append
+        offset = 0
+        rows = zip(*(getattr(columns, name).tolist() for name in BLOCK_COLUMNS))
+        for index, (start, count, kind, target, node, first, n) in enumerate(rows):
+            branch = None
+            if kind >= 0:
+                pc = start + (count - 1) * INSTR_BYTES
+                if kind == _COND:
+                    branch = Branch(pc, kinds[kind], target, behaviours[node])
+                elif kind in _INDIRECT:
+                    branch = Branch(
+                        pc, kinds[kind], target, None,
+                        tuple(targets[first:first + n]), behaviours[node],
+                    )
+                else:
+                    branch = Branch(pc, kinds[kind], target)
+            append(BasicBlock(start, count, branch, ops[offset:offset + count], index))
+            offset += count
+        return blocks
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _behaviours(columns: Columns) -> list:
+    """One behaviour object per node; a phased node's children come first."""
+    built: list = []
+    for kind, seed, f, a, b, c in zip(*(getattr(columns, name).tolist() for name in NODE_COLUMNS)):
+        if kind == B_ALWAYS:
+            behaviour = AlwaysTaken()
+        elif kind == B_BIASED:
+            behaviour = BiasedBehavior(seed, f)
+        elif kind == B_LOOP:
+            behaviour = LoopBehavior(a)
+        elif kind == B_PATTERN:
+            behaviour = PatternBehavior(seed, a, b, f)
+        elif kind == B_PHASED:
+            behaviour = PhasedBehavior(built[b], built[c], a)
+        elif kind == B_FIXED:
+            behaviour = FixedTarget(a)
+        elif kind == B_WEIGHTED:
+            behaviour = WeightedTargets(seed, f)
+        elif kind == B_ZIPF:
+            behaviour = ZipfTargets(seed, f)
+        else:
+            behaviour = RotatingTargets()
+        built.append(behaviour)
+    return built
+
+
+# -- the C descriptor ---------------------------------------------------------------
+
 
 class ProgramTables:
-    """One program's ground truth as flat arrays plus their C descriptor.
+    """The C ``ProgTables`` descriptor over one program's own buffers.
 
-    ``desc`` is the address of a ``ProgTables`` descriptor
-    (``kernels/driver.c``) pointing into the arrays this object owns; it
-    stays valid for the object's lifetime.
+    ``desc`` is its address; it stays valid for this object's lifetime,
+    which holds the program's columns.
     """
 
-    # Per-block columns, consecutive runs of one array (one allocation).
-    _BLOCK_COLUMNS = (
-        "addr", "ninstr", "ops", "kind", "target", "behavior", "targets_off",
-        "targets_n",
-    )
-    # Per-node columns, likewise.
-    _NODE_COLUMNS = ("node_kind", "node_seed", "node_f", "node_a", "node_b", "node_c")
-
     def __init__(self, program: Program, kernels) -> None:
-        blocks = program.blocks
-        n = len(blocks)
-        nodes = _Nodes()
-        # Long-lived, so each table is one allocation: several arrays of a
-        # few hundred KiB each would pin malloc arenas and raise peak RSS.
-        self._blocks = zeros(len(self._BLOCK_COLUMNS) * n)
-        columns, pointers = _split(self._blocks, self._BLOCK_COLUMNS, n)
-        kind = columns["kind"]
-        target = columns["target"]
-        behavior = columns["behavior"]
-        targets_off = columns["targets_off"]
-        targets_n = columns["targets_n"]
-        kind[:] = behavior[:] = zeros(n, fill=-1)
-        targets: list[int] = []
-        for i, block in enumerate(blocks):
-            branch = block.branch
-            if branch is None:
-                continue
-            kind[i] = int(branch.kind)
-            target[i] = branch.target
-            if branch.kind == BranchKind.COND:
-                if branch.direction is None:
-                    raise _Unsupported("conditional branch without a direction")
-                behavior[i] = nodes.direction(branch.direction)
-            elif branch.kind.is_indirect:
-                if branch.target_behavior is None:
-                    raise _Unsupported("indirect branch without a selector")
-                behavior[i] = nodes.selector(branch.target_behavior, len(branch.targets))
-                targets_off[i] = len(targets)
-                targets_n[i] = len(branch.targets)
-                targets.extend(branch.targets)
-        columns["addr"][:] = array("q", [b.addr for b in blocks])
-        columns["ninstr"][:] = array("q", [b.num_instrs for b in blocks])
-        # Raw pointers into the program's own op bytes, which live as long
-        # as the program (and so as long as these tables, see _CACHE).
-        kernels.bytes_addresses([b.ops for b in blocks], pointers["ops"])
-        self.targets = array("q", targets or [0])
-        m = max(len(nodes.kind), 1)
-        self._nodes = zeros(len(self._NODE_COLUMNS) * m)
-        node_columns, node_pointers = _split(self._nodes, self._NODE_COLUMNS, m)
-        if nodes.kind:
-            node_columns["node_kind"][:] = array("q", nodes.kind)
-            node_columns["node_seed"].cast("B").cast("Q")[:] = array("Q", nodes.seed)
-            node_columns["node_f"].cast("B").cast("d")[:] = array("d", nodes.f)
-            node_columns["node_a"][:] = array("q", nodes.a)
-            node_columns["node_b"][:] = array("q", nodes.b)
-            node_columns["node_c"][:] = array("q", nodes.c)
-
+        columns = program.columns
         layout = kernels.driver_layout()
         fields = layout["prog_fields"]
         di = zeros(layout["prog_words"])
-        di[fields["n_blocks"]] = n
-        di[fields["code_start"]] = program.code_start
-        di[fields["code_end"]] = program.code_end
-        di[fields["entry"]] = program.entry
-        di[fields["targets"]] = address(self.targets)
-        for name, pointer in (*pointers.items(), *node_pointers.items()):
-            di[fields[name]] = pointer
+        for name, value in (
+            ("n_blocks", columns.n_blocks),
+            ("code_start", program.code_start),
+            ("code_end", program.code_end),
+            ("entry", program.entry),
+            ("ops", kernels.buffer_address(columns.ops)),
+            ("targets", address(columns.targets)),
+        ):
+            di[fields[name]] = value
+        for names, table in ((BLOCK_COLUMNS, columns.blocks), (NODE_COLUMNS, columns.nodes)):
+            base, length = address(table), len(table) // len(names)
+            for k, name in enumerate(names):
+                di[fields[name]] = base + 8 * k * length
+        self._columns = columns
         self._di = di
         self.desc = address(di)
 
 
-def _split(table: array, names: tuple, length: int) -> tuple[dict, dict]:
-    """``table`` as consecutive columns of ``length`` items: by name, a
-    writable memoryview of each and the address C reads it at."""
-    items = memoryview(table)
-    base = address(table)
-    views = {name: items[k * length:(k + 1) * length] for k, name in enumerate(names)}
-    pointers = {name: base + 8 * k * length for k, name in enumerate(names)}
-    return views, pointers
-
-
 def program_tables(program: Program) -> ProgramTables | None:
-    """The driver's tables for ``program``; None when a behaviour is not
-    compilable (simulators of such programs hold the object structures) or
-    no kernels."""
+    """The driver's tables for ``program``; None when a behaviour could not
+    be flattened (simulators of such programs hold the object structures)
+    or there are no kernels."""
     from repro.common import cc
 
     kernels = cc.kernels()
-    if kernels is None:
+    if kernels is None or program.columns.nodes is None:
         return None
     cache = program_cache(program)
-    if "driver_tables" not in cache:
-        try:
-            cache["driver_tables"] = ProgramTables(program, kernels)
-        except _Unsupported:
-            cache["driver_tables"] = None
-    return cache["driver_tables"]
+    tables = cache.get("driver_tables")
+    if tables is None:
+        tables = cache["driver_tables"] = ProgramTables(program, kernels)
+    return tables

@@ -3,10 +3,12 @@
 :class:`OracleCursor` walks the static program along the *true* path,
 maintaining per-branch occurrence counters (which index the deterministic
 behaviours) and the true call stack (which defines return targets).  The
-counters are one flat ``int64`` array indexed by ``BasicBlock.index`` (a
-block's branch is its last instruction, so a block holds at most one); the
-compiled walk and cycle driver (``repro/sim/driver.py``) count in the same
-array in place.
+counters are one flat ``int64`` array indexed by block, as the program's
+columns are (a block's branch is its last instruction, so a block holds at
+most one); the compiled walk and cycle driver (``repro/sim/driver.py``)
+count in the same array in place.  Only :meth:`OracleCursor.transition`
+and what builds on it walk the program's block view; construction and the
+state protocol read its columns.
 
 The decoupled frontend *shadows* the cursor while it is on-path: for every
 basic block the frontend's speculative walker processes, it asks the cursor
@@ -137,7 +139,7 @@ class OracleCursor:
             type(value) is int for value in (pc, *call_stack, *walked)
         ):
             raise ValueError(f"oracle state is not integers, {self.max_stack} or fewer calls")
-        if not self.program.contains(pc) or self.program.block_at(pc).addr != pc:
+        if not self.program.is_block_start(pc):
             raise ValueError(f"oracle pc {pc:#x} is not a block start")
         self.pc = pc
         self.call_stack[:] = call_stack

@@ -2,8 +2,11 @@
 
 numpy serves ``repro.analysis``'s regression fit only, the process-pool
 machinery a pooled batch only, and the synthesis pipeline a process that
-builds a program; none of them belongs on a serial run's path.  Each check
-runs in a fresh interpreter, where ``sys.modules`` starts empty.
+builds a program; none of them belongs on a serial run's path.  Nor does a
+stored program's block view: the compiled driver reads the program's flat
+columns, so a compiled run never builds a ``BasicBlock``, while the object
+path walks the view.  Each check runs in a fresh interpreter, where
+``sys.modules`` starts empty.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ OFF_PATH = (
 )
 
 SERIAL_RUN = """
-import json, sys
+import gc, json, sys
+from repro.common import cc
 from repro.sim import presets
 from repro.sim.engine import run_batch, spec_for
+from repro.workloads.program import BasicBlock
 
 def config(build, n):
     return build(n).replace(functional_warmup_blocks=2000)
@@ -47,6 +52,9 @@ print(json.dumps({
     "checkpoints": [e.checkpoint for e in events],
     "programs": [e.program_source for e in events],
     "modules": sorted(sys.modules),
+    "driver": cc.compiled_enabled(),  # False without a C compiler, too
+    # Every program of the batch stays memoized, and with it any view built.
+    "basic_blocks": sum(type(obj) is BasicBlock for obj in gc.get_objects()),
 }))
 """
 
@@ -102,6 +110,10 @@ def test_serial_run_loads_only_what_it_runs(tmp_path, compiled):
     assert report["checkpoints"][3:] == ["restored"] * 3
     loaded = [name for name in OFF_PATH if name in report["modules"]]
     assert not loaded, f"a serial run imported {loaded}"
+    if report["driver"]:
+        assert report["basic_blocks"] == 0, "a compiled run built the block view"
+    else:
+        assert report["basic_blocks"] > 0, "the object path walked no block view"
 
 
 def test_lazy_packages_export_every_listed_name(tmp_path):
