@@ -1,5 +1,11 @@
-"""Backend core: dispatch/issue/retire window with branch resolution timing."""
+"""Backend core: dispatch/issue/retire window with branch resolution timing.
 
-from repro.backend.core import OP_BRANCH, BackendCore, MicroOp
+The public names resolve on first use (``repro._lazy``).
+"""
 
-__all__ = ["OP_BRANCH", "BackendCore", "MicroOp"]
+from repro._lazy import exports as _exports
+
+__all__, __getattr__, __dir__ = _exports(
+    __name__,
+    ("repro.backend.core", ("OP_BRANCH", "BackendCore", "MicroOp")),
+)

@@ -11,7 +11,8 @@ at dispatch (fraction configurable).
 
 Wrong-path instructions are dispatched, issued, and execute (polluting the
 data cache) but are squashed when the diverging branch resolves; they never
-retire.
+retire.  :class:`BackendCoreC` and :class:`DataAddressGeneratorC` hold
+the compiled cycle driver's backend and data-address state.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ from repro.common.config import CoreConfig
 from repro.common.counters import Counters
 from repro.common.errors import SimulationError
 from repro.common.packed import address, view, zeros
-from repro.frontend.fetch_block import PendingResteer
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.workloads.behavior import mix64
-from repro.workloads.data import DataAddressGenerator
 from repro.workloads.program import OP_LOAD, OP_STORE, Program
 from repro.workloads.tables import program_cache
 
-if TYPE_CHECKING:
-    from repro.workloads.data import DataAddressGeneratorC
+if TYPE_CHECKING:  # the object structures load only where they run
+    from repro.frontend.fetch_block import PendingResteer
+    from repro.memory.hierarchy import MemoryHierarchy
+    from repro.workloads.data import DataAddressGenerator
+    from repro.workloads.profiles import DataProfile
 
 OP_BRANCH = 3
 
@@ -332,6 +332,69 @@ def dep_flags(program: Program, seed: int, threshold: int) -> bytes:
         count = (program.code_end + 3) // 4  # instructions at 0, 4, ... < code_end
         flags = cache[key] = cc.kernels().dep_flags(count, key[1], threshold)
     return flags
+
+
+class DataAddressGeneratorC:
+    """The generator's occurrence counters in a flat int64 array, for the
+    compiled cycle driver.
+
+    The descriptor is embedded in the backend's (so the class lives here,
+    away from its object twin), and the driver computes load/store
+    addresses in C (``data_next_impl``) exactly like
+    :meth:`repro.workloads.data.DataAddressGenerator.next_address`.  The
+    array holds one counter per instruction of the code region, index
+    ``(pc - code_start) >> 2`` (instruction pcs are 4-byte aligned from
+    ``code_start``).  The
+    class-probability boundary ``stack_frac + stream_frac`` is pre-summed
+    here with the same IEEE addition the interpreted path performs per
+    call.
+    """
+
+    def __init__(
+        self, profile: DataProfile, seed: int, code_start: int, code_end: int
+    ) -> None:
+        from repro.common import cc
+
+        kernels = cc.kernels()
+        if kernels is None:  # pragma: no cover - the simulator guards this
+            raise RuntimeError("compiled kernels unavailable")
+        self.profile = profile
+        self.seed = seed
+        self.code_start = code_start
+        self._occ_arr = zeros(max((code_end - code_start) >> 2, 1))
+        di = zeros(8)
+        di[0] = address(self._occ_arr)
+        di[1] = len(self._occ_arr)
+        di[2] = code_start
+        view(di, "Q")[3] = seed & 0xFFFF_FFFF_FFFF_FFFF
+        floats = view(di, "d")
+        floats[4] = profile.stack_frac
+        floats[5] = profile.stack_frac + profile.stream_frac
+        di[6] = profile.stride_bytes
+        di[7] = max(profile.data_footprint_bytes, 64)
+        self._di = di
+        self._desc = address(di)
+        self._k_export = kernels.pc_counts_export
+        self._k_import = kernels.pc_counts_import
+
+    def _counts(self) -> tuple[int, int, int]:
+        return address(self._occ_arr), len(self._occ_arr), self.code_start
+
+    def state(self) -> dict[str, bytes]:
+        """The nonzero occurrence counters as packed ``int64`` arrays, pcs
+        ascending (the object generator's :meth:`state` form)."""
+        pcs, counts = self._k_export(*self._counts())
+        return {"pcs": pcs, "counts": counts}
+
+    def load_state(self, state: dict[str, bytes]) -> None:
+        """Restore :meth:`state` output in place; ``ValueError``, changing
+        nothing, unless both arrays hold as many ``int64`` and every pc lies
+        in the code region."""
+        self._k_import(*self._counts(), state["pcs"], state["counts"])
+
+    def copy_from(self, other: "DataAddressGeneratorC") -> None:
+        """Copy a same-program compiled generator's counters in place."""
+        memoryview(self._occ_arr)[:] = other._occ_arr
 
 
 class BackendCoreC:

@@ -1,44 +1,21 @@
-"""Branch prediction substrate: TAGE, BTB, indirect target buffer, RAS."""
+"""Branch prediction substrate: TAGE, BTB, indirect target buffer, RAS.
 
-from repro.branch.bimodal import BimodalPredictor
-from repro.branch.btb import (
-    BranchTargetBuffer,
-    BTBEntry,
-    IndirectTargetBuffer,
-    btb_from_config,
-    ibtb_from_config,
-)
-from repro.branch.history import FoldedHistory, GlobalHistory
-from repro.branch.loop_predictor import LoopPredictor
-from repro.branch.ras import ReturnAddressStack
-from repro.branch.tage import (
-    CONF_HIGH,
-    CONF_LOW,
-    CONF_MEDIUM,
-    CONFIDENCE_NAMES,
-    TagePrediction,
-    TagePredictor,
-)
-from repro.branch.two_level_btb import TwoLevelBTB
-from repro.branch.unit import BranchPredictionUnit
+The public names resolve on first use (``repro._lazy``): a compiled run
+loads the branch unit and the driver's arrays (``repro.branch.compiled``),
+never the object predictors.
+"""
 
-__all__ = [
-    "BimodalPredictor",
-    "BranchTargetBuffer",
-    "BTBEntry",
-    "IndirectTargetBuffer",
-    "btb_from_config",
-    "ibtb_from_config",
-    "FoldedHistory",
-    "GlobalHistory",
-    "ReturnAddressStack",
-    "CONF_HIGH",
-    "CONF_LOW",
-    "CONF_MEDIUM",
-    "CONFIDENCE_NAMES",
-    "TagePrediction",
-    "TagePredictor",
-    "BranchPredictionUnit",
-    "LoopPredictor",
-    "TwoLevelBTB",
-]
+from repro._lazy import exports as _exports
+
+__all__, __getattr__, __dir__ = _exports(
+    __name__,
+    ("repro.branch.bimodal", ("BimodalPredictor",)),
+    ("repro.branch.btb", ("BranchTargetBuffer", "BTBEntry", "IndirectTargetBuffer")),
+    ("repro.branch.history", ("FoldedHistory", "GlobalHistory")),
+    ("repro.branch.ras", ("ReturnAddressStack",)),
+    ("repro.branch.compiled", ("CONF_HIGH", "CONF_LOW", "CONF_MEDIUM", "CONFIDENCE_NAMES")),
+    ("repro.branch.tage", ("TagePrediction", "TagePredictor")),
+    ("repro.branch.unit", ("BranchPredictionUnit", "btb_from_config", "ibtb_from_config")),
+    ("repro.branch.loop_predictor", ("LoopPredictor",)),
+    ("repro.branch.two_level_btb", ("TwoLevelBTB",)),
+)

@@ -8,7 +8,8 @@ BTB misses arises (Section II of the paper).
 
 The indirect target buffer (iBTB) predicts targets of indirect jumps/calls
 using a path-history-hashed index, falling back to the BTB's last-seen
-target on a miss.
+target on a miss.  The compiled cycle driver's twins are in
+:mod:`repro.branch.compiled`.
 """
 
 from __future__ import annotations
@@ -16,17 +17,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from repro.common.config import BranchConfig
-from repro.common.packed import (
-    Stateful, address, copy_buffers, export_ways, import_ways, unpack, zeros
-)
+from repro.branch.compiled import BTB_PLANES, IBTB_PLANES
+from repro.common.packed import Stateful, unpack
 from repro.workloads.program import BranchKind
-
-# The planes of the packed checkpoint form (repro.common.packed), with
-# their array typecodes: BTB entries are (pc, kind, target), iBTB entries
-# (tag, target).
-_BTB_PLANES = {"pcs": "q", "kinds": "B", "targets": "q"}
-_IBTB_PLANES = {"tags": "q", "targets": "q"}
 
 
 @dataclass
@@ -116,7 +109,7 @@ class BranchTargetBuffer(Stateful):
     def load_state(self, state: dict) -> None:
         """Restore :meth:`state` output in place (validated first)."""
         counts, (pcs, kinds, targets) = unpack(
-            state, _BTB_PLANES, self.num_sets, self.assoc, "BTB"
+            state, BTB_PLANES, self.num_sets, self.assoc, "BTB"
         )
         pcs = pcs.tolist()
         kinds = [BranchKind(kind) for kind in kinds.tolist()]
@@ -131,113 +124,6 @@ class BranchTargetBuffer(Stateful):
             pos += n
         self.hits = hits
         self.misses = misses
-
-
-class BranchTargetBufferC:
-    """A BTB's state in flat arrays, for the compiled cycle driver.
-
-    Way payloads (kind, target, tag pc) live in preallocated flat ``int64``
-    arrays of ``num_sets * assoc`` ways the driver probes and fills in C.
-    Replacement state is a monotonic stamp array (victim = minimum stamp),
-    which picks the same victim as the object BTB's minimum ``lru``.  The
-    packed :meth:`state` format (LRU→MRU per set) round-trips with
-    :class:`BranchTargetBuffer`.  :meth:`fill` and :meth:`contains` are
-    the two calls Python still makes into it: a registry technique's BTB
-    hooks (shadow-btb's predecoder) run them from inside the driver.
-    """
-
-    def __init__(self, entries: int, assoc: int) -> None:
-        from repro.common import cc
-
-        kernels = cc.kernels()
-        if kernels is None:  # pragma: no cover - the simulator guards this
-            raise RuntimeError("compiled kernels unavailable")
-        self.entries = entries
-        self.assoc = assoc
-        self.num_sets = entries // assoc
-        ways = self.num_sets * assoc
-        self._kinds = zeros(ways)
-        self._targets = zeros(ways)
-        self._pcs = zeros(ways, fill=-1)
-        self._stamps = zeros(ways)
-        self._planes = (self._pcs, self._kinds, self._targets, self._stamps)
-        di = zeros(10)
-        di[0] = address(self._pcs)
-        di[1] = address(self._kinds)
-        di[2] = address(self._targets)
-        di[3] = address(self._stamps)
-        di[4] = self.num_sets
-        di[5] = assoc
-        # di[6]=stamp, di[7]=hits, di[8]=misses, di[9]=occupancy
-        self._di = di
-        self._desc = address(di)
-        self._k_contains = kernels.btb_contains
-        self._k_fill = kernels.btb_fill
-        self._k_export = kernels.ways_export
-        self._k_import = kernels.ways_import
-
-    def contains(self, pc: int) -> bool:
-        """Tag check without touching recency or statistics."""
-        return bool(self._k_contains(self._desc, pc))
-
-    def fill(self, pc: int, kind: BranchKind, target: int) -> None:
-        """Insert or refresh the entry for the branch at ``pc``."""
-        self._k_fill(self._desc, pc, int(kind), target)
-
-    @property
-    def hits(self) -> int:
-        return self._di[7]
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._di[7] = value
-
-    @property
-    def misses(self) -> int:
-        return self._di[8]
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._di[8] = value
-
-    @property
-    def occupancy(self) -> int:
-        return self._di[9]
-
-    def state(self) -> dict:
-        """Same packed format as :meth:`BranchTargetBuffer.state`."""
-        counts, pcs, kinds, targets = export_ways(
-            self._k_export, self._stamps, self.assoc,
-            (self._pcs, 8), (self._kinds, 1), (self._targets, 8),
-        )
-        return {
-            "counts": counts,
-            "pcs": pcs,
-            "kinds": kinds,
-            "targets": targets,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state` output in place (validated first)."""
-        _, (_, kinds, _) = unpack(state, _BTB_PLANES, self.num_sets, self.assoc, "BTB")
-        if kinds and max(kinds) > max(BranchKind):
-            raise ValueError("BTB kinds plane holds an unknown branch kind")
-        hits, misses = int(state["hits"]), int(state["misses"])
-        total = import_ways(
-            self._k_import, self._stamps, self.assoc, self._di[6], state,
-            (self._pcs, 8, "pcs"), (self._kinds, 1, "kinds"), (self._targets, 8, "targets"),
-        )
-        self._di[6] += total  # stamp
-        self._di[9] = total  # occupancy
-        self.hits = hits
-        self.misses = misses
-
-    def copy_from(self, other: "BranchTargetBufferC") -> None:
-        """Copy a same-geometry compiled BTB's ways and stamp, hits, misses
-        and occupancy in place."""
-        copy_buffers(self._planes, other._planes, self._di, other._di, (6, 7, 8, 9))
 
 
 class IndirectTargetBuffer(Stateful):
@@ -304,7 +190,7 @@ class IndirectTargetBuffer(Stateful):
     def load_state(self, state: dict) -> None:
         """Restore :meth:`state` output in place (validated first)."""
         counts, (tags, targets) = unpack(
-            state, _IBTB_PLANES, self.num_sets, self.assoc, "iBTB"
+            state, IBTB_PLANES, self.num_sets, self.assoc, "iBTB"
         )
         tags = tags.tolist()
         targets = targets.tolist()
@@ -318,115 +204,3 @@ class IndirectTargetBuffer(Stateful):
             pos += n
         self.hits = hits
         self.misses = misses
-
-
-class IndirectTargetBufferC:
-    """An iBTB's state in flat arrays, for the compiled cycle driver.
-
-    The descriptor shares the BTB's layout, with tags stored in the ``pcs``
-    array and the ``kinds`` plane unused; the driver hashes the set and
-    tag exactly like :meth:`IndirectTargetBuffer._key`.
-    """
-
-    def __init__(self, entries: int, assoc: int, history_bits: int = 12) -> None:
-        from repro.common import cc
-
-        kernels = cc.kernels()
-        if kernels is None:  # pragma: no cover - the simulator guards this
-            raise RuntimeError("compiled kernels unavailable")
-        self.entries = entries
-        self.assoc = assoc
-        self.num_sets = entries // assoc
-        self.history_bits = history_bits
-        ways = self.num_sets * assoc
-        self._tags = zeros(ways, fill=-1)
-        self._targets = zeros(ways)
-        self._stamps = zeros(ways)
-        self._planes = (self._tags, self._targets, self._stamps)
-        di = zeros(10)
-        di[0] = address(self._tags)
-        di[1] = address(self._targets)  # kinds plane: never touched for iBTB
-        di[2] = address(self._targets)
-        di[3] = address(self._stamps)
-        di[4] = self.num_sets
-        di[5] = assoc
-        # di[6]=stamp, di[7]=hits, di[8]=misses, di[9]=occupancy
-        self._di = di
-        self._desc = address(di)
-        self._k_export = kernels.ways_export
-        self._k_import = kernels.ways_import
-
-    @property
-    def hits(self) -> int:
-        return self._di[7]
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._di[7] = value
-
-    @property
-    def misses(self) -> int:
-        return self._di[8]
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._di[8] = value
-
-    def state(self) -> dict:
-        """Same packed format as :meth:`IndirectTargetBuffer.state`."""
-        counts, tags, targets = export_ways(
-            self._k_export, self._stamps, self.assoc, (self._tags, 8), (self._targets, 8)
-        )
-        return {
-            "counts": counts,
-            "tags": tags,
-            "targets": targets,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state` output in place (validated first)."""
-        unpack(state, _IBTB_PLANES, self.num_sets, self.assoc, "iBTB")
-        hits, misses = int(state["hits"]), int(state["misses"])
-        total = import_ways(
-            self._k_import, self._stamps, self.assoc, self._di[6], state,
-            (self._tags, 8, "tags"), (self._targets, 8, "targets"),
-        )
-        self._di[6] += total  # stamp
-        self._di[9] = total  # occupancy
-        self.hits = hits
-        self.misses = misses
-
-    def copy_from(self, other: "IndirectTargetBufferC") -> None:
-        """Copy a same-geometry compiled iBTB's ways and stamp, hits, misses
-        and occupancy in place."""
-        copy_buffers(self._planes, other._planes, self._di, other._di, (6, 7, 8, 9))
-
-
-def btb_from_config(config: BranchConfig, compiled: bool = False):
-    """Construct the branch-discovery BTB.
-
-    ``btb_levels == 1`` gives Table II's monolithic BTB; ``2`` gives the
-    related-work hierarchical organization (see
-    :mod:`repro.branch.two_level_btb`).  ``compiled`` selects the compiled
-    cycle driver's array classes.
-    """
-    if config.btb_levels == 2:
-        from repro.branch.two_level_btb import TwoLevelBTB
-
-        return TwoLevelBTB(
-            l1_entries=config.l1_btb_entries,
-            l1_assoc=config.l1_btb_assoc,
-            l2_entries=config.btb_entries,
-            l2_assoc=config.btb_assoc,
-            compiled=compiled,
-        )
-    cls = BranchTargetBufferC if compiled else BranchTargetBuffer
-    return cls(config.btb_entries, config.btb_assoc)
-
-
-def ibtb_from_config(config: BranchConfig, compiled: bool = False):
-    """Construct the indirect target buffer per Table II."""
-    cls = IndirectTargetBufferC if compiled else IndirectTargetBuffer
-    return cls(config.ibtb_entries, config.ibtb_assoc)

@@ -13,14 +13,13 @@ and a confidence counter.  Prediction: taken while the iteration counter is
 below ``trip - 1``, not-taken at the boundary.  Speculative iteration state
 is checkpointed by sequence number and repaired on resteer by the owning
 unit (simplification: we reset the iteration counter on recovery, which
-costs at most one trip of re-learning).
+costs at most one trip of re-learning).  The compiled cycle driver's twin
+is :class:`~repro.branch.compiled.LoopPredictorC`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.common.packed import address, zeros
 
 
 @dataclass
@@ -114,47 +113,4 @@ class LoopPredictor:
         return [
             None if e is None else (e.tag, e.trip_count, e.current, e.confidence)
             for e in self._table
-        ]
-
-
-class LoopPredictorC:
-    """The loop predictor's table in flat arrays, for the compiled cycle driver.
-
-    The driver predicts, trains and resets it in C (``loop_predict``,
-    ``loop_update`` and the recovery in ``repro/common/kernels/driver.c``,
-    ``LoopDesc`` in ``kernels.h``), exactly like :class:`LoopPredictor`,
-    which stays the oracle.  An empty slot has tag -1.
-    """
-
-    def __init__(self, entries: int = 64, confidence_threshold: int = 3,
-                 max_trip: int = 4096) -> None:
-        if entries & (entries - 1):
-            raise ValueError("loop predictor size must be a power of two")
-        self.entries = entries
-        self.confidence_threshold = confidence_threshold
-        self.max_trip = max_trip
-        self._columns = (zeros(entries, fill=-1), zeros(entries), zeros(entries), zeros(entries))
-        di = zeros(9)
-        for i, column in enumerate(self._columns):
-            di[i] = address(column)
-        di[4] = entries - 1
-        di[5] = confidence_threshold
-        di[6] = max_trip
-        # di[7]=overrides, di[8]=correct_overrides
-        self._di = di
-        self._desc = address(di)
-
-    @property
-    def overrides(self) -> int:
-        return self._di[7]
-
-    @property
-    def correct_overrides(self) -> int:
-        return self._di[8]
-
-    def state(self) -> list[tuple[int, int, int, int] | None]:
-        """Same format as :meth:`LoopPredictor.state`."""
-        return [
-            None if row[0] == -1 else row
-            for row in zip(*(column.tolist() for column in self._columns))
         ]

@@ -11,23 +11,25 @@ the statistical corrector and loop predictor, documented in DESIGN.md).
 The paper's UDP mechanism consumes the predictor's *confidence*
 (High / Medium / Low), derived from the provider counter magnitude exactly
 as in the TAGE literature: a weak counter is Low, a saturated one is High.
+The compiled cycle driver's twin, and what both share, are in
+:mod:`repro.branch.compiled`.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from repro.branch.bimodal import BimodalPredictor
-from repro.branch.history import GlobalHistory, GlobalHistoryC
+from repro.branch.compiled import (
+    CONF_HIGH,
+    CONF_LOW,
+    CONF_MEDIUM,
+    checked_tables,
+    geometric_lengths,
+)
+from repro.branch.history import GlobalHistory
 from repro.common.config import BranchConfig
-from repro.common.packed import Stateful, address, copy_buffers, zeros
-
-CONF_LOW = 0
-CONF_MEDIUM = 1
-CONF_HIGH = 2
-
-CONFIDENCE_NAMES = {CONF_LOW: "low", CONF_MEDIUM: "medium", CONF_HIGH: "high"}
+from repro.common.packed import Stateful
 
 
 @dataclass
@@ -48,18 +50,6 @@ class TagePrediction:
     # Set by the branch unit when the loop predictor overrides TAGE
     # (TAGE-SC-L's "L" component); None = no override.
     loop_override: bool | None = None
-
-
-def _geometric_lengths(n: int, lo: int, hi: int) -> list[int]:
-    """Geometric history-length series from ``lo`` to ``hi`` over ``n`` tables."""
-    lengths = []
-    for i in range(n):
-        value = lo * (hi / lo) ** (i / (n - 1)) if n > 1 else lo
-        length = int(round(value))
-        if lengths and length <= lengths[-1]:
-            length = lengths[-1] + 1
-        lengths.append(length)
-    return lengths
 
 
 class _TaggedTable:
@@ -83,7 +73,7 @@ class TagePredictor(Stateful):
         self.config = config
         self.history = history
         self.base = BimodalPredictor(table_bits=13)
-        self.hist_lengths = _geometric_lengths(
+        self.hist_lengths = geometric_lengths(
             config.tage_tables, config.tage_min_hist, config.tage_max_hist
         )
         self.tables = [
@@ -95,23 +85,6 @@ class TagePredictor(Stateful):
         # prediction when the provider entry is newly allocated.
         self.use_alt_counter = config.tage_use_alt_threshold
         self._tick = 0
-
-    @staticmethod
-    def expected_foldings(config: BranchConfig) -> list[tuple[int, int]]:
-        """The (history length, fold width) pairs this predictor requires.
-
-        The owning branch unit constructs the shared :class:`GlobalHistory`
-        with exactly these foldings: one index fold and one tag fold per
-        tagged table, in table order.
-        """
-        lengths = _geometric_lengths(
-            config.tage_tables, config.tage_min_hist, config.tage_max_hist
-        )
-        foldings = []
-        for length in lengths:
-            foldings.append((length, config.tage_table_bits))
-            foldings.append((length, config.tage_tag_bits))
-        return foldings
 
     # -- index/tag computation ----------------------------------------------
 
@@ -301,9 +274,9 @@ class TagePredictor(Stateful):
         """Serializable predictor state, independent of the table layout.
 
         The same format is produced and consumed by :class:`TagePredictor`
-        and :class:`TagePredictorC`, so a warmup checkpoint captured by
-        either restores into the other (cross-mode round-trips in
-        ``tests/sim/test_modes.py``).
+        and :class:`~repro.branch.compiled.TagePredictorC`, so a warmup
+        checkpoint captured by either restores into the other (cross-mode
+        round-trips in ``tests/sim/test_modes.py``).
         """
         return {
             "base": bytes(self.base.table),
@@ -317,7 +290,7 @@ class TagePredictor(Stateful):
     def load_state(self, state: dict) -> None:
         """Restore :meth:`state` output in place (validated first)."""
         size = 1 << self.config.tage_table_bits
-        tables_state = _checked_tables(state, len(self.tables), size, self.base)
+        tables_state = checked_tables(state, len(self.tables), size, self.base)
         for table, (tags, ctrs, useful) in zip(self.tables, tables_state):
             table.tags[:] = tags
             table.ctrs[:] = ctrs
@@ -325,146 +298,3 @@ class TagePredictor(Stateful):
         self.base.table[:] = state["base"]  # in place: never swap the object
         self.use_alt_counter = state["use_alt_counter"]
         self._tick = state["tick"]
-
-
-def _checked_tables(state: dict, count: int, size: int, base: BimodalPredictor) -> list:
-    """``state``'s tables, once its geometry is checked (else ValueError)."""
-    tables_state = state["tables"]
-    if len(tables_state) != count:
-        raise ValueError("TAGE table count mismatch")
-    if any(len(part) != size for table in tables_state for part in table):
-        raise ValueError("TAGE table geometry mismatch")
-    if len(state["base"]) != base.size:
-        raise ValueError("bimodal table geometry mismatch")
-    if not all(type(state[key]) is int for key in ("use_alt_counter", "tick")):
-        raise ValueError("TAGE counters are not integers")
-    return tables_state
-
-
-class TagePredictorC:
-    """TAGE's tables in flat arrays, for the compiled cycle driver.
-
-    Storage is three preallocated flat ``int64`` arrays of ``tables * size``
-    entries (tags, signed counters, usefulness) plus the bimodal base's
-    counter bytes, which the driver probes and trains in C
-    (``repro/common/kernels/tage.c``).  The descriptor points into the
-    shared :class:`~repro.branch.history.GlobalHistoryC`'s fold array.
-    ``use_alt_counter`` and ``_tick`` live in the descriptor so C-side
-    updates are visible to :meth:`state`, whose format is
-    :class:`TagePredictor`'s.
-    """
-
-    def __init__(self, config: BranchConfig, history: GlobalHistoryC) -> None:
-        from repro.common import cc
-
-        kernels = cc.kernels()
-        if kernels is None:  # pragma: no cover - the simulator guards this
-            raise RuntimeError("compiled kernels unavailable")
-        self.config = config
-        self.history = history
-        self.base = BimodalPredictor(table_bits=13)
-        self.hist_lengths = _geometric_lengths(
-            config.tage_tables, config.tage_min_hist, config.tage_max_hist
-        )
-        self._index_mask = (1 << config.tage_table_bits) - 1
-        self._size = size = 1 << config.tage_table_bits
-        self._num_tables = num_tables = len(self.hist_lengths)
-        self._tags_arr = zeros(num_tables * size)
-        self._ctrs_arr = zeros(num_tables * size)
-        self._useful_arr = zeros(num_tables * size)
-        self._tables_mv = tuple(
-            memoryview(arr) for arr in (self._tags_arr, self._ctrs_arr, self._useful_arr)
-        )
-        self._idx_scratch = zeros(num_tables)
-        self._tag_scratch = zeros(num_tables)
-        di = zeros(24)
-        di[0] = address(self._tags_arr)
-        di[1] = address(self._ctrs_arr)
-        di[2] = address(self._useful_arr)
-        di[3] = num_tables
-        di[4] = size
-        di[5] = self._index_mask
-        di[6] = (1 << config.tage_tag_bits) - 1
-        di[7] = config.tage_table_bits
-        di[8] = address(history._folded_arr)
-        # di[9]/di[10]: the bimodal base's counters and index mask.  Loads
-        # copy into that bytearray in place, and the memoryview held here
-        # keeps it from resizing, so the pointer stays valid for the
-        # predictor's lifetime.
-        self._base_pin = memoryview(self.base.table)
-        di[9] = kernels.buffer_address(self.base.table)
-        di[10] = self.base.size - 1
-        di[11] = config.tage_use_alt_threshold  # use_alt_counter
-        di[12] = config.tage_use_alt_threshold
-        # di[13]: tick; di[14..21]: prediction outputs
-        di[22] = address(self._idx_scratch)
-        di[23] = address(self._tag_scratch)
-        self._di = di
-        self._dmv = memoryview(di)
-        self._desc = address(di)
-
-    @property
-    def use_alt_counter(self) -> int:
-        return int(self._dmv[11])
-
-    @use_alt_counter.setter
-    def use_alt_counter(self, value: int) -> None:
-        self._di[11] = value
-
-    @property
-    def _tick(self) -> int:
-        return int(self._dmv[13])
-
-    @_tick.setter
-    def _tick(self, value: int) -> None:
-        self._di[13] = value
-
-    def _rows(self, t: int) -> slice:
-        return slice(t * self._size, (t + 1) * self._size)
-
-    def state(self) -> dict:
-        """Same layout-neutral format as :meth:`TagePredictor.state`."""
-        tags, ctrs, useful = self._tables_mv
-        return {
-            "base": bytes(self.base.table),
-            "tables": [
-                (
-                    tags[self._rows(t)].tolist(),
-                    ctrs[self._rows(t)].tolist(),
-                    bytes(useful[self._rows(t)].tolist()),
-                )
-                for t in range(self._num_tables)
-            ],
-            "use_alt_counter": self.use_alt_counter,
-            "tick": self._tick,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state` output in place (validated first)."""
-        tables_state = _checked_tables(state, self._num_tables, self._size, self.base)
-        tags_mv, ctrs_mv, useful_mv = self._tables_mv
-        for t, (tags, ctrs, useful) in enumerate(tables_state):
-            rows = self._rows(t)
-            tags_mv[rows] = array("q", tags)
-            ctrs_mv[rows] = array("q", ctrs)
-            useful_mv[rows] = array("q", list(useful))
-        self._base_pin[:] = state["base"]
-        self.use_alt_counter = state["use_alt_counter"]
-        self._tick = state["tick"]
-
-    def copy_from(self, other: "TagePredictorC") -> None:
-        """Copy a same-geometry compiled predictor's tables, bimodal base,
-        ``use_alt_counter`` and tick in place (C points into all of them)."""
-        copy_buffers(
-            (*self._tables_mv, self._base_pin),
-            (*other._tables_mv, other._base_pin),
-            self._di, other._di, (11, 13),
-        )
-
-
-def tage_from_config(config: BranchConfig, history, compiled: bool = False):
-    """The compiled cycle driver's TAGE arrays over a
-    :class:`~repro.branch.history.GlobalHistoryC` (``compiled``), else the
-    object predictor over a :class:`~repro.branch.history.GlobalHistory`."""
-    cls = TagePredictorC if compiled else TagePredictor
-    return cls(config, history)

@@ -13,7 +13,7 @@ of first-touch resteers.
 Drop-in compatible with :class:`~repro.branch.btb.BranchTargetBuffer`
 (``probe`` / ``fill`` / ``contains`` / ``occupancy``); select it with
 ``BranchConfig.btb_levels = 2``.  With ``compiled`` both levels are
-:class:`~repro.branch.btb.BranchTargetBufferC` arrays, which the compiled
+:class:`~repro.branch.compiled.BranchTargetBufferC` arrays, which the compiled
 cycle driver probes as one L1 descriptor plus one L2 (``btb_probe`` in
 ``repro/common/kernels/driver.c``); there only :meth:`fill`,
 :meth:`contains` and the state protocol run in Python.
@@ -21,8 +21,13 @@ cycle driver probes as one L1 descriptor plus one L2 (``btb_probe`` in
 
 from __future__ import annotations
 
-from repro.branch.btb import BranchTargetBuffer, BranchTargetBufferC, BTBEntry
+from typing import TYPE_CHECKING
+
+from repro.branch.unit import btb_class
 from repro.workloads.program import BranchKind
+
+if TYPE_CHECKING:
+    from repro.branch.btb import BTBEntry
 
 
 class TwoLevelBTB:
@@ -36,7 +41,7 @@ class TwoLevelBTB:
         l2_assoc: int = 8,
         compiled: bool = False,
     ) -> None:
-        cls = BranchTargetBufferC if compiled else BranchTargetBuffer
+        cls = btb_class(compiled)
         self.l1 = cls(l1_entries, l1_assoc)
         self.l2 = cls(l2_entries, l2_assoc)
         self.promotions = 0

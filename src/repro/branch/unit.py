@@ -15,20 +15,79 @@ the operations the decoupled frontend walker needs:
 Training entry points are called by the simulator with ground-truth
 outcomes for on-path branches only (wrong-path work is squashed, so real
 hardware never commits its training either).
+
+The unit holds either the object structures, which those methods drive, or
+their compiled twins (:mod:`repro.branch.compiled`), which only the
+compiled cycle driver predicts and trains; the factories below import only
+the side they build.
 """
 
 from __future__ import annotations
 
-from repro.branch.btb import BTBEntry, btb_from_config, ibtb_from_config
-from repro.branch.history import GlobalHistory, GlobalHistoryC
-from repro.branch.loop_predictor import LoopPredictor, LoopPredictorC
+from typing import TYPE_CHECKING
+
+from repro.branch.compiled import tage_foldings
 from repro.branch.ras import ReturnAddressStack
-from repro.branch.tage import TagePrediction, TagePredictor, tage_from_config
 from repro.common.config import BranchConfig
 from repro.common.counters import Counters
 from repro.workloads.program import BranchKind
 
+if TYPE_CHECKING:  # the object structures load only where they run
+    from repro.branch.btb import BTBEntry
+    from repro.branch.tage import TagePrediction
+
 HistoryState = tuple[int, tuple[int, ...]]
+
+
+def btb_class(compiled: bool) -> type:
+    """The compiled cycle driver's BTB arrays (``compiled``), else the
+    object BTB; only the side asked for is imported."""
+    if compiled:
+        from repro.branch.compiled import BranchTargetBufferC as cls
+    else:
+        from repro.branch.btb import BranchTargetBuffer as cls
+    return cls
+
+
+def btb_from_config(config: BranchConfig, compiled: bool = False):
+    """Construct the branch-discovery BTB.
+
+    ``btb_levels == 1`` gives Table II's monolithic BTB; ``2`` gives the
+    related-work hierarchical organization (see
+    :mod:`repro.branch.two_level_btb`).  ``compiled`` selects the compiled
+    cycle driver's array classes.
+    """
+    if config.btb_levels == 2:
+        from repro.branch.two_level_btb import TwoLevelBTB
+
+        return TwoLevelBTB(
+            l1_entries=config.l1_btb_entries,
+            l1_assoc=config.l1_btb_assoc,
+            l2_entries=config.btb_entries,
+            l2_assoc=config.btb_assoc,
+            compiled=compiled,
+        )
+    return btb_class(compiled)(config.btb_entries, config.btb_assoc)
+
+
+def ibtb_from_config(config: BranchConfig, compiled: bool = False):
+    """Construct the indirect target buffer per Table II."""
+    if compiled:
+        from repro.branch.compiled import IndirectTargetBufferC as cls
+    else:
+        from repro.branch.btb import IndirectTargetBuffer as cls
+    return cls(config.ibtb_entries, config.ibtb_assoc)
+
+
+def tage_from_config(config: BranchConfig, history, compiled: bool = False):
+    """The compiled cycle driver's TAGE arrays over a
+    :class:`~repro.branch.compiled.GlobalHistoryC` (``compiled``), else the
+    object predictor over a :class:`~repro.branch.history.GlobalHistory`."""
+    if compiled:
+        from repro.branch.compiled import TagePredictorC as cls
+    else:
+        from repro.branch.tage import TagePredictor as cls
+    return cls(config, history)
 
 
 class BranchPredictionUnit:
@@ -45,17 +104,22 @@ class BranchPredictionUnit:
         # ``compiled``: the compiled cycle driver's array structures, which
         # only it predicts and trains; the methods below drive the object
         # structures, the oracle (tests/sim/test_modes.py).
-        foldings = TagePredictor.expected_foldings(config)
-        history_cls = GlobalHistoryC if compiled else GlobalHistory
-        self.history = history_cls(config.tage_max_hist, foldings)
+        if compiled:
+            from repro.branch.compiled import GlobalHistoryC as history_cls
+        else:
+            from repro.branch.history import GlobalHistory as history_cls
+        self.history = history_cls(config.tage_max_hist, tage_foldings(config))
         self.tage = tage_from_config(config, self.history, compiled)
         self.btb = btb_from_config(config, compiled)
         self.ibtb = ibtb_from_config(config, compiled)
         self.ras = ReturnAddressStack(config.ras_entries)
-        loop_cls = LoopPredictorC if compiled else LoopPredictor
-        self.loop = (
-            loop_cls(config.loop_predictor_entries) if config.use_loop_predictor else None
-        )
+        self.loop = None
+        if config.use_loop_predictor:
+            if compiled:
+                from repro.branch.compiled import LoopPredictorC as loop_cls
+            else:
+                from repro.branch.loop_predictor import LoopPredictor as loop_cls
+            self.loop = loop_cls(config.loop_predictor_entries)
 
     # -- frontend-facing prediction ------------------------------------------
 

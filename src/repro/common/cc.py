@@ -25,7 +25,6 @@ import hashlib
 import importlib.util
 import os
 import shutil
-import subprocess
 import sys
 import sysconfig
 import tempfile
@@ -100,6 +99,10 @@ def _artifact_path(digest: str) -> Path:
 def _compile(compiler: str, out_path: Path) -> bool:
     """Compile the unity translation unit to ``out_path`` (atomic rename)."""
     global _BUILD_ERROR
+    # Only a build runs the compiler: a process that loads a built module
+    # never imports subprocess.
+    import subprocess
+
     include = sysconfig.get_paths()["include"]
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(

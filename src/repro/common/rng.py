@@ -1,16 +1,29 @@
-"""Deterministic random-number streams.
+"""Deterministic random-number streams and the mixing hash.
 
 Every stochastic component (workload synthesis, branch behaviours, data
 address generation) draws from a named sub-stream derived from a single
 master seed, so a simulation is exactly reproducible from
 ``(profile, seed)`` and independent components do not perturb each other's
-sequences when the code changes.
+sequences when the code changes.  Random-access values (branch outcomes,
+data addresses, Bloom-filter probes, the backend's load dependences) come
+from :func:`mix64` instead, which the C kernels port (``kernels.h``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+
+GOLDEN = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def mix64(x: int) -> int:
+    """SplitMix64 finalizer: a fast, well-distributed 64-bit mixing hash."""
+    x = (x + GOLDEN) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
 
 
 def derive_seed(master_seed: int, name: str) -> int:

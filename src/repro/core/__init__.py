@@ -1,25 +1,18 @@
-"""The paper's contributions: UDP prefetch gating and UFTQ dynamic sizing."""
+"""The paper's contributions: UDP prefetch gating and UFTQ dynamic sizing.
 
-from repro.core.bloom import BloomFilter, capacity_for_fpr, optimal_num_hashes
-from repro.core.confidence import ConfidenceEstimator
-from repro.core.seniority import SeniorityFTQ
-from repro.core.superline import CoalescingBuffer, superline_base, superline_lines
-from repro.core.udp import UDPFilter
-from repro.core.uftq import PAPER_REGRESSION, UFTQController, regression_depth
-from repro.core.useful_set import UsefulSet
+The public names resolve on first use (``repro._lazy``): UFTQ's controller
+loads only where a simulator runs it.
+"""
 
-__all__ = [
-    "BloomFilter",
-    "capacity_for_fpr",
-    "optimal_num_hashes",
-    "ConfidenceEstimator",
-    "SeniorityFTQ",
-    "CoalescingBuffer",
-    "superline_base",
-    "superline_lines",
-    "UDPFilter",
-    "PAPER_REGRESSION",
-    "UFTQController",
-    "regression_depth",
-    "UsefulSet",
-]
+from repro._lazy import exports as _exports
+
+__all__, __getattr__, __dir__ = _exports(
+    __name__,
+    ("repro.core.bloom", ("BloomFilter", "capacity_for_fpr", "optimal_num_hashes")),
+    ("repro.core.confidence", ("ConfidenceEstimator",)),
+    ("repro.core.seniority", ("SeniorityFTQ",)),
+    ("repro.core.superline", ("CoalescingBuffer", "superline_base", "superline_lines")),
+    ("repro.core.udp", ("UDPFilter",)),
+    ("repro.core.uftq", ("PAPER_REGRESSION", "UFTQController", "regression_depth")),
+    ("repro.core.useful_set", ("UsefulSet",)),
+)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from repro.workloads.behavior import mix64
+from repro.common.rng import mix64
 
 # Bits per item for a 1% false-positive rate: m/n = -ln(p) / (ln 2)^2.
 BITS_PER_ITEM_1PCT = -math.log(0.01) / (math.log(2.0) ** 2)

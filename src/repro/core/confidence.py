@@ -14,7 +14,7 @@ analysis.
 
 from __future__ import annotations
 
-from repro.branch.tage import CONF_HIGH, CONF_LOW, CONF_MEDIUM
+from repro.branch.compiled import CONF_HIGH, CONF_LOW, CONF_MEDIUM
 from repro.common.config import UDPConfig
 from repro.common.counters import Counters
 

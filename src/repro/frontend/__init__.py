@@ -1,25 +1,20 @@
-"""Decoupled frontend: FTQ, run-ahead walker, FDIP prefetch engine."""
+"""Decoupled frontend: FTQ, run-ahead walker, FDIP prefetch engine.
 
-from repro.frontend.bpu import DecoupledFrontend, PathEstimator
-from repro.frontend.fdip import FDIPEngine, PrefetchGate
-from repro.frontend.fetch_block import (
-    RESTEER_AT_DECODE,
-    RESTEER_AT_EXECUTE,
-    FTQEntry,
-    PendingResteer,
-    SeenBranch,
+The public names resolve on first use (``repro._lazy``).
+"""
+
+from repro._lazy import exports as _exports
+
+__all__, __getattr__, __dir__ = _exports(
+    __name__,
+    ("repro.frontend.bpu", ("DecoupledFrontend", "PathEstimator")),
+    ("repro.frontend.fdip", ("FDIPEngine", "PrefetchGate")),
+    ("repro.frontend.fetch_block", (
+        "RESTEER_AT_DECODE",
+        "RESTEER_AT_EXECUTE",
+        "FTQEntry",
+        "PendingResteer",
+        "SeenBranch",
+    )),
+    ("repro.frontend.ftq", ("FetchTargetQueue",)),
 )
-from repro.frontend.ftq import FetchTargetQueue
-
-__all__ = [
-    "DecoupledFrontend",
-    "PathEstimator",
-    "FDIPEngine",
-    "PrefetchGate",
-    "RESTEER_AT_DECODE",
-    "RESTEER_AT_EXECUTE",
-    "FTQEntry",
-    "PendingResteer",
-    "SeenBranch",
-    "FetchTargetQueue",
-]

@@ -15,15 +15,17 @@ statistics) and with UDP's *assumed* path (for useful-set training).
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.common.config import FrontendConfig
 from repro.common.counters import Counters
 from repro.frontend.fetch_block import FTQEntry
 from repro.frontend.ftq import FetchTargetQueue
-from repro.memory.cache import SetAssocCache
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.mshr import MSHRFile
+
+if TYPE_CHECKING:
+    from repro.memory.cache import SetAssocCache
+    from repro.memory.hierarchy import MemoryHierarchy
+    from repro.memory.mshr import MSHRFile
 
 
 class PrefetchGate(Protocol):

@@ -1,15 +1,16 @@
-"""Memory hierarchy substrate: caches, MSHRs, stream prefetcher, uncore."""
+"""Memory hierarchy substrate: caches, MSHRs, stream prefetcher, uncore.
 
-from repro.memory.cache import CacheLine, SetAssocCache
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.mshr import MSHREntry, MSHRFile
-from repro.memory.stream import StreamPrefetcher
+The public names resolve on first use (``repro._lazy``): a compiled run
+loads the driver's arrays (``repro.memory.compiled``), never the object
+caches.
+"""
 
-__all__ = [
-    "CacheLine",
-    "SetAssocCache",
-    "MemoryHierarchy",
-    "MSHREntry",
-    "MSHRFile",
-    "StreamPrefetcher",
-]
+from repro._lazy import exports as _exports
+
+__all__, __getattr__, __dir__ = _exports(
+    __name__,
+    ("repro.memory.cache", ("CacheLine", "SetAssocCache")),
+    ("repro.memory.hierarchy", ("MemoryHierarchy",)),
+    ("repro.memory.mshr", ("MSHREntry", "MSHRFile")),
+    ("repro.memory.stream", ("StreamPrefetcher",)),
+)

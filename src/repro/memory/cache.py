@@ -13,7 +13,8 @@ and replacement only.
 Replacement is true LRU, kept *intrusively* in each set's dict: Python
 dicts preserve insertion order, so a touch re-inserts the line at the end
 and the victim is always the first key — O(1) instead of the old
-O(assoc) ``min()`` scan over timestamps on every install.
+O(assoc) ``min()`` scan over timestamps on every install.  The compiled
+cycle driver's twin is :class:`~repro.memory.compiled.SetAssocCacheC`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from itertools import islice
 from typing import Callable
 
 from repro.common.config import CacheConfig
-from repro.common.packed import (
-    Stateful, address, copy_buffers, export_ways, import_ways, unpack, zeros
-)
+from repro.common.packed import Stateful, unpack
+from repro.memory.compiled import CACHE_PLANES
 
 
 @dataclass(slots=True)
@@ -144,7 +144,7 @@ class SetAssocCache(Stateful):
     def load_state(self, state: dict[str, bytes]) -> None:
         """Restore :meth:`state` output in place (validated first)."""
         counts, (addrs, flags) = unpack(
-            state, _PLANES, self.num_sets, self.assoc, "cache"
+            state, CACHE_PLANES, self.num_sets, self.assoc, "cache"
         )
         lines = zip(addrs.tolist(), flags.tolist())
         for way_set, n in zip(self._sets, counts.tolist()):
@@ -160,89 +160,8 @@ class SetAssocCache(Stateful):
 
 
 # Bit positions of the packed per-line metadata (checkpoint flags buffer
-# and SetAssocCacheC._flags, FLAG_* in kernels.h).
+# and the compiled cache's flags, FLAG_* in kernels.h).
 _PREFETCH = 1
 _OFF_PATH = 2
 _UDP = 4
 _DIRTY = 8
-
-# The planes of the packed checkpoint form, with their array typecodes.
-_PLANES = {"addrs": "q", "flags": "B"}
-
-
-class SetAssocCacheC:
-    """A cache's state in flat arrays, for the compiled cycle driver.
-
-    Line addresses, packed metadata flags and LRU stamps live in three
-    preallocated flat ``int64`` arrays of ``num_sets * assoc`` ways, which
-    the driver probes and fills in C (``CacheDesc`` in
-    ``repro/common/kernels/kernels.h``); Python only exports, imports and
-    copies them.  Replacement uses monotonic LRU stamps, which select the
-    same victim as :class:`SetAssocCache`'s insertion-ordered dicts (every
-    dict touch is a move-to-end, so "first key" == "minimum stamp"); which
-    way a new line lands in is invisible to behaviour and to the
-    stamp-ordered serialization.
-    """
-
-    def __init__(self, config: CacheConfig) -> None:
-        from repro.common import cc
-
-        kernels = cc.kernels()
-        if kernels is None:  # pragma: no cover - the simulator guards this
-            raise RuntimeError("compiled kernels unavailable")
-        self.config = config
-        self.num_sets = config.num_sets
-        self.assoc = config.assoc
-        self.line_shift = config.line_bytes.bit_length() - 1
-        ways = self.num_sets * self.assoc
-        self._addrs = zeros(ways, fill=-1)
-        self._flags = zeros(ways)
-        self._stamps = zeros(ways)
-        self._ways = (self._addrs, self._flags, self._stamps)
-        di = zeros(11)
-        di[0] = address(self._addrs)
-        di[1] = address(self._flags)
-        di[2] = address(self._stamps)
-        di[3] = self.num_sets
-        di[4] = self.assoc
-        di[5] = self.num_sets - 1
-        di[6] = self.line_shift
-        di[9] = -1  # evict_addr: none yet
-        self._dmv = memoryview(di)
-        self._desc = address(di)
-        self._k_export = kernels.ways_export
-        self._k_import = kernels.ways_import
-
-    @property
-    def occupancy(self) -> int:
-        return int(self._dmv[8])
-
-    def state(self) -> dict[str, bytes]:
-        """Same packed format as :meth:`SetAssocCache.state`."""
-        counts, addrs, flags = export_ways(
-            self._k_export, self._stamps, self.assoc, (self._addrs, 8), (self._flags, 1)
-        )
-        return {"counts": counts, "addrs": addrs, "flags": flags}
-
-    def load_state(self, state: dict[str, bytes]) -> None:
-        """Restore :meth:`state` output in place (validated first)."""
-        unpack(state, _PLANES, self.num_sets, self.assoc, "cache")
-        dmv = self._dmv
-        total = import_ways(
-            self._k_import, self._stamps, self.assoc, dmv[7], state,
-            (self._addrs, 8, "addrs"), (self._flags, 1, "flags"),
-        )
-        dmv[7] += total
-        dmv[8] = total
-        dmv[9] = -1
-
-    def copy_from(self, other: "SetAssocCacheC") -> None:
-        """Copy a same-geometry compiled cache's ways, clock and occupancy
-        in place."""
-        copy_buffers(self._ways, other._ways, self._dmv, other._dmv, (7, 8))
-        self._dmv[9] = -1
-
-
-def make_cache(config: CacheConfig, compiled: bool = False):
-    """The compiled cycle driver's cache (``compiled``), else the object cache."""
-    return SetAssocCacheC(config) if compiled else SetAssocCache(config)

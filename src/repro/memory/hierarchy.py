@@ -10,7 +10,8 @@ model L1D/L2/LLC/DRAM with the stream prefetcher of Table II training on
 L1D misses.  Data timing is intentionally simpler than instruction timing
 (no D-side MSHR occupancy modelling): the paper's mechanisms live on the
 I-side, and the D-side only needs to impose a realistic load-latency mix on
-the backend.
+the backend.  The compiled cycle driver's twin is
+:class:`~repro.memory.compiled.MemoryHierarchyC`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from __future__ import annotations
 from repro.common.addr import line_of
 from repro.common.config import MemoryConfig
 from repro.common.counters import Counters
-from repro.common.packed import address, zeros
-from repro.memory.cache import make_cache
-from repro.memory.stream import StreamPrefetcher, StreamPrefetcherC
+from repro.memory.cache import SetAssocCache
+from repro.memory.stream import StreamPrefetcher
 
 
 class MemoryHierarchy:
@@ -29,9 +29,9 @@ class MemoryHierarchy:
     def __init__(self, config: MemoryConfig, counters: Counters | None = None) -> None:
         self.config = config
         self.counters = counters if counters is not None else Counters()
-        self.l1d = make_cache(config.l1d)
-        self.l2 = make_cache(config.l2)
-        self.llc = make_cache(config.llc)
+        self.l1d = SetAssocCache(config.l1d)
+        self.l2 = SetAssocCache(config.l2)
+        self.llc = SetAssocCache(config.llc)
         self.stream = StreamPrefetcher() if config.stream_prefetcher else None
         # Interned fast-path counter slots (see Counters.incrementer).
         counters = self.counters
@@ -115,47 +115,3 @@ class MemoryHierarchy:
             latency = self.config.dram_latency
         self.l1d.install(line_addr)
         return latency
-
-
-class MemoryHierarchyC:
-    """The hierarchy's state for the compiled cycle driver: the L1D, L2 and
-    LLC as :class:`~repro.memory.cache.SetAssocCacheC` arrays and the
-    stream prefetcher's table, under one ``HierDesc`` descriptor.
-
-    The driver walks the fused miss paths (``hier_load_impl``,
-    ``hier_store_impl`` and ``hier_imiss_impl`` in
-    ``repro/common/kernels/cache.c``) in C and counts their events itself,
-    so this class holds state only: the checkpoint and hand-off code reach
-    the caches and the stream table through it.
-    """
-
-    def __init__(self, config: MemoryConfig) -> None:
-        self.config = config
-        self.l1d = make_cache(config.l1d, compiled=True)
-        self.l2 = make_cache(config.l2, compiled=True)
-        self.llc = make_cache(config.llc, compiled=True)
-        self.stream = StreamPrefetcherC() if config.stream_prefetcher else None
-        hi = zeros(13)
-        hi[0] = self.l1d._desc
-        hi[1] = self.l2._desc
-        hi[2] = self.llc._desc
-        hi[3] = self.stream._desc if self.stream is not None else 0
-        hi[4] = config.l1d.hit_latency
-        hi[5] = config.l2.hit_latency
-        hi[6] = config.llc.hit_latency
-        hi[7] = config.dram_latency
-        # hi[8..12]: n_l1d_hit, n_l2_data, n_llc_data, n_dram_data, n_stream_pf
-        self._hi = hi
-        self._hdesc = address(hi)
-
-
-def make_hierarchy(
-    config: MemoryConfig,
-    counters: Counters | None = None,
-    compiled: bool = False,
-):
-    """The compiled cycle driver's hierarchy (``compiled``), else the
-    object hierarchy counting into ``counters``."""
-    if compiled:
-        return MemoryHierarchyC(config)
-    return MemoryHierarchy(config, counters)

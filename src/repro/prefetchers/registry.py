@@ -15,6 +15,12 @@ the presets all consult this table, so adding a prefetcher is: write the
 module, call :func:`register` — no simulator edits (see docs/techniques.md
 for the walkthrough).
 
+The built-in techniques outside this module are listed by name, summary,
+capabilities and defining module (:data:`_BUILTINS`): the first lookup of
+a name imports that module and resolves the entry in place, so a run
+imports only the technique it builds, and :func:`names` lists every
+built-in without importing any.
+
 ``repro.common.config`` imports this module *lazily* (inside methods):
 technique modules import config for :class:`ConfigError`/`CacheConfig`,
 and an eager import would be circular.
@@ -23,6 +29,7 @@ and an eager import would be circular.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -80,7 +87,19 @@ class Technique:
     capabilities: Capabilities = Capabilities()
 
 
-_REGISTRY: dict[str, Technique] = {}
+@dataclass(frozen=True)
+class _BuiltIn:
+    """A built-in technique whose module is not imported yet: the names of
+    its params class and factory in ``module`` (see :func:`lookup`)."""
+
+    summary: str
+    module: str
+    params: str
+    build: str
+    capabilities: Capabilities = Capabilities()
+
+
+_REGISTRY: dict[str, Technique | _BuiltIn] = {}
 
 
 def register(technique: Technique, *, replace: bool = False) -> Technique:
@@ -111,13 +130,30 @@ def unregister(name: str) -> None:
 
 
 def lookup(name: str) -> Technique | None:
-    """The technique registered under ``name``, or ``None``."""
-    return _REGISTRY.get(name)
+    """The technique registered under ``name``, or ``None``.
+
+    A built-in's first lookup imports its module and registers the
+    resolved :class:`Technique` in its place.
+    """
+    entry = _REGISTRY.get(name)
+    if not isinstance(entry, _BuiltIn):
+        return entry
+    module = importlib.import_module(entry.module)
+    return register(
+        Technique(
+            name=name,
+            summary=entry.summary,
+            params_cls=getattr(module, entry.params),
+            build=getattr(module, entry.build),
+            capabilities=entry.capabilities,
+        ),
+        replace=True,
+    )
 
 
 def get_technique(name: str) -> Technique:
     """The technique registered under ``name``; raises naming valid kinds."""
-    technique = _REGISTRY.get(name)
+    technique = lookup(name)
     if technique is None:
         raise ConfigError(
             f"unknown prefetcher kind {name!r}; registered kinds: "
@@ -132,8 +168,8 @@ def names() -> tuple[str, ...]:
 
 
 def techniques() -> tuple[Technique, ...]:
-    """All registered techniques, sorted by name."""
-    return tuple(_REGISTRY[name] for name in names())
+    """All registered techniques, sorted by name (every built-in resolved)."""
+    return tuple(lookup(name) for name in names())
 
 
 def default_params(name: str):
@@ -161,73 +197,58 @@ def _build_nothing(params, program, hooks):
     return None
 
 
-def _register_builtins() -> None:
-    from repro.prefetchers.eip import EIPParams, build_eip
-    from repro.prefetchers.mana import MANAParams, build_mana
-    from repro.prefetchers.next_line import NextLineParams, build_next_line
-    from repro.prefetchers.shadow_btb import ShadowBTBParams, build_shadow_btb
-    from repro.prefetchers.swprefetch import SWProfileParams, build_sw_profile
+register(
+    Technique(
+        name="fdip",
+        summary="fetch-directed prefetching from the FTQ (the paper's baseline)",
+        params_cls=FDIPParams,
+        build=_build_nothing,
+        capabilities=Capabilities(uses_fdip=True),
+    )
+)
+register(
+    Technique(
+        name="none",
+        summary="no instruction prefetching at all (analysis baseline)",
+        params_cls=NoPrefetchParams,
+        build=_build_nothing,
+        capabilities=Capabilities(uses_fdip=False),
+    )
+)
 
-    register(
-        Technique(
-            name="fdip",
-            summary="fetch-directed prefetching from the FTQ (the paper's baseline)",
-            params_cls=FDIPParams,
-            build=_build_nothing,
-            capabilities=Capabilities(uses_fdip=True),
-        )
-    )
-    register(
-        Technique(
-            name="none",
-            summary="no instruction prefetching at all (analysis baseline)",
-            params_cls=NoPrefetchParams,
-            build=_build_nothing,
-            capabilities=Capabilities(uses_fdip=False),
-        )
-    )
-    register(
-        Technique(
-            name="next-line",
-            summary="prefetch N sequential lines on every demand miss",
-            params_cls=NextLineParams,
-            build=build_next_line,
-        )
-    )
-    register(
-        Technique(
-            name="eip",
-            summary="entangled instruction prefetching at a bounded storage budget",
-            params_cls=EIPParams,
-            build=build_eip,
-        )
-    )
-    register(
-        Technique(
-            name="sw-profile",
-            summary="profile-guided software prefetching (I-Spy-style)",
-            params_cls=SWProfileParams,
-            build=build_sw_profile,
-            capabilities=Capabilities(needs_profile_pass=True),
-        )
-    )
-    register(
-        Technique(
-            name="mana",
-            summary="spatial-region records with HOBPT compression (MANA)",
-            params_cls=MANAParams,
-            build=build_mana,
-        )
-    )
-    register(
-        Technique(
-            name="shadow-btb",
-            summary="predecode filled lines; prefill the BTB with shadow branches",
-            params_cls=ShadowBTBParams,
-            build=build_shadow_btb,
-            capabilities=Capabilities(hooks_btb=True, observes_fills=True),
-        )
-    )
-
-
-_register_builtins()
+# The built-ins defined in their own modules, resolved at first lookup.
+_BUILTINS = {
+    "next-line": _BuiltIn(
+        summary="prefetch N sequential lines on every demand miss",
+        module="repro.prefetchers.next_line",
+        params="NextLineParams",
+        build="build_next_line",
+    ),
+    "eip": _BuiltIn(
+        summary="entangled instruction prefetching at a bounded storage budget",
+        module="repro.prefetchers.eip",
+        params="EIPParams",
+        build="build_eip",
+    ),
+    "sw-profile": _BuiltIn(
+        summary="profile-guided software prefetching (I-Spy-style)",
+        module="repro.prefetchers.swprefetch",
+        params="SWProfileParams",
+        build="build_sw_profile",
+        capabilities=Capabilities(needs_profile_pass=True),
+    ),
+    "mana": _BuiltIn(
+        summary="spatial-region records with HOBPT compression (MANA)",
+        module="repro.prefetchers.mana",
+        params="MANAParams",
+        build="build_mana",
+    ),
+    "shadow-btb": _BuiltIn(
+        summary="predecode filled lines; prefill the BTB with shadow branches",
+        module="repro.prefetchers.shadow_btb",
+        params="ShadowBTBParams",
+        build="build_shadow_btb",
+        capabilities=Capabilities(hooks_btb=True, observes_fills=True),
+    ),
+}
+_REGISTRY.update(_BUILTINS)

@@ -20,6 +20,8 @@ stall the stream until the fill arrives.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.backend.core import OP_BRANCH, BackendCore
 from repro.branch.unit import BranchPredictionUnit
 from repro.common.addr import INSTR_BYTES, LINE_BYTES
@@ -29,22 +31,21 @@ from repro.common.counters import Counters
 from repro.common.errors import SimulationError
 from repro.core.superline import superline_base
 from repro.core.udp import UDPFilter
-from repro.core.uftq import UFTQController
 from repro.frontend.bpu import DecoupledFrontend
 from repro.frontend.fdip import FDIPEngine
 from repro.frontend.fetch_block import RESTEER_AT_EXECUTE, FTQEntry, PendingResteer
 from repro.frontend.ftq import FetchTargetQueue
-from repro.memory.cache import CacheLine, make_cache
-from repro.memory.hierarchy import make_hierarchy
 from repro.memory.mshr import MSHRFile
 from repro.prefetchers.base import LINE_LIMIT, FrontendHooks, reject_prefetch_line
 from repro.prefetchers.registry import get_technique
 from repro.sim import driver
 from repro.sim.driver import NO_FASTFORWARD_ENV
-from repro.workloads.data import DataAddressGenerator
 from repro.workloads.profiles import DataProfile
 from repro.workloads.program import OP_LOAD, OP_STORE, BranchKind, Program
 from repro.workloads.trace import OracleCursor
+
+if TYPE_CHECKING:
+    from repro.memory.cache import CacheLine
 
 
 class Simulator:
@@ -91,9 +92,19 @@ class Simulator:
             self.counters,
             path_estimator=self.udp.path_estimator if self.udp is not None else None,
         )
-        self.hierarchy = make_hierarchy(config.memory, self.counters, compiled=comp)
-        self.l1i = make_cache(config.memory.l1i, comp)
-        if not comp:
+        # Each side imports only its own structures (repro.memory.compiled
+        # holds the driver's).
+        if comp:
+            from repro.memory.compiled import MemoryHierarchyC, SetAssocCacheC
+
+            self.hierarchy = MemoryHierarchyC(config.memory)
+            self.l1i = SetAssocCacheC(config.memory.l1i)
+        else:
+            from repro.memory.cache import SetAssocCache
+            from repro.memory.hierarchy import MemoryHierarchy
+
+            self.hierarchy = MemoryHierarchy(config.memory, self.counters)
+            self.l1i = SetAssocCache(config.memory.l1i)
             self.l1i.eviction_hook = self._on_l1i_eviction
         self.mshr = MSHRFile(config.memory.l1i.mshr_entries)
         # Technique construction is fully registry-driven: the capability
@@ -133,8 +144,7 @@ class Simulator:
         # measured region continues where it left them.
         seed = config.seed
         if comp:
-            from repro.backend.core import BackendCoreC, dep_flags
-            from repro.workloads.data import DataAddressGeneratorC
+            from repro.backend.core import BackendCoreC, DataAddressGeneratorC, dep_flags
 
             self.data_gen = DataAddressGeneratorC(
                 profile, seed, program.code_start, program.code_end
@@ -144,6 +154,8 @@ class Simulator:
                 dep_flags(program, seed, self.backend._dep_threshold)
             )
         else:
+            from repro.workloads.data import DataAddressGenerator
+
             self.data_gen = DataAddressGenerator(profile, seed)
             self.backend = BackendCore(
                 config.core,
@@ -155,11 +167,11 @@ class Simulator:
             if self.udp is not None:
                 self.backend.retire_hook = self.udp.on_retire
 
-        self.uftq = (
-            UFTQController(config.uftq, self.ftq, self.counters)
-            if config.uftq.mode != "off"
-            else None
-        )
+        self.uftq = None
+        if config.uftq.mode != "off":
+            from repro.core.uftq import UFTQController
+
+            self.uftq = UFTQController(config.uftq, self.ftq, self.counters)
         self._warmup_baseline: dict[str, int] | None = None
         self._warmup_cycle = 0
         self._warmup_retired = 0

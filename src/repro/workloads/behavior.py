@@ -16,21 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-_GOLDEN = 0x9E3779B97F4A7C15
-_MASK = (1 << 64) - 1
-
-
-def mix64(x: int) -> int:
-    """SplitMix64 finalizer: a fast, well-distributed 64-bit mixing hash."""
-    x = (x + _GOLDEN) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
+from repro.common.rng import GOLDEN, MASK64, mix64
 
 
 def unit_hash(seed: int, index: int) -> float:
     """Deterministic uniform value in [0, 1) for ``(seed, index)``."""
-    return mix64(seed ^ (index * _GOLDEN & _MASK)) / float(1 << 64)
+    return mix64(seed ^ (index * GOLDEN & MASK64)) / float(1 << 64)
 
 
 class DirectionBehavior:

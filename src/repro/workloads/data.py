@@ -13,15 +13,16 @@ three access classes from the workload's :class:`~repro.workloads.profiles.DataP
 Addresses are deterministic functions of ``(pc, per-pc occurrence)``; the
 generator keeps per-PC occurrence counters, so wrong-path executions of a
 load perturb the stream slightly — mirroring the paper's note that replayed
-wrong-path loads reuse prior addresses with <1% IPC effect.
+wrong-path loads reuse prior addresses with <1% IPC effect.  The compiled
+cycle driver's counters are :class:`repro.backend.core.DataAddressGeneratorC`.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from repro.common.packed import Stateful, address, view, zeros
-from repro.workloads.behavior import mix64
+from repro.common.packed import Stateful
+from repro.common.rng import mix64
 from repro.workloads.profiles import DataProfile
 
 _STACK_BASE = 0x7F_F000_0000
@@ -77,7 +78,7 @@ class DataAddressGenerator(Stateful):
 
         Two parallel ``bytes`` buffers, so pickling a checkpoint costs a
         memcpy instead of one tuple per touched pc; the same bytes as
-        :meth:`DataAddressGeneratorC.state`.
+        :meth:`repro.backend.core.DataAddressGeneratorC.state`.
         """
         occurrences = self._occurrences
         pcs = sorted(occurrences)
@@ -92,64 +93,3 @@ class DataAddressGenerator(Stateful):
         if len(pcs) != len(counts) or len(pcs) % 8:
             raise ValueError("occurrence state arrays disagree in length")
         self._occurrences = dict(zip(pcs.cast("q").tolist(), counts.cast("q").tolist()))
-
-
-class DataAddressGeneratorC:
-    """The generator's occurrence counters in a flat int64 array, for the
-    compiled cycle driver.
-
-    The descriptor is embedded in the backend's, so the driver computes
-    load/store addresses in C (``data_next_impl``) exactly like
-    :meth:`DataAddressGenerator.next_address`.  The array holds one counter
-    per instruction of the code region, index ``(pc - code_start) >> 2``
-    (instruction pcs are 4-byte aligned from ``code_start``).  The
-    class-probability boundary ``stack_frac + stream_frac`` is pre-summed
-    here with the same IEEE addition the interpreted path performs per
-    call.
-    """
-
-    def __init__(
-        self, profile: DataProfile, seed: int, code_start: int, code_end: int
-    ) -> None:
-        from repro.common import cc
-
-        kernels = cc.kernels()
-        if kernels is None:  # pragma: no cover - the simulator guards this
-            raise RuntimeError("compiled kernels unavailable")
-        self.profile = profile
-        self.seed = seed
-        self.code_start = code_start
-        self._occ_arr = zeros(max((code_end - code_start) >> 2, 1))
-        di = zeros(8)
-        di[0] = address(self._occ_arr)
-        di[1] = len(self._occ_arr)
-        di[2] = code_start
-        view(di, "Q")[3] = seed & 0xFFFF_FFFF_FFFF_FFFF
-        floats = view(di, "d")
-        floats[4] = profile.stack_frac
-        floats[5] = profile.stack_frac + profile.stream_frac
-        di[6] = profile.stride_bytes
-        di[7] = max(profile.data_footprint_bytes, 64)
-        self._di = di
-        self._desc = address(di)
-        self._k_export = kernels.pc_counts_export
-        self._k_import = kernels.pc_counts_import
-
-    def _counts(self) -> tuple[int, int, int]:
-        return address(self._occ_arr), len(self._occ_arr), self.code_start
-
-    def state(self) -> dict[str, bytes]:
-        """The nonzero occurrence counters as packed ``int64`` arrays, pcs
-        ascending (:meth:`DataAddressGenerator.state`'s form)."""
-        pcs, counts = self._k_export(*self._counts())
-        return {"pcs": pcs, "counts": counts}
-
-    def load_state(self, state: dict[str, bytes]) -> None:
-        """Restore :meth:`state` output in place; ``ValueError``, changing
-        nothing, unless both arrays hold as many ``int64`` and every pc lies
-        in the code region."""
-        self._k_import(*self._counts(), state["pcs"], state["counts"])
-
-    def copy_from(self, other: "DataAddressGeneratorC") -> None:
-        """Copy a same-program compiled generator's counters in place."""
-        memoryview(self._occ_arr)[:] = other._occ_arr

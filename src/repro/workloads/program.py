@@ -28,10 +28,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.common.addr import INSTR_BYTES
 from repro.common.errors import ProgramError
-from repro.workloads.behavior import DirectionBehavior, TargetBehavior
+
+if TYPE_CHECKING:  # the behaviours load with a program's block view
+    from repro.workloads.behavior import DirectionBehavior, TargetBehavior
 
 # Per-instruction operation kinds, stored as one byte each in the
 # program's op bytes (and ``BasicBlock.ops``) to keep large programs compact.

@@ -40,17 +40,6 @@ from operator import add, mul
 
 from repro.common.addr import INSTR_BYTES
 from repro.common.packed import address, zeros
-from repro.workloads.behavior import (
-    AlwaysTaken,
-    BiasedBehavior,
-    FixedTarget,
-    LoopBehavior,
-    PatternBehavior,
-    PhasedBehavior,
-    RotatingTargets,
-    WeightedTargets,
-    ZipfTargets,
-)
 from repro.workloads.program import BasicBlock, Branch, BranchKind, Program
 
 _MASK64 = (1 << 64) - 1
@@ -137,9 +126,12 @@ class _Unsupported(Exception):
 
 
 class _Nodes:
-    """Flat behaviour-node columns; one node per distinct behaviour object."""
+    """Flat behaviour-node columns; one node per distinct behaviour object
+    (the classes of :mod:`repro.workloads.behavior`, passed in as
+    ``behaviors``)."""
 
-    def __init__(self) -> None:
+    def __init__(self, behaviors) -> None:
+        self.behaviors = behaviors
         self.columns: tuple[list, ...] = tuple([] for _ in NODE_COLUMNS)
         self._ids: dict[int, int] = {}  # id(behaviour) -> node; the blocks hold them
 
@@ -161,21 +153,22 @@ class _Nodes:
 
     def direction(self, behavior) -> int:
         def build() -> int:
+            b = self.behaviors
             cls = type(behavior)
-            if cls is AlwaysTaken:
+            if cls is b.AlwaysTaken:
                 return self._add(B_ALWAYS)
-            if cls is BiasedBehavior:
+            if cls is b.BiasedBehavior:
                 return self._add(B_BIASED, behavior.seed, behavior.p_taken)
-            if cls is LoopBehavior:
+            if cls is b.LoopBehavior:
                 return self._add(B_LOOP, a=behavior.trip_count)
-            if cls is PatternBehavior:
+            if cls is b.PatternBehavior:
                 if not 0 <= behavior.pattern <= _INT64_MAX or behavior.length <= 0:
                     raise _Unsupported("pattern outside 63 bits")
                 return self._add(
                     B_PATTERN, behavior.seed, behavior.noise,
                     a=behavior.pattern, b=behavior.length,
                 )
-            if cls is PhasedBehavior:
+            if cls is b.PhasedBehavior:
                 if behavior.phase_length <= 0:
                     raise _Unsupported("non-positive phase length")
                 first = self.direction(behavior.first)
@@ -188,19 +181,20 @@ class _Nodes:
         return self._memo(behavior, build)
 
     def selector(self, behavior, num_targets: int) -> int:
+        b = self.behaviors
         cls = type(behavior)
-        if cls is FixedTarget:
+        if cls is b.FixedTarget:
             # Per branch: the index is range-checked against its own targets.
             if not -num_targets <= behavior.index < num_targets:
                 raise _Unsupported("fixed target index out of range")
             return self._add(B_FIXED, a=behavior.index)
 
         def build() -> int:
-            if cls is WeightedTargets:
+            if cls is b.WeightedTargets:
                 return self._add(B_WEIGHTED, behavior.seed, behavior.hot_fraction)
-            if cls is ZipfTargets:
+            if cls is b.ZipfTargets:
                 return self._add(B_ZIPF, behavior.seed, behavior.alpha)
-            if cls is RotatingTargets:
+            if cls is b.RotatingTargets:
                 return self._add(B_ROTATING)
             raise _Unsupported(f"target behaviour {cls.__name__}")
 
@@ -223,11 +217,15 @@ def flatten(blocks: list[BasicBlock]) -> Columns:
 
     The node columns are ``None`` when a behaviour cannot be flattened.
     """
+    # The behaviour classes load with a program built from blocks (or with
+    # a view, in _behaviours), never for a run over stored columns.
+    from repro.workloads import behavior as behaviors
+
     n = len(blocks)
     kind, target, behavior = [-1] * n, [0] * n, [-1] * n
     targets_off, targets_n = [0] * n, [0] * n
     targets: list[int] = []
-    nodes: _Nodes | None = _Nodes()
+    nodes: _Nodes | None = _Nodes(behaviors)
     for i, block in enumerate(blocks):
         branch = block.branch
         if branch is None:
@@ -386,26 +384,28 @@ def unflatten(program: Program) -> list[BasicBlock]:
 
 def _behaviours(columns: Columns) -> list:
     """One behaviour object per node; a phased node's children come first."""
+    from repro.workloads import behavior as behaviors
+
     built: list = []
     for kind, seed, f, a, b, c in zip(*(getattr(columns, name).tolist() for name in NODE_COLUMNS)):
         if kind == B_ALWAYS:
-            behaviour = AlwaysTaken()
+            behaviour = behaviors.AlwaysTaken()
         elif kind == B_BIASED:
-            behaviour = BiasedBehavior(seed, f)
+            behaviour = behaviors.BiasedBehavior(seed, f)
         elif kind == B_LOOP:
-            behaviour = LoopBehavior(a)
+            behaviour = behaviors.LoopBehavior(a)
         elif kind == B_PATTERN:
-            behaviour = PatternBehavior(seed, a, b, f)
+            behaviour = behaviors.PatternBehavior(seed, a, b, f)
         elif kind == B_PHASED:
-            behaviour = PhasedBehavior(built[b], built[c], a)
+            behaviour = behaviors.PhasedBehavior(built[b], built[c], a)
         elif kind == B_FIXED:
-            behaviour = FixedTarget(a)
+            behaviour = behaviors.FixedTarget(a)
         elif kind == B_WEIGHTED:
-            behaviour = WeightedTargets(seed, f)
+            behaviour = behaviors.WeightedTargets(seed, f)
         elif kind == B_ZIPF:
-            behaviour = ZipfTargets(seed, f)
+            behaviour = behaviors.ZipfTargets(seed, f)
         else:
-            behaviour = RotatingTargets()
+            behaviour = behaviors.RotatingTargets()
         built.append(behaviour)
     return built
 

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.branch.btb import (
-    BranchTargetBuffer,
-    BranchTargetBufferC,
-    IndirectTargetBuffer,
-    IndirectTargetBufferC,
-)
+from repro.branch.btb import BranchTargetBuffer, IndirectTargetBuffer
+from repro.branch.compiled import BranchTargetBufferC, IndirectTargetBufferC
 from repro.common import cc
 from repro.workloads.program import BranchKind
 

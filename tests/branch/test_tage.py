@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.branch.history import GlobalHistory, GlobalHistoryC
-from repro.branch.tage import (
-    CONF_HIGH,
-    CONF_LOW,
-    TagePredictor,
+from repro.branch.compiled import (
+    GlobalHistoryC,
     TagePredictorC,
-    _geometric_lengths,
+    geometric_lengths,
+    tage_foldings,
 )
+from repro.branch.history import GlobalHistory
+from repro.branch.tage import CONF_HIGH, CONF_LOW, TagePredictor
 from repro.common import cc
 from repro.common.config import BranchConfig
 
@@ -17,7 +17,7 @@ from repro.common.config import BranchConfig
 def make_tage(config: BranchConfig | None = None):
     config = config or BranchConfig()
     history = GlobalHistory(
-        config.tage_max_hist, TagePredictor.expected_foldings(config)
+        config.tage_max_hist, tage_foldings(config)
     )
     return TagePredictor(config, history), history
 
@@ -34,7 +34,7 @@ def run_branch(tage, history, pc, outcomes):
 
 
 def test_geometric_lengths_strictly_increasing():
-    lengths = _geometric_lengths(8, 4, 256)
+    lengths = geometric_lengths(8, 4, 256)
     assert lengths[0] == 4
     assert lengths[-1] == 256
     assert all(b > a for a, b in zip(lengths, lengths[1:]))
@@ -122,7 +122,7 @@ def test_prediction_object_carries_tables():
 
 def test_expected_foldings_two_per_table():
     config = BranchConfig()
-    foldings = TagePredictor.expected_foldings(config)
+    foldings = tage_foldings(config)
     assert len(foldings) == 2 * config.tage_tables
 
 
@@ -132,7 +132,7 @@ def test_load_state_rejects_table_length_mismatch(compiled):
     if compiled and cc.kernels() is None:
         pytest.skip("no C compiler on this host")
     config = BranchConfig()
-    foldings = TagePredictor.expected_foldings(config)
+    foldings = tage_foldings(config)
     if compiled:
         tage = TagePredictorC(config, GlobalHistoryC(config.tage_max_hist, foldings))
     else:

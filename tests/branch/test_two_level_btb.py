@@ -2,8 +2,9 @@
 
 import dataclasses
 
-from repro.branch.btb import BranchTargetBuffer, btb_from_config
+from repro.branch.btb import BranchTargetBuffer
 from repro.branch.two_level_btb import TwoLevelBTB
+from repro.branch.unit import btb_from_config
 from repro.common.config import BranchConfig
 from repro.workloads.program import BranchKind
 

@@ -17,15 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.branch.btb import (
-    BranchTargetBuffer,
-    BranchTargetBufferC,
-    IndirectTargetBuffer,
-    IndirectTargetBufferC,
-)
+from repro.branch.btb import BranchTargetBuffer, IndirectTargetBuffer
+from repro.branch.compiled import BranchTargetBufferC, IndirectTargetBufferC
 from repro.common import cc
 from repro.common.config import BranchConfig, MemoryConfig
-from repro.memory.cache import SetAssocCache, SetAssocCacheC
+from repro.memory.cache import SetAssocCache
+from repro.memory.compiled import SetAssocCacheC
 from repro.workloads.program import BranchKind
 
 pytestmark = pytest.mark.skipif(cc.kernels() is None, reason="no C compiler on this host")

@@ -1,6 +1,11 @@
 """Technique registry: registration rules, config round-trips, cache keys."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, dataclass
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +159,130 @@ def test_cache_key_distinguishes_params_and_kinds():
     other = spec_for("gcc", SimConfig().with_prefetcher("shadow-btb"))
     keys = {cache.key_for(s) for s in (base, tweaked, other)}
     assert len(keys) == 3
+
+
+# -- built-ins resolve on first lookup --------------------------------------------
+
+# In a fresh interpreter: the built-ins are listed before any technique
+# module loads, a lookup imports exactly its kind's module, a duplicate
+# built-in name still raises (importing nothing), ``repro techniques list``
+# resolves them all, and the walkthrough technique of docs/techniques.md
+# registers, runs and unregisters.
+FRESH_REGISTRY = """
+import contextlib, io, json, sys
+from dataclasses import dataclass
+
+from repro.common.config import SimConfig
+from repro.common.errors import ConfigError
+from repro.prefetchers import registry
+from repro.prefetchers.base import FrontendHooks, InstructionPrefetcher
+from repro.sim.engine import run_batch, spec_for
+from repro.workloads.program import Program
+
+MODULES = tuple(
+    f"repro.prefetchers.{name}"
+    for name in ("eip", "mana", "next_line", "shadow_btb", "swprefetch")
+)
+
+def loaded():
+    return [name for name in MODULES if name in sys.modules]
+
+report = {"names": registry.names(), "loaded_at_import": loaded()}
+registry.get_technique("mana")
+report["loaded_after_mana"] = loaded()
+try:
+    registry.register(registry.Technique(
+        name="eip", summary="", params_cls=registry.FDIPParams, build=lambda *args: None,
+    ))
+except ConfigError as exc:
+    report["duplicate"] = str(exc)
+report["loaded_after_duplicate"] = loaded()
+
+@dataclass(frozen=True)
+class StrideParams:
+    degree: int = 2
+
+    def validate(self) -> None:
+        if self.degree <= 0:
+            raise ConfigError("stride degree must be positive")
+
+class StridePrefetcher(InstructionPrefetcher):
+    name = "stride"
+
+    def __init__(self, params: StrideParams) -> None:
+        self.params = params
+
+    def on_demand_access(self, line_addr, hit, on_path):
+        if hit:
+            return []
+        return [line_addr + 64 * (i + 1) for i in range(self.params.degree)]
+
+def build_stride(params, program: Program, hooks: FrontendHooks):
+    return StridePrefetcher(params)
+
+registry.register(
+    registry.Technique(
+        name="stride",
+        summary="stride prefetch on demand misses",
+        params_cls=StrideParams,
+        build=build_stride,
+    )
+)
+config = SimConfig(max_instructions=2000, functional_warmup_blocks=200)
+(result,) = run_batch(
+    [spec_for("mediawiki", config.with_prefetcher("stride", standalone_only=True))],
+    jobs=1, no_cache=True,
+)
+report["stride_emitted"] = result["prefetches_emitted"]
+report["stride_retired"] = result.retired
+registry.unregister("stride")
+report["names_after"] = registry.names()
+from repro.cli import main
+table = io.StringIO()
+with contextlib.redirect_stdout(table):
+    main(["techniques", "list"])
+report["table"] = table.getvalue()
+report["loaded_after_list"] = loaded()
+print(json.dumps(report))
+"""
+
+# ``repro techniques list`` as it read when the built-ins were imported
+# eagerly (trailing blanks stripped).
+TECHNIQUES_TABLE = """\
+7 registered prefetch techniques
+technique   capabilities                  params (defaults)                                                                       summary
+----------  ----------------------------  --------------------------------------------------------------------------------------  --------------------------------------------------------------
+eip         fdip                          storage_bytes=8192, targets_per_entry=2, entangling_distance=8, wrong_path_aware=False  entangled instruction prefetching at a bounded storage budget
+fdip        fdip                          -                                                                                       fetch-directed prefetching from the FTQ (the paper's baseline)
+mana        fdip                          storage_bytes=8192, region_lines=8, lookahead_records=3, hob_entries=64, hob_shift=12   spatial-region records with HOBPT compression (MANA)
+next-line   fdip                          degree=1                                                                                prefetch N sequential lines on every demand miss
+none        -                             -                                                                                       no instruction prefetching at all (analysis baseline)
+shadow-btb  fdip,btb-hooks,fill-observer  max_prefills_per_fill=4                                                                 predecode filled lines; prefill the BTB with shadow branches
+sw-profile  fdip,profile-pass             profile_blocks=20000, prefetch_distance=12, max_targets_per_trigger=4                   profile-guided software prefetching (I-Spy-style)
+"""
+
+
+def test_builtins_resolve_at_first_lookup(tmp_path):
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+        "REPRO_CACHE_DIR": str(tmp_path),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_REGISTRY],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    builtins = ["eip", "fdip", "mana", "next-line", "none", "shadow-btb", "sw-profile"]
+    assert report["names"] == builtins
+    assert report["loaded_at_import"] == []
+    assert report["loaded_after_mana"] == ["repro.prefetchers.mana"]
+    assert "already registered" in report["duplicate"]
+    assert report["loaded_after_duplicate"] == ["repro.prefetchers.mana"]
+    assert report["stride_retired"] >= 2000
+    assert report["stride_emitted"] > 0  # FDIP is off: every prefetch is stride's
+    assert report["names_after"] == builtins
+    table = "".join(line.rstrip() + "\n" for line in report["table"].splitlines())
+    assert table == TECHNIQUES_TABLE
+    assert len(report["loaded_after_list"]) == 5

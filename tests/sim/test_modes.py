@@ -17,18 +17,19 @@ counters.
 
 import pytest
 
-from repro.backend.core import BackendCoreC
-from repro.branch.btb import BranchTargetBufferC, IndirectTargetBufferC
-from repro.branch.history import GlobalHistoryC
-from repro.branch.loop_predictor import LoopPredictorC
-from repro.branch.tage import TagePredictorC
+from repro.backend.core import BackendCoreC, DataAddressGeneratorC
+from repro.branch.compiled import (
+    BranchTargetBufferC,
+    GlobalHistoryC,
+    IndirectTargetBufferC,
+    LoopPredictorC,
+    TagePredictorC,
+)
 from repro.branch.two_level_btb import TwoLevelBTB
 from repro.common import cc
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
-from repro.memory.cache import SetAssocCacheC
-from repro.memory.hierarchy import MemoryHierarchyC
-from repro.memory.stream import StreamPrefetcherC
+from repro.memory.compiled import MemoryHierarchyC, SetAssocCacheC, StreamPrefetcherC
 from repro.sim import checkpoint as ckpt
 from repro.sim.presets import PRESET_BUILDERS
 from repro.sim.profile import build_simulator
@@ -36,7 +37,6 @@ from repro.sim.simulator import Simulator
 from repro.sim.tracer import PipelineTracer
 from repro.workloads import micro
 from repro.workloads import store as program_store
-from repro.workloads.data import DataAddressGeneratorC
 from repro.workloads.profiles import get_profile
 
 N = 4_000

@@ -5,8 +5,10 @@ machinery a pooled batch only, and the synthesis pipeline a process that
 builds a program; none of them belongs on a serial run's path.  Nor does a
 stored program's block view: the compiled driver reads the program's flat
 columns, so a compiled run never builds a ``BasicBlock``, while the object
-path walks the view.  Each check runs in a fresh interpreter, where
-``sys.modules`` starts empty.
+path walks the view.  A compiled run holds the structures' compiled twins,
+so it imports no object structure, no behaviour class and no technique it
+does not build; sampling loads with a sampled spec.  Each check runs in a
+fresh interpreter, where ``sys.modules`` starts empty.
 """
 
 from __future__ import annotations
@@ -26,8 +28,46 @@ OFF_PATH = (
     "numpy",
     "multiprocessing",
     "concurrent.futures",
+    "repro.sim.pool",
     "repro.workloads.synth",
     "repro.analysis",
+)
+
+# The object structures SERIAL_RUN's specs build on the object path; a
+# compiled run builds their twins (repro.branch.compiled,
+# repro.memory.compiled, repro.backend.core) instead.
+OBJECT_TWINS = (
+    "repro.branch.btb",
+    "repro.branch.history",
+    "repro.branch.tage",
+    "repro.memory.cache",
+    "repro.memory.hierarchy",
+    "repro.memory.stream",
+    "repro.workloads.data",
+)
+
+# Nor does a compiled run import what none of its specs runs: the block
+# view's behaviours, UFTQ, the techniques other than eip, or the compiler's
+# subprocess once the kernels are built.
+COMPILED_OFF_PATH = (
+    *OBJECT_TWINS,
+    "repro.workloads.behavior",
+    "repro.core.uftq",
+    "repro.prefetchers.mana",
+    "repro.prefetchers.next_line",
+    "repro.prefetchers.shadow_btb",
+    "repro.prefetchers.swprefetch",
+    "subprocess",
+)
+
+# The registry's technique modules, none of which the CLI's baseline run
+# builds.
+TECHNIQUE_MODULES = (
+    "repro.prefetchers.eip",
+    "repro.prefetchers.mana",
+    "repro.prefetchers.next_line",
+    "repro.prefetchers.shadow_btb",
+    "repro.prefetchers.swprefetch",
 )
 
 SERIAL_RUN = """
@@ -45,10 +85,14 @@ specs = [
     spec_for("gcc", config(presets.udp_config, 6000).with_sampling(2, 1000, 500), 1, "sampled"),
     spec_for("gcc", config(presets.eip_config, 2000), 1, "eip"),
 ]
+unsampled = [spec for spec in specs if not spec.config.sampling.enabled]
+run_batch(unsampled, jobs=1, no_cache=True)
+sampling_unsampled = "repro.sim.sampling" in sys.modules
 events = []
 for _ in range(2):  # the second batch restores the first one's warmup checkpoints
     run_batch(specs, jobs=1, no_cache=True, progress=events.append)
 print(json.dumps({
+    "sampling_unsampled": sampling_unsampled,
     "checkpoints": [e.checkpoint for e in events],
     "programs": [e.program_source for e in events],
     "modules": sorted(sys.modules),
@@ -61,7 +105,10 @@ print(json.dumps({
 EXPORTS = """
 import importlib, json
 failures = []
-for package in ("repro", "repro.sim", "repro.workloads", "repro.prefetchers", "repro.analysis"):
+for package in (
+    "repro", "repro.sim", "repro.workloads", "repro.prefetchers", "repro.analysis",
+    "repro.branch", "repro.core", "repro.memory", "repro.frontend", "repro.backend",
+):
     module = importlib.import_module(package)
     namespace = {}
     exec(f"from {package} import *", namespace)
@@ -102,18 +149,29 @@ def _python(code: str, cache_dir: Path, compiled: bool = True) -> str:
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "object"])
 def test_serial_run_loads_only_what_it_runs(tmp_path, compiled):
-    # An earlier process materializes the program, as a batch's parent
-    # does for its workers; the run below hydrates it from disk.
-    _python("from repro.workloads import store; store.materialize('gcc', 1)", tmp_path, compiled)
+    # An earlier process builds the kernels and materializes the program,
+    # as a batch's parent does for its workers; the run below loads the
+    # built kernels and hydrates the program from disk.
+    _python(
+        "from repro.common import cc; from repro.workloads import store; "
+        "cc.kernels(); store.materialize('gcc', 1)",
+        tmp_path,
+        compiled,
+    )
     report = json.loads(_python(SERIAL_RUN, tmp_path, compiled))
     assert "built" not in report["programs"]
     assert report["checkpoints"][3:] == ["restored"] * 3
     loaded = [name for name in OFF_PATH if name in report["modules"]]
     assert not loaded, f"a serial run imported {loaded}"
+    assert not report["sampling_unsampled"], "a batch with no sampled spec imported sampling"
     if report["driver"]:
         assert report["basic_blocks"] == 0, "a compiled run built the block view"
+        loaded = [name for name in COMPILED_OFF_PATH if name in report["modules"]]
+        assert not loaded, f"a compiled serial run imported {loaded}"
     else:
         assert report["basic_blocks"] > 0, "the object path walked no block view"
+        missing = [name for name in OBJECT_TWINS if name not in report["modules"]]
+        assert not missing, f"the object path did not import {missing}"
 
 
 def test_lazy_packages_export_every_listed_name(tmp_path):
@@ -124,5 +182,6 @@ def test_cli_run_does_not_import_numpy(tmp_path):
     # The CLI imports the analysis package, whose regression fit is the one
     # user of numpy; a plain run resolves none of it.
     modules = json.loads(_python(CLI_RUN, tmp_path).splitlines()[-1])
-    loaded = [name for name in ("numpy", "multiprocessing", "concurrent.futures") if name in modules]
+    off_path = ("numpy", "multiprocessing", "concurrent.futures", *TECHNIQUE_MODULES)
+    loaded = [name for name in off_path if name in modules]
     assert not loaded, f"repro run imported {loaded}"

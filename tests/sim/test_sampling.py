@@ -481,13 +481,15 @@ def test_a_compiled_handoff_never_takes_the_wire_form(monkeypatch, preset):
     # ten times as much (docs/performance.md, "Sampled simulation").
     if cc.kernels() is None:
         pytest.skip("no C compiler on this host")
-    from repro.branch.btb import BranchTargetBufferC, IndirectTargetBufferC
-    from repro.branch.history import GlobalHistoryC
-    from repro.branch.tage import TagePredictorC
-    from repro.memory.cache import SetAssocCacheC
-    from repro.memory.stream import StreamPrefetcherC
+    from repro.backend.core import DataAddressGeneratorC
+    from repro.branch.compiled import (
+        BranchTargetBufferC,
+        GlobalHistoryC,
+        IndirectTargetBufferC,
+        TagePredictorC,
+    )
+    from repro.memory.compiled import SetAssocCacheC, StreamPrefetcherC
     from repro.sim.profile import build_simulator
-    from repro.workloads.data import DataAddressGeneratorC
 
     config = PRESET_BUILDERS[preset](2_000).replace(
         functional_warmup_blocks=800
