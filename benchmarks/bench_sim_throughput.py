@@ -10,8 +10,8 @@ configurations: **compiled** — the runtime-built C kernels plus idle-cycle
 fast-forward, with the whole cycle loop in C on the presets the compiled
 cycle driver covers — **fast** — the object structures plus fast-forward
 (``REPRO_NO_COMPILED`` semantics) — and the **naive** oracle configuration
-— object structures and the one-cycle-at-a-time stepper
-(``REPRO_NO_COMPILED`` + ``REPRO_NO_FASTFORWARD`` semantics).  The median
+— object structures and the one-cycle-at-a-time stepper (``compiled=False``
+with ``fast_forward_enabled = False``).  The median
 over ``--reps`` interleaved repetitions is reported (container wall-clock
 is noisy), and all modes are cross-checked for byte-identical
 ``measured_counters()``.  On a compiler-less host the compiled mode

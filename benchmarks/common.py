@@ -51,14 +51,13 @@ def workloads(default: list[str]) -> list[str]:
 def _env_knobs() -> tuple[str, ...]:
     # Every env toggle that can change what a shared computation produces
     # must key the memo: the scaling knobs select the run set, and the
-    # mode gates (compiled kernels, fast-forward, checkpoint reuse) change
+    # mode gates (compiled kernels, checkpoint reuse) change
     # wall-clock-derived fields that benchmark rows embed.  The engine's
     # disk cache keys runs by config content; this tuple guards only the
     # in-process memo.
     return (
         os.environ.get("REPRO_BENCH_SCALE", "1.0"),
         os.environ.get("REPRO_BENCH_WORKLOADS", ""),
-        os.environ.get("REPRO_NO_FASTFORWARD", ""),
         os.environ.get("REPRO_NO_CHECKPOINT", ""),
         os.environ.get("REPRO_NO_COMPILED", ""),
     )

@@ -15,31 +15,32 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from repro.common.addr import LINE_BYTES
 from repro.common.errors import ConfigError
 
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Geometry and latency of one set-associative cache."""
+    """Geometry and latency of one set-associative cache (``LINE_BYTES``
+    lines, as every stage of the model assumes)."""
 
     name: str
     size_bytes: int
     assoc: int
-    line_bytes: int = 64
     hit_latency: int = 1
     mshr_entries: int = 16
 
     @property
     def num_sets(self) -> int:
-        return self.size_bytes // (self.assoc * self.line_bytes)
+        return self.size_bytes // (self.assoc * LINE_BYTES)
 
     def validate(self) -> None:
-        if self.size_bytes <= 0 or self.assoc <= 0 or self.line_bytes <= 0:
+        if self.size_bytes <= 0 or self.assoc <= 0:
             raise ConfigError(f"{self.name}: sizes must be positive")
-        if self.size_bytes % (self.assoc * self.line_bytes) != 0:
+        if self.size_bytes % (self.assoc * LINE_BYTES) != 0:
             raise ConfigError(
                 f"{self.name}: size {self.size_bytes} not divisible by "
-                f"assoc*line ({self.assoc}*{self.line_bytes})"
+                f"assoc*line ({self.assoc}*{LINE_BYTES})"
             )
         num_sets = self.num_sets
         if num_sets & (num_sets - 1):
@@ -279,14 +280,9 @@ class SamplingConfig:
         return max_instructions // self.num_intervals
 
     def validate(self, max_instructions: int) -> None:
-        if self.num_intervals < 0:
-            raise ConfigError("num_intervals must be non-negative")
+        """The period bound (``__post_init__`` enforces the rest)."""
         if not self.enabled:
             return
-        if self.interval_length <= 0:
-            raise ConfigError("sampling interval_length must be positive")
-        if self.detailed_warmup < 0:
-            raise ConfigError("sampling detailed_warmup must be non-negative")
         if self.num_intervals > max_instructions:
             raise ConfigError("more sampling intervals than instructions")
         period = self.period(max_instructions)

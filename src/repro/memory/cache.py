@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
+from repro.common.addr import LINE_BYTES
 from repro.common.config import CacheConfig
 from repro.common.packed import Stateful, unpack
 from repro.memory.compiled import CACHE_PLANES
@@ -47,7 +48,7 @@ class SetAssocCache(Stateful):
         self.config = config
         self.num_sets = config.num_sets
         self.assoc = config.assoc
-        self.line_shift = config.line_bytes.bit_length() - 1
+        self.line_shift = LINE_BYTES.bit_length() - 1
         self._set_mask = self.num_sets - 1
         # Each set is a dict ordered LRU -> MRU (insertion order).
         self._sets: list[dict[int, CacheLine]] = [dict() for _ in range(self.num_sets)]

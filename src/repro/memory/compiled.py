@@ -12,6 +12,7 @@ compiled run imports no object structure.
 
 from __future__ import annotations
 
+from repro.common.addr import LINE_BYTES
 from repro.common.config import CacheConfig, MemoryConfig
 from repro.common.packed import (
     address, copy_buffers, export_ways, import_ways, unpack, zeros
@@ -57,7 +58,7 @@ class SetAssocCacheC:
         self.config = config
         self.num_sets = config.num_sets
         self.assoc = config.assoc
-        self.line_shift = config.line_bytes.bit_length() - 1
+        self.line_shift = LINE_BYTES.bit_length() - 1
         ways = self.num_sets * self.assoc
         self._addrs = zeros(ways, fill=-1)
         self._flags = zeros(ways)

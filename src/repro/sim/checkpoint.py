@@ -6,9 +6,10 @@ On a compiled simulator that walk runs in C, whatever the preset (see
 ``Simulator._walk_true_path``), and restoring a checkpoint costs about
 what the walk costs; what a checkpoint saves is the Python walk of a
 simulator on the object structures (``compiled=False``,
-``REPRO_NO_COMPILED``, ``REPRO_NO_FASTFORWARD``, or branch behaviours the
-driver cannot compile), 0.07-0.5 s per warmup (docs/performance.md, "What
-checkpoints still buy").
+``REPRO_NO_COMPILED``, or kernels that do not build), 0.07-0.5 s per
+warmup (docs/performance.md, "What checkpoints still buy").  Units that
+share a missing key may each walk the warmup and write the same blob; the
+write is an atomic replace.
 
 The functional state is one table, :func:`_components`: every component
 :meth:`Simulator.functional_warmup` and ``fast_forward_to`` change, by
@@ -301,10 +302,6 @@ class CheckpointStore:
 
     def path_for(self, key: str) -> Path:
         return shard_path(self.root, key, ".ckpt")
-
-    def exists(self, key: str) -> bool:
-        memo_key = (str(self.root), key)
-        return memo_key in _BLOB_MEMO or self.path_for(key).is_file()
 
     def get(self, key: str) -> bytes | None:
         """The stored snapshot bytes, or ``None`` on a miss.

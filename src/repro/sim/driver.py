@@ -1,4 +1,4 @@
-"""The compiled cycle driver: eligibility and the Python side of its C calls.
+"""The compiled cycle driver: the Python side of its C calls.
 
 :class:`CycleDriver` runs :meth:`Simulator.step`'s whole loop in one C
 call (``run_cycles`` in ``repro/common/kernels/driver.c``) and returns to
@@ -33,10 +33,12 @@ descriptor of its own.  Everything the walk moved -- counters, the oracle
 position, UDP's useful-set -- is written back before it returns, and
 nothing stays in C.
 
-A simulator holds the C structures exactly when the driver can run it
-(:func:`ineligibility`, decided once, at construction), and the object
-structures, the oracle, otherwise; counters are byte-identical either way
-(``tests/sim/test_driver.py``, ``tests/sim/test_fuzz_modes.py``).
+A simulator holds the C structures exactly when it is compiled (the
+kernels build and neither ``compiled=False`` nor ``REPRO_NO_COMPILED``
+opts out, decided once, at construction: every program flattens to the
+driver's tables), and the object structures, the oracle, otherwise;
+counters are byte-identical either way (``tests/sim/test_driver.py``,
+``tests/sim/test_fuzz_modes.py``).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from itertools import compress
 from typing import TYPE_CHECKING
 
 from repro.common import cc
-from repro.common.artifacts import env_truthy
 from repro.common.errors import SimulationError
 from repro.common.packed import address, put, view, zeros
 from repro.prefetchers.base import reject_prefetch_line
@@ -57,9 +58,6 @@ from repro.workloads.tables import program_tables
 if TYPE_CHECKING:
     from repro.core.udp import UDPFilter
     from repro.sim.simulator import Simulator
-    from repro.workloads.program import Program
-
-NO_FASTFORWARD_ENV = "REPRO_NO_FASTFORWARD"
 
 # run_cycles status codes (kernels/driver.c).
 DONE, STOP, LIMIT = 0, 1, 2
@@ -75,26 +73,6 @@ _ERRORS = {
 NEVER = 1 << 62
 # functional_walk flags (kernels/driver.c).
 _WALK_WARM, _WALK_FIRST_TOUCH = 1, 2
-
-
-def ineligibility(program: "Program", compiled: bool | None = None) -> str | None:
-    """Why a simulator of ``program`` cannot run compiled, or None if it can.
-
-    What :class:`~repro.sim.simulator.Simulator` decides its structures by,
-    at construction: ``compiled`` (None defers to the environment) with the
-    kernels built (:func:`repro.common.cc.resolve_compiled`), idle-cycle
-    fast-forward on (``REPRO_NO_FASTFORWARD`` unset), and every branch
-    behaviour of the program compilable to the driver's tables.  All of it
-    is memoized per process or per program, so the decision costs nothing
-    per simulator.
-    """
-    if not cc.resolve_compiled(compiled):
-        return "compiled kernels off"
-    if env_truthy(NO_FASTFORWARD_ENV):
-        return "fast-forward off"
-    if program_tables(program) is None:
-        return "program behaviours not compilable"
-    return None
 
 
 class _Machine:

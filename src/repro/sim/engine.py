@@ -28,10 +28,12 @@ Two sweep-level reuse layers sit below the result cache (both disabled by
 * **functional-warmup checkpointing** (:mod:`repro.sim.checkpoint`) —
   specs are grouped by :func:`~repro.sim.checkpoint.checkpoint_key` (the
   program digest, the seed, and the warmup-affecting config subset, so an
-  FTQ-depth sweep shares one key); the first run of a group captures the
-  warmed state and every other run restores it instead of re-walking the
-  warmup.  On the pool path one *leader* per missing key runs first and its
-  *followers* are submitted as soon as the leader's checkpoint lands.
+  FTQ-depth sweep shares one key); a run that finds its key's checkpoint
+  restores it instead of re-walking the warmup, and one that misses walks
+  and stores it.  The serial path runs units in order, so the first run of
+  a group creates and the rest restore; on the pool path units that start
+  before their key's checkpoint lands each walk the warmup (a compiled
+  walk costs about what a restore does) and write the same blob.
 
 A spec whose config enables **interval sampling** (``SimConfig.sampling``,
 see :mod:`repro.sim.sampling`) is one work unit too, run as a chain: one
@@ -74,10 +76,15 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from repro.common import faults
 from repro.common.artifacts import (
     CACHE_DIR_ENV,
+    atomic_write_bytes,
     cache_root,
     canonical_key,
+    clear_dir,
+    dir_stats,
     env_truthy,
     package_fingerprint,
+    read_bytes_or_none,
+    shard_path,
 )
 from repro.common.config import SimConfig
 from repro.common.errors import ReproError
@@ -409,40 +416,45 @@ class SpecFailure:
         )
 
 
+def _setting(
+    env: str, default, parse, what: str, minimum, *,
+    strict: bool = False, value=None, argument: str = "",
+):
+    """An engine setting: ``value`` (the ``argument`` argument) if given,
+    else the environment variable ``env`` if set, else ``default``.
+
+    ``parse`` (``int`` or ``float``) reads it, and it must be at least
+    ``minimum`` (above it when ``strict``); otherwise a :class:`ValueError`
+    names the source of the bad value.
+    """
+    source = f"{argument} argument"
+    if value is None:
+        text = os.environ.get(env, "").strip()
+        if not text:
+            return default
+        source, value = f"{env}={text!r}", text
+    try:
+        value = parse(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if parse is int else "a number of seconds"
+        raise ValueError(f"{source}: {what} must be {kind}") from None
+    if not (value > minimum if strict else value >= minimum):  # NaN fails too
+        bound = f"{'>' if strict else '>='} {minimum}{'' if parse is int else ' seconds'}"
+        raise ValueError(f"{source}: {what} must be {bound}, got {value}")
+    return value
+
+
 def resolve_retries(retries: int | None = None) -> int:
     """Per-unit retry budget: explicit argument > ``REPRO_RETRIES`` > 1."""
-    source = "retries argument"
-    if retries is None:
-        env = os.environ.get(RETRIES_ENV, "").strip()
-        if not env:
-            return 1
-        source = f"{RETRIES_ENV}={env!r}"
-        try:
-            retries = int(env)
-        except ValueError:
-            raise ValueError(f"{source}: retry count must be an integer") from None
-    retries = int(retries)
-    if retries < 0:
-        raise ValueError(f"{source}: retry count must be >= 0, got {retries}")
-    return retries
+    return _setting(RETRIES_ENV, 1, int, "retry count", 0, value=retries, argument="retries")
 
 
 def resolve_unit_timeout(timeout: float | None = None) -> float | None:
     """Per-unit wall-clock budget in seconds, or ``None`` (no limit)."""
-    source = "unit_timeout argument"
-    if timeout is None:
-        env = os.environ.get(UNIT_TIMEOUT_ENV, "").strip()
-        if not env:
-            return None
-        source = f"{UNIT_TIMEOUT_ENV}={env!r}"
-        try:
-            timeout = float(env)
-        except ValueError:
-            raise ValueError(f"{source}: timeout must be a number of seconds") from None
-    timeout = float(timeout)
-    if timeout <= 0:
-        raise ValueError(f"{source}: timeout must be > 0 seconds, got {timeout}")
-    return timeout
+    return _setting(
+        UNIT_TIMEOUT_ENV, None, float, "timeout", 0,
+        strict=True, value=timeout, argument="unit_timeout",
+    )
 
 
 def resolve_failure_policy(policy: str | None = None) -> str:
@@ -463,15 +475,15 @@ def resolve_failure_policy(policy: str | None = None) -> str:
 
 
 def _retry_backoff() -> float:
-    """Base delay of the exponential retry backoff (seconds)."""
-    env = os.environ.get(RETRY_BACKOFF_ENV, "").strip()
-    if not env:
-        return 0.25
-    try:
-        backoff = float(env)
-    except ValueError:
-        return 0.25
-    return max(0.0, backoff)
+    """Base delay of the exponential retry backoff (``REPRO_RETRY_BACKOFF``
+    seconds, default 0.25)."""
+    return _setting(RETRY_BACKOFF_ENV, 0.25, float, "retry backoff", 0)
+
+
+def _timeout_grace() -> float:
+    """Extra slack the pool's parent-side timeout backstop grants a worker
+    (``REPRO_TIMEOUT_GRACE`` seconds, default 5)."""
+    return _setting(TIMEOUT_GRACE_ENV, 5.0, float, "timeout grace", 0)
 
 
 def _unit_tokens(spec: RunSpec) -> list[str]:
@@ -583,8 +595,7 @@ class ResultCache:
         )
 
     def path_for(self, spec: RunSpec) -> Path:
-        key = self.key_for(spec)
-        return self.root / key[:2] / f"{key}.json"
+        return shard_path(self.root, self.key_for(spec), ".json")
 
     # -- read/write ----------------------------------------------------------
 
@@ -592,13 +603,15 @@ class ResultCache:
         """The cached result for ``spec``, or ``None`` on any kind of miss."""
         if not spec.cacheable:
             return None
+        raw = read_bytes_or_none(self.path_for(spec))
+        if raw is None:
+            return None
         try:
-            raw = self.path_for(spec).read_text(encoding="utf-8")
             data = json.loads(raw)
             if data.get("schema") != _CACHE_SCHEMA:
                 return None
             result = SimResult.from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):
             return None
         # The label is presentation-only and not part of the key; restamp it
         # so differently-labelled submissions of one config read correctly.
@@ -610,19 +623,12 @@ class ResultCache:
         """Atomically persist ``result``; filesystem errors are non-fatal."""
         if not spec.cacheable:
             return
-        from repro.common.artifacts import atomic_write_bytes
-
         payload = {"schema": _CACHE_SCHEMA, "result": result.to_dict()}
         atomic_write_bytes(
             self.path_for(spec), json.dumps(payload).encode("utf-8")
         )
 
     # -- maintenance ---------------------------------------------------------
-
-    def _entry_paths(self) -> Iterable[Path]:
-        if not self.root.is_dir():
-            return []
-        return self.root.glob("*/*.json")
 
     def _program_store(self) -> ProgramStore:
         return ProgramStore(self.root / "programs")
@@ -631,14 +637,7 @@ class ResultCache:
         return ckpt.CheckpointStore(self.root / "checkpoints")
 
     def info(self) -> CacheInfo:
-        entries = 0
-        size = 0
-        for path in self._entry_paths():
-            try:
-                size += path.stat().st_size
-                entries += 1
-            except OSError:
-                continue
+        entries, size = dir_stats(self.root, "*/*.json")
         programs, program_bytes = self._program_store().stats()
         checkpoints, checkpoint_bytes = self._checkpoint_store().stats()
         return CacheInfo(
@@ -663,12 +662,7 @@ class ResultCache:
             raise ValueError(f"unknown cache classes: {sorted(unknown)}")
         removed = 0
         if "results" in selected:
-            for path in list(self._entry_paths()):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    continue
+            removed += clear_dir(self.root, "*/*.json")
         if "programs" in selected:
             removed += self._program_store().clear()
         if "checkpoints" in selected:
@@ -816,20 +810,9 @@ def resolve_jobs(jobs: int | None = None) -> int:
     ``ProcessPoolExecutor``, whose own error would not say where the
     nonsense value came from.
     """
-    source = "jobs argument"
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV, "").strip()
-        if not env:
-            return os.cpu_count() or 1
-        source = f"{JOBS_ENV}={env!r}"
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"{source}: worker count must be an integer") from None
-    jobs = int(jobs)
-    if jobs <= 0:
-        raise ValueError(f"{source}: worker count must be >= 1, got {jobs}")
-    return jobs
+    return _setting(
+        JOBS_ENV, os.cpu_count() or 1, int, "worker count", 1, value=jobs, argument="jobs"
+    )
 
 
 def run_batch(
@@ -862,11 +845,10 @@ def run_batch(
     is one work unit, a sampled one included (its intervals run as one
     chain inside the unit, see :func:`_run_sampled`).  Before the
     pool spawns, each distinct (workload, seed) program is materialized once
-    in this process, and pending specs are grouped by warmup checkpoint key:
-    one leader per group whose checkpoint is not yet on disk runs first, and
-    its followers are submitted the moment the leader finishes (their
-    restore then hits the leader's freshly written snapshot).  Completion
-    order never affects the returned order.
+    in this process.  Units are submitted as they come: one that finds its
+    warmup checkpoint restores it, and one that misses walks the warmup and
+    writes it, so pooled units sharing a missing key may each write it.
+    Completion order never affects the returned order.
 
     **Failure handling** (identical semantics on the serial and pool
     paths): each work unit (one spec) gets ``1 + retries`` executions
@@ -1030,9 +1012,8 @@ def run_batch(
     # identical serial and pooled.
     workers = min(resolve_jobs(jobs), len(pending)) if pending else 0
     if workers <= 1:
-        # Serial path needs no claim scheduling: units run in order, so the
-        # first unit of each checkpoint group creates the snapshot and later
-        # ones restore it.
+        # Units run in order, so the first unit of each checkpoint group
+        # creates the snapshot and later ones restore it.
         for index in pending:
             attempts = 0
             while True:

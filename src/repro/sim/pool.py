@@ -1,12 +1,15 @@
 """The process pool behind a pooled batch (:func:`repro.sim.engine.run_batch`).
 
 :func:`run_pool` fans a batch's work units out over a
-``concurrent.futures.ProcessPoolExecutor`` and supervises them: checkpoint
-claims, retries, broken-pool recovery and the hung-worker backstop.  Only a
-pooled batch imports this module (and, through it, ``multiprocessing``); a
-serial batch runs its units in-process and never loads it.  Workers run
+``concurrent.futures.ProcessPoolExecutor`` and supervises them: retries,
+broken-pool recovery and the hung-worker backstop.  Only a pooled batch
+imports this module (and, through it, ``multiprocessing``); a serial batch
+runs its units in-process and never loads it.  Workers run
 :func:`repro.sim.engine._run_unit`, which the pool pickles by reference, so
-both paths share one unit entry point.
+both paths share one unit entry point.  Every unit is submitted as it
+comes: units that share a missing warmup checkpoint may each walk the
+warmup and write the same blob (an atomic replace); a compiled walk costs
+about what a restore does.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
-import os
 import time
 from collections import deque
 from concurrent.futures import (
@@ -27,19 +29,7 @@ from concurrent.futures import (
 from typing import Callable
 
 from repro.common import faults
-from repro.sim import checkpoint as ckpt
-from repro.sim.engine import TIMEOUT_GRACE_ENV, RunSpec, _checkpoint_key_for, _run_unit
-
-
-def _timeout_grace() -> float:
-    """Extra slack the parent-side timeout backstop grants a worker."""
-    env = os.environ.get(TIMEOUT_GRACE_ENV, "").strip()
-    if not env:
-        return 5.0
-    try:
-        return max(0.0, float(env))
-    except ValueError:
-        return 5.0
+from repro.sim.engine import RunSpec, _run_unit, _timeout_grace
 
 
 def _init_worker() -> None:
@@ -83,14 +73,9 @@ def run_pool(
 
     Responsibilities beyond plain fan-out:
 
-    * **Checkpoint-claim scheduling** — a unit whose warmup checkpoint is
-      missing claims its key; a unit hitting a key claimed by another unit
-      parks there until that unit completes, so every missing checkpoint
-      is created exactly once instead of racing in every worker.
-    * **Retry with backoff** — a unit that raises is rescheduled (keeping
-      its claim) until its ``1 + retries`` attempt budget is spent, then
-      recorded as a permanent failure and its claim released so parked
-      followers re-run as leaders (no deadlock, no lost results).
+    * **Retry with backoff** — a unit that raises is rescheduled until its
+      ``1 + retries`` attempt budget is spent, then recorded as a permanent
+      failure; the units that share its checkpoint key run regardless.
     * **Broken-pool recovery** — a dying worker breaks the whole
       executor, failing *every* in-flight future.  The supervisor
       rebuilds the pool and re-runs the affected units one at a time
@@ -107,10 +92,6 @@ def run_pool(
     # once here instead of in every worker's first unit.
     import repro.sim.simulator  # noqa: F401
 
-    store = ckpt.CheckpointStore()
-    create_key = {unit: _checkpoint_key_for(spec_list[unit]) for unit in units}
-    claimed: dict[str, int] = {}
-    parked: dict[str, list[int]] = {}
     waiting: dict = {}
     deadlines: dict = {}
     unit_attempts: dict[int, int] = {}  # failed attempts so far
@@ -135,30 +116,12 @@ def run_pool(
             pass
         pool = make_pool()
 
-    def release(unit: int) -> list[int]:
-        """Drop the unit's claim; returns the units parked behind it."""
-        key = create_key[unit]
-        if key is None or claimed.get(key) != unit:
-            return []
-        del claimed[key]
-        return parked.pop(key, [])
-
     def submit(unit: int) -> None:
-        """Hand a claim-cleared unit to the pool."""
+        """Hand a unit to the pool."""
         future = pool.submit(_run_unit, spec_list[unit], unit_timeout)
         waiting[future] = unit
         if unit_timeout is not None:
             deadlines[future] = time.monotonic() + unit_timeout * 2 + grace
-
-    def try_submit(unit: int) -> None:
-        """Claim the unit's missing checkpoint, then submit or park it."""
-        key = create_key[unit]
-        if key is not None and not store.exists(key):
-            owner = claimed.setdefault(key, unit)
-            if owner != unit:
-                parked.setdefault(key, []).append(unit)
-                return
-        submit(unit)
 
     def attempt_failed(
         unit: int, kind: str, message: str, interval: int = -1
@@ -172,12 +135,7 @@ def run_pool(
                 retry_heap, (time.monotonic() + delay, next(sequence), unit)
             )
         else:
-            pending_submit.extend(release(unit))
             fail(failure_for(unit, kind, message, failed_count, interval))
-
-    def succeeded(unit: int, payload: tuple) -> None:
-        deliver(unit, payload, unit_attempts.pop(unit, 0) + 1)
-        pending_submit.extend(release(unit))
 
     def settle(unit: int, future) -> bool:
         """Resolve one completed future; True if it broke the pool."""
@@ -194,7 +152,7 @@ def run_pool(
         except Exception as exc:  # noqa: BLE001 - classified below
             attempt_failed(unit, *classify(exc))
         else:
-            succeeded(unit, payload)
+            deliver(unit, payload, unit_attempts.pop(unit, 0) + 1)
         return False
 
     def recover_broken_pool(first_unit: int) -> None:
@@ -219,7 +177,6 @@ def run_pool(
             unit_attempts[culprit] = failed_count
             if failed_count > retries:
                 quarantine.popleft()
-                pending_submit.extend(release(culprit))
                 fail(
                     failure_for(
                         culprit,
@@ -273,9 +230,9 @@ def run_pool(
                 now = time.monotonic()
                 while retry_heap and retry_heap[0][0] <= now:
                     _, _, unit = heapq.heappop(retry_heap)
-                    try_submit(unit)
+                    submit(unit)
                 while pending_submit and len(waiting) < workers:
-                    try_submit(pending_submit.popleft())
+                    submit(pending_submit.popleft())
             if not (waiting or pending_submit or retry_heap or quarantine):
                 break
             if not waiting:

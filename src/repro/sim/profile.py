@@ -165,24 +165,22 @@ def profile_run(
     """Profile one simulation and attribute time to step() stages.
 
     ``fast_forward=False`` forces the naive stepper, on the object
-    structures; ``True`` (the default) defers to the simulator's own
-    setting so ``REPRO_NO_FASTFORWARD=1`` still wins when the CLI flag is
-    not given.
+    structures; ``True`` (the default) runs compiled unless
+    ``REPRO_NO_COMPILED`` opts out or the kernels do not build.
     """
     from repro.common import cc
     from repro.common.artifacts import reuse_disabled
 
     simulator = build_simulator(workload, config, seed, compiled=None if fast_forward else False)
-    if not fast_forward:
-        simulator.fast_forward_enabled = False
-    fast_forward = simulator.fast_forward_enabled
+    simulator.fast_forward_enabled = fast_forward
 
     kernels = cc.kernels() if simulator.compiled_enabled else None
     if kernels is not None:
         kernels.reset_call_counts()
     # The naive stepper runs the object structures, whatever else holds.
     driver_off_reason = (
-        "fast-forward off" if not fast_forward else simulator.driver_off_reason or ""
+        "" if simulator.compiled_enabled
+        else "compiled kernels off" if fast_forward else "fast-forward off"
     )
 
     profiler = cProfile.Profile()
@@ -196,7 +194,7 @@ def profile_run(
         "fast-forward": fast_forward,
         "checkpoint": not reuse_disabled(),
         "compiled": simulator.compiled_enabled,
-        "driver": not driver_off_reason,
+        "driver": simulator.compiled_enabled,
     }
     kernel_calls = cc.kernel_call_counts() if kernels is not None else {}
 

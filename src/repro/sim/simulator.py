@@ -24,8 +24,8 @@ from typing import TYPE_CHECKING
 
 from repro.backend.core import OP_BRANCH, BackendCore
 from repro.branch.unit import BranchPredictionUnit
+from repro.common import cc
 from repro.common.addr import INSTR_BYTES, LINE_BYTES
-from repro.common.artifacts import env_truthy
 from repro.common.config import SimConfig
 from repro.common.counters import Counters
 from repro.common.errors import SimulationError
@@ -39,7 +39,6 @@ from repro.memory.mshr import MSHRFile
 from repro.prefetchers.base import LINE_LIMIT, FrontendHooks, reject_prefetch_line
 from repro.prefetchers.registry import get_technique
 from repro.sim import driver
-from repro.sim.driver import NO_FASTFORWARD_ENV
 from repro.workloads.profiles import DataProfile
 from repro.workloads.program import OP_LOAD, OP_STORE, BranchKind, Program
 from repro.workloads.trace import OracleCursor
@@ -62,13 +61,12 @@ class Simulator:
         self.program = program
         self.config = config
         # Compiled means the compiled cycle driver: this simulator holds the
-        # C structures exactly when the driver can run it (kernels built,
-        # fast-forward on, program behaviours compilable; see
-        # driver.ineligibility), and the object structures, which the
-        # Python stepper and walk run, otherwise.  Counters are
-        # byte-identical either way (tests/sim/test_modes.py).
-        self.driver_off_reason = driver.ineligibility(program, compiled)
-        self.compiled_enabled = comp = self.driver_off_reason is None
+        # C structures exactly when ``compiled`` (None defers to
+        # REPRO_NO_COMPILED) asks for them and the kernels build, and the
+        # object structures, which the Python stepper and walk run,
+        # otherwise.  Counters are byte-identical either way
+        # (tests/sim/test_modes.py).
+        self.compiled_enabled = comp = cc.resolve_compiled(compiled)
         self.counters = Counters()
         self.cycle = 0
 
@@ -178,11 +176,11 @@ class Simulator:
         self._warmed = False
 
         # Idle-cycle fast-forward (see docs/performance.md).  Counters are
-        # byte-identical either way; REPRO_NO_FASTFORWARD (or clearing this
-        # flag on an object simulator) keeps the naive one-cycle-at-a-time
-        # stepper as the oracle for equivalence tests.  The compiled cycle
-        # driver always fast-forwards.
-        self.fast_forward_enabled = not env_truthy(NO_FASTFORWARD_ENV)
+        # byte-identical either way; clearing this flag on an object
+        # simulator keeps the naive one-cycle-at-a-time stepper as the
+        # oracle for equivalence tests.  The compiled cycle driver always
+        # fast-forwards.
+        self.fast_forward_enabled = True
         self.ff_cycles_skipped = 0  # cycles advanced without a full step
         self.ff_jumps = 0  # number of fast-forward jumps taken
         self.steps_executed = 0  # full step() bodies run (perf smoke checks)

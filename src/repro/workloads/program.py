@@ -162,15 +162,16 @@ class Program:
     (documented model simplification; synthesized programs end in an
     unconditional backward jump so the wrap is never exercised on-path).
 
-    Built from blocks, a program validates them, keeps them as its view and
-    flattens them into :attr:`columns`; a program whose behaviours cannot
-    be flattened has no behaviour nodes there, so it has no driver tables
-    and cannot be stored.  :meth:`from_state` builds one from stored
-    columns, checked first.
+    Built from blocks, a program checks each block for what the columns
+    cannot show (:meth:`BasicBlock.validate`), keeps the blocks as its view
+    and flattens them into :attr:`columns`, which then pass the same check
+    as a stored program's (:func:`repro.workloads.tables.checked_columns`);
+    any failure is a :class:`~repro.common.errors.ProgramError`.
+    :meth:`from_state` builds one from stored columns, checked first.
     """
 
     def __init__(self, blocks: list[BasicBlock], entry: int | None = None) -> None:
-        from repro.workloads.tables import flatten  # tables imports this module
+        from repro.workloads.tables import checked_columns, flatten  # tables imports this module
 
         if not blocks:
             raise ProgramError("a program needs at least one block")
@@ -180,21 +181,13 @@ class Program:
             block.index = i
             if not block.ops:
                 block.ops = bytes(block.num_instrs)  # all ALU, one byte each like the columns
-        for prev, cur in zip(blocks, blocks[1:]):
-            if prev.end_addr != cur.addr:
-                raise ProgramError(
-                    f"gap/overlap between block @{prev.addr:#x} (end "
-                    f"{prev.end_addr:#x}) and block @{cur.addr:#x}"
-                )
+        entry = blocks[0].addr if entry is None else entry
+        buffers = flatten(blocks)
+        try:
+            self._adopt(entry, checked_columns(entry, *buffers))
+        except ValueError as exc:
+            raise ProgramError(str(exc)) from None
         self.blocks = blocks
-        self._starts = [b.addr for b in blocks]
-        self.code_start = blocks[0].addr
-        self.code_end = blocks[-1].end_addr
-        self.entry = self.code_start if entry is None else entry
-        if not self.contains(self.entry):
-            raise ProgramError(f"entry {self.entry:#x} outside code region")
-        self._validate_targets()
-        self.columns = flatten(blocks)
 
     @classmethod
     def from_state(cls, state: tuple) -> "Program":
@@ -204,21 +197,20 @@ class Program:
 
         entry, *buffers = state
         program = cls.__new__(cls)
-        program.columns = columns = checked_columns(entry, *buffers)
-        program.code_start = columns.addr[0]
-        program.code_end = columns.addr[-1] + columns.ninstr[-1] * INSTR_BYTES
-        program.entry = entry
+        program._adopt(entry, checked_columns(entry, *buffers))
         return program
+
+    def _adopt(self, entry: int, columns) -> None:
+        self.columns = columns
+        self.code_start = columns.addr[0]
+        self.code_end = columns.addr[-1] + columns.ninstr[-1] * INSTR_BYTES
+        self.entry = entry
 
     def state(self) -> tuple:
         """The entry and the column buffers: what the program store keeps."""
-        if self.columns.nodes is None:
-            raise ProgramError("a program whose behaviours cannot be flattened cannot be stored")
         return (self.entry, *self.columns.state())
 
     def __reduce__(self):
-        if self.columns.nodes is None:
-            return Program, (self.blocks, self.entry)
         return Program.from_state, (self.state(),)
 
     @cached_property
@@ -232,32 +224,6 @@ class Program:
     @cached_property
     def _starts(self) -> list[int]:
         return self.columns.addr.tolist()
-
-    def _validate_targets(self) -> None:
-        starts = set(self._starts)
-        for block in self.blocks:
-            branch = block.branch
-            if branch is None:
-                continue
-            targets: tuple[int, ...]
-            if branch.kind == BranchKind.RET:
-                targets = ()
-            elif branch.kind.is_indirect:
-                targets = branch.targets
-                if not targets:
-                    raise ProgramError(f"indirect branch @{branch.pc:#x} has no targets")
-            else:
-                targets = (branch.target,)
-            for target in targets:
-                if not self.contains(target):
-                    raise ProgramError(
-                        f"branch @{branch.pc:#x} targets {target:#x} outside code"
-                    )
-                if target not in starts:
-                    raise ProgramError(
-                        f"branch @{branch.pc:#x}: target {target:#x} is not a "
-                        f"block start (the oracle walks block-aligned)"
-                    )
 
     # -- address mapping ---------------------------------------------------
 

@@ -108,11 +108,7 @@ class ProgramStore:
             return None
 
     def store(self, workload: str, seed: int, program: Program) -> None:
-        """Atomically persist ``program``; filesystem errors are non-fatal.
-
-        Raises :class:`~repro.common.errors.ProgramError` for a program
-        whose behaviours cannot be flattened.
-        """
+        """Atomically persist ``program``; filesystem errors are non-fatal."""
         blob = pickle.dumps(program.state(), protocol=pickle.HIGHEST_PROTOCOL)
         atomic_write_bytes(self.path_for(workload, seed), blob)
 

@@ -13,13 +13,14 @@ behaviours as the flat columns the compiled cycle driver reads
   driver.c's), seed, ``f``, ``a``, ``b`` and ``c``;
 * the indirect targets.
 
-This module owns that format.  :func:`flatten` builds the columns when a
-program is built from blocks; :func:`checked_columns` validates a stored
-program's buffers before anything reads them (everything C relies on);
-:func:`unflatten` builds the :class:`~repro.workloads.program.BasicBlock`
-view back, the first time Python walks a program; and
-:class:`ProgramTables` is the C ``ProgTables`` descriptor over the
-program's own buffers.  The program store pickles only the buffers.
+This module owns that format.  :func:`flatten` builds the buffers when a
+program is built from blocks; :func:`checked_columns` validates every
+program's buffers, built or stored, before anything reads them
+(everything C relies on); :func:`unflatten` builds the
+:class:`~repro.workloads.program.BasicBlock` view back, the first time
+Python walks a program; and :class:`ProgramTables` is the C ``ProgTables``
+descriptor over the program's own buffers.  The program store pickles only
+the buffers.
 
 :func:`program_cache` is the per-process memo of what is derived from a
 program alone: a dict attached weakly to the program object (programs are
@@ -39,11 +40,11 @@ from itertools import compress, repeat
 from operator import add, mul
 
 from repro.common.addr import INSTR_BYTES
+from repro.common.errors import ProgramError
 from repro.common.packed import address, zeros
 from repro.workloads.program import BasicBlock, Branch, BranchKind, Program
 
 _MASK64 = (1 << 64) - 1
-_INT64_MAX = (1 << 63) - 1
 
 _CACHE: "weakref.WeakKeyDictionary[Program, dict]" = weakref.WeakKeyDictionary()
 
@@ -85,26 +86,21 @@ class Columns:
 
     ``blocks`` holds the per-block columns (:data:`BLOCK_COLUMNS`) as
     consecutive runs of one ``int64`` array, ``nodes`` the per-node ones
-    (:data:`NODE_COLUMNS`; ``None`` when a behaviour cannot be flattened:
-    such a program keeps its blocks, runs the object path and cannot be
-    stored), ``ops`` the op bytes and ``targets`` the indirect targets.
-    Each named column is a read-only memoryview into its buffer;
-    ``node_seed`` reads ``uint64`` and ``node_f`` ``double``.
+    (:data:`NODE_COLUMNS`), ``ops`` the op bytes and ``targets`` the
+    indirect targets.  Each named column is a read-only memoryview into its
+    buffer; ``node_seed`` reads ``uint64`` and ``node_f`` ``double``.
     """
 
     __slots__ = ("blocks", "ops", "nodes", "targets", "n_blocks", *BLOCK_COLUMNS, *NODE_COLUMNS)
 
-    def __init__(self, blocks: array, ops: bytes, nodes: array | None, targets: array) -> None:
+    def __init__(self, blocks: array, ops: bytes, nodes: array, targets: array) -> None:
         self.blocks, self.ops, self.nodes, self.targets = blocks, ops, nodes, targets
         self.n_blocks = len(blocks) // len(BLOCK_COLUMNS)
-        for name, column in zip(BLOCK_COLUMNS, _split(blocks, len(BLOCK_COLUMNS))):
-            setattr(self, name, column)
-        columns = _split(nodes, len(NODE_COLUMNS)) if nodes is not None else repeat(None)
-        for name, column in zip(NODE_COLUMNS, columns):
-            setattr(self, name, column)
-        if nodes is not None:
-            self.node_seed = self.node_seed.cast("B").cast("Q")
-            self.node_f = self.node_f.cast("B").cast("d")
+        for names, table in ((BLOCK_COLUMNS, blocks), (NODE_COLUMNS, nodes)):
+            for name, column in zip(names, _split(table, len(names))):
+                setattr(self, name, column)
+        self.node_seed = self.node_seed.cast("B").cast("Q")
+        self.node_f = self.node_f.cast("B").cast("d")
 
     def state(self) -> tuple:
         """The four buffers: what the program store pickles."""
@@ -121,14 +117,11 @@ def _split(table: array, count: int) -> list[memoryview]:
 # -- flatten: blocks -> columns ----------------------------------------------
 
 
-class _Unsupported(Exception):
-    """A branch behaviour (or parameter) the flat columns cannot express."""
-
-
 class _Nodes:
     """Flat behaviour-node columns; one node per distinct behaviour object
     (the classes of :mod:`repro.workloads.behavior`, passed in as
-    ``behaviors``)."""
+    ``behaviors``).  The nodes' parameters are checked with the rest of the
+    columns, by :func:`checked_columns`."""
 
     def __init__(self, behaviors) -> None:
         self.behaviors = behaviors
@@ -136,12 +129,7 @@ class _Nodes:
         self._ids: dict[int, int] = {}  # id(behaviour) -> node; the blocks hold them
 
     def _add(self, kind, seed=0, f=0.0, a=0, b=0, c=0) -> int:
-        for value in (a, b, c):
-            if not -_INT64_MAX <= value <= _INT64_MAX:
-                raise _Unsupported("behaviour parameter outside int64")
-        if not math.isfinite(f):
-            raise _Unsupported("non-finite behaviour parameter")
-        for column, value in zip(self.columns, (kind, seed & _MASK64, float(f), a, b, c)):
+        for column, value in zip(self.columns, (kind, seed & _MASK64, f, a, b, c)):
             column.append(value)
         return len(self.columns[0]) - 1
 
@@ -162,31 +150,26 @@ class _Nodes:
             if cls is b.LoopBehavior:
                 return self._add(B_LOOP, a=behavior.trip_count)
             if cls is b.PatternBehavior:
-                if not 0 <= behavior.pattern <= _INT64_MAX or behavior.length <= 0:
-                    raise _Unsupported("pattern outside 63 bits")
                 return self._add(
                     B_PATTERN, behavior.seed, behavior.noise,
                     a=behavior.pattern, b=behavior.length,
                 )
             if cls is b.PhasedBehavior:
-                if behavior.phase_length <= 0:
-                    raise _Unsupported("non-positive phase length")
                 first = self.direction(behavior.first)
                 second = self.direction(behavior.second)
                 return self._add(
                     B_PHASED, a=behavior.phase_length, b=first, c=second
                 )
-            raise _Unsupported(f"direction behaviour {cls.__name__}")
+            raise ProgramError(f"direction behaviour {cls.__name__} has no node kind")
 
         return self._memo(behavior, build)
 
-    def selector(self, behavior, num_targets: int) -> int:
+    def selector(self, behavior) -> int:
         b = self.behaviors
         cls = type(behavior)
         if cls is b.FixedTarget:
-            # Per branch: the index is range-checked against its own targets.
-            if not -num_targets <= behavior.index < num_targets:
-                raise _Unsupported("fixed target index out of range")
+            # One node per branch, not per behaviour object, as stored
+            # programs number them.
             return self._add(B_FIXED, a=behavior.index)
 
         def build() -> int:
@@ -196,26 +179,30 @@ class _Nodes:
                 return self._add(B_ZIPF, behavior.seed, behavior.alpha)
             if cls is b.RotatingTargets:
                 return self._add(B_ROTATING)
-            raise _Unsupported(f"target behaviour {cls.__name__}")
+            raise ProgramError(f"target behaviour {cls.__name__} has no node kind")
 
         return self._memo(behavior, build)
 
     def table(self) -> array:
         """The node columns as one ``int64`` array (seeds and ``f`` as bits)."""
         kind, seed, f, a, b, c = self.columns
-        table = array("q", kind)
-        table.frombytes(array("Q", seed).tobytes())
-        table.frombytes(array("d", f).tobytes())
-        for column in (a, b, c):
-            table.extend(column)
+        try:
+            table = array("q", kind)
+            table.frombytes(array("Q", seed).tobytes())
+            table.frombytes(array("d", f).tobytes())
+            for column in (a, b, c):
+                table.extend(column)
+        except OverflowError:
+            raise ProgramError("a behaviour parameter is outside int64") from None
         return table
 
 
-def flatten(blocks: list[BasicBlock]) -> Columns:
-    """The columns of ``blocks``: a validated program's, sorted, tiling and
-    with one op byte per instruction.
+def flatten(blocks: list[BasicBlock]) -> tuple[array, bytes, array, array]:
+    """The buffers of ``blocks`` (sorted, with one op byte per instruction),
+    in :class:`Columns` order and not yet checked.
 
-    The node columns are ``None`` when a behaviour cannot be flattened.
+    Raises :class:`~repro.common.errors.ProgramError` for a branch
+    behaviour with no node kind, or a value outside int64.
     """
     # The behaviour classes load with a program built from blocks (or with
     # a view, in _behaviours), never for a run over stored columns.
@@ -225,41 +212,36 @@ def flatten(blocks: list[BasicBlock]) -> Columns:
     kind, target, behavior = [-1] * n, [0] * n, [-1] * n
     targets_off, targets_n = [0] * n, [0] * n
     targets: list[int] = []
-    nodes: _Nodes | None = _Nodes(behaviors)
+    nodes = _Nodes(behaviors)
     for i, block in enumerate(blocks):
         branch = block.branch
         if branch is None:
             continue
         kind[i] = int(branch.kind)
         target[i] = branch.target
-        indirect = branch.kind.is_indirect
-        if indirect:
+        if branch.kind == BranchKind.COND:
+            behavior[i] = nodes.direction(branch.direction)
+        elif branch.kind.is_indirect:
+            behavior[i] = nodes.selector(branch.target_behavior)
             targets_off[i] = len(targets)
             targets_n[i] = len(branch.targets)
             targets.extend(branch.targets)
-        if nodes is None:
-            continue
-        try:
-            if branch.kind == BranchKind.COND:
-                behavior[i] = nodes.direction(branch.direction)
-            elif indirect:
-                behavior[i] = nodes.selector(branch.target_behavior, len(branch.targets))
-        except _Unsupported:
-            nodes = None
-    table = array("q", [b.addr for b in blocks])
-    for column in ([b.num_instrs for b in blocks], kind, target, behavior, targets_off, targets_n):
-        table.extend(column)
+    try:
+        table = array("q", [b.addr for b in blocks])
+        for column in ([b.num_instrs for b in blocks], kind, target, behavior, targets_off, targets_n):
+            table.extend(column)
+        targets_table = array("q", targets)
+    except OverflowError:
+        raise ProgramError("a block address or branch target is outside int64") from None
     ops = b"".join(block.ops for block in blocks)
-    return Columns(
-        table, ops, nodes.table() if nodes is not None else None, array("q", targets)
-    )
+    return table, ops, nodes.table(), targets_table
 
 
-# -- validate: stored buffers -> columns ----------------------------------------
+# -- validate: buffers -> columns -----------------------------------------------
 
 
 def checked_columns(entry, blocks, ops, nodes, targets) -> Columns:
-    """A stored program's buffers as :class:`Columns`, checked first.
+    """A program's buffers as :class:`Columns`, checked first.
 
     Raises :class:`ValueError` unless everything C relies on holds: the
     buffers have the format's types and whole columns; the blocks tile the
@@ -328,13 +310,19 @@ def _check_nodes(columns: Columns, node_kinds: list[int]) -> None:
         raise ValueError("non-finite behaviour parameter")
     a, b, c = columns.node_a.tolist(), columns.node_b.tolist(), columns.node_c.tolist()
     for j, kind in enumerate(node_kinds):
-        if kind == B_PATTERN and (a[j] < 0 or b[j] <= 0):
-            raise ValueError("pattern node outside 63 bits")
-        if kind == B_PHASED and not (
-            a[j] > 0 and 0 <= b[j] < j and 0 <= c[j] < j
-            and node_kinds[b[j]] in _DIRECTIONS and node_kinds[c[j]] in _DIRECTIONS
-        ):
-            raise ValueError("phased node without earlier direction children")
+        if kind == B_PATTERN:
+            if a[j] < 0:
+                raise ValueError("pattern node's pattern outside 63 bits")
+            if b[j] <= 0:
+                raise ValueError("pattern node's length not positive")
+        elif kind == B_PHASED:
+            if a[j] <= 0:
+                raise ValueError("phased node's phase length not positive")
+            if not (
+                0 <= b[j] < j and 0 <= c[j] < j
+                and node_kinds[b[j]] in _DIRECTIONS and node_kinds[c[j]] in _DIRECTIONS
+            ):
+                raise ValueError("phased node without earlier direction children")
 
 
 # -- unflatten: columns -> the object view ----------------------------------------
@@ -444,13 +432,11 @@ class ProgramTables:
 
 
 def program_tables(program: Program) -> ProgramTables | None:
-    """The driver's tables for ``program``; None when a behaviour could not
-    be flattened (simulators of such programs hold the object structures)
-    or there are no kernels."""
+    """The driver's tables for ``program``; None when there are no kernels."""
     from repro.common import cc
 
     kernels = cc.kernels()
-    if kernels is None or program.columns.nodes is None:
+    if kernels is None:
         return None
     cache = program_cache(program)
     tables = cache.get("driver_tables")

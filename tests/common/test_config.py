@@ -1,6 +1,7 @@
 """Configuration validation and Table II defaults."""
 
 import dataclasses
+from functools import partial
 
 import pytest
 
@@ -70,6 +71,10 @@ def test_table2_frontend_parameters():
         (CoreConfig, "load_buffer"),
         (CoreConfig, "store_buffer"),
         (BranchConfig, "tage_counter_bits"),
+        # Every stage assumes LINE_BYTES lines.
+        pytest.param(
+            partial(CacheConfig, "L1I", 32 * 1024, 8), "line_bytes", id="CacheConfig-line_bytes"
+        ),
     ],
 )
 def test_unmodelled_parameters_are_rejected(cls, field):

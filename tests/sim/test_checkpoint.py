@@ -236,9 +236,9 @@ def test_checkpoint_store_disk_roundtrip(tmp_path):
     store = ckpt.CheckpointStore(tmp_path / "ckpt")
     key = "f" * 64
     assert store.get(key) is None
-    assert not store.exists(key)
+    assert not store.path_for(key).is_file()
     store.put(key, b"snapshot-bytes")
-    assert store.exists(key)
+    assert store.path_for(key).is_file()
     assert store.get(key) == b"snapshot-bytes"
     # And via a fresh store instance with the blob memo cleared (pure disk).
     ckpt._BLOB_MEMO.clear()

@@ -17,12 +17,13 @@ import dataclasses
 import signal
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import pytest
 
 from repro.common import cc
 from repro.common.config import SimConfig
-from repro.common.errors import SimulationError
+from repro.common.errors import ProgramError, SimulationError
 from repro.core.uftq import UFTQController
 from repro.memory.cache import SetAssocCache
 from repro.prefetchers import registry
@@ -36,7 +37,7 @@ from repro.sim.presets import (
     miss_heavy_config,
     udp_config,
 )
-from repro.sim.profile import build_simulator
+from repro.sim.profile import build_simulator, profile_run
 from repro.sim.simulator import Simulator
 from repro.workloads import micro
 from repro.workloads import store as program_store
@@ -53,17 +54,12 @@ from repro.workloads.behavior import (
 )
 from repro.workloads.builder import ProgramBuilder
 from repro.workloads.phases import make_phased_program
-from repro.workloads.profiles import get_profile
-from repro.workloads.program import OP_LOAD, OP_STORE, BranchKind
+from repro.workloads.profiles import SUITE, get_profile
+from repro.workloads.program import OP_LOAD, OP_STORE, BranchKind, Program
+from repro.workloads.tables import program_tables
 from repro.workloads.trace import OracleCursor
 
 N = 4_000
-
-# Every preset the driver runs, and why each other preset cannot: the
-# driver runs them all, and only construction-time reasons remain
-# (compiled=False, REPRO_NO_FASTFORWARD, behaviours it cannot compile).
-ELIGIBLE = set(PRESET_BUILDERS)
-REASONS: dict[str, str] = {}
 
 needs_compiler = pytest.mark.skipif(
     not cc.compiled_enabled(), reason="no C compiler on this host"
@@ -108,14 +104,11 @@ def _state(sim: Simulator) -> tuple:
     )
 
 
-def test_reasons_cover_every_ineligible_preset():
-    assert ELIGIBLE | set(REASONS) == set(PRESET_BUILDERS)
-    assert not ELIGIBLE & set(REASONS)
-
-
 @needs_compiler
 @pytest.mark.parametrize("preset", sorted(PRESET_BUILDERS))
 def test_driver_engages_iff_eligible(preset, monkeypatch):
+    """A compiled simulator is eligible whatever the preset: the driver runs
+    it, and the Python stepper never does."""
     steps = []
     python_step = Simulator.step
 
@@ -125,32 +118,32 @@ def test_driver_engages_iff_eligible(preset, monkeypatch):
 
     monkeypatch.setattr(Simulator, "step", counting_step)
     sim = build_simulator("gcc", PRESET_BUILDERS[preset](N), compiled=True)
-    assert sim.driver_off_reason == REASONS.get(preset)
-    assert driver_mod.ineligibility(sim.program, True) == REASONS.get(preset)
+    assert sim.compiled_enabled
     before = _driver_calls()
     sim.run()
     calls = _driver_calls() - before
-    if preset in ELIGIBLE:
-        assert calls >= 1 and not steps, (preset, calls, len(steps))
-        assert sim.steps_executed + sim.ff_cycles_skipped == sim.cycle
-    else:
-        assert calls == 0 and steps, (preset, calls, len(steps))
+    assert calls >= 1 and not steps, (preset, calls, len(steps))
+    assert sim.steps_executed + sim.ff_cycles_skipped == sim.cycle
 
 
 def test_fallback_gates_name_their_reason(monkeypatch):
-    """The structures are chosen at construction, and the reason kept."""
-    config = baseline_config(N)
-    sim = build_simulator("gcc", config, compiled=False)
-    assert sim.driver_off_reason == "compiled kernels off"
+    """The structures are chosen at construction, by ``compiled`` alone, and
+    ``repro profile`` names why the driver is off."""
+    config = baseline_config(2_000).replace(functional_warmup_blocks=800)
+    sim = build_simulator("mediawiki", config, compiled=False)
     assert not sim.compiled_enabled and isinstance(sim.l1i, SetAssocCache)
+    naive = profile_run("mediawiki", config, fast_forward=False)
+    assert (naive.gates["driver"], naive.driver_off_reason) == (False, "fast-forward off")
+    monkeypatch.setenv("REPRO_NO_COMPILED", "1")
+    gated = profile_run("mediawiki", config)
+    assert (gated.gates["driver"], gated.driver_off_reason) == (False, "compiled kernels off")
+    monkeypatch.delenv("REPRO_NO_COMPILED")
     if not cc.compiled_enabled():
         return
-    sim = build_simulator("gcc", config, compiled=True)
-    assert sim.driver_off_reason is None and sim.compiled_enabled
-    monkeypatch.setenv("REPRO_NO_FASTFORWARD", "1")
-    sim = build_simulator("gcc", config, compiled=True)
-    assert sim.driver_off_reason == "fast-forward off"
-    assert not sim.compiled_enabled and isinstance(sim.l1i, SetAssocCache)
+    sim = build_simulator("mediawiki", config, compiled=True)
+    assert sim.compiled_enabled and not isinstance(sim.l1i, SetAssocCache)
+    driven = profile_run("mediawiki", config)
+    assert (driven.gates["driver"], driven.driver_off_reason) == (True, "")
 
 
 @needs_compiler
@@ -276,23 +269,6 @@ def _behaviour_zoo():
     return b.finish()
 
 
-class _Custom(DirectionBehavior):
-    def taken(self, occurrence: int) -> bool:
-        return occurrence % 3 == 0
-
-
-def _custom_program():
-    b = ProgramBuilder()
-    head, out = b.label("head"), b.label("out")
-    b.place(head)
-    b.set_entry()
-    b.cond_branch(4, target=out, behavior=_Custom())
-    b.block(3)
-    b.place(out)
-    b.block(2, jump_to=head)
-    return b.finish()
-
-
 PROGRAMS = {
     "straight_loop": micro.straight_loop,
     "counted_loop": lambda: micro.counted_loop(7),
@@ -304,12 +280,17 @@ PROGRAMS = {
     "always_taken_chain": micro.always_taken_chain,
     "behaviour_zoo": _behaviour_zoo,
     "phased": lambda: make_phased_program(get_profile("mediawiki"), 1),
-    "custom_behaviour": _custom_program,
 }
 
 
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
+@pytest.mark.parametrize("name", [*sorted(PROGRAMS), "custom_behaviour"])
 def test_handcrafted_programs_match_object_path(name):
+    if name == "custom_behaviour":
+        # The driver's tables cannot hold its behaviour, so neither path
+        # runs it: it is a ProgramError at construction.
+        with pytest.raises(ProgramError):
+            _custom_program()
+        return
     program = PROGRAMS[name]()
     config = SimConfig(max_instructions=3_000, functional_warmup_blocks=300)
     # A 2 KiB L1I keeps even the small loops missing, so fills, prefetches
@@ -322,12 +303,72 @@ def test_handcrafted_programs_match_object_path(name):
     calls = _driver_calls() - before
     oracle = Simulator(program, config, compiled=False)
     oracle.run()
-    if cc.compiled_enabled():
-        compilable = name != "custom_behaviour"
-        assert (calls > 0) == compilable
-        if not compilable:
-            assert driven.driver_off_reason == "program behaviours not compilable"
+    assert (calls > 0) == cc.compiled_enabled()
     assert _state(driven) == _state(oracle)
+
+
+class _Custom(DirectionBehavior):
+    def taken(self, occurrence: int) -> bool:
+        return occurrence % 3 == 0
+
+
+def _one_branch(emit) -> Program:
+    """A loop whose head block ends in the branch ``emit(builder, out)`` makes."""
+    b = ProgramBuilder()
+    head, out = b.label("head"), b.label("out")
+    b.place(head)
+    b.set_entry()
+    emit(b, out)
+    b.block(3)
+    b.place(out)
+    b.block(2, jump_to=head)
+    return b.finish()
+
+
+def _custom_program() -> Program:
+    return _one_branch(lambda b, out: b.cond_branch(4, target=out, behavior=_Custom()))
+
+
+# Every program family the repo builds: the suite, synthesized (not
+# hydrated from the store), every micro program, a phased program and the
+# handcrafted ones above.
+FAMILIES = {
+    **{f"suite-{p.name}": partial(program_store.synthesize, p, 1) for p in SUITE},
+    **PROGRAMS,
+    "mispredicting_loop": micro.mispredicting_loop,
+}
+# Programs the driver's tables cannot hold, and so no simulator runs.
+REJECTED = {
+    "unknown-behaviour": _custom_program,
+    "fixed-index-outside-targets": lambda: _one_branch(
+        lambda b, out: b.indirect(4, targets=[out], behavior=FixedTarget(1))
+    ),
+    "pattern-past-int64": lambda: _one_branch(
+        lambda b, out: b.cond_branch(4, target=out, behavior=PatternBehavior(3, 1 << 63, 64))
+    ),
+    "zero-phase-length": lambda: _one_branch(
+        lambda b, out: b.cond_branch(
+            4, target=out, behavior=PhasedBehavior(LoopBehavior(3), LoopBehavior(5), 0)
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, *REJECTED])
+def test_every_program_is_compiled_or_rejected(family):
+    """Every program flattens to the driver's tables, so ``compiled`` alone
+    picks a simulator's structures; one that cannot is a ProgramError at
+    construction."""
+    if family in REJECTED:
+        with pytest.raises(ProgramError):
+            REJECTED[family]()
+        return
+    program = FAMILIES[family]()
+    assert (program_tables(program) is not None) == cc.compiled_enabled()
+    config = SimConfig(max_instructions=1_000, functional_warmup_blocks=0)
+    for compiled in (None, True, False):
+        sim = Simulator(program, config, compiled=compiled)
+        assert sim.compiled_enabled == cc.resolve_compiled(compiled)
 
 
 # One case per UDP branch the driver takes, with the counters that prove
@@ -830,7 +871,7 @@ def transitions(monkeypatch):
 
 
 @pytest.mark.parametrize("workload", ["gcc", "xgboost"])
-@pytest.mark.parametrize("preset", sorted(ELIGIBLE))
+@pytest.mark.parametrize("preset", sorted(PRESET_BUILDERS))
 def test_functional_warmup_matches_object_walk(preset, workload, transitions):
     config = PRESET_BUILDERS[preset](N)
     walked = build_simulator(workload, config, compiled=True)
@@ -917,12 +958,17 @@ def _deep_call_chain(depth: int = 300):
 
 
 WALK_PROGRAMS = {
-    name: PROGRAMS[name] for name in ("behaviour_zoo", "phased", "custom_behaviour")
+    name: PROGRAMS[name] for name in ("behaviour_zoo", "phased")
 } | {"deep_call_chain": _deep_call_chain}
 
 
-@pytest.mark.parametrize("name", sorted(WALK_PROGRAMS))
+@pytest.mark.parametrize("name", [*sorted(WALK_PROGRAMS), "custom_behaviour"])
 def test_handcrafted_programs_walk_like_the_object_path(name, transitions):
+    if name == "custom_behaviour":
+        # Rejected at construction, so there is no walk, in C or in Python.
+        with pytest.raises(ProgramError):
+            _custom_program()
+        return
     program = WALK_PROGRAMS[name]()
     # UDP on, so the useful-set learns every walked line both ways.  The
     # deep chain's warmup stops 280 calls down, its stack capped at 256;
@@ -940,9 +986,7 @@ def test_handcrafted_programs_walk_like_the_object_path(name, transitions):
             assert len(sim.oracle.call_stack) == sim.oracle.max_stack
         sim.fast_forward_to(sim.oracle.instrs_walked + 4_000)
         if compiled and cc.compiled_enabled():
-            in_c = name != "custom_behaviour"
-            assert (_walk_calls() - before == 2) == in_c
-            assert (not transitions) == in_c
+            assert _walk_calls() - before == 2 and not transitions
         sims.append(sim)
     walked, oracle = sims
     assert _walk_state(walked) == _walk_state(oracle)

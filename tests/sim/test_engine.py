@@ -226,10 +226,18 @@ def test_serial_batch_creates_one_checkpoint_per_key():
 
 
 def test_pooled_cold_batch_creates_one_checkpoint_per_key():
+    # Pooled units that share a missing key may each walk the warmup and
+    # write the same blob: every unit creates or restores, and one blob per
+    # key lands on disk.
+    from repro.sim import checkpoint as ckpt
+
     stats = BatchStats()
     pooled = run_batch(_specs(), jobs=2, no_cache=True, progress=stats)
-    assert stats.checkpoint_creates == 2
-    assert stats.checkpoint_restores == 1
+    assert stats.checkpoint_creates + stats.checkpoint_restores == len(_specs())
+    keys = {engine._checkpoint_key_for(spec) for spec in _specs()}
+    store = ckpt.CheckpointStore()
+    assert store.stats()[0] == len(keys) == 2
+    assert all(store.path_for(key).is_file() for key in keys)
     serial = run_batch(_specs(), jobs=1, no_cache=True)
     assert _serialized(pooled) == _serialized(serial)
 
@@ -250,7 +258,7 @@ def test_corrupt_checkpoint_file_falls_back_to_scratch():
     reference = run_batch([spec], jobs=1, no_cache=True)
     key = engine._checkpoint_key_for(spec)
     store = ckpt.CheckpointStore()
-    assert store.exists(key)
+    assert store.path_for(key).is_file()
     store.path_for(key).write_bytes(b"corrupt snapshot")
     ckpt._BLOB_MEMO.clear()
     stats = BatchStats()
@@ -283,7 +291,7 @@ def test_cache_info_reports_per_class(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Scheduler robustness: a checkpoint leader dying must not strand followers
+# Scheduler robustness: a failing unit must not strand the units sharing its key
 # ---------------------------------------------------------------------------
 
 _REAL_EXECUTE = engine._execute
@@ -291,16 +299,16 @@ _REAL_EXECUTE = engine._execute
 
 def _exploding_execute(spec):
     if spec.label == "boom":
-        raise RuntimeError("injected leader failure")
+        raise RuntimeError("injected unit failure")
     return _REAL_EXECUTE(spec)
 
 
-def test_pool_leader_failure_releases_followers(monkeypatch):
-    # All three specs share one warmup checkpoint key; the first submitted
-    # unit claims it (the leader) and dies before the checkpoint lands.  The
-    # parked followers must be released to create the state themselves — the
-    # batch raises BatchError only after the pool drains, with every
-    # surviving spec finished (no deadlock, no lost results).
+def test_pool_unit_failure_does_not_strand_units_sharing_its_key(monkeypatch):
+    # All three specs share one warmup checkpoint key, and the first
+    # submitted unit dies before the checkpoint lands.  The other two must
+    # still create or restore the state themselves -- the batch raises
+    # BatchError only after the pool drains, with every surviving spec
+    # finished (no deadlock, no lost results).
     monkeypatch.setattr(engine, "_execute", _exploding_execute)
     specs = [
         spec_for("mediawiki", FAST.with_ftq_depth(16), 1, "boom"),
@@ -308,7 +316,7 @@ def test_pool_leader_failure_releases_followers(monkeypatch):
         spec_for("mediawiki", FAST.with_ftq_depth(16), 1, "ftq16"),
     ]
     events = []
-    with pytest.raises(engine.BatchError, match="injected leader failure") as info:
+    with pytest.raises(engine.BatchError, match="injected unit failure") as info:
         run_batch(
             specs, jobs=2, no_cache=True, progress=events.append, retries=0
         )

@@ -43,8 +43,7 @@ def _failure_env(monkeypatch, tmp_path):
 
 
 def _specs(labels, seed_base=1):
-    # Distinct seeds give distinct warmup-checkpoint keys, so the pool runs
-    # the units genuinely in parallel instead of leader/follower chained.
+    # Distinct seeds give distinct warmup-checkpoint keys.
     return [
         spec_for("mediawiki", FAST, seed_base + i, label)
         for i, label in enumerate(labels)
@@ -86,6 +85,24 @@ def test_resolver_validation(monkeypatch):
     assert engine.resolve_failure_policy() == "keep-going"
     with pytest.raises(ValueError, match="unknown failure policy"):
         engine.resolve_failure_policy("shrug")
+
+    # The backoff and the pool's timeout grace parse the same way: a
+    # malformed or negative value is an error naming its source, not the
+    # default or a silent clamp.
+    for env, read, default in (
+        (engine.RETRY_BACKOFF_ENV, engine._retry_backoff, 0.25),
+        (engine.TIMEOUT_GRACE_ENV, engine._timeout_grace, 5.0),
+    ):
+        monkeypatch.delenv(env, raising=False)
+        assert read() == default
+        monkeypatch.setenv(env, "1.5")
+        assert read() == 1.5
+        monkeypatch.setenv(env, "0")
+        assert read() == 0.0
+        for bad in ("later", "-1"):
+            monkeypatch.setenv(env, bad)
+            with pytest.raises(ValueError, match=env):
+                read()
 
 
 def test_fault_parsing_rejects_malformed(monkeypatch):
@@ -234,20 +251,20 @@ def test_worker_death_retry_recovers_byte_identical(monkeypatch, tmp_path):
     assert _serialized(recovered) == _serialized(clean)
 
 
-def test_crash_with_parked_followers_releases_them(monkeypatch):
-    # All three specs share one warmup key (same seed): the leader claims
-    # it and its worker dies before the checkpoint lands.  The parked
-    # followers must be released to create the state themselves.
-    monkeypatch.setenv(faults.FAULT_ENV, "kill:leader")
+def test_crash_does_not_strand_units_sharing_its_key(monkeypatch):
+    # All three specs share one warmup key (same seed), and the first
+    # unit's worker dies before the checkpoint lands.  The other two must
+    # still create or restore the state themselves.
+    monkeypatch.setenv(faults.FAULT_ENV, "kill:dies")
     specs = [
-        spec_for("mediawiki", FAST.with_ftq_depth(16), 1, "leader"),
-        spec_for("mediawiki", FAST.with_ftq_depth(32), 1, "f-32"),
-        spec_for("mediawiki", FAST.with_ftq_depth(16), 1, "f-16"),
+        spec_for("mediawiki", FAST.with_ftq_depth(16), 1, "dies"),
+        spec_for("mediawiki", FAST.with_ftq_depth(32), 1, "d-32"),
+        spec_for("mediawiki", FAST.with_ftq_depth(16), 1, "d-16"),
     ]
     with pytest.raises(engine.BatchError) as info:
         run_batch(specs, jobs=2, no_cache=True, retries=0)
     exc = info.value
-    assert [f.label for f in exc.failures] == ["leader"]
+    assert [f.label for f in exc.failures] == ["dies"]
     assert exc.failures[0].kind == "crash"
     assert exc.completed == 2
 
@@ -362,7 +379,7 @@ def test_corrupt_checkpoint_read_falls_back_to_rewarm(monkeypatch):
     spec = spec_for("mediawiki", FAST, 1, "ck")
     clean = run_batch([spec], jobs=1, no_cache=True)
     key = engine._checkpoint_key_for(spec)
-    assert key is not None and ckpt.CheckpointStore().exists(key)
+    assert key is not None and ckpt.CheckpointStore().path_for(key).is_file()
 
     ckpt._BLOB_MEMO.clear()
     monkeypatch.setenv(faults.FAULT_ENV, f"corrupt-checkpoint:{key[:12]}:1")

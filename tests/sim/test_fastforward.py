@@ -5,8 +5,8 @@ compiled cycle driver) must be a pure wall-clock optimization: for any
 (workload, preset) pair the final cycle count and every measured counter
 must be byte-identical to stepping one cycle at a time.  These tests are
 the enforcement of that contract; the naive stepper stays in the tree
-(``REPRO_NO_FASTFORWARD`` / ``fast_forward_enabled = False`` on an object
-simulator) precisely so it can serve as the oracle.
+(``fast_forward_enabled = False`` on an object simulator) precisely so it
+can serve as the oracle.
 """
 
 import pytest
@@ -65,10 +65,3 @@ def test_naive_stepper_steps_every_cycle():
     assert naive.ff_jumps == 0
     assert naive.ff_cycles_skipped == 0
     assert naive.steps_executed == naive.cycle
-
-
-def test_env_var_disables_fastforward(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_FASTFORWARD", "1")
-    config = PRESET_BUILDERS["miss-heavy"](N)
-    simulator = build_simulator("gcc", config)
-    assert not simulator.fast_forward_enabled

@@ -332,7 +332,7 @@ def test_sampled_run_stores_only_its_warmup_checkpoint():
     stats = BatchStats()
     first = run_batch([spec], jobs=1, no_cache=True, progress=stats)[0]
     assert store.stats()[0] == 1
-    assert store.exists(engine._checkpoint_key_for(spec))
+    assert store.path_for(engine._checkpoint_key_for(spec)).is_file()
     assert (stats.checkpoint_creates, stats.checkpoint_restores) == (1, 0)
     again = BatchStats()
     rerun = run_batch(
@@ -680,16 +680,17 @@ def test_boolean_env_gates_share_one_parser(monkeypatch):
     # The opt-out gates all route through artifacts.env_truthy, so the
     # spelled-out truthy values ("YES", "on", "True") behave identically
     # everywhere instead of only "1" being honoured by some of them.
+    from repro.common import cc
     from repro.sim.profile import build_simulator
-    from repro.sim.simulator import NO_FASTFORWARD_ENV
 
     for value in ("YES", "on", "True"):
         monkeypatch.setenv(engine.NO_CACHE_ENV, value)
         assert engine._cache_disabled_by_env()
-    monkeypatch.setenv(NO_FASTFORWARD_ENV, "yes")
-    assert not build_simulator("mediawiki", FAST, seed=1).fast_forward_enabled
-    monkeypatch.setenv(NO_FASTFORWARD_ENV, "0")  # falsy spelling
-    assert build_simulator("mediawiki", FAST, seed=1).fast_forward_enabled
+    monkeypatch.setenv(cc.NO_COMPILED_ENV, "yes")
+    assert not build_simulator("mediawiki", FAST, seed=1).compiled_enabled
+    monkeypatch.setenv(cc.NO_COMPILED_ENV, "0")  # falsy spelling
+    compiled = build_simulator("mediawiki", FAST, seed=1).compiled_enabled
+    assert compiled == cc.compiled_enabled()
 
 
 @pytest.mark.slow
