@@ -14,6 +14,9 @@ This module holds what all three share: the root resolution, the package
 fingerprint that enters every key, canonical JSON key hashing, atomic
 writes, and directory statistics.  It lives in ``repro.common`` because the
 stores span layers (workloads and sim) that must not import each other.
+So does :func:`requested_faults`, the guard through which the stores and
+the engine reach the fault injector (:mod:`repro.common.faults`), which
+loads only when ``REPRO_FAULT`` is set.
 
 ``REPRO_NO_CHECKPOINT=1`` disables the two *reuse* layers (programs and
 checkpoints) — simulations then rebuild and re-warm from scratch exactly as
@@ -32,6 +35,7 @@ from pathlib import Path
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 NO_CHECKPOINT_ENV = "REPRO_NO_CHECKPOINT"
+FAULT_ENV = "REPRO_FAULT"
 
 _TRUTHY = ("1", "true", "yes", "on")
 
@@ -56,6 +60,16 @@ def cache_root() -> Path:
 def reuse_disabled() -> bool:
     """True when ``REPRO_NO_CHECKPOINT`` disables program/checkpoint reuse."""
     return env_truthy(NO_CHECKPOINT_ENV)
+
+
+def requested_faults():
+    """The fault injector (:mod:`repro.common.faults`) when ``REPRO_FAULT``
+    names a fault, else ``None``, so a run with none never imports it."""
+    if not os.environ.get(FAULT_ENV, "").strip():
+        return None
+    from repro.common import faults
+
+    return faults
 
 
 # Source files whose edits change simulation results: the Python modules

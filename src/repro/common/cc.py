@@ -43,7 +43,7 @@ KERNEL_DIR = Path(__file__).resolve().parent / "kernels"
 KERNEL_SOURCES = ("cache.c", "btb.c", "tage.c", "backend.c", "driver.c", "module.c")
 KERNEL_HEADER = "kernels.h"
 
-CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-strict-aliasing")
+CFLAGS = ("-O1", "-fPIC", "-shared", "-fno-strict-aliasing")
 
 # Process-wide memo: False = not attempted, None = attempted and unavailable.
 _MODULE: object = False

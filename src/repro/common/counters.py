@@ -56,9 +56,8 @@ class Counters:
         hashing against a missing key: the slot is preallocated here, once.
         Preallocated zero slots are invisible in :meth:`as_dict`.
         """
+        self.intern((name,))
         values = self._values
-        values.setdefault(name, 0)
-        self._interned.add(name)
 
         def bump(amount: int = 1, _name: str = name, _values: dict = values,
                  _self: "Counters" = self) -> None:
@@ -68,6 +67,15 @@ class Counters:
                 hook(_name, amount)
 
         return bump
+
+    def intern(self, names: tuple[str, ...]) -> None:
+        """Pre-register the slots of ``names``, in order, and keep them
+        across :meth:`reset`: what :meth:`incrementer` does for its counter,
+        without the closure."""
+        values = self._values
+        for name in names:
+            values.setdefault(name, 0)
+        self._interned.update(names)
 
     def set(self, name: str, value: int) -> None:
         """Set counter ``name`` to ``value``."""

@@ -3,7 +3,9 @@
 The engine's failure handling (worker crashes, hung units, corrupt
 artifacts) is only trustworthy if it can be exercised on demand.  This
 module turns the ``REPRO_FAULT`` environment variable into reproducible
-faults fired from well-defined points inside the run path:
+faults fired from well-defined points inside the run path, which reach
+it through :func:`repro.common.artifacts.requested_faults`, so it loads
+only when the variable is set:
 
     REPRO_FAULT=kill:<unit>[:N]                # exit the worker process abruptly
     REPRO_FAULT=hang:<unit>[:N]                # stall inside the unit (SIGALRM-interruptible)
@@ -41,9 +43,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.common.artifacts import cache_root
+from repro.common.artifacts import FAULT_ENV, cache_root
 
-FAULT_ENV = "REPRO_FAULT"
 FAULT_DIR_ENV = "REPRO_FAULT_DIR"
 HANG_SECONDS_ENV = "REPRO_FAULT_HANG_SECONDS"
 

@@ -45,11 +45,6 @@
 #include <stddef.h>
 #include <string.h>
 
-/* The loop below runs a few microseconds per simulated step, a small
- * share of any run; -O1 halves what this file adds to the one-time
- * kernel build. */
-#pragma GCC optimize("O1")
-
 #define FB_INSTRS 8 /* FETCH_BLOCK_BYTES / INSTR_BYTES */
 #define FB_MASK (~31LL)
 #define LINE_MASK (~63LL)

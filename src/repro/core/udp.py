@@ -20,13 +20,17 @@ Seniority-FTQ and counters — the paper's 8 KB budget.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.common.addr import line_of
 from repro.common.config import UDPConfig
 from repro.common.counters import Counters
 from repro.core.confidence import ConfidenceEstimator
 from repro.core.seniority import SeniorityFTQ
 from repro.core.useful_set import UsefulSet
-from repro.frontend.fetch_block import FTQEntry
+
+if TYPE_CHECKING:
+    from repro.frontend.fetch_block import FTQEntry
 
 
 class UDPFilter:

@@ -31,9 +31,13 @@ is kept as ``PAPER_REGRESSION`` and is the default; the coefficients are a
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.common.config import UFTQConfig
 from repro.common.counters import Counters
-from repro.frontend.ftq import FetchTargetQueue
+
+if TYPE_CHECKING:
+    from repro.frontend.compiled import FetchTargetQueueC
 
 PAPER_REGRESSION: tuple[float, float, float, float, float] = (
     -0.34, 0.64, 0.008, 0.01, -0.008
@@ -92,9 +96,13 @@ class _RatioWindow:
 
 
 class UFTQController:
-    """Adapts ``ftq.depth`` from runtime AUR/ATR measurements."""
+    """Adapts ``ftq.depth`` from runtime AUR/ATR measurements.
 
-    def __init__(self, config: UFTQConfig, ftq: FetchTargetQueue,
+    ``ftq`` is either FTQ twin: the depth is all the controller reads and
+    sets.
+    """
+
+    def __init__(self, config: UFTQConfig, ftq: FetchTargetQueueC,
                  counters: Counters | None = None) -> None:
         config.validate()
         self.config = config

@@ -1,6 +1,8 @@
 """Decoupled frontend: FTQ, run-ahead walker, FDIP prefetch engine.
 
-The public names resolve on first use (``repro._lazy``).
+The public names resolve on first use (``repro._lazy``): a compiled run
+loads the scalars the cycle driver syncs (``repro.frontend.compiled``),
+never the object frontend.
 """
 
 from repro._lazy import exports as _exports

@@ -31,6 +31,7 @@ from repro.common.addr import FETCH_BLOCK_BYTES, INSTR_BYTES, block_of
 from repro.common.config import FrontendConfig
 from repro.common.counters import Counters
 from repro.branch.unit import BranchPredictionUnit
+from repro.frontend.compiled import WALKER_COUNTERS
 from repro.frontend.fetch_block import (
     RESTEER_AT_DECODE,
     RESTEER_AT_EXECUTE,
@@ -81,11 +82,13 @@ class DecoupledFrontend:
         self.next_seq = 0
         self._blocks_per_cycle = config.ftq_blocks_per_cycle
         # Interned fast-path counter slots (see Counters.incrementer).
-        self._c_ftq_full = counters.incrementer("ftq_full_cycles_blocks")
-        self._c_blocks_on = counters.incrementer("ftq_blocks_on_path")
-        self._c_blocks_off = counters.incrementer("ftq_blocks_off_path")
-        self._c_btb_gen_hits = counters.incrementer("btb_gen_hits")
-        self._c_btb_gen_misses = counters.incrementer("btb_gen_misses")
+        (
+            self._c_ftq_full,
+            self._c_blocks_on,
+            self._c_blocks_off,
+            self._c_btb_gen_hits,
+            self._c_btb_gen_misses,
+        ) = map(counters.incrementer, WALKER_COUNTERS)
         # Set while a divergence is in flight; cleared by recover()/the
         # decode-stage resteer.  Used for asserting single-divergence.
         self.pending_resteer: PendingResteer | None = None

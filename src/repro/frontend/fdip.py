@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Protocol
 
 from repro.common.config import FrontendConfig
 from repro.common.counters import Counters
+from repro.frontend.compiled import FDIP_COUNTERS
 from repro.frontend.fetch_block import FTQEntry
 from repro.frontend.ftq import FetchTargetQueue
 
@@ -60,14 +61,16 @@ class FDIPEngine:
         self.enabled = enabled
         self.next_scan_seq = 0
         # Interned fast-path counter slots (see Counters.incrementer).
-        self._c_probe_resident = counters.incrementer("fdip_probe_resident")
-        self._c_probe_inflight = counters.incrementer("fdip_probe_inflight")
-        self._c_candidates = counters.incrementer("fdip_candidates")
-        self._c_candidates_on = counters.incrementer("fdip_candidates_on_path")
-        self._c_candidates_off = counters.incrementer("fdip_candidates_off_path")
-        self._c_emitted = counters.incrementer("prefetches_emitted")
-        self._c_emitted_on = counters.incrementer("prefetches_emitted_on_path")
-        self._c_emitted_off = counters.incrementer("prefetches_emitted_off_path")
+        (
+            self._c_probe_resident,
+            self._c_probe_inflight,
+            self._c_candidates,
+            self._c_candidates_on,
+            self._c_candidates_off,
+            self._c_emitted,
+            self._c_emitted_on,
+            self._c_emitted_off,
+        ) = map(counters.incrementer, FDIP_COUNTERS)
 
     def reset_scan(self, next_seq: int) -> None:
         """Re-arm the scan pointer after a flush/resteer."""

@@ -16,30 +16,22 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.frontend.compiled import FetchTargetQueueC
 from repro.frontend.fetch_block import FTQEntry
 
 
-class FetchTargetQueue:
-    """A bounded FIFO of fetch blocks with occupancy statistics."""
+class FetchTargetQueue(FetchTargetQueueC):
+    """A bounded FIFO of fetch blocks with occupancy statistics.
+
+    The depth control (UFTQ) and the occupancy integration (Fig 8) are the
+    compiled simulator's :class:`FetchTargetQueueC`; this adds the entries.
+    """
+
+    __slots__ = ("_entries",)
 
     def __init__(self, depth: int, max_physical: int) -> None:
-        self.max_physical = max_physical
-        self._depth = min(depth, max_physical)
+        super().__init__(depth, max_physical)
         self._entries: deque[FTQEntry] = deque()
-        # Occupancy integration for Fig 8 (average FTQ occupancy).
-        self.occupancy_sum = 0
-        self.occupancy_samples = 0
-
-    # -- depth control (UFTQ) ---------------------------------------------
-
-    @property
-    def depth(self) -> int:
-        """The current logical depth."""
-        return self._depth
-
-    @depth.setter
-    def depth(self, value: int) -> None:
-        self._depth = max(1, min(value, self.max_physical))
 
     # -- queue operations ------------------------------------------------------
 
@@ -84,12 +76,6 @@ class FetchTargetQueue:
         """
         self.occupancy_sum += len(self._entries) * cycles
         self.occupancy_samples += cycles
-
-    @property
-    def average_occupancy(self) -> float:
-        if self.occupancy_samples == 0:
-            return 0.0
-        return self.occupancy_sum / self.occupancy_samples
 
     def __iter__(self):
         return iter(self._entries)

@@ -56,7 +56,6 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.common import faults
 from repro.common.artifacts import (
     NO_CHECKPOINT_ENV,
     atomic_write_bytes,
@@ -66,6 +65,7 @@ from repro.common.artifacts import (
     dir_stats,
     package_fingerprint,
     read_bytes_or_none,
+    requested_faults,
     reuse_disabled,
     shard_path,
 )
@@ -317,7 +317,8 @@ class CheckpointStore:
             blob = read_bytes_or_none(self.path_for(key))
             if blob is not None:
                 self._memoize(memo_key, blob)
-        if blob is not None and faults.corrupt_artifact("corrupt-checkpoint", key):
+        faults = requested_faults() if blob is not None else None
+        if faults is not None and faults.corrupt_artifact("corrupt-checkpoint", key):
             # Fault injection: serve garbage instead of the stored snapshot
             # to drive the caller's corrupt-blob fallback.  The good blob
             # stays memoized, so only this read is poisoned.

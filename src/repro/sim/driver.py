@@ -8,8 +8,9 @@ writes back what Python and the ledger read -- counters, ``cycle``, FTQ
 occupancy and depth, the oracle position, the frontend/RAS scalars, the
 two-level BTB's promotions, UDP's state and
 ``steps_executed``/``ff_jumps``/``ff_cycles_skipped`` -- while the pipeline
-contents (FTQ entries, MSHRs, in-flight resteers) stay in C.  The
-structures' buffers and the oracle's per-block occurrence counts need no
+contents (FTQ entries, MSHRs, in-flight resteers) stay in C, so a compiled
+simulator's frontend is only those scalars (:mod:`repro.frontend.compiled`).
+The structures' buffers and the oracle's per-block occurrence counts need no
 write-back: C updates them in place.
 
 Every preset runs inside the loop.  UDP does (the confidence estimator,
@@ -214,7 +215,7 @@ class CycleDriver(_Machine):
         self._ras = zeros(bpu.ras.capacity)
         ftq_cap = sim.ftq.max_physical
         self._ftq = zeros(ftq_cap * layout["ftq_entry_words"])
-        mshr_cap = sim.mshr.capacity
+        mshr_cap = config.memory.l1i.mshr_entries
         self._mshr = zeros(mshr_cap * layout["mshr_entry_words"])
         pool = layout["resteer_pool"]
         self._resteers = zeros(pool * layout["resteer_words"])

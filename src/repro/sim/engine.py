@@ -73,7 +73,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.common import faults
 from repro.common.artifacts import (
     CACHE_DIR_ENV,
     atomic_write_bytes,
@@ -84,6 +83,7 @@ from repro.common.artifacts import (
     env_truthy,
     package_fingerprint,
     read_bytes_or_none,
+    requested_faults,
     shard_path,
 )
 from repro.common.config import SimConfig
@@ -175,7 +175,7 @@ def _checkpoint_key_for(spec: RunSpec) -> str | None:
         or not ckpt.checkpointing_enabled()
     ):
         return None
-    program_key = ProgramStore().key_for(spec.workload, spec.seed)
+    program_key = program_store.program_key(spec.workload, spec.seed)
     return ckpt.checkpoint_key(program_key, spec.seed, spec.config)
 
 
@@ -314,7 +314,7 @@ def _run_sampled(
     outcomes = []
     for plan in sampling.plan_intervals(spec.config):
         try:
-            faults.fire_unit_faults(_interval_tokens(spec, plan.index))
+            _fire_unit_faults(_interval_tokens(spec, plan.index))
             simulator = Simulator(program, config, data_profile=data_profile)
             handoff_started = time.perf_counter()
             ff_blocks, ff_walked = walker.fast_forward_to(
@@ -338,6 +338,9 @@ def _run_sampled(
                 ff_instructions_walked=ff_walked,
             )
         )
+        # Freed before the next interval's simulator is built, so the chain
+        # holds the walker and one interval simulator at a time.
+        del simulator
     meta["intervals"] = len(outcomes)
     return sampling.merge_intervals(
         spec.workload, spec.label, spec.config, outcomes
@@ -496,6 +499,13 @@ def _interval_tokens(spec: RunSpec, interval: int) -> list[str]:
     return [f"{token}#{interval}" for token in _unit_tokens(spec)]
 
 
+def _fire_unit_faults(tokens: list[str]) -> None:
+    """Fire the ``REPRO_FAULT`` directives matching ``tokens``, if any is set."""
+    faults = requested_faults()
+    if faults is not None:
+        faults.fire_unit_faults(tokens)
+
+
 @contextmanager
 def _unit_alarm(timeout: float | None):
     """Bound a unit's wall-clock with ``SIGALRM`` (raises UnitTimeoutError).
@@ -536,7 +546,7 @@ def _run_unit(spec: RunSpec, timeout: float | None) -> tuple:
     here and its per-interval tokens inside the chain.
     """
     with _unit_alarm(timeout):
-        faults.fire_unit_faults(_unit_tokens(spec))
+        _fire_unit_faults(_unit_tokens(spec))
         return _execute(spec)
 
 
@@ -594,21 +604,24 @@ class ResultCache:
             }
         )
 
-    def path_for(self, spec: RunSpec) -> Path:
-        return shard_path(self.root, self.key_for(spec), ".json")
+    def path_for(self, spec: RunSpec, key: str | None = None) -> Path:
+        """Where ``spec``'s result lives; ``key`` is its :meth:`key_for`,
+        when the caller has derived it already."""
+        return shard_path(self.root, key or self.key_for(spec), ".json")
 
     # -- read/write ----------------------------------------------------------
 
-    def get(self, spec: RunSpec) -> SimResult | None:
-        """The cached result for ``spec``, or ``None`` on any kind of miss."""
+    def get(self, spec: RunSpec, key: str | None = None) -> SimResult | None:
+        """The cached result for ``spec``, or ``None`` on any kind of miss
+        (``key`` as in :meth:`path_for`)."""
         if not spec.cacheable:
             return None
-        raw = read_bytes_or_none(self.path_for(spec))
+        raw = read_bytes_or_none(self.path_for(spec, key))
         if raw is None:
             return None
         try:
             data = json.loads(raw)
-            if data.get("schema") != _CACHE_SCHEMA:
+            if not isinstance(data, dict) or data.get("schema") != _CACHE_SCHEMA:
                 return None
             result = SimResult.from_dict(data["result"])
         except (ValueError, KeyError, TypeError):
@@ -619,13 +632,14 @@ class ResultCache:
         result.config_name = spec.label
         return result
 
-    def put(self, spec: RunSpec, result: SimResult) -> None:
-        """Atomically persist ``result``; filesystem errors are non-fatal."""
+    def put(self, spec: RunSpec, result: SimResult, key: str | None = None) -> None:
+        """Atomically persist ``result``; filesystem errors are non-fatal
+        (``key`` as in :meth:`path_for`)."""
         if not spec.cacheable:
             return
         payload = {"schema": _CACHE_SCHEMA, "result": result.to_dict()}
         atomic_write_bytes(
-            self.path_for(spec), json.dumps(payload).encode("utf-8")
+            self.path_for(spec, key), json.dumps(payload).encode("utf-8")
         )
 
     # -- maintenance ---------------------------------------------------------
@@ -893,14 +907,17 @@ def run_batch(
         active_cache = cache if cache is not None else default_cache()
 
     results: list[SimResult | None] = [None] * total
+    # Each cacheable spec's result key, derived once for its get and put.
+    keys: list[str | None] = [None] * total
     completed = 0
     pending: list[int] = []
 
     for index, spec in enumerate(spec_list):
         hit = None
         lookup_started = time.perf_counter()
-        if active_cache is not None:
-            hit = active_cache.get(spec)
+        if active_cache is not None and spec.cacheable:
+            keys[index] = active_cache.key_for(spec)
+            hit = active_cache.get(spec, keys[index])
         if hit is None:
             pending.append(index)
             continue
@@ -927,7 +944,7 @@ def run_batch(
         nonlocal completed
         result, seconds, meta = payload
         if active_cache is not None:
-            active_cache.put(spec_list[index], result)
+            active_cache.put(spec_list[index], result, keys[index])
         results[index] = result
         completed += 1
         if callback is not None:

@@ -28,7 +28,7 @@ from concurrent.futures import (
 )
 from typing import Callable
 
-from repro.common import faults
+from repro.common.artifacts import requested_faults
 from repro.sim.engine import RunSpec, _run_unit, _timeout_grace
 
 
@@ -42,7 +42,9 @@ def _init_worker() -> None:
     a worker forked from a long-running test process spent 0.21 s in
     collections without it and 0.002 s with it (2-vCPU x86-64 host).
     """
-    faults.mark_worker()
+    faults = requested_faults()  # a worker inherits the batch's environment
+    if faults is not None:
+        faults.mark_worker()
     gc.freeze()
 
 

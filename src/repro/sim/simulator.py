@@ -31,11 +31,6 @@ from repro.common.counters import Counters
 from repro.common.errors import SimulationError
 from repro.core.superline import superline_base
 from repro.core.udp import UDPFilter
-from repro.frontend.bpu import DecoupledFrontend
-from repro.frontend.fdip import FDIPEngine
-from repro.frontend.fetch_block import RESTEER_AT_EXECUTE, FTQEntry, PendingResteer
-from repro.frontend.ftq import FetchTargetQueue
-from repro.memory.mshr import MSHRFile
 from repro.prefetchers.base import LINE_LIMIT, FrontendHooks, reject_prefetch_line
 from repro.prefetchers.registry import get_technique
 from repro.sim import driver
@@ -44,6 +39,7 @@ from repro.workloads.program import OP_LOAD, OP_STORE, BranchKind, Program
 from repro.workloads.trace import OracleCursor
 
 if TYPE_CHECKING:
+    from repro.frontend.fetch_block import FTQEntry, PendingResteer
     from repro.memory.cache import CacheLine
 
 
@@ -72,53 +68,66 @@ class Simulator:
 
         self.oracle = OracleCursor(program)
         self.bpu = BranchPredictionUnit(config.branch, self.counters, compiled=comp)
-        self.ftq = FetchTargetQueue(
-            config.frontend.ftq_depth, config.frontend.ftq_max_physical
-        )
         # Every line the exact set can hold -- warmed, retired or fetched --
         # is a line of the code region.
         code_lines = range(program.code_start & -LINE_BYTES, program.code_end, LINE_BYTES)
         self.udp = (
             UDPFilter(config.udp, self.counters, code_lines) if config.udp.enabled else None
         )
-        self.frontend = DecoupledFrontend(
-            program,
-            self.bpu,
-            self.ftq,
-            self.oracle,
-            config.frontend,
-            self.counters,
-            path_estimator=self.udp.path_estimator if self.udp is not None else None,
-        )
-        # Each side imports only its own structures (repro.memory.compiled
-        # holds the driver's).
-        if comp:
-            from repro.memory.compiled import MemoryHierarchyC, SetAssocCacheC
-
-            self.hierarchy = MemoryHierarchyC(config.memory)
-            self.l1i = SetAssocCacheC(config.memory.l1i)
-        else:
-            from repro.memory.cache import SetAssocCache
-            from repro.memory.hierarchy import MemoryHierarchy
-
-            self.hierarchy = MemoryHierarchy(config.memory, self.counters)
-            self.l1i = SetAssocCache(config.memory.l1i)
-            self.l1i.eviction_hook = self._on_l1i_eviction
-        self.mshr = MSHRFile(config.memory.l1i.mshr_entries)
         # Technique construction is fully registry-driven: the capability
         # declaration decides what gets wired up, never the kind string.
         technique = get_technique(config.prefetcher.kind)
         caps = technique.capabilities
-        self.fdip = FDIPEngine(
-            config.frontend,
-            self.ftq,
-            self.l1i,
-            self.mshr,
-            self.hierarchy,
-            self.counters,
-            gate=self.udp,
-            enabled=(caps.uses_fdip and not config.prefetcher.standalone_only),
-        )
+        fdip_enabled = caps.uses_fdip and not config.prefetcher.standalone_only
+        fe_config = config.frontend
+        # Each side imports only its own structures: the driver keeps the
+        # pipeline contents (FTQ entries, MSHRs, resteers) in C, so a
+        # compiled simulator holds only the scalars it syncs
+        # (repro.frontend.compiled) and the driver's arrays
+        # (repro.memory.compiled); its MSHR capacity is the config's.
+        if comp:
+            from repro.frontend.compiled import (
+                DecoupledFrontendC, FDIPEngineC, FetchTargetQueueC
+            )
+            from repro.memory.compiled import MemoryHierarchyC, SetAssocCacheC
+
+            self.ftq = FetchTargetQueueC(fe_config.ftq_depth, fe_config.ftq_max_physical)
+            self.frontend = DecoupledFrontendC(program.entry, self.counters)
+            self.hierarchy = MemoryHierarchyC(config.memory)
+            self.l1i = SetAssocCacheC(config.memory.l1i)
+            self.fdip = FDIPEngineC(fdip_enabled, self.counters)
+        else:
+            from repro.frontend.bpu import DecoupledFrontend
+            from repro.frontend.fdip import FDIPEngine
+            from repro.frontend.ftq import FetchTargetQueue
+            from repro.memory.cache import SetAssocCache
+            from repro.memory.hierarchy import MemoryHierarchy
+            from repro.memory.mshr import MSHRFile
+
+            self.ftq = FetchTargetQueue(fe_config.ftq_depth, fe_config.ftq_max_physical)
+            self.frontend = DecoupledFrontend(
+                program,
+                self.bpu,
+                self.ftq,
+                self.oracle,
+                fe_config,
+                self.counters,
+                path_estimator=self.udp.path_estimator if self.udp is not None else None,
+            )
+            self.hierarchy = MemoryHierarchy(config.memory, self.counters)
+            self.l1i = SetAssocCache(config.memory.l1i)
+            self.l1i.eviction_hook = self._on_l1i_eviction
+            self.mshr = MSHRFile(config.memory.l1i.mshr_entries)
+            self.fdip = FDIPEngine(
+                fe_config,
+                self.ftq,
+                self.l1i,
+                self.mshr,
+                self.hierarchy,
+                self.counters,
+                gate=self.udp,
+                enabled=fdip_enabled,
+            )
         bpu = self.bpu
         hooks = FrontendHooks(
             program=program,
@@ -751,6 +760,8 @@ class Simulator:
             self._decode_btb_fill(branch)
         resteer = entry.resteer
         if resteer is not None and resteer.branch_pc == pc:
+            from repro.frontend.fetch_block import RESTEER_AT_EXECUTE  # object path only
+
             if resteer.stage == RESTEER_AT_EXECUTE:
                 backend.dispatch(pc, OP_BRANCH, on_path, cycle, resteer=resteer)
                 return 0

@@ -38,7 +38,6 @@ import dataclasses
 import pickle
 from pathlib import Path
 
-from repro.common import faults
 from repro.common.artifacts import (
     atomic_write_bytes,
     cache_root,
@@ -47,6 +46,7 @@ from repro.common.artifacts import (
     dir_stats,
     package_fingerprint,
     read_bytes_or_none,
+    requested_faults,
     reuse_disabled,
     shard_path,
 )
@@ -61,6 +61,9 @@ PROGRAM_SCHEMA = 3
 # the life of the process (the simulator compares program identity nowhere,
 # but callers and tests rely on the memo to amortize synthesis).
 _MEMO: dict[tuple[str, int], Program] = {}
+# (workload name, seed) -> store key (program_key): one derivation per
+# program and process, like the memo's one synthesis.
+_KEYS: dict[tuple[str, int], str] = {}
 
 
 class ProgramStore:
@@ -71,8 +74,10 @@ class ProgramStore:
 
     # -- keys ----------------------------------------------------------------
 
-    def key_for(self, workload: str, seed: int) -> str:
-        """Content key over the profile's full parameter set and the seed."""
+    @staticmethod
+    def key_for(workload: str, seed: int) -> str:
+        """Content key over the profile's full parameter set and the seed
+        (callers go through :func:`program_key`)."""
         return canonical_key(
             {
                 "schema": PROGRAM_SCHEMA,
@@ -84,7 +89,7 @@ class ProgramStore:
         )
 
     def path_for(self, workload: str, seed: int) -> Path:
-        return shard_path(self.root, self.key_for(workload, seed), ".pkl")
+        return shard_path(self.root, program_key(workload, seed), ".pkl")
 
     # -- read/write ----------------------------------------------------------
 
@@ -98,7 +103,8 @@ class ProgramStore:
         blob = read_bytes_or_none(self.path_for(workload, seed))
         if blob is None:
             return None
-        if faults.corrupt_artifact("corrupt-program", workload):
+        faults = requested_faults()
+        if faults is not None and faults.corrupt_artifact("corrupt-program", workload):
             # Fault injection: pretend the stored pickle is corrupt so the
             # rebuild-and-rewrite fallback below is exercised end-to-end.
             blob = b"injected-corrupt-program"
@@ -121,6 +127,17 @@ class ProgramStore:
     def clear(self) -> int:
         """Delete every stored program; returns the number removed."""
         return clear_dir(self.root, "*/*.pkl")
+
+
+def program_key(workload: str, seed: int) -> str:
+    """:meth:`ProgramStore.key_for`, derived once per (workload, seed) in a
+    process: the key does not depend on the store's root, and its inputs
+    (the schema, the package fingerprint, the profile) are fixed for the
+    process's life."""
+    key = _KEYS.get((workload, seed))
+    if key is None:
+        key = _KEYS[workload, seed] = ProgramStore.key_for(workload, seed)
+    return key
 
 
 def synthesize(profile: WorkloadProfile, seed: int) -> Program:
@@ -183,5 +200,6 @@ def materialize(workload: str, seed: int = 1) -> None:
 
 
 def clear_memo() -> None:
-    """Drop the in-process memo (test isolation helper)."""
+    """Drop the in-process memo and key memo (test isolation helper)."""
     _MEMO.clear()
+    _KEYS.clear()

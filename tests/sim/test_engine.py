@@ -107,6 +107,22 @@ def test_corrupted_cache_file_is_a_miss(tmp_path):
     assert cache.get(spec) is not None
 
 
+@pytest.mark.parametrize("payload", ["[]", "1", '"x"', "null"])
+def test_cache_file_whose_json_is_not_an_object_is_a_miss(tmp_path, payload):
+    cache = ResultCache(tmp_path / "not-an-object")
+    spec = _specs()[0]
+    path = cache.path_for(spec)
+    path.parent.mkdir(parents=True)
+    path.write_text(payload, encoding="utf-8")
+    assert cache.get(spec) is None
+    stats = BatchStats()
+    (result,) = run_batch([spec], cache=cache, progress=stats)
+    assert stats.simulated == 1 and stats.cache_hits == 0
+    # Recomputed and overwritten: the file now holds the result.
+    assert json.loads(path.read_text(encoding="utf-8"))["result"] == result.to_dict()
+    assert cache.get(spec) is not None
+
+
 def test_cache_hit_restamps_label(tmp_path):
     cache = ResultCache(tmp_path / "labels")
     spec = _specs()[0]

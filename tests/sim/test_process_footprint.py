@@ -7,8 +7,10 @@ stored program's block view: the compiled driver reads the program's flat
 columns, so a compiled run never builds a ``BasicBlock``, while the object
 path walks the view.  A compiled run holds the structures' compiled twins,
 so it imports no object structure, no behaviour class and no technique it
-does not build; sampling loads with a sampled spec.  Each check runs in a
-fresh interpreter, where ``sys.modules`` starts empty.
+does not build; sampling loads with a sampled spec, and the fault injector
+only when ``REPRO_FAULT`` is set.  A batch derives each spec's result key
+and each program's store key once.  Each check runs in a fresh
+interpreter, where ``sys.modules`` starts empty.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-# Modules a serial run must not import.
+# Modules a serial run must not import (the fault injector: with
+# REPRO_FAULT unset, as _python leaves it).
 OFF_PATH = (
     "numpy",
     "multiprocessing",
@@ -31,17 +34,24 @@ OFF_PATH = (
     "repro.sim.pool",
     "repro.workloads.synth",
     "repro.analysis",
+    "repro.common.faults",
 )
 
 # The object structures SERIAL_RUN's specs build on the object path; a
 # compiled run builds their twins (repro.branch.compiled,
-# repro.memory.compiled, repro.backend.core) instead.
+# repro.memory.compiled, repro.frontend.compiled, repro.backend.core)
+# instead, and keeps its MSHRs in the driver.
 OBJECT_TWINS = (
     "repro.branch.btb",
     "repro.branch.history",
     "repro.branch.tage",
+    "repro.frontend.bpu",
+    "repro.frontend.fdip",
+    "repro.frontend.fetch_block",
+    "repro.frontend.ftq",
     "repro.memory.cache",
     "repro.memory.hierarchy",
+    "repro.memory.mshr",
     "repro.memory.stream",
     "repro.workloads.data",
 )
@@ -125,6 +135,41 @@ for package in (
 print(json.dumps(failures))
 """
 
+# Fig 13's seven configurations on one program, cache on: each spec's
+# result key is derived once for its lookup and its store, and the
+# program's store key once for the whole process.
+FIG13_KEYS = """
+import json
+from repro.sim import presets
+from repro.sim.engine import ResultCache, run_batch, spec_for
+from repro.workloads.store import ProgramStore
+
+calls = {"result": 0, "program": 0}
+result_key, program_key = ResultCache.key_for, ProgramStore.key_for
+
+def counted_result_key(*args):
+    calls["result"] += 1
+    return result_key(*args)
+
+def counted_program_key(*args):
+    calls["program"] += 1
+    return program_key(*args)
+
+ResultCache.key_for = counted_result_key
+ProgramStore.key_for = counted_program_key
+builds = (
+    presets.baseline_config, presets.udp_config, presets.infinite_storage_config,
+    presets.bigger_icache_config, presets.eip_config, presets.mana_config,
+    presets.shadow_btb_config,
+)
+specs = [
+    spec_for("clang", build(2000).replace(functional_warmup_blocks=1000), 1, build.__name__)
+    for build in builds
+]
+run_batch(specs, jobs=1)
+print(json.dumps(calls))
+"""
+
 CLI_RUN = """
 import json, sys
 from repro.cli import main
@@ -136,7 +181,7 @@ print(json.dumps(sorted(sys.modules)))
 def _python(code: str, cache_dir: Path, compiled: bool = True) -> str:
     """Run ``code`` in a fresh interpreter; its standard output."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "REPRO_CACHE_DIR": str(cache_dir)}
-    for name in ("REPRO_NO_COMPILED", "REPRO_NO_CHECKPOINT", "REPRO_JOBS"):
+    for name in ("REPRO_NO_COMPILED", "REPRO_NO_CHECKPOINT", "REPRO_JOBS", "REPRO_FAULT"):
         env.pop(name, None)
     if not compiled:
         env["REPRO_NO_COMPILED"] = "1"
@@ -172,6 +217,12 @@ def test_serial_run_loads_only_what_it_runs(tmp_path, compiled):
         assert report["basic_blocks"] > 0, "the object path walked no block view"
         missing = [name for name in OBJECT_TWINS if name not in report["modules"]]
         assert not missing, f"the object path did not import {missing}"
+
+
+def test_a_batch_derives_each_key_once(tmp_path):
+    _python("from repro.workloads import store; store.materialize('clang', 1)", tmp_path)
+    calls = json.loads(_python(FIG13_KEYS, tmp_path))
+    assert calls == {"result": 7, "program": 1}
 
 
 def test_lazy_packages_export_every_listed_name(tmp_path):
