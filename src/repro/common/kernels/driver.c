@@ -120,7 +120,8 @@ enum { DRIVER_COUNTERS(DC_ENUM) DC_COUNT };
 static const char *const DC_NAMES[DC_COUNT] = { DRIVER_COUNTERS(DC_NAME) };
 
 /* Per-program ground truth: the program's own column buffers
- * (workloads/tables.py, checked there before C reads a stored one). */
+ * (workloads/tables.py), checked before anything reads them (check_columns,
+ * tables.c). */
 typedef struct {
     int64_t n_blocks;
     int64_t code_start;

@@ -226,6 +226,7 @@ enum {
     KC_BTB_FILL,
     KC_RUN_CYCLES,
     KC_FUNCTIONAL_WALK,
+    KC_CHECK_COLUMNS,
     KC_COUNT
 };
 
@@ -244,5 +245,6 @@ extern PyMethodDef repro_cache_methods[];
 extern PyMethodDef repro_btb_methods[];
 extern PyMethodDef repro_backend_methods[];
 extern PyMethodDef repro_driver_methods[];
+extern PyMethodDef repro_tables_methods[];
 
 #endif /* REPRO_KERNELS_H */

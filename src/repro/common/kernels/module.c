@@ -8,6 +8,7 @@ static const char *const KC_NAMES[KC_COUNT] = {
     "btb_fill",
     "run_cycles",
     "functional_walk",
+    "check_columns",
 };
 
 static PyObject *k_call_counts(PyObject *self, PyObject *args) {
@@ -66,6 +67,7 @@ PyMODINIT_FUNC PyInit__repro_kernels(void) {
     append_methods(repro_btb_methods, &count);
     append_methods(repro_backend_methods, &count);
     append_methods(repro_driver_methods, &count);
+    append_methods(repro_tables_methods, &count);
     append_methods(module_methods, &count);
     all_methods[count].ml_name = NULL;
     return PyModule_Create(&repro_kernels_module);

@@ -29,8 +29,6 @@ from repro.common.addr import INSTR_BYTES, LINE_BYTES
 from repro.common.config import SimConfig
 from repro.common.counters import Counters
 from repro.common.errors import SimulationError
-from repro.core.superline import superline_base
-from repro.core.udp import UDPFilter
 from repro.prefetchers.base import LINE_LIMIT, FrontendHooks, reject_prefetch_line
 from repro.prefetchers.registry import get_technique
 from repro.sim import driver
@@ -39,6 +37,7 @@ from repro.workloads.program import OP_LOAD, OP_STORE, BranchKind, Program
 from repro.workloads.trace import OracleCursor
 
 if TYPE_CHECKING:
+    from repro.core.udp import UDPFilter
     from repro.frontend.fetch_block import FTQEntry, PendingResteer
     from repro.memory.cache import CacheLine
 
@@ -68,12 +67,15 @@ class Simulator:
 
         self.oracle = OracleCursor(program)
         self.bpu = BranchPredictionUnit(config.branch, self.counters, compiled=comp)
-        # Every line the exact set can hold -- warmed, retired or fetched --
-        # is a line of the code region.
-        code_lines = range(program.code_start & -LINE_BYTES, program.code_end, LINE_BYTES)
-        self.udp = (
-            UDPFilter(config.udp, self.counters, code_lines) if config.udp.enabled else None
-        )
+        self.udp: UDPFilter | None = None
+        if config.udp.enabled:
+            # UDP's modules load only for a run that builds it.
+            from repro.core.udp import UDPFilter
+
+            # Every line the exact set can hold -- warmed, retired or
+            # fetched -- is a line of the code region.
+            code_lines = range(program.code_start & -LINE_BYTES, program.code_end, LINE_BYTES)
+            self.udp = UDPFilter(config.udp, self.counters, code_lines)
         # Technique construction is fully registry-driven: the capability
         # declaration decides what gets wired up, never the kind string.
         technique = get_technique(config.prefetcher.kind)
@@ -352,6 +354,8 @@ class Simulator:
         it.  A pure function of current state, which keeps segmented
         fast-forwards byte-identical to one-shot walks over the same span.
         """
+        from repro.core.superline import superline_base
+
         us = self.udp.useful_set
         if us.infinite:
             return line_addr in us._exact

@@ -165,9 +165,11 @@ class Program:
     Built from blocks, a program checks each block for what the columns
     cannot show (:meth:`BasicBlock.validate`), keeps the blocks as its view
     and flattens them into :attr:`columns`, which then pass the same check
-    as a stored program's (:func:`repro.workloads.tables.checked_columns`);
-    any failure is a :class:`~repro.common.errors.ProgramError`.
-    :meth:`from_state` builds one from stored columns, checked first.
+    as a stored program's (:func:`repro.workloads.tables.checked_columns`,
+    in C wherever the kernels build: building or loading a program builds
+    them in a process that has not yet); any failure is a
+    :class:`~repro.common.errors.ProgramError`.  :meth:`from_state` builds
+    one from stored columns, checked first.
     """
 
     def __init__(self, blocks: list[BasicBlock], entry: int | None = None) -> None:

@@ -13,8 +13,9 @@ eliminates that redundancy:
   program) pickled to ``<cache_root>/programs/<key[:2]>/<key>.pkl``;
 * pool workers (and later cold processes) **hydrate** the pickle instead of
   re-running synthesis: they unpickle four buffers and check them
-  (:func:`~repro.workloads.tables.checked_columns`) before anything reads
-  them, C included.  The :class:`~repro.workloads.program.BasicBlock` view
+  (:func:`~repro.workloads.tables.checked_columns`: one C pass wherever
+  the kernels build, Python otherwise) before anything reads them, C
+  included.  The :class:`~repro.workloads.program.BasicBlock` view
   is built only if Python walks the program.  On Linux the fork start
   method means workers also inherit the parent's in-process memo directly.
 

@@ -16,11 +16,13 @@ behaviours as the flat columns the compiled cycle driver reads
 This module owns that format.  :func:`flatten` builds the buffers when a
 program is built from blocks; :func:`checked_columns` validates every
 program's buffers, built or stored, before anything reads them
-(everything C relies on); :func:`unflatten` builds the
-:class:`~repro.workloads.program.BasicBlock` view back, the first time
-Python walks a program; and :class:`ProgramTables` is the C ``ProgTables``
-descriptor over the program's own buffers.  The program store pickles only
-the buffers.
+(everything C relies on): the format in Python, the rest in one C pass
+(``check_columns``, ``kernels/tables.c``) wherever the kernels build and
+in Python otherwise, both raising from one message table;
+:func:`unflatten` builds the :class:`~repro.workloads.program.BasicBlock`
+view back, the first time Python walks a program; and
+:class:`ProgramTables` is the C ``ProgTables`` descriptor over the
+program's own buffers.  The program store pickles only the buffers.
 
 :func:`program_cache` is the per-process memo of what is derived from a
 program alone: a dict attached weakly to the program object (programs are
@@ -239,21 +241,63 @@ def flatten(blocks: list[BasicBlock]) -> tuple[array, bytes, array, array]:
 
 # -- validate: buffers -> columns -----------------------------------------------
 
+# What each load check reports, by number: check_columns (kernels/tables.c)
+# and _first_failure make the checks in this order and return the number
+# of the first that fails (0: none), and checked_columns raises its message.
+_FAILURES = (
+    "",
+    "empty or unaligned block",
+    "blocks do not tile the code region",
+    "code region outside the address space",
+    "not one op byte per instruction",
+    "entry {entry:#x} outside the code region",
+    "branch kind out of range",
+    "an indirect target is not a block start",
+    "a direct target is not a block start",
+    "non-finite behaviour parameter",
+    "pattern node's pattern outside 63 bits",
+    "pattern node's length not positive",
+    "phased node's phase length not positive",
+    "phased node without earlier direction children",
+    "a conditional branch without a direction node",
+    "an indirect branch without a selector node",
+    "indirect targets outside the targets array",
+    "fixed target index out of range",
+)
+(
+    _EMPTY_OR_UNALIGNED, _NOT_TILED, _REGION, _OPS, _ENTRY, _KIND,
+    _INDIRECT_TARGET, _DIRECT_TARGET, _NON_FINITE, _PATTERN, _PATTERN_LENGTH,
+    _PHASE_LENGTH, _PHASED_CHILDREN, _COND_NODE, _SELECTOR, _TARGETS_RANGE,
+    _FIXED_INDEX,
+) = range(1, len(_FAILURES))
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
 
 def checked_columns(entry, blocks, ops, nodes, targets) -> Columns:
     """A program's buffers as :class:`Columns`, checked first.
 
     Raises :class:`ValueError` unless everything C relies on holds: the
-    buffers have the format's types and whole columns; the blocks tile the
-    code region with positive instruction counts, the region lies in
-    ``[0, 2**48)``, and there is one op byte per instruction; branch kinds are in range; every COND and indirect
-    branch has a behaviour node of its family (a direction, a selector), a
-    phased node's children are earlier direction nodes, and every node's
-    parameters are ones C computes with (positive pattern and phase
-    lengths, a fixed index inside its branch's targets, a finite ``f``);
-    each indirect branch's targets lie inside the targets array; direct and
-    indirect targets are block starts; and the entry lies in the code.
+    buffers have the format's types and whole columns, and the entry is an
+    int64; the blocks tile the code region with positive instruction
+    counts, the region lies in ``[0, 2**48)``, and there is one op byte per
+    instruction; the entry lies in the code; branch kinds are in range;
+    direct and indirect targets are block starts; every node's parameters
+    are ones C computes with (a finite ``f``, positive pattern and phase
+    lengths) and a phased node's children are earlier direction nodes;
+    every COND and indirect branch has a behaviour node of its family (a
+    direction, a selector); each indirect branch's targets lie inside the
+    targets array, and a fixed index inside them.
+
+    The format is checked here, the rest by ``check_columns`` in C wherever
+    the kernels build, and otherwise (no compiler, or
+    ``REPRO_NO_COMPILED``) by :func:`_first_failure`, its oracle.  So
+    checking a program in a process that has not built the kernels yet
+    builds them there, as its first simulation would.  Both report the
+    first failure in the order above, with one message (:data:`_FAILURES`).
     """
+    from repro.common import cc
+
     if not (
         type(entry) is int and type(ops) is bytes
         and all(type(buf) is array and buf.typecode == "q" for buf in (blocks, nodes, targets))
@@ -261,68 +305,89 @@ def checked_columns(entry, blocks, ops, nodes, targets) -> Columns:
         raise ValueError("program buffers are not the flat format")
     if not blocks or len(blocks) % len(BLOCK_COLUMNS) or len(nodes) % len(NODE_COLUMNS):
         raise ValueError("truncated program column")
+    if not _INT64_MIN <= entry <= _INT64_MAX:  # C takes an int64, and the code lies inside
+        raise ValueError(_FAILURES[_ENTRY].format(entry=entry))
     columns = Columns(blocks, ops, nodes, targets)
+    kernels = cc.kernels()
+    if kernels is None:
+        failure = _first_failure(entry, columns)
+    else:
+        failure = kernels.check_columns(
+            address(blocks), len(blocks), address(nodes), len(nodes),
+            address(targets), len(targets), len(ops), entry,
+        )
+    if failure:
+        raise ValueError(_FAILURES[failure].format(entry=entry))
+    return columns
+
+
+def _first_failure(entry: int, columns: Columns) -> int:
+    """The number of the first check ``columns`` fail (0: none), in
+    :data:`_FAILURES` order: ``check_columns``'s checks in Python."""
     starts, counts = columns.addr.tolist(), columns.ninstr.tolist()
     if min(counts) <= 0 or starts[0] % INSTR_BYTES:
-        raise ValueError("empty or unaligned block")
+        return _EMPTY_OR_UNALIGNED
     ends = list(map(add, starts, map(mul, counts, repeat(INSTR_BYTES))))
     if ends[:-1] != starts[1:]:
-        raise ValueError("blocks do not tile the code region")
+        return _NOT_TILED
     if not 0 <= starts[0] <= ends[-1] <= _ADDRESS_LIMIT:
-        raise ValueError("code region outside the address space")
-    if len(ops) != (ends[-1] - starts[0]) // INSTR_BYTES:
-        raise ValueError("not one op byte per instruction")
+        return _REGION
+    if len(columns.ops) != (ends[-1] - starts[0]) // INSTR_BYTES:
+        return _OPS
     if not starts[0] <= entry < ends[-1]:
-        raise ValueError(f"entry {entry:#x} outside the code region")
+        return _ENTRY
     kinds = columns.kind.tolist()
     if not _KINDS.issuperset(kinds):
-        raise ValueError("branch kind out of range")
+        return _KIND
     block_starts = set(starts)
-    if not block_starts.issuperset(targets):
-        raise ValueError("an indirect target is not a block start")
+    if not block_starts.issuperset(columns.targets):
+        return _INDIRECT_TARGET
     direct = compress(columns.target.tolist(), map(_DIRECT.__contains__, kinds))
     if not block_starts.issuperset(direct):
-        raise ValueError("a direct target is not a block start")
+        return _DIRECT_TARGET
     node_kinds = columns.node_kind.tolist()
-    _check_nodes(columns, node_kinds)
-    m, t = len(node_kinds), len(targets)
+    failure = _first_node_failure(columns, node_kinds)
+    if failure:
+        return failure
+    m, t = len(node_kinds), len(columns.targets)
     behavior = columns.behavior.tolist()
     cond = list(compress(behavior, map(_COND.__eq__, kinds)))
     if cond and not (
         0 <= min(cond) and max(cond) < m
         and _DIRECTIONS.issuperset(map(node_kinds.__getitem__, cond))
     ):
-        raise ValueError("a conditional branch without a direction node")
+        return _COND_NODE
     first, count, fixed = columns.targets_off, columns.targets_n, columns.node_a
     for i in compress(range(len(kinds)), map(_INDIRECT.__contains__, kinds)):
         node, n = behavior[i], count[i]
         if not (0 <= node < m and node_kinds[node] in _SELECTORS):
-            raise ValueError("an indirect branch without a selector node")
+            return _SELECTOR
         if not (n > 0 and 0 <= first[i] <= t - n):
-            raise ValueError("indirect targets outside the targets array")
+            return _TARGETS_RANGE
         if node_kinds[node] == B_FIXED and not -n <= fixed[node] < n:
-            raise ValueError("fixed target index out of range")
-    return columns
+            return _FIXED_INDEX
+    return 0
 
 
-def _check_nodes(columns: Columns, node_kinds: list[int]) -> None:
+def _first_node_failure(columns: Columns, node_kinds: list[int]) -> int:
     if not all(map(math.isfinite, columns.node_f.tolist())):
-        raise ValueError("non-finite behaviour parameter")
+        return _NON_FINITE
     a, b, c = columns.node_a.tolist(), columns.node_b.tolist(), columns.node_c.tolist()
     for j, kind in enumerate(node_kinds):
         if kind == B_PATTERN:
             if a[j] < 0:
-                raise ValueError("pattern node's pattern outside 63 bits")
+                return _PATTERN
             if b[j] <= 0:
-                raise ValueError("pattern node's length not positive")
+                return _PATTERN_LENGTH
         elif kind == B_PHASED:
             if a[j] <= 0:
-                raise ValueError("phased node's phase length not positive")
+                return _PHASE_LENGTH
             if not (
                 0 <= b[j] < j and 0 <= c[j] < j
                 and node_kinds[b[j]] in _DIRECTIONS and node_kinds[c[j]] in _DIRECTIONS
             ):
-                raise ValueError("phased node without earlier direction children")
+                return _PHASED_CHILDREN
+    return 0
 
 
 # -- unflatten: columns -> the object view ----------------------------------------

@@ -111,7 +111,9 @@ def test_kernel_call_counts_shape():
     assert counts and all(
         isinstance(v, int) and v >= 0 for v in counts.values()
     )
-    assert set(counts) == {"btb_contains", "btb_fill", "run_cycles", "functional_walk"}
+    assert set(counts) == {
+        "btb_contains", "btb_fill", "run_cycles", "functional_walk", "check_columns",
+    }
 
 
 def test_digest_covers_sources_and_interpreter():

@@ -8,8 +8,10 @@ columns, so a compiled run never builds a ``BasicBlock``, while the object
 path walks the view.  A compiled run holds the structures' compiled twins,
 so it imports no object structure, no behaviour class and no technique it
 does not build; sampling loads with a sampled spec, and the fault injector
-only when ``REPRO_FAULT`` is set.  A batch derives each spec's result key
-and each program's store key once.  Each check runs in a fresh
+only when ``REPRO_FAULT`` is set.  UDP's modules load only for a run that
+builds UDP, and a stored program is checked once on load, in C wherever
+the kernels build.  A batch derives each spec's result key and each
+program's store key once.  Each check runs in a fresh
 interpreter, where ``sys.modules`` starts empty.
 """
 
@@ -70,6 +72,16 @@ COMPILED_OFF_PATH = (
     "subprocess",
 )
 
+# UDP's modules, which only a run that builds UDP imports.
+UDP_MODULES = (
+    "repro.core.udp",
+    "repro.core.useful_set",
+    "repro.core.bloom",
+    "repro.core.confidence",
+    "repro.core.seniority",
+    "repro.core.superline",
+)
+
 # The registry's technique modules, none of which the CLI's baseline run
 # builds.
 TECHNIQUE_MODULES = (
@@ -109,6 +121,39 @@ print(json.dumps({
     "driver": cc.compiled_enabled(),  # False without a C compiler, too
     # Every program of the batch stays memoized, and with it any view built.
     "basic_blocks": sum(type(obj) is BasicBlock for obj in gc.get_objects()),
+}))
+"""
+
+# A baseline and a miss-heavy spec: no UDP.  Counts the stored programs'
+# load checks, in C and in Python.
+NO_UDP_RUN = """
+import json, sys
+from repro.common import cc
+from repro.sim import presets
+from repro.sim.engine import run_batch, spec_for
+from repro.workloads import tables
+
+python_checks = []
+first_failure = tables._first_failure
+
+def counted_first_failure(*args):
+    python_checks.append(1)
+    return first_failure(*args)
+
+tables._first_failure = counted_first_failure
+specs = [
+    spec_for(workload, build(2000).replace(functional_warmup_blocks=2000), 1, label)
+    for workload, build, label in (
+        ("gcc", presets.baseline_config, "baseline"),
+        ("verilator", presets.miss_heavy_config, "miss-heavy"),
+    )
+]
+run_batch(specs, jobs=1, no_cache=True)
+print(json.dumps({
+    "modules": sorted(sys.modules),
+    "driver": cc.compiled_enabled(),
+    "check_columns": cc.kernel_call_counts().get("check_columns", 0),
+    "python_checks": len(python_checks),
 }))
 """
 
@@ -209,6 +254,8 @@ def test_serial_run_loads_only_what_it_runs(tmp_path, compiled):
     loaded = [name for name in OFF_PATH if name in report["modules"]]
     assert not loaded, f"a serial run imported {loaded}"
     assert not report["sampling_unsampled"], "a batch with no sampled spec imported sampling"
+    missing = [name for name in UDP_MODULES if name not in report["modules"]]
+    assert not missing, f"a udp run did not import {missing}"
     if report["driver"]:
         assert report["basic_blocks"] == 0, "a compiled run built the block view"
         loaded = [name for name in COMPILED_OFF_PATH if name in report["modules"]]
@@ -217,6 +264,24 @@ def test_serial_run_loads_only_what_it_runs(tmp_path, compiled):
         assert report["basic_blocks"] > 0, "the object path walked no block view"
         missing = [name for name in OBJECT_TWINS if name not in report["modules"]]
         assert not missing, f"the object path did not import {missing}"
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "object"])
+def test_a_run_without_udp_loads_none_of_it(tmp_path, compiled):
+    _python(
+        "from repro.common import cc; from repro.workloads import store; "
+        "cc.kernels(); store.materialize('gcc', 1); store.materialize('verilator', 1)",
+        tmp_path,
+        compiled,
+    )
+    report = json.loads(_python(NO_UDP_RUN, tmp_path, compiled))
+    assert "repro.workloads.synth" not in report["modules"], "a stored program was rebuilt"
+    loaded = [name for name in UDP_MODULES if name in report["modules"]]
+    assert not loaded, f"a baseline and a miss-heavy run imported {loaded}"
+    # Each stored program is checked once on load: in C wherever the
+    # kernels build, and then never in Python.
+    checks = (report["check_columns"], report["python_checks"])
+    assert checks == ((2, 0) if report["driver"] else (0, 2))
 
 
 def test_a_batch_derives_each_key_once(tmp_path):

@@ -112,7 +112,8 @@ def _shift(state: dict, by: int) -> None:
 
 
 def _edits(program: Program) -> dict:
-    """One edit of a stored state per check :func:`checked_columns` makes."""
+    """Edits of a stored state: at least one per check :func:`checked_columns`
+    makes, and numbers at the int64 limits."""
     cond = _first(program, "kind", 0)
     jump = _first(program, "kind", 1)
     indirect = _first(program, "kind", 4)
@@ -137,6 +138,7 @@ def _edits(program: Program) -> dict:
         "phased-child-not-earlier": lambda s: _put(s, "node_b", phased, phased),
         "phase-length-zero": lambda s: _put(s, "node_a", phased, 0),
         "pattern-length-zero": lambda s: _put(s, "node_b", pattern, 0),
+        "pattern-negative": lambda s: _put(s, "node_a", pattern, -1),
         "fixed-index-out-of-range": lambda s: _put(s, "node_a", fixed, 3),
         "non-finite-f": lambda s: _put(s, "node_f", biased, math.nan),
         "targets-past-the-end": lambda s: _put(s, "targets_off", indirect, len(s["targets"]) - 2),
@@ -150,6 +152,20 @@ def _edits(program: Program) -> dict:
         "entry-outside": lambda s: s.update(entry=program.code_end),
         "ops-not-bytes": lambda s: s.update(ops=bytearray(s["ops"])),
         "column-not-int64": lambda s: s.update(targets=array("l", s["targets"])),
+        # Numbers at the int64 limits, which Python's integers hold exactly
+        # and C must not overflow on (the entry never reaches C).
+        "last-block-of-2**61-instructions": lambda s: _put(s, "ninstr", last, 1 << 61),
+        "block-address-at-2**63-4": lambda s: _put(s, "addr", 0, (1 << 63) - 4),
+        # 4 * ninstr overflows int64, yet the block ends where the next starts.
+        "first-block-from--2**63-tiles": lambda s: (
+            _put(s, "addr", 0, -(1 << 63)),
+            _put(s, "ninstr", 0, (program.columns.addr[1] >> 2) + (1 << 61)),
+        ),
+        "targets-range-of-2**62": lambda s: (
+            _put(s, "targets_off", indirect, 1 << 62), _put(s, "targets_n", indirect, 1 << 62)
+        ),
+        "phased-child-at--2**63": lambda s: _put(s, "node_b", phased, -(1 << 63)),
+        "entry-of-2**70": lambda s: s.update(entry=1 << 70),
     }
 
 
