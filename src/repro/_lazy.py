@@ -2,7 +2,9 @@
 
 A package lists its public names by defining module; each name is imported
 on first access and then cached in the package namespace, so importing the
-package costs nothing beyond the modules a caller actually uses.
+package costs nothing beyond the modules a caller actually uses.  A module
+whose code moved to one that only some runs load resolves the moved names
+the same way.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ from repro.analysis.tables import format_table
 from repro.sim.engine import run_batch, spec_for
 from repro.sim.metrics import SimResult
 from repro.sim.presets import baseline_config
+from repro.workloads.oracle import trace_statistics
 from repro.workloads.profiles import SUITE
 from repro.workloads.program import Program
 from repro.workloads.store import program_for
-from repro.workloads.trace import trace_statistics
 
 
 @dataclass

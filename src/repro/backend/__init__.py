@@ -7,5 +7,6 @@ from repro._lazy import exports as _exports
 
 __all__, __getattr__, __dir__ = _exports(
     __name__,
-    ("repro.backend.core", ("OP_BRANCH", "BackendCore", "MicroOp")),
+    ("repro.backend.core", ("OP_BRANCH",)),
+    ("repro.backend.window", ("BackendCore", "MicroOp")),
 )

@@ -77,19 +77,33 @@ def requested_faults():
 SOURCE_SUFFIXES = (".py", ".c", ".h")
 
 
-def source_digest(root: Path, salt: str = "") -> str:
+def _is_source(name: str) -> bool:
+    """``name`` has a source suffix, as ``pathlib.PurePath.suffix`` reads it
+    (the text from its last dot, not a leading dot, to a non-empty end)."""
+    dot = name.rfind(".")
+    return 0 < dot < len(name) - 1 and name[dot:] in SOURCE_SUFFIXES
+
+
+def source_digest(root: str | os.PathLike, salt: str = "") -> str:
     """SHA-256 hex digest of every source file under ``root`` plus ``salt``.
 
-    Covers each file's path relative to ``root`` and its contents.
+    Covers each file's path relative to ``root`` and its contents, in the
+    order of their paths' components.  One ``os.walk`` (which, like
+    ``Path.rglob``, does not descend into linked directories) instead of
+    pathlib's glob and per-path objects: it runs in every fresh process.
     """
+    top = os.fspath(root)
+    found = []
+    for directory, dirnames, filenames in os.walk(top):
+        relative = os.path.relpath(directory, top)
+        parts = () if relative == os.curdir else tuple(relative.split(os.sep))
+        found.extend((*parts, name) for name in (*dirnames, *filenames) if _is_source(name))
     digest = hashlib.sha256()
-    paths = sorted(
-        path for path in root.rglob("*") if path.suffix in SOURCE_SUFFIXES
-    )
-    for path in paths:
-        digest.update(str(path.relative_to(root)).encode())
+    for parts in sorted(found):
+        digest.update(os.path.join(*parts).encode())
         try:
-            digest.update(path.read_bytes())
+            with open(os.path.join(top, *parts), "rb") as fh:
+                digest.update(fh.read())
         except OSError:  # pragma: no cover - racing file removal
             continue
     digest.update(salt.encode())
@@ -108,7 +122,8 @@ def package_fingerprint() -> str:
         from repro import __version__ as version
     except ImportError:  # pragma: no cover - partial install
         version = ""
-    return source_digest(Path(__file__).resolve().parents[1], version)[:16]
+    package = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+    return source_digest(package, version)[:16]
 
 
 def canonical_key(payload: dict) -> str:

@@ -23,11 +23,11 @@ counters between the two).  No new Python dependencies are involved.
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
 import importlib.util
 import os
 import shutil
 import sys
-import sysconfig
 import tempfile
 from pathlib import Path
 
@@ -45,6 +45,11 @@ KERNEL_SOURCES = ("cache.c", "btb.c", "tage.c", "backend.c", "driver.c", "tables
 KERNEL_HEADER = "kernels.h"
 
 CFLAGS = ("-O1", "-fPIC", "-shared", "-fno-strict-aliasing")
+
+# The interpreter's extension-module suffix, sysconfig's ``EXT_SUFFIX``
+# (".cpython-311-x86_64-linux-gnu.so"), without importing sysconfig and its
+# build data into a process that only loads a built module.
+EXT_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
 
 # Process-wide memo: False = not attempted, None = attempted and unavailable.
 _MODULE: object = False
@@ -88,21 +93,21 @@ def _build_digest(compiler: str) -> str:
     digest.update(" ".join(CFLAGS).encode())
     digest.update(compiler.encode())
     digest.update(sys.version.encode())
-    digest.update(str(sysconfig.get_config_var("EXT_SUFFIX")).encode())
+    digest.update(EXT_SUFFIX.encode())
     return digest.hexdigest()[:32]
 
 
 def _artifact_path(digest: str) -> Path:
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    return cache_root() / "kernels" / f"{MODULE_NAME}-{digest}{suffix}"
+    return cache_root() / "kernels" / f"{MODULE_NAME}-{digest}{EXT_SUFFIX}"
 
 
 def _compile(compiler: str, out_path: Path) -> bool:
     """Compile the unity translation unit to ``out_path`` (atomic rename)."""
     global _BUILD_ERROR
     # Only a build runs the compiler: a process that loads a built module
-    # never imports subprocess.
+    # never imports subprocess, nor sysconfig for Python's headers.
     import subprocess
+    import sysconfig
 
     include = sysconfig.get_paths()["include"]
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -40,8 +40,9 @@ from repro.frontend.fetch_block import (
     SeenBranch,
 )
 from repro.frontend.ftq import FetchTargetQueue
-from repro.workloads.program import Branch, BranchKind, Program
-from repro.workloads.trace import OracleCursor
+from repro.workloads.blocks import Branch
+from repro.workloads.oracle import OracleCursor
+from repro.workloads.program import BranchKind, Program
 
 
 class PathEstimator(Protocol):

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.addr import INSTR_BYTES, line_of
-from repro.workloads.program import Branch, BranchKind
+from repro.workloads.blocks import Branch
+from repro.workloads.program import BranchKind
 
 RESTEER_AT_DECODE = "decode"
 RESTEER_AT_EXECUTE = "execute"

@@ -29,9 +29,9 @@ from repro.common.config import CacheConfig
 from repro.common.errors import ConfigError
 from repro.memory.cache import SetAssocCache
 from repro.prefetchers.base import FrontendHooks, InstructionPrefetcher
+from repro.workloads.oracle import OracleCursor
 from repro.workloads.program import Program
 from repro.workloads.tables import program_cache
-from repro.workloads.trace import OracleCursor
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,9 @@ def _execute(spec: RunSpec) -> tuple[SimResult, float, dict]:
     program, config, data_profile, meta["program_source"] = _resolve_spec(spec)
     simulator = _warmed_simulator(spec, program, config, data_profile, meta)
     if spec.config.sampling.enabled:
-        result = _run_sampled(spec, simulator, program, config, data_profile, meta)
+        from repro.sim import sampling  # only sampled specs load it
+
+        result = sampling.run_sampled(spec, simulator, program, config, data_profile, meta)
     else:
         simulator.run()
         result = SimResult(
@@ -278,73 +280,6 @@ def _execute(spec: RunSpec) -> tuple[SimResult, float, dict]:
             final_ftq_depth=simulator.ftq.depth,
         )
     return result, time.perf_counter() - started, meta
-
-
-def _run_sampled(
-    spec: RunSpec,
-    walker: Simulator,
-    program,
-    config: SimConfig,
-    data_profile,
-    meta: dict,
-) -> SimResult:
-    """Run a sampled spec's intervals as one chain over ``walker``.
-
-    The walker fast-forwards (:meth:`~repro.sim.simulator.Simulator.fast_forward_to`)
-    to each interval's start in plan order and hands its functional state
-    over in memory (:func:`~repro.sim.checkpoint.handoff`, a copy of each
-    structure's buffers) to a fresh simulator, which runs the detailed
-    warmup and the measured slice; the walker itself never runs a cycle.
-    Chained fast-forwards land in exactly the state of one direct jump, so
-    every interval measures what a simulator that warmed up and jumped
-    straight to its start would (``tests/sim/test_sampling.py``).  Each interval
-    fires its own fault tokens (``label#k``), and an exception raised in
-    interval ``k`` carries ``sampling_interval = k`` for the failure record.
-    """
-    from repro.sim import sampling  # only sampled specs load it
-    from repro.sim.simulator import Simulator  # loaded with the walker
-
-    if not walker._warmed and config.functional_warmup_blocks > 0:
-        started = time.perf_counter()
-        walker.functional_warmup(config.functional_warmup_blocks)
-        meta["warmup_seconds"] += time.perf_counter() - started
-    # The warmup's true-path position survives in the checkpointed counters,
-    # so the absolute fast-forward targets are recoverable after a restore.
-    warmup_walked = walker.counters["warmup_instructions_functional"]
-    outcomes = []
-    for plan in sampling.plan_intervals(spec.config):
-        try:
-            _fire_unit_faults(_interval_tokens(spec, plan.index))
-            simulator = Simulator(program, config, data_profile=data_profile)
-            handoff_started = time.perf_counter()
-            ff_blocks, ff_walked = walker.fast_forward_to(
-                warmup_walked + plan.ff_instructions
-            )
-            ckpt.handoff(walker, simulator)
-            meta["warmup_seconds"] += time.perf_counter() - handoff_started
-            simulator.run_interval(
-                plan.measure_instructions, detailed_warmup=plan.detailed_warmup
-            )
-        except Exception as exc:
-            exc.sampling_interval = plan.index
-            raise
-        outcomes.append(
-            sampling.IntervalOutcome(
-                index=plan.index,
-                counters=simulator.measured_counters(),
-                avg_ftq_occupancy=simulator.ftq.average_occupancy,
-                final_ftq_depth=simulator.ftq.depth,
-                ff_blocks=ff_blocks,
-                ff_instructions_walked=ff_walked,
-            )
-        )
-        # Freed before the next interval's simulator is built, so the chain
-        # holds the walker and one interval simulator at a time.
-        del simulator
-    meta["intervals"] = len(outcomes)
-    return sampling.merge_intervals(
-        spec.workload, spec.label, spec.config, outcomes
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +427,6 @@ def _timeout_grace() -> float:
 def _unit_tokens(spec: RunSpec) -> list[str]:
     """The fault-injection tokens addressing one work unit (one spec)."""
     return [spec.label, f"{spec.workload}/{spec.label}"]
-
-
-def _interval_tokens(spec: RunSpec, interval: int) -> list[str]:
-    """The tokens addressing one sampling interval inside its spec's unit."""
-    return [f"{token}#{interval}" for token in _unit_tokens(spec)]
 
 
 def _fire_unit_faults(tokens: list[str]) -> None:
@@ -706,6 +636,10 @@ class RunEvent:
     and ``error``/``failure_kind`` carry the failure message and shape
     (``"error"``/``"timeout"``/``"crash"``).  ``attempts`` counts every
     execution tried, retries included (1 = first try succeeded).
+    ``program_source`` says where the spec's program came from: the batch
+    materializes each program before its units run, so the first unit of
+    each (workload, seed) reports how the batch got it and later ones
+    ``"memo"``.
     """
 
     index: int  # position in the submitted spec list
@@ -847,19 +781,19 @@ def run_batch(
     sampled spec whose per-interval relative CI95
     (``result.sampling["ipc_relative_ci95"]``) exceeds the target fraction
     is escalated via :func:`repro.sim.sampling.escalate_sampling` (more
-    intervals first, then longer detailed warmup) and re-run, up to
-    ``_ADAPTIVE_MAX_ROUNDS`` rounds total; the final result replaces the
-    original at its spec index and carries a ``sampling["adaptive"]`` block
-    (``target``/``rounds``/``met``).  Full-fidelity specs pass through
-    untouched.
+    intervals first, then longer detailed warmup) and re-run, up to five
+    rounds total (:func:`repro.sim.sampling.run_adaptive`); the final
+    result replaces the original at its spec index and carries a
+    ``sampling["adaptive"]`` block (``target``/``rounds``/``met``).
+    Full-fidelity specs pass through untouched.
 
     Cache hits are resolved first (in spec order).  The remaining specs fan
     out over a process pool when more than one worker is available and more
     than one run is pending, otherwise they execute in-process; each spec
     is one work unit, a sampled one included (its intervals run as one
-    chain inside the unit, see :func:`_run_sampled`).  Before the
-    pool spawns, each distinct (workload, seed) program is materialized once
-    in this process.  Units are submitted as they come: one that finds its
+    chain inside the unit, see :func:`repro.sim.sampling.run_sampled`).
+    Before the pool spawns, each distinct (workload, seed) program is
+    materialized once in this process.  Units are submitted as they come: one that finds its
     warmup checkpoint restores it, and one that misses walks the warmup and
     writes it, so pooled units sharing a missing key may each write it.
     Completion order never affects the returned order.
@@ -882,7 +816,9 @@ def run_batch(
     returns the partial result list with ``None`` at failed indices.
     """
     if sample_error is not None:
-        return _run_batch_adaptive(
+        from repro.sim import sampling
+
+        return sampling.run_adaptive(
             list(specs),
             sample_error=sample_error,
             jobs=jobs,
@@ -939,26 +875,34 @@ def run_batch(
     failures: list[SpecFailure] = []
     failed_specs: set[int] = set()
 
+    # How this batch got each program it materialized below; the first unit
+    # that finds it in the memo reports that instead.
+    sources: dict[tuple[str, int], str] = {}
+
     def deliver(index: int, payload: tuple, attempts: int) -> None:
         """Record one spec's successful unit (``attempts`` tried in all)."""
         nonlocal completed
         result, seconds, meta = payload
+        spec = spec_list[index]
         if active_cache is not None:
-            active_cache.put(spec_list[index], result, keys[index])
+            active_cache.put(spec, result, keys[index])
         results[index] = result
         completed += 1
+        source = meta.get("program_source", "inline")
+        if source == "memo":
+            source = sources.pop((spec.workload, spec.seed), source)
         if callback is not None:
             callback(
                 RunEvent(
                     index=index,
-                    spec=spec_list[index],
+                    spec=spec,
                     result=result,
                     cached=False,
                     seconds=seconds,
                     completed=completed,
                     total=total,
                     checkpoint=meta.get("checkpoint", "none"),
-                    program_source=meta.get("program_source", "inline"),
+                    program_source=source,
                     warmup_seconds=meta.get("warmup_seconds", 0.0),
                     intervals=meta.get("intervals", 0),
                     attempts=attempts,
@@ -1021,7 +965,7 @@ def run_batch(
                 if spec_list[i].cacheable
             }
         ):
-            program_store.materialize(workload, seed)
+            sources[workload, seed] = program_store.materialize(workload, seed)
 
     # Every pending spec is one work unit, a sampled one included (its
     # intervals chain inside the unit).  Both execution paths run the same
@@ -1078,78 +1022,3 @@ def run_batch(
         if policy != "keep-going":
             raise BatchError(failures, results, total)
     return results  # type: ignore[return-value]
-
-
-# Total rounds (initial run included) the adaptive driver will spend per
-# spec before settling for the best estimate it has.  Escalation doubles
-# the interval count each round, so 5 rounds spans a 16x range of K.
-_ADAPTIVE_MAX_ROUNDS = 5
-
-
-def _run_batch_adaptive(
-    spec_list: list[RunSpec],
-    *,
-    sample_error: float,
-    **batch_kwargs,
-) -> list[SimResult]:
-    """The ``run_batch(..., sample_error=...)`` error-targeting loop.
-
-    Runs the batch, then repeatedly re-runs (only) the sampled specs whose
-    relative CI95 still exceeds ``sample_error`` with an escalated sampling
-    shape.  Escalated re-runs go through the ordinary ``run_batch`` path,
-    so they share the result cache and checkpoint store with direct runs
-    of the same shapes.  Every surviving sampled result is annotated with
-    ``sampling["adaptive"]`` describing the loop's outcome for that spec;
-    the annotation is applied after caching, so cache entries stay
-    independent of the driver's target.
-    """
-    from repro.sim import sampling
-
-    if not 0.0 < sample_error < 1.0:
-        raise ValueError(
-            f"sample_error must be a fraction in (0, 1), got {sample_error!r}"
-        )
-    results = run_batch(spec_list, **batch_kwargs)
-
-    # index -> spec currently standing at that index (escalations replace it)
-    active = {
-        index: spec
-        for index, spec in enumerate(spec_list)
-        if spec.config.sampling.enabled
-    }
-    rounds = {index: 1 for index in active}
-    exhausted: set[int] = set()
-
-    for _ in range(_ADAPTIVE_MAX_ROUNDS - 1):
-        retry: dict[int, RunSpec] = {}
-        for index, spec in active.items():
-            result = results[index]
-            if result is None:
-                continue  # failed under keep-going
-            if result.sampling["ipc_relative_ci95"] <= sample_error:
-                continue
-            escalated = sampling.escalate_sampling(spec.config)
-            if escalated is None:
-                exhausted.add(index)
-                continue
-            retry[index] = dataclasses.replace(spec, config=escalated)
-        retry = {i: s for i, s in retry.items() if i not in exhausted}
-        if not retry:
-            break
-        order = sorted(retry)
-        retry_results = run_batch([retry[i] for i in order], **batch_kwargs)
-        for position, index in enumerate(order):
-            active[index] = retry[index]
-            results[index] = retry_results[position]
-            rounds[index] += 1
-
-    for index in active:
-        result = results[index]
-        if result is None:
-            continue
-        result.sampling["adaptive"] = {
-            "target": sample_error,
-            "rounds": rounds[index],
-            "met": result.sampling["ipc_relative_ci95"] <= sample_error,
-        }
-    return results

@@ -32,12 +32,13 @@ from repro.sim.engine import RunSpec, _resolve_spec
 from repro.sim.simulator import Simulator
 
 # (stage label, source file suffix, function name) for every stage root
-# called directly from Simulator.step().  File suffixes disambiguate
-# generic names like ``scan``/``generate`` across modules.
+# the stepper calls directly from Simulator.step() (the fills and
+# fetch/decode stages through their Simulator methods).  File suffixes
+# disambiguate generic names like ``scan``/``generate`` across modules.
 _STAGE_ROOTS = (
     ("fills", "sim/simulator.py", "_process_fills"),
-    ("backend", "backend/core.py", "poll_resteer"),
-    ("backend", "backend/core.py", "retire_and_issue"),
+    ("backend", "backend/window.py", "poll_resteer"),
+    ("backend", "backend/window.py", "retire_and_issue"),
     ("fetch/decode", "sim/simulator.py", "_fetch_decode"),
     ("fdip-scan", "frontend/fdip.py", "scan"),
     ("generate", "frontend/bpu.py", "generate"),

@@ -1,4 +1,4 @@
-"""Interval sampling: plan systematic intervals and merge their results.
+"""Interval sampling: plan systematic intervals, run them, merge their results.
 
 SMARTS-style systematic sampling of the measured region (see
 ``docs/performance.md``): ``SimConfig.sampling`` divides the
@@ -8,19 +8,25 @@ unmeasured instructions followed by ``interval_length`` measured
 instructions; everything earlier in the period is functionally
 fast-forwarded at oracle-walk speed
 (:meth:`~repro.sim.simulator.Simulator.fast_forward_to`).  The engine runs
-a sampled spec as one chain (:mod:`repro.sim.engine`): a single walker
-simulator keeps one functional warming pass going from interval to
+a sampled spec as one work unit, a chain (:func:`run_sampled`): a single
+walker simulator keeps one functional warming pass going from interval to
 interval, as SMARTS does, and hands its state over in memory to a fresh
 simulator per interval; only the functional warmup is checkpointed.
 
-This module is pure planning and aggregation:
+This module plans, runs and merges them, and only sampled specs load it:
 
 * :func:`plan_intervals` — the per-interval fast-forward targets and
   budgets of a sampled configuration;
+* :func:`run_sampled` — the engine's work unit for a sampled spec: the
+  walker's chain of fast-forwards and hand-offs, one interval simulator
+  at a time;
 * :func:`merge_intervals` — sum per-interval measured counters into one
   :class:`~repro.sim.metrics.SimResult` carrying a ``sampling`` block with
   the per-interval IPCs and the CI95 of the merged IPC (the reported
-  sampling error).
+  sampling error);
+* :func:`run_adaptive` — ``run_batch(..., sample_error=...)``'s loop,
+  re-running a sampled spec with :func:`escalate_sampling`'s stronger
+  shape until its CI meets the target.
 
 Anchoring measurement at the *end* of each period makes the degenerate
 configuration — one interval covering the whole region with no detailed
@@ -32,12 +38,18 @@ to a plain full-fidelity run (the equivalence oracle enforced per preset by
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.config import SimConfig
 from repro.common.counters import ratio
 from repro.common.stats import mean, ratio_ci95_half_width
+from repro.sim import checkpoint, engine
 from repro.sim.metrics import SimResult
+
+if TYPE_CHECKING:
+    from repro.sim.simulator import Simulator
 
 __all__ = [
     "IntervalOutcome",
@@ -45,6 +57,8 @@ __all__ = [
     "escalate_sampling",
     "merge_intervals",
     "plan_intervals",
+    "run_adaptive",
+    "run_sampled",
 ]
 
 
@@ -213,3 +227,146 @@ def merge_intervals(
         final_ftq_depth=outcomes[-1].final_ftq_depth,
         sampling=sampling_block,
     )
+
+
+def _interval_tokens(spec: engine.RunSpec, interval: int) -> list[str]:
+    """The tokens addressing one sampling interval inside its spec's unit."""
+    return [f"{token}#{interval}" for token in engine._unit_tokens(spec)]
+
+
+def run_sampled(
+    spec: engine.RunSpec,
+    walker: Simulator,
+    program,
+    config: SimConfig,
+    data_profile,
+    meta: dict,
+) -> SimResult:
+    """Run a sampled spec's intervals as one chain over ``walker``.
+
+    The walker fast-forwards (:meth:`~repro.sim.simulator.Simulator.fast_forward_to`)
+    to each interval's start in plan order and hands its functional state
+    over in memory (:func:`~repro.sim.checkpoint.handoff`, a copy of each
+    structure's buffers) to a fresh simulator, which runs the detailed
+    warmup and the measured slice; the walker itself never runs a cycle.
+    Chained fast-forwards land in exactly the state of one direct jump, so
+    every interval measures what a simulator that warmed up and jumped
+    straight to its start would (``tests/sim/test_sampling.py``).  Each interval
+    fires its own fault tokens (``label#k``), and an exception raised in
+    interval ``k`` carries ``sampling_interval = k`` for the failure record.
+    """
+    from repro.sim.simulator import Simulator  # loaded with the walker
+
+    if not walker._warmed and config.functional_warmup_blocks > 0:
+        started = time.perf_counter()
+        walker.functional_warmup(config.functional_warmup_blocks)
+        meta["warmup_seconds"] += time.perf_counter() - started
+    # The warmup's true-path position survives in the checkpointed counters,
+    # so the absolute fast-forward targets are recoverable after a restore.
+    warmup_walked = walker.counters["warmup_instructions_functional"]
+    outcomes = []
+    for plan in plan_intervals(spec.config):
+        try:
+            engine._fire_unit_faults(_interval_tokens(spec, plan.index))
+            simulator = Simulator(program, config, data_profile=data_profile)
+            handoff_started = time.perf_counter()
+            ff_blocks, ff_walked = walker.fast_forward_to(
+                warmup_walked + plan.ff_instructions
+            )
+            checkpoint.handoff(walker, simulator)
+            meta["warmup_seconds"] += time.perf_counter() - handoff_started
+            simulator.run_interval(
+                plan.measure_instructions, detailed_warmup=plan.detailed_warmup
+            )
+        except Exception as exc:
+            exc.sampling_interval = plan.index
+            raise
+        outcomes.append(
+            IntervalOutcome(
+                index=plan.index,
+                counters=simulator.measured_counters(),
+                avg_ftq_occupancy=simulator.ftq.average_occupancy,
+                final_ftq_depth=simulator.ftq.depth,
+                ff_blocks=ff_blocks,
+                ff_instructions_walked=ff_walked,
+            )
+        )
+        # Freed before the next interval's simulator is built, so the chain
+        # holds the walker and one interval simulator at a time.
+        del simulator
+    meta["intervals"] = len(outcomes)
+    return merge_intervals(spec.workload, spec.label, spec.config, outcomes)
+
+
+# Total rounds (initial run included) the adaptive driver will spend per
+# spec before settling for the best estimate it has.  Escalation doubles
+# the interval count each round, so 5 rounds spans a 16x range of K.
+_ADAPTIVE_MAX_ROUNDS = 5
+
+
+def run_adaptive(
+    spec_list: list[engine.RunSpec],
+    *,
+    sample_error: float,
+    **batch_kwargs,
+) -> list[SimResult]:
+    """The ``run_batch(..., sample_error=...)`` error-targeting loop
+    (:func:`repro.sim.engine.run_batch` documents it).
+
+    Runs the batch, then repeatedly re-runs (only) the sampled specs whose
+    relative CI95 still exceeds ``sample_error`` with an escalated sampling
+    shape.  Escalated re-runs go through the ordinary ``run_batch`` path,
+    so they share the result cache and checkpoint store with direct runs
+    of the same shapes.  Every surviving sampled result is annotated with
+    ``sampling["adaptive"]`` describing the loop's outcome for that spec;
+    the annotation is applied after caching, so cache entries stay
+    independent of the driver's target.
+    """
+    if not 0.0 < sample_error < 1.0:
+        raise ValueError(
+            f"sample_error must be a fraction in (0, 1), got {sample_error!r}"
+        )
+    results = engine.run_batch(spec_list, **batch_kwargs)
+
+    # index -> spec currently standing at that index (escalations replace it)
+    active = {
+        index: spec
+        for index, spec in enumerate(spec_list)
+        if spec.config.sampling.enabled
+    }
+    rounds = {index: 1 for index in active}
+    exhausted: set[int] = set()
+
+    for _ in range(_ADAPTIVE_MAX_ROUNDS - 1):
+        retry: dict[int, engine.RunSpec] = {}
+        for index, spec in active.items():
+            result = results[index]
+            if result is None:
+                continue  # failed under keep-going
+            if result.sampling["ipc_relative_ci95"] <= sample_error:
+                continue
+            escalated = escalate_sampling(spec.config)
+            if escalated is None:
+                exhausted.add(index)
+                continue
+            retry[index] = dataclasses.replace(spec, config=escalated)
+        retry = {i: s for i, s in retry.items() if i not in exhausted}
+        if not retry:
+            break
+        order = sorted(retry)
+        retry_results = engine.run_batch([retry[i] for i in order], **batch_kwargs)
+        for position, index in enumerate(order):
+            active[index] = retry[index]
+            results[index] = retry_results[position]
+            rounds[index] += 1
+
+    for index in active:
+        result = results[index]
+        if result is None:
+            continue
+        result.sampling["adaptive"] = {
+            "target": sample_error,
+            "rounds": rounds[index],
+            "met": result.sampling["ipc_relative_ci95"] <= sample_error,
+        }
+    return results

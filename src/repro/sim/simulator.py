@@ -16,30 +16,34 @@ The fetch and decode stages are merged (documented approximation): a fetch
 block whose line is ready streams instructions directly into dispatch; the
 L1I hit latency is part of the steady-state pipeline depth, while misses
 stall the stream until the fill arrives.
+
+A compiled simulator runs these stages, and its functional walk, in C
+(:mod:`repro.sim.driver`).  The Python stepper and walk, which run the
+object structures, are :mod:`repro.sim.stepper`: the first object-path
+simulator imports it, and a compiled run never does.  The stepper's timed
+stages stay methods here, one-line delegations, so ``repro profile`` and
+span tracers find each by name.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.backend.core import OP_BRANCH, BackendCore
 from repro.branch.unit import BranchPredictionUnit
 from repro.common import cc
-from repro.common.addr import INSTR_BYTES, LINE_BYTES
+from repro.common.addr import LINE_BYTES
 from repro.common.config import SimConfig
 from repro.common.counters import Counters
 from repro.common.errors import SimulationError
-from repro.prefetchers.base import LINE_LIMIT, FrontendHooks, reject_prefetch_line
+from repro.prefetchers.base import FrontendHooks
 from repro.prefetchers.registry import get_technique
 from repro.sim import driver
 from repro.workloads.profiles import DataProfile
-from repro.workloads.program import OP_LOAD, OP_STORE, BranchKind, Program
-from repro.workloads.trace import OracleCursor
+from repro.workloads.program import Program
+from repro.workloads.trace import OracleCursorC
 
 if TYPE_CHECKING:
     from repro.core.udp import UDPFilter
-    from repro.frontend.fetch_block import FTQEntry, PendingResteer
-    from repro.memory.cache import CacheLine
 
 
 class Simulator:
@@ -65,7 +69,6 @@ class Simulator:
         self.counters = Counters()
         self.cycle = 0
 
-        self.oracle = OracleCursor(program)
         self.bpu = BranchPredictionUnit(config.branch, self.counters, compiled=comp)
         self.udp: UDPFilter | None = None
         if config.udp.enabled:
@@ -81,7 +84,6 @@ class Simulator:
         technique = get_technique(config.prefetcher.kind)
         caps = technique.capabilities
         fdip_enabled = caps.uses_fdip and not config.prefetcher.standalone_only
-        fe_config = config.frontend
         # Each side imports only its own structures: the driver keeps the
         # pipeline contents (FTQ entries, MSHRs, resteers) in C, so a
         # compiled simulator holds only the scalars it syncs
@@ -93,43 +95,20 @@ class Simulator:
             )
             from repro.memory.compiled import MemoryHierarchyC, SetAssocCacheC
 
+            fe_config = config.frontend
+            self.oracle = OracleCursorC(program)
             self.ftq = FetchTargetQueueC(fe_config.ftq_depth, fe_config.ftq_max_physical)
             self.frontend = DecoupledFrontendC(program.entry, self.counters)
             self.hierarchy = MemoryHierarchyC(config.memory)
             self.l1i = SetAssocCacheC(config.memory.l1i)
             self.fdip = FDIPEngineC(fdip_enabled, self.counters)
         else:
-            from repro.frontend.bpu import DecoupledFrontend
-            from repro.frontend.fdip import FDIPEngine
-            from repro.frontend.ftq import FetchTargetQueue
-            from repro.memory.cache import SetAssocCache
-            from repro.memory.hierarchy import MemoryHierarchy
-            from repro.memory.mshr import MSHRFile
+            # The Python stepper and walk, bound once: the stage methods
+            # below delegate to it.
+            from repro.sim import stepper
 
-            self.ftq = FetchTargetQueue(fe_config.ftq_depth, fe_config.ftq_max_physical)
-            self.frontend = DecoupledFrontend(
-                program,
-                self.bpu,
-                self.ftq,
-                self.oracle,
-                fe_config,
-                self.counters,
-                path_estimator=self.udp.path_estimator if self.udp is not None else None,
-            )
-            self.hierarchy = MemoryHierarchy(config.memory, self.counters)
-            self.l1i = SetAssocCache(config.memory.l1i)
-            self.l1i.eviction_hook = self._on_l1i_eviction
-            self.mshr = MSHRFile(config.memory.l1i.mshr_entries)
-            self.fdip = FDIPEngine(
-                fe_config,
-                self.ftq,
-                self.l1i,
-                self.mshr,
-                self.hierarchy,
-                self.counters,
-                gate=self.udp,
-                enabled=fdip_enabled,
-            )
+            self._stepper = stepper
+            stepper.build_frontend(self, fdip_enabled)
         bpu = self.bpu
         hooks = FrontendHooks(
             program=program,
@@ -163,18 +142,7 @@ class Simulator:
                 dep_flags(program, seed, self.backend._dep_threshold)
             )
         else:
-            from repro.workloads.data import DataAddressGenerator
-
-            self.data_gen = DataAddressGenerator(profile, seed)
-            self.backend = BackendCore(
-                config.core,
-                self.hierarchy,
-                self.data_gen,
-                self.counters,
-                seed=seed,
-            )
-            if self.udp is not None:
-                self.backend.retire_hook = self.udp.on_retire
+            self._stepper.build_backend(self, profile, seed)
 
         self.uftq = None
         if config.uftq.mode != "off":
@@ -263,108 +231,26 @@ class Simulator:
         instruction miss path, then the line is installed) and, with UDP,
         into the useful-set; ``warm`` replays the block's loads and stores
         through ``self.data_gen`` into the data hierarchy; the branch trains
-        the BPU (:meth:`_train_functional_branch`); the oracle advances.
-        Then the RAS is repaired from the true call stack and the walker
-        resumes at the oracle's pc.
+        the BPU; the oracle advances.  Then the RAS is repaired from the true
+        call stack and the walker resumes at the oracle's pc.
 
         The useful-set learns each line once.  ``first_touch`` dedupes
         within this call (the functional warmup); otherwise a line is
-        skipped while :meth:`_useful_set_holds` it, a pure function of the
-        current state, so chained fast-forwards equal one direct jump.
+        skipped while the useful-set holds it (a silent probe that also
+        reads the coalescing buffer), a pure function of the current state,
+        so chained fast-forwards equal one direct jump.
 
         Runs as one C call on a compiled simulator
-        (:func:`repro.sim.driver.functional_walk`); this loop is the
-        reference it ports, and the object structures' walk.
+        (:func:`repro.sim.driver.functional_walk`), and on the object
+        structures as :func:`repro.sim.stepper.walk_true_path`, the
+        reference it ports.
         """
-        oracle = self.oracle
         if self.compiled_enabled:
             driver.functional_walk(self, max_blocks, target_walked, first_touch, warm)
         else:
-            l1i = self.l1i
-            hierarchy = self.hierarchy
-            useful_set = self.udp.useful_set if self.udp is not None else None
-            inserted: set[int] | None = set() if first_touch else None
-            warm_gen = self.data_gen if warm else None
-            load_latency = hierarchy.load_latency
-            store_access = hierarchy.store_access
-            blocks = 0
-            while blocks < max_blocks and oracle.instrs_walked < target_walked:
-                transition = oracle.transition()
-                block = transition.block
-                for line_addr in range(block.addr & ~63, block.end_addr, 64):
-                    if not l1i.contains(line_addr):
-                        hierarchy.instruction_miss_latency(line_addr)  # fills L2/LLC
-                    l1i.install(line_addr)
-                    # Lines that execute on the true path are exactly what the
-                    # Seniority-FTQ would have promoted over a long warmup.
-                    if useful_set is None:
-                        continue
-                    if inserted is not None:
-                        if line_addr in inserted:
-                            continue
-                        inserted.add(line_addr)
-                    elif self._useful_set_holds(line_addr):
-                        continue
-                    useful_set.insert(line_addr)
-                if warm_gen is not None and block.ops:
-                    pc = block.addr
-                    for op in block.ops:
-                        if op == OP_LOAD:
-                            load_latency(warm_gen.next_address(pc))
-                        elif op == OP_STORE:
-                            store_access(warm_gen.next_address(pc))
-                        pc += INSTR_BYTES
-                if transition.branch is not None:
-                    self._train_functional_branch(transition)
-                oracle.advance(transition)
-                blocks += 1
-        self.bpu.ras.repair(oracle.call_stack)
-        self.frontend.spec_pc = oracle.pc
-
-    def _train_functional_branch(self, transition) -> None:
-        """Train the BPU with one true-path transition (no timing).
-
-        Exactly what a correct-path execution would teach the predictors.
-        """
-        bpu = self.bpu
-        branch = transition.branch
-        if branch.kind == BranchKind.COND:
-            prediction = bpu.tage.predict(branch.pc)
-            bpu.tage.update(prediction, transition.taken)
-            bpu.history.push(transition.taken)
-            bpu.btb.fill(branch.pc, branch.kind, branch.target)
-        elif branch.kind.is_indirect:
-            bpu.train_indirect(branch.pc, transition.next_pc, branch.kind)
-        elif branch.kind == BranchKind.RET:
-            bpu.btb.fill(branch.pc, branch.kind, 0)
-        else:
-            bpu.btb.fill(branch.pc, branch.kind, branch.target)
-
-    # -- sampling: functional fast-forward between intervals ---------------------
-
-    def _useful_set_holds(self, line_addr: int) -> bool:
-        """Silent membership probe of the UDP useful-set.
-
-        Probes all three filter granularities like :meth:`UsefulSet.query`,
-        without bumping its hit counters, so fast-forward dedup never
-        perturbs measured statistics.  Unlike ``query``, it also counts the
-        lines still waiting in the coalescing buffer: ``query`` never probes
-        the buffer, so a freshly inserted line stays unknown to the FDIP
-        gate until it leaves the buffer, while the walk skips re-inserting
-        it.  A pure function of current state, which keeps segmented
-        fast-forwards byte-identical to one-shot walks over the same span.
-        """
-        from repro.core.superline import superline_base
-
-        us = self.udp.useful_set
-        if us.infinite:
-            return line_addr in us._exact
-        if line_addr in us.coalescer._lines:
-            return True
-        return any(
-            us.filters[size].contains(superline_base(line_addr, size))
-            for size in (4, 2, 1)
-        )
+            self._stepper.walk_true_path(self, max_blocks, target_walked, first_touch, warm)
+        self.bpu.ras.repair(self.oracle.call_stack)
+        self.frontend.spec_pc = self.oracle.pc
 
     def fast_forward_to(self, target_walked: int) -> tuple[int, int]:
         """Functionally advance the oracle to ``target_walked`` instructions.
@@ -496,10 +382,11 @@ class Simulator:
                     self._raise_cycle_limit()
                 return
         backend = self.backend
+        step = self.step
         while backend.retired_instructions < target:
             if self.cycle >= self._max_cycles:
                 self._raise_cycle_limit()
-            self.step()
+            step()
             if warmup_target is not None and backend.retired_instructions >= warmup_target:
                 end_warmup()
                 warmup_target = None
@@ -535,381 +422,35 @@ class Simulator:
             self._driver = driver.CycleDriver(self)
         return self._driver
 
-    def step(self) -> None:
-        """Advance the machine to its next non-trivial cycle.
+    # -- the Python stepper's stages (repro.sim.stepper) ----------------------------
 
-        Equivalent to stepping one cycle at a time: when the whole core is
-        provably idle until a future event (a fill completing, a uop
-        becoming issuable, a branch resolving), the intervening pure-stall
-        cycles are fast-forwarded in bulk with their per-cycle counters
-        accounted for exactly (see :meth:`_try_fast_forward`).
-        """
+    def step(self) -> None:
+        """Advance the machine to its next non-trivial cycle
+        (:func:`repro.sim.stepper.step`)."""
         if self.compiled_enabled:
             raise SimulationError(
                 "the compiled cycle driver owns this simulator's pipeline; "
                 "advance it with run() or run_interval()"
             )
-        if self.fast_forward_enabled and self.counters.hook is None:
-            self._try_fast_forward()
-            if self._try_refill_step():
-                return
-        self.steps_executed += 1
-        self.cycle += 1
-        cycle = self.cycle
-        self._process_fills(cycle)
-        fired = self.backend.poll_resteer(cycle)
-        if fired is not None:
-            resteer, branch_seq = fired
-            self._resteer(resteer, squash_seq=branch_seq)
-        self.backend.retire_and_issue(cycle)
-        self._fetch_decode(cycle)
-        self.fdip.scan(cycle)
-        self.frontend.generate()
-        self.ftq.sample_occupancy()
+        self._stepper.step(self)
 
     def _try_refill_step(self) -> bool:
-        """Run a provable FTQ-refill cycle with only its live stages.
-
-        The complement of :meth:`_try_fast_forward`: when the FTQ still has
-        space the cycle cannot be skipped (the walker produces blocks), but
-        if the fetch head is waiting on an in-flight fill, no MSHR fill
-        completes, and the backend has no retire/issue/resteer work, then
-        fills/poll/retire/fetch are all no-ops apart from the fetch-stall
-        bookkeeping.  Executing just the live stages (FDIP scan, generation,
-        occupancy sampling) is cycle-exact — nothing is skipped, the cycle
-        advances by one — so counters stay byte-identical to the full step.
-        Runs in both modes, under the same switch and hook check as
-        fast-forward.
-        """
-        ftq = self.ftq
-        if not ftq.has_space:
-            return False
-        entry = ftq.head()
-        cycle = self.cycle + 1
-        if entry is None or entry.ready_cycle < 0 or entry.ready_cycle <= cycle:
-            return False
-        mshr_ready = self.mshr.next_ready_cycle()
-        if mshr_ready is not None and mshr_ready <= cycle:
-            return False
-        backend_event = self.backend.next_event_cycle(self.cycle)
-        if backend_event is not None and backend_event <= cycle:
-            return False
-        self.steps_executed += 1
-        self.cycle = cycle
-        # Exactly what _fetch_decode records for a head-not-ready stall.
-        self._c_slots_lost_icache(self._frontend_width)
-        self._c_stall_icache()
-        self.fdip.scan(cycle)
-        self.frontend.generate()
-        ftq.sample_occupancy()
-        return True
+        return self._stepper.try_refill_step(self)
 
     def _try_fast_forward(self) -> None:
-        """Jump ``cycle`` over a run of provably idle stall cycles.
-
-        A cycle is *pure stall* when every stage of :meth:`step` is a no-op
-        apart from fixed bookkeeping:
-
-        * the FTQ head is waiting on an in-flight fill (``ready_cycle`` in
-          the future), so fetch only bumps the stall counters;
-        * the FTQ is full, so the walker only bumps ``ftq_full_cycles_blocks``;
-        * FDIP's scan pointer has caught up with the FTQ tail (or FDIP is
-          disabled), so the scan is a no-op;
-        * no MSHR fill completes and the backend has no retire/issue/resteer
-          work (:meth:`BackendCore.next_event_cycle`).
-
-        The jump target is the earliest cycle at which any of those events
-        can occur; the skipped cycles' stall counters and occupancy samples
-        are bumped in bulk, making the result bit-identical to the naive
-        stepper (enforced by tests/sim/test_fastforward.py).
-
-        Never called with a tracer hook attached — the tracer narrates
-        per-cycle events, so it implies cycle-exact stepping.
-        """
-        ftq = self.ftq
-        entry = ftq.head()
-        if entry is None or ftq.has_space:
-            return
-        cycle = self.cycle
-        ready = entry.ready_cycle
-        if ready <= cycle + 1:  # unaccessed (-1), consumable, or imminent
-            return
-        fdip = self.fdip
-        if (
-            fdip.enabled
-            and not self._perfect_icache
-            and fdip.next_scan_seq - entry.seq < len(ftq)
-        ):
-            return  # FDIP still has FTQ entries to scan
-        backend_event = self.backend.next_event_cycle(cycle)
-        if backend_event is not None and backend_event <= cycle + 1:
-            return
-        target = ready
-        mshr_ready = self.mshr.next_ready_cycle()
-        if mshr_ready is not None and mshr_ready < target:
-            target = mshr_ready
-        if backend_event is not None and backend_event < target:
-            target = backend_event
-        if target > self._max_cycles:
-            # Never skip past the cycle limit: run() must raise at the same
-            # point (with the same counters) as the naive stepper.
-            target = self._max_cycles
-        skipped = target - cycle - 1
-        if skipped <= 0:
-            return
-        # Exactly what `skipped` naive stall iterations would have recorded.
-        self._c_stall_icache(skipped)
-        self._c_slots_lost_icache(skipped * self._frontend_width)
-        self.counters.bump("ftq_full_cycles_blocks", skipped)
-        ftq.sample_occupancy(skipped)
-        self.cycle = cycle + skipped
-        self.ff_cycles_skipped += skipped
-        self.ff_jumps += 1
-
-    # -- fills ----------------------------------------------------------------------
+        self._stepper.try_fast_forward(self)
 
     def _process_fills(self, cycle: int) -> None:
-        fill_observer = self._fill_observer
-        for entry in self.mshr.pop_ready(cycle):
-            keep_prefetch_bit = entry.is_prefetch and not entry.demand_on_path
-            self.l1i.install(
-                entry.line_addr,
-                prefetch=keep_prefetch_bit,
-                prefetch_off_path=entry.off_path,
-                prefetch_udp_candidate=entry.udp_candidate,
-            )
-            self._c_l1i_fills()
-            if fill_observer is not None:
-                fill_observer.on_line_filled(entry.line_addr)
+        self._stepper.process_fills(self, cycle)
+
+    def _fetch_decode(self, cycle: int) -> None:
+        self._stepper.fetch_decode(self, cycle)
 
     # -- registry-wired hooks ---------------------------------------------------------
 
     def _btb_contains_hook(self, pc: int) -> bool:
         """Technique-facing BTB presence probe (late-bound via the facade)."""
         return self.bpu.btb.contains(pc)
-
-    # -- resteer ---------------------------------------------------------------------
-
-    def _resteer(self, resteer: PendingResteer, squash_seq: int | None) -> None:
-        if squash_seq is not None:
-            self.backend.squash_younger(squash_seq)
-        self.ftq.flush()
-        self.frontend.recover(resteer)
-        self.fdip.reset_scan(self.frontend.next_seq)
-
-    # -- fetch + decode ---------------------------------------------------------------
-
-    def _fetch_decode(self, cycle: int) -> None:
-        budget = self._frontend_width
-        accesses = 0
-        max_accesses = self._max_fetch_accesses
-        perfect_icache = self._perfect_icache
-        ftq = self.ftq
-        while budget > 0:
-            entry = ftq.head()
-            if entry is None:
-                self._c_slots_lost_empty(budget)
-                return
-            if entry.ready_cycle < 0:
-                if perfect_icache:
-                    entry.ready_cycle = cycle
-                    self._c_demand_accesses()
-                    self._c_demand_hits()
-                else:
-                    if accesses >= max_accesses:
-                        return
-                    accesses += 1
-                    self._demand_access(entry, cycle)
-                    if entry.ready_cycle < 0:
-                        self._c_slots_lost_mshr(budget)
-                        return
-            if entry.ready_cycle > cycle:
-                self._c_slots_lost_icache(budget)
-                self._c_stall_icache()
-                return
-            budget = self._dispatch_entry(entry, cycle, budget)
-            if budget < 0:
-                return  # a decode-time resteer flushed the frontend
-            if entry.decode_offset >= entry.num_instrs and ftq.head() is entry:
-                ftq.pop()
-
-    def _dispatch_entry(self, entry: FTQEntry, cycle: int, budget: int) -> int:
-        """Dispatch instructions from ``entry``; -1 signals a decode resteer."""
-        backend = self.backend
-        ops = entry.ops
-        num_instrs = entry.num_instrs
-        while budget > 0 and entry.decode_offset < num_instrs:
-            if not backend.can_dispatch:
-                self._c_dispatch_stall()
-                return 0
-            offset = entry.decode_offset
-            pc = entry.start + offset * INSTR_BYTES
-            seen = entry.branch_at(pc) if entry.branches else None
-            on_path = entry.on_path and offset < entry.on_path_instrs
-            entry.decode_offset += 1
-            budget -= 1
-            self._c_dispatched()
-            if seen is None:
-                backend.dispatch(pc, ops[offset], on_path, cycle)
-                continue
-            if self._dispatch_branch(entry, seen, pc, on_path, cycle) < 0:
-                return -1
-        return budget
-
-    def _dispatch_branch(self, entry: FTQEntry, seen, pc: int, on_path: bool, cycle: int) -> int:
-        """Dispatch one branch instruction; -1 signals a decode resteer."""
-        backend = self.backend
-        branch = seen.branch
-        if not seen.detected:
-            self._decode_btb_fill(branch)
-        resteer = entry.resteer
-        if resteer is not None and resteer.branch_pc == pc:
-            from repro.frontend.fetch_block import RESTEER_AT_EXECUTE  # object path only
-
-            if resteer.stage == RESTEER_AT_EXECUTE:
-                backend.dispatch(pc, OP_BRANCH, on_path, cycle, resteer=resteer)
-                return 0
-            # Post-fetch correction: the undetected taken branch is
-            # discovered at decode; resteer immediately.
-            backend.dispatch(pc, OP_BRANCH, on_path, cycle)
-            self._resteer(resteer, squash_seq=None)
-            self.counters.bump("pfc_resteers")
-            return -1
-        backend.dispatch(pc, OP_BRANCH, on_path, cycle)
-        if (
-            not seen.detected
-            and not on_path
-            and branch.kind in (BranchKind.JUMP, BranchKind.CALL)
-            and self.config.frontend.post_fetch_correction
-        ):
-            # Wrong-path PFC: an undetected unconditional branch redirects
-            # the (still wrong-path) frontend to its static target.
-            self.ftq.flush()
-            self.frontend.redirect_wrong_path(branch.target)
-            self.fdip.reset_scan(self.frontend.next_seq)
-            return -1
-        return 0
-
-    def _decode_btb_fill(self, branch) -> None:
-        """Decode-time branch discovery fills the BTB (direct kinds only)."""
-        if branch.kind.is_indirect:
-            return  # indirect targets are only known at execute (train path)
-        target = branch.target if branch.kind != BranchKind.RET else 0
-        self.bpu.fill_btb(branch.pc, branch.kind, target)
-        self.counters.bump("btb_decode_fills")
-
-    # -- the L1I demand path -----------------------------------------------------------
-
-    def _demand_access(self, entry: FTQEntry, cycle: int) -> None:
-        line_addr = entry.line_addr
-        counters = self.counters
-        self._c_demand_accesses()
-        line = self.l1i.lookup(line_addr)
-        if line is not None:
-            self._c_demand_hits()
-            entry.ready_cycle = cycle
-            if line.prefetch_bit and entry.on_path:
-                line.prefetch_bit = False
-                self._prefetch_useful(line.prefetch_off_path, timely=True)
-                if self.udp is not None and line.prefetch_udp_candidate:
-                    self.udp.on_demand_hit_off_path_prefetch(line_addr)
-            self._standalone_prefetch(line_addr, hit=True, on_path=entry.on_path, cycle=cycle)
-            return
-
-        in_flight = self.mshr.lookup(line_addr)
-        if in_flight is not None:
-            counters.bump("icache_demand_mshr_merges")
-            entry.ready_cycle = in_flight.ready_cycle
-            if in_flight.is_prefetch and entry.on_path and not in_flight.demand_on_path:
-                self._prefetch_useful(in_flight.off_path, timely=False)
-                if self.udp is not None and in_flight.udp_candidate:
-                    self.udp.on_demand_hit_off_path_prefetch(line_addr)
-            in_flight.demand_merged = True
-            if entry.on_path:
-                in_flight.demand_on_path = True
-            return
-
-        counters.bump("icache_demand_misses")
-        if entry.on_path:
-            counters.bump("icache_demand_misses_on_path")
-        else:
-            counters.bump("icache_demand_misses_off_path")
-        if self.uftq is not None and entry.on_path:
-            # A demand miss is the strongest untimeliness signal: no prefetch
-            # arrived at all (feeds UFTQ-ATR alongside prefetch merges).
-            self.uftq.on_timeliness_event(False)
-        if self.mshr.full:
-            counters.bump("icache_mshr_full_stalls")
-            return
-        latency, level = self.hierarchy.instruction_miss_latency(line_addr)
-        self.mshr.allocate(
-            line_addr,
-            ready_cycle=cycle + latency,
-            is_prefetch=False,
-            off_path=not entry.on_path,
-            fill_level=level,
-        )
-        entry.ready_cycle = cycle + latency
-        counters.bump(f"demand_fill_{level}")
-        self._standalone_prefetch(line_addr, hit=False, on_path=entry.on_path, cycle=cycle)
-
-    def _standalone_prefetch(self, line_addr: int, hit: bool, on_path: bool, cycle: int) -> None:
-        if self.prefetcher is None:
-            return
-        for prefetch_line in self.prefetcher.on_demand_access(line_addr, hit, on_path):
-            if (
-                type(prefetch_line) is not int
-                or not 0 <= prefetch_line < LINE_LIMIT
-                or prefetch_line & 63
-            ):
-                reject_prefetch_line(self.config.prefetcher.kind, prefetch_line)
-            if self.l1i.contains(prefetch_line) or self.mshr.lookup(prefetch_line):
-                continue
-            if self.mshr.full:
-                break
-            latency, level = self.hierarchy.instruction_miss_latency(prefetch_line)
-            self.mshr.allocate(
-                prefetch_line,
-                ready_cycle=cycle + latency,
-                is_prefetch=True,
-                off_path=not on_path,
-                fill_level=level,
-            )
-            self.counters.bump("prefetches_emitted")
-            if on_path:
-                self.counters.bump("prefetches_emitted_on_path")
-            else:
-                self.counters.bump("prefetches_emitted_off_path")
-
-    # -- utility/timeliness accounting -----------------------------------------------------
-
-    def _prefetch_useful(self, emitted_off_path: bool, timely: bool) -> None:
-        counters = self.counters
-        counters.bump("prefetch_useful")
-        counters.bump(
-            "prefetch_useful_off_path" if emitted_off_path else "prefetch_useful_on_path"
-        )
-        counters.bump("atr_icache_hits" if timely else "atr_mshr_hits")
-        if self.uftq is not None:
-            self.uftq.on_utility_event(True)
-            self.uftq.on_timeliness_event(timely)
-        if self.udp is not None:
-            self.udp.on_prefetch_outcome(True)
-
-    def _on_l1i_eviction(self, victim: CacheLine) -> None:
-        if not victim.prefetch_bit:
-            return
-        counters = self.counters
-        counters.bump("prefetch_useless")
-        counters.bump(
-            "prefetch_useless_off_path"
-            if victim.prefetch_off_path
-            else "prefetch_useless_on_path"
-        )
-        if self.uftq is not None:
-            self.uftq.on_utility_event(False)
-        if self.udp is not None:
-            self.udp.on_prefetch_outcome(False)
 
     # -- results ---------------------------------------------------------------------------
 

@@ -21,6 +21,7 @@ __all__, __getattr__, __dir__ = _exports(
         "WeightedTargets",
         "ZipfTargets",
     )),
+    ("repro.workloads.blocks", ("BasicBlock", "Branch")),
     ("repro.workloads.builder", ("Label", "ProgramBuilder")),
     ("repro.workloads.data", ("DataAddressGenerator",)),
     ("repro.workloads.profiles", (
@@ -31,7 +32,7 @@ __all__, __getattr__, __dir__ = _exports(
         "WorkloadProfile",
         "get_profile",
     )),
-    ("repro.workloads.program", ("BasicBlock", "Branch", "BranchKind", "Program")),
+    ("repro.workloads.program", ("BranchKind", "Program")),
     ("repro.workloads.phases", ("make_phased_program", "phase_summary")),
     ("repro.workloads.synth", ("footprint_report",)),
     ("repro.workloads.tracefile", (
@@ -42,7 +43,7 @@ __all__, __getattr__, __dir__ = _exports(
         "trace_working_set_curve",
     )),
     ("repro.workloads.synth", ("synthesize",)),
-    ("repro.workloads.trace", (
+    ("repro.workloads.oracle", (
         "OracleCursor",
         "OracleTransition",
         "run_trace",

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from repro.common.addr import INSTR_BYTES
 from repro.common.errors import ProgramError
 from repro.workloads.behavior import DirectionBehavior, TargetBehavior
-from repro.workloads.program import OP_ALU, BasicBlock, Branch, BranchKind, Program
+from repro.workloads.blocks import BasicBlock, Branch
+from repro.workloads.program import OP_ALU, BranchKind, Program
 
 
 @dataclass(eq=False)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from repro.common.rng import RngPool, derive_seed
 from repro.workloads.behavior import BiasedBehavior, PhasedBehavior
+from repro.workloads.blocks import BasicBlock, Branch
 from repro.workloads.profiles import WorkloadProfile
-from repro.workloads.program import BasicBlock, Branch, BranchKind, Program
+from repro.workloads.program import BranchKind, Program
 from repro.workloads.synth import synthesize
 
 

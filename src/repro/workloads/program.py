@@ -14,27 +14,30 @@ the containing block, which is what lets the frontend walk arbitrary
 
 A :class:`Program` holds its ground truth as flat columns
 (:class:`repro.workloads.tables.Columns`): the arrays the compiled cycle
-driver reads and the program store pickles.  :class:`BasicBlock`,
-:class:`Branch` and the behaviour objects are a view of them, which a
-program built from blocks keeps and a stored program builds the first
-time Python walks it (:attr:`Program.blocks`).  The counts, the region
-and the block-start test read the columns directly.
+driver reads and the program store pickles.  ``BasicBlock``, ``Branch``
+and the behaviour objects are a view of them (:mod:`repro.workloads.blocks`,
+whose two classes this module resolves on first use), which a program
+built from blocks keeps and a stored program builds the first time Python
+walks it (:attr:`Program.blocks`).  The counts, the region and the
+block-start test read the columns directly.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+from repro._lazy import exports as _exports
 from repro.common.addr import INSTR_BYTES
 from repro.common.errors import ProgramError
 
-if TYPE_CHECKING:  # the behaviours load with a program's block view
-    from repro.workloads.behavior import DirectionBehavior, TargetBehavior
+if TYPE_CHECKING:  # the block view loads only where Python walks a program
+    from repro.workloads.blocks import BasicBlock, Branch
+
+__getattr__, __dir__ = _exports(__name__, ("repro.workloads.blocks", ("BasicBlock", "Branch")))[1:]
 
 # Per-instruction operation kinds, stored as one byte each in the
 # program's op bytes (and ``BasicBlock.ops``) to keep large programs compact.
@@ -66,92 +69,6 @@ class BranchKind(IntEnum):
         return self != BranchKind.COND
 
 
-@dataclass(slots=True)
-class Branch:
-    """A static control-transfer instruction terminating a basic block.
-
-    ``pc`` is the branch instruction's own address; the not-taken successor is
-    always ``pc + 4`` (the next sequential instruction).  Direct branches have
-    a fixed ``target``; indirect branches select from ``targets`` via a
-    :class:`TargetBehavior`; returns take their target from the call stack.
-    """
-
-    pc: int
-    kind: BranchKind
-    target: int = 0
-    direction: DirectionBehavior | None = None
-    targets: tuple[int, ...] = ()
-    target_behavior: TargetBehavior | None = None
-
-    @property
-    def fallthrough(self) -> int:
-        """Address of the next sequential instruction."""
-        return self.pc + INSTR_BYTES
-
-    def true_taken(self, occurrence: int) -> bool:
-        """Ground-truth direction for dynamic instance ``occurrence``."""
-        if self.kind != BranchKind.COND:
-            return True
-        assert self.direction is not None
-        return self.direction.taken(occurrence)
-
-    def true_target(self, occurrence: int) -> int:
-        """Ground-truth taken-target for dynamic instance ``occurrence``.
-
-        Returns only have a meaningful target via the call stack, which the
-        oracle cursor supplies; calling this on a RET is an error.
-        """
-        if self.kind == BranchKind.RET:
-            raise ProgramError("RET targets come from the call stack")
-        if self.kind.is_indirect:
-            assert self.target_behavior is not None
-            index = self.target_behavior.select(occurrence, len(self.targets))
-            return self.targets[index]
-        return self.target
-
-
-@dataclass(slots=True)
-class BasicBlock:
-    """A straight-line run of instructions, optionally ending in a branch."""
-
-    addr: int
-    num_instrs: int
-    branch: Branch | None = None
-    ops: bytes = b""
-    # Index within Program.blocks, filled by Program.__init__ (or the view).
-    index: int = field(default=-1, repr=False)
-
-    @property
-    def end_addr(self) -> int:
-        """First byte past the last instruction of the block."""
-        return self.addr + self.num_instrs * INSTR_BYTES
-
-    @property
-    def last_pc(self) -> int:
-        """Address of the block's final instruction."""
-        return self.addr + (self.num_instrs - 1) * INSTR_BYTES
-
-    def validate(self) -> None:
-        if self.num_instrs <= 0:
-            raise ProgramError(f"block @{self.addr:#x}: empty block")
-        if self.addr % INSTR_BYTES != 0:
-            raise ProgramError(f"block @{self.addr:#x}: unaligned start")
-        if self.ops and len(self.ops) != self.num_instrs:
-            raise ProgramError(f"block @{self.addr:#x}: ops length mismatch")
-        if self.branch is not None and self.branch.pc != self.last_pc:
-            raise ProgramError(
-                f"block @{self.addr:#x}: branch pc {self.branch.pc:#x} is not "
-                f"the final instruction {self.last_pc:#x}"
-            )
-
-    def op_at(self, pc: int) -> int:
-        """Operation kind (OP_ALU/OP_LOAD/OP_STORE) of the instruction at ``pc``."""
-        if not self.ops:
-            return OP_ALU
-        offset = (pc - self.addr) // INSTR_BYTES
-        return self.ops[offset]
-
-
 class Program:
     """An immutable synthetic program: contiguous, address-sorted basic blocks.
 
@@ -163,7 +80,7 @@ class Program:
     unconditional backward jump so the wrap is never exercised on-path).
 
     Built from blocks, a program checks each block for what the columns
-    cannot show (:meth:`BasicBlock.validate`), keeps the blocks as its view
+    cannot show (``BasicBlock.validate``), keeps the blocks as its view
     and flattens them into :attr:`columns`, which then pass the same check
     as a stored program's (:func:`repro.workloads.tables.checked_columns`,
     in C wherever the kernels build: building or loading a program builds
@@ -173,7 +90,8 @@ class Program:
     """
 
     def __init__(self, blocks: list[BasicBlock], entry: int | None = None) -> None:
-        from repro.workloads.tables import checked_columns, flatten  # tables imports this module
+        from repro.workloads.blocks import flatten  # both import this module
+        from repro.workloads.tables import checked_columns
 
         if not blocks:
             raise ProgramError("a program needs at least one block")
@@ -218,8 +136,8 @@ class Program:
     @cached_property
     def blocks(self) -> list[BasicBlock]:
         """The object view, built from the columns on first use
-        (:func:`repro.workloads.tables.unflatten`)."""
-        from repro.workloads.tables import unflatten
+        (:func:`repro.workloads.blocks.unflatten`)."""
+        from repro.workloads.blocks import unflatten
 
         return unflatten(self)
 

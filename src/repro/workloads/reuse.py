@@ -15,8 +15,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro.workloads.oracle import OracleCursor
 from repro.workloads.program import Program
-from repro.workloads.trace import OracleCursor
 
 
 @dataclass

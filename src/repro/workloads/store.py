@@ -15,7 +15,7 @@ eliminates that redundancy:
   re-running synthesis: they unpickle four buffers and check them
   (:func:`~repro.workloads.tables.checked_columns`: one C pass wherever
   the kernels build, Python otherwise) before anything reads them, C
-  included.  The :class:`~repro.workloads.program.BasicBlock` view
+  included.  The :class:`~repro.workloads.blocks.BasicBlock` view
   is built only if Python walks the program.  On Linux the fork start
   method means workers also inherit the parent's in-process memo directly.
 
@@ -186,18 +186,20 @@ def program_for(profile: WorkloadProfile | str, seed: int = 1) -> Program:
     return get_program(profile, seed)[0]
 
 
-def materialize(workload: str, seed: int = 1) -> None:
-    """Ensure the program exists in the memo and on disk (parent-side).
+def materialize(workload: str, seed: int = 1) -> str:
+    """Ensure the program exists in the memo and on disk (parent-side);
+    where it came from (:func:`get_program`'s source tag).
 
     Called by ``run_batch`` before spawning pool workers so that every
     distinct program in the batch is built exactly once: forked workers
     inherit the memo, and freshly spawned processes hydrate from disk.
     """
-    program, _ = get_program(workload, seed)
+    program, source = get_program(workload, seed)
     if not reuse_disabled():
         store = ProgramStore()
         if not store.path_for(workload, seed).exists():
             store.store(workload, seed, program)
+    return source
 
 
 def clear_memo() -> None:

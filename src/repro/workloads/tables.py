@@ -1,4 +1,4 @@
-"""A program's ground truth as flat columns: the format, its checks, its view.
+"""A program's ground truth as flat columns: the format and its checks.
 
 A :class:`~repro.workloads.program.Program` holds its blocks, branches and
 behaviours as the flat columns the compiled cycle driver reads
@@ -13,16 +13,17 @@ behaviours as the flat columns the compiled cycle driver reads
   driver.c's), seed, ``f``, ``a``, ``b`` and ``c``;
 * the indirect targets.
 
-This module owns that format.  :func:`flatten` builds the buffers when a
-program is built from blocks; :func:`checked_columns` validates every
+This module owns that format.  :func:`checked_columns` validates every
 program's buffers, built or stored, before anything reads them
 (everything C relies on): the format in Python, the rest in one C pass
 (``check_columns``, ``kernels/tables.c``) wherever the kernels build and
-in Python otherwise, both raising from one message table;
-:func:`unflatten` builds the :class:`~repro.workloads.program.BasicBlock`
-view back, the first time Python walks a program; and
-:class:`ProgramTables` is the C ``ProgTables`` descriptor over the
-program's own buffers.  The program store pickles only the buffers.
+in Python otherwise (:mod:`repro.workloads.checks`), both raising from one
+message table; and :class:`ProgramTables` is the C ``ProgTables``
+descriptor over the program's own buffers.  The program store pickles only
+the buffers.  The block view -- building the buffers from blocks
+(``flatten``) and the blocks back from them (``unflatten``) -- is
+:mod:`repro.workloads.blocks`, which a compiled run over a stored program
+never loads.
 
 :func:`program_cache` is the per-process memo of what is derived from a
 program alone: a dict attached weakly to the program object (programs are
@@ -34,19 +35,11 @@ the backend's load-dependence flag table, one per (seed, threshold)
 
 from __future__ import annotations
 
-import gc
-import math
 import weakref
 from array import array
-from itertools import compress, repeat
-from operator import add, mul
 
-from repro.common.addr import INSTR_BYTES
-from repro.common.errors import ProgramError
 from repro.common.packed import address, zeros
-from repro.workloads.program import BasicBlock, Branch, BranchKind, Program
-
-_MASK64 = (1 << 64) - 1
+from repro.workloads.program import BranchKind, Program
 
 _CACHE: "weakref.WeakKeyDictionary[Program, dict]" = weakref.WeakKeyDictionary()
 
@@ -116,133 +109,10 @@ def _split(table: array, count: int) -> list[memoryview]:
     return [items[k * length:(k + 1) * length] for k in range(count)]
 
 
-# -- flatten: blocks -> columns ----------------------------------------------
-
-
-class _Nodes:
-    """Flat behaviour-node columns; one node per distinct behaviour object
-    (the classes of :mod:`repro.workloads.behavior`, passed in as
-    ``behaviors``).  The nodes' parameters are checked with the rest of the
-    columns, by :func:`checked_columns`."""
-
-    def __init__(self, behaviors) -> None:
-        self.behaviors = behaviors
-        self.columns: tuple[list, ...] = tuple([] for _ in NODE_COLUMNS)
-        self._ids: dict[int, int] = {}  # id(behaviour) -> node; the blocks hold them
-
-    def _add(self, kind, seed=0, f=0.0, a=0, b=0, c=0) -> int:
-        for column, value in zip(self.columns, (kind, seed & _MASK64, f, a, b, c)):
-            column.append(value)
-        return len(self.columns[0]) - 1
-
-    def _memo(self, behavior, build) -> int:
-        node = self._ids.get(id(behavior))
-        if node is None:
-            node = self._ids[id(behavior)] = build()
-        return node
-
-    def direction(self, behavior) -> int:
-        def build() -> int:
-            b = self.behaviors
-            cls = type(behavior)
-            if cls is b.AlwaysTaken:
-                return self._add(B_ALWAYS)
-            if cls is b.BiasedBehavior:
-                return self._add(B_BIASED, behavior.seed, behavior.p_taken)
-            if cls is b.LoopBehavior:
-                return self._add(B_LOOP, a=behavior.trip_count)
-            if cls is b.PatternBehavior:
-                return self._add(
-                    B_PATTERN, behavior.seed, behavior.noise,
-                    a=behavior.pattern, b=behavior.length,
-                )
-            if cls is b.PhasedBehavior:
-                first = self.direction(behavior.first)
-                second = self.direction(behavior.second)
-                return self._add(
-                    B_PHASED, a=behavior.phase_length, b=first, c=second
-                )
-            raise ProgramError(f"direction behaviour {cls.__name__} has no node kind")
-
-        return self._memo(behavior, build)
-
-    def selector(self, behavior) -> int:
-        b = self.behaviors
-        cls = type(behavior)
-        if cls is b.FixedTarget:
-            # One node per branch, not per behaviour object, as stored
-            # programs number them.
-            return self._add(B_FIXED, a=behavior.index)
-
-        def build() -> int:
-            if cls is b.WeightedTargets:
-                return self._add(B_WEIGHTED, behavior.seed, behavior.hot_fraction)
-            if cls is b.ZipfTargets:
-                return self._add(B_ZIPF, behavior.seed, behavior.alpha)
-            if cls is b.RotatingTargets:
-                return self._add(B_ROTATING)
-            raise ProgramError(f"target behaviour {cls.__name__} has no node kind")
-
-        return self._memo(behavior, build)
-
-    def table(self) -> array:
-        """The node columns as one ``int64`` array (seeds and ``f`` as bits)."""
-        kind, seed, f, a, b, c = self.columns
-        try:
-            table = array("q", kind)
-            table.frombytes(array("Q", seed).tobytes())
-            table.frombytes(array("d", f).tobytes())
-            for column in (a, b, c):
-                table.extend(column)
-        except OverflowError:
-            raise ProgramError("a behaviour parameter is outside int64") from None
-        return table
-
-
-def flatten(blocks: list[BasicBlock]) -> tuple[array, bytes, array, array]:
-    """The buffers of ``blocks`` (sorted, with one op byte per instruction),
-    in :class:`Columns` order and not yet checked.
-
-    Raises :class:`~repro.common.errors.ProgramError` for a branch
-    behaviour with no node kind, or a value outside int64.
-    """
-    # The behaviour classes load with a program built from blocks (or with
-    # a view, in _behaviours), never for a run over stored columns.
-    from repro.workloads import behavior as behaviors
-
-    n = len(blocks)
-    kind, target, behavior = [-1] * n, [0] * n, [-1] * n
-    targets_off, targets_n = [0] * n, [0] * n
-    targets: list[int] = []
-    nodes = _Nodes(behaviors)
-    for i, block in enumerate(blocks):
-        branch = block.branch
-        if branch is None:
-            continue
-        kind[i] = int(branch.kind)
-        target[i] = branch.target
-        if branch.kind == BranchKind.COND:
-            behavior[i] = nodes.direction(branch.direction)
-        elif branch.kind.is_indirect:
-            behavior[i] = nodes.selector(branch.target_behavior)
-            targets_off[i] = len(targets)
-            targets_n[i] = len(branch.targets)
-            targets.extend(branch.targets)
-    try:
-        table = array("q", [b.addr for b in blocks])
-        for column in ([b.num_instrs for b in blocks], kind, target, behavior, targets_off, targets_n):
-            table.extend(column)
-        targets_table = array("q", targets)
-    except OverflowError:
-        raise ProgramError("a block address or branch target is outside int64") from None
-    ops = b"".join(block.ops for block in blocks)
-    return table, ops, nodes.table(), targets_table
-
-
 # -- validate: buffers -> columns -----------------------------------------------
 
 # What each load check reports, by number: check_columns (kernels/tables.c)
-# and _first_failure make the checks in this order and return the number
+# and checks.first_failure make the checks in this order and return the number
 # of the first that fails (0: none), and checked_columns raises its message.
 _FAILURES = (
     "",
@@ -291,10 +161,11 @@ def checked_columns(entry, blocks, ops, nodes, targets) -> Columns:
 
     The format is checked here, the rest by ``check_columns`` in C wherever
     the kernels build, and otherwise (no compiler, or
-    ``REPRO_NO_COMPILED``) by :func:`_first_failure`, its oracle.  So
-    checking a program in a process that has not built the kernels yet
-    builds them there, as its first simulation would.  Both report the
-    first failure in the order above, with one message (:data:`_FAILURES`).
+    ``REPRO_NO_COMPILED``) by :func:`repro.workloads.checks.first_failure`,
+    its oracle.  So checking a program in a process that has not built the
+    kernels yet builds them there, as its first simulation would.  Both
+    report the first failure in the order above, with one message
+    (:data:`_FAILURES`).
     """
     from repro.common import cc
 
@@ -310,7 +181,9 @@ def checked_columns(entry, blocks, ops, nodes, targets) -> Columns:
     columns = Columns(blocks, ops, nodes, targets)
     kernels = cc.kernels()
     if kernels is None:
-        failure = _first_failure(entry, columns)
+        from repro.workloads import checks  # the fallback loads only where it runs
+
+        failure = checks.first_failure(entry, columns)
     else:
         failure = kernels.check_columns(
             address(blocks), len(blocks), address(nodes), len(nodes),
@@ -319,148 +192,6 @@ def checked_columns(entry, blocks, ops, nodes, targets) -> Columns:
     if failure:
         raise ValueError(_FAILURES[failure].format(entry=entry))
     return columns
-
-
-def _first_failure(entry: int, columns: Columns) -> int:
-    """The number of the first check ``columns`` fail (0: none), in
-    :data:`_FAILURES` order: ``check_columns``'s checks in Python."""
-    starts, counts = columns.addr.tolist(), columns.ninstr.tolist()
-    if min(counts) <= 0 or starts[0] % INSTR_BYTES:
-        return _EMPTY_OR_UNALIGNED
-    ends = list(map(add, starts, map(mul, counts, repeat(INSTR_BYTES))))
-    if ends[:-1] != starts[1:]:
-        return _NOT_TILED
-    if not 0 <= starts[0] <= ends[-1] <= _ADDRESS_LIMIT:
-        return _REGION
-    if len(columns.ops) != (ends[-1] - starts[0]) // INSTR_BYTES:
-        return _OPS
-    if not starts[0] <= entry < ends[-1]:
-        return _ENTRY
-    kinds = columns.kind.tolist()
-    if not _KINDS.issuperset(kinds):
-        return _KIND
-    block_starts = set(starts)
-    if not block_starts.issuperset(columns.targets):
-        return _INDIRECT_TARGET
-    direct = compress(columns.target.tolist(), map(_DIRECT.__contains__, kinds))
-    if not block_starts.issuperset(direct):
-        return _DIRECT_TARGET
-    node_kinds = columns.node_kind.tolist()
-    failure = _first_node_failure(columns, node_kinds)
-    if failure:
-        return failure
-    m, t = len(node_kinds), len(columns.targets)
-    behavior = columns.behavior.tolist()
-    cond = list(compress(behavior, map(_COND.__eq__, kinds)))
-    if cond and not (
-        0 <= min(cond) and max(cond) < m
-        and _DIRECTIONS.issuperset(map(node_kinds.__getitem__, cond))
-    ):
-        return _COND_NODE
-    first, count, fixed = columns.targets_off, columns.targets_n, columns.node_a
-    for i in compress(range(len(kinds)), map(_INDIRECT.__contains__, kinds)):
-        node, n = behavior[i], count[i]
-        if not (0 <= node < m and node_kinds[node] in _SELECTORS):
-            return _SELECTOR
-        if not (n > 0 and 0 <= first[i] <= t - n):
-            return _TARGETS_RANGE
-        if node_kinds[node] == B_FIXED and not -n <= fixed[node] < n:
-            return _FIXED_INDEX
-    return 0
-
-
-def _first_node_failure(columns: Columns, node_kinds: list[int]) -> int:
-    if not all(map(math.isfinite, columns.node_f.tolist())):
-        return _NON_FINITE
-    a, b, c = columns.node_a.tolist(), columns.node_b.tolist(), columns.node_c.tolist()
-    for j, kind in enumerate(node_kinds):
-        if kind == B_PATTERN:
-            if a[j] < 0:
-                return _PATTERN
-            if b[j] <= 0:
-                return _PATTERN_LENGTH
-        elif kind == B_PHASED:
-            if a[j] <= 0:
-                return _PHASE_LENGTH
-            if not (
-                0 <= b[j] < j and 0 <= c[j] < j
-                and node_kinds[b[j]] in _DIRECTIONS and node_kinds[c[j]] in _DIRECTIONS
-            ):
-                return _PHASED_CHILDREN
-    return 0
-
-
-# -- unflatten: columns -> the object view ----------------------------------------
-
-
-def unflatten(program: Program) -> list[BasicBlock]:
-    """``program``'s :class:`BasicBlock` view, built from its columns.
-
-    One block per column entry, in address order with its ``index``; one
-    :class:`Branch` per branch; one behaviour object per node, shared by
-    the branches that share it.  A block's ``ops`` are its slice of the op
-    bytes.  Built with the cyclic GC paused: none of the tens of thousands
-    of objects is garbage, and the collector would scan them several times
-    over while they are built.
-    """
-    columns = program.columns
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        behaviours = _behaviours(columns)
-        ops, targets = columns.ops, columns.targets.tolist()
-        kinds = tuple(BranchKind)  # indexed by value
-        blocks: list[BasicBlock] = []
-        append = blocks.append
-        offset = 0
-        rows = zip(*(getattr(columns, name).tolist() for name in BLOCK_COLUMNS))
-        for index, (start, count, kind, target, node, first, n) in enumerate(rows):
-            branch = None
-            if kind >= 0:
-                pc = start + (count - 1) * INSTR_BYTES
-                if kind == _COND:
-                    branch = Branch(pc, kinds[kind], target, behaviours[node])
-                elif kind in _INDIRECT:
-                    branch = Branch(
-                        pc, kinds[kind], target, None,
-                        tuple(targets[first:first + n]), behaviours[node],
-                    )
-                else:
-                    branch = Branch(pc, kinds[kind], target)
-            append(BasicBlock(start, count, branch, ops[offset:offset + count], index))
-            offset += count
-        return blocks
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _behaviours(columns: Columns) -> list:
-    """One behaviour object per node; a phased node's children come first."""
-    from repro.workloads import behavior as behaviors
-
-    built: list = []
-    for kind, seed, f, a, b, c in zip(*(getattr(columns, name).tolist() for name in NODE_COLUMNS)):
-        if kind == B_ALWAYS:
-            behaviour = behaviors.AlwaysTaken()
-        elif kind == B_BIASED:
-            behaviour = behaviors.BiasedBehavior(seed, f)
-        elif kind == B_LOOP:
-            behaviour = behaviors.LoopBehavior(a)
-        elif kind == B_PATTERN:
-            behaviour = behaviors.PatternBehavior(seed, a, b, f)
-        elif kind == B_PHASED:
-            behaviour = behaviors.PhasedBehavior(built[b], built[c], a)
-        elif kind == B_FIXED:
-            behaviour = behaviors.FixedTarget(a)
-        elif kind == B_WEIGHTED:
-            behaviour = behaviors.WeightedTargets(seed, f)
-        elif kind == B_ZIPF:
-            behaviour = behaviors.ZipfTargets(seed, f)
-        else:
-            behaviour = behaviors.RotatingTargets()
-        built.append(behaviour)
-    return built
 
 
 # -- the C descriptor ---------------------------------------------------------------

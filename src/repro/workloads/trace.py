@@ -1,44 +1,40 @@
 """The oracle cursor: ground-truth dynamic control flow.
 
-:class:`OracleCursor` walks the static program along the *true* path,
-maintaining per-branch occurrence counters (which index the deterministic
+:class:`OracleCursorC` holds a walk along the program's *true* path: its pc,
+the per-branch occurrence counters (which index the deterministic
 behaviours) and the true call stack (which defines return targets).  The
 counters are one flat ``int64`` array indexed by block, as the program's
 columns are (a block's branch is its last instruction, so a block holds at
 most one); the compiled walk and cycle driver (``repro/sim/driver.py``)
-count in the same array in place.  Only :meth:`OracleCursor.transition`
-and what builds on it walk the program's block view; construction and the
-state protocol read its columns.
+advance the cursor in C, counting in the same array in place.  Construction
+and the state protocol read only the program's columns.
 
-The decoupled frontend *shadows* the cursor while it is on-path: for every
-basic block the frontend's speculative walker processes, it asks the cursor
-for the true transition and compares it with its own prediction.  On the
-first mismatch the cursor is advanced once more (to the true successor — the
-recovery point) and then frozen until the mispredicted branch resolves.
+The walk in Python -- ``OracleCursor``, which extends it with
+``transition``/``advance``/``step``, and ``run_trace``/``trace_statistics``
+over it -- is :mod:`repro.workloads.oracle`, which this module resolves on
+first use: only the object path, the analysis helpers and the trace tools
+load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro._lazy import exports as _exports
 from repro.common.errors import SimulationError
 from repro.common.packed import zeros
-from repro.workloads.program import BasicBlock, Branch, BranchKind, Program
+from repro.workloads.program import Program
+
+if TYPE_CHECKING:  # the block view loads only where Python walks a program
+    from repro.workloads.blocks import BasicBlock
+
+__getattr__, __dir__ = _exports(__name__, (
+    "repro.workloads.oracle", ("OracleCursor", "OracleTransition", "run_trace", "trace_statistics"),
+))[1:]
 
 
-@dataclass
-class OracleTransition:
-    """The ground-truth outcome of one basic block's terminating transfer."""
-
-    block: BasicBlock
-    branch: Branch | None
-    taken: bool
-    next_pc: int
-    occurrence: int  # dynamic instance index of the branch; -1 if no branch
-
-
-class OracleCursor:
-    """Walks the true path of a program, one basic block at a time."""
+class OracleCursorC:
+    """A true-path walk's position, call stack and occurrence counts."""
 
     def __init__(self, program: Program, max_stack: int = 256) -> None:
         self.program = program
@@ -70,47 +66,6 @@ class OracleCursor:
         if block.branch is None or block.branch.pc != branch_pc:
             return 0
         return self._occurrences[block.index]
-
-    # -- walking ------------------------------------------------------------
-
-    def transition(self) -> OracleTransition:
-        """Compute (without committing) the true transition of the current block."""
-        block = self.current_block()
-        branch = block.branch
-        if branch is None:
-            return OracleTransition(block, None, False, block.end_addr, -1)
-        occurrence = self._occurrences[block.index]
-        if branch.kind == BranchKind.COND:
-            taken = branch.true_taken(occurrence)
-            next_pc = branch.target if taken else branch.fallthrough
-        elif branch.kind == BranchKind.RET:
-            taken = True
-            next_pc = self.call_stack[-1] if self.call_stack else self.program.entry
-        else:
-            taken = True
-            next_pc = branch.true_target(occurrence)
-        return OracleTransition(block, branch, taken, next_pc, occurrence)
-
-    def advance(self, transition: OracleTransition) -> None:
-        """Commit a transition previously computed by :meth:`transition`."""
-        branch = transition.branch
-        if branch is not None:
-            self._occurrences[transition.block.index] = transition.occurrence + 1
-            if branch.kind.is_call:
-                if len(self.call_stack) >= self.max_stack:
-                    del self.call_stack[0]
-                self.call_stack.append(branch.fallthrough)
-            elif branch.kind == BranchKind.RET and self.call_stack:
-                self.call_stack.pop()
-        self.pc = transition.next_pc
-        self.blocks_walked += 1
-        self.instrs_walked += transition.block.num_instrs
-
-    def step(self) -> OracleTransition:
-        """Compute and commit one transition."""
-        transition = self.transition()
-        self.advance(transition)
-        return transition
 
     # -- state protocol (repro.common.packed) --------------------------------
 
@@ -146,51 +101,10 @@ class OracleCursor:
         self.blocks_walked, self.instrs_walked = walked
         counts[:] = occurrences
 
-    def copy_from(self, other: "OracleCursor") -> None:
+    def copy_from(self, other: "OracleCursorC") -> None:
         """Take a same-program cursor's position and counts, by direct copy."""
         self.pc = other.pc
         self.call_stack[:] = other.call_stack
         self.blocks_walked = other.blocks_walked
         self.instrs_walked = other.instrs_walked
         memoryview(self._occurrences)[:] = other._occurrences
-
-
-def run_trace(program: Program, num_blocks: int) -> list[OracleTransition]:
-    """Materialize the first ``num_blocks`` true-path transitions.
-
-    Used by tests and by the trace-driven example; the simulator itself walks
-    the cursor incrementally.
-    """
-    cursor = OracleCursor(program)
-    return [cursor.step() for _ in range(num_blocks)]
-
-
-def trace_statistics(program: Program, num_blocks: int) -> dict[str, float]:
-    """Dynamic-stream statistics over the first ``num_blocks`` true blocks.
-
-    Reports taken rate, dynamic branch density, average block size, and the
-    dynamic code coverage (unique lines touched), which characterise a
-    workload's frontend pressure.
-    """
-    cursor = OracleCursor(program)
-    lines: set[int] = set()
-    taken = 0
-    branches = 0
-    instrs = 0
-    for _ in range(num_blocks):
-        t = cursor.step()
-        instrs += t.block.num_instrs
-        for addr in range(t.block.addr, t.block.end_addr, 64):
-            lines.add(addr >> 6)
-        lines.add((t.block.end_addr - 1) >> 6)
-        if t.branch is not None:
-            branches += 1
-            taken += int(t.taken)
-    return {
-        "instructions": float(instrs),
-        "dynamic_branches": float(branches),
-        "taken_rate": taken / max(branches, 1),
-        "avg_block_instrs": instrs / max(num_blocks, 1),
-        "unique_lines": float(len(lines)),
-        "touched_kib": len(lines) * 64 / 1024.0,
-    }

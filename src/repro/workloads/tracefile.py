@@ -17,8 +17,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.workloads.oracle import OracleCursor
 from repro.workloads.program import Program
-from repro.workloads.trace import OracleCursor
 
 
 @dataclass

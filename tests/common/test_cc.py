@@ -6,6 +6,7 @@ contract is all about degradation: no compiler, a broken compiler, or
 SoA path with identical results — never an error.
 """
 
+import os
 import sys
 
 import pytest
@@ -124,3 +125,46 @@ def test_digest_covers_sources_and_interpreter():
     assert len(digest) == 32
     assert sys.version.encode()  # sanity: the digest folds the ABI in
     assert cc._build_digest(compiler) == digest  # deterministic
+
+
+def test_built_kernels_keep_their_digest_and_file_name(monkeypatch, tmp_path):
+    """The extension suffix comes from importlib, not sysconfig: the digest
+    and the artifact's name must be what sysconfig's ``EXT_SUFFIX`` gives,
+    so a module an earlier process built is still found, not rebuilt."""
+    import hashlib
+    import subprocess
+    import sysconfig
+
+    ext_suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    assert cc.EXT_SUFFIX == ext_suffix
+    compiler = "cc"
+    digest = hashlib.sha256()
+    digest.update(cc.unity_source().encode())
+    for name in (cc.KERNEL_HEADER, *cc.KERNEL_SOURCES):
+        digest.update(name.encode())
+        digest.update((cc.KERNEL_DIR / name).read_bytes())
+    digest.update(" ".join(cc.CFLAGS).encode())
+    digest.update(compiler.encode())
+    digest.update(sys.version.encode())
+    digest.update(str(ext_suffix).encode())
+    expected = digest.hexdigest()[:32]
+    assert cc._build_digest(compiler) == expected
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert cc._artifact_path(expected) == (
+        tmp_path / "kernels" / f"{cc.MODULE_NAME}-{expected}{ext_suffix or '.so'}"
+    )
+    if not _compiler_works():
+        pytest.skip("no C compiler on this host")
+    # A fresh process that loads the built module imports no sysconfig.
+    cc.reset_for_tests()
+    assert cc.kernels() is not None
+    code = (
+        "import sys; from repro.common import cc; "
+        "assert cc.kernels() is not None; print('sysconfig' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(cc.KERNEL_DIR.parents[2])}
+    env.pop(cc.NO_COMPILED_ENV, None)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

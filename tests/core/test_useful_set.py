@@ -3,6 +3,7 @@
 from repro.common.config import SimConfig, UDPConfig
 from repro.core.useful_set import UsefulSet
 from repro.sim.simulator import Simulator
+from repro.sim.stepper import _useful_set_holds
 from repro.workloads import micro
 
 L = 64
@@ -102,16 +103,16 @@ def test_storage_budget():
 
 def test_query_ignores_buffered_lines_but_fast_forward_dedupe_sees_them():
     """``query`` (the FDIP gate) probes only the Bloom filters; the
-    fast-forward dedupe (``Simulator._useful_set_holds``) also counts the
-    lines still waiting in the coalescing buffer."""
+    fast-forward dedupe (``repro.sim.stepper._useful_set_holds``) also
+    counts the lines still waiting in the coalescing buffer."""
     config = SimConfig(udp=UDPConfig(enabled=True))
     sim = Simulator(micro.straight_loop(), config, compiled=False)
     s = sim.udp.useful_set
     s.insert(42 * L)
     assert 42 * L in s.coalescer._lines
     assert s.query(42 * L) == []
-    assert sim._useful_set_holds(42 * L)
+    assert _useful_set_holds(sim, 42 * L)
     fill_through_coalescer(s, [])
     assert 42 * L not in s.coalescer._lines
     assert s.query(42 * L) == [42 * L]
-    assert sim._useful_set_holds(42 * L)
+    assert _useful_set_holds(sim, 42 * L)

@@ -1,8 +1,9 @@
 """White-box tests of the simulator's L1I demand/fill state machine.
 
-These drive `_demand_access` / `_process_fills` directly with handcrafted
-FTQ entries, pinning down the utility/timeliness bookkeeping that the
-paper's metrics (and UFTQ/UDP training) depend on.
+These drive the stepper's `_demand_access` and the simulator's
+`_process_fills` directly with handcrafted FTQ entries, pinning down the
+utility/timeliness bookkeeping that the paper's metrics (and UFTQ/UDP
+training) depend on.
 """
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.common.config import SimConfig, UDPConfig
 from repro.frontend.fetch_block import FTQEntry
 from repro.sim.simulator import Simulator
+from repro.sim.stepper import _demand_access
 from repro.workloads import micro
 
 
@@ -30,7 +32,7 @@ LINE = 0x8000  # an address outside the tiny loop's code
 def test_demand_miss_allocates_and_sets_ready():
     sim = make_sim()
     e = entry(LINE)
-    sim._demand_access(e, cycle=10)
+    _demand_access(sim, e, cycle=10)
     assert sim.counters["icache_demand_misses"] == 1
     assert e.ready_cycle > 10
     assert sim.mshr.lookup(LINE) is not None
@@ -39,7 +41,7 @@ def test_demand_miss_allocates_and_sets_ready():
 def test_fill_installs_line():
     sim = make_sim()
     e = entry(LINE)
-    sim._demand_access(e, cycle=10)
+    _demand_access(sim, e, cycle=10)
     sim._process_fills(e.ready_cycle)
     assert sim.l1i.contains(LINE)
     assert sim.counters["l1i_fills"] == 1
@@ -49,8 +51,8 @@ def test_second_demand_merges_with_inflight():
     sim = make_sim()
     a = entry(LINE, seq=0)
     b = entry(LINE, seq=1)
-    sim._demand_access(a, cycle=10)
-    sim._demand_access(b, cycle=12)
+    _demand_access(sim, a, cycle=10)
+    _demand_access(sim, b, cycle=12)
     assert sim.counters["icache_demand_mshr_merges"] == 1
     assert b.ready_cycle == a.ready_cycle
 
@@ -59,7 +61,7 @@ def test_demand_merge_with_prefetch_counts_untimely():
     sim = make_sim()
     latency, level = sim.hierarchy.instruction_miss_latency(LINE)
     sim.mshr.allocate(LINE, ready_cycle=200, is_prefetch=True, off_path=True)
-    sim._demand_access(entry(LINE), cycle=10)
+    _demand_access(sim, entry(LINE), cycle=10)
     assert sim.counters["atr_mshr_hits"] == 1
     assert sim.counters["prefetch_useful"] == 1
     assert sim.counters["prefetch_useful_off_path"] == 1
@@ -68,7 +70,7 @@ def test_demand_merge_with_prefetch_counts_untimely():
 def test_merged_prefetch_fills_without_prefetch_bit():
     sim = make_sim()
     sim.mshr.allocate(LINE, ready_cycle=200, is_prefetch=True)
-    sim._demand_access(entry(LINE), cycle=10)  # on-path merge claims it
+    _demand_access(sim, entry(LINE), cycle=10)  # on-path merge claims it
     sim._process_fills(200)
     line = sim.l1i.lookup(LINE, touch=False)
     assert line is not None
@@ -78,18 +80,18 @@ def test_merged_prefetch_fills_without_prefetch_bit():
 def test_timely_prefetch_hit_clears_bit_once():
     sim = make_sim()
     sim.l1i.install(LINE, prefetch=True, prefetch_off_path=True)
-    sim._demand_access(entry(LINE, seq=0), cycle=10)
+    _demand_access(sim, entry(LINE, seq=0), cycle=10)
     assert sim.counters["atr_icache_hits"] == 1
     assert sim.counters["prefetch_useful"] == 1
     # A second demand touch must not double-count.
-    sim._demand_access(entry(LINE, seq=1), cycle=11)
+    _demand_access(sim, entry(LINE, seq=1), cycle=11)
     assert sim.counters["prefetch_useful"] == 1
 
 
 def test_wrong_path_demand_does_not_claim_usefulness():
     sim = make_sim()
     sim.l1i.install(LINE, prefetch=True)
-    sim._demand_access(entry(LINE, on_path=False), cycle=10)
+    _demand_access(sim, entry(LINE, on_path=False), cycle=10)
     assert sim.counters["prefetch_useful"] == 0
     line = sim.l1i.lookup(LINE, touch=False)
     assert line.prefetch_bit  # still awaiting an on-path consumer
@@ -111,7 +113,7 @@ def test_udp_candidate_hit_triggers_direct_learning():
     sim = make_sim(udp=UDPConfig(enabled=True, infinite_storage=True))
     sim.l1i.install(LINE, prefetch=True, prefetch_off_path=True,
                     prefetch_udp_candidate=True)
-    sim._demand_access(entry(LINE), cycle=10)
+    _demand_access(sim, entry(LINE), cycle=10)
     assert sim.counters["udp_learned_useful_direct"] == 1
     assert sim.udp.useful_set.contains(LINE)
 
@@ -122,6 +124,6 @@ def test_mshr_full_leaves_entry_unready():
     for i in range(capacity):
         sim.mshr.allocate(0x20_0000 + i * 64, 500, is_prefetch=False)
     e = entry(LINE)
-    sim._demand_access(e, cycle=10)
+    _demand_access(sim, e, cycle=10)
     assert e.ready_cycle == -1
     assert sim.counters["icache_mshr_full_stalls"] == 1

@@ -18,6 +18,7 @@ import signal
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from unittest import mock
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.prefetchers import registry
 from repro.prefetchers.base import InstructionPrefetcher
 from repro.sim import checkpoint as ckpt
 from repro.sim import driver as driver_mod
+from repro.sim import stepper
 from repro.sim.presets import (
     PRESET_BUILDERS,
     baseline_config,
@@ -735,15 +737,15 @@ def _first_prefetch_consuming_hit() -> int:
     """Which on-path hit (1-based) first consumes a prefetch, on the object path."""
     sim = build_simulator("gcc", _recorder_config(), compiled=False)
     hits = []
-    useful = sim._prefetch_useful
+    useful = stepper._prefetch_useful
 
-    def spy(off_path, timely):
+    def spy(sim, off_path, timely):
         if timely:
             hits.append(sim.prefetcher.calls["hit"] + 1)
-        useful(off_path, timely)
+        useful(sim, off_path, timely)
 
-    sim._prefetch_useful = spy
-    sim.run()
+    with mock.patch.object(stepper, "_prefetch_useful", spy):
+        sim.run()
     return hits[0]
 
 

@@ -10,9 +10,13 @@ so it imports no object structure, no behaviour class and no technique it
 does not build; sampling loads with a sampled spec, and the fault injector
 only when ``REPRO_FAULT`` is set.  UDP's modules load only for a run that
 builds UDP, and a stored program is checked once on load, in C wherever
-the kernels build.  A batch derives each spec's result key and each
-program's store key once.  Each check runs in a fresh
-interpreter, where ``sys.modules`` starts empty.
+the kernels build.  Nor does a compiled run import the object path's
+code at all -- the Python stepper and walk, the object backend, the block
+view, the walking oracle cursor and the Python load checks -- so it
+compiles only the fast path.  A batch derives each spec's result key and
+each program's store key once, and reports where it got each program.
+Each check runs in a fresh interpreter, where ``sys.modules`` starts
+empty.
 """
 
 from __future__ import annotations
@@ -72,6 +76,22 @@ COMPILED_OFF_PATH = (
     "subprocess",
 )
 
+# The object path's own code, which a compiled run never imports: the
+# Python stepper and walk, the object backend, the block view and its
+# conversions, the oracle cursor's Python walk and the Python load checks.
+ORACLE_MODULES = (
+    "repro.sim.stepper",
+    "repro.backend.window",
+    "repro.workloads.blocks",
+    "repro.workloads.oracle",
+    "repro.workloads.checks",
+)
+
+# A compiled long-udp rep (benchmarks/e2e) loaded 9,058 lines of repro
+# source while those modules' code sat in the ones every run imports; it
+# must load at least 1,200 fewer.
+FAST_PATH_LINES = 9_058 - 1_200
+
 # UDP's modules, which only a run that builds UDP imports.
 UDP_MODULES = (
     "repro.core.udp",
@@ -97,7 +117,6 @@ import gc, json, sys
 from repro.common import cc
 from repro.sim import presets
 from repro.sim.engine import run_batch, spec_for
-from repro.workloads.program import BasicBlock
 
 def config(build, n):
     return build(n).replace(functional_warmup_blocks=2000)
@@ -113,14 +132,16 @@ sampling_unsampled = "repro.sim.sampling" in sys.modules
 events = []
 for _ in range(2):  # the second batch restores the first one's warmup checkpoints
     run_batch(specs, jobs=1, no_cache=True, progress=events.append)
+# Every program of the batch stays memoized, and with it any view built
+# (counted without importing the view where no run did).
+blocks = sys.modules.get("repro.workloads.blocks")
 print(json.dumps({
     "sampling_unsampled": sampling_unsampled,
     "checkpoints": [e.checkpoint for e in events],
     "programs": [e.program_source for e in events],
     "modules": sorted(sys.modules),
     "driver": cc.compiled_enabled(),  # False without a C compiler, too
-    # Every program of the batch stays memoized, and with it any view built.
-    "basic_blocks": sum(type(obj) is BasicBlock for obj in gc.get_objects()),
+    "basic_blocks": blocks and sum(type(obj) is blocks.BasicBlock for obj in gc.get_objects()),
 }))
 """
 
@@ -131,16 +152,19 @@ import json, sys
 from repro.common import cc
 from repro.sim import presets
 from repro.sim.engine import run_batch, spec_for
-from repro.workloads import tables
 
 python_checks = []
-first_failure = tables._first_failure
+if not cc.compiled_enabled():
+    # The Python checks load only where they run: count them there.
+    from repro.workloads import checks
 
-def counted_first_failure(*args):
-    python_checks.append(1)
-    return first_failure(*args)
+    first_failure = checks.first_failure
 
-tables._first_failure = counted_first_failure
+    def counted_first_failure(*args):
+        python_checks.append(1)
+        return first_failure(*args)
+
+    checks.first_failure = counted_first_failure
 specs = [
     spec_for(workload, build(2000).replace(functional_warmup_blocks=2000), 1, label)
     for workload, build, label in (
@@ -155,6 +179,42 @@ print(json.dumps({
     "check_columns": cc.kernel_call_counts().get("check_columns", 0),
     "python_checks": len(python_checks),
 }))
+"""
+
+# One long-udp-shaped spec (verilator, udp), as a benchmark rep runs it:
+# how many lines of repro source the process loaded, and from how many
+# modules.
+LONG_UDP_RUN = """
+import json, sys
+from repro.common import cc
+from repro.sim import presets
+from repro.sim.engine import run_batch, spec_for
+
+config = presets.udp_config(2000).replace(functional_warmup_blocks=2000)
+run_batch([spec_for("verilator", config, 1, "udp")], jobs=1, no_cache=True)
+lines = 0
+for name, module in sys.modules.items():
+    if name == "repro" or name.startswith("repro."):
+        with open(module.__file__, "rb") as fh:
+            lines += fh.read().count(b"\\n")
+print(json.dumps({"driver": cc.compiled_enabled(), "lines": lines, "modules": sorted(sys.modules)}))
+"""
+
+# Where each program came from: twice the same two-spec batch in one
+# process, whose first unit reports how the batch got the program.
+PROGRAM_SOURCES = """
+import json
+from repro.sim import presets
+from repro.sim.engine import run_batch, spec_for
+
+config = presets.baseline_config(1000).replace(functional_warmup_blocks=200)
+specs = [spec_for("mediawiki", config, 1, label) for label in ("a", "b")]
+sources = []
+for _ in range(2):
+    events = []
+    run_batch(specs, jobs=1, no_cache=True, progress=events.append)
+    sources.append([e.program_source for e in events])
+print(json.dumps(sources))
 """
 
 EXPORTS = """
@@ -257,12 +317,16 @@ def test_serial_run_loads_only_what_it_runs(tmp_path, compiled):
     missing = [name for name in UDP_MODULES if name not in report["modules"]]
     assert not missing, f"a udp run did not import {missing}"
     if report["driver"]:
-        assert report["basic_blocks"] == 0, "a compiled run built the block view"
-        loaded = [name for name in COMPILED_OFF_PATH if name in report["modules"]]
+        assert not report["basic_blocks"], "a compiled run built the block view"
+        loaded = [
+            name for name in (*COMPILED_OFF_PATH, *ORACLE_MODULES) if name in report["modules"]
+        ]
         assert not loaded, f"a compiled serial run imported {loaded}"
     else:
         assert report["basic_blocks"] > 0, "the object path walked no block view"
-        missing = [name for name in OBJECT_TWINS if name not in report["modules"]]
+        missing = [
+            name for name in (*OBJECT_TWINS, *ORACLE_MODULES) if name not in report["modules"]
+        ]
         assert not missing, f"the object path did not import {missing}"
 
 
@@ -282,6 +346,33 @@ def test_a_run_without_udp_loads_none_of_it(tmp_path, compiled):
     # kernels build, and then never in Python.
     checks = (report["check_columns"], report["python_checks"])
     assert checks == ((2, 0) if report["driver"] else (0, 2))
+    # Nor does a compiled baseline or miss-heavy run import the object path.
+    oracle = [name for name in ORACLE_MODULES if name in report["modules"]]
+    assert oracle == ([] if report["driver"] else list(ORACLE_MODULES))
+
+
+def test_a_compiled_long_run_compiles_only_the_fast_path(tmp_path):
+    _python(
+        "from repro.common import cc; from repro.workloads import store; "
+        "cc.kernels(); store.materialize('verilator', 1)",
+        tmp_path,
+    )
+    report = json.loads(_python(LONG_UDP_RUN, tmp_path))
+    if not report["driver"]:
+        pytest.skip("the kernels do not build here: no run is compiled")
+    loaded = [name for name in ORACLE_MODULES if name in report["modules"]]
+    assert not loaded, f"a compiled long-udp run imported {loaded}"
+    assert report["lines"] <= FAST_PATH_LINES, report["lines"]
+
+
+def test_each_program_reports_where_the_batch_got_it(tmp_path):
+    # A fresh cache root: the first batch synthesizes the program (and
+    # stores it), the repeat finds it in the process's memo; a second
+    # process hydrates it from the store.
+    first = json.loads(_python(PROGRAM_SOURCES, tmp_path))
+    second = json.loads(_python(PROGRAM_SOURCES, tmp_path))
+    assert first == [["built", "memo"], ["memo", "memo"]]
+    assert second == [["disk", "memo"], ["memo", "memo"]]
 
 
 def test_a_batch_derives_each_key_once(tmp_path):
