@@ -105,8 +105,8 @@ class BranchTargetBufferC:
     packed :meth:`state` format (LRU→MRU per set) round-trips with
     :class:`~repro.branch.btb.BranchTargetBuffer`.  :meth:`fill` and
     :meth:`contains` are the two calls Python still makes into it: a
-    registry technique's BTB hooks (shadow-btb's predecoder) run them from
-    inside the driver.
+    plug-in technique's BTB hooks run them from inside the driver (which
+    predecodes for shadow-btb itself).
     """
 
     def __init__(self, entries: int, assoc: int) -> None:

@@ -10,8 +10,9 @@ the shared artifact root (digest of every source file plus the build flags
 and interpreter ABI; atomic rename, exactly like the program/checkpoint
 stores), and loads it via importlib.  Python enters it once per run
 (``run_cycles``) or walk (``functional_walk``) and once per program to
-check its columns (``check_columns``), plus the bulk state helpers and the
-two BTB calls a registry technique's hooks make.
+check its columns (``check_columns``) and index its blocks
+(``index_blocks``), plus the bulk state helpers and the two BTB calls a
+plug-in technique's hooks make.
 
 Fallback contract: when no compiler is present, compilation fails, or
 ``REPRO_NO_COMPILED=1`` is set, :func:`kernels` returns ``None`` and every
@@ -41,7 +42,9 @@ MODULE_NAME = "_repro_kernels"
 # (a file may call the static helpers of the files before it); the header
 # is part of the digest.
 KERNEL_DIR = Path(__file__).resolve().parent / "kernels"
-KERNEL_SOURCES = ("cache.c", "btb.c", "tage.c", "backend.c", "driver.c", "tables.c", "module.c")
+KERNEL_SOURCES = (
+    "cache.c", "btb.c", "tage.c", "backend.c", "techniques.c", "driver.c", "tables.c", "module.c",
+)
 KERNEL_HEADER = "kernels.h"
 
 CFLAGS = ("-O1", "-fPIC", "-shared", "-fno-strict-aliasing")

@@ -27,6 +27,8 @@
  */
 #include "kernels.h"
 
+#include <string.h>
+
 #define STACK_BASE 0x7FF0000000LL
 #define STACK_SPAN (16 * 1024)
 #define HEAP_BASE 0x1000000000LL
@@ -139,7 +141,8 @@ static int64_t be_issue_impl(BackendDesc *b, int64_t cycle) {
     int64_t wake = WAKE_IDLE;
     int64_t n_mem = 0;
     int64_t scan = b->rs_len < b->scan_window ? b->rs_len : b->scan_window;
-    for (int64_t i = 0; i < scan; i++) {
+    int64_t i = 0;
+    for (; i < scan; i++) {
         int64_t seq = b->rs[i];
         int64_t slot = seq & cap;
         if (b->flags[slot] & UOP_ISSUED) {
@@ -198,14 +201,17 @@ static int64_t be_issue_impl(BackendDesc *b, int64_t cycle) {
         issued_any = 1;
     }
     if (issued_any) {
+        /* Issued entries lie in the scanned prefix rs[0..i): entries leave
+         * the RS in the call that issues them.  Compact it, then move the
+         * unscanned tail down whole. */
         int64_t j = 0;
-        for (int64_t i = 0; i < b->rs_len; i++) {
-            int64_t slot = b->rs[i] & cap;
-            if (!(b->flags[slot] & UOP_ISSUED)) {
-                b->rs[j++] = b->rs[i];
+        for (int64_t k = 0; k < i; k++) {
+            if (!(b->flags[b->rs[k] & cap] & UOP_ISSUED)) {
+                b->rs[j++] = b->rs[k];
             }
         }
-        b->rs_len = j;
+        memmove(b->rs + j, b->rs + i, (size_t)(b->rs_len - i) * sizeof(int64_t));
+        b->rs_len = j + (b->rs_len - i);
         b->issue_wake = cycle + 1;
     } else {
         b->issue_wake = wake;

@@ -4,8 +4,8 @@
  * and branch/history.py (GlobalHistory.push) for the cycle driver; both
  * buffers share BtbDesc with the iBTB's tags in `pcs`.  Python reaches a
  * compiled BTB through two calls only, btb_fill and btb_contains: the
- * hooks a registry technique gets (shadow-btb's predecoder) call them
- * from inside run_cycles.
+ * hooks a plug-in registry technique gets call them from inside
+ * run_cycles (shadow-btb's predecoder runs in the driver itself).
  */
 #include "kernels.h"
 
@@ -53,14 +53,18 @@ static int64_t btb_probe_impl(BtbDesc *b, int64_t pc) {
     return g;
 }
 
+/* Tag check without touching recency or statistics. */
+static inline int btb_contains_impl(BtbDesc *b, int64_t pc) {
+    return btb_find(b, (pc >> 2) % b->num_sets, pc) >= 0;
+}
+
 static PyObject *k_btb_contains(PyObject *self, PyObject *const *args, Py_ssize_t n) {
     (void)self; (void)n;
     repro_kernel_calls[KC_BTB_CONTAINS]++;
     BtbDesc *b = (BtbDesc *)arg_ptr(args, 0);
     int64_t pc = arg_i64(args, 1);
     if (PyErr_Occurred()) return NULL;
-    int64_t set_index = (pc >> 2) % b->num_sets;
-    return PyLong_FromLong(btb_find(b, set_index, pc) >= 0);
+    return PyLong_FromLong(btb_contains_impl(b, pc));
 }
 
 static void btb_fill_impl(BtbDesc *b, int64_t pc, int64_t kind, int64_t target) {

@@ -47,23 +47,19 @@ int64_t cache_install_impl(CacheDesc *c, int64_t line_addr, int64_t flags) {
         }
         return g;
     }
-    /* Lowest-index free way first, else the minimum-stamp victim. */
+    /* Lowest-index free way first, else the lowest-index minimum-stamp
+     * victim, in one pass. */
+    int64_t victim = base;
     g = -1;
     for (int64_t w = 0; w < c->assoc; w++) {
         if (c->addrs[base + w] == -1) {
             g = base + w;
             break;
         }
+        if (c->stamps[base + w] < c->stamps[victim]) victim = base + w;
     }
     if (g < 0) {
-        int64_t best = c->stamps[base];
-        g = base;
-        for (int64_t w = 1; w < c->assoc; w++) {
-            if (c->stamps[base + w] < best) {
-                best = c->stamps[base + w];
-                g = base + w;
-            }
-        }
+        g = victim;
         c->evict_addr = c->addrs[g];
         c->evict_flags = c->flags[g];
     } else {

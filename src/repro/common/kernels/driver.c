@@ -1,24 +1,27 @@
-/* The compiled cycle driver: Simulator.step()'s whole loop in C.
+/* The compiled cycle driver: the Python stepper's whole loop in C.
  *
- * Port of sim/simulator.py (step, the idle-cycle fast-forward and refill
+ * Port of sim/stepper.py (step, the idle-cycle fast-forward and refill
  * rules, fills, fetch/decode/dispatch, resteer/squash/recovery),
  * frontend/bpu.py (the FTQ walker shadowing the oracle), branch/unit.py
  * (the BTB, the two-level BTB's L2 and promotion, the loop predictor's
  * override), frontend/fdip.py (the FTQ scan), memory/mshr.py,
- * workloads/trace.py (the true-path cursor) and core/ (UDP: the
+ * workloads/trace.py (the true-path cursor), core/ (UDP: the
  * confidence estimator, the FDIP gate over the useful-set and the
- * Seniority-FTQ, and their learning and flush rules), for every
- * configuration.  Two participants stay in Python and are called back
- * synchronously: a registry technique (the loop calls its
- * on_demand_access/on_line_filled where Simulator.step() does and applies
- * the returned prefetch lines here, Simulator._standalone_prefetch) and
- * UFTQ's controller (told of each on-path demand miss and prefetch
- * outcome, it returns the FTQ depth it chose).  The kernels this file
- * calls -- cache, BTB/iBTB, history, TAGE, backend, hierarchy -- are
- * static helpers of the other kernel files: every kernel file is
- * #included into one translation unit (common/cc.py).
+ * Seniority-FTQ, and their learning and flush rules) and the built-in
+ * comparators (EIP's and MANA's tables in techniques.c, asked where a
+ * plug-in's on_demand_access is called back, and shadow-btb's predecoder
+ * at every fill), for every configuration.  Two participants stay in
+ * Python and are called back synchronously: a plug-in registry technique
+ * (the loop calls its on_demand_access/on_line_filled where the stepper
+ * does and applies the returned prefetch lines here,
+ * stepper._standalone_prefetch) and UFTQ's controller (told of each
+ * on-path demand miss and prefetch outcome, it returns the FTQ depth it
+ * chose).  The kernels this file calls -- cache, BTB/iBTB, history, TAGE,
+ * backend, hierarchy, the comparators' tables -- are static helpers of the
+ * other kernel files: every kernel file is #included into one translation
+ * unit (common/cc.py).
  *
- * A second entry point, functional_walk, ports Simulator._walk_true_path:
+ * A second entry point, functional_walk, ports stepper.walk_true_path:
  * the functional warmup and the (warming) fast-forward, with no timing.
  * It walks the oracle over the same program tables and structures, on a
  * descriptor of its own that sim/driver.py writes back when it returns, so
@@ -114,10 +117,20 @@ enum { RS_FREE, RS_FTQ, RS_BACKEND };
     X(useful_set_flush_1) X(useful_set_flush_2) X(useful_set_flush_4) \
     X(udp_learned_useful) X(udp_learned_useful_direct)
 
+/* The built-in comparators' counters, after those: a name appears in
+ * Python only once its counter moved, as the object techniques' bumps
+ * create it. */
+#define TECHNIQUE_COUNTERS(X) \
+    X(mana_replayed_lines) X(mana_records_trained) \
+    X(shadow_btb_lines_scanned) X(shadow_btb_branches_found) X(shadow_btb_prefills)
+
 #define DC_ENUM(name) DC_##name,
-enum { DRIVER_COUNTERS(DC_ENUM) DC_COUNT };
+enum { DRIVER_COUNTERS(DC_ENUM) TECHNIQUE_COUNTERS(DC_ENUM) DC_COUNT };
+#define DC_EAGER DC_mana_replayed_lines  /* the counters Python interns first */
 #define DC_NAME(name) #name,
-static const char *const DC_NAMES[DC_COUNT] = { DRIVER_COUNTERS(DC_NAME) };
+static const char *const DC_NAMES[DC_COUNT] = {
+    DRIVER_COUNTERS(DC_NAME) TECHNIQUE_COUNTERS(DC_NAME)
+};
 
 /* Per-program ground truth: the program's own column buffers
  * (workloads/tables.py), checked before anything reads them (check_columns,
@@ -142,6 +155,12 @@ typedef struct {
     const int64_t *node_a;      /* trip_count / pattern / phase_length / index */
     const int64_t *node_b;      /* pattern length / first phase */
     const int64_t *node_c;      /* second phase */
+    /* the block index (index_blocks, tables.c): per 64-byte line from
+     * line_base, the block holding the line's first byte (block 0 for the
+     * first line's bytes before code_start) */
+    int64_t line_base;          /* code_start & ~63 */
+    int64_t n_lines;
+    const int64_t *line_block;  /* [n_lines] */
 } ProgTables;
 
 /* One FTQ entry: a fetch block of at most FB_INSTRS instructions. */
@@ -162,7 +181,7 @@ typedef struct {
 } FtqEntry;
 
 typedef struct {
-    int64_t line_addr;      /* -1 = free */
+    int64_t line_addr;
     int64_t ready_cycle;
     int64_t is_prefetch;
     int64_t off_path;
@@ -278,20 +297,26 @@ typedef struct {
     PyObject *on_fill;      /* on_line_filled, NULL unless it observes fills */
     PyObject *reject;       /* raises SimulationError for a bad prefetch line */
     PyObject *on_uftq;      /* UFTQ's event callback, NULL when UFTQ is off */
+    /* a built-in comparator the loop runs itself (techniques.c), instead of
+     * calling a technique object back */
+    EipDesc *eip;           /* EIP's tables, NULL unless eip runs */
+    ManaDesc *mana;         /* MANA's, NULL unless mana runs */
+    int64_t shadow_budget;  /* shadow-btb: BTB prefills per filled line, 0 = off */
     /* arrays owned by the Python wrapper */
     int64_t *counters;      /* [DC_COUNT] deltas since the last sync */
     int64_t *occ;           /* [n_blocks] the oracle's own occurrence counts */
     int64_t *call_stack;    /* [max_stack] */
     int64_t *ras;           /* [ras_cap] */
     FtqEntry *ftq;          /* [ftq_cap] ring */
-    MshrEntry *mshr;        /* [mshr_cap] */
+    MshrEntry *mshr;        /* [mshr_cap], the live entries first */
     Resteer *resteers;      /* [RESTEER_POOL] */
     int64_t *resteer_hist;  /* [RESTEER_POOL * (hist_words + hist->n)] */
     /* internal */
     int64_t ready;
     int64_t ftq_head;
     int64_t ftq_len;
-    int64_t mshr_count;
+    int64_t mshr_count;     /* live entries: mshr[0..mshr_count) */
+    int64_t mshr_ready;     /* their earliest ready cycle, NO_FILL when none */
     int64_t pending;        /* the frontend's divergence in flight, -1 = none */
     int64_t error;
 } Driver;
@@ -369,14 +394,12 @@ static inline int64_t block_end(const ProgTables *P, int64_t b) {
     return P->addr[b] + P->ninstr[b] * 4;
 }
 
-/* Program.block_at for an address inside the code region. */
+/* Program.block_at for an address inside the code region: its line's
+ * entry in the block index, then the blocks starting later in the line. */
 static inline int64_t block_at(const ProgTables *P, int64_t addr) {
-    int64_t lo = 0, hi = P->n_blocks;
-    while (hi - lo > 1) {
-        int64_t mid = (lo + hi) >> 1;
-        if (P->addr[mid] <= addr) lo = mid; else hi = mid;
-    }
-    return lo;
+    int64_t b = P->line_block[(addr - P->line_base) >> 6];
+    while (b + 1 < P->n_blocks && P->addr[b + 1] <= addr) b++;
+    return b;
 }
 
 /* Program.wrap */
@@ -442,6 +465,11 @@ static inline int64_t ibtb_mixed(Driver *d, int64_t pc) {
 static void btb_fill(Driver *d, int64_t pc, int64_t kind, int64_t target) {
     btb_fill_impl(d->btb, pc, kind, target);
     if (d->btb2 != NULL) btb_fill_impl(d->btb2, pc, kind, target);
+}
+
+/* TwoLevelBTB.contains: either level holds `pc`. */
+static int btb_contains(Driver *d, int64_t pc) {
+    return btb_contains_impl(d->btb, pc) || (d->btb2 != NULL && btb_contains_impl(d->btb2, pc));
 }
 
 /* BranchPredictionUnit.train_indirect */
@@ -556,7 +584,8 @@ static void ras_repair(Driver *d) {
 /* ---- FTQ and MSHR file ---- */
 
 static inline FtqEntry *ftq_at(Driver *d, int64_t i) {
-    return &d->ftq[(d->ftq_head + i) % d->ftq_cap];
+    int64_t at = d->ftq_head + i;  /* both below ftq_cap */
+    return &d->ftq[at < d->ftq_cap ? at : at - d->ftq_cap];
 }
 
 /* Drop every entry; a divergence attached to a dropped entry dies with it. */
@@ -568,40 +597,50 @@ static void ftq_flush(Driver *d) {
     }
 }
 
+#define NO_FILL INT64_MAX
+
 static inline MshrEntry *mshr_lookup(Driver *d, int64_t line_addr) {
-    if (d->mshr_count == 0) return NULL;
-    for (int64_t i = 0; i < d->mshr_cap; i++) {
+    for (int64_t i = 0; i < d->mshr_count; i++) {
         if (d->mshr[i].line_addr == line_addr) return &d->mshr[i];
     }
     return NULL;
 }
 
 /* Earliest outstanding fill, or -1 when none is in flight. */
-static int64_t mshr_next_ready(Driver *d) {
-    int64_t best = -1;
-    if (d->mshr_count == 0) return -1;
-    for (int64_t i = 0; i < d->mshr_cap; i++) {
-        const MshrEntry *m = &d->mshr[i];
-        if (m->line_addr >= 0 && (best < 0 || m->ready_cycle < best)) best = m->ready_cycle;
-    }
-    return best;
+static inline int64_t mshr_next_ready(Driver *d) {
+    return d->mshr_count ? d->mshr_ready : -1;
 }
 
 static void mshr_allocate(Driver *d, int64_t line_addr, int64_t ready_cycle,
                           int64_t is_prefetch, int64_t off_path, int64_t udp_candidate) {
-    for (int64_t i = 0; i < d->mshr_cap; i++) {
-        MshrEntry *m = &d->mshr[i];
-        if (m->line_addr < 0) {
-            m->line_addr = line_addr;
-            m->ready_cycle = ready_cycle;
-            m->is_prefetch = is_prefetch;
-            m->off_path = off_path;
-            m->demand_on_path = 0;
-            m->udp_candidate = udp_candidate;
-            d->mshr_count++;
-            return;
+    MshrEntry *m = &d->mshr[d->mshr_count++];
+    m->line_addr = line_addr;
+    m->ready_cycle = ready_cycle;
+    m->is_prefetch = is_prefetch;
+    m->off_path = off_path;
+    m->demand_on_path = 0;
+    m->udp_candidate = udp_candidate;
+    if (ready_cycle < d->mshr_ready) d->mshr_ready = ready_cycle;
+}
+
+/* Take the next fill in (ready_cycle, line_addr) order, like the MSHR
+ * ready heap, out of the file. */
+static MshrEntry mshr_pop(Driver *d) {
+    int64_t best = 0;
+    for (int64_t i = 1; i < d->mshr_count; i++) {
+        const MshrEntry *m = &d->mshr[i], *b = &d->mshr[best];
+        if (m->ready_cycle < b->ready_cycle
+            || (m->ready_cycle == b->ready_cycle && m->line_addr < b->line_addr)) {
+            best = i;
         }
     }
+    MshrEntry fill = d->mshr[best];
+    d->mshr[best] = d->mshr[--d->mshr_count];
+    d->mshr_ready = NO_FILL;
+    for (int64_t i = 0; i < d->mshr_count; i++) {
+        if (d->mshr[i].ready_cycle < d->mshr_ready) d->mshr_ready = d->mshr[i].ready_cycle;
+    }
+    return fill;
 }
 
 /* An L1I miss below the L1I: the fill latency; bumps the ifetch level
@@ -615,12 +654,25 @@ static int64_t imiss(Driver *d, int64_t line_addr, int level_counter) {
     return packed >> 2;
 }
 
-/* ---- registry techniques: synchronous Python callbacks ---- */
+/* ---- registry techniques ---- */
 
-/* The line a technique returned, or -1 once `reject` has raised for a
- * value that is not a non-negative, 64-byte-aligned int: -1 marks free
- * cache ways and MSHR slots here, and an unaligned line fills a way no
- * demand access ever hits. */
+/* stepper._standalone_prefetch for one line a technique returned: it is
+ * prefetched unless the L1I or an MSHR already holds it; 0 once the MSHR
+ * file is full, which drops the rest. */
+static int standalone_prefetch(Driver *d, int64_t line, int on_path, int64_t cycle) {
+    int64_t base;
+    if (cache_find(d->l1i, line, &base) >= 0 || mshr_lookup(d, line) != NULL) return 1;
+    if (d->mshr_count >= d->mshr_cap) return 0;
+    int64_t latency = imiss(d, line, -1);
+    mshr_allocate(d, line, cycle + latency, 1, !on_path, 0);
+    d->counters[DC_prefetches_emitted]++;
+    d->counters[on_path ? DC_prefetches_emitted_on_path : DC_prefetches_emitted_off_path]++;
+    return 1;
+}
+
+/* The line a plug-in returned, or -1 once `reject` has raised for a value
+ * that is not a non-negative, 64-byte-aligned int: an unaligned line fills
+ * a way no demand access ever hits, and -1 marks free cache ways. */
 static int64_t prefetch_line(Driver *d, PyObject *item) {
     if (PyLong_CheckExact(item)) {
         int overflow;
@@ -631,11 +683,9 @@ static int64_t prefetch_line(Driver *d, PyObject *item) {
     return -1;
 }
 
-/* Simulator._standalone_prefetch: the technique observes one demand
- * access; each line it returns is prefetched unless the L1I or an MSHR
- * already holds it, until the MSHR file is full. */
-static void technique_demand(Driver *d, int64_t line_addr, int hit, int on_path,
-                             int64_t cycle) {
+/* A plug-in observes one demand access, called back synchronously; the
+ * lines it returns are prefetched in order. */
+static void callback_demand(Driver *d, int64_t line_addr, int hit, int on_path, int64_t cycle) {
     PyObject *args[3] = {PyLong_FromLongLong(line_addr), hit ? Py_True : Py_False,
                          on_path ? Py_True : Py_False};
     if (args[0] == NULL) {
@@ -659,19 +709,64 @@ static void technique_demand(Driver *d, int64_t line_addr, int hit, int on_path,
             d->error = ERR_CALLBACK;
             break;
         }
-        int64_t base;
-        if (cache_find(d->l1i, line, &base) >= 0 || mshr_lookup(d, line) != NULL) continue;
-        if (d->mshr_count >= d->mshr_cap) break;
-        int64_t latency = imiss(d, line, -1);
-        mshr_allocate(d, line, cycle + latency, 1, !on_path, 0);
-        d->counters[DC_prefetches_emitted]++;
-        d->counters[on_path ? DC_prefetches_emitted_on_path : DC_prefetches_emitted_off_path]++;
+        if (!standalone_prefetch(d, line, on_path, cycle)) break;
     }
     Py_DECREF(it);
     if (PyErr_Occurred()) d->error = ERR_CALLBACK;
 }
 
-/* The fill observer sees one installed line; 0 when it raised. */
+/* The technique observes one demand access (stepper._standalone_prefetch):
+ * EIP and MANA in C, a plug-in through its callback. */
+static void technique_demand(Driver *d, int64_t line_addr, int hit, int on_path,
+                             int64_t cycle) {
+    const int64_t *lines;
+    int64_t n;
+    if (d->eip != NULL) {
+        n = eip_access(d->eip, line_addr, hit, on_path);
+        lines = d->eip->out;
+    } else if (d->mana != NULL) {
+        int64_t trained = d->mana->trained;
+        n = mana_access(d->mana, line_addr);
+        lines = d->mana->out;
+        d->counters[DC_mana_replayed_lines] += n;
+        d->counters[DC_mana_records_trained] += d->mana->trained - trained;
+    } else {
+        if (d->on_demand != NULL) callback_demand(d, line_addr, hit, on_path, cycle);
+        return;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        if (!standalone_prefetch(d, lines[i], on_path, cycle)) break;
+    }
+}
+
+/* ShadowBranchPrefiller.on_line_filled: predecode the filled line and
+ * prefill the BTB with the direct branches it does not know, at most
+ * shadow_budget of them. */
+static void shadow_predecode(Driver *d, int64_t line_addr) {
+    const ProgTables *P = d->prog;
+    int64_t start = line_addr > P->code_start ? line_addr : P->code_start;
+    int64_t end = line_addr < P->code_end - 64 ? line_addr + 64 : P->code_end;
+    if (start >= end) return;  /* outside the code image */
+    d->counters[DC_shadow_btb_lines_scanned]++;
+    int64_t budget = d->shadow_budget;
+    int64_t b = block_at(P, start);
+    for (int64_t addr = start; addr < end; b++) {
+        int64_t bend = block_end(P, b);
+        int64_t kind = P->kind[b];
+        int64_t pc = bend - 4;
+        if (kind >= 0 && addr <= pc && pc < end && !IS_INDIRECT(kind)) {
+            d->counters[DC_shadow_btb_branches_found]++;
+            if (!btb_contains(d, pc)) {
+                btb_fill(d, pc, kind, kind == K_RET ? 0 : P->target[b]);
+                d->counters[DC_shadow_btb_prefills]++;
+                if (--budget == 0) return;
+            }
+        }
+        addr = bend;
+    }
+}
+
+/* A plug-in fill observer sees one installed line; 0 when it raised. */
 static int technique_fill(Driver *d, int64_t line_addr) {
     PyObject *arg = PyLong_FromLongLong(line_addr);
     PyObject *result = NULL;
@@ -1121,7 +1216,7 @@ static void generate(Driver *d) {
     }
 }
 
-/* ---- resteer / recovery (Simulator._resteer, frontend.recover) ---- */
+/* ---- resteer / recovery (stepper._resteer, frontend.recover) ---- */
 
 static void do_resteer(Driver *d, int64_t slot, int64_t squash_seq) {
     Resteer *r = &d->resteers[slot];
@@ -1154,9 +1249,9 @@ static void do_resteer(Driver *d, int64_t slot, int64_t squash_seq) {
     d->next_scan_seq = d->next_seq;
 }
 
-/* ---- fills (Simulator._process_fills) ---- */
+/* ---- fills (stepper.process_fills) ---- */
 
-/* Simulator._on_l1i_eviction for the victim of the last L1I install. */
+/* stepper._on_l1i_eviction for the victim of the last L1I install. */
 static void l1i_evicted(Driver *d) {
     CacheDesc *c = d->l1i;
     if (c->evict_addr < 0 || !(c->evict_flags & FLAG_PREFETCH)) return;
@@ -1171,29 +1266,20 @@ static void l1i_evicted(Driver *d) {
 }
 
 static void process_fills(Driver *d, int64_t cycle) {
-    while (d->mshr_count > 0) {
-        /* pop in (ready_cycle, line_addr) order, like the MSHR ready heap */
-        MshrEntry *best = NULL;
-        for (int64_t i = 0; i < d->mshr_cap; i++) {
-            MshrEntry *m = &d->mshr[i];
-            if (m->line_addr < 0 || m->ready_cycle > cycle) continue;
-            if (best == NULL || m->ready_cycle < best->ready_cycle
-                || (m->ready_cycle == best->ready_cycle && m->line_addr < best->line_addr)) {
-                best = m;
-            }
-        }
-        if (best == NULL) return;
-        int64_t keep_prefetch = best->is_prefetch && !best->demand_on_path;
-        int64_t flags = (keep_prefetch ? FLAG_PREFETCH : 0) | (best->off_path ? FLAG_OFF_PATH : 0)
-                        | (best->udp_candidate ? FLAG_UDP : 0);
-        cache_install_impl(d->l1i, best->line_addr, flags);
+    while (d->mshr_ready <= cycle) {
+        MshrEntry fill = mshr_pop(d);
+        int64_t keep_prefetch = fill.is_prefetch && !fill.demand_on_path;
+        int64_t flags = (keep_prefetch ? FLAG_PREFETCH : 0) | (fill.off_path ? FLAG_OFF_PATH : 0)
+                        | (fill.udp_candidate ? FLAG_UDP : 0);
+        cache_install_impl(d->l1i, fill.line_addr, flags);
         l1i_evicted(d);
         if (d->error) return;
         d->counters[DC_l1i_fills]++;
-        int64_t line_addr = best->line_addr;
-        best->line_addr = -1;
-        d->mshr_count--;
-        if (d->on_fill != NULL && !technique_fill(d, line_addr)) return;
+        if (d->shadow_budget > 0) {
+            shadow_predecode(d, fill.line_addr);
+        } else if (d->on_fill != NULL && !technique_fill(d, fill.line_addr)) {
+            return;
+        }
     }
 }
 
@@ -1251,7 +1337,7 @@ static void retire_and_issue(Driver *d, int64_t cycle) {
     }
 }
 
-/* ---- fetch / decode (Simulator._fetch_decode and friends) ---- */
+/* ---- fetch / decode (stepper.fetch_decode and friends) ---- */
 
 static void prefetch_useful(Driver *d, int64_t off_path, int timely) {
     d->counters[DC_prefetch_useful]++;
@@ -1264,7 +1350,7 @@ static void prefetch_useful(Driver *d, int64_t off_path, int timely) {
     udp_outcome(d, 1);
 }
 
-/* Simulator._demand_access */
+/* stepper._demand_access */
 static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
     int64_t line_addr = e->line_addr;
     d->counters[DC_icache_demand_accesses]++;
@@ -1279,7 +1365,7 @@ static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
             if (d->error) return;
             if (d->udp != NULL && (flags & FLAG_UDP)) udp_learn_direct(d, line_addr);
         }
-        if (d->on_demand != NULL) technique_demand(d, line_addr, 1, e->on_path, cycle);
+        technique_demand(d, line_addr, 1, e->on_path, cycle);
         return;
     }
     MshrEntry *m = mshr_lookup(d, line_addr);
@@ -1308,10 +1394,10 @@ static void demand_access(Driver *d, FtqEntry *e, int64_t cycle) {
     int64_t latency = imiss(d, line_addr, DC_demand_fill_l2);
     mshr_allocate(d, line_addr, cycle + latency, 0, !e->on_path, 0);
     e->ready_cycle = cycle + latency;
-    if (d->on_demand != NULL) technique_demand(d, line_addr, 0, e->on_path, cycle);
+    technique_demand(d, line_addr, 0, e->on_path, cycle);
 }
 
-/* Simulator._dispatch_branch: 0, or -1 when a decode-time resteer fired. */
+/* stepper._dispatch_branch: 0, or -1 when a decode-time resteer fired. */
 static int dispatch_branch(Driver *d, FtqEntry *e, int64_t off, int64_t pc,
                            int64_t on_path, int64_t cycle) {
     const ProgTables *P = d->prog;
@@ -1349,7 +1435,7 @@ static int dispatch_branch(Driver *d, FtqEntry *e, int64_t off, int64_t pc,
     return 0;
 }
 
-/* Simulator._dispatch_entry: the remaining budget, -1 on a decode resteer. */
+/* stepper._dispatch_entry: the remaining budget, -1 on a decode resteer. */
 static int64_t dispatch_entry(Driver *d, FtqEntry *e, int64_t cycle, int64_t budget) {
     int64_t n = (e->end - e->start) >> 2;
     while (budget > 0 && e->decode_offset < n) {
@@ -1407,7 +1493,7 @@ static void fetch_decode(Driver *d, int64_t cycle) {
         if (budget < 0) return;
         if (e->decode_offset >= (e->end - e->start) >> 2 && d->ftq_len > 0
             && ftq_at(d, 0)->seq == seq) {
-            d->ftq_head = (d->ftq_head + 1) % d->ftq_cap;
+            d->ftq_head = d->ftq_head + 1 < d->ftq_cap ? d->ftq_head + 1 : 0;
             d->ftq_len--;
         }
     }
@@ -1470,14 +1556,14 @@ static void fdip_scan(Driver *d, int64_t cycle) {
     }
 }
 
-/* ---- the cycle loop (Simulator.step) ---- */
+/* ---- the cycle loop (stepper.step) ---- */
 
 static inline void sample_occupancy(Driver *d, int64_t cycles) {
     d->occ_sum += d->ftq_len * cycles;
     d->occ_samples += cycles;
 }
 
-/* Simulator._try_fast_forward */
+/* stepper.try_fast_forward */
 static void try_fast_forward(Driver *d) {
     if (d->ftq_len == 0 || d->ftq_len < d->ftq_depth) return;
     FtqEntry *head = ftq_at(d, 0);
@@ -1505,7 +1591,7 @@ static void try_fast_forward(Driver *d) {
     d->ff_jumps++;
 }
 
-/* Simulator._try_refill_step */
+/* stepper.try_refill_step */
 static int try_refill_step(Driver *d) {
     if (d->ftq_len >= d->ftq_depth || d->ftq_len == 0) return 0;
     FtqEntry *head = ftq_at(d, 0);
@@ -1558,8 +1644,8 @@ static void setup(Driver *d) {
         d->resteers[i].state = RS_FREE;
         d->resteers[i].hist = d->resteer_hist + i * words;
     }
-    for (int64_t i = 0; i < d->mshr_cap; i++) d->mshr[i].line_addr = -1;
     d->ftq_head = d->ftq_len = d->mshr_count = 0;
+    d->mshr_ready = NO_FILL;
     d->pending = -1;
     d->be->hook_active = d->udp != NULL && d->udp->use_seniority;
     d->ready = 1;
@@ -1608,12 +1694,12 @@ static PyObject *k_run_cycles(PyObject *self, PyObject *const *args, Py_ssize_t 
     return PyLong_FromLongLong(status);
 }
 
-/* ---- the functional walk (Simulator._walk_true_path) ---- */
+/* ---- the functional walk (stepper.walk_true_path) ---- */
 
 #define WALK_WARM 1         /* replay the walked blocks' loads and stores */
 #define WALK_FIRST_TOUCH 2  /* dedupe useful-set inserts per call, not by membership */
 
-/* Simulator._useful_set_holds: the coalescing buffer, then the 4/2/1
+/* stepper._useful_set_holds: the coalescing buffer, then the 4/2/1
  * filters (or the exact set), without bumping any hit counter. */
 static int useful_holds(Driver *d, int64_t line) {
     UdpState *u = d->udp;
@@ -1628,7 +1714,7 @@ static int useful_holds(Driver *d, int64_t line) {
     return 0;
 }
 
-/* Simulator._train_functional_branch for the branch ending block `b`. */
+/* stepper._train_functional_branch for the branch ending block `b`. */
 static void train_branch(Driver *d, int64_t b, int64_t taken, int64_t next_pc) {
     const ProgTables *P = d->prog;
     int64_t pc = block_end(P, b) - 4;
@@ -1754,6 +1840,7 @@ static const FieldInfo DRIVER_FIELDS[] = {
     FIELD(Driver, tage) FIELD(Driver, hist) FIELD(Driver, l1i) FIELD(Driver, hier)
     FIELD(Driver, be) FIELD(Driver, prog) FIELD(Driver, udp) FIELD(Driver, on_demand)
     FIELD(Driver, on_fill) FIELD(Driver, reject) FIELD(Driver, on_uftq)
+    FIELD(Driver, eip) FIELD(Driver, mana) FIELD(Driver, shadow_budget)
     FIELD(Driver, counters) FIELD(Driver, occ) FIELD(Driver, call_stack) FIELD(Driver, ras)
     FIELD(Driver, ftq) FIELD(Driver, mshr) FIELD(Driver, resteers)
     FIELD(Driver, resteer_hist)
@@ -1769,6 +1856,7 @@ static const FieldInfo PROG_FIELDS[] = {
     FIELD(ProgTables, targets) FIELD(ProgTables, node_kind)
     FIELD(ProgTables, node_seed) FIELD(ProgTables, node_f) FIELD(ProgTables, node_a)
     FIELD(ProgTables, node_b) FIELD(ProgTables, node_c)
+    FIELD(ProgTables, line_base) FIELD(ProgTables, n_lines) FIELD(ProgTables, line_block)
     {NULL, 0},
 };
 
@@ -1791,6 +1879,30 @@ static const FieldInfo BLOOM_FIELDS[] = {
     {NULL, 0},
 };
 
+static const FieldInfo LRU_FIELDS[] = {
+    FIELD(LruMap, keys) FIELD(LruMap, prev) FIELD(LruMap, next) FIELD(LruMap, index)
+    FIELD(LruMap, index_mask) FIELD(LruMap, cap) FIELD(LruMap, len) FIELD(LruMap, oldest)
+    FIELD(LruMap, youngest) FIELD(LruMap, free)
+    {NULL, 0},
+};
+
+static const FieldInfo EIP_FIELDS[] = {
+    FIELD(EipDesc, table) FIELD(EipDesc, ntargets) FIELD(EipDesc, targets)
+    FIELD(EipDesc, per_entry) FIELD(EipDesc, recent) FIELD(EipDesc, recent_head)
+    FIELD(EipDesc, recent_len) FIELD(EipDesc, distance) FIELD(EipDesc, wrong_path_aware)
+    FIELD(EipDesc, trained) FIELD(EipDesc, triggered) FIELD(EipDesc, out)
+    {NULL, 0},
+};
+
+static const FieldInfo MANA_FIELDS[] = {
+    FIELD(ManaDesc, records) FIELD(ManaDesc, successor) FIELD(ManaDesc, footprint)
+    FIELD(ManaDesc, words) FIELD(ManaDesc, hob) FIELD(ManaDesc, hob_shift)
+    FIELD(ManaDesc, region_lines) FIELD(ManaDesc, lookahead) FIELD(ManaDesc, cur_trigger)
+    FIELD(ManaDesc, cur_footprint) FIELD(ManaDesc, trained) FIELD(ManaDesc, triggered)
+    FIELD(ManaDesc, hob_evictions) FIELD(ManaDesc, out)
+    {NULL, 0},
+};
+
 static PyObject *fields_dict(const FieldInfo *fields) {
     PyObject *out = PyDict_New();
     if (out == NULL) return NULL;
@@ -1807,7 +1919,9 @@ static PyObject *fields_dict(const FieldInfo *fields) {
 }
 
 /* Descriptor sizes (int64 words), field offsets and counter names for the
- * Python side (sim/driver.py, workloads/tables.py). */
+ * Python side (sim/driver.py, workloads/tables.py, prefetchers/compiled.py).
+ * The first eager_counters names are interned at once; the rest appear
+ * once moved. */
 static PyObject *build_layout(void) {
     PyObject *names = PyTuple_New(DC_COUNT);
     if (names == NULL) return NULL;
@@ -1819,14 +1933,19 @@ static PyObject *build_layout(void) {
         }
         PyTuple_SET_ITEM(names, i, name);
     }
-    PyObject *driver = fields_dict(DRIVER_FIELDS);
-    PyObject *prog = fields_dict(PROG_FIELDS);
-    PyObject *udp = fields_dict(UDP_FIELDS);
-    PyObject *bloom = fields_dict(BLOOM_FIELDS);
+    PyObject *fields[] = {
+        fields_dict(DRIVER_FIELDS), fields_dict(PROG_FIELDS), fields_dict(UDP_FIELDS),
+        fields_dict(BLOOM_FIELDS), fields_dict(LRU_FIELDS), fields_dict(EIP_FIELDS),
+        fields_dict(MANA_FIELDS),
+    };
+    enum { N_FIELDS = sizeof(fields) / sizeof(fields[0]) };
     PyObject *out = NULL;
-    if (driver != NULL && prog != NULL && udp != NULL && bloom != NULL) {
+    int ok = 1;
+    for (int i = 0; i < N_FIELDS; i++) ok &= fields[i] != NULL;
+    if (ok) {
         out = Py_BuildValue(
-            "{s:n,s:n,s:n,s:n,s:n,s:n,s:n,s:n,s:O,s:O,s:O,s:O,s:O}",
+            "{s:n,s:n,s:n,s:n,s:n,s:n,s:n,s:n,s:n,s:n,s:n,s:n,"
+            "s:O,s:O,s:O,s:O,s:O,s:O,s:O,s:O}",
             "driver_words", (Py_ssize_t)((sizeof(Driver) + 7) / 8),
             "prog_words", (Py_ssize_t)((sizeof(ProgTables) + 7) / 8),
             "ftq_entry_words", (Py_ssize_t)((sizeof(FtqEntry) + 7) / 8),
@@ -1835,13 +1954,15 @@ static PyObject *build_layout(void) {
             "resteer_pool", (Py_ssize_t)RESTEER_POOL,
             "udp_words", (Py_ssize_t)((sizeof(UdpState) + 7) / 8),
             "bloom_words", (Py_ssize_t)(sizeof(Bloom) / 8),
-            "driver_fields", driver, "prog_fields", prog, "udp_fields", udp,
-            "bloom_fields", bloom, "counters", names);
+            "lru_words", (Py_ssize_t)(sizeof(LruMap) / 8),
+            "eip_words", (Py_ssize_t)(sizeof(EipDesc) / 8),
+            "mana_words", (Py_ssize_t)(sizeof(ManaDesc) / 8),
+            "eager_counters", (Py_ssize_t)DC_EAGER,
+            "driver_fields", fields[0], "prog_fields", fields[1], "udp_fields", fields[2],
+            "bloom_fields", fields[3], "lru_fields", fields[4], "eip_fields", fields[5],
+            "mana_fields", fields[6], "counters", names);
     }
-    Py_XDECREF(driver);
-    Py_XDECREF(prog);
-    Py_XDECREF(udp);
-    Py_XDECREF(bloom);
+    for (int i = 0; i < N_FIELDS; i++) Py_XDECREF(fields[i]);
     Py_DECREF(names);
     return out;
 }

@@ -227,6 +227,7 @@ enum {
     KC_RUN_CYCLES,
     KC_FUNCTIONAL_WALK,
     KC_CHECK_COLUMNS,
+    KC_INDEX_BLOCKS,
     KC_COUNT
 };
 

@@ -9,6 +9,7 @@ static const char *const KC_NAMES[KC_COUNT] = {
     "run_cycles",
     "functional_walk",
     "check_columns",
+    "index_blocks",
 };
 
 static PyObject *k_call_counts(PyObject *self, PyObject *args) {

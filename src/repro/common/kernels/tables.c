@@ -1,9 +1,11 @@
-/* check_columns: the load checks of a program's flat columns.
+/* check_columns: the load checks of a program's flat columns, and
+ * index_blocks: the driver's block index over them.
  *
- * Port of workloads/tables.py's checks (_first_failure, the oracle and the
- * fallback): every invariant the cycle driver relies on before it reads a
- * program's columns (ProgTables), made in the same order and numbered as
- * that module's message table, so both report the same first failure.
+ * check_columns ports workloads/checks.py's first_failure (the oracle and
+ * the fallback): every invariant the cycle driver relies on before it
+ * reads a program's columns (ProgTables), made in the same order and
+ * numbered as workloads/tables.py's message table, so both report the
+ * same first failure.
  * Python checks the format first -- buffer types, whole columns, an entry
  * inside int64 -- and hands over the three int64 buffers' addresses and
  * lengths, the number of op bytes and the entry.
@@ -15,7 +17,8 @@
  */
 #include "kernels.h"
 
-/* The failures, by number: workloads/tables.py _FAILURES. */
+/* The failures, by number: workloads/tables.py _FAILURES (checks.py
+ * makes them in this order too). */
 enum {
     CK_OK, CK_EMPTY_OR_UNALIGNED, CK_NOT_TILED, CK_REGION, CK_OPS, CK_ENTRY,
     CK_KIND, CK_INDIRECT_TARGET, CK_DIRECT_TARGET, CK_NON_FINITE, CK_PATTERN,
@@ -171,7 +174,27 @@ static PyObject *k_check_columns(PyObject *self, PyObject *const *args, Py_ssize
     return PyLong_FromLong(failure);
 }
 
+/* index_blocks(tables): fill the block index of a checked program's
+ * ProgTables (line_block, whose n_lines words the caller allocated), so
+ * block_at reads one entry and scans forward within a line instead of
+ * searching every block. */
+static PyObject *k_index_blocks(PyObject *self, PyObject *arg) {
+    (void)self;
+    repro_kernel_calls[KC_INDEX_BLOCKS]++;
+    ProgTables *P = (ProgTables *)PyLong_AsVoidPtr(arg);
+    if (PyErr_Occurred()) return NULL;
+    int64_t *line_block = (int64_t *)P->line_block;
+    int64_t b = 0;
+    for (int64_t i = 0; i < P->n_lines; i++) {
+        int64_t line = P->line_base + 64 * i;
+        while (b + 1 < P->n_blocks && P->addr[b + 1] <= line) b++;
+        line_block[i] = b;
+    }
+    Py_RETURN_NONE;
+}
+
 PyMethodDef repro_tables_methods[] = {
     {"check_columns", (PyCFunction)(void *)k_check_columns, METH_FASTCALL, NULL},
+    {"index_blocks", k_index_blocks, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };

@@ -18,36 +18,21 @@ recently demand-accessed lines provides, for each miss, the line accessed
 triggered from it would have hidden the miss latency.  That earlier line
 becomes the miss's *entangler*; future accesses to it prefetch the miss
 line(s).
+
+This class is the object oracle: a compiled simulator runs its twin,
+:class:`repro.prefetchers.compiled.EIPC`, inside the cycle driver.  Its
+params class lives in the registry, so a config names it without importing
+this module, and its sizing beside the twin.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 
-from repro.common.errors import ConfigError
 from repro.prefetchers.base import FrontendHooks, InstructionPrefetcher
+from repro.prefetchers.compiled import EIP_BYTES_PER_ENTRY, eip_capacity
+from repro.prefetchers.registry import EIPParams
 from repro.workloads.program import Program
-
-# Approximate hardware entry cost: a compressed tag (~4B) plus two
-# compressed destination deltas (~4B each), as in the HPCA'21 design.
-_BYTES_PER_ENTRY = 12
-
-
-@dataclass(frozen=True)
-class EIPParams:
-    """Per-technique parameters for the ``eip`` registry entry."""
-
-    storage_bytes: int = 8 * 1024
-    targets_per_entry: int = 2
-    entangling_distance: int = 8
-    wrong_path_aware: bool = False
-
-    def validate(self) -> None:
-        if self.storage_bytes <= 0:
-            raise ConfigError("EIP storage must be positive")
-        if self.targets_per_entry <= 0 or self.entangling_distance <= 0:
-            raise ConfigError("EIP entangling parameters must be positive")
 
 
 def build_eip(
@@ -78,7 +63,7 @@ class EntangledInstructionPrefetcher(InstructionPrefetcher):
         self.targets_per_entry = targets_per_entry
         self.entangling_distance = entangling_distance
         self.wrong_path_aware = wrong_path_aware
-        self.capacity = max(16, storage_bytes // _BYTES_PER_ENTRY)
+        self.capacity = eip_capacity(storage_bytes)
         # source line -> list of destination lines (LRU ordered dict).
         self._table: OrderedDict[int, list[int]] = OrderedDict()
         self._recent: deque[int] = deque(maxlen=entangling_distance + 1)
@@ -86,7 +71,17 @@ class EntangledInstructionPrefetcher(InstructionPrefetcher):
         self.triggered = 0
 
     def storage_bytes(self) -> int:
-        return self.capacity * _BYTES_PER_ENTRY
+        return self.capacity * EIP_BYTES_PER_ENTRY
+
+    def state(self) -> dict:
+        """The tables, layout-neutral: entries LRU->MRU, each destination
+        list oldest first, the recent-line FIFO oldest first, and the counts."""
+        return {
+            "table": [(source, tuple(targets)) for source, targets in self._table.items()],
+            "recent": list(self._recent),
+            "trained": self.trained,
+            "triggered": self.triggered,
+        }
 
     def on_demand_access(self, line_addr: int, hit: bool, on_path: bool) -> list[int]:
         if self.wrong_path_aware and not on_path:

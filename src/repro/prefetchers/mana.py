@@ -22,49 +22,22 @@ Two storage tricks from the paper are modelled:
 Like EIP, the table is bounded to a storage budget and trains on the raw
 demand stream (wrong-path included) — MANA is path-oblivious hardware.
 All state lives in ``OrderedDict``s, so behaviour is deterministic.
+
+This class is the object oracle: a compiled simulator runs its twin,
+:class:`repro.prefetchers.compiled.MANAC`, inside the cycle driver.  Its
+params class lives in the registry, so a config names it without
+importing this module, and its record sizing beside the twin.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro.common.addr import LINE_BYTES
-from repro.common.errors import ConfigError
 from repro.prefetchers.base import FrontendHooks, InstructionPrefetcher
+from repro.prefetchers.compiled import mana_capacity, mana_record_bytes
+from repro.prefetchers.registry import MANAParams
 from repro.workloads.program import Program
-
-# Record cost: a HOBPT-compressed trigger tag (~2B) + HOBPT index (~1B) +
-# a compressed successor pointer (~2B) + the footprint bits.
-_TAG_BITS = 16
-_HOB_INDEX_BITS = 8
-_SUCCESSOR_BITS = 16
-
-
-@dataclass(frozen=True)
-class MANAParams:
-    """Per-technique parameters for the ``mana`` registry entry."""
-
-    storage_bytes: int = 8 * 1024
-    # Lines per spatial region: the trigger plus region_lines-1 footprint
-    # candidates immediately after it.
-    region_lines: int = 8
-    # Successor records replayed ahead of the demand stream on a trigger hit.
-    lookahead_records: int = 3
-    # High-order-bits pattern table capacity (shared address prefixes).
-    hob_entries: int = 64
-    # Address bits folded into one HOBPT pattern (4 KiB granules).
-    hob_shift: int = 12
-
-    def validate(self) -> None:
-        if self.storage_bytes <= 0:
-            raise ConfigError("MANA storage must be positive")
-        if self.region_lines < 2:
-            raise ConfigError("MANA regions need at least two lines")
-        if self.lookahead_records <= 0:
-            raise ConfigError("MANA lookahead must be positive")
-        if self.hob_entries <= 0 or self.hob_shift <= 6:
-            raise ConfigError("MANA HOBPT must hold entries of >64B granules")
 
 
 class MANAPrefetcher(InstructionPrefetcher):
@@ -75,11 +48,8 @@ class MANAPrefetcher(InstructionPrefetcher):
     def __init__(self, params: MANAParams, counters=None) -> None:
         self.params = params
         self._counters = counters
-        record_bits = (
-            _TAG_BITS + _HOB_INDEX_BITS + _SUCCESSOR_BITS + (params.region_lines - 1)
-        )
-        self._record_bytes = (record_bits + 7) // 8
-        self.capacity = max(16, params.storage_bytes // self._record_bytes)
+        self._record_bytes = mana_record_bytes(params)
+        self.capacity = mana_capacity(params)
         # trigger line -> [footprint bit-vector, successor trigger | None]
         self._records: OrderedDict[int, list] = OrderedDict()
         # high-order pattern -> None (LRU order only)
@@ -96,6 +66,19 @@ class MANAPrefetcher(InstructionPrefetcher):
     @property
     def table_occupancy(self) -> int:
         return len(self._records)
+
+    def state(self) -> dict:
+        """The tables, layout-neutral: records LRU->MRU as (trigger,
+        footprint, successor), the HOBPT's patterns LRU->MRU, the open
+        region (trigger, footprint) and the counts."""
+        return {
+            "records": [(trigger, *record) for trigger, record in self._records.items()],
+            "hob": list(self._hob),
+            "region": (self._cur_trigger, self._cur_footprint),
+            "trained": self.trained,
+            "triggered": self.triggered,
+            "hob_evictions": self.hob_evictions,
+        }
 
     def on_demand_access(self, line_addr: int, hit: bool, on_path: bool) -> list[int]:
         prefetches = self._replay(line_addr)

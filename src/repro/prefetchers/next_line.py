@@ -7,23 +7,10 @@ straight-line component of instruction streams and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.addr import LINE_BYTES
-from repro.common.errors import ConfigError
 from repro.prefetchers.base import FrontendHooks, InstructionPrefetcher
+from repro.prefetchers.registry import NextLineParams
 from repro.workloads.program import Program
-
-
-@dataclass(frozen=True)
-class NextLineParams:
-    """Per-technique parameters for the ``next-line`` registry entry."""
-
-    degree: int = 1
-
-    def validate(self) -> None:
-        if self.degree <= 0:
-            raise ConfigError("next-line degree must be positive")
 
 
 def build_next_line(

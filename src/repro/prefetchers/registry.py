@@ -8,18 +8,20 @@ Every technique the simulator can run is a :class:`Technique` record:
 * ``build(params, program, hooks)`` — a factory returning the technique's
   :class:`~repro.prefetchers.base.InstructionPrefetcher` (or ``None`` for
   techniques with no stand-alone prefetcher, like plain FDIP),
-* ``capabilities`` — what the simulator must wire up for it.
+* ``capabilities`` — what the simulator must wire up for it,
+* ``native`` — for the built-in comparators the compiled cycle driver runs
+  in C (EIP, MANA, shadow-btb), the factory of the state holder a compiled
+  simulator builds instead (:mod:`repro.prefetchers.compiled`).
 
 The simulator, ``SimConfig`` validation, the ``repro techniques`` CLI, and
 the presets all consult this table, so adding a prefetcher is: write the
 module, call :func:`register` — no simulator edits (see docs/techniques.md
 for the walkthrough).
 
-The built-in techniques outside this module are listed by name, summary,
-capabilities and defining module (:data:`_BUILTINS`): the first lookup of
-a name imports that module and resolves the entry in place, so a run
-imports only the technique it builds, and :func:`names` lists every
-built-in without importing any.
+Every built-in's params class lives here, and its factories import the
+technique's module at its first build: configuring, validating or listing
+techniques imports none, a run imports only the technique it builds, and a
+compiled run of a native comparator only its state holder.
 
 ``repro.common.config`` imports this module *lazily* (inside methods):
 technique modules import config for :class:`ConfigError`/`CacheConfig`,
@@ -45,10 +47,11 @@ class Capabilities:
     """What the simulator must provide for (or disable around) a technique.
 
     It is the compiled cycle driver's contract too: ``run_cycles`` calls a
-    technique object's ``on_demand_access``, and ``on_line_filled`` when it
-    ``observes_fills``, where the Python stepper does, and the
+    plug-in technique object's ``on_demand_access``, and ``on_line_filled``
+    when it ``observes_fills``, where the Python stepper does, and the
     ``hooks_btb`` callables reach the BTB arrays the driver predicts from
-    (docs/techniques.md, "Driver contract").
+    (docs/techniques.md, "Driver contract").  A built-in comparator with a
+    ``native`` factory runs at the same points inside the driver.
     """
 
     # The technique layers on the FDIP baseline (False = FDIP fully off, as
@@ -76,6 +79,9 @@ class Capabilities:
         return ",".join(flags) if flags else "-"
 
 
+Factory = Callable[[object, "Program", "FrontendHooks"], "InstructionPrefetcher | None"]
+
+
 @dataclass(frozen=True)
 class Technique:
     """One registered prefetch technique."""
@@ -83,23 +89,15 @@ class Technique:
     name: str
     summary: str
     params_cls: type
-    build: Callable[[object, "Program", "FrontendHooks"], "InstructionPrefetcher | None"]
+    build: Factory
     capabilities: Capabilities = Capabilities()
+    # The built-in comparators only: what a compiled simulator builds
+    # instead of ``build``, a state holder the driver runs in C (no
+    # callbacks).  Plug-ins leave it None and are called back.
+    native: Factory | None = None
 
 
-@dataclass(frozen=True)
-class _BuiltIn:
-    """A built-in technique whose module is not imported yet: the names of
-    its params class and factory in ``module`` (see :func:`lookup`)."""
-
-    summary: str
-    module: str
-    params: str
-    build: str
-    capabilities: Capabilities = Capabilities()
-
-
-_REGISTRY: dict[str, Technique | _BuiltIn] = {}
+_REGISTRY: dict[str, Technique] = {}
 
 
 def register(technique: Technique, *, replace: bool = False) -> Technique:
@@ -130,25 +128,8 @@ def unregister(name: str) -> None:
 
 
 def lookup(name: str) -> Technique | None:
-    """The technique registered under ``name``, or ``None``.
-
-    A built-in's first lookup imports its module and registers the
-    resolved :class:`Technique` in its place.
-    """
-    entry = _REGISTRY.get(name)
-    if not isinstance(entry, _BuiltIn):
-        return entry
-    module = importlib.import_module(entry.module)
-    return register(
-        Technique(
-            name=name,
-            summary=entry.summary,
-            params_cls=getattr(module, entry.params),
-            build=getattr(module, entry.build),
-            capabilities=entry.capabilities,
-        ),
-        replace=True,
-    )
+    """The technique registered under ``name``, or ``None``."""
+    return _REGISTRY.get(name)
 
 
 def get_technique(name: str) -> Technique:
@@ -168,8 +149,8 @@ def names() -> tuple[str, ...]:
 
 
 def techniques() -> tuple[Technique, ...]:
-    """All registered techniques, sorted by name (every built-in resolved)."""
-    return tuple(lookup(name) for name in names())
+    """All registered techniques, sorted by name."""
+    return tuple(_REGISTRY[name] for name in names())
 
 
 def default_params(name: str):
@@ -193,62 +174,130 @@ class NoPrefetchParams:
     """The "none" configuration is knob-free."""
 
 
+@dataclass(frozen=True)
+class NextLineParams:
+    """Per-technique parameters for the ``next-line`` registry entry."""
+
+    degree: int = 1
+
+    def validate(self) -> None:
+        if self.degree <= 0:
+            raise ConfigError("next-line degree must be positive")
+
+
+@dataclass(frozen=True)
+class SWProfileParams:
+    """Per-technique parameters for the ``sw-profile`` registry entry."""
+
+    profile_blocks: int = 20_000
+    prefetch_distance: int = 12
+    max_targets_per_trigger: int = 4
+
+    def validate(self) -> None:
+        if self.profile_blocks <= 0:
+            raise ConfigError("sw-profile profiling length must be positive")
+        if self.prefetch_distance <= 0 or self.max_targets_per_trigger <= 0:
+            raise ConfigError("sw-profile distances must be positive")
+
+
+@dataclass(frozen=True)
+class EIPParams:
+    """Per-technique parameters for the ``eip`` registry entry."""
+
+    storage_bytes: int = 8 * 1024
+    targets_per_entry: int = 2
+    entangling_distance: int = 8
+    wrong_path_aware: bool = False
+
+    def validate(self) -> None:
+        if self.storage_bytes <= 0:
+            raise ConfigError("EIP storage must be positive")
+        if self.targets_per_entry <= 0 or self.entangling_distance <= 0:
+            raise ConfigError("EIP entangling parameters must be positive")
+
+
+@dataclass(frozen=True)
+class MANAParams:
+    """Per-technique parameters for the ``mana`` registry entry."""
+
+    storage_bytes: int = 8 * 1024
+    # Lines per spatial region: the trigger plus region_lines-1 footprint
+    # candidates immediately after it.
+    region_lines: int = 8
+    # Successor records replayed ahead of the demand stream on a trigger hit.
+    lookahead_records: int = 3
+    # High-order-bits pattern table capacity (shared address prefixes).
+    hob_entries: int = 64
+    # Address bits folded into one HOBPT pattern (4 KiB granules).
+    hob_shift: int = 12
+
+    def validate(self) -> None:
+        if self.storage_bytes <= 0:
+            raise ConfigError("MANA storage must be positive")
+        if self.region_lines < 2:
+            raise ConfigError("MANA regions need at least two lines")
+        if self.lookahead_records <= 0:
+            raise ConfigError("MANA lookahead must be positive")
+        if self.hob_entries <= 0 or self.hob_shift <= 6:
+            raise ConfigError("MANA HOBPT must hold entries of >64B granules")
+
+
+@dataclass(frozen=True)
+class ShadowBTBParams:
+    """Per-technique parameters for the ``shadow-btb`` registry entry."""
+
+    # Predecoder port limit: BTB prefills per filled line.
+    max_prefills_per_fill: int = 4
+
+    def validate(self) -> None:
+        if self.max_prefills_per_fill <= 0:
+            raise ConfigError("shadow-BTB prefill budget must be positive")
+
+
 def _build_nothing(params, program, hooks):
     return None
 
 
-register(
-    Technique(
-        name="fdip",
-        summary="fetch-directed prefetching from the FTQ (the paper's baseline)",
-        params_cls=FDIPParams,
-        build=_build_nothing,
-        capabilities=Capabilities(uses_fdip=True),
-    )
-)
-register(
-    Technique(
-        name="none",
-        summary="no instruction prefetching at all (analysis baseline)",
-        params_cls=NoPrefetchParams,
-        build=_build_nothing,
-        capabilities=Capabilities(uses_fdip=False),
-    )
-)
+def _deferred(module: str, name: str) -> Factory:
+    """The factory ``name`` of ``module``, imported at its first call."""
 
-# The built-ins defined in their own modules, resolved at first lookup.
-_BUILTINS = {
-    "next-line": _BuiltIn(
-        summary="prefetch N sequential lines on every demand miss",
-        module="repro.prefetchers.next_line",
-        params="NextLineParams",
-        build="build_next_line",
-    ),
-    "eip": _BuiltIn(
-        summary="entangled instruction prefetching at a bounded storage budget",
-        module="repro.prefetchers.eip",
-        params="EIPParams",
-        build="build_eip",
-    ),
-    "sw-profile": _BuiltIn(
-        summary="profile-guided software prefetching (I-Spy-style)",
-        module="repro.prefetchers.swprefetch",
-        params="SWProfileParams",
-        build="build_sw_profile",
-        capabilities=Capabilities(needs_profile_pass=True),
-    ),
-    "mana": _BuiltIn(
-        summary="spatial-region records with HOBPT compression (MANA)",
-        module="repro.prefetchers.mana",
-        params="MANAParams",
-        build="build_mana",
-    ),
-    "shadow-btb": _BuiltIn(
-        summary="predecode filled lines; prefill the BTB with shadow branches",
-        module="repro.prefetchers.shadow_btb",
-        params="ShadowBTBParams",
-        build="build_shadow_btb",
-        capabilities=Capabilities(hooks_btb=True, observes_fills=True),
-    ),
-}
-_REGISTRY.update(_BUILTINS)
+    def build(params, program, hooks):
+        return getattr(importlib.import_module(f"repro.prefetchers.{module}"), name)(
+            params, program, hooks
+        )
+
+    build.__qualname__ = build.__name__ = name
+    return build
+
+
+# The built-ins: (name, summary, params, capabilities, module, native?).
+# A native one also has a factory of the same name in
+# repro.prefetchers.compiled, which the compiled cycle driver runs in C.
+_FDIP = Capabilities()
+for _name, _summary, _params, _caps, _module, _native in (
+    ("fdip", "fetch-directed prefetching from the FTQ (the paper's baseline)",
+     FDIPParams, _FDIP, None, False),
+    ("none", "no instruction prefetching at all (analysis baseline)",
+     NoPrefetchParams, Capabilities(uses_fdip=False), None, False),
+    ("next-line", "prefetch N sequential lines on every demand miss",
+     NextLineParams, _FDIP, "next_line", False),
+    ("eip", "entangled instruction prefetching at a bounded storage budget",
+     EIPParams, _FDIP, "eip", True),
+    ("sw-profile", "profile-guided software prefetching (I-Spy-style)",
+     SWProfileParams, Capabilities(needs_profile_pass=True), "swprefetch", False),
+    ("mana", "spatial-region records with HOBPT compression (MANA)",
+     MANAParams, _FDIP, "mana", True),
+    ("shadow-btb", "predecode filled lines; prefill the BTB with shadow branches",
+     ShadowBTBParams, Capabilities(hooks_btb=True, observes_fills=True), "shadow_btb", True),
+):
+    _factory = "build_" + _name.replace("-", "_")
+    register(
+        Technique(
+            name=_name,
+            summary=_summary,
+            params_cls=_params,
+            build=_deferred(_module, _factory) if _module else _build_nothing,
+            capabilities=_caps,
+            native=_deferred("compiled", _factory) if _native else None,
+        )
+    )

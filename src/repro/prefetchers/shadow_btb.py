@@ -19,31 +19,25 @@ own: it registers the ``hooks_btb`` + ``observes_fills`` capabilities,
 receiving the BPU fill / tag-probe callables and per-fill callbacks from
 the simulator.  RET branches are installed with target 0, matching the
 decode-time discovery path (returns take their target from the RAS).
+
+This class is the object oracle: a compiled simulator's cycle driver runs
+the predecoder itself, at every fill (its twin,
+:class:`repro.prefetchers.compiled.ShadowBTBC`, carries the budget).  Its
+params class lives in the registry, so a config names it without importing
+this module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from repro.common.addr import INSTR_BYTES, LINE_BYTES
 from repro.common.errors import ConfigError
 from repro.prefetchers.base import FrontendHooks, InstructionPrefetcher
+from repro.prefetchers.registry import ShadowBTBParams
 from repro.workloads.program import BranchKind, Program
 
 _INDIRECT = (BranchKind.INDIRECT, BranchKind.INDIRECT_CALL)
-
-
-@dataclass(frozen=True)
-class ShadowBTBParams:
-    """Per-technique parameters for the ``shadow-btb`` registry entry."""
-
-    # Predecoder port limit: BTB prefills per filled line.
-    max_prefills_per_fill: int = 4
-
-    def validate(self) -> None:
-        if self.max_prefills_per_fill <= 0:
-            raise ConfigError("shadow-BTB prefill budget must be positive")
 
 
 class ShadowBranchPrefiller(InstructionPrefetcher):
@@ -62,6 +56,10 @@ class ShadowBranchPrefiller(InstructionPrefetcher):
 
     def on_demand_access(self, line_addr: int, hit: bool, on_path: bool) -> list[int]:
         return []  # line prefetching stays FDIP's job
+
+    def state(self) -> dict:
+        """Nothing: the predecoder keeps no tables (the BTB holds its work)."""
+        return {}
 
     def on_line_filled(self, line_addr: int) -> None:
         """Predecode one arriving line for not-yet-seen direct branches."""

@@ -23,30 +23,14 @@ run saw (the adaptivity limitation the paper calls out).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.common.config import CacheConfig
-from repro.common.errors import ConfigError
 from repro.memory.cache import SetAssocCache
 from repro.prefetchers.base import FrontendHooks, InstructionPrefetcher
+from repro.prefetchers.registry import SWProfileParams
 from repro.workloads.oracle import OracleCursor
 from repro.workloads.program import Program
 from repro.workloads.tables import program_cache
-
-
-@dataclass(frozen=True)
-class SWProfileParams:
-    """Per-technique parameters for the ``sw-profile`` registry entry."""
-
-    profile_blocks: int = 20_000
-    prefetch_distance: int = 12
-    max_targets_per_trigger: int = 4
-
-    def validate(self) -> None:
-        if self.profile_blocks <= 0:
-            raise ConfigError("sw-profile profiling length must be positive")
-        if self.prefetch_distance <= 0 or self.max_targets_per_trigger <= 0:
-            raise ConfigError("sw-profile distances must be positive")
 
 
 def profile_instruction_misses(

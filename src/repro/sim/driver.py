@@ -16,9 +16,11 @@ write-back: C updates them in place.
 Every preset runs inside the loop.  UDP does (the confidence estimator,
 the FDIP gate over the useful-set, the Seniority-FTQ retire hook and the
 flush policy; :class:`_UDPState` carries their state across), and so do
-the two-level BTB (a second BTB descriptor probed after an L1 miss) and
-the loop predictor (a table of its own).  Two participants stay in Python
-and are called back synchronously: a registry technique, as its
+the two-level BTB (a second BTB descriptor probed after an L1 miss), the
+loop predictor (a table of its own) and the built-in comparators EIP,
+MANA and shadow-btb (their native state holders,
+:mod:`repro.prefetchers.compiled`).  Two participants stay in Python and
+are called back synchronously: a plug-in registry technique, as its
 :class:`~repro.prefetchers.registry.Capabilities` declare (the loop calls
 ``on_demand_access`` and ``on_line_filled`` where :meth:`Simulator.step`
 does and applies the returned prefetch lines in C), and UFTQ's controller
@@ -28,7 +30,7 @@ A callback that raises ends the run with its exception, after the
 write-back.
 
 The same loop runs the functional walk in C: :func:`functional_walk` is
-:meth:`Simulator._walk_true_path` (the functional warmup and the
+:func:`repro.sim.stepper.walk_true_path` (the functional warmup and the
 fast-forward, warming or not) as one call of ``functional_walk`` over a
 descriptor of its own.  Everything the walk moved -- counters, the oracle
 position, UDP's useful-set -- is written back before it returns, and
@@ -98,9 +100,11 @@ class _Machine:
         self._counters = zeros(len(self._counter_names))
         # Every counter the driver moves gets its slot now, in the driver's
         # order, so the counters' order never depends on which exit first
-        # moved one (chained walks pickle like one direct walk).
+        # moved one (chained walks pickle like one direct walk).  The
+        # comparators' own counters are the exception: like the object
+        # techniques' bumps, a sync creates them once they moved.
         slots = sim.counters._values
-        for name in self._counter_names:
+        for name in self._counter_names[:layout["eager_counters"]]:
             slots.setdefault(name, 0)
         self._call_stack = zeros(oracle.max_stack)
         self._udp = _UDPState(sim, layout) if sim.udp is not None else None
@@ -168,7 +172,7 @@ class _Machine:
 def functional_walk(
     sim: "Simulator", max_blocks: int, target: int, first_touch: bool, warm: bool
 ) -> None:
-    """Run :meth:`Simulator._walk_true_path`'s loop as one C call.
+    """Run :func:`repro.sim.stepper.walk_true_path`'s loop as one C call.
 
     ``functional_walk`` in ``driver.c`` walks over a fresh descriptor, and
     everything it moved is written back before this returns, even when a
@@ -200,7 +204,8 @@ class CycleDriver(_Machine):
     allocation-free loop rarely triggers).  It holds the callbacks, looked
     up on the technique and UFTQ objects here rather than on their
     classes, so a wrapper installed on a class before the simulator was
-    built sees every call.
+    built sees every call, and a native technique's holder, whose buffers
+    C updates.
     """
 
     def __init__(self, sim: "Simulator") -> None:
@@ -223,8 +228,10 @@ class CycleDriver(_Machine):
         self._resteer_hist = zeros(pool * (hist_words + history.num_folds))
         prefetcher = sim.prefetcher
         observer = sim._fill_observer
+        native = sim.native_technique
+        self._technique = prefetcher if native else None
         self._callbacks = (
-            prefetcher.on_demand_access if prefetcher is not None else None,
+            prefetcher.on_demand_access if prefetcher is not None and not native else None,
             observer.on_line_filled if observer is not None else None,
             partial(reject_prefetch_line, config.prefetcher.kind),
         )
@@ -232,6 +239,7 @@ class CycleDriver(_Machine):
             id(callback) if callback is not None else 0 for callback in self._callbacks
         )
         super().__init__(sim, layout, {
+            **(prefetcher.driver_fields if native else {}),
             "width": config.core.frontend_width,
             "blocks_per_cycle": config.frontend.ftq_blocks_per_cycle,
             "fdip_lookups": config.frontend.fdip_lookups_per_cycle,

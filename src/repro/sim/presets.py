@@ -2,9 +2,9 @@
 
 All presets start from the Table II baseline (FDIP with a fixed 32-deep
 FTQ) and change exactly the dimension under test, so cross-technique
-comparisons are ISO everywhere else.  A technique's preset imports its
-params class when it builds a config, so only the techniques a process
-runs are imported (see :mod:`repro.prefetchers.registry`).
+comparisons are ISO everywhere else.  The techniques' params classes live
+in :mod:`repro.prefetchers.registry`, so building a config imports no
+technique module.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.common.config import (
     UDPConfig,
     UFTQConfig,
 )
+from repro.prefetchers.registry import EIPParams, MANAParams, ShadowBTBParams, SWProfileParams
 
 
 def baseline_config(
@@ -86,8 +87,6 @@ def eip_config(
     wrong_path_aware: bool = False,
 ) -> SimConfig:
     """Fig 13's EIP comparator at an ISO 8KB budget (layered on FDIP)."""
-    from repro.prefetchers.eip import EIPParams
-
     config = baseline_config(max_instructions, seed)
     return config.replace(
         prefetcher=TechniqueConfig(
@@ -103,8 +102,6 @@ def sw_profile_config(
     max_instructions: int = 50_000, seed: int = 1, profile_blocks: int = 20_000
 ) -> SimConfig:
     """Profile-guided software prefetching layered on FDIP (related work)."""
-    from repro.prefetchers.swprefetch import SWProfileParams
-
     config = baseline_config(max_instructions, seed)
     return config.replace(
         prefetcher=TechniqueConfig(
@@ -119,8 +116,6 @@ def mana_config(
     storage_bytes: int = 8 * 1024,
 ) -> SimConfig:
     """MANA spatial-region prefetcher at an ISO 8KB budget (on FDIP)."""
-    from repro.prefetchers.mana import MANAParams
-
     config = baseline_config(max_instructions, seed)
     return config.replace(
         prefetcher=TechniqueConfig(
@@ -131,8 +126,6 @@ def mana_config(
 
 def shadow_btb_config(max_instructions: int = 50_000, seed: int = 1) -> SimConfig:
     """Shadow-branch BTB prefill from predecoded fill lines (on FDIP)."""
-    from repro.prefetchers.shadow_btb import ShadowBTBParams
-
     config = baseline_config(max_instructions, seed)
     return config.replace(
         prefetcher=TechniqueConfig(kind="shadow-btb", params=ShadowBTBParams())

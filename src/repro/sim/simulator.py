@@ -118,10 +118,16 @@ class Simulator:
             # profile` can attribute the hook's cost as its own stage).
             btb_contains=self._btb_contains_hook if caps.hooks_btb else None,
         )
-        self.prefetcher = technique.build(config.prefetcher.params, program, hooks)
+        # A compiled simulator runs a built-in comparator inside the cycle
+        # driver, on its native state holder; every other technique is an
+        # object, called back.
+        self.native_technique = comp and technique.native is not None
+        build = technique.native if self.native_technique else technique.build
+        self.prefetcher = build(config.prefetcher.params, program, hooks)
         self._fill_observer = (
             self.prefetcher
             if caps.observes_fills and self.prefetcher is not None
+            and not self.native_technique
             else None
         )
 
@@ -164,7 +170,8 @@ class Simulator:
         self.ff_jumps = 0  # number of fast-forward jumps taken
         self.steps_executed = 0  # full step() bodies run (perf smoke checks)
         # Technique callbacks the compiled cycle driver made (0 under the
-        # Python stepper): on_demand_access and on_line_filled calls.
+        # Python stepper, and for a native technique): on_demand_access and
+        # on_line_filled calls.
         self.driver_demand_callbacks = 0
         self.driver_fill_callbacks = 0
         # The compiled cycle driver, built at a compiled simulator's first

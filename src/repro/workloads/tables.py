@@ -30,7 +30,8 @@ program alone: a dict attached weakly to the program object (programs are
 themselves memoized per process by :mod:`repro.workloads.store`), holding
 the backend's load-dependence flag table, one per (seed, threshold)
 (:func:`repro.backend.core.dep_flags`), the driver's
-:class:`ProgramTables`, and ``sw-profile``'s offline profile.
+:class:`ProgramTables` with its block index, and ``sw-profile``'s offline
+profile.
 """
 
 from __future__ import annotations
@@ -201,13 +202,20 @@ class ProgramTables:
     """The C ``ProgTables`` descriptor over one program's own buffers.
 
     ``desc`` is its address; it stays valid for this object's lifetime,
-    which holds the program's columns.
+    which holds the program's columns.  It also holds the driver's block
+    index, built here in one C pass (``index_blocks``): per 64-byte line of
+    the code region, the block holding the line's first byte, so the
+    driver's ``block_at`` is one read plus a scan within the line.  The
+    index derives from the columns alone and is never stored.
     """
 
     def __init__(self, program: Program, kernels) -> None:
         columns = program.columns
         layout = kernels.driver_layout()
         fields = layout["prog_fields"]
+        line_base = program.code_start & -64
+        n_lines = (program.code_end - line_base + 63) >> 6
+        self._line_block = zeros(n_lines)
         di = zeros(layout["prog_words"])
         for name, value in (
             ("n_blocks", columns.n_blocks),
@@ -216,6 +224,9 @@ class ProgramTables:
             ("entry", program.entry),
             ("ops", kernels.buffer_address(columns.ops)),
             ("targets", address(columns.targets)),
+            ("line_base", line_base),
+            ("n_lines", n_lines),
+            ("line_block", address(self._line_block)),
         ):
             di[fields[name]] = value
         for names, table in ((BLOCK_COLUMNS, columns.blocks), (NODE_COLUMNS, columns.nodes)):
@@ -225,6 +236,7 @@ class ProgramTables:
         self._columns = columns
         self._di = di
         self.desc = address(di)
+        kernels.index_blocks(self.desc)
 
 
 def program_tables(program: Program) -> ProgramTables | None:

@@ -114,6 +114,7 @@ def test_kernel_call_counts_shape():
     )
     assert set(counts) == {
         "btb_contains", "btb_fill", "run_cycles", "functional_walk", "check_columns",
+        "index_blocks",
     }
 
 

@@ -1,16 +1,18 @@
 """The compiled cycle driver: engagement and byte-identity at every exit.
 
 ``run_cycles`` (``repro/common/kernels/driver.c``) runs the whole step()
-loop in C, UDP, the two-level BTB and the loop predictor included, and
-calls a registry technique's and UFTQ's Python methods back where step()
-does.  It must be a pure wall-clock optimization (``tests/sim/test_modes.py``,
+loop in C, UDP, the two-level BTB, the loop predictor and the built-in
+comparators (EIP, MANA, shadow-btb) included, and calls a plug-in
+technique's and UFTQ's Python methods back where step() does.  It must be
+a pure wall-clock optimization (``tests/sim/test_modes.py``,
 ``tests/sim/test_fuzz_modes.py``): at every point where it returns to
 Python -- the retire target, a ``run_interval`` detailed-warmup
 boundary, the cycle limit, an exception from a callback -- counters,
-cycle, FTQ occupancy, the oracle position, UDP's state and the calls a
-technique saw must equal the object oracle's.  And a compiled simulator
-must actually run it: one that silently fell back to the Python stepper
-would still pass every identity test, but at stepper speed.
+cycle, FTQ occupancy, the oracle position, UDP's state, a comparator's
+tables and the calls a plug-in saw must equal the object oracle's.  And a
+compiled simulator must actually run it: one that silently fell back to
+the Python stepper would still pass every identity test, but at stepper
+speed.
 """
 
 import dataclasses
@@ -481,6 +483,9 @@ def test_udp_line_outside_the_code_region_is_an_error():
 # plus the technique for next-line, which has none), with a counter that
 # proves it acted.  eip and sw-profile share prefetches_emitted with FDIP,
 # so their own `triggered` count (lines they returned) is checked too.
+# The comparators the driver runs natively make no callback; the others
+# are called back.
+NATIVE_TECHNIQUES = ("eip", "mana", "shadow-btb")
 TECHNIQUE_ACTIVITY = {
     "eip": "prefetches_emitted",
     "sw-profile": "prefetches_emitted",
@@ -500,8 +505,16 @@ def test_technique_cases_cover_the_registry():
     assert set(TECHNIQUE_ACTIVITY) | {"fdip", "none"} == set(registry.names())
 
 
+def test_native_techniques_are_the_registrys_native_ones():
+    native = {technique.name for technique in registry.techniques() if technique.native}
+    assert native == set(NATIVE_TECHNIQUES)
+
+
 def _technique_state(sim: Simulator) -> dict:
-    """The technique object's own tables and counts (ints and containers)."""
+    """A native comparator's layout-neutral ``state()``; a plug-in object's
+    own tables and counts (ints and containers)."""
+    if sim.config.prefetcher.kind in NATIVE_TECHNIQUES:
+        return sim.prefetcher.state()
     return {
         name: value if not isinstance(value, deque) else list(value)
         for name, value in vars(sim.prefetcher).items()
@@ -520,7 +533,11 @@ def test_techniques_match_object_path(kind, workload):
     oracle.run()
     if cc.compiled_enabled():
         assert _driver_calls() - before == 1
-        assert driven.driver_demand_callbacks > 0
+        assert driven.native_technique == (kind in NATIVE_TECHNIQUES)
+        if driven.native_technique:
+            assert driven.driver_demand_callbacks == driven.driver_fill_callbacks == 0
+        else:
+            assert driven.driver_demand_callbacks > 0
         assert driven.steps_executed + driven.ff_cycles_skipped == driven.cycle
     assert oracle.driver_demand_callbacks == 0
     assert driven.measured_counters().get(TECHNIQUE_ACTIVITY[kind], 0) > 0
@@ -528,6 +545,10 @@ def test_techniques_match_object_path(kind, workload):
         assert driven.prefetcher.triggered > 0
     assert _state(driven) == _state(oracle)
     assert _technique_state(driven) == _technique_state(oracle)
+    if kind in ("eip", "mana"):
+        # Not vacuous: the tables trained and replayed.
+        state = _technique_state(oracle)
+        assert state["trained"] > 0 and state["triggered"] > 0
     assert driven.bpu.btb.state() == oracle.bpu.btb.state()
     assert (driven.steps_executed, driven.ff_jumps) == (oracle.steps_executed, oracle.ff_jumps)
 

@@ -4,18 +4,23 @@ Hypothesis draws a preset (every ``PRESET_BUILDERS`` entry), a workload and
 perturbed settings: FTQ depth, fetch and FDIP widths, L1I geometry and
 MSHRs, BTB/iBTB/RAS/ROB/RS sizes, UDP's knobs, UFTQ's window, step and
 depth bounds, the loop predictor's entries, the two-level BTB's L1, the
-functional warmup, a detailed warmup (``run_interval``'s warmup-boundary
-exit) and a cycle-limit exit.  Each configuration
+comparators' knobs (EIP's and MANA's tables small enough to evict, MANA's
+regions past one footprint word and HOBPTs small enough to drop records,
+shadow-btb's budget down to one prefill, over a one- or two-level BTB),
+the functional warmup, a detailed warmup (``run_interval``'s
+warmup-boundary exit) and a cycle-limit exit.  Each configuration
 runs on a compiled simulator and with ``compiled=False``; configurations
 that validation rejects are skipped, and every other must end with equal
 counters, ``cycle`` and state of every structure (caches, BTBs, TAGE,
-history, RAS, stream table, data generator, loop predictor, UFTQ, UDP and
-the oracle).  This is what the per-call C tests used to check structure by
-structure, now checked through whole driven runs.
+history, RAS, stream table, data generator, loop predictor, UFTQ, UDP, a
+comparator's tables and the oracle).  This is what the per-call C tests
+used to check structure by structure, now checked through whole driven
+runs.
 
-Tier-1 runs a derandomized budget of 25 examples.  ``-m slow`` runs 200
-more and also fuzzes the sampled chain (warming fast-forwards handed to a
-fresh simulator per interval) and warmup-checkpoint round trips.  On a host
+Tier-1 runs a derandomized budget of 25 examples over every preset and 15
+over the comparators the driver runs natively.  ``-m slow`` runs 200 more
+and also fuzzes the sampled chain (warming fast-forwards handed to a fresh
+simulator per interval) and warmup-checkpoint round trips.  On a host
 without a C compiler both sides are the object path.
 """
 
@@ -27,8 +32,9 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from repro.common.config import SimConfig
+from repro.common.config import SimConfig, TechniqueConfig
 from repro.common.errors import ConfigError, SimulationError
+from repro.prefetchers.registry import EIPParams, MANAParams, ShadowBTBParams
 from repro.sim import checkpoint as ckpt
 from repro.sim.presets import PRESET_BUILDERS
 from repro.sim.simulator import Simulator
@@ -36,6 +42,8 @@ from repro.workloads import store as program_store
 from repro.workloads.profiles import get_profile
 
 WORKLOADS = ("gcc", "mediawiki", "mysql", "verilator", "xgboost")
+# The comparators the compiled cycle driver runs in C.
+NATIVE = ("eip", "mana", "shadow-btb")
 
 _FAST = settings(
     max_examples=25, derandomize=True, deadline=None,
@@ -51,11 +59,41 @@ def _pow2(lo: int, hi: int):
     return st.integers(lo, hi).map(lambda k: 1 << k)
 
 
+def _technique(draw, config: SimConfig) -> TechniqueConfig:
+    """The preset's technique with perturbed knobs, for the native comparators."""
+    technique = config.prefetcher
+    if technique.kind == "eip":
+        params = EIPParams(
+            storage_bytes=draw(st.sampled_from([12, 96, 192, 2_048])),
+            targets_per_entry=draw(st.integers(1, 4)),
+            entangling_distance=draw(st.integers(1, 16)),
+            wrong_path_aware=draw(st.booleans()),
+        )
+    elif technique.kind == "mana":
+        params = MANAParams(
+            storage_bytes=draw(st.sampled_from([16, 96, 512, 2_048])),
+            region_lines=draw(st.sampled_from([2, 4, 8, 16, 65, 66, 130])),
+            lookahead_records=draw(st.integers(1, 6)),
+            hob_entries=draw(st.integers(1, 16)),
+            hob_shift=draw(st.sampled_from([7, 9, 12, 16, 63, 70])),
+        )
+    elif technique.kind == "shadow-btb":
+        params = ShadowBTBParams(max_prefills_per_fill=draw(st.sampled_from([1, 1, 2, 4, 8])))
+    else:
+        return technique
+    return TechniqueConfig(kind=technique.kind, params=params)
+
+
 @st.composite
-def configs(draw, max_instructions=st.integers(1_000, 3_000)) -> tuple[str, SimConfig, int]:
+def configs(
+    draw,
+    max_instructions=st.integers(1_000, 3_000),
+    presets=st.sampled_from(sorted(PRESET_BUILDERS)),
+    l1i_bytes=_pow2(11, 15),
+) -> tuple[str, SimConfig, int]:
     """A workload, a perturbed preset configuration (maybe invalid) and a
     detailed warmup for the run (0: none)."""
-    preset = draw(st.sampled_from(sorted(PRESET_BUILDERS)))
+    preset = draw(presets)
     workload = draw(st.sampled_from(WORKLOADS))
     n = draw(max_instructions)
     config = PRESET_BUILDERS[preset](n)
@@ -73,7 +111,7 @@ def configs(draw, max_instructions=st.integers(1_000, 3_000)) -> tuple[str, SimC
     )
     l1i = dataclasses.replace(
         config.memory.l1i,
-        size_bytes=draw(_pow2(11, 15)),
+        size_bytes=draw(l1i_bytes),
         assoc=draw(_pow2(0, 3)),
         mshr_entries=draw(st.integers(1, 32)),
     )
@@ -88,6 +126,8 @@ def configs(draw, max_instructions=st.integers(1_000, 3_000)) -> tuple[str, SimC
         l1_btb_entries=draw(_pow2(4, 10)),
         l1_btb_assoc=draw(_pow2(0, 2)),
     )
+    if preset == "shadow-btb":
+        branch = dataclasses.replace(branch, btb_levels=draw(st.sampled_from([1, 2])))
     udp = dataclasses.replace(
         config.udp,
         confidence_threshold=draw(st.integers(0, 16)),
@@ -119,6 +159,7 @@ def configs(draw, max_instructions=st.integers(1_000, 3_000)) -> tuple[str, SimC
         memory=dataclasses.replace(config.memory, l1i=l1i),
         udp=udp,
         uftq=uftq,
+        prefetcher=_technique(draw, config),
         functional_warmup_blocks=functional_warmup_blocks,
         max_cycles=draw(st.sampled_from([None, None, None, 2_000, 8_000])),
     )
@@ -138,6 +179,7 @@ def _structures(sim: Simulator) -> tuple:
     uftq = sim.uftq
     loop = bpu.loop
     btb = bpu.btb
+    technique = sim.prefetcher
     return (
         sim.cycle,
         sim.counters.snapshot(),
@@ -169,6 +211,7 @@ def _structures(sim: Simulator) -> tuple:
             (udp.seniority.inserted, udp.seniority.matched, udp.seniority.evicted),
             (udp.estimator.counter, udp.estimator._forced_off_path),
         ),
+        technique.state() if hasattr(technique, "state") else None,
     )
 
 
@@ -202,6 +245,18 @@ def _check_run(case) -> None:
 @_FAST
 @given(case=configs())
 def test_compiled_matches_object_on_random_configs(case):
+    _check_run(case)
+
+
+# Longer runs through a 2-4 KiB L1I: misses enough to fill and evict the
+# comparators' smallest tables.
+@settings(_FAST, max_examples=15)
+@given(case=configs(
+    max_instructions=st.integers(3_000, 6_000),
+    presets=st.sampled_from(NATIVE),
+    l1i_bytes=_pow2(11, 12),
+))
+def test_native_comparators_match_object_on_random_configs(case):
     _check_run(case)
 
 

@@ -15,8 +15,10 @@ code at all -- the Python stepper and walk, the object backend, the block
 view, the walking oracle cursor and the Python load checks -- so it
 compiles only the fast path.  A batch derives each spec's result key and
 each program's store key once, and reports where it got each program.
-Each check runs in a fresh interpreter, where ``sys.modules`` starts
-empty.
+A compiled Fig 13 batch runs the built-in comparators inside the cycle
+driver: it imports none of their object modules and makes no technique
+callback, and it indexes its one program's blocks once.  Each check runs
+in a fresh interpreter, where ``sys.modules`` starts empty.
 """
 
 from __future__ import annotations
@@ -63,12 +65,14 @@ OBJECT_TWINS = (
 )
 
 # Nor does a compiled run import what none of its specs runs: the block
-# view's behaviours, UFTQ, the techniques other than eip, or the compiler's
-# subprocess once the kernels are built.
+# view's behaviours, UFTQ, any technique's object module (the driver runs
+# eip on its compiled twin), or the compiler's subprocess once the kernels
+# are built.
 COMPILED_OFF_PATH = (
     *OBJECT_TWINS,
     "repro.workloads.behavior",
     "repro.core.uftq",
+    "repro.prefetchers.eip",
     "repro.prefetchers.mana",
     "repro.prefetchers.next_line",
     "repro.prefetchers.shadow_btb",
@@ -275,6 +279,51 @@ run_batch(specs, jobs=1)
 print(json.dumps(calls))
 """
 
+# The three object comparators, which a compiled run replaces with their
+# twins in repro.prefetchers.compiled.
+COMPARATOR_MODULES = (
+    "repro.prefetchers.eip",
+    "repro.prefetchers.mana",
+    "repro.prefetchers.shadow_btb",
+)
+
+# Fig 13's seven configurations on one program: per spec, the technique
+# kind, whether it ran natively, and the technique callbacks the driver
+# made; and how often the program's blocks were indexed.
+FIG13_BATCH = """
+import json, sys
+from repro.common import cc
+from repro.sim import presets
+from repro.sim.engine import run_batch, spec_for
+from repro.sim.simulator import Simulator
+
+runs = []
+run = Simulator.run
+
+def counted_run(self, *args, **kwargs):
+    run(self, *args, **kwargs)
+    callbacks = self.driver_demand_callbacks + self.driver_fill_callbacks
+    runs.append([self.config.prefetcher.kind, self.native_technique, callbacks])
+
+Simulator.run = counted_run
+builds = (
+    presets.baseline_config, presets.udp_config, presets.infinite_storage_config,
+    presets.bigger_icache_config, presets.eip_config, presets.mana_config,
+    presets.shadow_btb_config,
+)
+specs = [
+    spec_for("clang", build(2000).replace(functional_warmup_blocks=1000), 1, build.__name__)
+    for build in builds
+]
+run_batch(specs, jobs=1, no_cache=True)
+print(json.dumps({
+    "driver": cc.compiled_enabled(),
+    "modules": sorted(sys.modules),
+    "runs": runs,
+    "index_blocks": cc.kernel_call_counts().get("index_blocks", 0),
+}))
+"""
+
 CLI_RUN = """
 import json, sys
 from repro.cli import main
@@ -379,6 +428,25 @@ def test_a_batch_derives_each_key_once(tmp_path):
     _python("from repro.workloads import store; store.materialize('clang', 1)", tmp_path)
     calls = json.loads(_python(FIG13_KEYS, tmp_path))
     assert calls == {"result": 7, "program": 1}
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "object"])
+def test_a_fig13_batch_runs_the_comparators_natively(tmp_path, compiled):
+    _python("from repro.workloads import store; store.materialize('clang', 1)", tmp_path, compiled)
+    report = json.loads(_python(FIG13_BATCH, tmp_path, compiled))
+    kinds = [kind for kind, _, _ in report["runs"]]
+    assert kinds == ["fdip"] * 4 + ["eip", "mana", "shadow-btb"]
+    # The driver calls no technique back; the object path never does.
+    assert [callbacks for _, _, callbacks in report["runs"]] == [0] * 7
+    loaded = [name for name in COMPARATOR_MODULES if name in report["modules"]]
+    if report["driver"]:
+        assert [native for _, native, _ in report["runs"]] == [False] * 4 + [True] * 3
+        assert not loaded, f"a compiled Fig 13 batch imported {loaded}"
+        assert "repro.prefetchers.compiled" in report["modules"]
+        assert report["index_blocks"] == 1, "the program's blocks were indexed more than once"
+    else:
+        assert not any(native for _, native, _ in report["runs"])
+        assert loaded == list(COMPARATOR_MODULES)
 
 
 def test_lazy_packages_export_every_listed_name(tmp_path):

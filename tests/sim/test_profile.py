@@ -47,10 +47,14 @@ def test_profile_stage_breakdown_covers_step():
 
 
 def test_profile_attributes_technique_callbacks_under_the_driver():
+    # sw-profile is called back by the driver (the built-in comparators it
+    # runs natively make no callback).
     from repro.common import cc
-    from repro.sim.presets import mana_config
+    from repro.sim.presets import sw_profile_config
 
-    report = profile_run("gcc", mana_config(max_instructions=3_000), config_name="mana")
+    report = profile_run(
+        "gcc", sw_profile_config(max_instructions=3_000), config_name="sw-profile"
+    )
     hooks = {hook.name: hook for hook in report.hooks}
     assert hooks["on_demand_access"].calls > 0
     text = format_report(report)
