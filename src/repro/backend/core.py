@@ -32,6 +32,7 @@ from repro.workloads.tables import program_cache
 if TYPE_CHECKING:
     from repro.workloads.profiles import DataProfile
 
+# Kept while benchmarks/e2e/trace.py's LAYERS wraps BackendCore under this module.
 __getattr__, __dir__ = _exports(__name__, ("repro.backend.window", ("BackendCore", "MicroOp")))[1:]
 
 OP_BRANCH = 3
@@ -200,8 +201,10 @@ class BackendCoreC:
         self._bi[26] = cc.kernels().buffer_address(flags)
         self._bi[27] = len(flags)
 
+    # Kept while benchmarks/e2e/trace.py's LAYERS wraps this stage by name.
     def poll_resteer(self, cycle: int):
         raise SimulationError("the compiled cycle driver runs this backend's stages")
 
+    # Kept while benchmarks/e2e/trace.py's LAYERS wraps this stage by name.
     def retire_and_issue(self, cycle: int) -> None:
         raise SimulationError("the compiled cycle driver runs this backend's stages")

@@ -10,9 +10,10 @@ behaviour change is intentional::
 
 The run parameters here and in the test module must agree — the test
 imports them from this module, so editing them in one place keeps both in
-sync.  Blessing always simulates from scratch (programs may come from the
-store, which is equivalence-tested; warmup checkpoints are bypassed so the
-fixture never inherits state from a stale snapshot).
+sync.  Blessing always simulates from scratch: each run builds its
+simulator directly (``build_simulator``), which never reads a warmup
+checkpoint, so the fixture never inherits state from a stale snapshot
+(programs may come from the store, which is equivalence-tested).
 """
 
 from __future__ import annotations
@@ -48,28 +49,14 @@ def golden_counters(preset: str) -> dict[str, int]:
 
 
 def bless(path: str | os.PathLike | None = None) -> Path:
-    """Regenerate the golden fixture; returns the path written.
-
-    Warmup checkpointing is disabled for the duration so the blessed
-    numbers are always the from-scratch ground truth.
-    """
+    """Regenerate the golden fixture; returns the path written."""
     target = Path(path) if path is not None else FIXTURE_PATH
-    saved = os.environ.get("REPRO_NO_CHECKPOINT")
-    os.environ["REPRO_NO_CHECKPOINT"] = "1"
-    try:
-        payload = {
-            "workload": WORKLOAD,
-            "instructions": INSTRUCTIONS,
-            "seed": SEED,
-            "counters": {
-                preset: golden_counters(preset) for preset in sorted(PRESET_BUILDERS)
-            },
-        }
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_CHECKPOINT", None)
-        else:
-            os.environ["REPRO_NO_CHECKPOINT"] = saved
+    payload = {
+        "workload": WORKLOAD,
+        "instructions": INSTRUCTIONS,
+        "seed": SEED,
+        "counters": {preset: golden_counters(preset) for preset in sorted(PRESET_BUILDERS)},
+    }
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -161,10 +161,10 @@ def miss_heavy_config(max_instructions: int = 50_000, seed: int = 1) -> SimConfi
     DRAM, i.e. a busy datacenter part rather than Table II's unloaded 220).
     This is the stall-dominated regime PAPER.md §III motivates UDP with —
     the core spends >95% of cycles waiting on instruction fills — and it is
-    the reference preset for the simulator-throughput benchmark
-    (``benchmarks/bench_sim_throughput.py``): idle-cycle fast-forward shows
-    its largest wins exactly here.  The walker runs at 8 blocks/cycle so the
-    FTQ refills quickly after flushes (frontend stress, not walker stress).
+    the benchmark of record's ``miss-heavy`` workload (``benchmarks/e2e``):
+    idle-cycle fast-forward shows its largest wins exactly here.  The walker
+    runs at 8 blocks/cycle so the FTQ refills quickly after flushes
+    (frontend stress, not walker stress).
     """
     config = baseline_config(max_instructions, seed)
     config = config.replace(prefetcher=TechniqueConfig(kind="none"))

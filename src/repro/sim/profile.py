@@ -15,8 +15,7 @@ frontend from *inside* the fetch stage, so its cost lands under fetch
 rather than the residue.
 
 See ``docs/performance.md`` for how this fits the optimization workflow,
-and ``benchmarks/bench_sim_throughput.py`` for the end-to-end KIPS
-benchmark.
+and ``benchmarks/e2e`` for the end-to-end benchmark of record.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ def build_simulator(
     The program and the effective config (the workload profile's pinned
     core parameters on top of ``config``) come from the engine's own
     ``_resolve_spec``, so this simulator is the one ``run_batch`` would
-    build.  Used by the profiler and the throughput benchmark where the
-    run itself — not the cached result — is the object of study.
+    build.  Used by the profiler and the tests, where the run itself —
+    not the cached result — is the object of study.
     """
     program, config, data_profile, _ = _resolve_spec(RunSpec(workload, config, seed))
     return Simulator(program, config, data_profile=data_profile, compiled=compiled)
@@ -106,11 +105,10 @@ class ProfileReport:
     instructions: int
     seed: int
     fast_forward: bool
-    # Active acceleration gates for this run: idle-cycle fast-forward,
-    # warmup checkpoint reuse, the runtime-compiled C kernels (each
-    # togglable via its REPRO_NO_* env var), and the compiled
-    # cycle driver, which runs exactly the compiled simulators (see
-    # repro.sim.driver).
+    # Active acceleration gates for this run: idle-cycle fast-forward
+    # (off under --no-fastforward), the runtime-compiled C kernels (off
+    # under REPRO_NO_COMPILED), and the compiled cycle driver, which runs
+    # exactly the compiled simulators (see repro.sim.driver).
     gates: dict[str, bool]
     # Why the compiled cycle driver is off ("" when it runs).
     driver_off_reason: str
@@ -170,7 +168,6 @@ def profile_run(
     ``REPRO_NO_COMPILED`` opts out or the kernels do not build.
     """
     from repro.common import cc
-    from repro.common.artifacts import reuse_disabled
 
     simulator = build_simulator(workload, config, seed, compiled=None if fast_forward else False)
     simulator.fast_forward_enabled = fast_forward
@@ -193,7 +190,6 @@ def profile_run(
 
     gates = {
         "fast-forward": fast_forward,
-        "checkpoint": not reuse_disabled(),
         "compiled": simulator.compiled_enabled,
         "driver": simulator.compiled_enabled,
     }

@@ -15,11 +15,10 @@ the containing block, which is what lets the frontend walk arbitrary
 A :class:`Program` holds its ground truth as flat columns
 (:class:`repro.workloads.tables.Columns`): the arrays the compiled cycle
 driver reads and the program store pickles.  ``BasicBlock``, ``Branch``
-and the behaviour objects are a view of them (:mod:`repro.workloads.blocks`,
-whose two classes this module resolves on first use), which a program
-built from blocks keeps and a stored program builds the first time Python
-walks it (:attr:`Program.blocks`).  The counts, the region and the
-block-start test read the columns directly.
+and the behaviour objects are a view of them (:mod:`repro.workloads.blocks`),
+which a program built from blocks keeps and a stored program builds the
+first time Python walks it (:attr:`Program.blocks`).  The counts, the
+region and the block-start test read the columns directly.
 """
 
 from __future__ import annotations
@@ -30,14 +29,11 @@ from enum import IntEnum
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from repro._lazy import exports as _exports
 from repro.common.addr import INSTR_BYTES
 from repro.common.errors import ProgramError
 
 if TYPE_CHECKING:  # the block view loads only where Python walks a program
     from repro.workloads.blocks import BasicBlock, Branch
-
-__getattr__, __dir__ = _exports(__name__, ("repro.workloads.blocks", ("BasicBlock", "Branch")))[1:]
 
 # Per-instruction operation kinds, stored as one byte each in the
 # program's op bytes (and ``BasicBlock.ops``) to keep large programs compact.

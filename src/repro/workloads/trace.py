@@ -11,26 +11,20 @@ and the state protocol read only the program's columns.
 
 The walk in Python -- ``OracleCursor``, which extends it with
 ``transition``/``advance``/``step``, and ``run_trace``/``trace_statistics``
-over it -- is :mod:`repro.workloads.oracle`, which this module resolves on
-first use: only the object path, the analysis helpers and the trace tools
-load it.
+over it -- is :mod:`repro.workloads.oracle`: only the object path, the
+analysis helpers and the trace tools load it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro._lazy import exports as _exports
 from repro.common.errors import SimulationError
 from repro.common.packed import zeros
 from repro.workloads.program import Program
 
 if TYPE_CHECKING:  # the block view loads only where Python walks a program
     from repro.workloads.blocks import BasicBlock
-
-__getattr__, __dir__ = _exports(__name__, (
-    "repro.workloads.oracle", ("OracleCursor", "OracleTransition", "run_trace", "trace_statistics"),
-))[1:]
 
 
 class OracleCursorC:

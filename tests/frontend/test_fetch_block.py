@@ -1,7 +1,8 @@
 """FTQEntry bookkeeping."""
 
 from repro.frontend.fetch_block import FTQEntry, SeenBranch
-from repro.workloads.program import Branch, BranchKind
+from repro.workloads.blocks import Branch
+from repro.workloads.program import BranchKind
 
 
 def test_num_instrs():

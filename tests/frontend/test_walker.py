@@ -11,8 +11,8 @@ from repro.frontend.bpu import DecoupledFrontend
 from repro.frontend.fetch_block import RESTEER_AT_DECODE, RESTEER_AT_EXECUTE
 from repro.frontend.ftq import FetchTargetQueue
 from repro.workloads import micro
+from repro.workloads.oracle import OracleCursor
 from repro.workloads.program import BranchKind
-from repro.workloads.trace import OracleCursor
 
 
 def make_frontend(program, ftq_depth=16, warm_btb=True):

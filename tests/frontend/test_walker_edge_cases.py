@@ -9,8 +9,8 @@ from repro.frontend.ftq import FetchTargetQueue
 from repro.workloads import micro
 from repro.workloads.behavior import RotatingTargets
 from repro.workloads.builder import ProgramBuilder
+from repro.workloads.oracle import OracleCursor
 from repro.workloads.program import BranchKind
-from repro.workloads.trace import OracleCursor
 
 
 def make_frontend(program, warm_btb=True, estimator=None, ftq_depth=16):

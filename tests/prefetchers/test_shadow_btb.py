@@ -7,7 +7,8 @@ from repro.common.errors import ConfigError
 from repro.prefetchers.base import FrontendHooks
 from repro.prefetchers.shadow_btb import ShadowBTBParams, ShadowBranchPrefiller
 from repro.workloads.behavior import BiasedBehavior, RotatingTargets
-from repro.workloads.program import BasicBlock, Branch, BranchKind, Program
+from repro.workloads.blocks import BasicBlock, Branch
+from repro.workloads.program import BranchKind, Program
 
 
 def make_program():

@@ -57,11 +57,11 @@ from repro.workloads.behavior import (
     ZipfTargets,
 )
 from repro.workloads.builder import ProgramBuilder
+from repro.workloads.oracle import OracleCursor
 from repro.workloads.phases import make_phased_program
 from repro.workloads.profiles import SUITE, get_profile
 from repro.workloads.program import OP_LOAD, OP_STORE, BranchKind, Program
 from repro.workloads.tables import program_tables
-from repro.workloads.trace import OracleCursor
 
 N = 4_000
 
@@ -136,18 +136,23 @@ def test_fallback_gates_name_their_reason(monkeypatch):
     config = baseline_config(2_000).replace(functional_warmup_blocks=800)
     sim = build_simulator("mediawiki", config, compiled=False)
     assert not sim.compiled_enabled and isinstance(sim.l1i, SetAssocCache)
+    # The gates are the ones the profiled run can use: it builds its
+    # simulator directly, so no checkpoint store is read.
     naive = profile_run("mediawiki", config, fast_forward=False)
-    assert (naive.gates["driver"], naive.driver_off_reason) == (False, "fast-forward off")
+    assert naive.gates == {"fast-forward": False, "compiled": False, "driver": False}
+    assert naive.driver_off_reason == "fast-forward off"
     monkeypatch.setenv("REPRO_NO_COMPILED", "1")
     gated = profile_run("mediawiki", config)
-    assert (gated.gates["driver"], gated.driver_off_reason) == (False, "compiled kernels off")
+    assert gated.gates == {"fast-forward": True, "compiled": False, "driver": False}
+    assert gated.driver_off_reason == "compiled kernels off"
     monkeypatch.delenv("REPRO_NO_COMPILED")
     if not cc.compiled_enabled():
         return
     sim = build_simulator("mediawiki", config, compiled=True)
     assert sim.compiled_enabled and not isinstance(sim.l1i, SetAssocCache)
     driven = profile_run("mediawiki", config)
-    assert (driven.gates["driver"], driven.driver_off_reason) == (True, "")
+    assert driven.gates == {"fast-forward": True, "compiled": True, "driver": True}
+    assert driven.driver_off_reason == ""
 
 
 @needs_compiler
@@ -382,8 +387,8 @@ def test_every_program_is_compiled_or_rejected(family):
 UDP_CASES = {
     "udp": (
         udp_config(N),
-        ("udp_forced_off_path", "udp_superline_emits", "udp_learned_useful",
-         "udp_learned_useful_direct"),
+        ("udp_forced_off_path", "udp_superline_emits", "udp_emit_off_path",
+         "udp_learned_useful", "udp_learned_useful_direct"),
     ),
     "no-seniority": (udp_config(N, use_seniority=False), ("udp_learned_useful_direct",)),
     "no-superlines": (udp_config(N, use_superlines=False), ("useful_set_hit_1",)),
@@ -480,18 +485,20 @@ def test_udp_line_outside_the_code_region_is_an_error():
 # -- registry techniques: the driver's callbacks -------------------------------
 
 # Every registered technique that builds an object (its preset, or FDIP
-# plus the technique for next-line, which has none), with a counter that
-# proves it acted.  eip and sw-profile share prefetches_emitted with FDIP,
-# so their own `triggered` count (lines they returned) is checked too.
+# plus the technique for next-line, which has none), with the counters
+# that prove it acted.  eip and sw-profile share prefetches_emitted with
+# FDIP, so their own `triggered` count (lines they returned) is checked too.
 # The comparators the driver runs natively make no callback; the others
 # are called back.
 NATIVE_TECHNIQUES = ("eip", "mana", "shadow-btb")
 TECHNIQUE_ACTIVITY = {
-    "eip": "prefetches_emitted",
-    "sw-profile": "prefetches_emitted",
-    "mana": "mana_replayed_lines",
-    "shadow-btb": "shadow_btb_prefills",
-    "next-line": "prefetches_emitted",
+    "eip": ("prefetches_emitted",),
+    "sw-profile": ("prefetches_emitted",),
+    "mana": ("mana_replayed_lines", "mana_records_trained"),
+    "shadow-btb": (
+        "shadow_btb_prefills", "shadow_btb_lines_scanned", "shadow_btb_branches_found",
+    ),
+    "next-line": ("prefetches_emitted",),
 }
 
 
@@ -540,7 +547,8 @@ def test_techniques_match_object_path(kind, workload):
             assert driven.driver_demand_callbacks > 0
         assert driven.steps_executed + driven.ff_cycles_skipped == driven.cycle
     assert oracle.driver_demand_callbacks == 0
-    assert driven.measured_counters().get(TECHNIQUE_ACTIVITY[kind], 0) > 0
+    counters = driven.measured_counters()
+    assert all(counters.get(name, 0) > 0 for name in TECHNIQUE_ACTIVITY[kind]), counters
     if kind in ("eip", "sw-profile"):
         assert driven.prefetcher.triggered > 0
     assert _state(driven) == _state(oracle)
@@ -910,6 +918,16 @@ def test_functional_warmup_matches_object_walk(preset, workload, transitions):
     walked.run()
     oracle.run()
     assert _walk_state(walked) == _walk_state(oracle)
+    # A warming fast-forward after the warmup is one more walk-kernel call,
+    # with no Python oracle transition either, and replays the data side.
+    forwarded = build_simulator(workload, config, compiled=True)
+    forwarded.functional_warmup(config.functional_warmup_blocks)
+    del transitions[:]
+    before = _walk_calls()
+    _, instructions = forwarded.fast_forward_to(forwarded.oracle.instrs_walked + 20_000)
+    if cc.compiled_enabled():
+        assert _walk_calls() - before == 1 and not transitions
+    assert instructions >= 20_000 and forwarded.counters["l1d_accesses"] > 0
 
 
 @pytest.mark.parametrize("preset", ["udp", "infinite-storage", "miss-heavy"])

@@ -244,7 +244,8 @@ def test_serial_batch_creates_one_checkpoint_per_key():
 def test_pooled_cold_batch_creates_one_checkpoint_per_key():
     # Pooled units that share a missing key may each walk the warmup and
     # write the same blob: every unit creates or restores, and one blob per
-    # key lands on disk.
+    # key lands on disk.  A later pooled batch restores in every unit and
+    # equals the cold one, as does a serial batch.
     from repro.sim import checkpoint as ckpt
 
     stats = BatchStats()
@@ -254,6 +255,10 @@ def test_pooled_cold_batch_creates_one_checkpoint_per_key():
     store = ckpt.CheckpointStore()
     assert store.stats()[0] == len(keys) == 2
     assert all(store.path_for(key).is_file() for key in keys)
+    warm = BatchStats()
+    restored = run_batch(_specs(), jobs=2, no_cache=True, progress=warm)
+    assert (warm.checkpoint_creates, warm.checkpoint_restores) == (0, len(_specs()))
+    assert _serialized(restored) == _serialized(pooled)
     serial = run_batch(_specs(), jobs=1, no_cache=True)
     assert _serialized(pooled) == _serialized(serial)
 

@@ -68,5 +68,13 @@ def test_counters_match_golden(preset):
     )
 
 
+def test_bless_writes_the_committed_fixture(tmp_path):
+    # Byte for byte: the blessing command regenerates exactly the file the
+    # tests above compare against.
+    written = golden.bless(tmp_path / "golden_counters.json")
+    with open(FIXTURE, "rb") as fh:
+        assert written.read_bytes() == fh.read()
+
+
 if __name__ == "__main__":
     print(f"wrote {golden.bless(FIXTURE)}")

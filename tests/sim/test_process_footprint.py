@@ -64,12 +64,13 @@ OBJECT_TWINS = (
     "repro.workloads.data",
 )
 
-# Nor does a compiled run import what none of its specs runs: the block
-# view's behaviours, UFTQ, any technique's object module (the driver runs
-# eip on its compiled twin), or the compiler's subprocess once the kernels
-# are built.
+# Nor does a compiled run import what none of its specs runs: the object
+# loop predictor, the block view's behaviours, UFTQ, any technique's object
+# module (the driver runs eip on its compiled twin), or the compiler's
+# subprocess once the kernels are built.
 COMPILED_OFF_PATH = (
     *OBJECT_TWINS,
+    "repro.branch.loop_predictor",
     "repro.workloads.behavior",
     "repro.core.uftq",
     "repro.prefetchers.eip",
@@ -324,6 +325,20 @@ print(json.dumps({
 }))
 """
 
+# Every preset, each run on the path the process was started on.
+EVERY_PRESET = """
+import json, sys
+from repro.sim import presets
+from repro.sim.engine import run_batch, spec_for
+
+specs = [
+    spec_for("gcc", build(2000).replace(functional_warmup_blocks=1000), 1, name)
+    for name, build in sorted(presets.PRESET_BUILDERS.items())
+]
+run_batch(specs, jobs=1, no_cache=True)
+print(json.dumps(sorted(sys.modules)))
+"""
+
 CLI_RUN = """
 import json, sys
 from repro.cli import main
@@ -451,6 +466,13 @@ def test_a_fig13_batch_runs_the_comparators_natively(tmp_path, compiled):
 
 def test_lazy_packages_export_every_listed_name(tmp_path):
     assert json.loads(_python(EXPORTS, tmp_path)) == []
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "object"])
+def test_no_preset_imports_numpy(tmp_path, compiled):
+    _python("from repro.workloads import store; store.materialize('gcc', 1)", tmp_path, compiled)
+    modules = json.loads(_python(EVERY_PRESET, tmp_path, compiled))
+    assert "numpy" not in modules, "a preset's run imported numpy"
 
 
 def test_cli_run_does_not_import_numpy(tmp_path):

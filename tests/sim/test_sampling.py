@@ -521,10 +521,11 @@ def test_a_compiled_handoff_never_takes_the_wire_form(monkeypatch, preset):
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
 def test_chain_captures_only_its_warmup_checkpoint(monkeypatch, compiled):
-    # A K-interval chain builds K + 1 simulators (the walker and one per
-    # interval); the warmup checkpoint is its only capture_state, and the
-    # intervals take the walker's state by buffer copy, never through
-    # restore_state.
+    # A K-interval chain is one engine unit that builds K + 1 simulators
+    # (the walker and one per interval); the warmup checkpoint is its only
+    # capture_state, and the intervals take the walker's state by buffer
+    # copy, never through restore_state.  Compiled, the walker makes K + 1
+    # walk-kernel calls: the warmup and one fast-forward per interval.
     _mode(monkeypatch, compiled)
     calls = {"capture_state": 0, "restore_state": 0, "Simulator": 0}
 
@@ -541,12 +542,15 @@ def test_chain_captures_only_its_warmup_checkpoint(monkeypatch, compiled):
     k = 3
     config = udp_config(2_000).replace(functional_warmup_blocks=800)
     stats = BatchStats()
+    before = cc.kernel_call_counts().get("functional_walk", 0)
     run_batch(
         [spec_for("mediawiki", config.with_sampling(k, 200, 100), 1, "udp")],
         jobs=1, no_cache=True, progress=stats,
     )
-    assert (stats.checkpoint_creates, stats.intervals) == (1, k)
+    walks = cc.kernel_call_counts().get("functional_walk", 0) - before
+    assert (stats.runs, stats.checkpoint_creates, stats.intervals) == (1, 1, k)
     assert calls == {"capture_state": 1, "restore_state": 0, "Simulator": k + 1}
+    assert walks == (k + 1 if compiled else 0)
 
 
 def test_a_sampled_sw_profile_spec_profiles_once(monkeypatch):

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.workloads import micro
+from repro.workloads.oracle import OracleCursor
 from repro.workloads.program import BranchKind
-from repro.workloads.trace import OracleCursor
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 """Phase-shifting workloads."""
 
+from repro.workloads.oracle import OracleCursor
 from repro.workloads.phases import make_phased_program, phase_summary
 from repro.workloads.profiles import get_profile
 from repro.workloads.program import BranchKind
-from repro.workloads.trace import OracleCursor
 from repro.workloads.synth import synthesize
 
 

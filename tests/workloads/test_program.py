@@ -4,7 +4,8 @@ import pytest
 
 from repro.common.errors import ProgramError
 from repro.workloads.behavior import AlwaysTaken, BiasedBehavior
-from repro.workloads.program import BasicBlock, Branch, BranchKind, Program
+from repro.workloads.blocks import BasicBlock, Branch
+from repro.workloads.program import BranchKind, Program
 
 
 def _block(addr, n, branch=None, ops=b""):

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.workloads.oracle import run_trace, trace_statistics
 from repro.workloads.profiles import SUITE, get_profile
 from repro.workloads.program import BranchKind
 from repro.workloads.synth import footprint_report, synthesize
-from repro.workloads.trace import run_trace, trace_statistics
 
 
 @pytest.fixture(scope="module")

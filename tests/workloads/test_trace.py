@@ -4,8 +4,8 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.workloads import micro
+from repro.workloads.oracle import OracleCursor, run_trace, trace_statistics
 from repro.workloads.program import BranchKind
-from repro.workloads.trace import OracleCursor, run_trace, trace_statistics
 
 
 def test_straight_loop_repeats_one_block():

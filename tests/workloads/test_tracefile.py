@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro.workloads import micro
+from repro.workloads.oracle import run_trace
 from repro.workloads.tracefile import (
     read_trace,
     record_trace,
     trace_branch_mix,
     trace_working_set_curve,
 )
-from repro.workloads.trace import run_trace
 
 
 def test_round_trip(tmp_path):
