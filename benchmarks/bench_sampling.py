@@ -4,24 +4,21 @@
 This measures what SMARTS-style interval sampling (``SimConfig.sampling``,
 executed by :mod:`repro.sim.engine`) buys on single long runs, and what it
 costs in IPC accuracy.  For each row (workload x preset x sampling shape),
-three timings of the same region are taken with the result cache disabled:
+two timings of the same region are taken with the result cache disabled,
+each in a process whose program memo is cleared (the program comes from
+the on-disk store, as in a fresh process):
 
-* **full** — one plain full-fidelity run (the accuracy reference; its
-  functional-warmup checkpoint is left behind, as in real usage);
-* **sampled cold** — the first sampled run: one walker restores that
-  warmup checkpoint, fast-forwards from interval to interval and hands
-  its state in memory to a fresh simulator per interval;
-* **sampled warm** — a re-run against the same store with the program and
-  blob memos cleared.  The warmup checkpoint is the only one a sampled run
-  keeps, so the re-run does the cold run's work again: restore the warmup,
-  then walk every fast-forward.
+* **full** — one plain full-fidelity run (the accuracy reference);
+* **sampled cold** — the sampled run: one walker walks the warmup,
+  fast-forwards from interval to interval and hands its state in memory
+  to a fresh simulator per interval.  A sampled run stores nothing, so a
+  re-run repeats exactly this work.
 
 Each mode is timed over ``--reps`` repetitions (3 by default; a CI smoke
-may pass fewer).  Every repetition starts from an empty checkpoint store,
-so each does the same work; the row records every time with its median
-and range, and the speedups are ratios of medians (a single timing of a
-sub-second run read the same tree's cold speedup anywhere from 1.04x to
-1.44x).
+may pass fewer), each doing the same work; the row records every time
+with its median and range, and the speedup is a ratio of medians (a
+single timing of a sub-second run read the same tree's speedup anywhere
+from 1.04x to 1.44x).
 
 Alongside the timings, each row reports the relative IPC error of the
 merged sampled result against the full run (the fast-forward warms the
@@ -114,11 +111,8 @@ def _fresh_store_root() -> str:
 
 
 def _reset_process_state() -> None:
-    """Make the next run pay program synthesis again, like a new process."""
-    from repro.sim import checkpoint as ckpt
-
+    """Make the next run load its program again, like a new process."""
     program_store.clear_memo()
-    ckpt._BLOB_MEMO.clear()
 
 
 def _timed(spec, jobs: int):
@@ -178,39 +172,26 @@ def bench_row(row: Row, seed: int, jobs: int, reps: int) -> dict:
     full_spec = spec_for(row.workload, config, seed, "full")
     sampled_spec = spec_for(row.workload, sampled_config, seed, "sampled")
 
-    from repro.sim import checkpoint as ckpt
-
-    times: dict[str, list[float]] = {"full": [], "sampled_cold": [], "sampled_warm": []}
+    times: dict[str, list[float]] = {"full": [], "sampled_cold": []}
     root = _fresh_store_root()
     try:
         _reset_process_state()
         _identity_gate(row, seed, jobs)
 
         for _ in range(reps):
-            # Every rep creates the warmup checkpoint again: the program
-            # store stays, the checkpoint store starts empty.
-            ckpt.CheckpointStore().clear()
             _reset_process_state()
             full, t_full, _ = _timed(full_spec, jobs)
 
             _reset_process_state()
             cold, t_cold, cold_stats = _timed(sampled_spec, jobs)
-
-            _reset_process_state()  # warm disk, cold process: the honest case
-            warm, t_warm, warm_stats = _timed(sampled_spec, jobs)
-            if warm.counters != cold.counters:
-                raise SystemExit(
-                    f"{row.workload}/{row.preset}: warm sampled run diverged "
-                    "from cold — checkpoint-path bug"
-                )
-            for mode, seconds in zip(times, (t_full, t_cold, t_warm)):
+            for mode, seconds in zip(times, (t_full, t_cold)):
                 times[mode].append(seconds)
     finally:
         shutil.rmtree(root, ignore_errors=True)
         os.environ.pop("REPRO_CACHE_DIR", None)
 
     timings = {mode: _summary(seconds) for mode, seconds in times.items()}
-    t_full, t_cold, t_warm = (timings[mode]["median"] for mode in times)
+    t_full, t_cold = (timings[mode]["median"] for mode in times)
 
     def rel_error(result):
         return abs(result.ipc - full.ipc) / full.ipc if full.ipc else 0.0
@@ -234,15 +215,10 @@ def bench_row(row: Row, seed: int, jobs: int, reps: int) -> dict:
         # Medians over the reps; every timing is under "timings".
         "full_seconds": t_full,
         "sampled_cold_seconds": t_cold,
-        "sampled_warm_seconds": t_warm,
         "speedup_cold": round(t_full / t_cold, 2),
-        "speedup_warm": round(t_full / t_warm, 2),
         "timings": timings,
         "identity_ok": True,  # enforced above; divergence aborts
-        "batch_stats": {
-            "sampled_cold": cold_stats.summary(),
-            "sampled_warm": warm_stats.summary(),
-        },
+        "batch_stats": {"sampled_cold": cold_stats.summary()},
     }
 
 
@@ -273,15 +249,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  medians of {args.reps}: full {result['full_seconds']:.2f}s | "
               f"cold {result['sampled_cold_seconds']:.2f}s "
               f"({result['speedup_cold']:.1f}x) | "
-              f"warm {result['sampled_warm_seconds']:.2f}s "
-              f"({result['speedup_warm']:.1f}x) | "
               f"IPC err {result['ipc_rel_error']:.2%} "
               f"(CI95 {result['ipc_relative_ci95']:.2%})")
 
     gate = [
         f"{r['workload']}/{r['preset']}"
         for r in rows
-        if r["speedup_warm"] >= 5.0 and r["ipc_rel_error"] <= r["max_error"]
+        if r["speedup_cold"] >= 5.0 and r["ipc_rel_error"] <= r["max_error"]
     ]
     print(f"\nrows meeting the >=5x / per-row max_error gate: "
           f"{', '.join(gate) or 'none'}")

@@ -51,8 +51,9 @@ def workloads(default: list[str]) -> list[str]:
 def _env_knobs() -> tuple[str, ...]:
     # Every env toggle that can change what a shared computation produces
     # must key the memo: the scaling knobs select the run set, and the
-    # mode gates (compiled kernels, checkpoint reuse) change
-    # wall-clock-derived fields that benchmark rows embed.  The engine's
+    # mode gates (compiled kernels; REPRO_NO_CHECKPOINT, the program
+    # store's disk layer) change wall-clock-derived fields that benchmark
+    # rows embed.  The engine's
     # disk cache keys runs by config content; this tuple guards only the
     # in-process memo.
     return (

@@ -10,7 +10,7 @@ Usage (after ``pip install -e .``)::
     python -m repro profile -w verilator -c miss-heavy -n 50000
     python -m repro trace -w mysql --blocks 3000 -o mysql.trace.jsonl
     python -m repro cache info
-    python -m repro cache clear --class checkpoints
+    python -m repro cache clear --class programs
     python -m repro bless-golden
 
 Simulation-running commands accept engine knobs: ``--jobs N`` (worker
@@ -203,10 +203,8 @@ def _install_engine_options(args) -> engine.BatchStats:
                 source = "cache hit"
             else:
                 source = f"{event.seconds:.2f}s"
-                if event.checkpoint == "restored":
-                    source += f", warmup restored in {event.warmup_seconds:.2f}s"
-                elif event.checkpoint == "created":
-                    source += f", warmup checkpointed ({event.warmup_seconds:.2f}s)"
+                if event.warmup_seconds:
+                    source += f", warmup walked in {event.warmup_seconds:.3f}s"
                 if event.intervals:
                     source += f", {event.intervals} intervals"
             print(
@@ -493,7 +491,7 @@ def cmd_report(args) -> int:
     return 0
 
 
-_CACHE_CLASSES = ("results", "programs", "checkpoints")
+_CACHE_CLASSES = engine.CACHE_CLASSES
 
 
 def _human_size(num_bytes: int) -> str:
@@ -512,7 +510,7 @@ def _parse_cache_classes(value: str) -> tuple[str, ...]:
     """Validate a comma-separated ``--class`` value (``all`` = every class).
 
     Raises ``ValueError`` naming both the offender and the accepted names,
-    so a typo like ``checkpoint`` gets a correction, not a stack trace.
+    so a typo like ``program`` gets a correction, not a stack trace.
     """
     names = [name.strip() for name in value.split(",") if name.strip()]
     if not names:
@@ -537,15 +535,12 @@ def cmd_cache(args) -> int:
     cache = engine.default_cache()
     if args.action == "info":
         info = cache.info()
-        total = info.size_bytes + info.program_bytes + info.checkpoint_bytes
+        total = info.size_bytes + info.program_bytes
         print(f"cache directory : {info.root}")
         print(f"results         : {info.entries} entries, "
               f"{_human_size(info.size_bytes)} ({info.size_bytes} bytes)")
         print(f"programs        : {info.programs} entries, "
               f"{_human_size(info.program_bytes)} ({info.program_bytes} bytes)")
-        print(f"checkpoints     : {info.checkpoints} entries, "
-              f"{_human_size(info.checkpoint_bytes)} "
-              f"({info.checkpoint_bytes} bytes)")
         print(f"total size      : {_human_size(total)} ({total} bytes)")
         print(f"key fingerprint : {engine.package_fingerprint()}")
         return 0
@@ -653,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--class", dest="artifact_class", default="all",
         help="comma-separated artifact classes to clear: "
-             "results, programs, checkpoints, or all (default: all)",
+             "results, programs, or all (default: all)",
     )
     cache.set_defaults(fn=cmd_cache)
 

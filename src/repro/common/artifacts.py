@@ -1,16 +1,14 @@
 """Shared plumbing for the on-disk artifact stores.
 
-Three content-addressed artifact classes live under one cache root
+Two content-addressed artifact classes live under one cache root
 (``REPRO_CACHE_DIR``, default ``~/.cache/repro``):
 
 * **results** — serialized ``SimResult`` objects
   (:class:`repro.sim.engine.ResultCache`, ``<root>/<k>/<key>.json``),
 * **programs** — synthetic programs' pickled flat columns
-  (:class:`repro.workloads.store.ProgramStore`, ``<root>/programs/...``),
-* **checkpoints** — functional-warmup state snapshots
-  (:class:`repro.sim.checkpoint.CheckpointStore`, ``<root>/checkpoints/...``).
+  (:class:`repro.workloads.store.ProgramStore`, ``<root>/programs/...``).
 
-This module holds what all three share: the root resolution, the package
+This module holds what both share: the root resolution, the package
 fingerprint that enters every key, canonical JSON key hashing, atomic
 writes, and directory statistics.  It lives in ``repro.common`` because the
 stores span layers (workloads and sim) that must not import each other.
@@ -18,9 +16,10 @@ So does :func:`requested_faults`, the guard through which the stores and
 the engine reach the fault injector (:mod:`repro.common.faults`), which
 loads only when ``REPRO_FAULT`` is set.
 
-``REPRO_NO_CHECKPOINT=1`` disables the two *reuse* layers (programs and
-checkpoints) — simulations then rebuild and re-warm from scratch exactly as
-if the stores did not exist.  The result cache has its own independent
+``REPRO_NO_CHECKPOINT=1`` disables the program store's disk layer —
+every process then synthesizes its programs from scratch, exactly as if
+the store did not exist (the name dates from the stored warmup
+checkpoints, which are gone).  The result cache has its own independent
 switch (``REPRO_NO_CACHE``).
 """
 
@@ -58,7 +57,7 @@ def cache_root() -> Path:
 
 
 def reuse_disabled() -> bool:
-    """True when ``REPRO_NO_CHECKPOINT`` disables program/checkpoint reuse."""
+    """True when ``REPRO_NO_CHECKPOINT`` disables the on-disk program store."""
     return env_truthy(NO_CHECKPOINT_ENV)
 
 

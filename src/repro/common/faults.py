@@ -11,21 +11,19 @@ only when the variable is set:
     REPRO_FAULT=hang:<unit>[:N]                # stall inside the unit (SIGALRM-interruptible)
     REPRO_FAULT=hang-hard:<unit>[:N]           # stall with SIGALRM blocked (backstop test)
     REPRO_FAULT=raise:<unit>[:N]               # raise FaultInjected from the unit
-    REPRO_FAULT=corrupt-checkpoint:<key>[:N]   # serve garbage for checkpoint keys with this prefix
     REPRO_FAULT=corrupt-program:<workload>[:N] # treat the stored program pickle as corrupt
 
 Multiple directives are comma-separated.  A *unit token* matches a batch
 work unit by spec label (``kill:udp``), ``workload/label``
 (``kill:gcc/udp``), or — for sampled specs — ``label#interval``
-(``raise:udp#3``).  ``corrupt-checkpoint`` matches checkpoint keys by
-prefix, so tests can pass the first few hex digits of a key.
+(``raise:udp#3``).
 
 ``kill``, ``hang``, and ``hang-hard`` are honored **only inside pool
 worker processes** (:func:`mark_worker` is installed as the pool
 initializer); firing them in the batch parent would take down the whole
-run, which is never what a fault test wants.  ``raise`` and the
-``corrupt-*`` directives fire in any process, so the serial execution
-path is testable too.
+run, which is never what a fault test wants.  ``raise`` and
+``corrupt-program`` fire in any process, so the serial execution path is
+testable too.
 
 The optional ``:N`` suffix caps how many times a directive fires
 *globally across all processes*: each firing atomically claims a marker
@@ -55,7 +53,6 @@ _KINDS = (
     "hang",
     "hang-hard",
     "raise",
-    "corrupt-checkpoint",
     "corrupt-program",
 )
 
@@ -218,24 +215,15 @@ def fire_unit_faults(tokens: list[str]) -> None:
 
 
 def corrupt_artifact(kind: str, token: str) -> bool:
-    """True when a ``corrupt-*`` directive claims this artifact read.
+    """True when a ``kind`` directive (``"corrupt-program"``) whose token
+    is ``token`` (the workload name) claims this artifact read.
 
-    ``kind`` is ``"corrupt-checkpoint"`` (token matched by key prefix) or
-    ``"corrupt-program"`` (token matched exactly against the workload
-    name).  The artifact stores call this after a successful read and
-    substitute garbage bytes on a hit, driving their corrupt-blob
-    fallback paths end-to-end.
+    The program store calls this after a successful read and substitutes
+    garbage bytes on a hit, driving its corrupt-blob fallback end-to-end.
     """
     if not active():
         return False
     for directive in parse_faults():
-        if directive.kind != kind:
-            continue
-        if kind == "corrupt-checkpoint":
-            if not token.startswith(directive.token):
-                continue
-        elif directive.token != token:
-            continue
-        if _claim(directive):
+        if directive.kind == kind and directive.token == token and _claim(directive):
             return True
     return False

@@ -38,8 +38,8 @@ class FrontendHooks:
 
     ``btb_fill``/``btb_contains`` are only non-``None`` for techniques that
     registered ``hooks_btb``.  Both BTB callables late-bind through the BPU
-    facade, so they stay valid across a warmup-checkpoint restore (which
-    swaps the BTB object wholesale).
+    facade, so they stay valid however warmed state is loaded into the
+    BTB (a snapshot restore or a sampled interval's hand-off).
     """
 
     program: "Program"

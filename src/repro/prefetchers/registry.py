@@ -4,7 +4,7 @@ Every technique the simulator can run is a :class:`Technique` record:
 
 * ``name`` — the ``TechniqueConfig.kind`` string selecting it,
 * ``params_cls`` — a *frozen* dataclass of per-technique knobs (frozen so
-  ``SimConfig`` stays hashable and engine cache / checkpoint keys work),
+  ``SimConfig`` stays hashable and the engine's cache keys work),
 * ``build(params, program, hooks)`` — a factory returning the technique's
   :class:`~repro.prefetchers.base.InstructionPrefetcher` (or ``None`` for
   techniques with no stand-alone prefetcher, like plain FDIP),

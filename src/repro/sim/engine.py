@@ -16,41 +16,32 @@ tuples.  This module is the single entry point that executes such sweeps:
   ``run_batch(..., no_cache=True)``).  Writes are atomic; a corrupted cache
   file is treated as a miss, never a crash.
 * :class:`RunEvent` / :class:`BatchStats` — per-run progress and timing
-  callbacks (runs completed, cache hits, warmup reuse, wall-clock per run)
-  surfaced by the CLI.
+  callbacks (runs completed, cache hits, program source, warmup walk time,
+  wall-clock per run) surfaced by the CLI.
 
-Two sweep-level reuse layers sit below the result cache (both disabled by
-``REPRO_NO_CHECKPOINT=1``, both byte-identical to the from-scratch path):
-
-* the **program store** (:mod:`repro.workloads.store`) — each distinct
-  (workload, seed) program is synthesized once per batch in the parent and
-  hydrated by workers from ``<cache_root>/programs/``;
-* **functional-warmup checkpointing** (:mod:`repro.sim.checkpoint`) —
-  specs are grouped by :func:`~repro.sim.checkpoint.checkpoint_key` (the
-  program digest, the seed, and the warmup-affecting config subset, so an
-  FTQ-depth sweep shares one key); a run that finds its key's checkpoint
-  restores it instead of re-walking the warmup, and one that misses walks
-  and stores it.  The serial path runs units in order, so the first run of
-  a group creates and the rest restore; on the pool path units that start
-  before their key's checkpoint lands each walk the warmup (a compiled
-  walk costs about what a restore does) and write the same blob.
+Below the result cache sits the **program store**
+(:mod:`repro.workloads.store`): each distinct (workload, seed) program is
+synthesized once per batch in the parent and hydrated by workers from
+``<cache_root>/programs/`` (``REPRO_NO_CHECKPOINT=1`` turns its disk layer
+off, byte-identically).  Every simulator then walks its own functional
+warmup, which :func:`_execute` times once per spec; in C the walk costs
+about what restoring a stored copy of its state would (docs/performance.md,
+"Warmup"), so no warmup state is stored.
 
 A spec whose config enables **interval sampling** (``SimConfig.sampling``,
 see :mod:`repro.sim.sampling`) is one work unit too, run as a chain: one
-walker simulator restores or creates the warmup checkpoint, fast-forwards
-to each interval in turn, and hands its functional state over in memory to
-a fresh simulator per interval, which simulates the measured slice.  The
-engine merges the per-interval counters into a single :class:`SimResult`
-(with a ``sampling`` block carrying the per-interval IPCs and the CI of the
-merged IPC).
-Only the warmup is checkpointed; the retry budget and
-``REPRO_UNIT_TIMEOUT`` cover the whole chain.
+walker simulator walks the warmup, fast-forwards to each interval in turn,
+and hands its functional state over in memory to a fresh simulator per
+interval, which simulates the measured slice.  The engine merges the
+per-interval counters into a single :class:`SimResult` (with a
+``sampling`` block carrying the per-interval IPCs and the CI of the merged
+IPC).  The retry budget and ``REPRO_UNIT_TIMEOUT`` cover the whole chain.
 
 There is no other way to run a batch: the figure drivers, the CLI, the
 analysis helpers, the benchmark harness and the examples all build a spec
-grid and call :func:`run_batch`, so every run goes through all three
-layers.  :func:`_resolve_spec` is the one place that turns a (workload,
-config, seed) into a program and an effective config;
+grid and call :func:`run_batch`, so every run goes through both layers.
+:func:`_resolve_spec` is the one place that turns a (workload, config,
+seed) into a program and an effective config;
 :func:`repro.sim.profile.build_simulator` reuses it for runs that bypass
 the engine.
 
@@ -71,7 +62,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.common.artifacts import (
     CACHE_DIR_ENV,
@@ -84,19 +75,16 @@ from repro.common.artifacts import (
     package_fingerprint,
     read_bytes_or_none,
     requested_faults,
+    reuse_disabled,
     shard_path,
 )
 from repro.common.config import SimConfig
 from repro.common.errors import ReproError
-from repro.sim import checkpoint as ckpt
 from repro.sim.metrics import SimResult
 from repro.workloads import store as program_store
 from repro.workloads.profiles import WorkloadProfile, get_profile
 from repro.workloads.program import Program
 from repro.workloads.store import ProgramStore, get_program
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.simulator import Simulator
 
 JOBS_ENV = "REPRO_JOBS"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
@@ -113,7 +101,8 @@ FAILURE_POLICIES = ("raise", "fail-fast", "keep-going")
 # cache keys — bumped so pre-redesign entries can never alias.
 _CACHE_SCHEMA = 2
 
-_RESULT_CLASSES = ("results", "programs", "checkpoints")
+# The artifact classes ``ResultCache.clear`` (and ``repro cache``) select.
+CACHE_CLASSES = ("results", "programs")
 
 
 # ---------------------------------------------------------------------------
@@ -163,30 +152,14 @@ def spec_for(
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_key_for(spec: RunSpec) -> str | None:
-    """The warmup checkpoint key of a spec, or ``None`` when not keyable.
-
-    Explicit-program specs have no content digest, a zero-block warmup has
-    no state worth caching, and ``REPRO_NO_CHECKPOINT`` disables the layer.
-    """
-    if (
-        not spec.cacheable
-        or spec.config.functional_warmup_blocks <= 0
-        or not ckpt.checkpointing_enabled()
-    ):
-        return None
-    program_key = program_store.program_key(spec.workload, spec.seed)
-    return ckpt.checkpoint_key(program_key, spec.seed, spec.config)
-
-
 def _resolve_spec(spec: RunSpec):
     """Resolve ``(program, effective config, data profile, program source)``.
 
     Profiles may pin workload-intrinsic core parameters (a property of the
     code, not of the technique under test); they are applied on top of the
     spec's config so every technique sees the same workload behaviour.  The
-    checkpoint-key helpers keep using ``spec.config`` — the overlay never
-    touches warmup- or sampling-relevant fields.
+    overlay never touches warmup- or sampling-relevant fields, so a sampled
+    spec still plans its intervals from ``spec.config``.
     """
     if spec.program is not None:
         return spec.program, spec.config, None, "inline"
@@ -201,71 +174,28 @@ def _resolve_spec(spec: RunSpec):
     return program, config, prof.data, source
 
 
-def _warmed_simulator(
-    spec: RunSpec, program, config: SimConfig, data_profile, meta: dict
-) -> Simulator:
-    """A simulator for ``spec`` past its functional warmup, when keyable.
+def _execute(spec: RunSpec) -> tuple[SimResult, float, dict]:
+    """Simulate one spec; returns (result, wall seconds, execution metadata).
 
-    Restores the spec's warmup checkpoint, or walks the warmup and stores
-    it under its key (a corrupt or stale snapshot counts as a miss and is
-    overwritten).  Specs with no checkpoint key — an explicit program, a
-    zero-block warmup, ``REPRO_NO_CHECKPOINT`` — get a pristine simulator
-    that warms itself when it runs.  Records ``checkpoint`` and
-    ``warmup_seconds`` in ``meta``.
+    The metadata dict reports the pre-measurement work: ``program_source``
+    is ``"memo"``/``"disk"``/``"built"``/``"inline"``, ``warmup_seconds`` is
+    the wall-clock of the functional warmup walk — for a sampled spec also
+    its fast-forwards and hand-offs — (contained in the total ``seconds``),
+    and ``intervals`` counts the sampling intervals merged into the result
+    (0: full run).
     """
     # Imported at the first simulation, not with the engine: a batch served
     # from the result cache never loads the simulator.
     from repro.sim.simulator import Simulator
 
-    simulator = Simulator(program, config, data_profile=data_profile)
-    if spec.program is not None:
-        return simulator
-    if not ckpt.checkpointing_enabled():
-        meta["checkpoint"] = "off"
-        return simulator
-    key = _checkpoint_key_for(spec)
-    if key is None:
-        return simulator
-    warmup_started = time.perf_counter()
-    store = ckpt.CheckpointStore()
-    blob = store.get(key)
-    if blob is not None:
-        try:
-            ckpt.restore_warmup(simulator, blob)
-            meta["checkpoint"] = "restored"
-        except ckpt.CheckpointError:
-            # Corrupt/stale snapshot: rebuild from scratch on a pristine
-            # simulator and overwrite the bad entry.
-            blob = None
-            simulator = Simulator(program, config, data_profile=data_profile)
-    if blob is None:
-        simulator.functional_warmup(spec.config.functional_warmup_blocks)
-        store.put(key, ckpt.capture_warmup(simulator))
-        meta["checkpoint"] = "created"
-    meta["warmup_seconds"] += time.perf_counter() - warmup_started
-    return simulator
-
-
-def _execute(spec: RunSpec) -> tuple[SimResult, float, dict]:
-    """Simulate one spec; returns (result, wall seconds, execution metadata).
-
-    The metadata dict reports where the pre-measurement work came from:
-    ``program_source`` is ``"memo"``/``"disk"``/``"built"``/``"inline"``,
-    ``checkpoint`` is ``"restored"``/``"created"``/``"off"``/``"none"``,
-    ``warmup_seconds`` is the wall-clock spent restoring or re-creating the
-    functional warmup — for a sampled spec also its fast-forwards and
-    hand-offs — (contained in the total ``seconds``), and ``intervals``
-    counts the sampling intervals merged into the result (0: full run).
-    """
     started = time.perf_counter()
-    meta = {
-        "program_source": "inline",
-        "checkpoint": "none",
-        "warmup_seconds": 0.0,
-        "intervals": 0,
-    }
+    meta = {"program_source": "inline", "warmup_seconds": 0.0, "intervals": 0}
     program, config, data_profile, meta["program_source"] = _resolve_spec(spec)
-    simulator = _warmed_simulator(spec, program, config, data_profile, meta)
+    simulator = Simulator(program, config, data_profile=data_profile)
+    if config.functional_warmup_blocks > 0:
+        walk_started = time.perf_counter()
+        simulator.functional_warmup(config.functional_warmup_blocks)
+        meta["warmup_seconds"] = time.perf_counter() - walk_started
     if spec.config.sampling.enabled:
         from repro.sim import sampling  # only sampled specs load it
 
@@ -490,7 +420,7 @@ class CacheInfo:
     """Summary of the on-disk artifact store (``repro cache info``).
 
     ``entries``/``size_bytes`` count cached *results* (the original artifact
-    class); programs and checkpoints are reported separately.
+    class); programs are reported separately.
     """
 
     root: str
@@ -498,8 +428,6 @@ class CacheInfo:
     size_bytes: int
     programs: int = 0
     program_bytes: int = 0
-    checkpoints: int = 0
-    checkpoint_bytes: int = 0
 
 
 class ResultCache:
@@ -512,9 +440,8 @@ class ResultCache:
     and swallows filesystem errors; ``get`` treats any unreadable or
     malformed file as a miss.
 
-    The same root also shelters the other artifact classes (``programs/``
-    and ``checkpoints/`` subtrees); :meth:`info` and :meth:`clear` can
-    report and purge them per class.
+    The same root also shelters the program store (the ``programs/``
+    subtree); :meth:`info` and :meth:`clear` report and purge each class.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -577,31 +504,25 @@ class ResultCache:
     def _program_store(self) -> ProgramStore:
         return ProgramStore(self.root / "programs")
 
-    def _checkpoint_store(self) -> ckpt.CheckpointStore:
-        return ckpt.CheckpointStore(self.root / "checkpoints")
-
     def info(self) -> CacheInfo:
         entries, size = dir_stats(self.root, "*/*.json")
         programs, program_bytes = self._program_store().stats()
-        checkpoints, checkpoint_bytes = self._checkpoint_store().stats()
         return CacheInfo(
             root=str(self.root),
             entries=entries,
             size_bytes=size,
             programs=programs,
             program_bytes=program_bytes,
-            checkpoints=checkpoints,
-            checkpoint_bytes=checkpoint_bytes,
         )
 
     def clear(self, classes: Iterable[str] | None = None) -> int:
         """Delete cached artifacts; returns the number of files removed.
 
-        ``classes`` selects among ``"results"``, ``"programs"``, and
-        ``"checkpoints"`` (default: results only, the historical behaviour).
+        ``classes`` selects among :data:`CACHE_CLASSES` (default: results
+        only).
         """
         selected = tuple(classes) if classes is not None else ("results",)
-        unknown = set(selected) - set(_RESULT_CLASSES)
+        unknown = set(selected) - set(CACHE_CLASSES)
         if unknown:
             raise ValueError(f"unknown cache classes: {sorted(unknown)}")
         removed = 0
@@ -609,8 +530,6 @@ class ResultCache:
             removed += clear_dir(self.root, "*/*.json")
         if "programs" in selected:
             removed += self._program_store().clear()
-        if "checkpoints" in selected:
-            removed += self._checkpoint_store().clear()
         return removed
 
 
@@ -649,11 +568,10 @@ class RunEvent:
     seconds: float  # wall-clock for this run (lookup time on a hit)
     completed: int  # specs finished (succeeded or failed) so far
     total: int
-    # Pre-measurement reuse (defaults describe a cache hit / legacy event):
-    checkpoint: str = "none"  # "restored" | "created" | "off" | "none"
+    # Pre-measurement work (the defaults describe a cache hit):
     program_source: str = "inline"  # "memo" | "disk" | "built" | "inline"
-    # Restoring or re-creating the warmup; for a sampled spec also the
-    # walker's fast-forwards and its per-interval hand-offs.
+    # The functional warmup walk; for a sampled spec also the walker's
+    # fast-forwards and its per-interval hand-offs.
     warmup_seconds: float = 0.0
     intervals: int = 0  # sampling intervals merged into this result (0 = full)
     # Failure reporting (None/defaults on success):
@@ -683,11 +601,11 @@ class BatchStats:
 
     ``simulated`` counts actual simulator invocations — a warm-cache rerun
     of a batch finishes with ``simulated == 0`` and ``cache_hits == runs``.
-    ``checkpoint_restores``/``checkpoint_creates`` count warmup reuse among
-    the simulated runs, and ``warmup_seconds`` is the wall-clock those runs
-    spent inside the warmup phase (restored or re-created).  Failed specs
-    are counted (``failed``) and kept (``failures``, one event per spec),
-    and ``retried`` totals the extra attempts the batch spent on recovery.
+    ``warmup_seconds`` is the wall-clock the simulated runs spent walking
+    their functional warmups (see :attr:`RunEvent.warmup_seconds`).
+    Failed specs are counted (``failed``) and kept (``failures``, one event
+    per spec), and ``retried`` totals the extra attempts the batch spent on
+    recovery.
     """
 
     def __init__(self) -> None:
@@ -695,8 +613,6 @@ class BatchStats:
         self.cache_hits = 0
         self.simulated = 0
         self.sim_seconds = 0.0
-        self.checkpoint_restores = 0
-        self.checkpoint_creates = 0
         self.warmup_seconds = 0.0
         self.intervals = 0
         self.failed = 0
@@ -716,21 +632,12 @@ class BatchStats:
             self.sim_seconds += event.seconds
             self.warmup_seconds += event.warmup_seconds
             self.intervals += event.intervals
-            if event.checkpoint == "restored":
-                self.checkpoint_restores += 1
-            elif event.checkpoint == "created":
-                self.checkpoint_creates += 1
 
     def summary(self) -> str:
         text = (
             f"{self.runs} runs: {self.simulated} simulated "
             f"({self.sim_seconds:.2f}s), {self.cache_hits} cache hits"
         )
-        if self.checkpoint_restores or self.checkpoint_creates:
-            text += (
-                f", {self.checkpoint_restores} warmups restored "
-                f"({self.checkpoint_creates} created)"
-            )
         if self.intervals:
             text += f", {self.intervals} sampled intervals"
         if self.retried:
@@ -793,10 +700,8 @@ def run_batch(
     is one work unit, a sampled one included (its intervals run as one
     chain inside the unit, see :func:`repro.sim.sampling.run_sampled`).
     Before the pool spawns, each distinct (workload, seed) program is
-    materialized once in this process.  Units are submitted as they come: one that finds its
-    warmup checkpoint restores it, and one that misses walks the warmup and
-    writes it, so pooled units sharing a missing key may each write it.
-    Completion order never affects the returned order.
+    materialized once in this process, and every unit walks its own
+    warmup.  Completion order never affects the returned order.
 
     **Failure handling** (identical semantics on the serial and pool
     paths): each work unit (one spec) gets ``1 + retries`` executions
@@ -901,7 +806,6 @@ def run_batch(
                     seconds=seconds,
                     completed=completed,
                     total=total,
-                    checkpoint=meta.get("checkpoint", "none"),
                     program_source=source,
                     warmup_seconds=meta.get("warmup_seconds", 0.0),
                     intervals=meta.get("intervals", 0),
@@ -955,7 +859,7 @@ def run_batch(
             return "timeout", str(exc), interval
         return "error", f"{type(exc).__name__}: {exc}", interval
 
-    if pending and ckpt.checkpointing_enabled():
+    if pending and not reuse_disabled():
         # Build every distinct program once in the parent: forked workers
         # inherit the memo, spawned ones hydrate the on-disk pickle.
         for workload, seed in sorted(
@@ -973,8 +877,6 @@ def run_batch(
     # identical serial and pooled.
     workers = min(resolve_jobs(jobs), len(pending)) if pending else 0
     if workers <= 1:
-        # Units run in order, so the first unit of each checkpoint group
-        # creates the snapshot and later ones restore it.
         for index in pending:
             attempts = 0
             while True:

@@ -11,8 +11,7 @@ behaviour change is intentional::
 The run parameters here and in the test module must agree — the test
 imports them from this module, so editing them in one place keeps both in
 sync.  Blessing always simulates from scratch: each run builds its
-simulator directly (``build_simulator``), which never reads a warmup
-checkpoint, so the fixture never inherits state from a stale snapshot
+simulator directly (``build_simulator``) and walks its own warmup
 (programs may come from the store, which is equivalence-tested).
 """
 

@@ -7,9 +7,8 @@ imports this module (and, through it, ``multiprocessing``); a serial batch
 runs its units in-process and never loads it.  Workers run
 :func:`repro.sim.engine._run_unit`, which the pool pickles by reference, so
 both paths share one unit entry point.  Every unit is submitted as it
-comes: units that share a missing warmup checkpoint may each walk the
-warmup and write the same blob (an atomic replace); a compiled walk costs
-about what a restore does.
+comes and walks its own warmup, so units share nothing but the programs
+the parent materialized.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ def run_pool(
 
     * **Retry with backoff** — a unit that raises is rescheduled until its
       ``1 + retries`` attempt budget is spent, then recorded as a permanent
-      failure; the units that share its checkpoint key run regardless.
+      failure; the units that share its program run regardless.
     * **Broken-pool recovery** — a dying worker breaks the whole
       executor, failing *every* in-flight future.  The supervisor
       rebuilds the pool and re-runs the affected units one at a time

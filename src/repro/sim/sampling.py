@@ -11,7 +11,7 @@ fast-forwarded at oracle-walk speed
 a sampled spec as one work unit, a chain (:func:`run_sampled`): a single
 walker simulator keeps one functional warming pass going from interval to
 interval, as SMARTS does, and hands its state over in memory to a fresh
-simulator per interval; only the functional warmup is checkpointed.
+simulator per interval; nothing of the chain is stored.
 
 This module plans, runs and merges them, and only sampled specs load it:
 
@@ -244,9 +244,11 @@ def run_sampled(
 ) -> SimResult:
     """Run a sampled spec's intervals as one chain over ``walker``.
 
-    The walker fast-forwards (:meth:`~repro.sim.simulator.Simulator.fast_forward_to`)
-    to each interval's start in plan order and hands its functional state
-    over in memory (:func:`~repro.sim.checkpoint.handoff`, a copy of each
+    ``walker`` has walked its configuration's functional warmup
+    (:func:`engine._execute` timed it).  It fast-forwards
+    (:meth:`~repro.sim.simulator.Simulator.fast_forward_to`) to each
+    interval's start in plan order and hands its functional state over in
+    memory (:func:`~repro.sim.checkpoint.handoff`, a copy of each
     structure's buffers) to a fresh simulator, which runs the detailed
     warmup and the measured slice; the walker itself never runs a cycle.
     Chained fast-forwards land in exactly the state of one direct jump, so
@@ -257,12 +259,7 @@ def run_sampled(
     """
     from repro.sim.simulator import Simulator  # loaded with the walker
 
-    if not walker._warmed and config.functional_warmup_blocks > 0:
-        started = time.perf_counter()
-        walker.functional_warmup(config.functional_warmup_blocks)
-        meta["warmup_seconds"] += time.perf_counter() - started
-    # The warmup's true-path position survives in the checkpointed counters,
-    # so the absolute fast-forward targets are recoverable after a restore.
+    # Fast-forward targets are absolute: past the warmup's true-path walk.
     warmup_walked = walker.counters["warmup_instructions_functional"]
     outcomes = []
     for plan in plan_intervals(spec.config):
@@ -316,8 +313,8 @@ def run_adaptive(
     Runs the batch, then repeatedly re-runs (only) the sampled specs whose
     relative CI95 still exceeds ``sample_error`` with an escalated sampling
     shape.  Escalated re-runs go through the ordinary ``run_batch`` path,
-    so they share the result cache and checkpoint store with direct runs
-    of the same shapes.  Every surviving sampled result is annotated with
+    so they share the result cache and program store with direct runs of
+    the same shapes.  Every surviving sampled result is annotated with
     ``sampling["adaptive"]`` describing the loop's outcome for that spec;
     the annotation is applied after caching, so cache entries stay
     independent of the driver's target.

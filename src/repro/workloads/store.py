@@ -28,9 +28,11 @@ behaviour is a pure function of its fields and the seed), which
 fails a check is a miss (``tests/workloads/test_store.py``).
 
 ``REPRO_NO_CHECKPOINT=1`` bypasses the disk layer entirely (synthesis runs
-from scratch, as before this store existed); the in-process memo stays
-active either way, preserving the long-standing ``program_for`` identity
-guarantee within one process.
+from scratch, as before this store existed); it is the only layer the
+variable still turns off, its name dating from the stored warmup
+checkpoints, which are gone.  The in-process memo stays active either
+way, preserving the long-standing ``program_for`` identity guarantee
+within one process.
 """
 
 from __future__ import annotations

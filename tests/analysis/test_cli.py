@@ -195,14 +195,25 @@ def test_cache_info_human_readable(tmp_path, monkeypatch, capsys):
     assert "KiB" in out  # human-readable size ...
     assert "bytes)" in out  # ... next to the raw byte count
     assert "total size" in out
+    assert "checkpoints" not in out
+
+
+def test_progress_reports_the_warmup_walk(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    assert main([
+        "run", "-w", "mediawiki", "-c", "baseline", "-n", "2500", "--progress",
+    ]) == 0
+    err = capsys.readouterr().err
+    assert "mediawiki/baseline" in err and "warmup walked in" in err
 
 
 def test_cache_clear_rejects_unknown_class(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    assert main(["cache", "clear", "--class", "checkpoint"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown cache class 'checkpoint'" in err
-    assert "results, programs, checkpoints, all" in err
+    for name in ("program", "checkpoints"):
+        assert main(["cache", "clear", "--class", name]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown cache class '{name}'" in err
+        assert "results, programs, all" in err
 
 
 def test_cache_clear_accepts_comma_separated_classes(
@@ -211,9 +222,9 @@ def test_cache_clear_accepts_comma_separated_classes(
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     assert main(["run", "-w", "mediawiki", "-c", "baseline", "-n", "2500"]) == 0
     capsys.readouterr()
-    assert main(["cache", "clear", "--class", "results,checkpoints"]) == 0
+    assert main(["cache", "clear", "--class", "programs,results"]) == 0
     out = capsys.readouterr().out
-    assert "(results, checkpoints)" in out
+    assert "(results, programs)" in out
 
 
 def test_report_command(tmp_path, capsys):

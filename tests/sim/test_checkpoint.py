@@ -1,11 +1,12 @@
-"""Warmup checkpoint + program store equivalence: byte-identical or bust.
+"""Warmup state protocol + program store equivalence: byte-identical or bust.
 
 Style of ``tests/sim/test_fastforward.py``: for every preset, a simulator
 restored from a captured warmup snapshot must produce ``measured_counters()``
 equal to one that ran the functional warmup itself, and a simulator built
 from a pickled-and-rehydrated program must match one built from the
-original.  Plus the failure modes: corrupt blobs, mismatched configs, and
-the ``REPRO_NO_CHECKPOINT`` opt-out.
+original.  Plus the failure modes: corrupt, stale and out-of-range
+snapshots, mismatched configs, and the program store's
+``REPRO_NO_CHECKPOINT`` opt-out.
 """
 
 import functools
@@ -232,19 +233,6 @@ def test_program_store_load_keeps_the_callers_gc_state(tmp_path, enabled):
         (gc.enable if was_enabled else gc.disable)()
 
 
-def test_checkpoint_store_disk_roundtrip(tmp_path):
-    store = ckpt.CheckpointStore(tmp_path / "ckpt")
-    key = "f" * 64
-    assert store.get(key) is None
-    assert not store.path_for(key).is_file()
-    store.put(key, b"snapshot-bytes")
-    assert store.path_for(key).is_file()
-    assert store.get(key) == b"snapshot-bytes"
-    # And via a fresh store instance with the blob memo cleared (pure disk).
-    ckpt._BLOB_MEMO.clear()
-    assert ckpt.CheckpointStore(tmp_path / "ckpt").get(key) == b"snapshot-bytes"
-
-
 def test_restore_rejects_corrupt_blob():
     config = baseline_config(INSTRUCTIONS, SEED)
     prof = get_profile("gcc")
@@ -393,26 +381,12 @@ def test_restore_rejects_state_out_of_range(case, compiled):
     _assert_rejected(program, config, state, compiled, "mediawiki")
 
 
-def test_an_out_of_range_checkpoint_on_disk_is_rewarmed():
-    # Like a corrupt blob (tests/sim/test_engine.py), a stored checkpoint
-    # holding state out of range is a miss: re-warmed and overwritten.
-    from repro.sim import engine
-
-    config = PRESET_BUILDERS["udp"](INSTRUCTIONS, SEED)
-    spec = engine.spec_for("mediawiki", config, SEED, "udp")
-    clean = engine.run_batch([spec], jobs=1, no_cache=True)[0]
-    key = engine._checkpoint_key_for(spec)
-    store = ckpt.CheckpointStore()
-    state = pickle.loads(store.get(key))
+def test_an_out_of_range_checkpoint_blob_is_rejected():
+    # Like a corrupt blob, a pickled snapshot holding state out of range
+    # -- a 256-deep RAS against 32 entries -- fails to restore.
+    program, config, state = _donor_state(False, "mediawiki", "udp")
     state["ras"]["stack"] = [0x1000] * 256
-    store.path_for(key).write_bytes(pickle.dumps(state))
-    ckpt._BLOB_MEMO.clear()
-    stats = engine.BatchStats()
-    again = engine.run_batch([spec], jobs=1, no_cache=True, progress=stats)[0]
-    assert stats.checkpoint_creates == 1 and stats.checkpoint_restores == 0
-    assert again.counters == clean.counters
-    ckpt._BLOB_MEMO.clear()
-    assert len(pickle.loads(store.get(key))["ras"]["stack"]) <= config.branch.ras_entries
+    _assert_rejected(program, config, state, False, "mediawiki")
 
 
 # One malformed part per component: (preset, key, damage(part)).
@@ -460,27 +434,15 @@ def test_load_state_validates_before_changing_anything(case, compiled):
     assert component.state() == before
 
 
-def test_schema_3_blob_is_a_miss_that_rewarms():
-    # A snapshot written in an older format -- before the packed-BTB form
-    # (schema 3), or with the oracle's occurrences as a {pc: count} dict
-    # (schema 4) -- stored under the current key must be treated as a miss:
-    # the engine re-warms, overwrites the entry and reports the same
-    # counters as a clean run.
-    from repro.sim import engine
-
-    spec = engine.spec_for("gcc", baseline_config(INSTRUCTIONS, SEED), SEED, "s3")
-    clean = engine.run_batch([spec], jobs=1, no_cache=True)[0]
-    key = engine._checkpoint_key_for(spec)
-    store = ckpt.CheckpointStore()
+def test_a_schema_3_or_4_blob_is_rejected():
+    # A snapshot in an older format -- before the packed-BTB form (schema
+    # 3), or with the oracle's occurrences as a {pc: count} dict (schema 4)
+    # -- fails to restore.
+    program, config, state = _donor_state(False)
+    target = Simulator(program, config, data_profile=get_profile("gcc").data)
     for schema in (3, 4):
-        state = pickle.loads(store.get(key))
-        state["schema"] = schema
-        store.put(key, pickle.dumps(state))
-        stats = engine.BatchStats()
-        again = engine.run_batch([spec], jobs=1, no_cache=True, progress=stats)[0]
-        assert stats.checkpoint_creates == 1 and stats.checkpoint_restores == 0
-        assert again.counters == clean.counters
-        assert pickle.loads(store.get(key))["schema"] == ckpt.CHECKPOINT_SCHEMA
+        with pytest.raises(ckpt.CheckpointError, match="schema"):
+            ckpt.restore_warmup(target, pickle.dumps({**state, "schema": schema}))
 
 
 def test_capture_requires_warmed_restore_requires_pristine():
@@ -501,7 +463,6 @@ def test_capture_requires_warmed_restore_requires_pristine():
 
 def test_no_checkpoint_env_disables_reuse(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CHECKPOINT", "1")
-    assert not ckpt.checkpointing_enabled()
     program_store.clear_memo()
     program, source = program_store.get_program("gcc", SEED)
     assert source == "built"

@@ -16,6 +16,7 @@ from repro.sim.metrics import SimResult
 from repro.sim.presets import baseline_config
 from repro.sim.profile import build_simulator
 from repro.workloads import micro
+from repro.workloads import store as program_store
 
 FAST = baseline_config(max_instructions=2_000).replace(
     functional_warmup_blocks=800
@@ -223,82 +224,79 @@ def test_default_progress_hook(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Warmup checkpointing + program store (the sweep-reuse layers)
+# Warmup walks and the program store
 # ---------------------------------------------------------------------------
 
 
 def test_serial_batch_creates_one_checkpoint_per_key():
-    # _specs() spans two checkpoint keys: (mediawiki, seed 1) twice at
-    # different FTQ depths (shared warmup), and (mediawiki, seed 2) once.
-    stats = BatchStats()
-    run_batch(_specs(), jobs=1, no_cache=True, progress=stats)
-    assert stats.checkpoint_creates == 2
-    assert stats.checkpoint_restores == 1
-    rerun = BatchStats()
-    run_batch(_specs(), jobs=1, no_cache=True, progress=rerun)
-    assert rerun.checkpoint_creates == 0
-    assert rerun.checkpoint_restores == 3
-    assert "3 warmups restored" in rerun.summary()
+    # The one per-key state a batch still stores is its program (the layer
+    # REPRO_NO_CHECKPOINT turns off).  _specs() spans two program keys:
+    # (mediawiki, seed 1) twice at different FTQ depths, and (mediawiki,
+    # seed 2) once.  A cold batch builds and stores one program per key; a
+    # re-run with the memo dropped hydrates both and builds none.
+    program_store.clear_memo()
+    events = []
+    cold = run_batch(_specs(), jobs=1, no_cache=True, progress=events.append)
+    assert [e.program_source for e in events] == ["built", "memo", "built"]
+    store = program_store.ProgramStore()
+    assert store.stats()[0] == 2
+    program_store.clear_memo()
+    events.clear()
+    rerun = run_batch(_specs(), jobs=1, no_cache=True, progress=events.append)
+    assert [e.program_source for e in events] == ["disk", "memo", "disk"]
+    assert store.stats()[0] == 2
+    assert _serialized(rerun) == _serialized(cold)
 
 
 def test_pooled_cold_batch_creates_one_checkpoint_per_key():
-    # Pooled units that share a missing key may each walk the warmup and
-    # write the same blob: every unit creates or restores, and one blob per
-    # key lands on disk.  A later pooled batch restores in every unit and
-    # equals the cold one, as does a serial batch.
-    from repro.sim import checkpoint as ckpt
-
-    stats = BatchStats()
-    pooled = run_batch(_specs(), jobs=2, no_cache=True, progress=stats)
-    assert stats.checkpoint_creates + stats.checkpoint_restores == len(_specs())
-    keys = {engine._checkpoint_key_for(spec) for spec in _specs()}
-    store = ckpt.CheckpointStore()
-    assert store.stats()[0] == len(keys) == 2
-    assert all(store.path_for(key).is_file() for key in keys)
-    warm = BatchStats()
-    restored = run_batch(_specs(), jobs=2, no_cache=True, progress=warm)
-    assert (warm.checkpoint_creates, warm.checkpoint_restores) == (0, len(_specs()))
-    assert _serialized(restored) == _serialized(pooled)
+    # The parent materializes each program once before the pool starts, so
+    # a cold pooled batch builds one per key and one lands on disk per key.
+    # Every unit walks its own warmup, so a pooled re-run that hydrates the
+    # stored programs, and a serial batch, both equal the cold one.
+    program_store.clear_memo()
+    events = []
+    pooled = run_batch(_specs(), jobs=2, no_cache=True, progress=events.append)
+    assert sorted(e.program_source for e in events) == ["built", "built", "memo"]
+    store = program_store.ProgramStore()
+    assert store.stats()[0] == 2
+    assert all(store.path_for("mediawiki", seed).is_file() for seed in (1, 2))
+    program_store.clear_memo()
+    events.clear()
+    rerun = run_batch(_specs(), jobs=2, no_cache=True, progress=events.append)
+    assert sorted(e.program_source for e in events) == ["disk", "disk", "memo"]
     serial = run_batch(_specs(), jobs=1, no_cache=True)
-    assert _serialized(pooled) == _serialized(serial)
+    assert _serialized(pooled) == _serialized(rerun) == _serialized(serial)
+
+
+def test_a_batch_stores_no_warmup():
+    # Nothing of a walked warmup lands under the cache root, and every
+    # simulated unit reports the time its walk took.
+    events = []
+    run_batch(_specs(), jobs=1, no_cache=True, progress=events.append)
+    run_batch(_specs(), jobs=2, no_cache=True, progress=events.append)
+    assert not (engine.cache_root() / "checkpoints").exists()
+    assert len(events) == 2 * len(_specs())
+    assert all(not e.cached and e.warmup_seconds > 0 for e in events)
 
 
 def test_checkpointed_batch_matches_no_checkpoint_batch(monkeypatch):
-    checkpointed = run_batch(_specs(), jobs=1, no_cache=True)
+    # REPRO_NO_CHECKPOINT turns the program store's disk layer off: each
+    # (workload, seed) program is synthesized again, and nothing changes.
+    stored = run_batch(_specs(), jobs=1, no_cache=True)
     monkeypatch.setenv("REPRO_NO_CHECKPOINT", "1")
-    stats = BatchStats()
-    scratch = run_batch(_specs(), jobs=1, no_cache=True, progress=stats)
-    assert stats.checkpoint_creates == 0 and stats.checkpoint_restores == 0
-    assert _serialized(checkpointed) == _serialized(scratch)
-
-
-def test_corrupt_checkpoint_file_falls_back_to_scratch():
-    from repro.sim import checkpoint as ckpt
-
-    spec = _specs()[0]
-    reference = run_batch([spec], jobs=1, no_cache=True)
-    key = engine._checkpoint_key_for(spec)
-    store = ckpt.CheckpointStore()
-    assert store.path_for(key).is_file()
-    store.path_for(key).write_bytes(b"corrupt snapshot")
-    ckpt._BLOB_MEMO.clear()
-    stats = BatchStats()
-    rerun = run_batch([spec], jobs=1, no_cache=True, progress=stats)
-    assert stats.checkpoint_creates == 1  # rebuilt and re-persisted
-    assert _serialized(reference) == _serialized(rerun)
-    ckpt._BLOB_MEMO.clear()
-    assert store.get(key) != b"corrupt snapshot"
+    program_store.clear_memo()
+    events = []
+    scratch = run_batch(_specs(), jobs=1, no_cache=True, progress=events.append)
+    assert [e.program_source for e in events] == ["built", "memo", "built"]
+    assert _serialized(stored) == _serialized(scratch)
 
 
 def test_progress_events_carry_reuse_metadata():
     events = []
     run_batch(_specs(), jobs=1, no_cache=True, progress=events.append)
-    assert {e.checkpoint for e in events} == {"created", "restored"}
     assert all(
         e.program_source in ("memo", "disk", "built") for e in events
     )
-    restored = [e for e in events if e.checkpoint == "restored"]
-    assert all(e.warmup_seconds >= 0 for e in restored)
 
 
 def test_cache_info_reports_per_class(tmp_path, monkeypatch):
@@ -308,7 +306,7 @@ def test_cache_info_reports_per_class(tmp_path, monkeypatch):
     info = cache.info()
     assert info.entries == 2 and info.size_bytes > 0
     assert info.programs == 1 and info.program_bytes > 0
-    assert info.checkpoints == 1 and info.checkpoint_bytes > 0
+    assert engine.CACHE_CLASSES == ("results", "programs")
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +323,10 @@ def _exploding_execute(spec):
 
 
 def test_pool_unit_failure_does_not_strand_units_sharing_its_key(monkeypatch):
-    # All three specs share one warmup checkpoint key, and the first
-    # submitted unit dies before the checkpoint lands.  The other two must
-    # still create or restore the state themselves -- the batch raises
-    # BatchError only after the pool drains, with every surviving spec
-    # finished (no deadlock, no lost results).
+    # All three specs share one program key (workload and seed), and the
+    # first submitted unit dies.  The other two must still run -- the batch
+    # raises BatchError only after the pool drains, with every surviving
+    # spec finished (no deadlock, no lost results).
     monkeypatch.setattr(engine, "_execute", _exploding_execute)
     specs = [
         spec_for("mediawiki", FAST.with_ftq_depth(16), 1, "boom"),
@@ -356,11 +353,12 @@ def test_cache_clear_accepts_class_filter(tmp_path, monkeypatch):
     monkeypatch.setenv(engine.CACHE_DIR_ENV, str(tmp_path / "classes"))
     cache = ResultCache()
     run_batch(_specs()[:2], cache=cache)
-    assert cache.clear(("checkpoints",)) == 1
+    assert cache.clear(("programs",)) == 1
     info = cache.info()
-    assert info.checkpoints == 0 and info.entries == 2 and info.programs == 1
-    assert cache.clear(("results", "programs", "checkpoints")) == 3
+    assert info.entries == 2 and info.programs == 0
+    assert cache.clear(("results", "programs")) == 2
     after = cache.info()
-    assert (after.entries, after.programs, after.checkpoints) == (0, 0, 0)
-    with pytest.raises(ValueError):
-        cache.clear(("everything",))
+    assert (after.entries, after.programs) == (0, 0)
+    for unknown in ("everything", "checkpoints"):
+        with pytest.raises(ValueError):
+            cache.clear((unknown,))

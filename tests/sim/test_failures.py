@@ -12,7 +12,6 @@ import time
 import pytest
 
 from repro.common import faults
-from repro.sim import checkpoint as ckpt
 from repro.sim import engine
 from repro.sim.engine import BatchStats, run_batch, spec_for
 from repro.sim.presets import baseline_config
@@ -43,7 +42,7 @@ def _failure_env(monkeypatch, tmp_path):
 
 
 def _specs(labels, seed_base=1):
-    # Distinct seeds give distinct warmup-checkpoint keys.
+    # Distinct seeds give distinct programs.
     return [
         spec_for("mediawiki", FAST, seed_base + i, label)
         for i, label in enumerate(labels)
@@ -252,9 +251,8 @@ def test_worker_death_retry_recovers_byte_identical(monkeypatch, tmp_path):
 
 
 def test_crash_does_not_strand_units_sharing_its_key(monkeypatch):
-    # All three specs share one warmup key (same seed), and the first
-    # unit's worker dies before the checkpoint lands.  The other two must
-    # still create or restore the state themselves.
+    # All three specs share one program key (same seed), and the first
+    # unit's worker dies.  The other two must still run.
     monkeypatch.setenv(faults.FAULT_ENV, "kill:dies")
     specs = [
         spec_for("mediawiki", FAST.with_ftq_depth(16), 1, "dies"),
@@ -373,22 +371,6 @@ def test_sampled_interval_failure_names_the_interval(monkeypatch):
 # ---------------------------------------------------------------------------
 # Corrupt-artifact fallbacks
 # ---------------------------------------------------------------------------
-
-
-def test_corrupt_checkpoint_read_falls_back_to_rewarm(monkeypatch):
-    spec = spec_for("mediawiki", FAST, 1, "ck")
-    clean = run_batch([spec], jobs=1, no_cache=True)
-    key = engine._checkpoint_key_for(spec)
-    assert key is not None and ckpt.CheckpointStore().path_for(key).is_file()
-
-    ckpt._BLOB_MEMO.clear()
-    monkeypatch.setenv(faults.FAULT_ENV, f"corrupt-checkpoint:{key[:12]}:1")
-    stats = BatchStats()
-    again = run_batch([spec], jobs=1, no_cache=True, progress=stats)
-    # The injected-garbage read must be treated as a miss: the warmup is
-    # re-created (not restored) and the result is unchanged.
-    assert stats.checkpoint_creates == 1 and stats.failed == 0
-    assert _serialized(again) == _serialized(clean)
 
 
 def test_corrupt_program_read_rebuilds(monkeypatch, tmp_path):

@@ -10,10 +10,12 @@ so it imports no object structure, no behaviour class and no technique it
 does not build; sampling loads with a sampled spec, and the fault injector
 only when ``REPRO_FAULT`` is set.  UDP's modules load only for a run that
 builds UDP, and a stored program is checked once on load, in C wherever
-the kernels build.  Nor does a compiled run import the object path's
-code at all -- the Python stepper and walk, the object backend, the block
-view, the walking oracle cursor and the Python load checks -- so it
-compiles only the fast path.  A batch derives each spec's result key and
+the kernels build.  An unsampled batch does not import the warmup state
+protocol (``repro.sim.checkpoint``): every simulator walks its own
+warmup.  Nor does a compiled run import the object path's code at all --
+the Python stepper and walk, the object backend, the block view, the
+walking oracle cursor and the Python load checks -- so it compiles only
+the fast path.  A batch derives each spec's result key and
 each program's store key once, and reports where it got each program.
 A compiled Fig 13 batch runs the built-in comparators inside the cycle
 driver: it imports none of their object modules and makes no technique
@@ -134,15 +136,17 @@ specs = [
 unsampled = [spec for spec in specs if not spec.config.sampling.enabled]
 run_batch(unsampled, jobs=1, no_cache=True)
 sampling_unsampled = "repro.sim.sampling" in sys.modules
+checkpoint_unsampled = "repro.sim.checkpoint" in sys.modules
 events = []
-for _ in range(2):  # the second batch restores the first one's warmup checkpoints
+for _ in range(2):  # the second batch walks every warmup again
     run_batch(specs, jobs=1, no_cache=True, progress=events.append)
 # Every program of the batch stays memoized, and with it any view built
 # (counted without importing the view where no run did).
 blocks = sys.modules.get("repro.workloads.blocks")
 print(json.dumps({
     "sampling_unsampled": sampling_unsampled,
-    "checkpoints": [e.checkpoint for e in events],
+    "checkpoint_unsampled": checkpoint_unsampled,
+    "warmups": [e.warmup_seconds > 0 for e in events],
     "programs": [e.program_source for e in events],
     "modules": sorted(sys.modules),
     "driver": cc.compiled_enabled(),  # False without a C compiler, too
@@ -374,10 +378,13 @@ def test_serial_run_loads_only_what_it_runs(tmp_path, compiled):
     )
     report = json.loads(_python(SERIAL_RUN, tmp_path, compiled))
     assert "built" not in report["programs"]
-    assert report["checkpoints"][3:] == ["restored"] * 3
+    assert report["warmups"] == [True] * 6
     loaded = [name for name in OFF_PATH if name in report["modules"]]
     assert not loaded, f"a serial run imported {loaded}"
     assert not report["sampling_unsampled"], "a batch with no sampled spec imported sampling"
+    assert not report["checkpoint_unsampled"], (
+        "a batch with no sampled spec imported the warmup state protocol"
+    )
     missing = [name for name in UDP_MODULES if name not in report["modules"]]
     assert not missing, f"a udp run did not import {missing}"
     if report["driver"]:

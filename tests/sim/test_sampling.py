@@ -3,8 +3,8 @@
 The load-bearing property is the equivalence oracle: one interval covering
 the whole measured region with no detailed warmup must produce counters
 byte-identical to a plain full-fidelity run, on every preset family the
-benchmark sweeps.  Everything else (pool scheduling, checkpoint reuse)
-must never change a merged result, and the engine's interval chain (one
+benchmark sweeps.  Everything else (pool scheduling, re-runs) must never
+change a merged result, and the engine's interval chain (one
 walker handing its state to a fresh simulator per interval) must equal
 every interval warming up and jumping straight to its own start.
 """
@@ -276,7 +276,7 @@ def test_single_interval_is_byte_identical_to_plain(name, config):
 
 
 # ---------------------------------------------------------------------------
-# Multi-interval execution: pooling, determinism, checkpoints
+# Multi-interval execution: pooling, determinism, the chain
 # ---------------------------------------------------------------------------
 
 
@@ -324,22 +324,12 @@ def test_sampled_run_reports_interval_stats():
     assert isinstance(result.counters["cycles"], int)
 
 
-def test_sampled_run_stores_only_its_warmup_checkpoint():
-    # The intervals chain in memory: the warmup is the only checkpoint a
-    # sampled run writes, and a re-run restores it and walks again.
-    store = ckpt.CheckpointStore()
-    spec = _sampled_spec()
-    stats = BatchStats()
-    first = run_batch([spec], jobs=1, no_cache=True, progress=stats)[0]
-    assert store.stats()[0] == 1
-    assert store.path_for(engine._checkpoint_key_for(spec)).is_file()
-    assert (stats.checkpoint_creates, stats.checkpoint_restores) == (1, 0)
-    again = BatchStats()
-    rerun = run_batch(
-        [_sampled_spec(label="again")], jobs=1, no_cache=True, progress=again
-    )[0]
-    assert (again.checkpoint_creates, again.checkpoint_restores) == (0, 1)
-    assert store.stats()[0] == 1
+def test_a_sampled_rerun_stores_nothing_and_matches():
+    # The intervals chain in memory and the walker walks its own warmup:
+    # a sampled run stores no state, and a re-run walks it all again.
+    first = run_batch([_sampled_spec()], jobs=1, no_cache=True)[0]
+    rerun = run_batch([_sampled_spec(label="again")], jobs=1, no_cache=True)[0]
+    assert not (engine.cache_root() / "checkpoints").exists()
     assert rerun.sampling["ff_instructions_total"] > 0
     assert rerun.sampling == first.sampling
     assert _identical(rerun, first)
@@ -520,12 +510,12 @@ def test_a_compiled_handoff_never_takes_the_wire_form(monkeypatch, preset):
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["object", "compiled"])
-def test_chain_captures_only_its_warmup_checkpoint(monkeypatch, compiled):
+def test_chain_walks_and_never_captures(monkeypatch, compiled):
     # A K-interval chain is one engine unit that builds K + 1 simulators
-    # (the walker and one per interval); the warmup checkpoint is its only
-    # capture_state, and the intervals take the walker's state by buffer
-    # copy, never through restore_state.  Compiled, the walker makes K + 1
-    # walk-kernel calls: the warmup and one fast-forward per interval.
+    # (the walker and one per interval); it never calls capture_state, and
+    # the intervals take the walker's state by buffer copy, never through
+    # restore_state.  Compiled, the walker makes K + 1 walk-kernel calls:
+    # the warmup and one fast-forward per interval.
     _mode(monkeypatch, compiled)
     calls = {"capture_state": 0, "restore_state": 0, "Simulator": 0}
 
@@ -548,8 +538,8 @@ def test_chain_captures_only_its_warmup_checkpoint(monkeypatch, compiled):
         jobs=1, no_cache=True, progress=stats,
     )
     walks = cc.kernel_call_counts().get("functional_walk", 0) - before
-    assert (stats.runs, stats.checkpoint_creates, stats.intervals) == (1, 1, k)
-    assert calls == {"capture_state": 1, "restore_state": 0, "Simulator": k + 1}
+    assert (stats.runs, stats.intervals) == (1, k)
+    assert calls == {"capture_state": 0, "restore_state": 0, "Simulator": k + 1}
     assert walks == (k + 1 if compiled else 0)
 
 
